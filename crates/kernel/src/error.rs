@@ -62,6 +62,14 @@ pub enum MachineError {
         /// How long the machine waited, in milliseconds.
         waited_ms: u64,
     },
+    /// A live node thread panicked (a behaviour or a submitted job
+    /// unwound). Its peers were aborted; the run has no report.
+    NodePanicked {
+        /// The node whose thread unwound (the lowest, if several did).
+        node: NodeId,
+        /// The panic payload, when it was a string.
+        message: String,
+    },
 }
 
 impl fmt::Display for MachineError {
@@ -91,6 +99,9 @@ impl fmt::Display for MachineError {
                     f,
                     "live machine did not stop within its {waited_ms} ms wall budget"
                 )
+            }
+            MachineError::NodePanicked { node, message } => {
+                write!(f, "live node {node} panicked: {message}")
             }
         }
     }

@@ -24,9 +24,26 @@
 //! pairs the thread endpoint with a local binary heap of `(fire_at,
 //! seq)` deadlines, popped once the anchored clock passes them.
 //!
-//! Termination is explicit (`Ctx::stop` → Halt broadcast), with a
-//! wall-clock watchdog as the livelock valve — the live analog of
-//! `max_events`. The result is a genuine [`SimReport`] (merged stats
+//! A node with nothing to do **sleeps until something happens**; it never
+//! polls. Each node owns one [`Doorbell`], and whoever hands it work
+//! rings that bell after enqueueing: [`LiveNet::inject`] after a packet
+//! went onto the peer's queue, [`Backend::submit`] after a job was
+//! queued, and `Shared::raise_abort` (watchdog, peer panic) after
+//! raising the abort flag. The sleeper announces itself, takes one more
+//! full loop turn with the flag up — so anything enqueued before the flag
+//! was visible is found — and only then parks, until rung or until the
+//! earlier of its two real deadlines: the next armed timer and the load
+//! balancer's next poll time. With neither it sleeps without a timeout;
+//! there is no safety-net tick to paper over a missed ring, which is why
+//! the protocol is model-checked (`model_port::doorbell_program`).
+//!
+//! Termination is explicit (`Ctx::stop` → Halt broadcast, which reaches a
+//! parked peer as a packet like any other), with a wall-clock watchdog as
+//! the livelock valve — the live analog of `max_events`. A node thread
+//! that panics aborts its peers and surfaces as
+//! [`MachineError::NodePanicked`].
+//!
+//! The result is a genuine [`SimReport`] (merged stats
 //! including the thread-network's backpressure counters, per-node
 //! clocks, reports, optional merged trace, quiescence audit) so
 //! hal-check and the artifact tooling ingest live runs unchanged; only
@@ -39,7 +56,10 @@ use crate::error::MachineError;
 use crate::kernel::{with_system_ctx, Ctx, Kernel, KernelConfig, NetOut};
 use crate::machine::{MachineConfig, SimReport};
 use crate::registry::BehaviorRegistry;
-use crate::telemetry::{spawn_collector, NodeCell, TelemetryHub};
+use crate::sync::{
+    AtomicBool, Condvar, Doorbell, Mutex, Ordering, RING_JOB, RING_PACKET, RING_STOP,
+};
+use crate::telemetry::{spawn_collector, NodeCell, TelemetryHub, WAKE_COUNTERS};
 use crate::trace::{TraceWarning, WarningKind};
 use crate::wire::KMsg;
 use hal_am::{
@@ -49,7 +69,6 @@ use hal_am::{
 use hal_des::{StatSet, VirtualDuration, VirtualTime};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use crate::sync::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -69,9 +88,73 @@ fn live_fault_plan() -> FaultPlan {
     }
 }
 
-/// How long an idle node parks on its receive queue before re-checking
-/// timers, jobs, and the abort flag.
-const IDLE_PARK: Duration = Duration::from_millis(1);
+/// What the node threads and the harness share: the wake-up and shutdown
+/// state of one live machine.
+struct Shared {
+    /// One bell per node, rung by whoever enqueues work for it.
+    bells: Vec<Doorbell>,
+    /// Raised by the watchdog or by a panicking node; every loop turn
+    /// checks it. Raise it through [`Shared::raise_abort`] only, so a
+    /// parked node hears about it.
+    abort: AtomicBool,
+    /// Node threads that have not exited yet; `all_exited` is notified
+    /// when it reaches zero.
+    running: Mutex<usize>,
+    all_exited: Condvar,
+}
+
+impl Shared {
+    fn new(nodes: usize) -> Self {
+        Shared {
+            bells: (0..nodes).map(|_| Doorbell::new()).collect(),
+            abort: AtomicBool::new(false),
+            running: Mutex::new(nodes),
+            all_exited: Condvar::new(),
+        }
+    }
+
+    /// Stop every node at its next loop turn. Flag first, bell second —
+    /// the producer half of the doorbell protocol, with the flag as the
+    /// "queue" (`SeqCst` on both sides, see [`Doorbell`]).
+    fn raise_abort(&self) {
+        self.abort.store(true, Ordering::SeqCst);
+        for bell in &self.bells {
+            bell.ring(RING_STOP);
+        }
+    }
+
+    /// Block until every node thread has exited; false if `deadline`
+    /// passes first.
+    fn wait_all_exited(&self, deadline: Instant) -> bool {
+        let mut running = self.running.lock();
+        while *running > 0 {
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            running = self.all_exited.wait_timeout(running, deadline - now).0;
+        }
+        true
+    }
+}
+
+/// Held by a node thread for its whole life: announces the exit, and if
+/// the thread is unwinding aborts the peers first — they may be parked
+/// without a timeout, waiting for packets this node will never send.
+struct ExitGuard(Arc<Shared>);
+
+impl Drop for ExitGuard {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.raise_abort();
+        }
+        let mut running = self.0.running.lock();
+        *running -= 1;
+        if *running == 0 {
+            self.0.all_exited.notify_all();
+        }
+    }
+}
 
 /// One armed chaos timer: min-heap ordering on `(fire_at, seq)` so
 /// simultaneous deadlines pop in arming order. The envelope is the
@@ -113,15 +196,18 @@ pub struct LiveNet {
     /// The node loop consumes these before fresh arrivals so per-link
     /// FIFO order is preserved (see [`LiveNet::inject`]).
     inbox: VecDeque<Packet<KMsg>>,
+    /// The peers' doorbells, rung after every send.
+    shared: Arc<Shared>,
 }
 
 impl LiveNet {
-    fn new(ep: ThreadEndpoint<KMsg>) -> Self {
+    fn new(ep: ThreadEndpoint<KMsg>, shared: Arc<Shared>) -> Self {
         LiveNet {
             ep,
             timers: BinaryHeap::new(),
             timer_seq: 0,
             inbox: VecDeque::new(),
+            shared,
         }
     }
 
@@ -169,7 +255,11 @@ impl NetOut for LiveNet {
         let mut stalled = false;
         loop {
             match self.ep.try_send(dst, env, wire_bytes) {
-                Ok(()) => return,
+                Ok(()) => {
+                    // Enqueued: wake the peer if it sleeps (one load if not).
+                    self.shared.bells[dst as usize].ring(RING_PACKET);
+                    return;
+                }
                 Err(back) => env = back,
             }
             if !stalled {
@@ -220,7 +310,6 @@ enum LiveState {
     Running {
         handles: Vec<JoinHandle<NodeDone>>,
         job_txs: Vec<Sender<Job>>,
-        abort: Arc<AtomicBool>,
         net_stats: Arc<ThreadNetStats>,
     },
     /// Drained: the report is fixed.
@@ -243,6 +332,32 @@ pub struct LiveMachine {
     /// (timeseries history) spawns only when metrics were requested.
     hub: Arc<TelemetryHub>,
     collector: Option<JoinHandle<()>>,
+    /// Doorbells, abort flag and exit count (see [`Shared`]).
+    shared: Arc<Shared>,
+}
+
+/// Node `me`'s kernel configuration on a live machine built from `cfg`.
+fn live_kernel_config(cfg: &MachineConfig, me: NodeId) -> KernelConfig {
+    KernelConfig {
+        me,
+        nodes: cfg.nodes,
+        cost: cfg.cost,
+        load_balancing: cfg.load_balancing && cfg.nodes > 1,
+        flow_control: cfg.flow_control,
+        quantum: cfg.quantum,
+        max_stack_depth: cfg.max_stack_depth,
+        seed: cfg.seed,
+        opt: cfg.opt,
+        trace: cfg.record_trace,
+        // The PR 5 registry's cadences assume a deterministic
+        // virtual clock, so it stays off on live; an explicit
+        // metrics request is rerouted to the host-time
+        // telemetry collector (with a typed trace warning).
+        metrics: false,
+        span_sample_ppm: cfg.span_sample_ppm,
+        faults: live_fault_plan(),
+        force_reliable: true,
+    }
 }
 
 impl LiveMachine {
@@ -271,26 +386,7 @@ impl LiveMachine {
         let hub = Arc::new(TelemetryHub::new(cells.clone(), local_net));
         let kernels: Vec<Kernel> = (0..cfg.nodes)
             .map(|i| {
-                let kcfg = KernelConfig {
-                    me: i as NodeId,
-                    nodes: cfg.nodes,
-                    cost: cfg.cost,
-                    load_balancing: cfg.load_balancing && cfg.nodes > 1,
-                    flow_control: cfg.flow_control,
-                    quantum: cfg.quantum,
-                    max_stack_depth: cfg.max_stack_depth,
-                    seed: cfg.seed,
-                    opt: cfg.opt,
-                    trace: cfg.record_trace,
-                    // The PR 5 registry's cadences assume a deterministic
-                    // virtual clock, so it stays off on live; an explicit
-                    // metrics request is rerouted to the host-time
-                    // telemetry collector (with a typed trace warning).
-                    metrics: false,
-                    span_sample_ppm: cfg.span_sample_ppm,
-                    faults: live_fault_plan(),
-                    force_reliable: true,
-                };
+                let kcfg = live_kernel_config(&cfg, i as NodeId);
                 let mut k = Kernel::new(kcfg, Arc::clone(&registry));
                 k.set_telemetry(Arc::clone(&cells[i]));
                 k
@@ -303,17 +399,22 @@ impl LiveMachine {
             job_txs.push(tx);
             job_rxs.push(rx);
         }
+        let shared = Arc::new(Shared::new(cfg.nodes));
         LiveMachine {
             cfg,
             state: LiveState::Staged {
                 kernels,
-                nets: endpoints.into_iter().map(LiveNet::new).collect(),
+                nets: endpoints
+                    .into_iter()
+                    .map(|ep| LiveNet::new(ep, Arc::clone(&shared)))
+                    .collect(),
                 job_txs,
                 job_rxs,
             },
             anchor: Instant::now(),
             hub,
             collector: None,
+            shared,
         }
     }
 
@@ -323,30 +424,47 @@ impl LiveMachine {
         &self.hub
     }
 
-    /// Join every node thread, flipping `abort` if `deadline` passes
-    /// first (node loops check it every idle millisecond).
+    /// Wait up to `timeout` for every node thread to exit, raising
+    /// `abort` if they do not, then join them. A thread that panicked has
+    /// already aborted its peers ([`ExitGuard`]) and is reported as
+    /// [`MachineError::NodePanicked`] (the lowest such node), ahead of a
+    /// [`MachineError::WallTimeout`].
     fn join_nodes(
         handles: Vec<JoinHandle<NodeDone>>,
-        abort: &AtomicBool,
-        deadline: Instant,
-    ) -> (Vec<NodeDone>, bool) {
-        let mut timed_out = false;
-        let mut out = Vec::with_capacity(handles.len());
-        for h in handles {
-            loop {
-                if h.is_finished() {
-                    break;
-                }
-                if Instant::now() >= deadline {
-                    timed_out = true;
-                    abort.store(true, Ordering::Relaxed);
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            out.push(h.join().expect("live node thread panicked"));
+        shared: &Shared,
+        timeout: Duration,
+    ) -> Result<Vec<NodeDone>, MachineError> {
+        let timed_out = !shared.wait_all_exited(Instant::now() + timeout);
+        if timed_out {
+            shared.raise_abort();
         }
-        (out, timed_out)
+        let mut out = Vec::with_capacity(handles.len());
+        let mut panicked = None;
+        for (node, h) in handles.into_iter().enumerate() {
+            match h.join() {
+                Ok(done) => out.push(done),
+                Err(payload) => {
+                    let message = payload
+                        .downcast_ref::<&str>()
+                        .map(|s| (*s).to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "non-string panic payload".to_string());
+                    panicked.get_or_insert(MachineError::NodePanicked {
+                        node: node as NodeId,
+                        message,
+                    });
+                }
+            }
+        }
+        if let Some(e) = panicked {
+            return Err(e);
+        }
+        if timed_out {
+            return Err(MachineError::WallTimeout {
+                waited_ms: timeout.as_millis() as u64,
+            });
+        }
+        Ok(out)
     }
 
     /// Assemble the [`SimReport`] from joined kernels — the same merge
@@ -356,6 +474,7 @@ impl LiveMachine {
         cfg: &MachineConfig,
         mut nodes: Vec<NodeDone>,
         net_stats: &ThreadNetStats,
+        cells: &[Arc<NodeCell>],
     ) -> Result<SimReport, MachineError> {
         if let Some(e) = nodes.iter_mut().find_map(|n| n.kernel.failed.take()) {
             return Err(e);
@@ -380,6 +499,14 @@ impl LiveMachine {
             "threadnet.dropped_on_close",
             net_stats.dropped_on_close.load(Ordering::Relaxed),
         );
+        // Why the nodes slept and what woke them, summed over nodes (the
+        // per-node split is in the telemetry cells / `top`).
+        for cell in cells {
+            stats.add("live.parks", cell.parks.load(Ordering::Relaxed));
+            for (name, c) in WAKE_COUNTERS.iter().zip(&cell.wakes) {
+                stats.add(name, c.load(Ordering::Relaxed));
+            }
+        }
         let node_clocks: Vec<_> = nodes.iter().map(|n| n.kernel.clock).collect();
         let makespan = node_clocks
             .iter()
@@ -471,7 +598,6 @@ impl Backend for LiveMachine {
         else {
             unreachable!("matched Staged above")
         };
-        let abort = Arc::new(AtomicBool::new(false));
         let net_stats = Arc::clone(nets[0].ep.stats());
         // Re-anchor at spawn: bootstrap wall time (program loading)
         // should not count against the run's clocks.
@@ -489,15 +615,22 @@ impl Backend for LiveMachine {
             .into_iter()
             .zip(nets)
             .zip(job_rxs)
-            .map(|((kernel, net), jobs)| {
-                let abort = Arc::clone(&abort);
-                std::thread::spawn(move || node_loop(kernel, net, jobs, abort, anchor))
+            .zip(self.hub.cells())
+            .map(|(((kernel, net), jobs), cell)| {
+                Node {
+                    kernel,
+                    net,
+                    jobs,
+                    anchor,
+                    cell: Arc::clone(cell),
+                    events: 0,
+                }
+                .spawn()
             })
             .collect();
         self.state = LiveState::Running {
             handles,
             job_txs,
-            abort,
             net_stats,
         };
         Ok(())
@@ -523,7 +656,9 @@ impl Backend for LiveMachine {
             .send(job)
             .map_err(|_| MachineError::BackendState {
                 what: "accept a job for a node that already stopped",
-            })
+            })?;
+        self.shared.bells[node as usize].ring(RING_JOB);
+        Ok(())
     }
 
     fn drain(&mut self, timeout: Duration) -> Result<SimReport, MachineError> {
@@ -534,14 +669,12 @@ impl Backend for LiveMachine {
             LiveState::Running {
                 handles,
                 job_txs,
-                abort,
                 net_stats,
             } => {
                 // Drop the job senders so node loops see a disconnected
                 // queue rather than a forever-pending one.
                 drop(job_txs);
-                let deadline = Instant::now() + timeout;
-                let (nodes, timed_out) = Self::join_nodes(handles, &abort, deadline);
+                let joined = Self::join_nodes(handles, &self.shared, timeout);
                 // Final collector pass after every node joined: the last
                 // snapshot reflects the fully drained machine, so drained
                 // counter totals are exact (not a mid-run cut).
@@ -549,14 +682,11 @@ impl Backend for LiveMachine {
                 if let Some(h) = self.collector.take() {
                     h.join().expect("telemetry collector panicked");
                 }
-                if timed_out {
-                    // Leave the state Poisoned: a timed-out live run has
-                    // no coherent report.
-                    return Err(MachineError::WallTimeout {
-                        waited_ms: timeout.as_millis() as u64,
-                    });
-                }
-                let mut report = Self::assemble_report(&self.cfg, nodes, &net_stats)?;
+                // A failure leaves the state Poisoned: a run that lost a
+                // node or was cut short has no coherent report.
+                let nodes = joined?;
+                let mut report =
+                    Self::assemble_report(&self.cfg, nodes, &net_stats, self.hub.cells())?;
                 if self.cfg.record_metrics {
                     // The explicit metrics request was rerouted to the
                     // host-time collector; say so in-band rather than
@@ -597,37 +727,60 @@ impl Backend for LiveMachine {
     }
 }
 
-/// One live node's event loop. Each iteration:
-///
-/// 1. anchor the virtual clock to host time (`max`, never backwards);
-/// 2. fire due chaos timers (stale ones retired for free, as in the
-///    simulator's delivery path);
-/// 3. run submitted jobs in a system context;
-/// 4. drain arrived packets;
-/// 5. take one scheduling step;
-/// 6. if nothing happened: optionally send a steal poll, then park on
-///    the receive queue until the next timer deadline (at most
-///    [`IDLE_PARK`]).
-///
-/// Exits when the kernel stops (local `Ctx::stop` or received Halt) or
-/// the watchdog flips `abort`.
-fn node_loop(
-    mut kernel: Kernel,
-    mut net: LiveNet,
+/// One live node: its kernel, its network interface and its job queue,
+/// owned by the node's thread for the length of the run.
+struct Node {
+    kernel: Kernel,
+    net: LiveNet,
     jobs: Receiver<Job>,
-    abort: Arc<AtomicBool>,
     anchor: Instant,
-) -> NodeDone {
-    let mut events = 0u64;
-    loop {
-        if kernel.stopped || abort.load(Ordering::Relaxed) {
-            return NodeDone { kernel, events };
-        }
+    cell: Arc<NodeCell>,
+    /// Loop steps that did something (see [`NodeDone::events`]).
+    events: u64,
+}
+
+impl Node {
+    /// One pass over everything that can hand this node work. Returns
+    /// whether anything happened.
+    ///
+    /// 1. anchor the virtual clock to host time (`max`, never backwards);
+    /// 2. run submitted jobs in a system context;
+    /// 3. drain arrived packets — *before* the timers, so an ack that
+    ///    sat in the queue while this thread was parked or descheduled
+    ///    retires its packet before that packet's RTO is looked at, and
+    ///    the link retransmits only what is really unacknowledged;
+    /// 4. fire due timers (stale ones retired for free, as in the
+    ///    simulator's delivery path);
+    /// 5. take one scheduling step.
+    fn turn(&mut self) -> bool {
+        let Node {
+            kernel,
+            net,
+            jobs,
+            events,
+            ..
+        } = self;
+        let before = *events;
         kernel.clock = kernel
             .clock
-            .max(VirtualTime::from_nanos(anchor.elapsed().as_nanos() as u64));
+            .max(VirtualTime::from_nanos(self.anchor.elapsed().as_nanos() as u64));
+        while let Ok(job) = jobs.try_recv() {
+            with_system_ctx(kernel, net, job);
+            *events += 1;
+            if kernel.stopped {
+                return true;
+            }
+        }
+        // Inbox first: packets set aside while a send was stalled are
+        // older than anything still in the endpoint queue.
+        while let Some(pkt) = net.take_inbox().or_else(|| net.ep.try_recv()) {
+            kernel.handle_packet(net, pkt);
+            *events += 1;
+            if kernel.stopped {
+                return true;
+            }
+        }
         let me = kernel.config().me;
-        let mut progress = false;
         while let Some(env) = net.pop_due(kernel.clock) {
             if let AmEnvelope::Timer(body) = &env {
                 if kernel.timer_stale(body) {
@@ -636,61 +789,76 @@ fn node_loop(
                 }
             }
             kernel.handle_packet(
-                &mut net,
+                net,
                 Packet {
                     src: me,
                     dst: me,
                     body: env,
                 },
             );
-            events += 1;
-            progress = true;
+            *events += 1;
         }
-        while let Ok(job) = jobs.try_recv() {
-            with_system_ctx(&mut kernel, &mut net, job);
-            events += 1;
-            progress = true;
-            if kernel.stopped {
-                return NodeDone { kernel, events };
-            }
+        if kernel.step(net) {
+            *events += 1;
         }
-        // Inbox first: packets set aside while a send was stalled are
-        // older than anything still in the endpoint queue.
+        *events != before
+    }
+
+    /// Run the node on a thread of its own, counted out of
+    /// `Shared::running` (and its peers aborted if it unwinds) by an
+    /// [`ExitGuard`].
+    fn spawn(self) -> JoinHandle<NodeDone> {
+        let exit = ExitGuard(Arc::clone(&self.net.shared));
+        std::thread::spawn(move || {
+            let _exit = exit;
+            self.run()
+        })
+    }
+
+    /// The node's event loop: [`Node::turn`] while turns find work; when
+    /// one does not, go to sleep by the [`Doorbell`] protocol — optionally
+    /// send a steal poll, announce, take one more turn with the flag up
+    /// (the re-check: a producer that enqueued before it could see the
+    /// flag rang nobody), then park. The park is the only place this
+    /// thread blocks. It ends when a producer rings or at the earlier of
+    /// the node's two real deadlines — the next armed timer and the
+    /// balancer's next poll time — and has no timeout when there is
+    /// neither.
+    ///
+    /// Exits when the kernel stops (local `Ctx::stop` or received Halt) or
+    /// `abort` is raised.
+    fn run(mut self) -> NodeDone {
+        let shared = Arc::clone(&self.net.shared);
+        let bell = &shared.bells[self.kernel.config().me as usize];
         loop {
-            let Some(pkt) = net.take_inbox().or_else(|| net.ep.try_recv()) else {
-                break;
-            };
-            kernel.handle_packet(&mut net, pkt);
-            events += 1;
-            progress = true;
-            if kernel.stopped {
-                return NodeDone { kernel, events };
+            if self.kernel.stopped || shared.abort.load(Ordering::SeqCst) {
+                return NodeDone {
+                    kernel: self.kernel,
+                    events: self.events,
+                };
             }
-        }
-        if kernel.step(&mut net) {
-            events += 1;
-            progress = true;
-        }
-        if !progress {
-            if kernel.nodes() > 1 && kernel.balancer.may_poll(kernel.clock) {
-                kernel.send_steal_poll(&mut net);
+            if self.turn() {
+                continue;
             }
-            // Park until traffic arrives or the next timer is due,
-            // whichever is sooner (bounded so jobs/abort stay checked).
-            let park = match net.next_timer_due() {
-                Some(due) => {
-                    let now = VirtualTime::from_nanos(anchor.elapsed().as_nanos() as u64);
-                    if due <= now {
-                        continue; // already due: fire it on the next pass
-                    }
-                    Duration::from_nanos(due.since(now).as_nanos()).min(IDLE_PARK)
-                }
-                None => IDLE_PARK,
-            };
-            if let Some(pkt) = net.ep.recv_timeout(park) {
-                kernel.handle_packet(&mut net, pkt);
-                events += 1;
+            if self.kernel.nodes() > 1 && self.kernel.balancer.may_poll(self.kernel.clock) {
+                self.kernel.send_steal_poll(&mut self.net);
             }
+            bell.announce();
+            if shared.abort.load(Ordering::SeqCst) || self.turn() {
+                bell.cancel();
+                continue;
+            }
+            let due = [
+                self.net.next_timer_due(),
+                self.kernel.balancer.poll_ready_at(),
+            ];
+            let deadline = due
+                .into_iter()
+                .flatten()
+                .min()
+                .map(|t| self.anchor + Duration::from_nanos(t.as_nanos()));
+            self.cell.parks.fetch_add(1, Ordering::Relaxed);
+            self.cell.note_wake(bell.park(deadline));
         }
     }
 }
@@ -759,9 +927,151 @@ mod tests {
         let cfg = MachineConfig::builder(1).build().unwrap();
         let mut m = LiveMachine::new(cfg, empty_registry());
         m.init().unwrap();
-        // Nobody ever calls stop: the watchdog must fire.
+        // Nobody ever calls stop: the watchdog must fire — and its abort
+        // must wake a node parked without a timeout.
+        let t = Instant::now();
         let err = m.drain(Duration::from_millis(50)).unwrap_err();
         assert!(matches!(err, MachineError::WallTimeout { .. }));
+        assert!(t.elapsed() < Duration::from_secs(5), "abort woke the node");
+    }
+
+    #[test]
+    fn live_idle_nodes_sleep_instead_of_polling() {
+        let cfg = MachineConfig::builder(2).build().unwrap();
+        let mut m = LiveMachine::new(cfg, empty_registry());
+        m.init().unwrap();
+        // No timer armed, no balancer: nothing to wake for.
+        std::thread::sleep(Duration::from_millis(100));
+        let parks: Vec<u64> = m
+            .telemetry()
+            .cells()
+            .iter()
+            .map(|c| c.parks.load(Ordering::Relaxed))
+            .collect();
+        assert!(
+            parks.iter().all(|&p| (1..=4).contains(&p)),
+            "100 idle ms are one park per node, not 100 poll ticks: {parks:?}"
+        );
+        m.submit(0, Box::new(|ctx| ctx.stop())).unwrap();
+        let report = m.drain(Duration::from_secs(10)).unwrap();
+        // Node 0 was woken by the job, node 1 by node 0's Halt packet.
+        assert!(report.stats.get("live.wake_job") >= 1, "{:?}", report.stats);
+        assert!(report.stats.get("live.wake_packet") >= 1, "{:?}", report.stats);
+        assert_eq!(report.stats.get("live.wake_stop"), 0);
+        assert!(report.stats.get("live.parks") >= parks.iter().sum::<u64>());
+    }
+
+    #[test]
+    fn live_job_wakes_a_parked_node() {
+        let cfg = MachineConfig::builder(2).build().unwrap();
+        let mut m = LiveMachine::new(cfg, empty_registry());
+        m.init().unwrap();
+        let waits = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+        for _ in 0..200 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            std::thread::sleep(Duration::from_micros(1_000 + (x >> 33) % 2_000));
+            let (sent, waits) = (Instant::now(), Arc::clone(&waits));
+            m.submit(1, Box::new(move |_| waits.lock().unwrap().push(sent.elapsed())))
+                .unwrap();
+        }
+        m.submit(0, Box::new(|ctx| ctx.stop())).unwrap();
+        m.drain(Duration::from_secs(10)).unwrap();
+        let mut waits = waits.lock().unwrap().clone();
+        assert_eq!(waits.len(), 200);
+        waits.sort();
+        let median = waits[waits.len() / 2];
+        assert!(
+            median < Duration::from_micros(400),
+            "submit -> run on an idle node took {median:?} at the median (a poll tick?)"
+        );
+    }
+
+    /// A node whose only pending event is its own retransmit timer parks
+    /// *until that deadline*: the second copy of an unacknowledged packet
+    /// leaves one RTO after the first, not a poll tick later.
+    #[test]
+    fn live_timer_fires_on_a_parked_node() {
+        let rto = Duration::from_nanos(live_fault_plan().rto.as_nanos());
+        let mut late = Vec::new();
+        for _ in 0..5 {
+            let cfg = MachineConfig::builder(2).build().unwrap();
+            let mut eps = thread_network::<KMsg>(2);
+            let silent_peer = eps.pop().unwrap();
+            let shared = Arc::new(Shared::new(2));
+            let (job_tx, jobs) = channel::<Job>();
+            let node = Node {
+                kernel: Kernel::new(live_kernel_config(&cfg, 0), registry_with_bomb()),
+                net: LiveNet::new(eps.pop().unwrap(), Arc::clone(&shared)),
+                jobs,
+                anchor: Instant::now(),
+                cell: Arc::new(NodeCell::new(2)),
+                events: 0,
+            };
+            let cell = Arc::clone(&node.cell);
+            let h = node.spawn();
+            // One reliable packet to a peer that never acknowledges.
+            job_tx
+                .send(Box::new(|ctx| {
+                    ctx.create_on(1, BOMB, vec![]);
+                }))
+                .unwrap();
+            shared.bells[0].ring(RING_JOB);
+            silent_peer.recv().expect("first copy");
+            let first = Instant::now();
+            silent_peer.recv().expect("retransmitted copy");
+            late.push(first.elapsed().saturating_sub(rto));
+            assert!(first.elapsed() + Duration::from_millis(1) >= rto, "not early");
+            let by_deadline = cell.wakes.last().unwrap().load(Ordering::Relaxed);
+            assert!(by_deadline >= 1, "{}", WAKE_COUNTERS[3]);
+            shared.raise_abort();
+            h.join().unwrap();
+        }
+        late.sort();
+        assert!(
+            late[late.len() / 2] < Duration::from_millis(1),
+            "retransmit left {late:?} after its deadline"
+        );
+    }
+
+    const BOMB: crate::addr::BehaviorId = crate::addr::BehaviorId(1);
+
+    /// A registry whose one behavior panics on its first message.
+    fn registry_with_bomb() -> Arc<BehaviorRegistry> {
+        struct Bomb;
+        impl crate::actor::Behavior for Bomb {
+            fn dispatch(&mut self, _: &mut Ctx<'_>, _: crate::message::Msg) {
+                panic!("boom");
+            }
+        }
+        let mut reg = BehaviorRegistry::new();
+        reg.register(BOMB, "bomb", |_| Box::new(Bomb));
+        Arc::new(reg)
+    }
+
+    #[test]
+    fn live_node_panic_is_a_typed_error_not_a_hang() {
+        let cfg = MachineConfig::builder(2).build().unwrap();
+        let mut m = Machine::live(cfg, registry_with_bomb());
+        m.init().unwrap();
+        // Node 0 creates the bomb on node 1, lights it and goes back to
+        // sleep with no timeout; nobody calls stop.
+        m.submit(
+            0,
+            Box::new(|ctx| {
+                let bomb = ctx.create_on(1, BOMB, vec![]);
+                ctx.send(bomb, 0, vec![]);
+            }),
+        )
+        .unwrap();
+        let err = m.drain(Duration::from_secs(10)).unwrap_err();
+        assert_eq!(
+            err,
+            MachineError::NodePanicked {
+                node: 1,
+                message: "boom".to_string()
+            }
+        );
     }
 
     #[test]

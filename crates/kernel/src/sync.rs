@@ -12,8 +12,9 @@
 //! `hal_model::sync`: every atomic access, lock, and condvar
 //! operation becomes a scheduling point of the deterministic interleaving
 //! explorer, with per-location happens-before tracking. Code written
-//! against this module — notably [`crate::boundary`] and the barrier below
-//! — is therefore model-checkable verbatim. The model primitives panic if
+//! against this module — notably [`crate::boundary`], the barrier and the
+//! live backend's [`Doorbell`] below — is therefore model-checkable
+//! verbatim. The model primitives panic if
 //! used outside `hal_model::explore`, so a kernel built with the feature is
 //! for `tests/model_tests.rs` only, not for running simulations.
 
@@ -224,6 +225,22 @@ mod std_impl {
         }
 
         #[inline]
+        /// [`Condvar::wait`] with a timeout; the flag is true when the wait
+        /// timed out. Like `std`, it may return early either way, so
+        /// callers re-check their predicate and their deadline.
+        pub fn wait_timeout<'a, T>(
+            &self,
+            guard: MutexGuard<'a, T>,
+            dur: std::time::Duration,
+        ) -> (MutexGuard<'a, T>, bool) {
+            let (guard, res) = self
+                .0
+                .wait_timeout(guard.0, dur)
+                .unwrap_or_else(PoisonError::into_inner);
+            (MutexGuard(guard), res.timed_out())
+        }
+
+        #[inline]
         /// See [`std::sync::Condvar::notify_all`].
         pub fn notify_all(&self) {
             self.0.notify_all();
@@ -378,6 +395,110 @@ impl SpinBarrier {
             self.check();
             guard = self.cv.wait(guard);
         }
+    }
+}
+
+/// Ring reason: a packet was queued on the sleeper's endpoint.
+pub const RING_PACKET: u8 = 1 << 0;
+/// Ring reason: a job was queued for the sleeper.
+pub const RING_JOB: u8 = 1 << 1;
+/// Ring reason: the machine-wide abort flag was raised.
+pub const RING_STOP: u8 = 1 << 2;
+
+/// One live node's wake-up primitive: the node sleeps here and every
+/// producer rings it *after* enqueueing.
+///
+/// The protocol is the classic sleeping-flag handshake:
+///
+/// * **sleeper** — [`announce`](Self::announce) (raise `sleeping`), then
+///   re-check every queue and flag a producer could have written; found
+///   something → [`cancel`](Self::cancel), otherwise
+///   [`park`](Self::park);
+/// * **producer** — enqueue (or raise the stop flag the sleeper
+///   re-checks), then [`ring`](Self::ring), which loads `sleeping` and
+///   only when it is up takes the lock, leaves its reason in the token
+///   and notifies.
+///
+/// Both sides write one location and then read the other (store
+/// buffering), so the `sleeping` store and load are `SeqCst` and the
+/// queue must be sequentially consistent about its own emptiness — which
+/// `std::sync::mpsc` is: `send` claims its slot with a `SeqCst`
+/// read-modify-write and `try_recv` fences `SeqCst` before it reads the
+/// tail. Then either the re-check sees the item or the ring sees the
+/// flag — never neither, which would be a lost wake-up. A producer that
+/// raced a `cancel` may leave a token behind; the next `park` consumes it
+/// and returns at once, which costs one empty loop turn and can never
+/// lose a wake. A ring on a node that is not sleeping is a single load of
+/// a line only the sleeper writes.
+///
+/// Built from this module's primitives, so `tests/model_tests.rs` checks
+/// this exact code (`model_port::doorbell_program`).
+pub struct Doorbell {
+    sleeping: AtomicBool,
+    /// The wake token: OR of the `RING_*` reasons rung since the last
+    /// park, 0 when nobody rang.
+    rung: Mutex<u8>,
+    cv: Condvar,
+}
+
+impl Default for Doorbell {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Doorbell {
+    /// A bell nobody sleeps on yet.
+    pub fn new() -> Self {
+        Doorbell {
+            sleeping: AtomicBool::named(false, "bell.sleeping"),
+            rung: Mutex::named(0, "bell.rung"),
+            cv: Condvar::named("bell.cv"),
+        }
+    }
+
+    /// Producer side; call *after* the enqueue. `why` is OR-ed into the
+    /// token the sleeper gets back from [`park`](Self::park).
+    #[inline]
+    pub fn ring(&self, why: u8) {
+        if self.sleeping.load(Ordering::SeqCst) {
+            *self.rung.lock() |= why;
+            self.cv.notify_one();
+        }
+    }
+
+    /// Sleeper side, step 1: raise the flag. Everything enqueued before a
+    /// producer could see it rang nobody, so the caller must now re-check
+    /// its queues once, then [`park`](Self::park) or
+    /// [`cancel`](Self::cancel).
+    pub fn announce(&self) {
+        self.sleeping.store(true, Ordering::SeqCst);
+    }
+
+    /// The re-check found work: lower the flag without sleeping.
+    pub fn cancel(&self) {
+        self.sleeping.store(false, Ordering::SeqCst);
+    }
+
+    /// Block until rung or until `deadline` (forever when `None`), lower
+    /// the flag and return the reasons rung — 0 means the deadline passed.
+    pub fn park(&self, deadline: Option<std::time::Instant>) -> u8 {
+        let mut rung = self.rung.lock();
+        while *rung == 0 {
+            let Some(deadline) = deadline else {
+                rung = self.cv.wait(rung);
+                continue;
+            };
+            let now = std::time::Instant::now();
+            if now >= deadline {
+                break;
+            }
+            rung = self.cv.wait_timeout(rung, deadline - now).0;
+        }
+        let why = std::mem::take(&mut *rung);
+        drop(rung);
+        self.cancel();
+        why
     }
 }
 

@@ -36,6 +36,16 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Stat names of [`NodeCell::wakes`], in index order: bit `i` of a
+/// doorbell token ([`crate::sync::RING_PACKET`], `RING_JOB`, `RING_STOP`)
+/// is entry `i`; an empty token — the park's deadline passed — is the last.
+pub const WAKE_COUNTERS: [&str; 4] = [
+    "live.wake_packet",
+    "live.wake_job",
+    "live.wake_stop",
+    "live.wake_timer",
+];
+
 /// One node's telemetry cell: cache-line padded so two nodes' hot
 /// counters never share a line. All writes come from the owning node's
 /// kernel thread (single writer); the collector and the live `top`
@@ -61,6 +71,12 @@ pub struct NodeCell {
     pub inflight_firs: AtomicU64,
     /// Gauge: messages buffered for keys this node has never heard of.
     pub unknown_buffered: AtomicU64,
+    /// Times this node's thread parked on its doorbell, counted on the
+    /// way in (idle path only; a busy node never touches it).
+    pub parks: AtomicU64,
+    /// What ended those parks, indexed like [`WAKE_COUNTERS`]. A park two
+    /// producers rang at once counts both reasons.
+    pub wakes: [AtomicU64; 4],
     /// Per-peer reliable-layer retransmits (indexed by peer id).
     retx: Box<[AtomicU64]>,
     /// Per-peer cumulative acks sent (indexed by peer id).
@@ -80,6 +96,8 @@ impl NodeCell {
             name_entries: AtomicU64::new(0),
             inflight_firs: AtomicU64::new(0),
             unknown_buffered: AtomicU64::new(0),
+            parks: AtomicU64::new(0),
+            wakes: Default::default(),
             retx: mk(),
             acks: mk(),
         }
@@ -98,6 +116,20 @@ impl NodeCell {
     pub fn bump_ack(&self, peer: NodeId) {
         if let Some(c) = self.acks.get(peer as usize) {
             c.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Record what ended a park: `why` is the doorbell token (see
+    /// [`WAKE_COUNTERS`]).
+    pub fn note_wake(&self, why: u8) {
+        let [rung @ .., timer] = &self.wakes;
+        if why == 0 {
+            timer.fetch_add(1, Ordering::Relaxed);
+        }
+        for (bit, c) in rung.iter().enumerate() {
+            if why & (1 << bit) != 0 {
+                c.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 
@@ -152,6 +184,8 @@ pub struct NodeSnapshot {
     pub packets_sent: u64,
     /// Sender-side stalls on a full bounded channel.
     pub backpressure_hits: u64,
+    /// Doorbell parks so far.
+    pub parks: u64,
 }
 
 /// One collector pass over every node.
@@ -249,6 +283,7 @@ impl TelemetryHub {
                     acks,
                     packets_sent,
                     backpressure_hits,
+                    parks: c.parks.load(Ordering::Relaxed),
                 }
             })
             .collect();
@@ -312,6 +347,7 @@ impl TelemetryHub {
                 counters.insert("threadnet.packets_sent".to_string(), fin.packets_sent);
                 counters
                     .insert("threadnet.backpressure_hits".to_string(), fin.backpressure_hits);
+                counters.insert("live.parks".to_string(), fin.parks);
                 let links: BTreeMap<NodeId, LinkStat> = c
                     .retx
                     .iter()
@@ -350,12 +386,12 @@ impl TelemetryHub {
         let snap = self.snapshot();
         let secs = (snap.at_ns as f64 / 1e9).max(1e-9);
         let mut out = String::from(
-            "node   thr/s    util%  ready  pending  sends  retx  acks  bp_hits\n",
+            "node   thr/s    util%  ready  pending  sends  retx  acks  bp_hits  parks/s\n",
         );
         for (i, n) in snap.nodes.iter().enumerate() {
             let _ = writeln!(
                 out,
-                "{:<5} {:>8.0} {:>7.1} {:>6} {:>8} {:>6} {:>5} {:>5} {:>8}",
+                "{:<5} {:>8.0} {:>7.1} {:>6} {:>8} {:>6} {:>5} {:>5} {:>8} {:>8.0}",
                 i,
                 n.msgs_processed as f64 / secs,
                 100.0 * n.busy_ns as f64 / snap.at_ns.max(1) as f64,
@@ -365,6 +401,7 @@ impl TelemetryHub {
                 n.retransmits,
                 n.acks,
                 n.backpressure_hits,
+                n.parks as f64 / secs,
             );
         }
         let total: u64 = snap.nodes.iter().map(|n| n.msgs_processed).sum();
@@ -429,6 +466,19 @@ mod tests {
     }
 
     #[test]
+    fn wake_reasons_land_in_their_counters() {
+        use crate::sync::{RING_JOB, RING_PACKET, RING_STOP};
+        let h = hub(1);
+        let cell = &h.cells()[0];
+        cell.note_wake(RING_PACKET);
+        cell.note_wake(RING_PACKET | RING_JOB);
+        cell.note_wake(RING_STOP);
+        cell.note_wake(0);
+        let wakes: Vec<u64> = cell.wakes.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        assert_eq!(wakes, [2, 1, 1, 1], "{WAKE_COUNTERS:?}");
+    }
+
+    #[test]
     fn pending_gauge_saturates_at_zero() {
         let h = hub(1);
         h.cells()[0].adjust_pending(-10);
@@ -479,6 +529,7 @@ mod tests {
         let top = h.top();
         assert!(top.contains("thr/s"), "{top}");
         assert!(top.contains("bp_hits"), "{top}");
+        assert!(top.contains("parks/s"), "{top}");
         assert!(top.lines().count() >= 4, "{top}");
     }
 }

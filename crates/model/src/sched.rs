@@ -77,10 +77,14 @@ pub(crate) enum Op {
     CellWrite { rid: Rid },
     Lock { rid: Rid },
     Unlock { rid: Rid },
-    /// Phase 1 of `Condvar::wait`: atomically release the mutex and park.
-    CondWait { cv: Rid, mutex: Rid },
-    /// Parked on a condvar; never enabled. A notify turns this into `Lock`.
-    Parked { cv: Rid, mutex: Rid },
+    /// Phase 1 of `Condvar::wait` / `wait_timeout` (`timed`): atomically
+    /// release the mutex and park.
+    CondWait { cv: Rid, mutex: Rid, timed: bool },
+    /// Parked on a condvar. A notify turns this into `Lock`. An untimed
+    /// park is never enabled; a timed one may also be scheduled whenever
+    /// its mutex is free, which is the timeout firing — at any moment,
+    /// since the model has no clock ("may return early").
+    Parked { cv: Rid, mutex: Rid, timed: bool },
     Notify { cv: Rid, all: bool },
     ChanSend { rid: Rid },
     ChanRecv { rid: Rid },
@@ -106,6 +110,9 @@ impl Op {
             | Op::ChanCloneTx { rid }
             | Op::ChanDropTx { rid }
             | Op::ChanDropRx { rid } => Some(*rid),
+            // A timeout touches the condvar *and* re-locks the mutex: keep
+            // it dependent with everything (sound, only costs pruning).
+            Op::Parked { timed: true, .. } => None,
             Op::CondWait { cv, .. } | Op::Parked { cv, .. } | Op::Notify { cv, .. } => Some(*cv),
             Op::Spawn | Op::Join { .. } => None,
         }
@@ -139,6 +146,8 @@ pub(crate) enum Resume {
     RecvOk,
     /// Channel endpoint closed: send failed / recv drained and disconnected.
     Disconnected,
+    /// A timed condvar wait gave up before any notify reached it.
+    TimedOut,
     /// Unwind: the execution is being torn down.
     Abort,
 }
@@ -753,8 +762,10 @@ impl Driver {
     fn enabled(&self, g: &ExecState, tid: Tid) -> bool {
         let Status::AtOp(op) = &g.threads[tid].status else { return false };
         match op {
-            Op::Lock { rid } => matches!(&g.res[*rid], Res::Mutex(m) if m.locked_by.is_none()),
-            Op::Parked { .. } => false,
+            Op::Parked { timed: false, .. } => false,
+            Op::Lock { rid: mutex } | Op::Parked { mutex, timed: true, .. } => {
+                matches!(&g.res[*mutex], Res::Mutex(m) if m.locked_by.is_none())
+            }
             Op::Join { target } => matches!(g.threads[*target].status, Status::Finished),
             Op::ChanSend { rid } => match &g.res[*rid] {
                 Res::Chan(c) => !c.rx_alive || c.len < c.cap,
@@ -1019,7 +1030,7 @@ impl Driver {
                 m.clock = clock;
                 line = format!("t{tid} unlock {}", m.name);
             }
-            Op::CondWait { cv, mutex } => {
+            Op::CondWait { cv, mutex, timed } => {
                 // Atomically: release the mutex and park. The thread stays
                 // blocked (no grant) until a notify re-arms it as `Lock`.
                 let clock = g.threads[tid].clock.clone();
@@ -1030,12 +1041,17 @@ impl Driver {
                 }
                 let Res::Cv(c) = &mut g.res[*cv] else { unreachable!() };
                 c.parked.push(tid);
-                line = format!("t{tid} wait {} (released mutex, parked)", c.name);
+                line = format!(
+                    "t{tid} wait{} {} (released mutex, parked)",
+                    if *timed { "_timeout" } else { "" },
+                    c.name
+                );
                 g.trace.push(line);
                 if g.trace.len() > self.opts.max_trace {
                     g.trace.remove(0);
                 }
-                g.threads[tid].status = Status::AtOp(Op::Parked { cv: *cv, mutex: *mutex });
+                g.threads[tid].status =
+                    Status::AtOp(Op::Parked { cv: *cv, mutex: *mutex, timed: *timed });
                 return;
             }
             Op::Notify { cv, all } => {
@@ -1134,7 +1150,22 @@ impl Driver {
                 line = format!("t{tid} join t{target}");
                 g.threads[tid].clock.join(&tclock);
             }
-            Op::Parked { .. } => unreachable!("parked threads are never enabled"),
+            Op::Parked { cv, mutex, timed: true } => {
+                // The timeout fires: leave the wait queue and re-acquire
+                // the mutex, exactly as a notified waiter would.
+                let Res::Cv(c) = &mut g.res[*cv] else { unreachable!() };
+                c.parked.retain(|&t| t != tid);
+                line = format!("t{tid} wait_timeout {} timed out (re-locked mutex)", c.name);
+                let Res::Mutex(m) = &mut g.res[*mutex] else { unreachable!() };
+                debug_assert!(m.locked_by.is_none());
+                m.locked_by = Some(tid);
+                let mclock = m.clock.clone();
+                g.threads[tid].clock.join(&mclock);
+                resume = Resume::TimedOut;
+            }
+            Op::Parked { timed: false, .. } => {
+                unreachable!("untimed parked threads are never enabled")
+            }
         }
         g.trace.push(line);
         if g.trace.len() > self.opts.max_trace {

@@ -11,7 +11,8 @@
 //!
 //! * mutexes do not poison — `lock()` returns the guard directly;
 //! * condvars do not wake spuriously (real ones may; model programs must
-//!   not *rely* on spurious wakeups, which no correct program does);
+//!   not *rely* on spurious wakeups, which no correct program does), and a
+//!   timed wait may time out at any moment (there is no clock);
 //! * channels are bounded with blocking `send`, like `mpsc::sync_channel`.
 
 use std::cell::UnsafeCell;
@@ -251,12 +252,34 @@ impl Condvar {
 
     /// Atomically release the guard's mutex and park until notified, then
     /// re-acquire. Happens-before flows through the mutex, as in pthreads.
-    pub fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        self.park(guard, false).0
+    }
+
+    /// [`Self::wait`] with a deadline. The model has no clock, so the
+    /// duration is ignored and the timeout may fire at *any* point after
+    /// parking (every such schedule is explored): correct callers re-check
+    /// their predicate and their deadline, as `std` requires. The flag is
+    /// true when the wait timed out rather than being notified.
+    pub fn wait_timeout<'a, T>(
+        &self,
+        guard: MutexGuard<'a, T>,
+        _dur: std::time::Duration,
+    ) -> (MutexGuard<'a, T>, bool) {
+        let (guard, resume) = self.park(guard, true);
+        (guard, matches!(resume, Resume::TimedOut))
+    }
+
+    fn park<'a, T>(
+        &self,
+        mut guard: MutexGuard<'a, T>,
+        timed: bool,
+    ) -> (MutexGuard<'a, T>, Resume) {
         let mutex = guard.m;
         guard.armed = false; // the wait op releases the mutex itself
         drop(guard);
-        perform(Op::CondWait { cv: self.rid, mutex: mutex.rid });
-        MutexGuard { m: mutex, armed: true }
+        let resume = perform(Op::CondWait { cv: self.rid, mutex: mutex.rid, timed });
+        (MutexGuard { m: mutex, armed: true }, resume)
     }
 
     pub fn notify_all(&self) {

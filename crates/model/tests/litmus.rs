@@ -194,6 +194,50 @@ fn lost_wakeup_without_lock_held_is_found() {
 }
 
 #[test]
+fn timed_wait_may_time_out_at_any_point_or_be_notified() {
+    use std::sync::atomic::{AtomicBool, Ordering as StdOrdering};
+    use std::time::Duration;
+    static SAW_TIMEOUT: AtomicBool = AtomicBool::new(false);
+    static SAW_NOTIFY: AtomicBool = AtomicBool::new(false);
+    let report = explore(opts(), || {
+        let m = Arc::new(Mutex::named(false, "ready_lock"));
+        let cv = Arc::new(Condvar::named("ready_cv"));
+        let (m2, cv2) = (m.clone(), cv.clone());
+        let t = thread::spawn(move || {
+            *m2.lock() = true;
+            cv2.notify_all();
+        });
+        let mut g = m.lock();
+        if !*g {
+            let (back, timed_out) = cv.wait_timeout(g, Duration::from_secs(1));
+            g = back;
+            if timed_out {
+                SAW_TIMEOUT.store(true, StdOrdering::Relaxed);
+            } else {
+                assert!(*g, "a notified waiter sees the flag the notifier set under the lock");
+                SAW_NOTIFY.store(true, StdOrdering::Relaxed);
+            }
+        }
+        drop(g);
+        t.join();
+    });
+    assert!(report.ok(), "{}", report.render_violations());
+    assert!(report.complete);
+    assert!(SAW_TIMEOUT.load(StdOrdering::Relaxed), "some schedule times out early");
+    assert!(SAW_NOTIFY.load(StdOrdering::Relaxed), "some schedule is woken by the notify");
+
+    // Nobody ever notifies: an untimed wait would be a deadlock, a timed
+    // one returns.
+    let alone = explore(opts(), || {
+        let m = Mutex::named((), "lock");
+        let cv = Condvar::named("cv");
+        let (_g, timed_out) = cv.wait_timeout(m.lock(), Duration::from_millis(1));
+        assert!(timed_out);
+    });
+    assert!(alone.ok(), "{}", alone.render_violations());
+}
+
+#[test]
 fn bounded_channel_backpressure_is_clean_and_fifo() {
     let report = explore(opts(), || {
         let (tx, rx) = hal_model::sync::channel::<u32>(1, "jobs");

@@ -59,6 +59,38 @@ fn fib_threaded_matches_simulated() {
     );
 }
 
+/// The live backend is event-driven: a job submitted to an idle node
+/// rings that node's doorbell, so it runs one thread wake-up later — not
+/// at the next tick of an idle poll (which used to cost ≈ 550 µs here).
+#[test]
+fn live_job_reaches_an_idle_node_within_a_wakeup() {
+    use hal_kernel::{BehaviorRegistry, Machine};
+    use std::sync::{Arc, Mutex};
+    use std::time::Instant;
+    let mut m = Machine::live(MachineConfig::new(2), Arc::new(BehaviorRegistry::new()));
+    m.init().unwrap();
+    let waits = Arc::new(Mutex::new(Vec::new()));
+    let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+    for _ in 0..60 {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        std::thread::sleep(Duration::from_micros(1_000 + (x >> 33) % 2_000));
+        let (sent, waits) = (Instant::now(), Arc::clone(&waits));
+        m.submit(1, Box::new(move |_| waits.lock().unwrap().push(sent.elapsed())))
+            .unwrap();
+    }
+    m.submit(0, Box::new(|ctx| ctx.stop())).unwrap();
+    let report = m.drain(Duration::from_secs(10)).unwrap();
+    let mut waits = waits.lock().unwrap().clone();
+    assert_eq!(waits.len(), 60, "every job ran exactly once");
+    waits.sort();
+    assert!(
+        waits[30] < Duration::from_micros(400),
+        "median submit -> run on an idle node: {:?}",
+        waits[30]
+    );
+    assert!(report.stats.get("live.wake_job") >= 30, "{:?}", report.stats);
+}
+
 #[test]
 fn all_cholesky_variants_agree_with_each_other() {
     let fro: Vec<f64> = Variant::all()
