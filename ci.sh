@@ -229,17 +229,21 @@ grep -q 'msg/s over' "$smoke_dir/serve_smoke.err" \
   || { echo "ci: --watch produced no telemetry top snapshot"; exit 1; }
 echo "   hal-serve: live pipeline sustained load, artifact verified, checker CLEAN, burn-rate + top present"
 
-echo "== benchmark package (own workspace: unit tests + 1 s open-loop smoke) =="
+echo "== benchmark package (own workspace: unit tests + 1 s live smokes) =="
 # benchmark/ is a separate workspace with path deps on crates/*, so the
 # workspace build above never compiles it: a crate change that breaks a
 # signature it uses would otherwise surface only in the next measured
-# run. Build and test it, then run the open-loop live workload for one
-# second and require a correct result line with no failed request.
+# run. Build and test it, then run both live workloads for one second
+# each — the open loop (wake-up path) and the local closed loop (CPU per
+# message, the workload the PR 16 claim rests on) — and require a correct
+# result line with no failed operation.
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
-bench_line="$(bash benchmark/run.sh --workload live_open_20k --seconds 1 | tail -n 1)"
-grep -Eq '"correct": true, "attempted": [0-9]+, "failed": 0' <<<"$bench_line" \
-  || { echo "ci: benchmark live_open_20k smoke failed: $bench_line"; exit 1; }
-echo "   benchmark: unit tests pass, live_open_20k correct with 0 failed"
+for w in live_open_20k live_local_closed; do
+  bench_line="$(bash benchmark/run.sh --workload "$w" --seconds 1 | tail -n 1)"
+  grep -Eq '"correct": true, "attempted": [0-9]+, "failed": 0' <<<"$bench_line" \
+    || { echo "ci: benchmark $w smoke failed: $bench_line"; exit 1; }
+done
+echo "   benchmark: unit tests pass, live_open_20k and live_local_closed correct with 0 failed"
 
 echo "== cargo doc --no-deps (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet

@@ -102,7 +102,8 @@ impl JoinBuilder {
 }
 
 /// Convenience: a single request whose reply runs `f` — the simplest
-/// call/return shape.
+/// call/return shape. Wires the one-slot join itself: a [`JoinBuilder`]
+/// would allocate a call list to hold this single call.
 pub fn call_then(
     ctx: &mut Ctx<'_>,
     to: MailAddr,
@@ -110,12 +111,16 @@ pub fn call_then(
     args: Vec<Value>,
     f: impl FnOnce(&mut Ctx<'_>, Value) + Send + 'static,
 ) {
-    JoinBuilder::new()
-        .call(to, selector, args)
-        .then(ctx, move |ctx, mut vals| {
+    let jc = ctx.create_join(
+        1,
+        Vec::new(),
+        Box::new(move |ctx, mut vals| {
             let v = vals.pop().expect("one slot");
             f(ctx, v);
-        });
+        }),
+    );
+    let cont = ctx.cont_slot(jc, 0);
+    ctx.request(to, selector, args, cont);
 }
 
 /// Reply shorthand used by server behaviors: answer the customer of the
@@ -144,5 +149,61 @@ impl SavedCustomer {
     /// Answer the saved customer.
     pub fn reply(self, ctx: &mut Ctx<'_>, value: Value) {
         ctx.reply_to(self.0, value);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::prelude::*;
+
+    /// Replies to every request with its own argument.
+    struct Echo;
+
+    impl Behavior for Echo {
+        fn dispatch(&mut self, ctx: &mut Ctx<'_>, mut msg: Msg) {
+            ctx.reply(msg.args.pop().unwrap_or(Value::Unit));
+        }
+    }
+
+    fn echo_program() -> (Program, BehaviorId) {
+        let mut program = Program::new();
+        let echo = program.behavior("echo", |_| Box::new(Echo) as Box<dyn Behavior>);
+        (program, echo)
+    }
+
+    #[test]
+    fn call_then_to_a_remote_target_fires_once_with_the_reply() {
+        let (program, echo) = echo_program();
+        // No `stop`: the run ends drained, so a second firing would show.
+        let report = crate::sim_run(MachineConfig::new(2), program, move |ctx| {
+            let far = ctx.create_on(1, echo, vec![]);
+            call_then(ctx, far, 0, vec![Value::Int(7)], |ctx, v| {
+                ctx.report("got", v)
+            });
+        });
+        assert_eq!(report.values("got"), vec![&Value::Int(7)]);
+        assert_eq!(report.stats.get("joins.fired"), 1);
+        assert_eq!(report.stats.get("replies.remote"), 1);
+    }
+
+    #[test]
+    fn nine_call_join_fills_slots_in_call_order() {
+        let (program, echo) = echo_program();
+        let report = crate::sim_run(MachineConfig::new(3), program, move |ctx| {
+            // Targets at three distances, so replies arrive out of call order.
+            let mut join = JoinBuilder::new();
+            for i in 0..9i64 {
+                let target = ctx.create_on((i % 3) as u16, echo, vec![]);
+                join = join.call(target, 0, vec![Value::Int(i)]);
+            }
+            join.known(Value::Int(-1)).then(ctx, |ctx, vals| {
+                for v in vals {
+                    ctx.report("slot", v);
+                }
+            });
+        });
+        let slots: Vec<i64> = report.values("slot").iter().map(|v| v.as_int()).collect();
+        assert_eq!(slots, vec![0, 1, 2, 3, 4, 5, 6, 7, 8, -1]);
+        assert_eq!(report.stats.get("joins.fired"), 1);
     }
 }

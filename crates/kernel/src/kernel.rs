@@ -230,6 +230,9 @@ pub struct Kernel {
     /// Messages for keys this node knows nothing about yet (e.g. alias
     /// traffic racing the creation request).
     unknown_buffer: HashMap<AddrKey, Vec<Msg>>,
+    /// Messages in `unknown_buffer` over all keys, kept at the park and
+    /// flush sites so the per-step gauge does not walk the map.
+    unknown_buffered: u32,
     /// (sender, key) pairs already sent a NameInfo cache reply — a
     /// sender bursting messages before our first reply lands must not
     /// trigger one reply per message.
@@ -305,6 +308,7 @@ impl Kernel {
             flow: FlowControl::new(),
             loopback: VecDeque::new(),
             unknown_buffer: HashMap::new(),
+            unknown_buffered: 0,
             advised: std::collections::HashSet::new(),
             gc: GcState::default(),
             gc_coordinator: 0,
@@ -346,8 +350,7 @@ impl Kernel {
             m.busy_ns += d.as_nanos();
         }
         if let Some(cell) = self.telemetry.as_deref() {
-            cell.busy_ns
-                .fetch_add(d.as_nanos(), std::sync::atomic::Ordering::Relaxed);
+            NodeCell::add(&cell.busy_ns, d.as_nanos());
         }
     }
 
@@ -436,8 +439,7 @@ impl Kernel {
         let name_entries = self.names.table_entries() as u32;
         let inflight_firs = self.firs.outstanding() as u32;
         let ready = self.dispatcher.len() as u32;
-        let unknown_buffered =
-            self.unknown_buffer.values().map(Vec::len).sum::<usize>() as u32;
+        let unknown_buffered = self.unknown_buffered;
         if let Some(cell) = self.telemetry.as_deref() {
             cell.store_gauges(
                 u64::from(ready),
@@ -493,13 +495,18 @@ impl Kernel {
                 }
             }
         }
+        debug_assert_eq!(
+            self.unknown_buffer.values().map(Vec::len).sum::<usize>(),
+            self.unknown_buffered as usize,
+            "running count of parked unknown-key messages drifted"
+        );
         crate::audit::NodeAudit {
             node: self.cfg.me,
             stranded_pending,
             stranded_keys,
             unresolved_joins: self.joins.pending() as u64,
             outstanding_firs: self.firs.outstanding() as u64,
-            unknown_buffered: self.unknown_buffer.values().map(|v| v.len() as u64).sum(),
+            unknown_buffered: u64::from(self.unknown_buffered),
         }
     }
 
@@ -588,8 +595,7 @@ impl Kernel {
         let wire = kmsg.wire_bytes();
         self.stats.bump("net.sends");
         if let Some(cell) = self.telemetry.as_deref() {
-            cell.net_sends
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            NodeCell::add(&cell.net_sends, 1);
         }
         if wire <= MAX_SMALL_BYTES {
             self.inject_env(net, dst, AmEnvelope::Small(kmsg), wire + 16);
@@ -1203,6 +1209,7 @@ impl Kernel {
                         );
                         self.stats.bump("deliver.unknown_parked");
                         self.unknown_buffer.entry(key).or_default().push(msg);
+                        self.unknown_buffered += 1;
                     }
                 }
             }
@@ -1705,6 +1712,7 @@ impl Kernel {
     /// Deliver any messages parked for a previously unknown key.
     fn flush_unknown(&mut self, key: AddrKey, aid: ActorId) {
         if let Some(msgs) = self.unknown_buffer.remove(&key) {
+            self.unknown_buffered -= msgs.len() as u32;
             for msg in msgs {
                 self.enqueue_local(aid, msg);
             }
@@ -2616,8 +2624,7 @@ impl Kernel {
         self.charge(self.cfg.cost.method_invoke);
         self.stats.bump("msgs.processed");
         if let Some(cell) = self.telemetry.as_deref() {
-            cell.msgs_processed
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            NodeCell::add(&cell.msgs_processed, 1);
         }
         // Span bookkeeping: the dispatched message becomes the current
         // span, so every send the handler issues is parented by it.
@@ -2983,11 +2990,6 @@ impl<'a> Ctx<'a> {
                 self.k.net_send(self.net, n, KMsg::Halt);
             }
         }
-    }
-
-    /// Node-local statistics (incrementing workload-specific counters).
-    pub fn stats(&mut self) -> &mut StatSet {
-        &mut self.k.stats
     }
 
     /// Pin a *local* actor as a garbage-collection root (the analog of

@@ -630,6 +630,7 @@ impl SimMachine {
         use crate::prof::{ProfReport, ShardClock, SEQ_CHUNK_EVENTS};
         let anchor = std::time::Instant::now();
         let mut clock = self.cfg.record_prof.then(|| ShardClock::new(0, anchor));
+        let echo_actions = std::env::var("HAL_TRACE").is_ok();
         loop {
             if self.kernels.iter().any(|k| k.stopped) {
                 break;
@@ -648,7 +649,7 @@ impl SimMachine {
                 break; // fully drained
             };
             self.events += 1;
-            if std::env::var("HAL_TRACE").is_ok() && self.events < 80 {
+            if echo_actions && self.events < 80 {
                 match &action {
                     Action::Net => {
                         eprintln!("[{:>6}] NET   next={:?}", self.events, self.net.peek_time());

@@ -5,8 +5,9 @@
 //! deterministic DES executor — the live backend used to hard-disable
 //! it and run blind. This module is the live replacement: per-node
 //! **padded atomic cells** ([`NodeCell`]) that the kernel bumps inline
-//! on its hot paths (one relaxed atomic op per hook, no locks, single
-//! writer per cell so there is no cross-node cache-line contention),
+//! on its hot paths (no locks; each field has a single writer, so the
+//! per-message hooks are a relaxed load and store with no locked
+//! instruction, and there is no cross-node cache-line contention),
 //! drained by a dedicated **collector thread** on a wall-clock cadence
 //! into a bounded ring of [`TelemetrySnapshot`]s.
 //!
@@ -47,39 +48,52 @@ pub const WAKE_COUNTERS: [&str; 4] = [
 ];
 
 /// One node's telemetry cell: cache-line padded so two nodes' hot
-/// counters never share a line. All writes come from the owning node's
-/// kernel thread (single writer); the collector and the live `top`
-/// renderer only load.
+/// counters never share a line. Every field has exactly one writer, the
+/// thread that owns the node — its kernel for the message-path fields,
+/// its `live::Node` loop for the park fields — and the collector and the
+/// live `top` renderer only load. That is what lets the per-message
+/// counters be bumped with `NodeCell::add` (a plain load and store)
+/// instead of a locked read-modify-write.
 #[repr(align(128))]
 #[derive(Debug)]
 pub struct NodeCell {
     /// Charged virtual busy nanoseconds. On the live backend virtual
     /// ns are anchored to host ns, so this is the utilization
-    /// numerator.
+    /// numerator. Writer: `Kernel::charge`.
     pub busy_ns: AtomicU64,
-    /// Messages executed (method dispatches) on this node.
+    /// Messages executed (method dispatches) on this node. Writer:
+    /// `Kernel::execute_message`.
     pub msgs_processed: AtomicU64,
-    /// Envelopes this node injected into the network.
+    /// Envelopes this node injected into the network. Writer:
+    /// `Kernel::net_send`.
     pub net_sends: AtomicU64,
     /// Gauge: ready (scheduled) actors, stored at kernel settle points.
+    /// Writer: `Kernel::metrics_tick`.
     pub ready: AtomicU64,
-    /// Gauge: messages parked in pending queues (§6.1).
+    /// Gauge: messages parked in pending queues (§6.1). Writer:
+    /// `Kernel::metrics_pending`.
     pub pending_depth: AtomicU64,
-    /// Gauge: name-table entries.
+    /// Gauge: name-table entries. Writer: `Kernel::metrics_tick`.
     pub name_entries: AtomicU64,
     /// Gauge: FIR chases opened here and not yet answered (§4.3).
+    /// Writer: `Kernel::metrics_tick`.
     pub inflight_firs: AtomicU64,
     /// Gauge: messages buffered for keys this node has never heard of.
+    /// Writer: `Kernel::metrics_tick`.
     pub unknown_buffered: AtomicU64,
     /// Times this node's thread parked on its doorbell, counted on the
-    /// way in (idle path only; a busy node never touches it).
+    /// way in (idle path only; a busy node never touches it). Writer:
+    /// the node loop, `live::Node::run`.
     pub parks: AtomicU64,
     /// What ended those parks, indexed like [`WAKE_COUNTERS`]. A park two
-    /// producers rang at once counts both reasons.
+    /// producers rang at once counts both reasons. Writer: the node
+    /// loop, through [`NodeCell::note_wake`].
     pub wakes: [AtomicU64; 4],
-    /// Per-peer reliable-layer retransmits (indexed by peer id).
+    /// Per-peer reliable-layer retransmits (indexed by peer id). Writer:
+    /// the kernel's retransmit timer, through `bump_retransmit`.
     retx: Box<[AtomicU64]>,
-    /// Per-peer cumulative acks sent (indexed by peer id).
+    /// Per-peer cumulative acks sent (indexed by peer id). Writer: the
+    /// kernel's packet delivery, through `bump_ack`.
     acks: Box<[AtomicU64]>,
 }
 
@@ -101,6 +115,20 @@ impl NodeCell {
             retx: mk(),
             acks: mk(),
         }
+    }
+
+    /// Add `delta` to one of this cell's counters **from its single
+    /// writer**: a relaxed load and a relaxed store, no locked
+    /// instruction. Readers on other threads see some earlier or the
+    /// current total, never a torn one, and the exact total once the
+    /// writer's thread has been joined. Two threads adding to one counter
+    /// this way would lose counts — the per-field docs name the writer.
+    #[inline]
+    pub(crate) fn add(counter: &AtomicU64, delta: u64) {
+        counter.store(
+            counter.load(Ordering::Relaxed).wrapping_add(delta),
+            Ordering::Relaxed,
+        );
     }
 
     /// Bump the retransmit counter toward `peer`.

@@ -91,6 +91,88 @@ fn live_job_reaches_an_idle_node_within_a_wakeup() {
     assert!(report.stats.get("live.wake_job") >= 30, "{:?}", report.stats);
 }
 
+/// Replies to every request with its own argument.
+struct Echo;
+
+impl Behavior for Echo {
+    fn dispatch(&mut self, ctx: &mut Ctx<'_>, mut msg: Msg) {
+        ctx.reply(msg.args.pop().unwrap_or(Value::Unit));
+    }
+}
+
+/// On its one kick-off message, chains `trips` `call_then` round trips
+/// to `echo`, then stops the machine.
+struct Caller {
+    echo: MailAddr,
+    trips: i64,
+}
+
+fn round_trip(ctx: &mut Ctx<'_>, echo: MailAddr, left: i64) {
+    hal::call_then(ctx, echo, 0, vec![Value::Int(left)], move |ctx, v| {
+        assert_eq!(v, Value::Int(left));
+        if left > 1 {
+            round_trip(ctx, echo, left - 1);
+        } else {
+            ctx.stop();
+        }
+    });
+}
+
+impl Behavior for Caller {
+    fn dispatch(&mut self, ctx: &mut Ctx<'_>, _msg: Msg) {
+        round_trip(ctx, self.echo, self.trips);
+    }
+}
+
+/// The local message path keeps its books without locks or searches; this
+/// pins that the books stay exact. On one live node, N local call/return
+/// round trips must report their closed-form counts, and the node's
+/// telemetry cell — bumped by plain load/store from the kernel thread —
+/// must agree after drain with the kernel's own counter, with the
+/// collector's last pass, and with the charges the same program incurs on
+/// the simulator.
+#[test]
+fn live_local_round_trips_are_counted_exactly() {
+    use std::sync::atomic::Ordering;
+    const TRIPS: i64 = 20_000;
+    let run = |backend| {
+        let cfg = MachineConfig::builder(1)
+            .backend(backend)
+            .observe(ObserveOpts::none().metrics(true))
+            .build()
+            .unwrap();
+        let mut m = Machine::from_config(cfg, Program::new().build());
+        m.with_ctx(0, |ctx| {
+            let echo = ctx.create_local(Box::new(Echo));
+            let caller = ctx.create_local(Box::new(Caller { echo, trips: TRIPS }));
+            ctx.send(caller, 0, vec![]);
+        });
+        let report = m.run().unwrap();
+        (m, report)
+    };
+    let (m, live) = run(BackendKind::Live);
+    let trips = TRIPS as u64;
+    // One request per trip plus the kick-off; replies fill the join
+    // directly and are not sends.
+    assert_eq!(live.stats.get("msgs.local"), trips + 1);
+    assert_eq!(live.stats.get("msgs.processed"), trips + 1);
+    assert_eq!(live.stats.get("joins.fired"), trips);
+    assert_eq!(live.stats.get("msgs.remote"), 0);
+
+    let cell = &m.telemetry().expect("live machines have a hub").cells()[0];
+    let processed = cell.msgs_processed.load(Ordering::Relaxed);
+    let busy = cell.busy_ns.load(Ordering::Relaxed);
+    assert_eq!(processed, trips + 1, "cell lost or gained dispatches");
+    let drained = &live.metrics.as_ref().expect("live metrics").nodes[0];
+    assert_eq!(drained.counters["telemetry.msgs_processed"], processed);
+    assert_eq!(drained.busy_ns, busy);
+
+    let (_, sim) = run(BackendKind::Sim);
+    assert_eq!(sim.stats.get("msgs.processed"), trips + 1);
+    let charged = sim.metrics.as_ref().expect("sim metrics").nodes[0].busy_ns;
+    assert_eq!(busy, charged, "live cell vs the simulator's sum of charges");
+}
+
 #[test]
 fn all_cholesky_variants_agree_with_each_other() {
     let fro: Vec<f64> = Variant::all()
