@@ -9,8 +9,8 @@
 //! **reproducible from the master seed**:
 //!
 //! * fault decisions are made inside [`crate::LinkState::admit`], the
-//!   single point every executor (sequential or windowed-parallel)
-//!   funnels injections through in one canonical order;
+//!   single point every injection passes through, in the simulator's
+//!   one execution order;
 //! * the fault RNG is a dedicated [`Pcg32`] stream derived from the
 //!   machine seed, and every admission consumes a **fixed number of
 //!   draws** regardless of outcome, so the stream position is a pure
@@ -228,8 +228,7 @@ impl FaultState {
 
     /// Decide the fate of one admission. Consumes exactly four RNG
     /// draws on every call, so the stream position depends only on the
-    /// admission sequence — the determinism anchor for the windowed
-    /// executor's barrier replay.
+    /// admission sequence.
     pub(crate) fn decide(&mut self, now: VirtualTime, src: NodeId, dst: NodeId) -> RawFate {
         let r_drop = self.rng.next_f64();
         let r_dup = self.rng.next_f64();

@@ -18,8 +18,8 @@
 //! Both sides are pure state machines: they never touch the network or
 //! the clock. The kernel drives them and turns their decisions into
 //! injections and timer events, which keeps every decision on the
-//! canonical execution path the windowed-parallel executor replays —
-//! the determinism requirement of the chaos subsystem.
+//! simulator's one execution path — the determinism requirement of the
+//! chaos subsystem.
 
 use crate::packet::{AmEnvelope, NodeId, RelPayload};
 use std::collections::{BTreeMap, HashMap};

@@ -140,11 +140,10 @@ pub struct DupCloneFailed {
 /// `net.fault_dup_unclonable` keeps the exact total.
 pub const MAX_DUP_CLONE_RECORDS: usize = 64;
 
-/// The network's resource state machine, separated from the event queue
-/// so parallel executors can replay staged injections against it at
-/// window barriers: per-(src,dst) FIFO links, per-source NI
-/// serialization, per-destination ejection ports, and wormhole
-/// back-pressure.
+/// The network's resource state machine, separate from the event queue
+/// so admission arithmetic can be exercised (and timed) on its own:
+/// per-(src,dst) FIFO links, per-source NI serialization,
+/// per-destination ejection ports, and wormhole back-pressure.
 ///
 /// Injections may arrive **out of virtual-time order**: a node executing
 /// a long actor method injects its sends at the method's completion
@@ -223,7 +222,7 @@ impl LinkState {
     /// tie-breaker.
     ///
     /// Admission order is the order that matters for determinism: two
-    /// replays that admit the same injections in the same order produce
+    /// runs that admit the same injections in the same order produce
     /// identical arrivals and sequence numbers.
     pub fn admit(
         &mut self,
@@ -347,7 +346,7 @@ impl LinkState {
     /// the envelope is a one-shot payload with no [`AmEnvelope::try_clone`]
     /// representation. Counted in `net.fault_dup_unclonable` and kept
     /// (bounded) for the trace-warning surface — the admission order is
-    /// canonical, so the record list is deterministic across parallel K.
+    /// deterministic, so the record list is too.
     pub fn note_dup_clone_failed(&mut self, t: VirtualTime, src: NodeId, dst: NodeId) {
         self.stats.bump("net.fault_dup_unclonable");
         if self.dup_unclonable.len() < MAX_DUP_CLONE_RECORDS {
@@ -373,9 +372,7 @@ impl LinkState {
 }
 
 /// The simulated network: a [`LinkState`] resource model plus the event
-/// queue of in-flight packets. This is the facade the sequential
-/// executor drives; the parallel executor disassembles it via
-/// [`SimNetwork::into_parts`] and reassembles it at the end of a run.
+/// queue of in-flight packets — what the simulator loop drives.
 pub struct SimNetwork<P> {
     queue: EventQueue<Packet<P>>,
     link: LinkState,
@@ -479,11 +476,6 @@ impl<P> SimNetwork<P> {
         self.queue.peek_time()
     }
 
-    /// `(arrival, seq)` of the next pending packet.
-    pub fn peek(&self) -> Option<(VirtualTime, u64)> {
-        self.queue.peek()
-    }
-
     /// Number of packets in flight.
     pub fn in_flight(&self) -> usize {
         self.queue.len()
@@ -497,26 +489,6 @@ impl<P> SimNetwork<P> {
     /// The underlying resource state (fault records, admission counters).
     pub fn link(&self) -> &LinkState {
         &self.link
-    }
-
-    /// Disassemble into the resource state and the pending packets
-    /// (drained in arrival order, with their admission sequence numbers).
-    pub fn into_parts(mut self) -> (LinkState, Vec<(VirtualTime, u64, Packet<P>)>) {
-        let mut pending = Vec::with_capacity(self.queue.len());
-        while let Some(e) = self.queue.pop_seq() {
-            pending.push(e);
-        }
-        (self.link, pending)
-    }
-
-    /// Reassemble a network from a resource state plus pending packets
-    /// (the inverse of [`SimNetwork::into_parts`]).
-    pub fn from_parts(link: LinkState, pending: Vec<(VirtualTime, u64, Packet<P>)>) -> Self {
-        let mut queue = EventQueue::with_capacity(pending.len().max(1024));
-        for (t, s, p) in pending {
-            queue.push_at(t, s, p);
-        }
-        SimNetwork { queue, link }
     }
 }
 

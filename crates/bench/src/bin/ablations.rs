@@ -69,7 +69,7 @@ fn run_cfg(cfg: MachineConfigBuilder, f: impl FnOnce(&mut Ctx<'_>, &Ids)) -> hal
         member: program.behavior("member", make_member),
         bulk_spray: program.behavior("bulk_spray", make_bulk_spray),
     };
-    let cfg = cfg.parallelism(out::parallelism()).build().unwrap();
+    let cfg = cfg.build().unwrap();
     let mut m = SimMachine::new(cfg, program.build());
     m.with_ctx(0, |ctx| f(ctx, &ids));
     let t0 = std::time::Instant::now();

@@ -11,8 +11,8 @@
 //! packets the fault layer ate.
 //!
 //! Faults are decided inside the DES from the master seed, so a given
-//! `(seed, rate)` run is fully reproducible and bit-identical across
-//! `--parallel` levels — `ci.sh` diffs sequential vs parallel stdout.
+//! `(seed, rate)` run is fully reproducible: stdout is byte-identical
+//! across reruns.
 
 use hal::prelude::*;
 use hal_kernel::SimMachine;
@@ -77,7 +77,6 @@ fn run(rate: f64, chain: usize, probes: i64) -> ChaosRun {
         .seed(5)
         .faults(FaultPlan::chaos(rate))
         .observe(out::observe_opts())
-        .parallelism(out::parallelism())
         .build()
         .unwrap();
     let mut m = SimMachine::new(cfg, program.build());

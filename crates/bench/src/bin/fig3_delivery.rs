@@ -63,7 +63,8 @@ fn run(chain: usize, probes: i64) -> (u64, u64, u64, u64, u64, Option<TraceRepor
         MachineConfig::builder(p)
             .seed(5)
             .observe(out::observe_opts().trace(true))
-            .parallelism(out::parallelism()).build().unwrap(),
+            .build()
+            .unwrap(),
         program.build(),
     );
     m.with_ctx(0, |ctx| {

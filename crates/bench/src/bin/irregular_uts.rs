@@ -35,7 +35,8 @@ fn main() {
                         .seed(1)
                         .observe(out::observe_opts())
                         .backend(out::backend())
-                        .parallelism(out::parallelism()).build().unwrap(),
+                        .build()
+                        .unwrap(),
                     cfg,
                 )
             });
@@ -49,7 +50,8 @@ fn main() {
                             .load_balancing(true)
                             .observe(out::observe_opts())
                             .backend(out::backend())
-                            .parallelism(out::parallelism()).build().unwrap(),
+                            .build()
+                            .unwrap(),
                         cfg,
                     )
                 });

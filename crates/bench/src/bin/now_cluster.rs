@@ -21,7 +21,8 @@ fn chol(link: LinkModel, name: &str, variant: Variant) -> f64 {
         .seed(4)
         .observe(out::observe_opts())
         .backend(out::backend())
-        .parallelism(out::parallelism()).build().unwrap();
+        .build()
+        .unwrap();
     let label = format!("cholesky n=96 {variant:?} {name}");
     m.link = link;
     let (_, r) = out::timed(label, || {
@@ -44,7 +45,8 @@ fn mm(link: LinkModel, name: &str) -> f64 {
         .seed(4)
         .observe(out::observe_opts())
         .backend(out::backend())
-        .parallelism(out::parallelism()).build().unwrap();
+        .build()
+        .unwrap();
     let label = format!("matmul 256 p=16 {name}");
     m.link = link;
     let (_, r) = out::timed(label, || {

@@ -1,47 +1,28 @@
 //! Run every reproduction harness in sequence — the one-command
 //! regeneration of the paper's evaluation plus the extension
-//! experiments — and measure what the parallel windowed executor buys.
+//! experiments.
 //!
-//! Each bin is run **twice**: once sequentially (`HAL_PARALLEL=1`, the
-//! reference executor) and once on all host cores (`HAL_PARALLEL=auto`,
-//! the windowed executor). The sequential stdout is committed to
-//! `results/<bin>.txt`; the two stdouts are asserted byte-identical
-//! (simulation results do not depend on host parallelism), and the
-//! wall-clock totals from both runs are combined into a
-//! sequential-vs-parallel speedup table written to
-//! `results/BENCH_repro_all.json`.
+//! Each bin runs once; its stdout is committed to `results/<bin>.txt`
+//! and its wall-clock total goes into `results/BENCH_repro_all.json`.
 //!
 //! With `--check`, every bin additionally runs the `hal-check` protocol
 //! invariant checker over its simulations (a bin that finds violations
-//! exits nonzero and fails the whole sweep), the parallel pass is pinned
-//! to a host-derived K (`available_parallelism().clamp(2, 7)`) so the
-//! checker covers K in {1, K}, and the per-bin
+//! exits nonzero and fails the whole sweep), and the per-bin
 //! `results/CHECK_<bin>.json` verdicts are folded into
 //! `results/CHECK_repro_all.json`.
 //!
 //! With `--lint`, every bin additionally runs the static message-
 //! protocol lint over its compile-time declarations (a bin with
-//! findings exits nonzero and fails the sweep), each per-bin
-//! `results/LINT_<bin>.json` is asserted **byte-identical** between the
-//! K=1 and pinned-K runs (the lint is purely static — host parallelism
-//! must not leak into it), and the verdicts are folded into
-//! `results/LINT_repro_all.json`.
+//! findings exits nonzero and fails the sweep), and the verdicts are
+//! folded into `results/LINT_repro_all.json`.
 //!
 //! With `--spans` / `--metrics`, every bin also exports lifecycle spans
 //! with critical-path analysis (`results/SPANS_<bin>.json`) and the live
 //! metrics timeseries (`results/METRICS_<bin>.json`). Both artifacts
-//! carry only virtual-time facts, so the parallel pass is pinned to the
-//! same host-derived K and each file is asserted **byte-identical**
-//! between the K=1 and pinned-K runs.
-//!
-//! With `--prof`, every bin also records the host-time executor profile
-//! (`results/PROF_<bin>.json` + `_hosttrace.json`). Those carry *host*
-//! facts — they are exempt from the byte-identity assertions and each
-//! leg overwrites them, so the surviving files describe the parallel
-//! leg.
+//! carry only virtual-time facts.
 //!
 //! Artifact hygiene: stale derived files (`*_trace.json`, `SPANS_*`,
-//! `METRICS_*`, `CHECK_*`, `LINT_*`, `SERVE_*`, `PROF_*`) are deleted
+//! `METRICS_*`, `CHECK_*`, `LINT_*`, `SERVE_*`) are deleted
 //! before the sweep, and `results/MANIFEST_repro_all.json` records both
 //! every artifact this sweep was expected to (and did) regenerate *and*
 //! the stale files it removed (`removed_stale`) — a file in `results/`
@@ -72,20 +53,14 @@ const BINS: &[&str] = &[
     "timeline_cholesky",
 ];
 
-/// Bins whose stdout embeds host wall-clock measurements, which
-/// legitimately differ between the two runs. Everything else must be
-/// byte-identical across parallelism levels.
-const HOST_TIMED_STDOUT: &[&str] = &["table3_invocation"];
-
 /// Bins that always export a Chrome trace to `results/<bin>_trace.json`.
 const TRACE_EXPORTS: &[&str] = &["fig3_delivery", "ablations", "table3_invocation"];
 
 struct BinResult {
     bin: &'static str,
-    seq_wall_ms: f64,
-    par_wall_ms: f64,
-    /// Per-run label → (sequential wall ms, parallel wall ms).
-    runs: Vec<(String, f64, f64)>,
+    wall_ms: f64,
+    /// Per-run label → wall ms.
+    runs: Vec<(String, f64)>,
 }
 
 /// Pull `wall_ms=` out of the `BENCHTOTAL <bin> ...` stderr line.
@@ -126,10 +101,9 @@ fn parse_benchlines(stderr: &str) -> Vec<(String, f64)> {
     v
 }
 
-fn run_bin(bin: &str, parallel: &str, quick: bool, check: bool, force: bool) -> std::process::Output {
+fn run_bin(bin: &str, quick: bool, check: bool) -> std::process::Output {
     let spans = out::spans_enabled();
     let metrics = out::metrics_enabled();
-    let prof = out::prof_enabled();
     let lint = out::lint_enabled();
     // Prefer the sibling executable next to this one: it lets CI run
     // the whole sweep from a scratch directory (results/ under that
@@ -150,13 +124,6 @@ fn run_bin(bin: &str, parallel: &str, quick: bool, check: bool, force: bool) -> 
     if quick {
         cmd.arg("--quick");
     }
-    cmd.env("HAL_PARALLEL", parallel);
-    if force {
-        // A pinned K may exceed the visible cores (at least 2 shards
-        // even on 1-core CI); tell the child to run it anyway instead
-        // of capping at the host width.
-        cmd.env("HAL_PARALLEL_FORCE", "1");
-    }
     if check {
         cmd.env("HAL_CHECK", "1");
     }
@@ -169,15 +136,12 @@ fn run_bin(bin: &str, parallel: &str, quick: bool, check: bool, force: bool) -> 
     if metrics {
         cmd.env("HAL_METRICS", "1");
     }
-    if prof {
-        cmd.env("HAL_PROF", "1");
-    }
     let out = cmd
         .output()
         .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
     assert!(
         out.status.success(),
-        "{bin} (HAL_PARALLEL={parallel}) failed:\n{}",
+        "{bin} failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     out
@@ -187,29 +151,16 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// One bin's checker verdicts: (bin, sequential clean, parallel clean).
-fn check_clean(bin: &str) -> bool {
-    std::fs::read_to_string(format!("results/CHECK_{bin}.json"))
-        .map(|s| s.contains("\"clean\": true"))
-        .unwrap_or(false)
-}
-
-/// One bin's static-lint verdict, read back from its artifact.
-fn lint_clean(bin: &str) -> bool {
-    std::fs::read_to_string(format!("results/LINT_{bin}.json"))
+/// One bin's verdict of one family (`CHECK` / `LINT`), read back from
+/// its artifact.
+fn verdict_clean(family: &str, bin: &str) -> bool {
+    std::fs::read_to_string(format!("results/{family}_{bin}.json"))
         .map(|s| s.contains("\"clean\": true"))
         .unwrap_or(false)
 }
 
 /// Derived artifacts a bin regenerates this sweep, given the flags.
-fn bin_artifacts(
-    bin: &str,
-    check: bool,
-    lint: bool,
-    spans: bool,
-    metrics: bool,
-    prof: bool,
-) -> Vec<String> {
+fn bin_artifacts(bin: &str, check: bool, lint: bool, spans: bool, metrics: bool) -> Vec<String> {
     let mut v = vec![format!("results/{bin}.txt"), format!("results/BENCH_{bin}.json")];
     if TRACE_EXPORTS.contains(&bin) {
         v.push(format!("results/{bin}_trace.json"));
@@ -225,10 +176,6 @@ fn bin_artifacts(
     }
     if metrics {
         v.push(format!("results/METRICS_{bin}.json"));
-    }
-    if prof {
-        v.push(format!("results/PROF_{bin}.json"));
-        v.push(format!("results/PROF_{bin}_hosttrace.json"));
     }
     v
 }
@@ -251,7 +198,6 @@ fn remove_stale_artifacts() -> Vec<String> {
             || name.starts_with("CHECK_")
             || name.starts_with("LINT_")
             || name.starts_with("SERVE_")
-            || name.starts_with("PROF_")
             || name.starts_with("MANIFEST_");
         if stale {
             if let Err(e) = std::fs::remove_file(entry.path()) {
@@ -271,164 +217,74 @@ fn main() {
     let lint = out::lint_enabled();
     let spans = out::spans_enabled();
     let metrics = out::metrics_enabled();
-    let prof = out::prof_enabled();
     std::fs::create_dir_all("results").expect("create results/");
     let removed_stale = remove_stale_artifacts();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Under --check / --spans / --metrics the parallel executor level is
-    // pinned so the determinism assertions cover a stable K pair for
-    // this host. The K is derived from the visible cores — at least 2
-    // so the threaded executor paths are exercised even on 1-core CI,
-    // at most 7 (one shard per simulated node) — rather than a
-    // hardcoded count that oversubscribes small hosts.
-    let pinned = check || lint || spans || metrics;
-    let par_level = if pinned {
-        cores.clamp(2, 7).to_string()
-    } else {
-        "auto".to_string()
-    };
-    let par_level = par_level.as_str();
-    // The K the parallel leg actually runs at — `auto` means one shard
-    // per visible core. Recorded separately from `host_cores` so the
-    // JSON never again conflates "cores the host has" with "shards the
-    // parallel leg used".
-    let par_parallelism = match par_level {
-        "auto" => cores,
-        k => k.parse::<usize>().expect("par level is a number"),
-    };
     let mut results = Vec::new();
-    let mut checks: Vec<(&str, bool, bool)> = Vec::new();
-    let mut lints: Vec<(&str, bool, bool)> = Vec::new();
+    let mut checks: Vec<(&str, bool)> = Vec::new();
+    let mut lints: Vec<(&str, bool)> = Vec::new();
     let mut manifest: Vec<String> = Vec::new();
 
     for bin in BINS {
-        eprintln!("== running {bin} (sequential) ==");
-        let seq = run_bin(bin, "1", quick, check, false);
+        eprintln!("== running {bin} ==");
+        let run = run_bin(bin, quick, check);
         let path = format!("results/{bin}.txt");
-        std::fs::write(&path, &seq.stdout).expect("write results file");
-        eprintln!("   -> {path} ({} bytes)", seq.stdout.len());
-        let seq_clean = check && check_clean(bin);
-        let seq_lint_clean = lint && lint_clean(bin);
-        // Snapshot the K=1 span/metrics/lint artifacts before the
-        // parallel run overwrites them.
-        let det_files: Vec<String> = bin_artifacts(bin, false, lint, spans, metrics, false)
-            .into_iter()
-            .filter(|p| p.contains("SPANS_") || p.contains("METRICS_") || p.contains("LINT_"))
-            .collect();
-        let seq_artifacts: Vec<(String, Vec<u8>)> = det_files
-            .iter()
-            .map(|p| {
-                let bytes = std::fs::read(p)
-                    .unwrap_or_else(|e| panic!("{bin}: expected artifact {p} after K=1 run: {e}"));
-                (p.clone(), bytes)
-            })
-            .collect();
-
-        eprintln!("== running {bin} (parallel, HAL_PARALLEL={par_level}, {cores} cores) ==");
-        let par = run_bin(bin, par_level, quick, check, pinned);
+        std::fs::write(&path, &run.stdout).expect("write results file");
+        eprintln!("   -> {path} ({} bytes)", run.stdout.len());
         if check {
-            checks.push((bin, seq_clean, check_clean(bin)));
+            checks.push((bin, verdict_clean("CHECK", bin)));
         }
         if lint {
-            lints.push((bin, seq_lint_clean, lint_clean(bin)));
+            lints.push((bin, verdict_clean("LINT", bin)));
         }
-        if !HOST_TIMED_STDOUT.contains(bin) {
-            assert!(
-                seq.stdout == par.stdout,
-                "{bin}: stdout differs between sequential and parallel runs — \
-                 the windowed executor broke determinism"
-            );
-        }
-        for (path, seq_bytes) in &seq_artifacts {
-            let par_bytes = std::fs::read(path)
-                .unwrap_or_else(|e| panic!("{bin}: expected artifact {path} after K={par_level} run: {e}"));
-            assert!(
-                *seq_bytes == par_bytes,
-                "{bin}: {path} differs between K=1 and K={par_level} — \
-                 span/metrics/lint export leaked host-dependent state"
-            );
-        }
-        for p in bin_artifacts(bin, check, lint, spans, metrics, prof) {
+        for p in bin_artifacts(bin, check, lint, spans, metrics) {
             assert!(
                 std::path::Path::new(&p).is_file(),
                 "{bin}: expected artifact {p} was not produced"
             );
             manifest.push(p);
         }
-
-        let seq_err = String::from_utf8_lossy(&seq.stderr);
-        let par_err = String::from_utf8_lossy(&par.stderr);
-        let seq_lines = parse_benchlines(&seq_err);
-        let par_lines = parse_benchlines(&par_err);
-        let runs = seq_lines
-            .iter()
-            .filter_map(|(label, s_ms)| {
-                par_lines
-                    .iter()
-                    .find(|(l, _)| l == label)
-                    .map(|(_, p_ms)| (label.clone(), *s_ms, *p_ms))
-            })
-            .collect();
+        let err = String::from_utf8_lossy(&run.stderr);
         results.push(BinResult {
             bin,
-            seq_wall_ms: parse_total_ms(&seq_err, bin),
-            par_wall_ms: parse_total_ms(&par_err, bin),
-            runs,
+            wall_ms: parse_total_ms(&err, bin),
+            runs: parse_benchlines(&err),
         });
     }
 
-    // Human-readable speedup table (stderr, like all timing output).
-    eprintln!("\n== sequential vs parallel ({cores} cores) ==");
-    eprintln!("{:<20} {:>12} {:>12} {:>9}", "bin", "seq (ms)", "par (ms)", "speedup");
-    let (mut seq_total, mut par_total) = (0.0f64, 0.0f64);
+    // Human-readable wall-time table (stderr, like all timing output).
+    eprintln!("\n== simulator wall time ({cores} host cores) ==");
+    eprintln!("{:<20} {:>12}", "bin", "wall (ms)");
+    let mut total = 0.0f64;
     for r in &results {
-        seq_total += r.seq_wall_ms;
-        par_total += r.par_wall_ms;
-        let speedup = if r.par_wall_ms > 0.0 {
-            r.seq_wall_ms / r.par_wall_ms
-        } else {
-            0.0
-        };
-        eprintln!(
-            "{:<20} {:>12.1} {:>12.1} {:>8.2}x",
-            r.bin, r.seq_wall_ms, r.par_wall_ms, speedup
-        );
+        total += r.wall_ms;
+        eprintln!("{:<20} {:>12.1}", r.bin, r.wall_ms);
     }
-    let total_speedup = if par_total > 0.0 { seq_total / par_total } else { 0.0 };
-    eprintln!(
-        "{:<20} {:>12.1} {:>12.1} {:>8.2}x",
-        "TOTAL", seq_total, par_total, total_speedup
-    );
+    eprintln!("{:<20} {:>12.1}", "TOTAL", total);
 
-    // Machine-readable record, including per-workload speedups.
+    // Machine-readable record.
     let mut bins_json = String::new();
     for (i, r) in results.iter().enumerate() {
         if i > 0 {
             bins_json.push_str(",\n");
         }
         let mut runs_json = String::new();
-        for (j, (label, s_ms, p_ms)) in r.runs.iter().enumerate() {
+        for (j, (label, ms)) in r.runs.iter().enumerate() {
             if j > 0 {
                 runs_json.push_str(",\n");
             }
-            let speedup = if *p_ms > 0.0 { s_ms / p_ms } else { 0.0 };
             runs_json.push_str(&format!(
-                "        {{\"label\": \"{}\", \"seq_wall_ms\": {s_ms:.3}, \"par_wall_ms\": {p_ms:.3}, \"speedup\": {speedup:.3}}}",
+                "        {{\"label\": \"{}\", \"wall_ms\": {ms:.3}}}",
                 json_escape(label),
             ));
         }
-        let speedup = if r.par_wall_ms > 0.0 {
-            r.seq_wall_ms / r.par_wall_ms
-        } else {
-            0.0
-        };
         bins_json.push_str(&format!(
-            "    {{\n      \"bin\": \"{}\",\n      \"seq_wall_ms\": {:.3},\n      \"par_wall_ms\": {:.3},\n      \"speedup\": {:.3},\n      \"runs\": [\n{}\n      ]\n    }}",
-            r.bin, r.seq_wall_ms, r.par_wall_ms, speedup, runs_json
+            "    {{\n      \"bin\": \"{}\",\n      \"wall_ms\": {:.3},\n      \"runs\": [\n{}\n      ]\n    }}",
+            r.bin, r.wall_ms, runs_json
         ));
     }
     let json = format!(
-        "{{\n  \"bench\": \"repro_all\",\n  \"host_cores\": {cores},\n  \"seq_parallelism\": 1,\n  \"par_parallelism\": {par_parallelism},\n  \"quick\": {quick},\n  \"bins\": [\n{bins_json}\n  ],\n  \"total_seq_wall_ms\": {seq_total:.3},\n  \"total_par_wall_ms\": {par_total:.3},\n  \"total_speedup\": {total_speedup:.3}\n}}\n"
+        "{{\n  \"bench\": \"repro_all\",\n  \"host_cores\": {cores},\n  \"quick\": {quick},\n  \"bins\": [\n{bins_json}\n  ],\n  \"total_wall_ms\": {total:.3}\n}}\n"
     );
     std::fs::write("results/BENCH_repro_all.json", json).expect("write BENCH_repro_all.json");
 
@@ -437,55 +293,13 @@ fn main() {
     // above), so reaching this point with a dirty verdict means the
     // CHECK file is stale or missing — flagged as clean=false.
     if check {
-        let all_clean = checks.iter().all(|&(_, s, p)| s && p);
-        let mut bins_json = String::new();
-        for (i, (bin, seq_clean, par_clean)) in checks.iter().enumerate() {
-            if i > 0 {
-                bins_json.push_str(",\n");
-            }
-            bins_json.push_str(&format!(
-                "    {{\"bin\": \"{bin}\", \"seq_clean\": {seq_clean}, \"par_clean\": {par_clean}, \"detail\": \"results/CHECK_{bin}.json\"}}"
-            ));
-        }
-        let check_json = format!(
-            "{{\n  \"subject\": \"repro_all\",\n  \"clean\": {all_clean},\n  \"parallel_levels\": [1, {par_parallelism}],\n  \"bins\": [\n{bins_json}\n  ]\n}}\n"
-        );
-        std::fs::write("results/CHECK_repro_all.json", check_json)
-            .expect("write CHECK_repro_all.json");
-        eprintln!(
-            "protocol checker: {} across {} bin(s), K in {{1, {par_parallelism}}} (results/CHECK_repro_all.json)",
-            if all_clean { "CLEAN" } else { "VIOLATIONS" },
-            checks.len()
-        );
-        assert!(all_clean, "protocol checker verdicts incomplete or dirty");
+        write_verdicts("CHECK", "protocol checker", "VIOLATIONS", &checks);
     }
-
-    // Fold the per-bin static-lint verdicts into one machine-readable
-    // file, exactly like the checker verdicts above. The lint is purely
-    // static, so a dirty or missing verdict here means a bin's
-    // declarations are wrong (or the bin forgot to note them).
+    // Same for the static-lint verdicts. The lint is purely static, so a
+    // dirty or missing verdict here means a bin's declarations are wrong
+    // (or the bin forgot to note them).
     if lint {
-        let all_clean = lints.iter().all(|&(_, s, p)| s && p);
-        let mut bins_json = String::new();
-        for (i, (bin, seq_clean, par_clean)) in lints.iter().enumerate() {
-            if i > 0 {
-                bins_json.push_str(",\n");
-            }
-            bins_json.push_str(&format!(
-                "    {{\"bin\": \"{bin}\", \"seq_clean\": {seq_clean}, \"par_clean\": {par_clean}, \"detail\": \"results/LINT_{bin}.json\"}}"
-            ));
-        }
-        let lint_json = format!(
-            "{{\n  \"subject\": \"repro_all\",\n  \"clean\": {all_clean},\n  \"parallel_levels\": [1, {par_parallelism}],\n  \"bins\": [\n{bins_json}\n  ]\n}}\n"
-        );
-        std::fs::write("results/LINT_repro_all.json", lint_json)
-            .expect("write LINT_repro_all.json");
-        eprintln!(
-            "protocol lint: {} across {} bin(s), K in {{1, {par_parallelism}}} (results/LINT_repro_all.json)",
-            if all_clean { "CLEAN" } else { "FINDINGS" },
-            lints.len()
-        );
-        assert!(all_clean, "static lint verdicts incomplete or dirty");
+        write_verdicts("LINT", "protocol lint", "FINDINGS", &lints);
     }
 
     // Manifest of everything this sweep regenerated (existence already
@@ -522,5 +336,32 @@ fn main() {
         manifest.len() + 1,
         removed_stale.len()
     );
-    eprintln!("all harnesses completed; see results/ (speedups in results/BENCH_repro_all.json)");
+    eprintln!("all harnesses completed; see results/ (wall times in results/BENCH_repro_all.json)");
+}
+
+/// Fold per-bin verdicts of one family (`CHECK` / `LINT`) into
+/// `results/<family>_repro_all.json` and fail the sweep unless all are
+/// clean.
+fn write_verdicts(family: &str, what: &str, dirty: &str, verdicts: &[(&str, bool)]) {
+    let all_clean = verdicts.iter().all(|&(_, clean)| clean);
+    let mut bins_json = String::new();
+    for (i, (bin, clean)) in verdicts.iter().enumerate() {
+        if i > 0 {
+            bins_json.push_str(",\n");
+        }
+        bins_json.push_str(&format!(
+            "    {{\"bin\": \"{bin}\", \"clean\": {clean}, \"detail\": \"results/{family}_{bin}.json\"}}"
+        ));
+    }
+    let json = format!(
+        "{{\n  \"subject\": \"repro_all\",\n  \"clean\": {all_clean},\n  \"bins\": [\n{bins_json}\n  ]\n}}\n"
+    );
+    let path = format!("results/{family}_repro_all.json");
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    eprintln!(
+        "{what}: {} across {} bin(s) ({path})",
+        if all_clean { "CLEAN" } else { dirty },
+        verdicts.len()
+    );
+    assert!(all_clean, "{what} verdicts incomplete or dirty");
 }

@@ -29,7 +29,8 @@ fn run(n: usize, p: usize, variant: Variant, flow: bool) -> f64 {
         .seed(7)
         .observe(out::observe_opts())
         .backend(out::backend())
-        .parallelism(out::parallelism()).build().unwrap();
+        .build()
+        .unwrap();
     let label = format!("cholesky n={n} p={p} {variant:?} fc={flow}");
     let (_, report) = out::timed(label, || run_sim(machine, cfg, false));
     report.makespan.as_secs_f64()

@@ -40,7 +40,8 @@ fn main() {
         SimMachine::new(
             MachineConfig::builder(4)
                 .observe(out::observe_opts())
-                .parallelism(out::parallelism()).build().unwrap(),
+                .build()
+                .unwrap(),
             registry.clone(),
         )
     };

@@ -24,7 +24,8 @@ fn sim(n: u64, grain: u64, p: usize, lb: bool, placement: Placement) -> (u64, f6
         .seed(1234)
         .observe(out::observe_opts())
         .backend(out::backend())
-        .parallelism(out::parallelism()).build().unwrap();
+        .build()
+        .unwrap();
     let cfg = FibConfig { n, grain, placement };
     let label = format!("fib n={n} p={p} lb={lb} {placement:?}");
     let (v, r) = out::timed(label, || run_sim(machine, cfg));
@@ -84,7 +85,7 @@ fn main() {
     }
 
     // Host-baseline wall clocks fluctuate run to run, so they go to
-    // stderr: stdout stays byte-identical across parallelism levels.
+    // stderr: stdout stays byte-identical across reruns.
     let n_host = if out::quick() { 24u64 } else { 30 };
     let t0 = Instant::now();
     let v = fib(n_host);

@@ -48,7 +48,8 @@ fn main() {
                 .seed(99)
                 .observe(out::observe_opts())
                 .backend(out::backend())
-                .parallelism(out::parallelism()).build().unwrap();
+                .build()
+                .unwrap();
             let label = format!("matmul n={n} p={p}");
             let (_fro, report) = out::timed(label, || run_sim(machine, cfg, false));
             let t = report.makespan.as_secs_f64();

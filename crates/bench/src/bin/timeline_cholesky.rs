@@ -26,7 +26,8 @@ fn show(variant: Variant) {
             .seed(9)
             .timeline()
             .observe(out::observe_opts())
-            .parallelism(out::parallelism()).build().unwrap(),
+            .build()
+            .unwrap(),
         program.build(),
     );
     m.with_ctx(0, |ctx| cholesky::bootstrap(ctx, id, cfg, false));

@@ -11,15 +11,12 @@
 //! | `table5_matmul` | Table 5 — systolic matmul times and MFLOPS |
 //! | `fig3_delivery` | Fig. 3 — FIR message delivery under migration |
 //!
-//! The benches in `benches/` measure the *real* (host) nanosecond cost
-//! of the primitive operations, complementing the simulated
-//! CM-5-calibrated microseconds the binaries report. They run on the
-//! in-tree [`harness`] so the workspace carries no external
-//! dependencies and builds offline.
+//! The binaries report simulated CM-5-calibrated microseconds; the host
+//! cost of the same primitives is measured by the standalone
+//! `benchmark/` package's layer ledger.
 
 #![warn(missing_docs)]
 
-pub mod harness;
 pub mod out;
 
 use std::fmt::Display;

@@ -6,11 +6,8 @@
 //! time, and events/sec throughput per run — so the performance
 //! trajectory of the simulator itself is tracked from PR to PR.
 //!
-//! The module also owns the two switches every bin honors:
+//! The module also owns the switches every bin honors:
 //!
-//! * `--parallel[=K]` / `HAL_PARALLEL=K|auto` — windowed-executor host
-//!   parallelism (`auto` or bare `--parallel` = all cores). Reports are
-//!   bit-identical across K, so stdout does not change — only wall time.
 //! * `--quick` / `HAL_QUICK=1` — shrink problem sizes so the bin
 //!   finishes in seconds (CI smoke).
 //! * `--backend=sim|live` / `HAL_BACKEND` — which [`hal_kernel::Backend`]
@@ -29,7 +26,7 @@
 //!   roots via [`note_root`], wait-for gates via [`note_gate`]).
 //!   [`finish`] writes `results/LINT_<bin>.json` and **exits nonzero**
 //!   on any finding. Purely static: no run, trace, or host fact enters
-//!   the artifact, so its bytes are identical across `--parallel K`.
+//!   the artifact.
 //! * `--spans` / `HAL_SPANS=1` — reconstruct message-lifecycle spans
 //!   ([`hal_kernel::span`]) and the critical path (`hal-profile`) for
 //!   every recorded run, asserting the critical path never exceeds the
@@ -41,21 +38,14 @@
 //! * `--span-sample=R` / `HAL_SPAN_SAMPLE=R` — head-sample spans at
 //!   rate `R` in `[0, 1]` (folded into [`observe_opts`]). The sample
 //!   decision hashes the deterministic trace id, so sampled `SPANS_`
-//!   artifacts stay byte-identical across `--parallel K`, and rate 1
-//!   reproduces the unsampled surface exactly.
-//! * `--prof` / `HAL_PROF=1` — enable the host-time executor profiler
-//!   ([`hal_kernel::prof`], folded into [`observe_opts`]) and
-//!   write `results/PROF_<bin>.json` plus a Chrome-trace host timeline
-//!   `results/PROF_<bin>_hosttrace.json` (one track per shard thread).
-//!   Host-time facts live only in these two artifacts — unlike every
-//!   other artifact family they are *expected* to differ run to run.
+//!   artifacts stay byte-identical across reruns, and rate 1 reproduces
+//!   the unsampled surface exactly.
 //!
-//! Timing lines go to **stderr**: stdout stays byte-identical across
-//! parallelism levels so `ci.sh` can diff sequential vs parallel runs.
-//! The checker, span, and metrics passes write only to stderr and their
-//! JSON files, so all three switches preserve that identity too — and
-//! the JSON artifacts themselves carry only virtual-time facts, so they
-//! are byte-identical across `--parallel K` as well.
+//! Timing lines go to **stderr**, so stdout carries virtual-time facts
+//! only and is byte-identical across reruns. The checker, span, and
+//! metrics passes write only to stderr and their JSON files, which carry
+//! only virtual-time facts too; host time appears in `BENCH_<bin>.json`
+//! alone.
 
 use hal_check::{CheckReport, LintSpec};
 use hal_kernel::span::SpanReport;
@@ -91,65 +81,6 @@ static SPANS: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
 /// Per-run JSON fragments accumulated for `results/METRICS_<bin>.json`.
 static METRICS: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
 
-/// Per-run JSON fragments accumulated for `results/PROF_<bin>.json`
-/// (label, [`hal_kernel::ProfReport::to_json`] object).
-static PROF: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
-
-/// Per-run Chrome trace-event fragments for
-/// `results/PROF_<bin>_hosttrace.json` (one `pid` per run).
-static PROF_TRACE: Mutex<Vec<String>> = Mutex::new(Vec::new());
-
-/// The executor parallelism requested for this process: `--parallel`
-/// (bare or `--parallel=K`) on the command line, else the
-/// `HAL_PARALLEL` environment variable (`auto` or a thread count),
-/// else `1` (sequential reference). `0` means "all available cores"
-/// (the [`hal_kernel::MachineConfigBuilder::parallelism`] convention).
-///
-/// A K above `std::thread::available_parallelism()` is capped to it
-/// (with a stderr note): oversubscribed shard threads only measure
-/// scheduler churn, not the executor. Set `HAL_PARALLEL_FORCE=1` to run
-/// the requested K anyway — the equivalence tests use real thread
-/// counts regardless of host width, and CI smokes force specific K to
-/// exercise the threaded paths on 1-core containers.
-pub fn parallelism() -> usize {
-    let requested = raw_parallelism();
-    if requested <= 1 || std::env::var("HAL_PARALLEL_FORCE").is_ok() {
-        return requested;
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if requested > cores {
-        eprintln!(
-            "note: requested parallelism {requested} exceeds the {cores} available core(s); \
-             capping at {cores} (set HAL_PARALLEL_FORCE=1 to oversubscribe anyway)"
-        );
-        return cores;
-    }
-    requested
-}
-
-fn raw_parallelism() -> usize {
-    for arg in std::env::args().skip(1) {
-        if arg == "--parallel" {
-            return 0;
-        }
-        if let Some(v) = arg.strip_prefix("--parallel=") {
-            return parse_parallelism(v);
-        }
-    }
-    match std::env::var("HAL_PARALLEL") {
-        Ok(v) => parse_parallelism(&v),
-        Err(_) => 1,
-    }
-}
-
-fn parse_parallelism(v: &str) -> usize {
-    if v.eq_ignore_ascii_case("auto") {
-        return 0;
-    }
-    v.parse()
-        .unwrap_or_else(|_| panic!("bad parallelism {v:?}: expected a thread count or \"auto\""))
-}
-
 /// Which backend this process's machines run on: `--backend=sim|live`
 /// on the command line, else the `HAL_BACKEND` environment variable,
 /// else the deterministic simulator. Bins pass this to
@@ -172,12 +103,11 @@ pub fn backend() -> BackendKind {
 /// The observability options implied by this process's switches — what
 /// bins feed to [`hal_kernel::MachineConfigBuilder::observe`]: flight
 /// recording when the checker or span pass needs it, metrics under
-/// `--metrics`, host profiling under `--prof`.
+/// `--metrics`.
 pub fn observe_opts() -> ObserveOpts {
     ObserveOpts::none()
         .trace(trace_wanted())
         .metrics(metrics_enabled())
-        .prof(prof_enabled())
         .span_sample_ppm(span_sample_ppm())
 }
 
@@ -241,13 +171,6 @@ pub fn spans_enabled() -> bool {
 /// [`observe_opts`].
 pub fn metrics_enabled() -> bool {
     std::env::args().skip(1).any(|a| a == "--metrics") || std::env::var("HAL_METRICS").is_ok()
-}
-
-/// True when the host-time executor profiler should be enabled:
-/// `--prof` on the command line or `HAL_PROF` set. Folded into
-/// [`observe_opts`].
-pub fn prof_enabled() -> bool {
-    std::env::args().skip(1).any(|a| a == "--prof") || std::env::var("HAL_PROF").is_ok()
 }
 
 /// True when the flight recorder is needed by any enabled pass — folded
@@ -339,30 +262,6 @@ pub fn note_run_with(
                 "WARNING {label}: metrics sampler dropped {dropped} gauge sample(s) — timeseries are partial"
             );
         }
-    }
-    if let Some(prof) = &report.prof {
-        let (top, frac) = prof.top_overhead();
-        eprintln!(
-            "PROFLINE {label} mode={} k={} wall_ms={:.3} top_overhead={top} top_overhead_pct={:.1}",
-            prof.mode,
-            prof.k,
-            prof.wall_ns as f64 / 1e6,
-            100.0 * frac
-        );
-        let mut runs = PROF.lock().expect("bench prof lock");
-        let pid = runs.len();
-        runs.push((
-            label.clone(),
-            format!(
-                "{{\"label\": \"{}\", \"prof\": {}}}",
-                json_escape(&label),
-                prof.to_json()
-            ),
-        ));
-        PROF_TRACE
-            .lock()
-            .expect("bench prof trace lock")
-            .push(prof.chrome_events(pid, &label));
     }
     if spans_enabled() {
         if let Some(trace) = &report.trace {
@@ -472,10 +371,9 @@ pub fn finish(bin: &str) {
         ));
     }
     let json = format!(
-        "{{\n  \"bench\": \"{}\",\n  \"backend\": \"{}\",\n  \"parallelism\": {},\n  \"runs\": [\n{}\n  ],\n  \"total_events\": {},\n  \"total_wall_ns\": {},\n  \"total_events_per_sec\": {:.0}\n}}\n",
+        "{{\n  \"bench\": \"{}\",\n  \"backend\": \"{}\",\n  \"runs\": [\n{}\n  ],\n  \"total_events\": {},\n  \"total_wall_ns\": {},\n  \"total_events_per_sec\": {:.0}\n}}\n",
         json_escape(bin),
         backend(),
-        parallelism(),
         body,
         total_events,
         total_wall.as_nanos(),
@@ -504,9 +402,6 @@ pub fn finish(bin: &str) {
     if metrics_enabled() {
         let runs = std::mem::take(&mut *METRICS.lock().expect("bench metrics lock"));
         write_artifact(&format!("results/METRICS_{bin}.json"), "METRICSFILE", bin, &runs);
-    }
-    if prof_enabled() {
-        write_prof_artifacts(bin);
     }
 
     if check_enabled() {
@@ -546,51 +441,6 @@ pub fn finish(bin: &str) {
             std::process::exit(1);
         }
     }
-}
-
-/// Write the two host-time profile artifacts: `results/PROF_<bin>.json`
-/// (per-run [`hal_kernel::ProfReport`] objects under a host header) and
-/// `results/PROF_<bin>_hosttrace.json` (a Chrome trace-event array, one
-/// `pid` per run, one `tid` per shard thread — load in
-/// `chrome://tracing` / Perfetto).
-fn write_prof_artifacts(bin: &str) {
-    let runs = std::mem::take(&mut *PROF.lock().expect("bench prof lock"));
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut body = String::new();
-    for (i, (_, obj)) in runs.iter().enumerate() {
-        if i > 0 {
-            body.push_str(",\n");
-        }
-        body.push_str("    ");
-        body.push_str(obj);
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"{}\",\n  \"parallelism\": {},\n  \"host_cores\": {},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        json_escape(bin),
-        parallelism(),
-        host_cores,
-        body
-    );
-    let path = format!("results/PROF_{bin}.json");
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|_| std::fs::File::create(&path))
-        .and_then(|mut f| f.write_all(json.as_bytes()))
-    {
-        eprintln!("bench out: writing {path} failed: {e}");
-        return;
-    }
-    eprintln!("PROFFILE {path}");
-
-    let traces = std::mem::take(&mut *PROF_TRACE.lock().expect("bench prof trace lock"));
-    let trace_path = format!("results/PROF_{bin}_hosttrace.json");
-    let trace_json = format!("[{}]\n", traces.join(",\n"));
-    if let Err(e) = std::fs::File::create(&trace_path)
-        .and_then(|mut f| f.write_all(trace_json.as_bytes()))
-    {
-        eprintln!("bench out: writing {trace_path} failed: {e}");
-        return;
-    }
-    eprintln!("PROFTRACE {trace_path}");
 }
 
 /// Write one per-run JSON artifact (`SPANS_*` / `METRICS_*`) and print

@@ -29,7 +29,7 @@
 //! Everything lands in a [`LintReport`], serialized to
 //! `results/LINT_<bin>.json` by the bench harness under `--lint`. The
 //! report is built from sorted containers and carries no host facts, so
-//! its bytes are identical across parallelism levels.
+//! its bytes are identical across runs and hosts.
 
 use crate::report::CheckReport;
 use hal_kernel::ProtocolDecl;

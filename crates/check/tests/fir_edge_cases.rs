@@ -3,8 +3,7 @@
 //! fed through the protocol checker. The checker must hold its
 //! invariants — forward chains acyclic after repeated migration,
 //! duplicate chases suppressed under an outage, the birthplace repaired
-//! after a chase — without false positives, sequentially and under the
-//! parallel executor.
+//! after a chase — without false positives.
 
 use hal::prelude::*;
 use hal_kernel::{KernelEvent, LinkOutage, SimMachine};
@@ -171,10 +170,9 @@ fn birthplace_repaired_after_chase() {
 /// A fleet of nomads walking pseudo-random tours while a sprayer keeps
 /// probes in flight — enough concurrent chases, parks, and repairs to
 /// exercise every trace invariant.
-fn busy_run(parallelism: usize, faults: FaultPlan) -> SimReport {
+fn busy_run(faults: FaultPlan) -> SimReport {
     let cfg = MachineConfig::builder(8)
         .seed(42)
-        .parallelism(parallelism)
         .faults(faults)
         .trace()
         .build()
@@ -203,22 +201,17 @@ fn busy_run(parallelism: usize, faults: FaultPlan) -> SimReport {
 }
 
 #[test]
-fn clean_runs_fault_free_across_parallelism() {
-    for k in [1, 7] {
-        let r = busy_run(k, FaultPlan::none());
-        assert_eq!(r.values("probe_delivered").len(), 8, "K={k}: every probe lands once");
-        assert_clean(&checked(&format!("fault_free_k{k}"), &r));
-    }
+fn clean_runs_fault_free() {
+    let r = busy_run(FaultPlan::none());
+    assert_eq!(r.values("probe_delivered").len(), 8, "every probe lands once");
+    assert_clean(&checked("fault_free", &r));
 }
 
 #[test]
-fn clean_runs_under_drop_faults_across_parallelism() {
+fn clean_runs_under_drop_faults() {
     // 10% drop/reorder (5% duplicate) with the reliable layer on: the
-    // protocol invariants must hold through retransmits and holdback,
-    // at K = 1 and K = 7.
-    for k in [1, 7] {
-        let r = busy_run(k, FaultPlan::chaos(0.10));
-        assert_eq!(r.values("probe_delivered").len(), 8, "K={k}: exactly-once survived chaos");
-        assert_clean(&checked(&format!("chaos10_k{k}"), &r));
-    }
+    // protocol invariants must hold through retransmits and holdback.
+    let r = busy_run(FaultPlan::chaos(0.10));
+    assert_eq!(r.values("probe_delivered").len(), 8, "exactly-once survived chaos");
+    assert_clean(&checked("chaos10", &r));
 }

@@ -91,12 +91,11 @@ impl<E> EventQueue<E> {
     /// Schedule `payload` at `time` under a caller-supplied sequence
     /// number.
     ///
-    /// This is the re-insertion path for executors that split one global
-    /// queue across shards: the original global sequence numbers must be
-    /// preserved so that `(time, seq)` ordering — and therefore FIFO
-    /// tie-breaking — is identical no matter how the queue was sharded.
-    /// The internal counter is advanced past `seq` so later [`push`]
-    /// calls stay unique.
+    /// The simulated network numbers packets and timers from its own
+    /// admission counter and queues them under those numbers, so
+    /// `(time, seq)` ordering — and therefore FIFO tie-breaking — follows
+    /// admission order. The internal counter is advanced past `seq` so
+    /// later [`push`] calls stay unique.
     ///
     /// [`push`]: EventQueue::push
     #[inline]
@@ -129,12 +128,6 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn peek_time(&self) -> Option<VirtualTime> {
         self.heap.peek().map(|e| e.time)
-    }
-
-    /// `(time, seq)` of the earliest pending event without removing it.
-    #[inline]
-    pub fn peek(&self) -> Option<(VirtualTime, u64)> {
-        self.heap.peek().map(|e| (e.time, e.seq))
     }
 
     /// Number of pending events.
@@ -216,8 +209,8 @@ mod tests {
 
     #[test]
     fn push_at_preserves_external_sequence_order() {
-        // Distribute a FIFO burst across two "shard" queues and re-merge:
-        // the original global order must survive.
+        // Move a FIFO burst through two other queues and re-merge under
+        // the original sequence numbers: the original order must survive.
         let mut global = EventQueue::new();
         for i in 0..10 {
             global.push(T::from_nanos(5), i);
@@ -244,18 +237,6 @@ mod tests {
         merged.push(T::from_nanos(5), 101);
         assert_eq!(merged.pop().unwrap().1, 100);
         assert_eq!(merged.pop().unwrap().1, 101);
-    }
-
-    #[test]
-    fn peek_reports_time_and_seq() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek(), None);
-        q.push(T::from_nanos(9), "x");
-        q.push(T::from_nanos(4), "y");
-        let (t, s) = q.peek().unwrap();
-        assert_eq!(t, T::from_nanos(4));
-        assert_eq!(s, 1);
-        assert_eq!(q.pop_seq().unwrap(), (T::from_nanos(4), 1, "y"));
     }
 
     #[test]

@@ -15,8 +15,6 @@
 //! trace on|off                   toggle the kernel flight recorder
 //! trace dump [path]              export the last run's Chrome trace
 //! metrics on|off                 toggle the live metrics registry
-//! prof on|off                    toggle the host-time executor profiler
-//! prof                           host-time breakdown of the last run
 //! top                            gauge/utilization summary of the last run
 //! check                          run the protocol checker on the last run
 //! gc                             collect garbage on the last partition
@@ -81,10 +79,6 @@ pub enum Command {
     TraceDump(Option<String>),
     /// Toggle the live metrics registry for subsequent runs.
     Metrics(bool),
-    /// `Some(on)` toggles the host-time executor profiler for
-    /// subsequent runs; `None` (bare `prof`) prints the last run's
-    /// host-time breakdown.
-    Prof(Option<bool>),
     /// Print the last run's metrics summary (per-node utilization and
     /// final gauges) — the console's `top`.
     Top,
@@ -118,12 +112,6 @@ pub fn parse(line: &str) -> Result<Command, String> {
             Some("on") => Ok(Command::Metrics(true)),
             Some("off") => Ok(Command::Metrics(false)),
             _ => Err("usage: metrics on|off".into()),
-        },
-        "prof" => match words.next() {
-            Some("on") => Ok(Command::Prof(Some(true))),
-            Some("off") => Ok(Command::Prof(Some(false))),
-            None => Ok(Command::Prof(None)),
-            _ => Err("usage: prof on|off | prof".into()),
         },
         "nodes" => {
             let n: usize = words
@@ -205,9 +193,6 @@ mod tests {
         assert_eq!(parse("trace dump").unwrap(), Command::TraceDump(None));
         assert_eq!(parse("metrics on").unwrap(), Command::Metrics(true));
         assert_eq!(parse("metrics off").unwrap(), Command::Metrics(false));
-        assert_eq!(parse("prof on").unwrap(), Command::Prof(Some(true)));
-        assert_eq!(parse("prof off").unwrap(), Command::Prof(Some(false)));
-        assert_eq!(parse("prof").unwrap(), Command::Prof(None));
         assert_eq!(parse("top").unwrap(), Command::Top);
         assert_eq!(parse("check").unwrap(), Command::Check);
         assert_eq!(
@@ -252,7 +237,6 @@ mod tests {
         assert!(parse("backend").is_err());
         assert!(parse("trace maybe").is_err());
         assert!(parse("metrics maybe").is_err());
-        assert!(parse("prof maybe").is_err());
         assert!(parse("run").is_err());
     }
 }

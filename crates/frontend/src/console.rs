@@ -15,7 +15,6 @@ pub struct Console {
     lb: bool,
     trace: bool,
     metrics: bool,
-    prof: bool,
     last: Option<SimReport>,
     /// Live runs only: the telemetry hub's final `top` table (host-time
     /// cells are always on for live kernels, so this exists even when
@@ -34,7 +33,6 @@ impl Default for Console {
             lb: false,
             trace: false,
             metrics: false,
-            prof: false,
             last: None,
             last_top: None,
             machine: None,
@@ -157,16 +155,6 @@ impl Console {
             Command::Metrics(on) => {
                 self.metrics = on;
                 format!("metrics registry = {}", if on { "on" } else { "off" })
-            }
-            Command::Prof(Some(on)) => {
-                self.prof = on;
-                format!("host-time profiler = {}", if on { "on" } else { "off" })
-            }
-            Command::Prof(None) => {
-                match self.last.as_ref().and_then(|r| r.prof.as_ref()) {
-                    None => "no profile recorded (enable with `prof on`, then run)".into(),
-                    Some(p) => p.summary().trim_end().to_string(),
-                }
             }
             Command::Top => {
                 let Some(r) = &self.last else {
@@ -307,12 +295,7 @@ impl Console {
             .seed(self.seed)
             .load_balancing(self.lb)
             .backend(self.backend)
-            .observe(
-                ObserveOpts::none()
-                    .trace(self.trace)
-                    .metrics(self.metrics)
-                    .prof(self.prof),
-            )
+            .observe(ObserveOpts::none().trace(self.trace).metrics(self.metrics))
             .build()
         {
             Ok(cfg) => cfg,
@@ -405,8 +388,6 @@ commands:
   trace on|off              kernel flight recorder for subsequent runs
   trace dump [path]         last run's trace: summary, or Chrome JSON to path
   metrics on|off            live metrics registry for subsequent runs
-  prof on|off               host-time executor profiler for subsequent runs
-  prof                      host-time phase breakdown of the last run
   top                       per-node utilization + gauges from the last run
                             (live runs: host-time throughput, queue depths,
                             retransmit + backpressure from the telemetry hub)
@@ -565,22 +546,6 @@ mod tests {
         c.execute("backend sim");
         c.execute("run fib n=10 grain=3");
         assert!(c.execute("top").contains("no metrics recorded"));
-    }
-
-    #[test]
-    fn prof_records_and_summarizes() {
-        let mut c = Console::new();
-        assert!(c.execute("prof").contains("no profile recorded"));
-        c.execute("nodes 2");
-        // A run without `prof on` records nothing.
-        c.execute("run fib n=10 grain=3");
-        assert!(c.execute("prof").contains("no profile recorded"));
-        assert!(c.execute("prof on").contains("on"));
-        c.execute("run fib n=10 grain=3");
-        let out = c.execute("prof");
-        assert!(out.contains("host-time profile:"), "{out}");
-        assert!(out.contains("top overhead:"), "{out}");
-        assert!(c.execute("prof off").contains("off"));
     }
 
     #[test]

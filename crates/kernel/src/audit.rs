@@ -12,7 +12,7 @@
 //! The audit is computed from live kernel state, not from the trace
 //! ring, so it stays exact even when the bounded ring wrapped. It rides
 //! inside every [`crate::SimReport`] (it is cheap and deterministic, so
-//! the parallel-equivalence bit-identity guarantee extends to it).
+//! the same-seed bit-identity guarantee extends to it).
 
 use crate::addr::AddrKey;
 use hal_am::NodeId;

@@ -5,8 +5,8 @@
 //! [`Backend`]. Two implementations exist:
 //!
 //! * **Sim** ([`BackendKind::Sim`]) — the deterministic discrete-event
-//!   executor ([`crate::machine::SimMachine`]), unchanged: virtual time,
-//!   bit-identical reports across executor parallelism, the substrate
+//!   simulator ([`crate::machine::SimMachine`]): virtual time, one
+//!   sequential loop, bit-identical reports for one seed, the substrate
 //!   for every paper table.
 //! * **Live** ([`BackendKind::Live`]) — [`crate::live::LiveMachine`]:
 //!   one real kernel per host thread over

@@ -4,9 +4,8 @@
 //! behavior id arriving over the wire, a `max_events` livelock abort —
 //! was a `panic!` deep inside the kernel. Harness code (benches, the
 //! console, integration tests) could not distinguish "the simulation is
-//! wrong" from "the simulation found a bug", and the windowed-parallel
-//! executor had to forward panics across threads. [`MachineError`]
-//! makes these outcomes values: [`crate::SimMachine::run`] returns
+//! wrong" from "the simulation found a bug". [`MachineError`] makes
+//! these outcomes values: [`crate::SimMachine::run`] returns
 //! `Result<SimReport, MachineError>` and configuration problems are
 //! caught at build time by [`ConfigError`] via
 //! [`crate::MachineConfig::builder`].
@@ -137,8 +136,9 @@ pub enum ConfigError {
     /// injection lives in the simulated link layer, so a live run would
     /// silently ignore it.
     LiveFaultsUnsupported,
-    /// A chaos timeout is shorter than the executor lookahead — timers
-    /// would fire inside the window they were scheduled in.
+    /// A chaos timeout is shorter than the link lookahead (injection
+    /// overhead + latency): it would expire before the packet it guards
+    /// could have crossed the link even once.
     TimeoutTooShort {
         /// Which timeout field was rejected.
         which: &'static str,

@@ -429,8 +429,8 @@ impl Kernel {
 
     /// Sample the metrics gauges if a cadence boundary was crossed.
     /// Called from the two points where per-node state settles — the
-    /// end of `step` and the end of `deliver` — whose sequence is
-    /// identical at any executor parallelism, so the timeseries is too.
+    /// end of `step` and the end of `deliver` — whose sequence is a
+    /// function of the seed alone, so the timeseries is too.
     #[inline]
     fn metrics_tick(&mut self) {
         if self.metrics.is_none() && self.telemetry.is_none() {
@@ -1024,7 +1024,7 @@ impl Kernel {
 
     /// Shift a would-be execution time out of this node's pause windows
     /// (fault plan `node_pauses`). Applied at execution entry only —
-    /// never in scheduling keys — so both executors shift identically.
+    /// never in scheduling keys.
     pub fn pause_shift(&self, mut t: VirtualTime) -> VirtualTime {
         for &(from, until) in &self.pauses {
             if t >= from && t < until {

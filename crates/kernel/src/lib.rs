@@ -23,7 +23,6 @@
 //! | random-polling load balancing (§7.2) | [`balance`] |
 //! | flight recorder (observability) | [`trace`] + [`hist`] |
 //! | lifecycle spans & live metrics (observability) | [`span`] + [`metrics`] |
-//! | host-time executor profiling (observability) | [`prof`] |
 //! | live-backend host-time telemetry (observability) | [`telemetry`] |
 //! | node manager (§3) | [`kernel`] (`handle_*`) |
 //! | program load module (§3) | [`registry`] |
@@ -41,12 +40,10 @@ pub mod addr;
 pub mod audit;
 pub mod backend;
 pub mod balance;
-pub mod boundary;
 pub mod cost;
 pub mod descriptor;
 pub mod dispatch;
 pub mod error;
-mod executor;
 #[cfg(feature = "model")]
 pub mod model_port;
 pub mod sync;
@@ -61,7 +58,6 @@ pub mod machine;
 pub mod message;
 pub mod metrics;
 pub mod name_server;
-pub mod prof;
 pub mod registry;
 pub mod span;
 pub mod telemetry;
@@ -88,7 +84,6 @@ pub use thread_machine::{run_threaded, ThreadReport};
 pub use gc::GcReport;
 pub use hist::TraceHists;
 pub use metrics::{Metrics, MetricsReport};
-pub use prof::{CoordProf, ProfReport, ProfTotals, ShardProf, WindowRec};
 pub use span::{AliasSpan, ChaseSpan, MsgSpan, SpanReport};
 pub use telemetry::{NodeCell, TelemetryHub, TelemetrySnapshot};
 pub use trace::{DeliveryPath, KernelEvent, TraceEvent, TraceReport, TraceWarning, WarningKind};

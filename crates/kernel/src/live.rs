@@ -469,7 +469,7 @@ impl LiveMachine {
 
     /// Assemble the [`SimReport`] from joined kernels — the same merge
     /// the simulator performs, minus network-determined facts it cannot
-    /// know (metrics, prof) and plus the thread-network counters.
+    /// know (metrics) and plus the thread-network counters.
     fn assemble_report(
         cfg: &MachineConfig,
         mut nodes: Vec<NodeDone>,
@@ -543,7 +543,6 @@ impl LiveMachine {
             trace,
             metrics: None,
             audit,
-            prof: None,
         })
     }
 }

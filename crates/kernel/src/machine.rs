@@ -26,10 +26,10 @@ use std::sync::Arc;
 /// ```
 /// use hal_kernel::{MachineConfig, ObserveOpts};
 /// let cfg = MachineConfig::builder(4)
-///     .observe(ObserveOpts::none().trace(true).prof(true))
+///     .observe(ObserveOpts::none().trace(true).timeline(true))
 ///     .build()
 ///     .unwrap();
-/// assert!(cfg.record_trace && cfg.record_prof && !cfg.record_metrics);
+/// assert!(cfg.record_trace && cfg.record_timeline && !cfg.record_metrics);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ObserveOpts {
@@ -37,8 +37,6 @@ pub struct ObserveOpts {
     pub trace: bool,
     /// Live metrics timeseries on every kernel ([`crate::metrics`]).
     pub metrics: bool,
-    /// Host-time executor profile ([`crate::prof`]).
-    pub prof: bool,
     /// Per-node busy spans for timeline rendering ([`crate::timeline`]).
     pub timeline: bool,
     /// Head-sampling rate for message lifecycle spans in parts per
@@ -60,7 +58,6 @@ impl ObserveOpts {
         ObserveOpts {
             trace: false,
             metrics: false,
-            prof: false,
             timeline: false,
             span_sample_ppm: crate::trace::Recorder::FULL_SAMPLING_PPM,
         }
@@ -71,7 +68,6 @@ impl ObserveOpts {
         ObserveOpts {
             trace: true,
             metrics: true,
-            prof: true,
             timeline: true,
             span_sample_ppm: crate::trace::Recorder::FULL_SAMPLING_PPM,
         }
@@ -86,12 +82,6 @@ impl ObserveOpts {
     /// Set metrics-timeseries recording.
     pub const fn metrics(mut self, on: bool) -> Self {
         self.metrics = on;
-        self
-    }
-
-    /// Set host-time executor profiling.
-    pub const fn prof(mut self, on: bool) -> Self {
-        self.prof = on;
         self
     }
 
@@ -114,9 +104,9 @@ pub struct MachineConfig {
     /// Partition size (number of nodes).
     pub nodes: usize,
     /// Which execution backend [`crate::backend::Machine::from_config`]
-    /// selects: the deterministic DES executor
-    /// ([`BackendKind::Sim`], the default) or the multi-threaded live
-    /// runtime ([`BackendKind::Live`]).
+    /// selects: the deterministic simulator ([`BackendKind::Sim`], the
+    /// default) or the multi-threaded live runtime
+    /// ([`BackendKind::Live`]).
     pub backend: BackendKind,
     /// Master seed: every per-node RNG stream derives from it.
     pub seed: u64,
@@ -145,15 +135,6 @@ pub struct MachineConfig {
     /// Record live metrics timeseries on every kernel
     /// ([`crate::metrics`]).
     pub record_metrics: bool,
-    /// Record the host-time executor profile ([`crate::prof`]): per-shard
-    /// monotonic-clock attribution of where the wall time went. Off by
-    /// default; never affects the deterministic report surface.
-    pub record_prof: bool,
-    /// Host worker threads for the windowed executor: `1` = single
-    /// shard (the reference), `0` = all available cores, `k` = exactly
-    /// `k` shards (clamped to the node count). The report is
-    /// bit-identical for every value.
-    pub parallelism: usize,
     /// Seeded fault plan (chaos subsystem): per-link drop / duplicate /
     /// reorder probabilities, timed link outages, node pause windows.
     /// [`FaultPlan::none`] (the default) is the byte-identical
@@ -190,8 +171,6 @@ impl MachineConfig {
             record_timeline: false,
             record_trace: false,
             record_metrics: false,
-            record_prof: false,
-            parallelism: 1,
             faults: FaultPlan::none(),
             live_queue_capacity: 4096,
             span_sample_ppm: crate::trace::Recorder::FULL_SAMPLING_PPM,
@@ -241,7 +220,7 @@ impl MachineConfig {
             });
         }
         if self.faults.link_faults() {
-            let min_ns = crate::executor::lookahead_ns(&self.link).max(1);
+            let min_ns = lookahead_ns(&self.link).max(1);
             for (which, d) in [
                 ("rto", self.faults.rto),
                 ("fir_timeout", self.faults.fir_timeout),
@@ -253,7 +232,6 @@ impl MachineConfig {
         }
         Ok(())
     }
-
 }
 
 /// Validating builder for [`MachineConfig`] — see
@@ -273,18 +251,16 @@ impl MachineConfigBuilder {
 
     /// Enable observability subsystems in one call — the single entry
     /// point for conditional recording (the [`trace`]/[`metrics`]/
-    /// [`prof`]/[`timeline`] shorthands delegate here). Flags
-    /// accumulate (OR) with whatever earlier calls enabled, so
-    /// conditional harness code can layer opts.
+    /// [`timeline`] shorthands delegate here). Flags accumulate (OR)
+    /// with whatever earlier calls enabled, so conditional harness code
+    /// can layer opts.
     ///
     /// [`trace`]: MachineConfigBuilder::trace
     /// [`metrics`]: MachineConfigBuilder::metrics
-    /// [`prof`]: MachineConfigBuilder::prof
     /// [`timeline`]: MachineConfigBuilder::timeline
     pub fn observe(mut self, opts: ObserveOpts) -> Self {
         self.cfg.record_trace |= opts.trace;
         self.cfg.record_metrics |= opts.metrics;
-        self.cfg.record_prof |= opts.prof;
         self.cfg.record_timeline |= opts.timeline;
         // The lowest requested rate wins: a harness layering a sampled
         // opts over an unsampled one asked for sampling.
@@ -364,15 +340,12 @@ impl MachineConfigBuilder {
         self.observe(ObserveOpts::none().metrics(true))
     }
 
-    /// Record the host-time executor profile ([`crate::prof`]) —
-    /// shorthand for `observe(ObserveOpts::none().prof(true))`.
-    pub fn prof(self) -> Self {
-        self.observe(ObserveOpts::none().prof(true))
-    }
-
-    /// Host parallelism of the windowed executor (`0` = all cores).
-    pub fn parallelism(mut self, k: usize) -> Self {
-        self.cfg.parallelism = k;
+    /// No-op, kept only because the frozen `benchmark/` package still
+    /// calls `.parallelism(1)`: the simulator has one sequential loop and
+    /// no thread count to set. The next `benchmark` PR drops its two
+    /// calls and this shim with them.
+    #[doc(hidden)]
+    pub fn parallelism(self, _k: usize) -> Self {
         self
     }
 
@@ -401,13 +374,10 @@ impl MachineConfigBuilder {
     }
 }
 
-/// Result of running a simulated machine to completion.
-///
-/// `PartialEq` compares every field *except* [`SimReport::prof`] — the
-/// parallel-equivalence tests assert bit-identical reports across
-/// executor parallelism levels, and host-time facts are by design not
-/// part of that deterministic surface.
-#[derive(Clone, Debug)]
+/// Result of running a simulated machine to completion. Every field is
+/// a deterministic function of the configuration and the seed, so two
+/// reports of the same run compare equal.
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimReport {
     /// Maximum node clock at completion — the parallel execution time.
     pub makespan: VirtualTime,
@@ -430,26 +400,6 @@ pub struct SimReport {
     /// End-of-run quiescence audit plus the behavior-registry image —
     /// the protocol checker's ground truth ([`crate::audit`]).
     pub audit: crate::audit::MachineAudit,
-    /// Host-time executor profile, present when
-    /// [`MachineConfig::record_prof`] was set. Excluded from `PartialEq`:
-    /// host wall-clock facts differ run to run and must never leak into
-    /// the deterministic comparison surface.
-    pub prof: Option<crate::prof::ProfReport>,
-}
-
-impl PartialEq for SimReport {
-    fn eq(&self, other: &Self) -> bool {
-        // `prof` deliberately omitted — see the field doc.
-        self.makespan == other.makespan
-            && self.node_clocks == other.node_clocks
-            && self.stats == other.stats
-            && self.reports == other.reports
-            && self.events == other.events
-            && self.actors_created == other.actors_created
-            && self.trace == other.trace
-            && self.metrics == other.metrics
-            && self.audit == other.audit
-    }
 }
 
 impl SimReport {
@@ -468,14 +418,25 @@ impl SimReport {
     }
 }
 
-enum Action {
-    /// Deliver the next network packet.
-    Net,
-    /// Step node `i`'s dispatcher.
-    Step(usize),
-    /// Let idle node `i` send a load-balance poll.
-    Poll(usize),
+/// Lookahead of a link model in nanoseconds: no injection at `now` can
+/// arrive before `now + inject_overhead + latency` (transmission time
+/// and resource contention only push arrivals later).
+fn lookahead_ns(link: &LinkModel) -> u64 {
+    (link.inject_overhead + link.latency).as_nanos()
 }
+
+/// What the loop may do next is a candidate `(time, rank, node)`, and the
+/// smallest one runs: at equal times packet deliveries come first, then
+/// dispatcher steps by node index, then load-balance polls by node index
+/// — fixed so that reruns with one seed are bit-identical.
+type Candidate = (VirtualTime, u8, usize);
+
+/// Deliver the next network packet (the node field is unused).
+const RANK_NET: u8 = 0;
+/// Step the node's dispatcher.
+const RANK_STEP: u8 = 1;
+/// Let the idle node send the load-balance poll planned for that time.
+const RANK_POLL: u8 = 2;
 
 /// A simulated multicomputer partition.
 pub struct SimMachine {
@@ -484,7 +445,6 @@ pub struct SimMachine {
     net: SimNetwork<KMsg>,
     events: u64,
     timeline: Timeline,
-    last_prof: Option<crate::prof::ProfReport>,
 }
 
 impl SimMachine {
@@ -530,7 +490,6 @@ impl SimMachine {
             net,
             events: 0,
             timeline: Timeline::default(),
-            last_prof: None,
         }
     }
 
@@ -558,59 +517,72 @@ impl SimMachine {
     /// Run until every node is idle and the network is drained (or a
     /// kernel stopped the machine / the event valve blew).
     ///
-    /// When the link model has nonzero lookahead (`inject_overhead +
-    /// latency > 0`), the run uses the conservative time-window executor
-    /// sharded over [`MachineConfig::parallelism`] host threads; its
-    /// report is bit-identical for every parallelism level. A
-    /// zero-lookahead link ([`LinkModel::instant`]) falls back to the
-    /// sequential instant-network loop, which remains the reference for
-    /// that regime.
+    /// One sequential loop: always execute the globally earliest
+    /// `(time, rank, tie)` candidate. Virtual time is cut into windows of
+    /// one poll quantum `Q` — the link lookahead, or 1 ns on a
+    /// zero-lookahead link ([`LinkModel::instant`]) — and three things
+    /// happen only at a window boundary: the stop flag and the event
+    /// valve are checked, and idle nodes' load-balance polls are planned
+    /// for the coming window, gated on "some node holds ready work" as
+    /// seen at that boundary (the real system parks on an idle interrupt;
+    /// the simulation can see readiness globally). In-flight packets
+    /// deliberately do not count as work: steal traffic itself would
+    /// otherwise keep idle nodes polling each other forever after the
+    /// computation drains. Every virtual result in `results/` was
+    /// recorded under this per-window gating, which is the only reason
+    /// the window exists; a packet may arrive inside the window that
+    /// sent it and is delivered in order like any other.
     pub fn run(&mut self) -> Result<SimReport, MachineError> {
-        if crate::executor::lookahead_ns(&self.cfg.link) == 0 {
-            return self.run_instant();
-        }
-        let k = match self.cfg.parallelism {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            k => k,
+        let quantum = lookahead_ns(&self.cfg.link).max(1);
+        let lb = self.cfg.load_balancing && self.cfg.nodes > 1;
+        let limit = match self.cfg.max_events {
+            0 => u64::MAX,
+            n => n,
         };
-        self.run_windowed(k.clamp(1, self.cfg.nodes))
-    }
-
-    /// First typed failure recorded by any kernel, in node order.
-    fn take_failure(&mut self) -> Option<MachineError> {
-        self.kernels.iter_mut().find_map(|k| k.failed.take())
-    }
-
-    /// The windowed executor: disassemble the network, run the engine
-    /// over `k` shards, reassemble.
-    fn run_windowed(&mut self, k: usize) -> Result<SimReport, MachineError> {
-        let net = std::mem::replace(&mut self.net, SimNetwork::new(0, self.cfg.link));
-        let (link, pending) = net.into_parts();
-        let kernels = std::mem::take(&mut self.kernels);
-        let out = crate::executor::run(
-            kernels,
-            link,
-            pending,
-            self.events,
-            k,
-            self.cfg.load_balancing,
-            self.cfg.max_events,
-            self.cfg.record_timeline,
-            self.cfg.record_prof,
-        );
-        self.kernels = out.kernels;
-        self.net = SimNetwork::from_parts(out.link, out.pending);
-        self.events = out.events;
-        if out.prof.is_some() {
-            self.last_prof = out.prof;
-        }
-        for (node, start, end, kind) in out.spans {
-            self.timeline.push(node, start, end, kind);
-        }
-        if let Some(e) = out.error {
-            return Err(e);
+        let mut next_window = 0u64;
+        // Idle nodes' poll candidates, probed at each boundary and then
+        // narrowed to the polls planned for the window, in firing order.
+        let mut polls: Vec<(VirtualTime, usize)> = Vec::new();
+        loop {
+            if self.kernels.iter().any(|k| k.stopped) {
+                break;
+            }
+            let mut t_next = self.net.peek_time();
+            let mut earliest = |t: VirtualTime| t_next = Some(t_next.map_or(t, |b| b.min(t)));
+            let mut work_exists = false;
+            polls.clear();
+            for (i, k) in self.kernels.iter().enumerate() {
+                if k.has_work() {
+                    work_exists = true;
+                    earliest(k.clock);
+                } else if lb {
+                    if let Some(t0) = k.balancer.poll_ready_at() {
+                        polls.push((t0.max(k.clock), i));
+                    }
+                }
+            }
+            if !work_exists {
+                polls.clear();
+            }
+            for &(t, _) in &polls {
+                earliest(t);
+            }
+            let Some(t_next) = t_next else {
+                break; // fully drained
+            };
+            if self.events >= limit {
+                return Err(MachineError::MaxEvents { limit });
+            }
+            let index = (t_next.as_nanos() / quantum).max(next_window);
+            next_window = index + 1;
+            let start = VirtualTime::from_nanos(index * quantum);
+            let end = VirtualTime::from_nanos((index + 1) * quantum);
+            for p in &mut polls {
+                p.0 = p.0.max(start);
+            }
+            polls.retain(|&(t, _)| t < end);
+            polls.sort_unstable();
+            self.run_window(end, limit, &polls);
         }
         if let Some(e) = self.take_failure() {
             return Err(e);
@@ -618,71 +590,56 @@ impl SimMachine {
         Ok(self.report())
     }
 
-    /// Sequential reference loop for zero-lookahead links.
-    ///
-    /// Under [`MachineConfig::record_prof`] it keeps the same host-time
-    /// ledger as an executor shard — one track, with the per-event
-    /// candidate scan charged as *queue* and dispatch as *execute*,
-    /// chunked into synthetic windows every
-    /// [`crate::prof::SEQ_CHUNK_EVENTS`] events — so seq/par attribution
-    /// is directly comparable.
-    fn run_instant(&mut self) -> Result<SimReport, MachineError> {
-        use crate::prof::{ProfReport, ShardClock, SEQ_CHUNK_EVENTS};
-        let anchor = std::time::Instant::now();
-        let mut clock = self.cfg.record_prof.then(|| ShardClock::new(0, anchor));
-        let echo_actions = std::env::var("HAL_TRACE").is_ok();
-        loop {
-            if self.kernels.iter().any(|k| k.stopped) {
-                break;
-            }
-            if self.cfg.max_events > 0 && self.events >= self.cfg.max_events {
-                return Err(MachineError::MaxEvents {
-                    limit: self.cfg.max_events,
-                });
-            }
-            let events_before = self.events;
-            let action = self.next_action();
-            if let Some(c) = clock.as_mut() {
-                c.queue(0); // candidate scan = frontier maintenance
-            }
-            let Some(action) = action else {
-                break; // fully drained
+    /// First typed failure recorded by any kernel, in node order.
+    fn take_failure(&mut self) -> Option<MachineError> {
+        self.kernels.iter_mut().find_map(|k| k.failed.take())
+    }
+
+    /// Execute every action with `t < end` in key order, stopping early
+    /// only when the event count reaches `limit`. `polls` are the planned
+    /// poll fire times, sorted.
+    fn run_window(&mut self, end: VirtualTime, limit: u64, polls: &[(VirtualTime, usize)]) {
+        let mut next_poll = 0usize;
+        while self.events < limit {
+            let mut best: Option<Candidate> = None;
+            let mut consider = |c: Candidate| {
+                if best.is_none_or(|b| c < b) {
+                    best = Some(c);
+                }
             };
-            self.events += 1;
-            if echo_actions && self.events < 80 {
-                match &action {
-                    Action::Net => {
-                        eprintln!("[{:>6}] NET   next={:?}", self.events, self.net.peek_time());
-                    }
-                    Action::Step(i) => eprintln!(
-                        "[{:>6}] STEP  node={} clock={} ready={}",
-                        self.events, i, self.kernels[*i].clock, self.kernels[*i].ready_len()
-                    ),
-                    Action::Poll(i) => eprintln!("[{:>6}] POLL  node={}", self.events, i),
+            if let Some(t) = self.net.peek_time() {
+                if t < end {
+                    consider((t, RANK_NET, 0));
                 }
             }
-            match action {
-                Action::Net => {
-                    let (t, pkt) = self.net.pop().expect("next_action said Net");
+            for (i, k) in self.kernels.iter().enumerate() {
+                if k.has_work() && k.clock < end {
+                    consider((k.clock, RANK_STEP, i));
+                }
+            }
+            if let Some(&(at, i)) = polls.get(next_poll) {
+                consider((at, RANK_POLL, i));
+            }
+            let Some((t, rank, i)) = best else {
+                break; // nothing left before the window end
+            };
+            self.events += 1;
+            match rank {
+                RANK_NET => {
+                    let (_, pkt) = self.net.pop().expect("candidate said Net");
                     self.deliver_packet(t, pkt);
-                    // Batch-drain packets arriving at the same instant:
-                    // delivery outranks every other action at `t`, so
-                    // the full candidate scan cannot choose differently
-                    // — this skips a heap sift + O(nodes) scan per
-                    // packet in hot fan-in phases.
-                    while self.net.peek_time() == Some(t) {
-                        if self.kernels.iter().any(|k| k.stopped) {
-                            break;
-                        }
-                        if self.cfg.max_events > 0 && self.events >= self.cfg.max_events {
-                            break;
-                        }
+                    // Batch-drain every packet arriving at the same
+                    // instant: deliveries win all ties at `t` and nothing
+                    // can be sent into the past, so the scan above could
+                    // not choose differently — this skips an O(nodes)
+                    // scan per packet in hot fan-in phases.
+                    while self.net.peek_time() == Some(t) && self.events < limit {
                         let (_, pkt) = self.net.pop().expect("peeked");
                         self.events += 1;
                         self.deliver_packet(t, pkt);
                     }
                 }
-                Action::Step(i) => {
+                RANK_STEP => {
                     let k = &mut self.kernels[i];
                     let before = k.clock;
                     k.step(&mut self.net);
@@ -692,36 +649,21 @@ impl SimMachine {
                             .push(i as NodeId, before, after, SpanKind::Compute);
                     }
                 }
-                Action::Poll(i) => {
+                _ => {
+                    next_poll += 1;
                     let k = &mut self.kernels[i];
-                    // Advance the idle node to its poll window.
-                    if let Some(t0) = k.balancer.poll_ready_at() {
-                        k.clock = k.clock.max(t0);
+                    // The poll was planned at the boundary; the node's
+                    // state may have moved since (a delivered packet gave
+                    // it work, a steal reply rescheduled the backoff).
+                    // A poll that is no longer live is discarded — and
+                    // still counted as an event.
+                    if !k.has_work() && k.balancer.poll_ready_at().is_some_and(|t0| t0 <= t) {
+                        k.clock = k.clock.max(t);
+                        k.send_steal_poll(&mut self.net);
                     }
-                    k.send_steal_poll(&mut self.net);
-                }
-            }
-            if let Some(c) = clock.as_mut() {
-                c.execute(self.events - events_before);
-                if c.window_events() >= SEQ_CHUNK_EVENTS {
-                    c.window();
                 }
             }
         }
-        if let Some(c) = clock {
-            self.last_prof = Some(ProfReport {
-                mode: "sequential",
-                k: 1,
-                host_cores: crate::executor::host_cores(),
-                wall_ns: anchor.elapsed().as_nanos() as u64,
-                coordinator: None,
-                shards: vec![c.finish()],
-            });
-        }
-        if let Some(e) = self.take_failure() {
-            return Err(e);
-        }
-        Ok(self.report())
     }
 
     /// Deliver one packet with interrupt semantics (§3): the node
@@ -739,52 +681,6 @@ impl SimMachine {
                 self.timeline.push(node, start, end, SpanKind::Handler);
             }
         }
-    }
-
-    /// Choose the globally earliest next action, deterministically.
-    ///
-    /// Tie-break order at equal timestamps: packet delivery, then node
-    /// steps by node index, then polls by node index — fixed so that
-    /// reruns with one seed are bit-identical.
-    fn next_action(&self) -> Option<Action> {
-        let mut best: Option<(VirtualTime, u8, usize)> = None;
-        let consider = |t: VirtualTime, rank: u8, idx: usize, best: &mut Option<(VirtualTime, u8, usize)>| {
-            let cand = (t, rank, idx);
-            if best.is_none_or(|b| cand < b) {
-                *best = Some(cand);
-            }
-        };
-        if let Some(t) = self.net.peek_time() {
-            consider(t, 0, 0, &mut best);
-        }
-        for (i, k) in self.kernels.iter().enumerate() {
-            if k.has_work() {
-                consider(k.clock, 1, i, &mut best);
-            }
-        }
-        if self.cfg.load_balancing && self.cfg.nodes > 1 {
-            // Idle nodes may poll — but only while some node actually
-            // holds ready work (the real system parks on an idle
-            // interrupt; the simulation can see readiness globally).
-            // In-flight packets deliberately do NOT count: steal traffic
-            // itself would otherwise keep idle nodes polling each other
-            // forever after the computation drains.
-            let work_exists = self.kernels.iter().any(|k| k.has_work());
-            if work_exists {
-                for (i, k) in self.kernels.iter().enumerate() {
-                    if !k.has_work() {
-                        if let Some(t0) = k.balancer.poll_ready_at() {
-                            consider(t0.max(k.clock), 2, i, &mut best);
-                        }
-                    }
-                }
-            }
-        }
-        best.map(|(_, rank, idx)| match rank {
-            0 => Action::Net,
-            1 => Action::Step(idx),
-            _ => Action::Poll(idx),
-        })
     }
 
     /// Snapshot the report without running.
@@ -805,9 +701,8 @@ impl SimMachine {
             .max()
             .unwrap_or(VirtualTime::ZERO);
         // Chaos duplications whose copy could not be cloned: recorded
-        // by the link state in canonical admission order (deterministic
-        // across parallel K), surfaced as typed trace warnings and a
-        // metrics counter — never silently dropped.
+        // by the link state in admission order, surfaced as typed trace
+        // warnings and a metrics counter — never silently dropped.
         let dup_failures = self.net.link().dup_clone_failures();
         let trace = self.cfg.record_trace.then(|| {
             let mut t = crate::trace::TraceReport::merge(
@@ -854,7 +749,6 @@ impl SimMachine {
             trace,
             metrics,
             audit: self.quiescence_audit(),
-            prof: self.last_prof.clone(),
         }
     }
 

@@ -6,13 +6,13 @@
 //! while it happened" — pending-queue depth, name-table occupancy,
 //! in-flight FIR chases, ready-queue length, per-link
 //! retransmit/ack counts, forward-chain length distribution, and the
-//! node's charged busy time (its shard-utilization numerator).
+//! node's charged busy time (its utilization numerator).
 //!
 //! Everything here is driven by *virtual* time and per-node kernel
 //! state, never host clocks, so a run's [`MetricsReport`] is
-//! bit-identical at any `--parallel K`: the windowed executor replays
-//! the same per-node sequence of `step`/`deliver` calls at the same
-//! virtual clock values regardless of host threads. Sampling is
+//! bit-identical for one seed: the simulator makes the same per-node
+//! sequence of `step`/`deliver` calls at the same virtual clock values
+//! on every host. Sampling is
 //! allocation-light: one bounded `Vec<Sample>` per node (overflow is
 //! counted, not stored) and a handful of integer gauges bumped inline.
 
@@ -188,9 +188,7 @@ impl MetricsReport {
         }
     }
 
-    /// Per-node utilization: charged busy time over the run's makespan
-    /// (the virtual analog of executor shard utilization — identical at
-    /// any host parallelism by construction).
+    /// Per-node utilization: charged busy time over the run's makespan.
     pub fn utilization(&self, makespan_ns: u64) -> Vec<(NodeId, f64)> {
         self.nodes
             .iter()
@@ -291,8 +289,7 @@ impl MetricsReport {
     }
 
     /// Serialize as JSON (dependency-free, like the bench records).
-    /// Contains virtual-time facts only — byte-identical across
-    /// `--parallel K`.
+    /// Contains virtual-time facts only — byte-identical across reruns.
     pub fn to_json(&self, makespan_ns: u64) -> String {
         use std::fmt::Write as _;
         let mut nodes = String::new();

@@ -11,9 +11,8 @@
 //! critical-path analyzer (`hal-profile`) walks to find the longest
 //! causal chain in charged virtual time.
 //!
-//! Everything here is derived from virtual-time facts recorded
-//! identically at any `--parallel K`, so [`SpanReport::to_json`] is
-//! byte-identical across executor parallelism.
+//! Everything here is derived from virtual-time facts, so
+//! [`SpanReport::to_json`] is byte-identical across reruns of one seed.
 
 use crate::addr::AddrKey;
 use crate::metrics::histogram_json;
@@ -327,7 +326,7 @@ impl SpanReport {
     /// Serialize the per-stage aggregates as JSON (counts, moments,
     /// log2 buckets — not every span; the raw spans stay in memory for
     /// the critical-path pass). Virtual-time facts only, so the output
-    /// is byte-identical across `--parallel K`.
+    /// is byte-identical across reruns.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let executed = self.msgs.iter().filter(|m| m.exec_end.is_some()).count();

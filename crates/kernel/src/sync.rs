@@ -5,16 +5,15 @@
 //! `std::sync` equivalent — the only API differences are `named`
 //! constructors (the name is dropped) and lock/condvar methods that return
 //! guards directly instead of poison `Result`s (a poisoned lock is
-//! re-entered; panic propagation across shard threads is handled by
-//! [`SpinBarrier`] poisoning, not by mutex poison).
+//! re-entered; a panicking live node is reported through the machine's
+//! abort flag, not through mutex poison).
 //!
 //! Under `--features model` the same names re-export
 //! `hal_model::sync`: every atomic access, lock, and condvar
 //! operation becomes a scheduling point of the deterministic interleaving
 //! explorer, with per-location happens-before tracking. Code written
-//! against this module — notably [`crate::boundary`], the barrier and the
-//! live backend's [`Doorbell`] below — is therefore model-checkable
-//! verbatim. The model primitives panic if
+//! against this module — notably the live backend's [`Doorbell`] below —
+//! is therefore model-checkable verbatim. The model primitives panic if
 //! used outside `hal_model::explore`, so a kernel built with the feature is
 //! for `tests/model_tests.rs` only, not for running simulations.
 
@@ -27,89 +26,6 @@ mod std_impl {
     use std::sync::PoisonError;
 
     pub use std::sync::atomic::Ordering;
-
-    macro_rules! int_atomic {
-        ($name:ident, $std:ty, $ty:ty) => {
-            /// Zero-cost wrapper over the `std` atomic; `named` exists for
-            /// parity with the model build and drops the name.
-            #[derive(Debug)]
-            #[repr(transparent)]
-            pub struct $name($std);
-
-            impl $name {
-                #[inline]
-                /// See the `std` atomic constructor.
-                pub fn new(v: $ty) -> Self {
-                    Self(<$std>::new(v))
-                }
-
-                #[inline]
-                /// `new`, with a debug name (dropped in this build).
-                pub fn named(v: $ty, _name: &str) -> Self {
-                    Self::new(v)
-                }
-
-                #[inline]
-                /// See [`std::sync::atomic`] `load`.
-                pub fn load(&self, order: Ordering) -> $ty {
-                    self.0.load(order)
-                }
-
-                #[inline]
-                /// See [`std::sync::atomic`] `store`.
-                pub fn store(&self, val: $ty, order: Ordering) {
-                    self.0.store(val, order);
-                }
-
-                #[inline]
-                /// See [`std::sync::atomic`] `fetch_add`.
-                pub fn fetch_add(&self, val: $ty, order: Ordering) -> $ty {
-                    self.0.fetch_add(val, order)
-                }
-
-                #[inline]
-                /// See [`std::sync::atomic`] `fetch_sub`.
-                pub fn fetch_sub(&self, val: $ty, order: Ordering) -> $ty {
-                    self.0.fetch_sub(val, order)
-                }
-
-                #[inline]
-                /// See [`std::sync::atomic`] `fetch_or`.
-                pub fn fetch_or(&self, val: $ty, order: Ordering) -> $ty {
-                    self.0.fetch_or(val, order)
-                }
-
-                #[inline]
-                /// See [`std::sync::atomic`] `fetch_and`.
-                pub fn fetch_and(&self, val: $ty, order: Ordering) -> $ty {
-                    self.0.fetch_and(val, order)
-                }
-
-                #[inline]
-                /// See [`std::sync::atomic`] `swap`.
-                pub fn swap(&self, val: $ty, order: Ordering) -> $ty {
-                    self.0.swap(val, order)
-                }
-
-                #[inline]
-                /// See [`std::sync::atomic`] `compare_exchange`.
-                pub fn compare_exchange(
-                    &self,
-                    expected: $ty,
-                    new: $ty,
-                    order: Ordering,
-                    failure: Ordering,
-                ) -> Result<$ty, $ty> {
-                    self.0.compare_exchange(expected, new, order, failure)
-                }
-            }
-        };
-    }
-
-    int_atomic!(AtomicU64, std::sync::atomic::AtomicU64, u64);
-    int_atomic!(AtomicUsize, std::sync::atomic::AtomicUsize, usize);
-    int_atomic!(AtomicU32, std::sync::atomic::AtomicU32, u32);
-    int_atomic!(AtomicU8, std::sync::atomic::AtomicU8, u8);
 
     /// Zero-cost wrapper over [`std::sync::atomic::AtomicBool`].
     #[derive(Debug)]
@@ -149,8 +65,6 @@ mod std_impl {
     }
 
     /// Mutex without poison bookkeeping: `lock` re-enters a poisoned lock.
-    /// Cross-thread panic propagation in the executor rides on
-    /// [`super::SpinBarrier::poison`] instead.
     #[derive(Debug)]
     pub struct Mutex<T>(std::sync::Mutex<T>);
 
@@ -171,12 +85,6 @@ mod std_impl {
         /// Acquire the lock (a poisoned lock is re-entered).
         pub fn lock(&self) -> MutexGuard<'_, T> {
             MutexGuard(self.0.lock().unwrap_or_else(PoisonError::into_inner))
-        }
-
-        #[inline]
-        /// Consume the mutex, returning the inner value.
-        pub fn into_inner(self) -> T {
-            self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
         }
     }
 
@@ -256,147 +164,6 @@ mod std_impl {
 
 #[cfg(not(feature = "model"))]
 pub use std_impl::*;
-
-/// Spin rounds before a barrier waiter parks on the condvar.
-#[cfg(not(feature = "model"))]
-const SPIN_ROUNDS: u32 = 4096;
-
-/// Under the model every spin-loop load is a scheduling point that may
-/// legally keep observing a stale generation; two rounds exercise the spin
-/// path without exploding the schedule space, then fall through to the
-/// condvar path (whose lock reacquisition carries the happens-before edge
-/// that forces the new generation to be seen).
-#[cfg(feature = "model")]
-const SPIN_ROUNDS: u32 = 2;
-
-/// Seeded-bug switches for [`SpinBarrier`], compiled only under the model
-/// feature. Each reproduces a realistic implementation slip; the model
-/// suite asserts the explorer finds both (`tests/model_tests.rs`).
-#[cfg(feature = "model")]
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BarrierBugs {
-    /// Downgrade the arrival `fetch_add` to `Relaxed`. This severs the
-    /// release chain through the arrival counter: the last arriver's
-    /// generation bump no longer happens-after every shard's slot
-    /// publishes, so a leaver can gather a stale watermark slot — a lost
-    /// publish across the parity flip.
-    pub relaxed_arrive: bool,
-    /// Bump the generation without holding the lock. A waiter can check
-    /// the generation, lose the race to the bump-and-notify, and park
-    /// after the only signal has already fired — a lost wakeup that
-    /// deadlocks the barrier.
-    pub unlocked_generation_store: bool,
-}
-
-/// Reusable spin-then-block barrier for the shard threads. Shards on a
-/// host with enough cores spin briefly before parking on the condvar;
-/// oversubscribed runs go straight to blocking. Poisoned when a shard
-/// thread panics, so the survivors fail fast instead of deadlocking.
-///
-/// Built entirely from this module's primitives, so the identical code is
-/// model-checked by `tests/model_tests.rs` under `--features model`.
-pub struct SpinBarrier {
-    n: usize,
-    spin: bool,
-    arrived: AtomicUsize,
-    generation: AtomicU64,
-    poisoned: AtomicBool,
-    lock: Mutex<()>,
-    cv: Condvar,
-    #[cfg(feature = "model")]
-    bugs: BarrierBugs,
-}
-
-impl SpinBarrier {
-    /// A barrier for `n` threads; `spin` enables the pre-park spin loop.
-    pub fn new(n: usize, spin: bool) -> Self {
-        SpinBarrier {
-            n,
-            spin,
-            arrived: AtomicUsize::named(0, "barrier.arrived"),
-            generation: AtomicU64::named(0, "barrier.generation"),
-            poisoned: AtomicBool::named(false, "barrier.poisoned"),
-            lock: Mutex::named((), "barrier.lock"),
-            cv: Condvar::named("barrier.cv"),
-            #[cfg(feature = "model")]
-            bugs: BarrierBugs::default(),
-        }
-    }
-
-    /// A barrier with seeded bugs switched on (model builds only).
-    #[cfg(feature = "model")]
-    pub fn new_seeded(n: usize, spin: bool, bugs: BarrierBugs) -> Self {
-        let mut b = Self::new(n, spin);
-        b.bugs = bugs;
-        b
-    }
-
-    // `self` is read only under `model` (the seeded-bug switch).
-    #[allow(clippy::unused_self)]
-    fn arrive_order(&self) -> Ordering {
-        #[cfg(feature = "model")]
-        if self.bugs.relaxed_arrive {
-            return Ordering::Relaxed;
-        }
-        Ordering::AcqRel
-    }
-
-    /// Panic if a peer poisoned the barrier (a shard thread unwound).
-    pub fn check(&self) {
-        assert!(
-            !self.poisoned.load(Ordering::Acquire),
-            "a shard thread panicked mid-window"
-        );
-    }
-
-    /// Mark the barrier dead and wake every parked waiter (called from a
-    /// panicking shard's drop guard).
-    pub fn poison(&self) {
-        self.poisoned.store(true, Ordering::Release);
-        let _guard = self.lock.lock();
-        self.cv.notify_all();
-    }
-
-    /// Block until all `n` threads arrive (spin first when configured).
-    pub fn wait(&self) {
-        if self.n == 1 {
-            return;
-        }
-        self.check();
-        let g = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, self.arrive_order()) + 1 == self.n {
-            // Last arriver releases the generation. The count is reset
-            // *before* the generation bump: no thread can re-enter for
-            // the next generation until the bump is visible.
-            self.arrived.store(0, Ordering::Release);
-            #[cfg(feature = "model")]
-            if self.bugs.unlocked_generation_store {
-                self.generation.store(g.wrapping_add(1), Ordering::Release);
-                self.cv.notify_all();
-                return;
-            }
-            {
-                let _guard = self.lock.lock();
-                self.generation.store(g.wrapping_add(1), Ordering::Release);
-            }
-            self.cv.notify_all();
-            return;
-        }
-        if self.spin {
-            for _ in 0..SPIN_ROUNDS {
-                if self.generation.load(Ordering::Acquire) != g {
-                    return;
-                }
-                std::hint::spin_loop();
-            }
-        }
-        let mut guard = self.lock.lock();
-        while self.generation.load(Ordering::Acquire) == g {
-            self.check();
-            guard = self.cv.wait(guard);
-        }
-    }
-}
 
 /// Ring reason: a packet was queued on the sleeper's endpoint.
 pub const RING_PACKET: u8 = 1 << 0;
@@ -499,22 +266,5 @@ impl Doorbell {
         drop(rung);
         self.cancel();
         why
-    }
-}
-
-/// Sets the poison flag if the owning shard thread unwinds, so peers
-/// blocked at the barrier fail fast instead of hanging.
-pub struct PanicGuard<'a>(pub &'a SpinBarrier);
-
-impl Drop for PanicGuard<'_> {
-    fn drop(&mut self) {
-        // Under the model the explorer reports the panic itself, and
-        // performing sync ops during its abort unwind would double-panic.
-        #[cfg(not(feature = "model"))]
-        if std::thread::panicking() {
-            self.0.poison();
-        }
-        #[cfg(feature = "model")]
-        let _ = &self.0;
     }
 }

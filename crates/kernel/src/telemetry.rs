@@ -2,7 +2,7 @@
 //!
 //! The PR 5 metrics registry ([`crate::metrics`]) samples gauges on a
 //! *virtual-time* cadence, which only makes sense under the
-//! deterministic DES executor — the live backend used to hard-disable
+//! deterministic simulator — the live backend used to hard-disable
 //! it and run blind. This module is the live replacement: per-node
 //! **padded atomic cells** ([`NodeCell`]) that the kernel bumps inline
 //! on its hot paths (no locks; each field has a single writer, so the

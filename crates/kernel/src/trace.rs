@@ -474,7 +474,7 @@ impl Recorder {
     /// The head-sampling decision for a span id — deterministic and
     /// stateless (any node recomputes it from the id alone), so one
     /// message's whole lifecycle is kept or dropped coherently across
-    /// nodes at any `--parallel K`.
+    /// nodes.
     #[inline]
     pub fn span_sampled(&self, id: u64) -> bool {
         self.sample_ppm >= Self::FULL_SAMPLING_PPM || mix64(id) < self.sample_threshold
@@ -517,9 +517,8 @@ fn mix64(mut z: u64) -> u64 {
 /// A typed, non-fatal anomaly of a run — carried alongside the event
 /// stream (never ring-buffered, never dropped) so downstream consumers
 /// (hal-check, metrics) can see conditions that have no per-node event
-/// of their own. Warnings derive from canonical admission order, so
-/// they are deterministic across `--parallel K` like everything else in
-/// the report.
+/// of their own. Warnings derive from admission order, so they are
+/// deterministic like everything else in the report.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceWarning {
     /// What happened.

@@ -157,17 +157,17 @@ fn builder_matches_hand_built_config() {
     by_hand.seed = 9;
     by_hand.load_balancing = true;
     by_hand.flow_control = false;
-    by_hand.parallelism = 3;
+    by_hand.max_events = 3;
     let built = MachineConfig::builder(4)
         .seed(9)
         .load_balancing(true)
         .flow_control(false)
-        .parallelism(3)
+        .max_events(3)
         .build()
         .unwrap();
     assert_eq!(by_hand.seed, built.seed);
     assert_eq!(by_hand.load_balancing, built.load_balancing);
     assert_eq!(by_hand.flow_control, built.flow_control);
-    assert_eq!(by_hand.parallelism, built.parallelism);
+    assert_eq!(by_hand.max_events, built.max_events);
     assert_eq!(by_hand.nodes, built.nodes);
 }

@@ -1,14 +1,15 @@
 //! hal-model: a dependency-free, loom-style deterministic interleaving
 //! explorer for the HAL kernel's lock-free protocols.
 //!
-//! PR 7's barrier-elision executor and PR 8's live backend put hand-rolled
-//! atomics on the hot path of a system whose headline guarantee is
-//! bit-identical determinism. This crate is the proof tooling: write the
-//! protocol against [`sync`]'s primitives (the kernel's `sync` shim
-//! re-exports them under its `model` cfg), hand the program to [`explore`],
-//! and the scheduler enumerates every interleaving — and every weak-memory
-//! read — up to a preemption bound, checking assertions, detecting data
-//! races via per-location happens-before vector clocks, and reporting
+//! The live backend puts hand-rolled atomics — the per-node `Doorbell`,
+//! the abort flag, the job hand-off — on the hot path of a system whose
+//! sim twin is bit-identically deterministic. This crate is the proof
+//! tooling: write the protocol against [`sync`]'s primitives (the
+//! kernel's `sync` shim re-exports them under its `model` cfg), hand the
+//! program to [`explore`], and the scheduler enumerates every
+//! interleaving — and every weak-memory read — up to a preemption bound,
+//! checking assertions, detecting data races via per-location
+//! happens-before vector clocks, and reporting
 //! deadlocks, each with the full interleaving trace that produced it.
 //!
 //! ```

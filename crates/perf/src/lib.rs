@@ -1,39 +1,30 @@
-//! # hal-perf — perf-artifact summarizing and regression gating
+//! # hal-perf — regression gating over the bench artifacts
 //!
 //! The benchmark bins leave several artifact families behind:
 //!
 //! * `BENCH_<bin>.json` — per-run virtual time, event counts, and host
 //!   throughput (`events_per_sec`);
-//! * `PROF_<bin>.json` — the host-time executor profile (where the wall
-//!   milliseconds went: coordinated-boundary stall, fused-boundary sync,
-//!   injection staging, execution, queue maintenance), written under
-//!   `--prof`/`HAL_PROF`;
 //! * `METRICS_<bin>.json` / `SPANS_<bin>.json` — the observability
 //!   artifacts (metrics snapshots, span DAG summaries + critical path),
-//!   written under `--obs`. On the sim backend these are deterministic
-//!   documents and are gated exactly; live-tagged ones carry host-time
-//!   facts, so only their sampled-span counts are checked, within
-//!   [`SPAN_COUNT_TOLERANCE`].
+//!   written under `--metrics` / `--spans`. On the sim backend these are
+//!   deterministic documents and are gated exactly; live-tagged ones
+//!   carry host-time facts, so only their sampled-span counts are
+//!   checked, within [`SPAN_COUNT_TOLERANCE`].
 //!
-//! This crate reads both (with its own dependency-free JSON parser — the
-//! workspace has no serde) and provides the two operations the `hal-perf`
-//! binary and `ci.sh`'s `perf-gate` step are built on:
-//!
-//! * [`summarize_prof`] — reduce a `PROF_` file to a phase breakdown per
-//!   run, naming the top overhead source;
-//! * [`diff_dirs`] — compare fresh artifacts against committed baselines
-//!   under `results/baselines/` with per-metric thresholds
-//!   ([`Thresholds`]), returning the list of [`Regression`]s.
+//! This crate reads them (with its own dependency-free JSON parser — the
+//! workspace has no serde) and provides the operation the `hal-perf`
+//! binary and `ci.sh`'s `perf-gate` step are built on: [`diff_dirs`]
+//! compares fresh artifacts against committed baselines under
+//! `results/baselines/` ([`Thresholds`]), returning the list of
+//! [`Regression`]s.
 //!
 //! The comparison philosophy matches the repo's determinism split:
 //! virtual facts (`events`, `virtual_ns`) are deterministic, so any
-//! drift is a correctness change and is flagged **exactly**; host facts
-//! (`events_per_sec`, stall fractions) are noisy — especially on the
-//! 1-core CI container — so they get generous ratio thresholds that only
-//! catch order-of-magnitude rot, not jitter.
+//! drift is a correctness change and is flagged **exactly**; the one
+//! host fact (`events_per_sec`) is noisy, so it gets a generous ratio
+//! floor that only catches order-of-magnitude rot, not jitter.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::Path;
 
 // ---------------------------------------------------------------------
@@ -307,15 +298,6 @@ pub struct Thresholds {
     /// Maximum tolerated fractional drop in `events_per_sec` versus the
     /// baseline (`0.75` = fail only below 25% of baseline throughput).
     pub max_drop: f64,
-    /// Maximum tolerated absolute rise in a `PROF_` run's stall, sync,
-    /// or other fraction (e.g. `0.30` = stall may grow by 30 percentage
-    /// points of shard wall time before failing).
-    pub max_stall_rise: f64,
-    /// Maximum tolerated fractional drop in a `BENCH_repro_all.json`
-    /// bin's sequential-vs-parallel speedup versus baseline (`0.20` =
-    /// fail when a bin's fresh speedup falls below 80% of its baseline
-    /// speedup).
-    pub max_speedup_drop: f64,
     /// Compare the deterministic virtual facts (`events`, `virtual_ns`)
     /// exactly. Drift there is a simulation-semantics change, not noise.
     /// Documents or runs tagged `"backend": "live"` are exempt — their
@@ -327,8 +309,6 @@ impl Default for Thresholds {
     fn default() -> Self {
         Thresholds {
             max_drop: 0.75,
-            max_stall_rise: 0.30,
-            max_speedup_drop: 0.20,
             sim_exact: true,
         }
     }
@@ -468,143 +448,6 @@ pub fn diff_bench(artifact: &str, baseline: &Json, fresh: &Json, thr: &Threshold
                 detail: format!(
                     "total throughput fell below {:.0}% of baseline",
                     100.0 * (1.0 - thr.max_drop)
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// Compare one fresh `PROF_` document against its baseline: the stall
-/// and other (unattributed) fractions may not *rise* by more than
-/// [`Thresholds::max_stall_rise`] absolute. Falling is always fine —
-/// that's the direction the ROADMAP wants.
-pub fn diff_prof(artifact: &str, baseline: &Json, fresh: &Json, thr: &Thresholds) -> Vec<Regression> {
-    let mut out = Vec::new();
-    let base_runs = runs_by_label(baseline);
-    let fresh_runs = runs_by_label(fresh);
-    for (label, b) in &base_runs {
-        let Some(f) = fresh_runs.get(label) else {
-            out.push(Regression {
-                artifact: artifact.to_string(),
-                run: label.clone(),
-                metric: "run".to_string(),
-                baseline: "present".to_string(),
-                fresh: "missing".to_string(),
-                detail: "baseline run disappeared from the fresh artifact".to_string(),
-            });
-            continue;
-        };
-        let totals = |v: &Json| v.get("prof").and_then(|p| p.get("totals")).cloned();
-        let (Some(bt), Some(ft)) = (totals(b), totals(f)) else {
-            continue;
-        };
-        // `sync_frac` is absent from profiles written before fused
-        // windows existed — the `if let` skips the comparison gracefully
-        // for such baselines instead of failing the gate.
-        for metric in ["stall_frac", "sync_frac", "other_frac"] {
-            if let (Some(bv), Some(fv)) = (num(&bt, metric), num(&ft, metric)) {
-                if fv > bv + thr.max_stall_rise {
-                    out.push(Regression {
-                        artifact: artifact.to_string(),
-                        run: label.clone(),
-                        metric: metric.to_string(),
-                        baseline: format!("{bv:.3}"),
-                        fresh: format!("{fv:.3}"),
-                        detail: format!(
-                            "overhead fraction rose by more than {:.0} points",
-                            100.0 * thr.max_stall_rise
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Wall-clock floor below which per-bin speedup comparisons are
-/// skipped. A leg that finishes in a few milliseconds is dominated by
-/// process start-up and timer noise on the CI container, and its
-/// sequential/parallel ratio carries no signal.
-pub const SPEEDUP_MIN_WALL_MS: f64 = 20.0;
-
-/// Compare the sequential-vs-parallel speedup table
-/// (`BENCH_repro_all.json`, per-bin rows under `bins`): a bin whose
-/// fresh speedup falls more than [`Thresholds::max_speedup_drop`]
-/// below its baseline speedup regressed the parallel executor, even if
-/// raw throughput still clears the generous `max_drop` budget. Rows
-/// where either side's sequential wall is under [`SPEEDUP_MIN_WALL_MS`]
-/// are skipped (dead band for timer noise).
-pub fn diff_speedup(
-    artifact: &str,
-    baseline: &Json,
-    fresh: &Json,
-    thr: &Thresholds,
-) -> Vec<Regression> {
-    let mut out = Vec::new();
-    let rows = |doc: &Json| -> BTreeMap<String, Json> {
-        let mut m = BTreeMap::new();
-        if let Some(bins) = doc.get("bins").and_then(Json::as_arr) {
-            for b in bins {
-                if let Some(name) = b.get("bin").and_then(Json::as_str) {
-                    m.insert(name.to_string(), b.clone());
-                }
-            }
-        }
-        m
-    };
-    let fresh_rows = rows(fresh);
-    for (bin, b) in rows(baseline) {
-        let Some(f) = fresh_rows.get(&bin) else {
-            out.push(Regression {
-                artifact: artifact.to_string(),
-                run: bin.clone(),
-                metric: "bin".to_string(),
-                baseline: "present".to_string(),
-                fresh: "missing".to_string(),
-                detail: "baseline bin disappeared from the fresh speedup table".to_string(),
-            });
-            continue;
-        };
-        let walls = [
-            num(&b, "seq_wall_ms"),
-            num(&b, "par_wall_ms"),
-            num(f, "seq_wall_ms"),
-            num(f, "par_wall_ms"),
-        ];
-        if walls.iter().any(|w| w.unwrap_or(0.0) < SPEEDUP_MIN_WALL_MS) {
-            continue;
-        }
-        if let (Some(bv), Some(fv)) = (num(&b, "speedup"), num(f, "speedup")) {
-            if bv > 0.0 && fv < bv * (1.0 - thr.max_speedup_drop) {
-                out.push(Regression {
-                    artifact: artifact.to_string(),
-                    run: bin,
-                    metric: "speedup".to_string(),
-                    baseline: format!("{bv:.3}"),
-                    fresh: format!("{fv:.3}"),
-                    detail: format!(
-                        "parallel speedup fell below {:.0}% of baseline",
-                        100.0 * (1.0 - thr.max_speedup_drop)
-                    ),
-                });
-            }
-        }
-    }
-    if let (Some(bv), Some(fv)) = (num(baseline, "total_speedup"), num(fresh, "total_speedup")) {
-        let big_enough = num(baseline, "total_seq_wall_ms").unwrap_or(0.0) >= SPEEDUP_MIN_WALL_MS
-            && num(fresh, "total_seq_wall_ms").unwrap_or(0.0) >= SPEEDUP_MIN_WALL_MS;
-        if big_enough && bv > 0.0 && fv < bv * (1.0 - thr.max_speedup_drop) {
-            out.push(Regression {
-                artifact: artifact.to_string(),
-                run: "<total>".to_string(),
-                metric: "total_speedup".to_string(),
-                baseline: format!("{bv:.3}"),
-                fresh: format!("{fv:.3}"),
-                detail: format!(
-                    "total parallel speedup fell below {:.0}% of baseline",
-                    100.0 * (1.0 - thr.max_speedup_drop)
                 ),
             });
         }
@@ -773,71 +616,14 @@ pub fn diff_spans(artifact: &str, baseline: &Json, fresh: &Json, thr: &Threshold
     out
 }
 
-/// Mean `stall_frac` across every profiled run in one `PROF_` document
-/// (unweighted — every run is one data point). `None` when the file has
-/// no run with a stall fraction.
-fn mean_stall_frac(doc: &Json) -> Option<f64> {
-    let runs = doc.get("runs").and_then(Json::as_arr)?;
-    let vals: Vec<f64> = runs
-        .iter()
-        .filter_map(|r| r.get("prof").and_then(|p| p.get("totals")))
-        .filter_map(|t| num(t, "stall_frac"))
-        .collect();
-    if vals.is_empty() {
-        return None;
-    }
-    Some(vals.iter().sum::<f64>() / vals.len() as f64)
-}
-
-/// The mean stall fraction across every `PROF_*.json` present in
-/// *both* directories: `(baseline mean, fresh mean)`. The perf gate
-/// prints the delta on its PASS line so stall movement stays visible
-/// even when nothing trips a threshold. `None` when no comparable
-/// profile pair exists.
-pub fn stall_frac_means(baseline_dir: &Path, fresh_dir: &Path) -> Option<(f64, f64)> {
-    let entries = std::fs::read_dir(baseline_dir).ok()?;
-    let (mut bsum, mut fsum, mut n) = (0.0f64, 0.0f64, 0u32);
-    for name in entries
-        .flatten()
-        .filter_map(|e| e.file_name().into_string().ok())
-        .filter(|n| {
-            n.starts_with("PROF_")
-                && std::path::Path::new(n)
-                    .extension()
-                    .is_some_and(|ext| ext.eq_ignore_ascii_case("json"))
-                && !n.ends_with("_hosttrace.json")
-        })
-    {
-        let parse = |p: &Path| {
-            std::fs::read_to_string(p)
-                .ok()
-                .and_then(|s| Json::parse(&s).ok())
-        };
-        let (Some(b), Some(f)) = (parse(&baseline_dir.join(&name)), parse(&fresh_dir.join(&name)))
-        else {
-            continue;
-        };
-        if let (Some(bm), Some(fm)) = (mean_stall_frac(&b), mean_stall_frac(&f)) {
-            bsum += bm;
-            fsum += fm;
-            n += 1;
-        }
-    }
-    if n == 0 {
-        return None;
-    }
-    Some((bsum / f64::from(n), fsum / f64::from(n)))
-}
-
-/// Diff every `BENCH_*` / `PROF_*` / `METRICS_*` / `SPANS_*` `.json`
-/// baseline in `baseline_dir` against its counterpart in `fresh_dir`.
-/// A baseline without a fresh counterpart, or either side failing to
-/// parse, is itself a
-/// regression — the gate must not silently pass on missing data.
-/// `PROF_*_hosttrace.json` files (Chrome traces) are skipped, as are
-/// `SERVE_*.json` latency artifacts from `hal-serve` — those carry SLO
-/// verdicts, not throughput runs, and are not perf-gated yet (see
-/// [`ungated_serve_artifacts`] for the diff subcommand's skip note).
+/// Diff every `BENCH_*` / `METRICS_*` / `SPANS_*` `.json` baseline in
+/// `baseline_dir` against its counterpart in `fresh_dir`. A baseline
+/// without a fresh counterpart, or either side failing to parse, is
+/// itself a regression — the gate must not silently pass on missing
+/// data. `SERVE_*.json` latency artifacts from `hal-serve` are skipped —
+/// those carry SLO verdicts, not throughput runs, and are not perf-gated
+/// yet (see [`ungated_serve_artifacts`] for the diff subcommand's skip
+/// note).
 pub fn diff_dirs(baseline_dir: &Path, fresh_dir: &Path, thr: &Thresholds) -> Vec<Regression> {
     let mut out = Vec::new();
     let entries = match std::fs::read_dir(baseline_dir) {
@@ -853,21 +639,17 @@ pub fn diff_dirs(baseline_dir: &Path, fresh_dir: &Path, thr: &Thresholds) -> Vec
         .flatten()
         .filter_map(|e| e.file_name().into_string().ok())
         .filter(|n| {
-            (n.starts_with("BENCH_")
-                || n.starts_with("PROF_")
-                || n.starts_with("METRICS_")
-                || n.starts_with("SPANS_"))
+            (n.starts_with("BENCH_") || n.starts_with("METRICS_") || n.starts_with("SPANS_"))
                 && std::path::Path::new(n)
                     .extension()
                     .is_some_and(|ext| ext.eq_ignore_ascii_case("json"))
-                && !n.ends_with("_hosttrace.json")
         })
         .collect();
     names.sort();
     if names.is_empty() {
         out.push(Regression::file(
             &baseline_dir.display().to_string(),
-            "no BENCH_/PROF_/METRICS_/SPANS_ baselines found",
+            "no BENCH_/METRICS_/SPANS_ baselines found",
         ));
         return out;
     }
@@ -897,21 +679,15 @@ pub fn diff_dirs(baseline_dir: &Path, fresh_dir: &Path, thr: &Thresholds) -> Vec
                 continue;
             }
         };
+        // `BENCH_repro_all.json` (a per-bin wall-time table, no `runs`)
+        // passes through `diff_bench` with nothing to compare: the gate
+        // only requires that the sweep wrote it and it parses.
         if name.starts_with("BENCH_") {
-            // The repro_all sweep writes a speedup table (`bins` rows)
-            // instead of per-run throughput — route it to the speedup
-            // check. Plain bench records keep the throughput diff.
-            if baseline.get("bins").is_some() {
-                out.extend(diff_speedup(&name, &baseline, &fresh, thr));
-            } else {
-                out.extend(diff_bench(&name, &baseline, &fresh, thr));
-            }
+            out.extend(diff_bench(&name, &baseline, &fresh, thr));
         } else if name.starts_with("METRICS_") {
             out.extend(diff_metrics(&name, &baseline, &fresh, thr));
-        } else if name.starts_with("SPANS_") {
-            out.extend(diff_spans(&name, &baseline, &fresh, thr));
         } else {
-            out.extend(diff_prof(&name, &baseline, &fresh, thr));
+            out.extend(diff_spans(&name, &baseline, &fresh, thr));
         }
     }
     out
@@ -921,7 +697,7 @@ pub fn diff_dirs(baseline_dir: &Path, fresh_dir: &Path, thr: &Thresholds) -> Vec
 /// open-loop load generator (`hal-serve`) leaves per-scenario latency
 /// documents next to the perf artifacts; a baselines directory made by
 /// copying `results/` wholesale therefore contains them. They are not
-/// comparable as BENCH/PROF documents (no `runs`, no `events_per_sec`),
+/// comparable as BENCH documents (no `runs`, no `events_per_sec`),
 /// so [`diff_dirs`] skips them — this helper lets the `diff` subcommand
 /// say so out loud instead of silently ignoring files the user
 /// committed on purpose. Latency gating is a separate ROADMAP item.
@@ -943,104 +719,17 @@ pub fn ungated_serve_artifacts(baseline_dir: &Path) -> Vec<String> {
     names
 }
 
-// ---------------------------------------------------------------------
-// PROF summarizing
-// ---------------------------------------------------------------------
-
-/// Render a `PROF_<bin>.json` document as a per-run phase breakdown,
-/// naming the top overhead source of each run — `hal-perf summarize`.
-pub fn summarize_prof(doc: &Json) -> Result<String, String> {
-    let bench = doc.get("bench").and_then(Json::as_str).unwrap_or("?");
-    let cores = doc.get("host_cores").and_then(Json::as_f64).unwrap_or(0.0);
-    let runs = doc
-        .get("runs")
-        .and_then(Json::as_arr)
-        .ok_or("PROF file has no runs array")?;
-    let mut out = format!("{bench}: {} profiled run(s), host_cores={cores:.0}\n", runs.len());
-    let _ = writeln!(
-        out,
-        "{:<44} {:>4} {:>9} {:>7} {:>6} {:>7} {:>7} {:>7} {:>7}  top",
-        "run", "k", "wall(ms)", "stall%", "sync%", "inject%", "exec%", "queue%", "other%"
-    );
-    for r in runs {
-        let label = r.get("label").and_then(Json::as_str).unwrap_or("?");
-        let p = r.get("prof").ok_or("run without prof object")?;
-        let t = p.get("totals").ok_or("prof without totals")?;
-        let k = p.get("k").and_then(Json::as_f64).unwrap_or(0.0);
-        let wall = p.get("wall_ns").and_then(Json::as_f64).unwrap_or(0.0) / 1e6;
-        let pct = |m: &str| 100.0 * num(t, m).unwrap_or(0.0);
-        let top = t.get("top_overhead").and_then(Json::as_str).unwrap_or("?");
-        let top_frac = 100.0 * num(t, "top_overhead_frac").unwrap_or(0.0);
-        let mut l = label.to_string();
-        if l.chars().count() > 44 {
-            l = l.chars().take(41).collect::<String>() + "...";
-        }
-        let _ = writeln!(
-            out,
-            "{l:<44} {k:>4.0} {wall:>9.3} {:>7.1} {:>6.1} {:>7.1} {:>7.1} {:>7.1} {:>7.1}  {top} ({top_frac:.1}%)",
-            pct("stall_frac"),
-            pct("sync_frac"),
-            pct("inject_frac"),
-            pct("execute_frac"),
-            pct("queue_frac"),
-            pct("other_frac"),
-        );
-    }
-    // Whole-file verdict: the phase that dominates overhead across runs,
-    // weighted by shard wall time.
-    let mut sums: BTreeMap<&str, f64> = BTreeMap::new();
-    let mut wall_total = 0.0;
-    for r in runs {
-        let Some(t) = r.get("prof").and_then(|p| p.get("totals")) else {
-            continue;
-        };
-        let w = num(t, "wall_ns").unwrap_or(0.0);
-        wall_total += w;
-        for m in ["stall_frac", "sync_frac", "inject_frac", "queue_frac", "other_frac"] {
-            *sums.entry(m).or_default() += w * num(t, m).unwrap_or(0.0);
-        }
-    }
-    if wall_total > 0.0 {
-        let (top, ns) = sums
-            .iter()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(k, v)| (*k, *v))
-            .unwrap_or(("stall_frac", 0.0));
-        let _ = writeln!(
-            out,
-            "top overhead source: {} ({:.1}% of summed shard wall time)",
-            top.trim_end_matches("_frac"),
-            100.0 * ns / wall_total
-        );
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const BENCH: &str = r#"{
-      "bench": "t", "parallelism": 7,
+      "bench": "t", "backend": "sim",
       "runs": [
         {"label": "a", "virtual_ns": 100, "events": 50, "wall_ns": 1000, "events_per_sec": 50000},
         {"label": "b", "virtual_ns": 200, "events": 80, "wall_ns": 2000, "events_per_sec": 40000}
       ],
       "total_events": 130, "total_wall_ns": 3000, "total_events_per_sec": 43333
-    }"#;
-
-    const PROF: &str = r#"{
-      "bench": "t", "parallelism": 7, "host_cores": 1,
-      "runs": [
-        {"label": "a", "prof": {
-          "mode": "windowed", "k": 7, "host_cores": 1, "wall_ns": 5000000,
-          "totals": {"wall_ns": 30000000, "stall_frac": 0.60, "inject_frac": 0.05,
-                     "execute_frac": 0.20, "queue_frac": 0.05, "other_frac": 0.10,
-                     "top_overhead": "stall", "top_overhead_frac": 0.60},
-          "coordinator": {"replay_ns": 10, "plan_ns": 10, "windows": 3, "injections": 4},
-          "shards": []
-        }}
-      ]
     }"#;
 
     fn patched(src: &str, from: &str, to: &str) -> Json {
@@ -1051,7 +740,7 @@ mod tests {
     fn parser_round_trips_artifact_shapes() {
         let v = Json::parse(BENCH).unwrap();
         assert_eq!(v.get("bench").and_then(Json::as_str), Some("t"));
-        assert_eq!(v.get("parallelism").and_then(Json::as_f64), Some(7.0));
+        assert_eq!(v.get("total_events").and_then(Json::as_f64), Some(130.0));
         let runs = v.get("runs").and_then(Json::as_arr).unwrap();
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].get("label").and_then(Json::as_str), Some("a"));
@@ -1065,10 +754,8 @@ mod tests {
     #[test]
     fn identical_artifacts_pass() {
         let b = Json::parse(BENCH).unwrap();
-        let p = Json::parse(PROF).unwrap();
         let thr = Thresholds::default();
         assert!(diff_bench("BENCH_t.json", &b, &b, &thr).is_empty());
-        assert!(diff_prof("PROF_t.json", &p, &p, &thr).is_empty());
     }
 
     #[test]
@@ -1136,107 +823,6 @@ mod tests {
     }
 
     #[test]
-    fn stall_rise_is_flagged_only_beyond_threshold() {
-        let base = Json::parse(PROF).unwrap();
-        let thr = Thresholds::default();
-        // +20 points: tolerated.
-        let up20 = patched(PROF, "\"stall_frac\": 0.60", "\"stall_frac\": 0.80");
-        assert!(diff_prof("PROF_t.json", &base, &up20, &thr).is_empty());
-        // +35 points: flagged.
-        let up35 = patched(PROF, "\"stall_frac\": 0.60", "\"stall_frac\": 0.95");
-        let regs = diff_prof("PROF_t.json", &base, &up35, &thr);
-        assert_eq!(regs.len(), 1, "{regs:?}");
-        assert_eq!(regs[0].metric, "stall_frac");
-        // Falling stall is never a regression.
-        let down = patched(PROF, "\"stall_frac\": 0.60", "\"stall_frac\": 0.01");
-        assert!(diff_prof("PROF_t.json", &base, &down, &thr).is_empty());
-    }
-
-    const REPRO: &str = r#"{
-      "bench": "repro_all", "host_cores": 1, "seq_parallelism": 1, "par_parallelism": 2,
-      "quick": false,
-      "bins": [
-        {"bin": "big", "seq_wall_ms": 500.0, "par_wall_ms": 250.0, "speedup": 2.0, "runs": []},
-        {"bin": "tiny", "seq_wall_ms": 3.0, "par_wall_ms": 1.0, "speedup": 3.0, "runs": []}
-      ],
-      "total_seq_wall_ms": 503.0, "total_par_wall_ms": 251.0, "total_speedup": 2.004
-    }"#;
-
-    #[test]
-    fn speedup_regression_is_flagged_with_dead_band() {
-        let base = Json::parse(REPRO).unwrap();
-        let thr = Thresholds::default();
-        assert!(diff_speedup("BENCH_repro_all.json", &base, &base, &thr).is_empty());
-        // big bin: 2.0 -> 1.5 is a 25% drop, past the 20% budget.
-        let slow = patched(
-            REPRO,
-            "\"par_wall_ms\": 250.0, \"speedup\": 2.0",
-            "\"par_wall_ms\": 333.0, \"speedup\": 1.5",
-        );
-        let regs = diff_speedup("BENCH_repro_all.json", &base, &slow, &thr);
-        assert!(regs.iter().any(|r| r.run == "big" && r.metric == "speedup"), "{regs:?}");
-        // tiny bin: sub-dead-band walls never trip, however wild the ratio.
-        let tiny = patched(REPRO, "\"speedup\": 3.0", "\"speedup\": 0.1");
-        assert!(diff_speedup("BENCH_repro_all.json", &base, &tiny, &thr).is_empty());
-        // A bin disappearing from the table is itself a regression.
-        let gone = patched(REPRO, "\"bin\": \"big\"", "\"bin\": \"renamed\"");
-        let regs = diff_speedup("BENCH_repro_all.json", &base, &gone, &thr);
-        assert!(regs.iter().any(|r| r.run == "big" && r.metric == "bin"), "{regs:?}");
-        // Faster than baseline is never a regression.
-        let fast = patched(
-            REPRO,
-            "\"par_wall_ms\": 250.0, \"speedup\": 2.0",
-            "\"par_wall_ms\": 100.0, \"speedup\": 5.0",
-        );
-        assert!(diff_speedup("BENCH_repro_all.json", &base, &fast, &thr).is_empty());
-    }
-
-    #[test]
-    fn sync_frac_rise_flagged_but_absent_baseline_is_graceful() {
-        let thr = Thresholds::default();
-        // Fresh profile carries sync_frac; this old-style baseline does
-        // not — the comparison must skip, not fail.
-        let base = Json::parse(PROF).unwrap();
-        let fresh = patched(PROF, "\"stall_frac\": 0.60,", "\"stall_frac\": 0.60, \"sync_frac\": 0.90,");
-        assert!(diff_prof("PROF_t.json", &base, &fresh, &thr).is_empty());
-        // Both sides carrying it: a big rise trips the gate.
-        let base2 = patched(PROF, "\"stall_frac\": 0.60,", "\"stall_frac\": 0.10, \"sync_frac\": 0.05,");
-        let fresh2 = patched(PROF, "\"stall_frac\": 0.60,", "\"stall_frac\": 0.10, \"sync_frac\": 0.70,");
-        let regs = diff_prof("PROF_t.json", &base2, &fresh2, &thr);
-        assert_eq!(regs.len(), 1, "{regs:?}");
-        assert_eq!(regs[0].metric, "sync_frac");
-    }
-
-    #[test]
-    fn diff_dirs_routes_speedup_tables_and_reports_stall_means() {
-        let dir = std::env::temp_dir().join(format!("hal-perf-spd-{}", std::process::id()));
-        let bdir = dir.join("baselines");
-        let fdir = dir.join("fresh");
-        std::fs::create_dir_all(&bdir).unwrap();
-        std::fs::create_dir_all(&fdir).unwrap();
-        std::fs::write(bdir.join("BENCH_repro_all.json"), REPRO).unwrap();
-        std::fs::write(
-            fdir.join("BENCH_repro_all.json"),
-            REPRO.replace("\"par_wall_ms\": 250.0, \"speedup\": 2.0", "\"par_wall_ms\": 500.0, \"speedup\": 1.0"),
-        )
-        .unwrap();
-        std::fs::write(bdir.join("PROF_t.json"), PROF).unwrap();
-        std::fs::write(
-            fdir.join("PROF_t.json"),
-            PROF.replace("\"stall_frac\": 0.60", "\"stall_frac\": 0.20"),
-        )
-        .unwrap();
-        let regs = diff_dirs(&bdir, &fdir, &Thresholds::default());
-        assert!(
-            regs.iter().any(|r| r.artifact == "BENCH_repro_all.json" && r.metric == "speedup"),
-            "speedup table must route through diff_speedup: {regs:?}"
-        );
-        let (bm, fm) = stall_frac_means(&bdir, &fdir).unwrap();
-        assert!((bm - 0.60).abs() < 1e-9 && (fm - 0.20).abs() < 1e-9, "{bm} {fm}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn serve_artifacts_are_skipped_not_diffed() {
         let dir = std::env::temp_dir().join(format!("hal-perf-serve-{}", std::process::id()));
         let bdir = dir.join("baselines");
@@ -1268,11 +854,9 @@ mod tests {
         std::fs::create_dir_all(&bdir).unwrap();
         std::fs::create_dir_all(&fdir).unwrap();
         std::fs::write(bdir.join("BENCH_t.json"), BENCH).unwrap();
-        std::fs::write(bdir.join("PROF_t.json"), PROF).unwrap();
-        // Hosttrace files must be ignored even when malformed-for-diff.
-        std::fs::write(bdir.join("PROF_t_hosttrace.json"), "[]").unwrap();
+        std::fs::write(bdir.join("METRICS_t.json"), METRICS).unwrap();
         std::fs::write(fdir.join("BENCH_t.json"), BENCH).unwrap();
-        std::fs::write(fdir.join("PROF_t.json"), PROF).unwrap();
+        std::fs::write(fdir.join("METRICS_t.json"), METRICS).unwrap();
         let thr = Thresholds::default();
         assert!(diff_dirs(&bdir, &fdir, &thr).is_empty());
         // Inflate the baseline throughput 100x — the fresh run now looks
@@ -1288,10 +872,10 @@ mod tests {
             "synthetic regression must be caught: {regs:?}"
         );
         // Missing fresh artifact is a regression, not a silent pass.
-        std::fs::remove_file(fdir.join("PROF_t.json")).unwrap();
+        std::fs::remove_file(fdir.join("METRICS_t.json")).unwrap();
         std::fs::write(bdir.join("BENCH_t.json"), BENCH).unwrap();
         let regs = diff_dirs(&bdir, &fdir, &thr);
-        assert!(regs.iter().any(|r| r.artifact == "PROF_t.json"), "{regs:?}");
+        assert!(regs.iter().any(|r| r.artifact == "METRICS_t.json"), "{regs:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1407,14 +991,5 @@ mod tests {
         std::fs::write(fdir.join("SPANS_t.json"), SPANS).unwrap();
         assert!(diff_dirs(&bdir, &fdir, &Thresholds::default()).is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn summarize_names_the_top_overhead() {
-        let p = Json::parse(PROF).unwrap();
-        let s = summarize_prof(&p).unwrap();
-        assert!(s.contains("stall"), "{s}");
-        assert!(s.contains("top overhead source: stall"), "{s}");
-        assert!(s.contains('7'), "{s}");
     }
 }

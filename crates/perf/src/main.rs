@@ -1,61 +1,28 @@
-//! `hal-perf` — summarize host-time profiles and gate perf artifacts.
+//! `hal-perf` — gate fresh bench artifacts against committed baselines.
 //!
 //! ```bash
-//! hal-perf summarize results/PROF_table4_fib.json [...]
 //! hal-perf diff --baselines results/baselines --fresh scratch/results \
-//!          [--max-drop 0.75] [--max-stall-rise 0.30] [--no-sim-exact]
+//!          [--max-drop 0.75] [--no-sim-exact]
 //! ```
 //!
 //! `diff` exits nonzero when any regression is found — `ci.sh`'s
 //! `perf-gate` step is built on that.
 
-use hal_perf::{diff_dirs, stall_frac_means, summarize_prof, ungated_serve_artifacts, Json, Thresholds};
+use hal_perf::{diff_dirs, ungated_serve_artifacts, Thresholds};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage:
-  hal-perf summarize <PROF_file.json>...
-  hal-perf diff --baselines <dir> --fresh <dir> [--max-drop X] [--max-stall-rise X] \
-[--max-speedup-drop X] [--no-sim-exact]";
+  hal-perf diff --baselines <dir> --fresh <dir> [--max-drop X] [--no-sim-exact]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("summarize") => summarize(&args[1..]),
         Some("diff") => diff(&args[1..]),
         _ => {
             eprintln!("{USAGE}");
             ExitCode::from(2)
         }
-    }
-}
-
-fn summarize(files: &[String]) -> ExitCode {
-    if files.is_empty() {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    }
-    let mut failed = false;
-    for (i, path) in files.iter().enumerate() {
-        if i > 0 {
-            println!();
-        }
-        let summary = std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|s| Json::parse(&s))
-            .and_then(|doc| summarize_prof(&doc));
-        match summary {
-            Ok(s) => print!("{s}"),
-            Err(e) => {
-                eprintln!("hal-perf: {path}: {e}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
     }
 }
 
@@ -75,16 +42,6 @@ fn diff(args: &[String]) -> ExitCode {
             "--fresh" => fresh = Some(PathBuf::from(val("--fresh"))),
             "--max-drop" => {
                 thr.max_drop = val("--max-drop").parse().expect("--max-drop: a fraction in [0,1)")
-            }
-            "--max-stall-rise" => {
-                thr.max_stall_rise = val("--max-stall-rise")
-                    .parse()
-                    .expect("--max-stall-rise: a fraction in [0,1)")
-            }
-            "--max-speedup-drop" => {
-                thr.max_speedup_drop = val("--max-speedup-drop")
-                    .parse()
-                    .expect("--max-speedup-drop: a fraction in [0,1)")
             }
             "--no-sim-exact" => thr.sim_exact = false,
             other => {
@@ -111,20 +68,11 @@ fn diff(args: &[String]) -> ExitCode {
         );
     }
     if regs.is_empty() {
-        // Stall movement is the ROADMAP's headline number — show where
-        // it went even when nothing trips a threshold.
-        let stall = match stall_frac_means(&baselines, &fresh) {
-            Some((b, f)) => format!(", stall_frac mean {b:.3} -> {f:.3} ({:+.3})", f - b),
-            None => String::new(),
-        };
         println!(
-            "perf gate: OK — {} vs {} (max_drop={:.2}, max_stall_rise={:.2}, \
-             max_speedup_drop={:.2}, sim_exact={}){stall}",
+            "perf gate: OK — {} vs {} (max_drop={:.2}, sim_exact={})",
             fresh.display(),
             baselines.display(),
             thr.max_drop,
-            thr.max_stall_rise,
-            thr.max_speedup_drop,
             thr.sim_exact
         );
         ExitCode::SUCCESS

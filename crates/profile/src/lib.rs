@@ -16,9 +16,9 @@
 //! exceed the makespan — the `ratio` against it is a well-defined
 //! serial fraction.
 //!
-//! Everything here is derived from virtual-time facts recorded
-//! identically at any `--parallel K`, so [`CriticalPathReport::to_json`]
-//! is byte-identical across executor parallelism.
+//! Everything here is derived from virtual-time facts, so
+//! [`CriticalPathReport::to_json`] is byte-identical across reruns of
+//! one seed.
 
 #![warn(missing_docs)]
 
@@ -159,7 +159,7 @@ impl CriticalPathReport {
     }
 
     /// Serialize as JSON (dependency-free, virtual-time facts only —
-    /// byte-identical across `--parallel K`).
+    /// byte-identical across reruns).
     pub fn to_json(&self, makespan_ns: u64) -> String {
         use std::fmt::Write as _;
         let mut chains = String::new();

@@ -81,7 +81,7 @@ fn cholesky_norm_agrees_across_backends() {
 
 // ---- migration chase: a nomad walks a hop chain while a sprayer races
 // it with probes that arrive through FIR chases and forward chains.
-// Unlike the parallel-equivalence chase, this one stops the machine
+// Unlike the rerun-determinism chase, this one stops the machine
 // itself (the live runtime has no global quiescence detection), so the
 // same program drives both backends. ----
 

@@ -1,10 +1,8 @@
 //! Observability determinism: the span report, the metrics timeseries,
 //! and the critical-path analysis are all derived from virtual-time
-//! facts, so their JSON serializations must be **byte-identical** at
-//! every executor parallelism. `K = 1` is the reference; `K = 2` and
-//! `K = 7` must match it exactly, across seeds, on both a
-//! join-continuation workload (fib) and a migration chase (FIRs +
-//! forward chains + racing probes).
+//! facts, so their JSON serializations must be **byte-identical**
+//! across reruns of one seed, on both a join-continuation workload
+//! (fib) and a migration chase (FIRs + forward chains + racing probes).
 
 use hal::prelude::*;
 use hal_kernel::span::SpanReport;
@@ -12,7 +10,6 @@ use hal_kernel::{SimMachine, SimReport};
 use hal_profile::critical_paths;
 use hal_workloads::fib;
 
-const PARALLELISMS: [usize; 2] = [2, 7];
 const SEEDS: [u64; 3] = [1, 0x5EED, 42];
 
 /// The three observability artifacts of one run, as serialized bytes.
@@ -44,25 +41,20 @@ fn artifacts(label: &str, report: &SimReport) -> (String, String, String) {
     )
 }
 
-/// Run `build` at K = 1 and each parallelism level; every serialized
-/// artifact must equal the reference byte-for-byte.
-fn assert_byte_identical(label: &str, build: impl Fn(usize) -> SimReport) {
-    let reference = build(1);
-    let (spans1, metrics1, cp1) = artifacts(label, &reference);
-    for k in PARALLELISMS {
-        let parallel = build(k);
-        let lk = format!("{label} K={k}");
-        let (spans_k, metrics_k, cp_k) = artifacts(&lk, &parallel);
-        assert_eq!(spans1, spans_k, "{lk}: span JSON diverged from K=1");
-        assert_eq!(metrics1, metrics_k, "{lk}: metrics JSON diverged from K=1");
-        assert_eq!(cp1, cp_k, "{lk}: critical-path JSON diverged from K=1");
-    }
+/// Run `build` twice; every serialized artifact of the rerun must equal
+/// the first run's byte-for-byte.
+fn assert_byte_identical(label: &str, build: impl Fn() -> SimReport) {
+    let (spans1, metrics1, cp1) = artifacts(label, &build());
+    let (spans2, metrics2, cp2) = artifacts(label, &build());
+    assert_eq!(spans1, spans2, "{label}: span JSON diverged on rerun");
+    assert_eq!(metrics1, metrics2, "{label}: metrics JSON diverged on rerun");
+    assert_eq!(cp1, cp2, "{label}: critical-path JSON diverged on rerun");
 }
 
 #[test]
 fn fib_spans_and_metrics_are_byte_identical() {
     for seed in SEEDS {
-        assert_byte_identical(&format!("fib seed={seed}"), |k| {
+        assert_byte_identical(&format!("fib seed={seed}"), || {
             let cfg = fib::FibConfig {
                 n: 13,
                 grain: 3,
@@ -73,8 +65,7 @@ fn fib_spans_and_metrics_are_byte_identical() {
                 .load_balancing(true)
                 .trace()
                 .metrics()
-                .parallelism(k)
-                .build()
+                    .build()
                 .unwrap();
             let (v, report) = fib::run_sim(machine, cfg);
             assert_eq!(v, 233, "fib(13) wrong");
@@ -122,7 +113,7 @@ impl Behavior for Spray {
     }
 }
 
-fn run_chase(seed: u64, k: usize) -> SimReport {
+fn run_chase(seed: u64) -> SimReport {
     const CHAIN: usize = 8;
     const PROBES: i64 = 20;
     let p = 8usize;
@@ -138,7 +129,6 @@ fn run_chase(seed: u64, k: usize) -> SimReport {
             .seed(seed)
             .trace()
             .metrics()
-            .parallelism(k)
             .build()
             .unwrap(),
         program.build(),
@@ -162,8 +152,6 @@ fn run_chase(seed: u64, k: usize) -> SimReport {
 #[test]
 fn migration_chase_spans_and_metrics_are_byte_identical() {
     for seed in SEEDS {
-        assert_byte_identical(&format!("migration-chase seed={seed}"), |k| {
-            run_chase(seed, k)
-        });
+        assert_byte_identical(&format!("migration-chase seed={seed}"), || run_chase(seed));
     }
 }

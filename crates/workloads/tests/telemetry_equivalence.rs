@@ -4,8 +4,7 @@
 //!
 //! 1. Turning the telemetry flags on (metrics + an explicit span-sample
 //!    rate) leaves the sim backend's deterministic artifact surface —
-//!    the `repro_all` byte-identity contract — unchanged, at `K = 1`
-//!    and at the pinned sweep parallelism.
+//!    the `repro_all` byte-identity contract — unchanged.
 //! 2. Head-sampling at rate 1.0 reproduces the unsampled `SPANS_`
 //!    surface exactly: the sampler's id mints are rate-independent, so
 //!    "keep everything" and "no sampler configured" are the same bytes.
@@ -22,15 +21,7 @@ use std::sync::atomic::Ordering;
 
 const SEEDS: [u64; 3] = [1, 0x5EED, 42];
 
-/// The sweep's pinned parallelism — mirrors `repro_all`'s choice.
-fn pinned_k() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(2)
-        .clamp(2, 7)
-}
-
-fn fib_sim(seed: u64, k: usize, obs: ObserveOpts) -> SimReport {
+fn fib_sim(seed: u64, obs: ObserveOpts) -> SimReport {
     let cfg = fib::FibConfig {
         n: 13,
         grain: 3,
@@ -38,7 +29,6 @@ fn fib_sim(seed: u64, k: usize, obs: ObserveOpts) -> SimReport {
     };
     let machine = MachineConfig::builder(8)
         .seed(seed)
-        .parallelism(k)
         .observe(obs)
         .build()
         .unwrap();
@@ -73,33 +63,21 @@ fn sim_surface_is_unchanged_by_telemetry_flags() {
             .span_sample_ppm(1_000_000)
     };
     for seed in SEEDS {
-        for k in [1, pinned_k()] {
-            let plain = fib_sim(seed, k, baseline_obs());
-            let flagged = fib_sim(seed, k, flagged_obs());
-            let label = format!("fib seed={seed} K={k}");
-            let (s0, m0) = surface(&label, &plain);
-            let (s1, m1) = surface(&label, &flagged);
-            assert_eq!(s0, s1, "{label}: span surface changed under telemetry flags");
-            assert_eq!(m0, m1, "{label}: metrics surface changed under telemetry flags");
-        }
+        let plain = fib_sim(seed, baseline_obs());
+        let flagged = fib_sim(seed, flagged_obs());
+        let label = format!("fib seed={seed}");
+        let (s0, m0) = surface(&label, &plain);
+        let (s1, m1) = surface(&label, &flagged);
+        assert_eq!(s0, s1, "{label}: span surface changed under telemetry flags");
+        assert_eq!(m0, m1, "{label}: metrics surface changed under telemetry flags");
     }
-    // And the flagged surface itself is K-independent — the repro_all
-    // byte-identity contract holds with the flags on.
-    let (ref_spans, ref_metrics) = surface("ref", &fib_sim(SEEDS[0], 1, flagged_obs()));
-    let (par_spans, par_metrics) = surface("par", &fib_sim(SEEDS[0], pinned_k(), flagged_obs()));
-    assert_eq!(ref_spans, par_spans, "flagged span surface diverged across K");
-    assert_eq!(ref_metrics, par_metrics, "flagged metrics surface diverged across K");
 }
 
 #[test]
 fn full_rate_sampling_reproduces_the_unsampled_span_surface() {
     for seed in SEEDS {
-        let unsampled = fib_sim(seed, 1, ObserveOpts::none().trace(true));
-        let sampled = fib_sim(
-            seed,
-            1,
-            ObserveOpts::none().trace(true).span_sample_ppm(1_000_000),
-        );
+        let unsampled = fib_sim(seed, ObserveOpts::none().trace(true));
+        let sampled = fib_sim(seed, ObserveOpts::none().trace(true).span_sample_ppm(1_000_000));
         let report = |r: &SimReport| SpanReport::build(r.trace.as_ref().unwrap());
         let (u, s) = (report(&unsampled), report(&sampled));
         assert_eq!(
