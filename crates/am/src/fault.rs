@@ -236,9 +236,6 @@ impl FaultState {
         let r_extra = self.rng.next_f64();
         for o in &self.plan.link_outages {
             if o.src == src && o.dst == dst && now >= o.from && now < o.until {
-                if std::env::var("HAL_FAULT_TRACE").is_ok() {
-                    eprintln!("[{now}] OUTAGE drop {src}->{dst}");
-                }
                 return RawFate::Drop;
             }
         }

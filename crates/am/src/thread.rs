@@ -1,13 +1,12 @@
 //! The threaded network: one OS thread per node, real message passing.
 //!
-//! This substrate exercises the same kernel code as [`crate::sim`] but
-//! with genuine concurrency: each simulated node is an OS thread and
-//! packets travel over mpsc channels. It is used by the examples, by the
-//! live backend (`hal-kernel`'s `Machine::live`), and by integration
-//! tests that check the runtime is actually `Send`-correct and free of
-//! shared-memory shortcuts between "nodes" — faithful to the paper's
-//! distributed-memory setting, where nodes communicate only through the
-//! network interface.
+//! This substrate carries the same kernel code as [`crate::sim`] but
+//! with genuine concurrency: each node is an OS thread and packets
+//! travel over mpsc channels. It is the transport of the live backend
+//! (`hal-kernel`'s `Machine::live`), whose tests check the runtime is
+//! actually `Send`-correct and free of shared-memory shortcuts between
+//! "nodes" — faithful to the paper's distributed-memory setting, where
+//! nodes communicate only through the network interface.
 //!
 //! Links come in two flavors:
 //!
@@ -219,11 +218,6 @@ impl<P: Send + 'static> ThreadEndpoint<P> {
         self.rx.recv().ok()
     }
 
-    /// Blocking receive with a wall-clock timeout.
-    pub fn recv_timeout(&self, dur: std::time::Duration) -> Option<Packet<P>> {
-        self.rx.recv_timeout(dur).ok()
-    }
-
     /// Shared statistics handle.
     pub fn stats(&self) -> &Arc<ThreadNetStats> {
         &self.stats
@@ -300,7 +294,7 @@ mod tests {
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
         a.send(1, AmEnvelope::Small(42), 4);
-        let pkt = b.recv_timeout(Duration::from_secs(1)).unwrap();
+        let pkt = b.recv().unwrap();
         assert_eq!(pkt.src, 0);
         assert_eq!(pkt.body, AmEnvelope::Small(42));
     }
@@ -323,7 +317,7 @@ mod tests {
             a.send(1, AmEnvelope::Small(i), 4);
         }
         for i in 0..100 {
-            let pkt = b.recv_timeout(Duration::from_secs(1)).unwrap();
+            let pkt = b.recv().unwrap();
             assert_eq!(pkt.body, AmEnvelope::Small(i));
         }
     }
@@ -345,11 +339,8 @@ mod tests {
                     // …and receives nodes-1 messages.
                     let mut got = 0;
                     while got < ep.nodes() - 1 {
-                        if ep.recv_timeout(Duration::from_secs(5)).is_some() {
-                            got += 1;
-                        } else {
-                            panic!("timed out");
-                        }
+                        ep.recv().expect("own loopback sender keeps the queue open");
+                        got += 1;
                     }
                     got
                 })
@@ -406,14 +397,11 @@ mod tests {
         });
         let mut got = Vec::new();
         while got.len() < 32 {
-            if let Some(pkt) = b.recv_timeout(Duration::from_secs(5)) {
-                if let AmEnvelope::Small(v) = pkt.body {
-                    got.push(v);
-                }
-                std::thread::sleep(Duration::from_micros(200));
-            } else {
-                panic!("bounded delivery timed out");
+            let pkt = b.recv().expect("own loopback sender keeps the queue open");
+            if let AmEnvelope::Small(v) = pkt.body {
+                got.push(v);
             }
+            std::thread::sleep(Duration::from_micros(200));
         }
         let a = sender.join().unwrap();
         assert_eq!(got, (0..32).collect::<Vec<_>>(), "FIFO order preserved");

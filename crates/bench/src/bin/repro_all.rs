@@ -37,6 +37,7 @@
 //! ```
 
 use hal_bench::out;
+use hal_check::json_escape;
 use std::process::Command;
 
 const BINS: &[&str] = &[
@@ -145,10 +146,6 @@ fn run_bin(bin: &str, quick: bool, check: bool) -> std::process::Output {
         String::from_utf8_lossy(&out.stderr)
     );
     out
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// One bin's verdict of one family (`CHECK` / `LINT`), read back from

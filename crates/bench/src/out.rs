@@ -10,8 +10,8 @@
 //!
 //! * `--quick` / `HAL_QUICK=1` — shrink problem sizes so the bin
 //!   finishes in seconds (CI smoke).
-//! * `--backend=sim|live` / `HAL_BACKEND` — which [`hal_kernel::Backend`]
-//!   the bin's machines run on ([`backend`]). The deterministic
+//! * `--backend=sim|live` / `HAL_BACKEND` — which
+//!   [`hal_kernel::BackendKind`] the bin's machines run on ([`backend`]). The deterministic
 //!   simulator is the default; `live` runs one real kernel per host
 //!   thread, so virtual-time facts become host-time facts and the
 //!   artifacts carry a `"backend": "live"` tag for the perf gate.
@@ -47,7 +47,7 @@
 //! only virtual-time facts too; host time appears in `BENCH_<bin>.json`
 //! alone.
 
-use hal_check::{CheckReport, LintSpec};
+use hal_check::{json_escape, CheckReport, LintSpec};
 use hal_kernel::span::SpanReport;
 use hal_kernel::{BackendKind, ObserveOpts, ProtocolDecl, SimReport};
 use hal_profile::critical_paths;
@@ -327,20 +327,6 @@ fn events_per_sec(events: u64, wall: Duration) -> f64 {
     } else {
         0.0
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Write `results/BENCH_<bin>.json` from every run recorded so far and

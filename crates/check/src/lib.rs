@@ -38,7 +38,7 @@ mod trace_check;
 
 pub use lint::{run_lint, LintFinding, LintKind, LintReport, LintSpec};
 pub use program_check::{check_audit, check_behavior_image, check_registry, check_tags};
-pub use report::{CheckReport, Violation, ViolationKind};
+pub use report::{json_escape, CheckReport, Violation, ViolationKind};
 pub use trace_check::check_trace;
 
 use hal_kernel::{SimReport, TraceReport};

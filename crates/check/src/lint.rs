@@ -31,7 +31,7 @@
 //! report is built from sorted containers and carries no host facts, so
 //! its bytes are identical across runs and hosts.
 
-use crate::report::CheckReport;
+use crate::report::{json_escape, CheckReport};
 use hal_kernel::ProtocolDecl;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write as _;
@@ -255,23 +255,6 @@ impl LintReport {
         let mut f = std::fs::File::create(path)?;
         f.write_all(self.to_json().as_bytes())
     }
-}
-
-fn json_escape(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Run the whole static pass over `spec` and return the report.

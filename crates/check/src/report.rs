@@ -303,7 +303,11 @@ impl CheckReport {
     }
 }
 
-fn json_escape(s: &str) -> String {
+/// Escape `s` for the inside of a JSON string literal: quote, backslash,
+/// newline and every other control character. The one escaper of the
+/// workspace's hand-written artifact writers.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

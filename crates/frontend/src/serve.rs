@@ -9,8 +9,8 @@
 //! reports p50/p99/p999 against a declared SLO in
 //! `results/SERVE_<scenario>.json`.
 //!
-//! Both [`hal_kernel::Backend`]s are supported and measure the same
-//! pipeline:
+//! Both backends ([`hal_kernel::BackendKind`]) are supported and measure
+//! the same pipeline:
 //!
 //! * **simulated** — a `LoadGen` actor paces arrivals on the virtual
 //!   clock (`charge(period)` between sends), so the whole run is

@@ -175,7 +175,7 @@ mod tests {
     fn call_then_to_a_remote_target_fires_once_with_the_reply() {
         let (program, echo) = echo_program();
         // No `stop`: the run ends drained, so a second firing would show.
-        let report = crate::sim_run(MachineConfig::new(2), program, move |ctx| {
+        let report = crate::run(MachineConfig::new(2), program, move |ctx| {
             let far = ctx.create_on(1, echo, vec![]);
             call_then(ctx, far, 0, vec![Value::Int(7)], |ctx, v| {
                 ctx.report("got", v)
@@ -189,7 +189,7 @@ mod tests {
     #[test]
     fn nine_call_join_fills_slots_in_call_order() {
         let (program, echo) = echo_program();
-        let report = crate::sim_run(MachineConfig::new(3), program, move |ctx| {
+        let report = crate::run(MachineConfig::new(3), program, move |ctx| {
             // Targets at three distances, so replies arrive out of call order.
             let mut join = JoinBuilder::new();
             for i in 0..9i64 {

@@ -207,7 +207,7 @@ mod tests {
     fn run_reduction(p: usize, per_node: usize, op: Op) -> Value {
         let mut program = Program::new();
         let combiner = register(&mut program);
-        let report = crate::sim_run(MachineConfig::new(p), program, |ctx| {
+        let report = crate::run(MachineConfig::new(p), program, |ctx| {
             let jc = ctx.create_join(
                 1,
                 vec![],
@@ -247,7 +247,7 @@ mod tests {
     fn nodes_without_contributions_participate() {
         let mut program = Program::new();
         let combiner = register(&mut program);
-        let report = crate::sim_run(MachineConfig::new(4), program, |ctx| {
+        let report = crate::run(MachineConfig::new(4), program, |ctx| {
             let jc = ctx.create_join(
                 1,
                 vec![],

@@ -26,7 +26,7 @@
 //! }
 //!
 //! let program = Program::new();
-//! let report = sim_run(MachineConfig::builder(2).build().unwrap(), program, |ctx| {
+//! let report = run(MachineConfig::builder(2).build().unwrap(), program, |ctx| {
 //!     let g = ctx.create_local(Box::new(Greeter));
 //!     call_then(ctx, g, 0, vec![Value::Int(21)], |ctx, v| {
 //!         ctx.report("answer", v);
@@ -46,15 +46,15 @@ pub mod sync;
 pub mod value;
 
 pub use callret::{call_then, maybe_reply, JoinBuilder, SavedCustomer};
-pub use program::{run, sim_run, thread_run, try_run, try_sim_run, Program};
+pub use program::{run, try_run, Program};
 
 // The handful of kernel names harness code reaches for at the crate
 // root (`hal::MachineConfig`, `hal::Machine`, ...). Everything a
 // *workload* needs lives in [`prelude`]; kernel internals beyond this
 // list are imported from `hal_kernel` explicitly.
 pub use hal_kernel::{
-    Backend, BackendKind, Job, Machine, MachineConfig, MachineConfigBuilder, MachineError,
-    ObserveOpts, OptFlags, SimMachine, SimReport,
+    BackendKind, Job, Machine, MachineConfig, MachineConfigBuilder, MachineError, ObserveOpts,
+    OptFlags, SimMachine, SimReport,
 };
 // `Msg`/`Selector`/`Value`/`ProtocolDecl` must stay at the root: the
 // `messages!` macro expands `$crate::Msg` etc. in downstream crates.
@@ -66,13 +66,13 @@ pub use hal_kernel::{Msg, ProtocolDecl, Selector, Value};
 /// are imported from `hal_kernel` by the harnesses that poke at them.
 pub mod prelude {
     pub use crate::callret::{call_then, maybe_reply, JoinBuilder, SavedCustomer};
-    pub use crate::program::{run, sim_run, thread_run, try_run, try_sim_run, Program};
+    pub use crate::program::{run, try_run, Program};
     pub use crate::sync::{BoundedCounter, Gates};
     pub use crate::value::{FromValue, IntoValue};
     pub use hal_kernel::kernel::Ctx;
     pub use hal_kernel::{
-        Backend, BackendKind, Behavior, BehaviorId, BehaviorRegistry, ConfigError, CostModel,
-        FaultPlan, GroupId, Job, Machine, MachineConfig, MachineConfigBuilder, MachineError,
-        MailAddr, Mapping, Msg, ObserveOpts, OptFlags, Selector, SimReport, Value,
+        BackendKind, Behavior, BehaviorId, BehaviorRegistry, ConfigError, CostModel, FaultPlan,
+        GroupId, Job, Machine, MachineConfig, MachineConfigBuilder, MachineError, MailAddr,
+        Mapping, Msg, ObserveOpts, OptFlags, Selector, SimReport, Value,
     };
 }

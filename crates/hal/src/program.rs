@@ -3,20 +3,18 @@
 //! The HAL front-end loaded compiled executables into every kernel; a
 //! [`Program`] is this reproduction's executable image — a set of
 //! behavior factories with stable ids, installable into simulated or
-//! threaded machines.
+//! live machines.
 
 use hal_kernel::kernel::Ctx;
 use hal_kernel::{
-    run_threaded, BackendKind, BehaviorId, BehaviorRegistry, FactoryFn, Machine, MachineConfig,
-    MachineError, SimMachine, SimReport, ThreadReport,
+    BehaviorId, BehaviorRegistry, FactoryFn, Machine, MachineConfig, MachineError, SimReport,
 };
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A program: named behaviors with deterministic ids.
 ///
 /// Ids are assigned in registration order, so the same registration
-/// sequence yields the same ids on every node and across sim/thread
+/// sequence yields the same ids on every node and across sim/live
 /// machines — exactly like loading one executable everywhere.
 #[derive(Default)]
 pub struct Program {
@@ -52,16 +50,16 @@ impl Program {
     }
 }
 
-/// Build a machine for `cfg.backend`, bootstrap it on node 0, and run
-/// it to completion — the backend-dispatching entry point every harness
-/// should use. `BackendKind::Sim` takes exactly the [`try_sim_run`]
-/// path (same construction sequence, byte-identical reports);
-/// `BackendKind::Live` stages a [`hal_kernel::LiveMachine`], bootstraps
-/// it before its node threads spawn, and drains with the default wall
-/// budget.
+/// Build a machine for `cfg.backend` (the simulator unless the
+/// configuration says [`hal_kernel::BackendKind::Live`]), bootstrap it
+/// on node 0 before anything runs, and run it to completion — the entry
+/// point every harness uses. A live machine is bootstrapped while
+/// staged, before its node threads spawn, and drains with the default
+/// wall budget.
 ///
 /// # Panics
-/// Panics on a [`MachineError`]; use [`try_run`] for the typed error.
+/// Panics on a [`MachineError`] (livelock valve, bad node id, unknown
+/// behavior, wall timeout); use [`try_run`] for the typed error.
 pub fn run(
     cfg: MachineConfig,
     program: Program,
@@ -73,59 +71,16 @@ pub fn run(
     }
 }
 
-/// Backend-dispatching run with typed errors — see [`run`].
+/// [`run`] with machine failures surfaced as typed [`MachineError`]
+/// values.
 pub fn try_run(
     cfg: MachineConfig,
     program: Program,
     bootstrap: impl FnOnce(&mut Ctx<'_>),
 ) -> Result<SimReport, MachineError> {
-    match cfg.backend {
-        BackendKind::Sim => try_sim_run(cfg, program, bootstrap),
-        BackendKind::Live => {
-            let mut m = Machine::live(cfg, program.build());
-            m.with_ctx(0, bootstrap);
-            m.run()
-        }
-    }
-}
-
-/// Build a simulated machine and bootstrap it in one call.
-///
-/// # Panics
-/// Panics on a [`MachineError`] (livelock valve, bad node id, unknown
-/// behavior). Harness code that wants the typed error should use
-/// [`try_sim_run`].
-pub fn sim_run(
-    cfg: MachineConfig,
-    program: Program,
-    bootstrap: impl FnOnce(&mut Ctx<'_>),
-) -> SimReport {
-    match try_sim_run(cfg, program, bootstrap) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Build a simulated machine and bootstrap it, surfacing machine
-/// failures as typed [`MachineError`] values.
-pub fn try_sim_run(
-    cfg: MachineConfig,
-    program: Program,
-    bootstrap: impl FnOnce(&mut Ctx<'_>),
-) -> Result<SimReport, MachineError> {
-    let mut m = SimMachine::new(cfg, program.build());
+    let mut m = Machine::from_config(cfg, program.build());
     m.with_ctx(0, bootstrap);
     m.run()
-}
-
-/// Build a threaded machine and run it to completion (or `timeout`).
-pub fn thread_run(
-    cfg: MachineConfig,
-    program: Program,
-    timeout: Duration,
-    bootstrap: impl FnOnce(&mut Ctx<'_>) + Send,
-) -> ThreadReport {
-    run_threaded(cfg, program.build(), timeout, bootstrap)
 }
 
 #[cfg(test)]
@@ -154,7 +109,7 @@ mod tests {
     }
 
     #[test]
-    fn sim_run_bootstraps_and_drains() {
+    fn run_bootstraps_and_drains() {
         struct Reporter;
         impl Behavior for Reporter {
             fn dispatch(&mut self, ctx: &mut Ctx<'_>, _msg: Msg) {
@@ -162,7 +117,7 @@ mod tests {
             }
         }
         let p = Program::new();
-        let r = sim_run(MachineConfig::new(1), p, |ctx| {
+        let r = run(MachineConfig::new(1), p, |ctx| {
             let a = ctx.create_local(Box::new(Reporter));
             ctx.send(a, 0, vec![]);
         });

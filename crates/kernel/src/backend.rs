@@ -1,8 +1,8 @@
-//! The backend seam: one trait, two ways to execute a partition.
+//! The machine handle: one type, two ways to execute a partition.
 //!
 //! Everything above the kernel — workloads, benches, the console, the
-//! serving front-end — talks to a [`Machine`], which drives a boxed
-//! [`Backend`]. Two implementations exist:
+//! serving front-end — holds a [`Machine`], a two-arm enum over the two
+//! runtimes there are:
 //!
 //! * **Sim** ([`BackendKind::Sim`]) — the deterministic discrete-event
 //!   simulator ([`crate::machine::SimMachine`]): virtual time, one
@@ -13,16 +13,22 @@
 //!   [`hal_am::thread_network`], with the PR 3 reliable layer as its
 //!   wire protocol and host monotonic time as its clock.
 //!
-//! The trait cuts exactly where `SimMachine::run` used to be monolithic:
-//! *bootstrap* ([`Backend::exec`]), *start* ([`Backend::init`]),
-//! *feed* ([`Backend::submit`]), *finish* ([`Backend::drain`] /
-//! [`Backend::run`]), *observe* ([`Backend::report`]). Application code
+//! The handle cuts exactly where `SimMachine::run` used to be monolithic:
+//! *bootstrap* ([`Machine::with_ctx`]), *start* ([`Machine::init`]),
+//! *feed* ([`Machine::submit`]), *finish* ([`Machine::drain`] /
+//! [`Machine::run`]), *observe* ([`Machine::report`]). Application code
 //! written against [`Machine`] runs identically on both backends —
 //! migration, aliases, and FIR chases included — which is the location
 //! transparency claim of the paper restated at the harness level.
+//!
+//! The simulator is lenient — it has no threads, so every phase is
+//! callable any time. The live machine enforces the lifecycle (staged →
+//! running → drained) and answers out-of-order calls with
+//! [`MachineError::BackendState`].
 
 use crate::error::MachineError;
 use crate::kernel::Ctx;
+use crate::live::LiveMachine;
 use crate::machine::{MachineConfig, SimMachine, SimReport};
 use crate::registry::BehaviorRegistry;
 use hal_am::NodeId;
@@ -75,137 +81,9 @@ impl std::str::FromStr for BackendKind {
 /// them inline.
 pub type Job = Box<dyn FnOnce(&mut Ctx<'_>) + Send + 'static>;
 
-/// One way of executing a partition of HAL kernels.
-///
-/// Lifecycle: [`exec`](Backend::exec) bootstrap closures while the
-/// machine is staged → [`init`](Backend::init) starts it →
-/// [`submit`](Backend::submit) feeds jobs mid-flight →
-/// [`drain`](Backend::drain) (or the [`run`](Backend::run) shorthand)
-/// waits for completion and yields the [`SimReport`] →
-/// [`report`](Backend::report) re-reads it afterwards.
-///
-/// The sim backend is lenient — it has no threads, so every phase is
-/// callable any time. The live backend enforces the lifecycle and
-/// answers out-of-order calls with [`MachineError::BackendState`].
-pub trait Backend {
-    /// Which substrate this is.
-    fn kind(&self) -> BackendKind;
-
-    /// Partition size.
-    fn nodes(&self) -> usize;
-
-    /// Run a bootstrap closure in a system context on `node` — the
-    /// front-end loading a program before the machine starts. The
-    /// closure may borrow locals (it is not shipped across threads);
-    /// in exchange it is only valid while the machine is staged, i.e.
-    /// before [`Backend::init`] on the live backend.
-    fn exec(
-        &mut self,
-        node: NodeId,
-        f: Box<dyn FnOnce(&mut Ctx<'_>) + '_>,
-    ) -> Result<(), MachineError>;
-
-    /// Start the machine. On the live backend this spawns the node
-    /// threads; on the sim backend it is a no-op. Idempotent.
-    fn init(&mut self) -> Result<(), MachineError>;
-
-    /// Inject a job into the (possibly already running) machine on
-    /// `node`. The sim backend executes it immediately in a system
-    /// context; the live backend enqueues it to the node's thread,
-    /// which picks it up within its next idle millisecond.
-    fn submit(&mut self, node: NodeId, job: Job) -> Result<(), MachineError>;
-
-    /// Wait for the machine to finish and return its report.
-    ///
-    /// Sim: runs the event loop to quiescence (`timeout` is ignored —
-    /// virtual time needs no wall budget; the `max_events` valve guards
-    /// livelock). Live: joins the node threads, with `timeout` as the
-    /// wall-clock backstop ([`MachineError::WallTimeout`] if it trips).
-    fn drain(&mut self, timeout: Duration) -> Result<SimReport, MachineError>;
-
-    /// Start (if needed) and drain with the backend's default budget —
-    /// the one-call path every harness uses.
-    fn run(&mut self) -> Result<SimReport, MachineError> {
-        self.init()?;
-        self.drain(DEFAULT_WALL_BUDGET)
-    }
-
-    /// Re-read the most recent report without driving the machine.
-    /// Sim: snapshots current state any time. Live: available once
-    /// drained ([`MachineError::BackendState`] before that — a running
-    /// partition has no coherent global snapshot).
-    fn report(&self) -> Result<SimReport, MachineError>;
-}
-
-/// Default wall-clock budget for [`Backend::run`] on the live backend
+/// Default wall-clock budget for [`Machine::run`] on the live backend
 /// (ignored by sim). Generous: it is a crash backstop, not a deadline.
 pub const DEFAULT_WALL_BUDGET: Duration = Duration::from_mins(1);
-
-/// The deterministic DES backend: a thin adapter over
-/// [`SimMachine`], which remains the real implementation (and keeps its
-/// public API for tests that reach into kernels).
-pub struct SimBackend {
-    machine: SimMachine,
-}
-
-impl SimBackend {
-    /// Build over a behavior registry. Panics on an invalid
-    /// configuration, exactly as [`SimMachine::new`] does.
-    pub fn new(cfg: MachineConfig, registry: Arc<BehaviorRegistry>) -> Self {
-        SimBackend {
-            machine: SimMachine::new(cfg, registry),
-        }
-    }
-
-    /// The wrapped machine (tests, diagnostics).
-    pub fn machine(&self) -> &SimMachine {
-        &self.machine
-    }
-
-    /// Mutable access to the wrapped machine.
-    pub fn machine_mut(&mut self) -> &mut SimMachine {
-        &mut self.machine
-    }
-}
-
-impl Backend for SimBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Sim
-    }
-
-    fn nodes(&self) -> usize {
-        self.machine.nodes()
-    }
-
-    fn exec(
-        &mut self,
-        node: NodeId,
-        f: Box<dyn FnOnce(&mut Ctx<'_>) + '_>,
-    ) -> Result<(), MachineError> {
-        self.machine.with_ctx(node, f);
-        Ok(())
-    }
-
-    fn init(&mut self) -> Result<(), MachineError> {
-        Ok(()) // nothing to start: the event loop runs inside drain()
-    }
-
-    fn submit(&mut self, node: NodeId, job: Job) -> Result<(), MachineError> {
-        // No threads to hand the job to — run it right now, in the same
-        // system context a bootstrap closure gets. Deterministic because
-        // the caller's submission order IS the execution order.
-        self.machine.with_ctx(node, job);
-        Ok(())
-    }
-
-    fn drain(&mut self, _timeout: Duration) -> Result<SimReport, MachineError> {
-        self.machine.run()
-    }
-
-    fn report(&self) -> Result<SimReport, MachineError> {
-        Ok(self.machine.report())
-    }
-}
 
 /// The backend-agnostic machine handle — what harness code holds.
 ///
@@ -220,57 +98,39 @@ impl Backend for SimBackend {
 /// let report = m.run().unwrap();
 /// assert_eq!(report.actors_created, 0);
 /// ```
-pub struct Machine {
-    inner: Inner,
-}
-
-/// Static dispatch for the two first-party backends (the hot path),
-/// boxed dynamic dispatch for injected ones.
-enum Inner {
-    Sim(Box<SimBackend>),
-    Live(Box<crate::live::LiveMachine>),
-    Boxed(Box<dyn Backend>),
-}
-
-impl Inner {
-    fn get(&self) -> &dyn Backend {
-        match self {
-            Inner::Sim(b) => b.as_ref(),
-            Inner::Live(b) => b.as_ref(),
-            Inner::Boxed(b) => b.as_ref(),
-        }
-    }
-
-    fn get_mut(&mut self) -> &mut dyn Backend {
-        match self {
-            Inner::Sim(b) => b.as_mut(),
-            Inner::Live(b) => b.as_mut(),
-            Inner::Boxed(b) => b.as_mut(),
-        }
-    }
+pub enum Machine {
+    /// The deterministic simulator. Tests that reach into kernels match
+    /// on this arm.
+    Sim(Box<SimMachine>),
+    /// The live multi-threaded runtime.
+    Live(Box<LiveMachine>),
 }
 
 impl Machine {
     /// A machine over the deterministic DES backend.
+    ///
+    /// # Panics
+    /// Panics on an invalid configuration, exactly as
+    /// [`SimMachine::new`] does.
     pub fn simulated(cfg: MachineConfig, registry: Arc<BehaviorRegistry>) -> Self {
         let cfg = MachineConfig {
             backend: BackendKind::Sim,
             ..cfg
         };
-        Machine {
-            inner: Inner::Sim(Box::new(SimBackend::new(cfg, registry))),
-        }
+        Machine::Sim(Box::new(SimMachine::new(cfg, registry)))
     }
 
     /// A machine over the live multi-threaded backend.
+    ///
+    /// # Panics
+    /// Panics on an invalid configuration, exactly as
+    /// [`LiveMachine::new`] does.
     pub fn live(cfg: MachineConfig, registry: Arc<BehaviorRegistry>) -> Self {
         let cfg = MachineConfig {
             backend: BackendKind::Live,
             ..cfg
         };
-        Machine {
-            inner: Inner::Live(Box::new(crate::live::LiveMachine::new(cfg, registry))),
-        }
+        Machine::Live(Box::new(LiveMachine::new(cfg, registry)))
     }
 
     /// Dispatch on [`MachineConfig::backend`].
@@ -281,83 +141,93 @@ impl Machine {
         }
     }
 
-    /// Wrap an arbitrary backend (tests injecting mocks).
-    pub fn from_backend(inner: Box<dyn Backend>) -> Self {
-        Machine {
-            inner: Inner::Boxed(inner),
-        }
-    }
-
     /// Which substrate this machine drives.
     pub fn kind(&self) -> BackendKind {
-        self.inner.get().kind()
+        match self {
+            Machine::Sim(_) => BackendKind::Sim,
+            Machine::Live(_) => BackendKind::Live,
+        }
     }
 
     /// Partition size.
     pub fn nodes(&self) -> usize {
-        self.inner.get().nodes()
+        match self {
+            Machine::Sim(m) => m.nodes(),
+            Machine::Live(m) => m.nodes(),
+        }
     }
 
-    /// Run harness code in a system context on `node` (bootstrap) and
-    /// return its value. Panics if the backend cannot bootstrap any
-    /// more (live machine already started) — use [`Machine::try_exec`]
-    /// to handle that as a value.
+    /// Run harness code in a system context on `node` — the front-end
+    /// loading a program before the machine starts — and return its
+    /// value. The closure may borrow locals (it is not shipped across
+    /// threads); in exchange, on the live backend it is only valid while
+    /// the machine is staged, i.e. before [`Machine::init`].
+    ///
+    /// # Panics
+    /// Panics if a live machine cannot bootstrap any more (already
+    /// started) or `node` is out of range — [`LiveMachine::with_ctx`]
+    /// returns those as values.
     pub fn with_ctx<R>(&mut self, node: NodeId, f: impl FnOnce(&mut Ctx<'_>) -> R) -> R {
-        let mut out = None;
-        let mut f = Some(f);
-        self.inner
-            .get_mut()
-            .exec(
-                node,
-                Box::new(|ctx| {
-                    out = Some((f.take().expect("exec runs the closure once"))(ctx));
-                }),
-            )
-            .unwrap_or_else(|e| panic!("{e}"));
-        out.expect("backend exec must run the bootstrap closure")
+        match self {
+            Machine::Sim(m) => m.with_ctx(node, f),
+            Machine::Live(m) => m.with_ctx(node, f).unwrap_or_else(|e| panic!("{e}")),
+        }
     }
 
-    /// Fallible bootstrap — see [`Machine::with_ctx`].
-    pub fn try_exec(
-        &mut self,
-        node: NodeId,
-        f: impl FnOnce(&mut Ctx<'_>),
-    ) -> Result<(), MachineError> {
-        self.inner.get_mut().exec(node, Box::new(f))
-    }
-
-    /// Start the machine (spawns live node threads; no-op on sim).
+    /// Start the machine. On the live backend this spawns the node
+    /// threads; on the sim backend it is a no-op (the event loop runs
+    /// inside [`Machine::drain`]). Idempotent.
     pub fn init(&mut self) -> Result<(), MachineError> {
-        self.inner.get_mut().init()
+        match self {
+            Machine::Sim(_) => Ok(()),
+            Machine::Live(m) => m.init(),
+        }
     }
 
-    /// Inject a job — see [`Backend::submit`].
+    /// Inject a job into the (possibly already running) machine on
+    /// `node`. The sim backend has no threads to hand it to and runs it
+    /// right now, in the same system context a bootstrap closure gets —
+    /// deterministic because the caller's submission order *is* the
+    /// execution order. The live backend queues it to the node's thread
+    /// and rings that node's doorbell.
     pub fn submit(&mut self, node: NodeId, job: Job) -> Result<(), MachineError> {
-        self.inner.get_mut().submit(node, job)
+        match self {
+            Machine::Sim(m) => {
+                m.with_ctx(node, job);
+                Ok(())
+            }
+            Machine::Live(m) => m.submit(node, job),
+        }
     }
 
-    /// Start (if needed) and run to completion with the default budget.
+    /// Start (if needed) and run to completion with the default budget —
+    /// the one-call path every harness uses.
     pub fn run(&mut self) -> Result<SimReport, MachineError> {
-        self.inner.get_mut().run()
+        self.init()?;
+        self.drain(DEFAULT_WALL_BUDGET)
     }
 
-    /// Wait for completion with an explicit wall budget (live) — see
-    /// [`Backend::drain`].
+    /// Wait for the machine to finish and return its report.
+    ///
+    /// Sim: runs the event loop to quiescence (`timeout` is ignored —
+    /// virtual time needs no wall budget; the `max_events` valve guards
+    /// livelock). Live: joins the node threads, with `timeout` as the
+    /// wall-clock backstop ([`MachineError::WallTimeout`] if it trips).
     pub fn drain(&mut self, timeout: Duration) -> Result<SimReport, MachineError> {
-        self.inner.get_mut().drain(timeout)
+        match self {
+            Machine::Sim(m) => m.run(),
+            Machine::Live(m) => m.drain(timeout),
+        }
     }
 
-    /// Re-read the most recent report — see [`Backend::report`].
+    /// Re-read the most recent report without driving the machine.
+    /// Sim: snapshots current state any time. Live: available once
+    /// drained ([`MachineError::BackendState`] before that — a running
+    /// partition has no coherent global snapshot).
     pub fn report(&self) -> Result<SimReport, MachineError> {
-        self.inner.get().report()
-    }
-
-    /// The wrapped [`SimMachine`] when this machine drives the sim
-    /// backend (tests that reach into kernels), else `None`.
-    pub fn as_sim(&mut self) -> Option<&mut SimMachine> {
-        match &mut self.inner {
-            Inner::Sim(b) => Some(b.machine_mut()),
-            _ => None,
+        match self {
+            Machine::Sim(m) => Ok(m.report()),
+            Machine::Live(m) => m.report(),
         }
     }
 
@@ -365,9 +235,9 @@ impl Machine {
     /// backend (the console's live `top` / `--watch` read it while the
     /// machine runs), else `None`.
     pub fn telemetry(&self) -> Option<&Arc<crate::telemetry::TelemetryHub>> {
-        match &self.inner {
-            Inner::Live(b) => Some(b.telemetry()),
-            _ => None,
+        match self {
+            Machine::Sim(_) => None,
+            Machine::Live(m) => Some(m.telemetry()),
         }
     }
 }
@@ -393,7 +263,7 @@ mod tests {
         assert_eq!(m.nodes(), 2);
         let report = m.run().unwrap();
         assert_eq!(report.actors_created, 0);
-        assert!(m.as_sim().is_some(), "sim machine must be reachable");
+        assert!(matches!(m, Machine::Sim(_)), "sim machine must be reachable");
     }
 
     #[test]

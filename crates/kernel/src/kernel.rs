@@ -8,10 +8,10 @@
 //!
 //! [`Kernel`] owns one node's name server, actor heap, dispatcher, join
 //! table, FIR table, group table, balancer, and bulk/flow state, and is
-//! driven from outside by a *machine* (simulated or threaded) that feeds
+//! driven from outside by a *machine* (simulated or live) that feeds
 //! it packets and step requests. All outbound traffic goes through the
 //! [`NetOut`] abstraction so the identical kernel code runs on both
-//! substrates.
+//! backends.
 //!
 //! [`Ctx`] is the actor interface of Fig. 2 — the surface "exported to
 //! the compiler". Behaviors receive a `Ctx` in every dispatch and use it
@@ -28,6 +28,7 @@ use crate::fir::FirTable;
 use crate::gc::{CoordState, GcState, MarkBatches};
 use crate::group::{home_node, members_on, GroupTable};
 use crate::join::{JoinFn, JoinTable};
+use crate::machine::MachineConfig;
 use crate::message::{ContRef, Msg, Target, Value};
 use crate::metrics::{Metrics, Sample};
 use crate::name_server::{NameServer, Resolution};
@@ -44,7 +45,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Outbound network interface the kernel writes to. Implemented by the
-/// simulated network and by thread-mode endpoints.
+/// simulated network and by the live backend's [`crate::live::LiveNet`].
 pub trait NetOut {
     /// Inject an envelope from `src` to `dst` at virtual time `now`.
     fn inject(
@@ -76,26 +77,6 @@ impl NetOut for hal_am::SimNetwork<KMsg> {
 
     fn schedule(&mut self, fire_at: VirtualTime, node: NodeId, env: AmEnvelope<KMsg>) {
         hal_am::SimNetwork::schedule(self, fire_at, node, env);
-    }
-}
-
-impl NetOut for hal_am::ThreadEndpoint<KMsg> {
-    fn inject(
-        &mut self,
-        _now: VirtualTime,
-        src: NodeId,
-        dst: NodeId,
-        env: AmEnvelope<KMsg>,
-        wire_bytes: usize,
-    ) {
-        debug_assert_eq!(src, self.node());
-        self.send(dst, env, wire_bytes);
-    }
-
-    fn schedule(&mut self, _fire_at: VirtualTime, _node: NodeId, _env: AmEnvelope<KMsg>) {
-        // Thread mode has no virtual clock to fire against; fault
-        // injection (the only timer producer) is simulation-only.
-        panic!("timers require the simulated network");
     }
 }
 
@@ -138,7 +119,7 @@ impl Default for OptFlags {
 }
 
 /// Static configuration of one kernel.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct KernelConfig {
     /// This node's id.
     pub me: NodeId,
@@ -187,22 +168,25 @@ pub struct KernelConfig {
 }
 
 impl KernelConfig {
-    /// Reasonable defaults for `nodes` nodes.
-    pub fn new(me: NodeId, nodes: usize) -> Self {
+    /// Node `me`'s kernel configuration on a machine built from `cfg` —
+    /// the one place machine-wide settings become per-kernel ones. The
+    /// live backend overrides `metrics`, `faults` and `force_reliable`
+    /// on top of this; everything else is the same on both backends.
+    pub fn for_node(cfg: &MachineConfig, me: NodeId) -> Self {
         KernelConfig {
             me,
-            nodes,
-            cost: CostModel::cm5(),
-            load_balancing: false,
-            flow_control: true,
-            quantum: 16,
-            max_stack_depth: 64,
-            seed: 0x5EED,
-            opt: OptFlags::default(),
-            trace: false,
-            metrics: false,
-            span_sample_ppm: Recorder::FULL_SAMPLING_PPM,
-            faults: FaultPlan::none(),
+            nodes: cfg.nodes,
+            cost: cfg.cost,
+            load_balancing: cfg.load_balancing && cfg.nodes > 1,
+            flow_control: cfg.flow_control,
+            quantum: cfg.quantum,
+            max_stack_depth: cfg.max_stack_depth,
+            seed: cfg.seed,
+            opt: cfg.opt,
+            trace: cfg.record_trace,
+            metrics: cfg.record_metrics,
+            span_sample_ppm: cfg.span_sample_ppm,
+            faults: cfg.faults.clone(),
             force_reliable: false,
         }
     }
@@ -573,7 +557,7 @@ impl Kernel {
     }
 
     /// Latency from a tag's send time to now, robust against the
-    /// loosely synchronized clocks of thread mode.
+    /// loosely synchronized clocks of the live backend.
     #[inline]
     fn trace_latency_ns(&self, tag: &TraceTag) -> u64 {
         self.clock.as_nanos().saturating_sub(tag.sent_at.as_nanos())
@@ -1239,9 +1223,6 @@ impl Kernel {
         if let Some(tag) = msg.trace.as_mut() {
             tag.flags |= TraceTag::CHASED;
         }
-        if std::env::var("HAL_FIR_TRACE").is_ok() {
-            eprintln!("[{}] node {} forward_or_chase key={key:?} to={node} confirmed={}", self.clock, self.cfg.me, remote_index.is_some());
-        }
         if !self.cfg.opt.fir_chase {
             // Ablation: forward the entire message along the chain (§4.3's
             // rejected alternative — bulk payloads traverse every hop).
@@ -1296,9 +1277,6 @@ impl Kernel {
     /// toward `next_hop` (§4.3: "instead of forwarding the entire message
     /// the node manager sends a special forwarding information request").
     fn fir_chase(&mut self, net: &mut dyn NetOut, key: AddrKey, msg: Msg, next_hop: NodeId) {
-        if std::env::var("HAL_FIR_TRACE").is_ok() {
-            eprintln!("[{}] node {} fir_chase key={key:?} next={next_hop}", self.clock, self.cfg.me);
-        }
         self.charge(self.cfg.cost.fir_handle);
         if self.firs.need_location(key) {
             self.stats.bump("fir.sent");
@@ -1343,9 +1321,6 @@ impl Kernel {
     /// episode's span id, adopted by every relay so all hops of one
     /// chase share a single span.
     fn handle_fir(&mut self, net: &mut dyn NetOut, src: NodeId, key: AddrKey, span: u64) {
-        if std::env::var("HAL_FIR_TRACE").is_ok() {
-            eprintln!("[{}] node {} handle_fir key={key:?} from={src} resolve={:?}", self.clock, self.cfg.me, self.names.resolve(key));
-        }
         self.charge(self.cfg.cost.fir_handle);
         self.stats.bump("fir.handled");
         match self.names.resolve(key) {
@@ -1433,9 +1408,6 @@ impl Kernel {
         index: DescriptorId,
         epoch: u32,
     ) {
-        if std::env::var("HAL_FIR_TRACE").is_ok() {
-            eprintln!("[{}] node {} fir_found key={key:?} at={node} epoch={epoch}", self.clock, self.cfg.me);
-        }
         self.charge(self.cfg.cost.fir_handle);
         self.stats.bump("fir.found");
         self.repair_descriptor(key, node, index, epoch);

@@ -29,9 +29,9 @@
 //! | CM-5 cost calibration | [`cost`] |
 //! | the partition itself | [`machine`] (simulated), [`live`] (live threads) |
 //!
-//! The [`backend`] module is the seam above all of it: one [`Backend`]
-//! trait with a simulated and a live implementation, driven through the
-//! [`Machine`] facade.
+//! The [`backend`] module is the handle above all of it: [`Machine`], a
+//! two-arm enum over the simulated and the live machine — the only two
+//! runtimes there are.
 
 #![warn(missing_docs)]
 
@@ -61,14 +61,13 @@ pub mod name_server;
 pub mod registry;
 pub mod span;
 pub mod telemetry;
-pub mod thread_machine;
 pub mod timeline;
 pub mod trace;
 pub mod wire;
 
 pub use actor::{ActorRecord, Behavior};
 pub use audit::{MachineAudit, NodeAudit};
-pub use backend::{Backend, BackendKind, Job, Machine};
+pub use backend::{BackendKind, Job, Machine};
 pub use addr::{
     ActorId, AddrKey, BehaviorId, DescriptorId, GroupId, JcId, MailAddr, Mapping, Selector,
 };
@@ -80,7 +79,6 @@ pub use machine::{MachineConfig, MachineConfigBuilder, ObserveOpts, SimMachine, 
 pub use hal_am::{Bytes, FaultPlan, LinkOutage, NodeId, NodePause};
 pub use message::{ContRef, Msg, ProtocolDecl, Target, Value};
 pub use registry::{BehaviorRegistry, FactoryFn};
-pub use thread_machine::{run_threaded, ThreadReport};
 pub use gc::GcReport;
 pub use hist::TraceHists;
 pub use metrics::{Metrics, MetricsReport};

@@ -27,7 +27,7 @@
 //! A node with nothing to do **sleeps until something happens**; it never
 //! polls. Each node owns one [`Doorbell`], and whoever hands it work
 //! rings that bell after enqueueing: [`LiveNet::inject`] after a packet
-//! went onto the peer's queue, [`Backend::submit`] after a job was
+//! went onto the peer's queue, [`LiveMachine::submit`] after a job was
 //! queued, and `Shared::raise_abort` (watchdog, peer panic) after
 //! raising the abort flag. The sleeper announces itself, takes one more
 //! full loop turn with the flag up — so anything enqueued before the flag
@@ -51,7 +51,7 @@
 //! must not assume (the perf gate relaxes its exact comparisons for
 //! reports tagged live).
 
-use crate::backend::{Backend, BackendKind, Job};
+use crate::backend::Job;
 use crate::error::MachineError;
 use crate::kernel::{with_system_ctx, Ctx, Kernel, KernelConfig, NetOut};
 use crate::machine::{MachineConfig, SimReport};
@@ -66,7 +66,7 @@ use hal_am::{
     thread_network, thread_network_bounded, AmEnvelope, FaultPlan, NodeId, Packet,
     ThreadEndpoint, ThreadNetStats,
 };
-use hal_des::{StatSet, VirtualDuration, VirtualTime};
+use hal_des::{VirtualDuration, VirtualTime};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -336,28 +336,17 @@ pub struct LiveMachine {
     shared: Arc<Shared>,
 }
 
-/// Node `me`'s kernel configuration on a live machine built from `cfg`.
+/// Node `me`'s kernel configuration on a live machine built from `cfg`:
+/// the shared [`KernelConfig::for_node`] with the three live overrides.
 fn live_kernel_config(cfg: &MachineConfig, me: NodeId) -> KernelConfig {
-    KernelConfig {
-        me,
-        nodes: cfg.nodes,
-        cost: cfg.cost,
-        load_balancing: cfg.load_balancing && cfg.nodes > 1,
-        flow_control: cfg.flow_control,
-        quantum: cfg.quantum,
-        max_stack_depth: cfg.max_stack_depth,
-        seed: cfg.seed,
-        opt: cfg.opt,
-        trace: cfg.record_trace,
-        // The PR 5 registry's cadences assume a deterministic
-        // virtual clock, so it stays off on live; an explicit
-        // metrics request is rerouted to the host-time
-        // telemetry collector (with a typed trace warning).
-        metrics: false,
-        span_sample_ppm: cfg.span_sample_ppm,
-        faults: live_fault_plan(),
-        force_reliable: true,
-    }
+    let mut kcfg = KernelConfig::for_node(cfg, me);
+    // The PR 5 registry's cadences assume a deterministic virtual clock,
+    // so it stays off on live; an explicit metrics request is rerouted to
+    // the host-time telemetry collector (with a typed trace warning).
+    kcfg.metrics = false;
+    kcfg.faults = live_fault_plan();
+    kcfg.force_reliable = true;
+    kcfg
 }
 
 impl LiveMachine {
@@ -467,28 +456,22 @@ impl LiveMachine {
         Ok(out)
     }
 
-    /// Assemble the [`SimReport`] from joined kernels — the same merge
-    /// the simulator performs, minus network-determined facts it cannot
-    /// know (metrics) and plus the thread-network counters.
+    /// Assemble the [`SimReport`] from joined kernels — the merge the
+    /// simulator performs ([`SimReport::from_kernels`]) plus the
+    /// thread-network and wake-up counters.
     fn assemble_report(
         cfg: &MachineConfig,
-        mut nodes: Vec<NodeDone>,
+        nodes: Vec<NodeDone>,
         net_stats: &ThreadNetStats,
         cells: &[Arc<NodeCell>],
     ) -> Result<SimReport, MachineError> {
-        if let Some(e) = nodes.iter_mut().find_map(|n| n.kernel.failed.take()) {
+        let events = nodes.iter().map(|n| n.events).sum();
+        let mut kernels: Vec<Kernel> = nodes.into_iter().map(|n| n.kernel).collect();
+        if let Some(e) = kernels.iter_mut().find_map(|k| k.failed.take()) {
             return Err(e);
         }
-        let mut stats = StatSet::new();
-        let mut reports = Vec::new();
-        let mut actors = 0;
-        let mut events = 0;
-        for n in &nodes {
-            stats.merge(&n.kernel.stats);
-            reports.extend(n.kernel.reports.iter().cloned());
-            actors += n.kernel.actors_created();
-            events += n.events;
-        }
+        let mut report = SimReport::from_kernels(cfg, &kernels, events);
+        let stats = &mut report.stats;
         stats.add("threadnet.packets", net_stats.packets.load(Ordering::Relaxed));
         stats.add("threadnet.bytes", net_stats.bytes.load(Ordering::Relaxed));
         stats.add(
@@ -507,60 +490,24 @@ impl LiveMachine {
                 stats.add(name, c.load(Ordering::Relaxed));
             }
         }
-        let node_clocks: Vec<_> = nodes.iter().map(|n| n.kernel.clock).collect();
-        let makespan = node_clocks
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(VirtualTime::ZERO);
-        let trace = cfg.record_trace.then(|| {
-            crate::trace::TraceReport::merge(
-                nodes.iter().filter_map(|n| n.kernel.recorder()),
-            )
-        });
-        let behaviors = nodes
-            .first()
-            .map(|n| {
-                n.kernel
-                    .registry()
-                    .entries()
-                    .into_iter()
-                    .map(|(id, name)| (id.0, name.to_string()))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let audit = crate::audit::MachineAudit {
-            nodes: nodes.iter().map(|n| n.kernel.quiescence_audit()).collect(),
-            behaviors,
-        };
-        Ok(SimReport {
-            makespan,
-            node_clocks,
-            stats,
-            reports,
-            events,
-            actors_created: actors,
-            trace,
-            metrics: None,
-            audit,
-        })
-    }
-}
-
-impl Backend for LiveMachine {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Live
+        Ok(report)
     }
 
-    fn nodes(&self) -> usize {
+    /// Partition size.
+    pub fn nodes(&self) -> usize {
         self.cfg.nodes
     }
 
-    fn exec(
+    /// Run a bootstrap closure in a system context on `node` and return
+    /// its value. The closure may borrow locals (it is not shipped
+    /// across threads); in exchange it is only valid while the machine
+    /// is staged, i.e. before [`LiveMachine::init`] —
+    /// [`MachineError::BackendState`] afterwards.
+    pub fn with_ctx<R>(
         &mut self,
         node: NodeId,
-        f: Box<dyn FnOnce(&mut Ctx<'_>) + '_>,
-    ) -> Result<(), MachineError> {
+        f: impl FnOnce(&mut Ctx<'_>) -> R,
+    ) -> Result<R, MachineError> {
         if (node as usize) >= self.cfg.nodes {
             return Err(MachineError::InvalidNode {
                 node,
@@ -568,17 +515,19 @@ impl Backend for LiveMachine {
             });
         }
         match &mut self.state {
-            LiveState::Staged { kernels, nets, .. } => {
-                with_system_ctx(&mut kernels[node as usize], &mut nets[node as usize], f);
-                Ok(())
-            }
+            LiveState::Staged { kernels, nets, .. } => Ok(with_system_ctx(
+                &mut kernels[node as usize],
+                &mut nets[node as usize],
+                f,
+            )),
             _ => Err(MachineError::BackendState {
                 what: "run a borrowing bootstrap closure after init (submit a Job instead)",
             }),
         }
     }
 
-    fn init(&mut self) -> Result<(), MachineError> {
+    /// Spawn the node threads. Idempotent while running.
+    pub fn init(&mut self) -> Result<(), MachineError> {
         match &self.state {
             LiveState::Staged { .. } => {}
             LiveState::Running { .. } => return Ok(()), // idempotent
@@ -635,7 +584,9 @@ impl Backend for LiveMachine {
         Ok(())
     }
 
-    fn submit(&mut self, node: NodeId, job: Job) -> Result<(), MachineError> {
+    /// Queue a job for `node`'s thread and ring its doorbell. A job
+    /// submitted while staged runs as soon as the node loop starts.
+    pub fn submit(&mut self, node: NodeId, job: Job) -> Result<(), MachineError> {
         if (node as usize) >= self.cfg.nodes {
             return Err(MachineError::InvalidNode {
                 node,
@@ -660,7 +611,10 @@ impl Backend for LiveMachine {
         Ok(())
     }
 
-    fn drain(&mut self, timeout: Duration) -> Result<SimReport, MachineError> {
+    /// Start if still staged, then join the node threads with `timeout`
+    /// as the wall-clock backstop ([`MachineError::WallTimeout`] if it
+    /// trips) and return the report.
+    pub fn drain(&mut self, timeout: Duration) -> Result<SimReport, MachineError> {
         if matches!(self.state, LiveState::Staged { .. }) {
             self.init()?;
         }
@@ -716,7 +670,9 @@ impl Backend for LiveMachine {
         }
     }
 
-    fn report(&self) -> Result<SimReport, MachineError> {
+    /// Re-read the drained report ([`MachineError::BackendState`] before
+    /// that — a running partition has no coherent global snapshot).
+    pub fn report(&self) -> Result<SimReport, MachineError> {
         match &self.state {
             LiveState::Done(report) => Ok((**report).clone()),
             _ => Err(MachineError::BackendState {
@@ -905,7 +861,7 @@ mod tests {
         let cfg = MachineConfig::builder(1).build().unwrap();
         let mut m = LiveMachine::new(cfg, empty_registry());
         m.init().unwrap();
-        let err = m.exec(0, Box::new(|_| {})).unwrap_err();
+        let err = m.with_ctx(0, |_| {}).unwrap_err();
         assert!(matches!(err, MachineError::BackendState { .. }));
         m.submit(0, Box::new(|ctx| ctx.stop())).unwrap();
         m.drain(Duration::from_secs(10)).unwrap();
@@ -1071,6 +1027,48 @@ mod tests {
                 message: "boom".to_string()
             }
         );
+    }
+
+    /// Sim and live kernels are configured from one function; live
+    /// differs in exactly the three fields it overrides.
+    #[test]
+    fn live_kernel_config_differs_from_sim_in_three_fields_only() {
+        // Every machine-wide setting off its default, so a field that
+        // `for_node` dropped would show.
+        let mut cfg = MachineConfig::builder(3)
+            .seed(99)
+            .load_balancing(true)
+            .flow_control(false)
+            .quantum(5)
+            .max_stack_depth(9)
+            .opt(crate::kernel::OptFlags {
+                name_caching: false,
+                ..Default::default()
+            })
+            .observe(crate::machine::ObserveOpts::all().span_sample_ppm(500_000))
+            .faults(FaultPlan {
+                drop: 0.25,
+                ..FaultPlan::none()
+            })
+            .build()
+            .unwrap();
+        cfg.cost.method_invoke = VirtualDuration::from_nanos(123);
+        let sim = KernelConfig::for_node(&cfg, 1);
+        assert_eq!((sim.me, sim.nodes, sim.seed), (1, 3, 99));
+        assert!(sim.load_balancing && !sim.flow_control && sim.trace && sim.metrics);
+        assert_eq!((sim.quantum, sim.max_stack_depth, sim.span_sample_ppm), (5, 9, 500_000));
+        assert!(!sim.opt.name_caching && sim.opt.fir_chase);
+        assert_eq!(sim.cost.method_invoke, VirtualDuration::from_nanos(123));
+        assert_eq!(sim.faults, cfg.faults);
+        assert!(!sim.force_reliable);
+
+        let mut live = live_kernel_config(&cfg, 1);
+        assert!(!live.metrics && live.force_reliable);
+        assert_eq!(live.faults, live_fault_plan());
+        live.metrics = sim.metrics;
+        live.faults = sim.faults.clone();
+        live.force_reliable = sim.force_reliable;
+        assert_eq!(format!("{live:?}"), format!("{sim:?}"));
     }
 
     #[test]

@@ -416,6 +416,61 @@ impl SimReport {
             .map(|(_, v)| v)
             .collect()
     }
+
+    /// Everything a run's kernels say about it, on either backend:
+    /// merged counters, reports, clocks, the flight-recorder trace when
+    /// `cfg.record_trace` is set, and the quiescence audit. The caller
+    /// adds what only its transport knows — network counters, and the
+    /// metrics timeseries of its own sampler (`metrics` is `None` here).
+    pub(crate) fn from_kernels(cfg: &MachineConfig, kernels: &[Kernel], events: u64) -> Self {
+        let mut stats = StatSet::new();
+        let mut reports = Vec::new();
+        let mut actors = 0;
+        for k in kernels {
+            stats.merge(&k.stats);
+            reports.extend(k.reports.iter().cloned());
+            actors += k.actors_created();
+        }
+        let node_clocks: Vec<_> = kernels.iter().map(|k| k.clock).collect();
+        let makespan = node_clocks
+            .iter()
+            .copied()
+            .max()
+            .unwrap_or(VirtualTime::ZERO);
+        let trace = cfg.record_trace.then(|| {
+            crate::trace::TraceReport::merge(kernels.iter().filter_map(|k| k.recorder()))
+        });
+        SimReport {
+            makespan,
+            node_clocks,
+            stats,
+            reports,
+            events,
+            actors_created: actors,
+            trace,
+            metrics: None,
+            audit: quiescence_audit(kernels),
+        }
+    }
+}
+
+/// Every kernel's leftover protocol state plus the behavior-registry
+/// image they share — see [`crate::audit`].
+fn quiescence_audit(kernels: &[Kernel]) -> crate::audit::MachineAudit {
+    let behaviors = kernels
+        .first()
+        .map(|k| {
+            k.registry()
+                .entries()
+                .into_iter()
+                .map(|(id, name)| (id.0, name.to_string()))
+                .collect()
+        })
+        .unwrap_or_default();
+    crate::audit::MachineAudit {
+        nodes: kernels.iter().map(|k| k.quiescence_audit()).collect(),
+        behaviors,
+    }
 }
 
 /// Lookahead of a link model in nanoseconds: no injection at `now` can
@@ -460,22 +515,7 @@ impl SimMachine {
         }
         let kernels = (0..cfg.nodes)
             .map(|i| {
-                let kcfg = KernelConfig {
-                    me: i as NodeId,
-                    nodes: cfg.nodes,
-                    cost: cfg.cost,
-                    load_balancing: cfg.load_balancing && cfg.nodes > 1,
-                    flow_control: cfg.flow_control,
-                    quantum: cfg.quantum,
-                    max_stack_depth: cfg.max_stack_depth,
-                    seed: cfg.seed,
-                    opt: cfg.opt,
-                    trace: cfg.record_trace,
-                    metrics: cfg.record_metrics,
-                    span_sample_ppm: cfg.span_sample_ppm,
-                    faults: cfg.faults.clone(),
-                    force_reliable: false,
-                };
+                let kcfg = KernelConfig::for_node(&cfg, i as NodeId);
                 Kernel::new(kcfg, Arc::clone(&registry))
             })
             .collect();
@@ -685,91 +725,44 @@ impl SimMachine {
 
     /// Snapshot the report without running.
     pub fn report(&self) -> SimReport {
-        let mut stats = StatSet::new();
-        let mut reports = Vec::new();
-        let mut actors = 0;
-        for k in &self.kernels {
-            stats.merge(&k.stats);
-            reports.extend(k.reports.iter().cloned());
-            actors += k.actors_created();
-        }
-        stats.merge(self.net.stats());
-        let node_clocks: Vec<_> = self.kernels.iter().map(|k| k.clock).collect();
-        let makespan = node_clocks
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(VirtualTime::ZERO);
-        // Chaos duplications whose copy could not be cloned: recorded
-        // by the link state in admission order, surfaced as typed trace
-        // warnings and a metrics counter — never silently dropped.
-        let dup_failures = self.net.link().dup_clone_failures();
-        let trace = self.cfg.record_trace.then(|| {
-            let mut t = crate::trace::TraceReport::merge(
-                self.kernels.iter().filter_map(|k| k.recorder()),
-            );
+        let mut report = SimReport::from_kernels(&self.cfg, &self.kernels, self.events);
+        report.stats.merge(self.net.stats());
+        if let Some(t) = report.trace.as_mut() {
+            // Chaos duplications whose copy could not be cloned: recorded
+            // by the link state in admission order, surfaced as typed trace
+            // warnings and a metrics counter — never silently dropped.
+            let dup_failures = self.net.link().dup_clone_failures();
             t.warnings.extend(dup_failures.iter().map(|d| crate::trace::TraceWarning {
                 kind: crate::trace::WarningKind::DupCloneFailed,
                 t: d.t,
                 src: d.src,
                 dst: d.dst,
             }));
-            t
-        });
-        let metrics = self.cfg.record_metrics.then(|| {
-            let mut report = crate::metrics::MetricsReport::merge(
+        }
+        report.metrics = self.cfg.record_metrics.then(|| {
+            let mut metrics = crate::metrics::MetricsReport::merge(
                 self.kernels.iter().filter_map(|k| k.metrics()),
             );
             // Fold trace-ring truncation in as a counter so the loss is
             // visible in the metrics artifact, not just on stderr.
-            if let Some(t) = &trace {
-                report.set_counter("trace.dropped_events", t.dropped);
+            if let Some(t) = &report.trace {
+                metrics.set_counter("trace.dropped_events", t.dropped);
             }
             // Mirror of the flight-recorder warning for the sampler
             // itself: cadence crossings beyond per-node capacity. Only
             // set when nonzero so complete runs keep their exact bytes.
-            let dropped: u64 = report.nodes.iter().map(|n| n.samples_dropped).sum();
+            let dropped: u64 = metrics.nodes.iter().map(|n| n.samples_dropped).sum();
             if dropped > 0 {
-                report.set_counter("metrics.dropped_samples", dropped);
+                metrics.set_counter("metrics.dropped_samples", dropped);
             }
             // Only set when nonzero so clean runs keep their exact bytes.
-            let unclonable = stats.get("net.fault_dup_unclonable");
+            let unclonable = report.stats.get("net.fault_dup_unclonable");
             if unclonable > 0 {
-                report.set_counter("net.fault_dup_unclonable", unclonable);
+                metrics.set_counter("net.fault_dup_unclonable", unclonable);
             }
-            report
+            metrics
         });
-        SimReport {
-            makespan,
-            node_clocks,
-            stats,
-            reports,
-            events: self.events,
-            actors_created: actors,
-            trace,
-            metrics,
-            audit: self.quiescence_audit(),
-        }
-    }
-
-    /// Audit leftover protocol state on every node — see
-    /// [`crate::audit`]. Also embedded in every [`SimReport`].
-    pub fn quiescence_audit(&self) -> crate::audit::MachineAudit {
-        let behaviors = self
-            .kernels
-            .first()
-            .map(|k| {
-                k.registry()
-                    .entries()
-                    .into_iter()
-                    .map(|(id, name)| (id.0, name.to_string()))
-                    .collect()
-            })
-            .unwrap_or_default();
-        crate::audit::MachineAudit {
-            nodes: self.kernels.iter().map(|k| k.quiescence_audit()).collect(),
-            behaviors,
-        }
+        report
     }
 
     /// The network handle (tests needing raw injection).

@@ -193,8 +193,8 @@ pub enum KMsg {
         /// Actors still live on the node.
         live: u64,
     },
-    /// Stop the machine (thread mode shutdown; also honored by the
-    /// simulator).
+    /// Stop the machine (how a live machine shuts down; also honored by
+    /// the simulator).
     Halt,
     /// Self-addressed timer: the reliable-delivery retransmit timeout
     /// for one peer fired (chaos subsystem only; never crosses a link).

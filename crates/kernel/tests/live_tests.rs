@@ -1,10 +1,10 @@
-//! The threaded machine runs the identical kernel code with real OS
-//! threads and channels — these tests check cross-thread behavior and
-//! that results agree with the simulator.
+//! The live machine runs the identical kernel code with real OS threads
+//! and channels — these tests check cross-thread behavior and that
+//! results agree with the simulator.
 
 use hal_kernel::kernel::Ctx;
 use hal_kernel::{
-    run_threaded, Behavior, BehaviorId, BehaviorRegistry, MachineConfig, Msg, Value,
+    Behavior, BehaviorId, BehaviorRegistry, Machine, MachineConfig, Msg, SimReport, Value,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -25,34 +25,43 @@ fn registry() -> Arc<BehaviorRegistry> {
     Arc::new(reg)
 }
 
+/// Bootstrap a live machine on node 0 and run it until an actor stops it.
+/// `timeout` passing first is `MachineError::WallTimeout`, which fails
+/// the test here.
+fn run_live(
+    cfg: MachineConfig,
+    timeout: Duration,
+    bootstrap: impl FnOnce(&mut Ctx<'_>),
+) -> SimReport {
+    let mut m = Machine::live(cfg, registry());
+    m.with_ctx(0, bootstrap);
+    m.drain(timeout).expect("machine stopped cleanly")
+}
+
 #[test]
 fn threaded_cross_node_call_return() {
-    let r = run_threaded(
-        MachineConfig::new(4),
-        registry(),
-        Duration::from_secs(20),
-        |ctx| {
-            let servers: Vec<_> = (1..4u16)
-                .map(|n| ctx.create_on(n, BehaviorId(1), vec![]))
-                .collect();
-            let jc = ctx.create_join(
-                3,
-                vec![],
-                Box::new(|ctx, vals| {
-                    let sum: i64 = vals.iter().map(|v| v.as_int()).sum();
-                    ctx.report("sum", Value::Int(sum));
-                    ctx.stop();
-                }),
-            );
-            for (i, s) in servers.iter().enumerate() {
-                ctx.request(*s, 0, vec![Value::Int(10 * i as i64)], ctx.cont_slot(jc, i as u16));
-            }
-        },
-    );
-    assert!(!r.timed_out, "machine stopped cleanly");
+    let r = run_live(MachineConfig::new(4), Duration::from_secs(20), |ctx| {
+        let servers: Vec<_> = (1..4u16)
+            .map(|n| ctx.create_on(n, BehaviorId(1), vec![]))
+            .collect();
+        let jc = ctx.create_join(
+            3,
+            vec![],
+            Box::new(|ctx, vals| {
+                let sum: i64 = vals.iter().map(|v| v.as_int()).sum();
+                ctx.report("sum", Value::Int(sum));
+                ctx.stop();
+            }),
+        );
+        for (i, s) in servers.iter().enumerate() {
+            ctx.request(*s, 0, vec![Value::Int(10 * i as i64)], ctx.cont_slot(jc, i as u16));
+        }
+    });
     // (0+1) + (10+1) + (20+1) = 33
     assert_eq!(r.value("sum"), Some(&Value::Int(33)));
     assert_eq!(r.stats.get("actors.remote_created"), 3);
+    // The join fired after the last reply: nothing is left over.
+    assert!(r.audit.is_clean(), "{:?}", r.audit);
 }
 
 #[test]
@@ -74,16 +83,10 @@ fn threaded_migration_roundtrip() {
             }
         }
     }
-    let r = run_threaded(
-        MachineConfig::new(3),
-        registry(),
-        Duration::from_secs(20),
-        |ctx| {
-            let h = ctx.create_local(Box::new(Hopper { remaining: 6 }));
-            ctx.send(h, 0, vec![]);
-        },
-    );
-    assert!(!r.timed_out);
+    let r = run_live(MachineConfig::new(3), Duration::from_secs(20), |ctx| {
+        let h = ctx.create_local(Box::new(Hopper { remaining: 6 }));
+        ctx.send(h, 0, vec![]);
+    });
     // 6 hops around a 3-ring starting at 0 ends back on node 0.
     assert_eq!(r.value("landed_on"), Some(&Value::Int(0)));
     assert_eq!(r.stats.get("migrations.out"), 6);
@@ -104,9 +107,8 @@ fn threaded_load_balancing_steals() {
         }
     }
     let n_workers = 32;
-    let r = run_threaded(
+    let r = run_live(
         MachineConfig::builder(4).load_balancing(true).build().unwrap(),
-        registry(),
         Duration::from_secs(30),
         |ctx| {
             // A completion counter actor would be cleaner; simplest: the
@@ -135,7 +137,7 @@ fn threaded_load_balancing_steals() {
 }
 
 #[test]
-fn sim_and_thread_agree_on_results() {
+fn sim_and_live_agree_on_results() {
     use hal_kernel::SimMachine;
     let boot = |ctx: &mut Ctx<'_>| {
         let s = ctx.create_on(1, BehaviorId(1), vec![]);
@@ -152,12 +154,8 @@ fn sim_and_thread_agree_on_results() {
     let mut sim = SimMachine::new(MachineConfig::new(2), registry());
     sim.with_ctx(0, boot);
     let rs = sim.run().unwrap();
-    let rt = run_threaded(
-        MachineConfig::new(2),
-        registry(),
-        Duration::from_secs(20),
-        boot,
-    );
-    assert_eq!(rs.value("v"), rt.value("v"));
+    let rl = run_live(MachineConfig::new(2), Duration::from_secs(20), boot);
+    assert_eq!(rs.value("v"), rl.value("v"));
     assert_eq!(rs.value("v"), Some(&Value::Int(100)));
+    assert!(rs.audit.is_clean() && rl.audit.is_clean());
 }

@@ -1,19 +1,18 @@
 //! `hal-perf` — gate fresh bench artifacts against committed baselines.
 //!
 //! ```bash
-//! hal-perf diff --baselines results/baselines --fresh scratch/results \
-//!          [--max-drop 0.75] [--no-sim-exact]
+//! hal-perf diff --baselines results/baselines --fresh scratch/results
 //! ```
 //!
 //! `diff` exits nonzero when any regression is found — `ci.sh`'s
 //! `perf-gate` step is built on that.
 
-use hal_perf::{diff_dirs, ungated_serve_artifacts, Thresholds};
+use hal_perf::{diff_dirs, ungated_serve_artifacts};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage:
-  hal-perf diff --baselines <dir> --fresh <dir> [--max-drop X] [--no-sim-exact]";
+  hal-perf diff --baselines <dir> --fresh <dir>";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -29,7 +28,6 @@ fn main() -> ExitCode {
 fn diff(args: &[String]) -> ExitCode {
     let mut baselines: Option<PathBuf> = None;
     let mut fresh: Option<PathBuf> = None;
-    let mut thr = Thresholds::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut val = |flag: &str| {
@@ -40,10 +38,6 @@ fn diff(args: &[String]) -> ExitCode {
         match a.as_str() {
             "--baselines" => baselines = Some(PathBuf::from(val("--baselines"))),
             "--fresh" => fresh = Some(PathBuf::from(val("--fresh"))),
-            "--max-drop" => {
-                thr.max_drop = val("--max-drop").parse().expect("--max-drop: a fraction in [0,1)")
-            }
-            "--no-sim-exact" => thr.sim_exact = false,
             other => {
                 eprintln!("hal-perf: unknown flag {other}\n{USAGE}");
                 return ExitCode::from(2);
@@ -54,7 +48,7 @@ fn diff(args: &[String]) -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    let regs = diff_dirs(&baselines, &fresh, &thr);
+    let regs = diff_dirs(&baselines, &fresh);
     // A baselines dir made by copying `results/` wholesale carries the
     // hal-serve latency artifacts too. Those aren't perf-gated (yet) —
     // skip them, but say so rather than silently ignoring them.
@@ -69,11 +63,9 @@ fn diff(args: &[String]) -> ExitCode {
     }
     if regs.is_empty() {
         println!(
-            "perf gate: OK — {} vs {} (max_drop={:.2}, sim_exact={})",
+            "perf gate: OK — {} vs {} (virtual facts and sim METRICS_/SPANS_ exact)",
             fresh.display(),
-            baselines.display(),
-            thr.max_drop,
-            thr.sim_exact
+            baselines.display()
         );
         ExitCode::SUCCESS
     } else {

@@ -105,7 +105,7 @@ mod tests {
     fn probe_primitives_run() {
         let mut program = Program::new();
         let id = register(&mut program);
-        let report = hal::sim_run(MachineConfig::new(2), program, |ctx| {
+        let report = hal::run(MachineConfig::new(2), program, |ctx| {
             let p = ctx.create_on(0, id, vec![Value::Int(id.0 as i64)]);
             let (sel, args) = SynthMsg::CreateLocal { k: 5 }.encode();
             ctx.send(p, sel, args);
@@ -121,7 +121,7 @@ mod tests {
     fn echo_roundtrip() {
         let mut program = Program::new();
         let id = register(&mut program);
-        let report = hal::sim_run(MachineConfig::new(2), program, |ctx| {
+        let report = hal::run(MachineConfig::new(2), program, |ctx| {
             let p = ctx.create_on(1, id, vec![Value::Int(id.0 as i64)]);
             let (sel, args) = SynthMsg::Echo { v: 7 }.encode();
             hal::call_then(ctx, p, sel, args, |ctx, v| {

@@ -133,7 +133,7 @@ fn main() {
     let producer = program.behavior("producer", make_producer);
     let consumer = program.behavior("consumer", make_consumer);
 
-    let report = hal::sim_run(MachineConfig::new(5), program, |ctx| {
+    let report = hal::run(MachineConfig::new(5), program, |ctx| {
         let buffer = ctx.create_local(Box::new(Buffer {
             items: VecDeque::new(),
             capacity: 4,

@@ -69,7 +69,7 @@ fn main() {
     let worker = program.behavior("map-worker", make_worker);
     let combiner = collectives::register(&mut program);
 
-    let report = hal::sim_run(MachineConfig::new(nodes), program, move |ctx| {
+    let report = hal::run(MachineConfig::new(nodes), program, move |ctx| {
         let jc = ctx.create_join(
             1,
             vec![],

@@ -6,13 +6,14 @@
 //! A relentless migrator is the adversarial case for the paper's "best
 //! guess" tables (they assume "migration is a relatively infrequent
 //! event"): the chase trails the tourist by one hop and the probes are
-//! all delivered — exactly once — as it slows down. Set `HAL_FIR_TRACE=1`
-//! to watch every FIR relay and repair.
+//! all delivered — exactly once — as it slows down. The run records the
+//! flight recorder (`.trace()`), and every FIR sent, suppressed and
+//! answered is printed from it in time order.
 //!
 //! Run with: `cargo run --release --example migration_tour`
 
 use hal::prelude::*;
-use hal_kernel::ContRef;
+use hal_kernel::{ContRef, KernelEvent};
 
 /// Wanders the partition: on each `hop` message it migrates to the next
 /// node; `probe` messages must find it wherever it currently lives.
@@ -108,7 +109,8 @@ fn main() {
     let mut program = Program::new();
     let prober = program.behavior("prober", make_prober);
 
-    let report = hal::sim_run(MachineConfig::new(nodes), program, |ctx| {
+    let cfg = MachineConfig::builder(nodes).trace().build().unwrap();
+    let report = hal::run(cfg, program, |ctx| {
         let tourist = ctx.create_local(Box::new(Tourist {
             hops_left: hops,
             probes_seen: 0,
@@ -129,6 +131,25 @@ fn main() {
         .into_iter()
         .map(|v| v.as_int())
         .collect();
+    let trace = report.trace.as_ref().expect("built with .trace()");
+    for e in &trace.events {
+        let what = match &e.event {
+            KernelEvent::FirSent { key, to } => format!("FIR for {key:?} sent to node {to}"),
+            KernelEvent::FirSuppressed { key } => {
+                format!("message for {key:?} joined the running chase")
+            }
+            KernelEvent::FirReplyPropagated {
+                key,
+                node,
+                askers,
+                released,
+            } => format!(
+                "{key:?} found on node {node}: {askers} asker(s) answered, {released} message(s) released"
+            ),
+            _ => continue,
+        };
+        println!("[{}] node {}: {what}", e.time, e.node);
+    }
     println!("caught at (us)         : {caught_at:?}");
     println!("tourist hopped {hops} times across {nodes} nodes");
     println!("probes delivered       : {} / {probes}", caught_on.len());

@@ -35,7 +35,7 @@ fn main() {
     let greeter = program.behavior("greeter", make_greeter);
 
     // Four simulated CM-5 nodes.
-    let report = hal::sim_run(MachineConfig::new(4), program, |ctx| {
+    let report = hal::run(MachineConfig::new(4), program, |ctx| {
         // Create one greeter on every node. Remote creations return an
         // *alias* immediately (§5) — no round trip.
         let greeters: Vec<MailAddr> = (0..4u16)

@@ -46,17 +46,19 @@ fn fib_threaded_matches_simulated() {
         grain: 6,
         placement: Placement::RoundRobin,
     };
-    let r = hal::thread_run(
-        MachineConfig::new(3),
-        program,
-        Duration::from_secs(30),
-        move |ctx| fib::bootstrap(ctx, id, cfg),
-    );
-    assert!(!r.timed_out);
-    assert_eq!(
-        r.value("fib").unwrap().as_int() as u64,
-        hal_baselines::fib_iter(16)
-    );
+    let live = MachineConfig::builder(3)
+        .backend(BackendKind::Live)
+        .build()
+        .unwrap();
+    // A machine nobody stops would come back as `WallTimeout` here.
+    let r = hal::try_run(live, program, move |ctx| fib::bootstrap(ctx, id, cfg))
+        .expect("machine stopped cleanly");
+    let value = r.value("fib").unwrap().as_int() as u64;
+    assert_eq!(value, hal_baselines::fib_iter(16));
+    let (simulated, _) = fib::run_sim(MachineConfig::new(3), cfg);
+    assert_eq!(value, simulated);
+    // The root's continuation stops the machine after the last reply.
+    assert!(r.audit.is_clean(), "{:?}", r.audit);
 }
 
 /// The live backend is event-driven: a job submitted to an idle node

@@ -1,11 +1,26 @@
-//! Thread-machine integration: groups, broadcasts, collectives, and the
+//! Live-backend integration: groups, broadcasts, collectives, and the
 //! workloads under genuine OS-thread concurrency — the same programs the
-//! simulator runs, with no shared-memory shortcuts available.
+//! simulator runs, one real kernel thread per node, with no shared-memory
+//! shortcuts available.
 
 use hal::collectives::{self, Op};
 use hal::prelude::*;
 use hal_kernel::group::members_on;
-use std::time::Duration;
+
+/// Run `program` on `nodes` live kernel threads until it stops itself.
+/// A machine nobody stops ends as `MachineError::WallTimeout` at the
+/// default wall budget, a panicking node as `NodePanicked`; either fails
+/// the test here. Every program below stops only once its last message
+/// has been consumed, so the quiescence audit must come back clean too.
+fn run_live(nodes: usize, program: Program, bootstrap: impl FnOnce(&mut Ctx<'_>)) -> SimReport {
+    let cfg = MachineConfig::builder(nodes)
+        .backend(BackendKind::Live)
+        .build()
+        .unwrap();
+    let report = hal::try_run(cfg, program, bootstrap).expect("machine stopped cleanly");
+    assert!(report.audit.is_clean(), "{:?}", report.audit);
+    report
+}
 
 #[test]
 fn groups_and_broadcast_across_threads() {
@@ -44,21 +59,15 @@ fn groups_and_broadcast_across_threads() {
     let count = 24u32;
     let mut program = Program::new();
     let member = program.behavior("member", make_member);
-    let report = hal::thread_run(
-        MachineConfig::new(4),
-        program,
-        Duration::from_secs(30),
-        move |ctx| {
-            let counter = ctx.create_local(Box::new(Counter {
-                expected: count as i64,
-                sum: 0,
-                seen: 0,
-            }));
-            let g = ctx.grpnew(member, count, vec![Value::Addr(counter)]);
-            ctx.broadcast(g, 0, vec![]);
-        },
-    );
-    assert!(!report.timed_out);
+    let report = run_live(4, program, move |ctx| {
+        let counter = ctx.create_local(Box::new(Counter {
+            expected: count as i64,
+            sum: 0,
+            seen: 0,
+        }));
+        let g = ctx.grpnew(member, count, vec![Value::Addr(counter)]);
+        ctx.broadcast(g, 0, vec![]);
+    });
     let expect: i64 = (0..count as i64).sum();
     assert_eq!(report.value("sum"), Some(&Value::Int(expect)));
 }
@@ -68,30 +77,24 @@ fn tree_reduction_across_threads() {
     let nodes = 3usize;
     let mut program = Program::new();
     let combiner = collectives::register(&mut program);
-    let report = hal::thread_run(
-        MachineConfig::new(nodes),
-        program,
-        Duration::from_secs(30),
-        move |ctx| {
-            let jc = ctx.create_join(
-                1,
-                vec![],
-                Box::new(|ctx, mut vals| {
-                    ctx.report("reduced", vals.pop().unwrap());
-                    ctx.stop();
-                }),
-            );
-            let locals = vec![2usize; nodes];
-            let combiners =
-                collectives::tree_reduce(ctx, combiner, Op::SumInt, &locals, ctx.cont_slot(jc, 0));
-            for (node, c) in combiners.iter().enumerate() {
-                for i in 0..2 {
-                    collectives::contribute(ctx, *c, (node * 10 + i) as i64);
-                }
+    let report = run_live(nodes, program, move |ctx| {
+        let jc = ctx.create_join(
+            1,
+            vec![],
+            Box::new(|ctx, mut vals| {
+                ctx.report("reduced", vals.pop().unwrap());
+                ctx.stop();
+            }),
+        );
+        let locals = vec![2usize; nodes];
+        let combiners =
+            collectives::tree_reduce(ctx, combiner, Op::SumInt, &locals, ctx.cont_slot(jc, 0));
+        for (node, c) in combiners.iter().enumerate() {
+            for i in 0..2 {
+                collectives::contribute(ctx, *c, (node * 10 + i) as i64);
             }
-        },
-    );
-    assert!(!report.timed_out);
+        }
+    });
     let expect: i64 = (0..nodes).flat_map(|n| (0..2).map(move |i| (n * 10 + i) as i64)).sum();
     assert_eq!(report.value("reduced"), Some(&Value::Int(expect)));
 }
@@ -107,13 +110,9 @@ fn cholesky_bp_runs_threaded() {
         per_flop_ns: 10,
         seed: 31,
     };
-    let report = hal::thread_run(
-        MachineConfig::new(3),
-        program,
-        Duration::from_secs(30),
-        move |ctx| cholesky::bootstrap(ctx, id, cfg, false),
-    );
-    assert!(!report.timed_out);
+    let report = run_live(3, program, move |ctx| {
+        cholesky::bootstrap(ctx, id, cfg, false)
+    });
     // Same matrix as the simulator would factor: compare norms.
     let mut a = hal_baselines::random_spd(12, 31);
     hal_baselines::cholesky_seq(&mut a, 12);
@@ -129,8 +128,8 @@ fn cholesky_bp_runs_threaded() {
 
 #[test]
 fn member_ranges_cover_thread_partition() {
-    // The same block mapping drives both machines; sanity-check the
-    // partition used by the threaded group tests above.
+    // The same block mapping drives both backends; sanity-check the
+    // partition used by the live group test above.
     let count = 24u32;
     let p = 4usize;
     let total: usize = (0..p)
