@@ -97,6 +97,26 @@ grep -q '"samples"' "$smoke_dir/results/METRICS_table4_fib.json" \
   || { echo "ci: METRICS_table4_fib.json has no timeseries samples"; exit 1; }
 echo "   table4_fib: spans+metrics present"
 
+echo "== metrics schema: live document == sim document (table4_fib --metrics --backend=live) =="
+# One registry, one document shape: the same bin on the live backend
+# must write a METRICS_ file with the sim file's key set and sample
+# fields. The key pattern skips the dotted names inside "counters"
+# (backend-specific by design); peer/retransmits/acks are dropped
+# because sim engages the reliable layer only under a fault plan, so its
+# "links" are empty here.
+mkdir -p "$smoke_dir/live/results"
+(cd "$smoke_dir/live" && "$repo_root/target/release/table4_fib" --quick --metrics --backend=live \
+   >/dev/null 2>&1) \
+  || { echo "ci: table4_fib --metrics --backend=live failed"; exit 1; }
+metrics_schema() {
+  grep -o '"[A-Za-z_]*":' "$1" | sort -u | grep -vx -e '"peer":' -e '"retransmits":' -e '"acks":'
+  grep '"sample_fields"' "$1" | sort -u
+}
+diff <(metrics_schema "$smoke_dir/results/METRICS_table4_fib.json") \
+     <(metrics_schema "$smoke_dir/live/results/METRICS_table4_fib.json") \
+  || { echo "ci: live METRICS_ schema differs from sim's"; exit 1; }
+echo "   METRICS_table4_fib.json: live and sim documents have one key set and one sample_fields line"
+
 echo "== protocol checker + lint + observability sweep (repro_all --quick --check --lint --spans --metrics) =="
 # Every harness under the hal-check protocol invariant checker AND the
 # hal-lint static protocol analyzer — repro_all runs each bin once,

@@ -32,9 +32,10 @@
 //!   every recorded run, asserting the critical path never exceeds the
 //!   makespan, and write `results/SPANS_<bin>.json`. Implies tracing
 //!   via [`trace_wanted`].
-//! * `--metrics` / `HAL_METRICS=1` — enable the live metrics registry
+//! * `--metrics` / `HAL_METRICS=1` — enable the metrics registry
 //!   ([`hal_kernel::metrics`], folded into [`observe_opts`]) and write
-//!   `results/METRICS_<bin>.json`.
+//!   `results/METRICS_<bin>.json` — one document shape on both
+//!   backends.
 //! * `--span-sample=R` / `HAL_SPAN_SAMPLE=R` — head-sample spans at
 //!   rate `R` in `[0, 1]` (folded into [`observe_opts`]). The sample
 //!   decision hashes the deterministic trace id, so sampled `SPANS_`

@@ -21,7 +21,9 @@
 //! * `--seed=S`             machine seed
 //! * `--slo-p50-ms=X` / `--slo-p99-ms=X` / `--slo-p999-ms=X`
 //! * `--check`              flight-record the run and gate it CLEAN
-//! * `--metrics`            record metrics (live: host-time collector)
+//! * `--metrics`            record the metrics timeseries, sampled in each
+//!   node's own thread (per 100 µs virtual on sim, per 10 ms of its
+//!   host-anchored clock on live)
 //! * `--spans-rate=R`       head-sample spans at rate R in \[0,1\]
 //! * `--watch`              live: refresh the telemetry `top` table on
 //!   stderr every ~500 ms while the load runs

@@ -2,7 +2,6 @@
 
 use crate::command::{parse, Command, ProgramSpec};
 use hal::prelude::*;
-use hal_kernel::SimMachine;
 use hal_workloads::{cholesky, fib, matmul, uts};
 use std::fmt::Write as _;
 
@@ -16,11 +15,7 @@ pub struct Console {
     trace: bool,
     metrics: bool,
     last: Option<SimReport>,
-    /// Live runs only: the telemetry hub's final `top` table (host-time
-    /// cells are always on for live kernels, so this exists even when
-    /// the metrics registry is off).
-    last_top: Option<String>,
-    machine: Option<SimMachine>,
+    machine: Option<Machine>,
     done: bool,
 }
 
@@ -34,7 +29,6 @@ impl Default for Console {
             trace: false,
             metrics: false,
             last: None,
-            last_top: None,
             machine: None,
             done: false,
         }
@@ -157,23 +151,26 @@ impl Console {
                 format!("metrics registry = {}", if on { "on" } else { "off" })
             }
             Command::Top => {
-                let Some(r) = &self.last else {
+                let (Some(r), Some(m)) = (&self.last, &self.machine) else {
                     return "no run yet (enable with `metrics on`, then run)".into();
                 };
-                let makespan_ns = r.makespan.as_nanos();
-                let mut sections: Vec<String> = Vec::new();
-                if let Some(t) = &self.last_top {
-                    // Live runs carry lock-free host-time cells whether
-                    // or not the metrics registry was on.
-                    sections.push(format!("live host-time telemetry:\n{t}"));
-                }
-                if let Some(m) = &r.metrics {
-                    sections.push(m.summary(makespan_ns).trim_end().to_string());
-                }
-                if sections.is_empty() {
+                // Live kernels carry metrics cells whether or not the
+                // timeseries was on; simulated ones only with it.
+                let hub = m.telemetry();
+                if hub.cells().is_empty() {
                     return "no metrics recorded (enable with `metrics on`, then run)".into();
                 }
-                let mut out = sections.join("\n");
+                let makespan_ns = r.makespan.as_nanos();
+                let mut out = hub.top(makespan_ns).trim_end().to_string();
+                for (counter, partial) in [
+                    ("trace.dropped_events", "histograms/spans"),
+                    ("metrics.dropped_samples", "timeseries"),
+                ] {
+                    let lost = r.metrics.as_ref().map_or(0, |m| m.counter(counter));
+                    if lost > 0 {
+                        let _ = write!(out, "\n{counter} = {lost} — {partial} are partial");
+                    }
+                }
                 if let Some(trace) = &r.trace {
                     let spans = hal_kernel::span::SpanReport::build(trace);
                     let cp = hal_profile::critical_paths(&spans, 3);
@@ -204,8 +201,10 @@ impl Console {
                 }
             },
             Command::Gc => match &mut self.machine {
-                None => "no partition to collect (run something first)".into(),
-                Some(m) => {
+                None | Some(Machine::Live(_)) => {
+                    "no partition to collect (run something first)".into()
+                }
+                Some(Machine::Sim(m)) => {
                     let before: usize =
                         (0..m.nodes()).map(|n| m.kernel(n as u16).actor_count()).sum();
                     match m.collect_garbage() {
@@ -301,53 +300,34 @@ impl Console {
             Ok(cfg) => cfg,
             Err(e) => return format!("error: {e}"),
         };
-        let report = if self.backend == BackendKind::Live {
-            // The live runtime has no global quiescence detection — it
-            // stops when a program says stop — so the console runs one
-            // program at a time on it, with a stopping bootstrap.
-            if boots.len() > 1 {
-                return "error: the live backend runs one program per `run` \
-                        (the simulator multiplexes; try `backend sim`)"
-                    .into();
-            }
-            let mut m = Machine::live(machine, program.build());
-            m.with_ctx(0, |ctx| match &boots[0] {
-                Boot::Fib(cfg) => fib::bootstrap_opts(ctx, fib_id, *cfg, true),
-                Boot::Uts(cfg) => uts::bootstrap_opts(ctx, uts_id, *cfg, true),
-                Boot::Mm(cfg) => matmul::bootstrap_opts(ctx, mm_id, *cfg, false, true),
-                Boot::Ch(cfg) => cholesky::bootstrap_opts(ctx, ch_id, *cfg, false, true),
-            });
-            self.machine = None;
-            let report = match m.run() {
-                Ok(r) => r,
-                Err(e) => return format!("error: {e}"),
-            };
-            // Keep the final host-time `top` table (the hub outlives
-            // the drained node threads).
-            self.last_top = m.telemetry().map(|hub| hub.top().trim_end().to_string());
-            report
-        } else {
-            let mut m = SimMachine::new(machine, program.build());
-            m.with_ctx(0, |ctx| {
-                // Concurrent programs must not stop the machine: it
-                // drains naturally once all of them are done.
-                for boot in &boots {
-                    match boot {
-                        Boot::Fib(cfg) => fib::bootstrap_opts(ctx, fib_id, *cfg, false),
-                        Boot::Uts(cfg) => uts::bootstrap_opts(ctx, uts_id, *cfg, false),
-                        Boot::Mm(cfg) => matmul::bootstrap_opts(ctx, mm_id, *cfg, false, false),
-                        Boot::Ch(cfg) => cholesky::bootstrap_opts(ctx, ch_id, *cfg, false, false),
-                    }
+        // The live runtime has no global quiescence detection — it stops
+        // when a program says stop — so the console runs one program at a
+        // time on it, with a stopping bootstrap. Concurrent programs on
+        // the simulator must not stop the machine: it drains naturally
+        // once all of them are done.
+        let stop = self.backend == BackendKind::Live;
+        if stop && boots.len() > 1 {
+            return "error: the live backend runs one program per `run` \
+                    (the simulator multiplexes; try `backend sim`)"
+                .into();
+        }
+        let mut m = Machine::from_config(machine, program.build());
+        m.with_ctx(0, |ctx| {
+            for boot in &boots {
+                match boot {
+                    Boot::Fib(cfg) => fib::bootstrap_opts(ctx, fib_id, *cfg, stop),
+                    Boot::Uts(cfg) => uts::bootstrap_opts(ctx, uts_id, *cfg, stop),
+                    Boot::Mm(cfg) => matmul::bootstrap_opts(ctx, mm_id, *cfg, false, stop),
+                    Boot::Ch(cfg) => cholesky::bootstrap_opts(ctx, ch_id, *cfg, false, stop),
                 }
-            });
-            let report = match m.run() {
-                Ok(r) => r,
-                Err(e) => return format!("error: {e}"),
-            };
-            self.machine = Some(m);
-            self.last_top = None;
-            report
+            }
+        });
+        self.machine = None;
+        let report = match m.run() {
+            Ok(r) => r,
+            Err(e) => return format!("error: {e}"),
         };
+        self.machine = Some(m);
 
         // "The front-end processes all I/O requests from the kernels":
         // print every reported value.
@@ -387,10 +367,10 @@ commands:
   stats                     counters from the last run
   trace on|off              kernel flight recorder for subsequent runs
   trace dump [path]         last run's trace: summary, or Chrome JSON to path
-  metrics on|off            live metrics registry for subsequent runs
-  top                       per-node utilization + gauges from the last run
-                            (live runs: host-time throughput, queue depths,
-                            retransmit + backpressure from the telemetry hub)
+  metrics on|off            metrics registry for subsequent runs
+  top                       per-node throughput, utilization, gauges and
+                            link counters from the last run (live runs
+                            have them with or without `metrics on`)
   check                     protocol invariant checker on the last run
   gc                        collect garbage on the last partition
   quit                      exit
@@ -538,11 +518,11 @@ mod tests {
         c.execute("backend live");
         c.execute("run fib n=10 grain=3");
         let top = c.execute("top");
-        // No `metrics on` needed: live kernels always feed the cells.
+        // No `metrics on` needed: live kernels always carry a registry.
         assert!(top.contains("thr/s"), "{top}");
         assert!(top.contains("bp_hits"), "{top}");
         assert!(top.contains("msg/s over"), "{top}");
-        // Back on sim, the virtual-cadence gate is unchanged.
+        // Back on sim, the registry exists only on request.
         c.execute("backend sim");
         c.execute("run fib n=10 grain=3");
         assert!(c.execute("top").contains("no metrics recorded"));

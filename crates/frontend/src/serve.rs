@@ -447,8 +447,9 @@ pub struct ServeConfig {
     /// Record a flight-recorder trace and run the protocol checker on
     /// the report.
     pub check: bool,
-    /// Record metrics: virtual-cadence samples (simulated) or the
-    /// lock-free host-time telemetry collector (live).
+    /// Record the metrics timeseries: gauges sampled in each node's own
+    /// thread, per 100 µs of virtual time (simulated) or per 10 ms of
+    /// its host-anchored clock (live).
     pub metrics: bool,
     /// Head-sample spans at this rate (parts per million). `Some(_)`
     /// turns tracing on even without `check`; `None` leaves the rate
@@ -684,17 +685,18 @@ pub fn run(cfg: ServeConfig) -> Result<ServeOutcome, MachineError> {
         BackendKind::Live => {
             m.init()?;
             // `--watch`: a detached printer refreshes the telemetry
-            // `top` table on stderr while the load runs. It forces a
-            // collector pass itself, so it works with or without the
-            // cadence collector thread (`cfg.metrics`).
+            // `top` table on stderr while the load runs. It only reads
+            // the nodes' cells, so it works with or without
+            // `cfg.metrics` and leaves the timeseries alone.
             let watch_stop = Arc::new(AtomicBool::new(false));
             let watcher = cfg.watch.then(|| {
-                let hub = Arc::clone(m.telemetry().expect("live machine has a telemetry hub"));
+                let hub = m.telemetry();
                 let stop = Arc::clone(&watch_stop);
                 std::thread::spawn(move || {
+                    let started = Instant::now();
                     while !stop.load(Ordering::Relaxed) {
-                        hub.collect();
-                        eprintln!("{}", hub.top().trim_end());
+                        let elapsed_ns = started.elapsed().as_nanos() as u64;
+                        eprintln!("{}", hub.top(elapsed_ns).trim_end());
                         std::thread::sleep(Duration::from_millis(500));
                     }
                 })

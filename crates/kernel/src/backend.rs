@@ -231,13 +231,13 @@ impl Machine {
         }
     }
 
-    /// The host-time telemetry hub when this machine drives the live
-    /// backend (the console's live `top` / `--watch` read it while the
-    /// machine runs), else `None`.
-    pub fn telemetry(&self) -> Option<&Arc<crate::telemetry::TelemetryHub>> {
+    /// The hub over this machine's metrics cells: what `top` renders
+    /// from, on a live machine while it runs (`--watch`), on either
+    /// backend once it is done.
+    pub fn telemetry(&self) -> Arc<crate::metrics::TelemetryHub> {
         match self {
-            Machine::Sim(_) => None,
-            Machine::Live(m) => Some(m.telemetry()),
+            Machine::Sim(m) => m.telemetry(),
+            Machine::Live(m) => Arc::clone(m.telemetry()),
         }
     }
 }

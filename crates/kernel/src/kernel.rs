@@ -30,10 +30,9 @@ use crate::group::{home_node, members_on, GroupTable};
 use crate::join::{JoinFn, JoinTable};
 use crate::machine::MachineConfig;
 use crate::message::{ContRef, Msg, Target, Value};
-use crate::metrics::{Metrics, Sample};
+use crate::metrics::Metrics;
 use crate::name_server::{NameServer, Resolution};
 use crate::registry::BehaviorRegistry;
-use crate::telemetry::NodeCell;
 use crate::trace::{KernelEvent, Recorder, TraceEvent, TraceTag};
 use crate::wire::{ActorImage, KMsg};
 use hal_am::{
@@ -143,7 +142,7 @@ pub struct KernelConfig {
     /// Enable the flight recorder ([`crate::trace`]). Off by default;
     /// the disabled path is a single pointer test per hook.
     pub trace: bool,
-    /// Enable the live metrics registry ([`crate::metrics`]). Off by
+    /// Enable the metrics registry ([`crate::metrics`]). Off by
     /// default; like tracing, the disabled path is one pointer test.
     pub metrics: bool,
     /// Head-sampling rate for message lifecycle spans, in parts per
@@ -170,8 +169,8 @@ pub struct KernelConfig {
 impl KernelConfig {
     /// Node `me`'s kernel configuration on a machine built from `cfg` —
     /// the one place machine-wide settings become per-kernel ones. The
-    /// live backend overrides `metrics`, `faults` and `force_reliable`
-    /// on top of this; everything else is the same on both backends.
+    /// live backend overrides `faults` and `force_reliable` on top of
+    /// this; everything else is the same on both backends.
     pub fn for_node(cfg: &MachineConfig, me: NodeId) -> Self {
         KernelConfig {
             me,
@@ -243,15 +242,11 @@ pub struct Kernel {
     /// Flight recorder ([`crate::trace`]); `None` when tracing is off,
     /// boxed so the common case carries one cold pointer.
     recorder: Option<Box<Recorder>>,
-    /// Live metrics registry ([`crate::metrics`]); `None` when metrics
-    /// are off, boxed like the recorder.
+    /// Metrics registry ([`crate::metrics`]), boxed like the recorder.
+    /// `None` on a simulated machine with metrics off; a live kernel
+    /// always has one ([`Kernel::set_metrics`]), because its cell is
+    /// what `top` on another thread reads.
     metrics: Option<Box<Metrics>>,
-    /// This node's host-time telemetry cell ([`crate::telemetry`]),
-    /// installed by the live backend. Lock-free: the kernel thread is
-    /// the only writer; the collector thread reads concurrently. `None`
-    /// on simulated machines, where the disabled path is one pointer
-    /// test per hook — virtual-time artifacts never observe it.
-    telemetry: Option<Arc<NodeCell>>,
     /// Reliable-delivery sender state (per-peer unacked queues). Only
     /// touched when the fault plan is active and `reliable` is on.
     rel_tx: RelSender<KMsg>,
@@ -275,11 +270,12 @@ impl Kernel {
                 cfg.span_sample_ppm,
             ))
         });
-        let metrics = cfg.metrics.then(|| Box::new(Metrics::new(cfg.me)));
+        let metrics = cfg
+            .metrics
+            .then(|| Box::new(Metrics::new(cfg.me, cfg.nodes, Metrics::DEFAULT_CADENCE_NS)));
         Kernel {
             recorder,
             metrics,
-            telemetry: None,
             names: NameServer::new(cfg.me),
             actors: ActorSlab::new(),
             joins: JoinTable::new(),
@@ -330,17 +326,17 @@ impl Kernel {
     #[inline]
     fn charge(&mut self, d: VirtualDuration) {
         self.clock += d;
-        if let Some(m) = self.metrics.as_deref_mut() {
-            m.busy_ns += d.as_nanos();
-        }
-        if let Some(cell) = self.telemetry.as_deref() {
-            NodeCell::add(&cell.busy_ns, d.as_nanos());
+        if let Some(m) = self.metrics.as_deref() {
+            m.busy(d.as_nanos());
         }
     }
 
-    /// Install this node's host-time telemetry cell (live backend only).
-    pub fn set_telemetry(&mut self, cell: Arc<NodeCell>) {
-        self.telemetry = Some(cell);
+    /// Install this node's metrics registry in place of the one
+    /// [`KernelConfig::metrics`] asked for: the live backend's, which
+    /// samples on its own cadence and is present whether or not the
+    /// timeseries was requested.
+    pub fn set_metrics(&mut self, metrics: Metrics) {
+        self.metrics = Some(Box::new(metrics));
     }
 
     /// Bound on [`Kernel::args_pool`]: beyond this, spent buffers are
@@ -406,56 +402,46 @@ impl Kernel {
         self.recorder.as_deref()
     }
 
-    /// The live metrics registry, if metrics are enabled.
+    /// The metrics registry, if this kernel has one.
     pub fn metrics(&self) -> Option<&Metrics> {
         self.metrics.as_deref()
     }
 
-    /// Sample the metrics gauges if a cadence boundary was crossed.
-    /// Called from the two points where per-node state settles — the
-    /// end of `step` and the end of `deliver` — whose sequence is a
-    /// function of the seed alone, so the timeseries is too.
+    /// Store the gauges and sample them if a cadence boundary was
+    /// crossed. Called from the two points where per-node state settles
+    /// — the end of `step` and the end of `deliver` — whose sequence is a
+    /// function of the seed alone on the simulator, so the timeseries is
+    /// too.
     #[inline]
     fn metrics_tick(&mut self) {
-        if self.metrics.is_none() && self.telemetry.is_none() {
-            return;
-        }
-        let name_entries = self.names.table_entries() as u32;
-        let inflight_firs = self.firs.outstanding() as u32;
-        let ready = self.dispatcher.len() as u32;
-        let unknown_buffered = self.unknown_buffered;
-        if let Some(cell) = self.telemetry.as_deref() {
-            cell.store_gauges(
-                u64::from(ready),
-                u64::from(name_entries),
-                u64::from(inflight_firs),
-                u64::from(unknown_buffered),
+        if let Some(m) = self.metrics.as_deref_mut() {
+            m.tick(
+                self.clock.as_nanos(),
+                self.dispatcher.len(),
+                self.names.table_entries(),
+                self.firs.outstanding(),
+                self.unknown_buffered,
             );
         }
-        let now = self.clock.as_nanos();
-        let Some(m) = self.metrics.as_deref_mut() else {
-            return;
-        };
-        let template = Sample {
-            at_ns: 0,
-            pending_depth: m.pending_depth,
-            name_entries,
-            inflight_firs,
-            ready,
-            unknown_buffered,
-        };
-        m.advance(now, template);
     }
 
-    /// Adjust the live pending-queue-depth gauge (park/rescan/migration
+    /// Sample the cadence boundaries the clock has passed since the last
+    /// settle point, with the gauges stored there. The live node loop
+    /// calls this after re-anchoring the clock, so a node that slept
+    /// through boundaries records them with the state it parked in.
+    #[inline]
+    pub(crate) fn metrics_catch_up(&mut self) {
+        if let Some(m) = self.metrics.as_deref_mut() {
+            m.advance(self.clock.as_nanos());
+        }
+    }
+
+    /// Adjust the pending-queue-depth gauge (park/rescan/migration
     /// sites).
     #[inline]
     fn metrics_pending(&mut self, delta: i64) {
-        if let Some(m) = self.metrics.as_deref_mut() {
-            m.pending_depth = (i64::from(m.pending_depth) + delta).max(0) as u32;
-        }
-        if let Some(cell) = self.telemetry.as_deref() {
-            cell.adjust_pending(delta);
+        if let Some(m) = self.metrics.as_deref() {
+            m.pending(delta);
         }
     }
 
@@ -578,8 +564,8 @@ impl Kernel {
         self.charge(self.cfg.cost.net_send_overhead);
         let wire = kmsg.wire_bytes();
         self.stats.bump("net.sends");
-        if let Some(cell) = self.telemetry.as_deref() {
-            NodeCell::add(&cell.net_sends, 1);
+        if let Some(m) = self.metrics.as_deref() {
+            m.net_send();
         }
         if wire <= MAX_SMALL_BYTES {
             self.inject_env(net, dst, AmEnvelope::Small(kmsg), wire + 16);
@@ -756,11 +742,8 @@ impl Kernel {
                         let cum = self.rel_rx.cum(pkt.src);
                         self.charge(self.cfg.cost.net_send_overhead);
                         self.stats.bump("rel.acks");
-                        if let Some(m) = self.metrics.as_deref_mut() {
+                        if let Some(m) = self.metrics.as_deref() {
                             m.link_ack(pkt.src);
-                        }
-                        if let Some(cell) = self.telemetry.as_deref() {
-                            cell.bump_ack(pkt.src);
                         }
                         net.inject(
                             self.clock,
@@ -863,11 +846,8 @@ impl Kernel {
                     for (seq, payload, bytes) in copies {
                         self.charge(self.cfg.cost.net_send_overhead);
                         self.stats.bump("rel.retransmits");
-                        if let Some(m) = self.metrics.as_deref_mut() {
+                        if let Some(m) = self.metrics.as_deref() {
                             m.link_retransmit(peer);
-                        }
-                        if let Some(cell) = self.telemetry.as_deref() {
-                            cell.bump_retransmit(peer);
                         }
                         let span = self
                             .recorder
@@ -2595,8 +2575,8 @@ impl Kernel {
     ) -> Option<NodeId> {
         self.charge(self.cfg.cost.method_invoke);
         self.stats.bump("msgs.processed");
-        if let Some(cell) = self.telemetry.as_deref() {
-            NodeCell::add(&cell.msgs_processed, 1);
+        if let Some(m) = self.metrics.as_deref() {
+            m.msg_processed();
         }
         // Span bookkeeping: the dispatched message becomes the current
         // span, so every send the handler issues is parented by it.

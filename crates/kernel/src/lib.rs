@@ -22,8 +22,7 @@
 //! | minimal flow control (§6.5) | `hal-am` + [`kernel`] |
 //! | random-polling load balancing (§7.2) | [`balance`] |
 //! | flight recorder (observability) | [`trace`] + [`hist`] |
-//! | lifecycle spans & live metrics (observability) | [`span`] + [`metrics`] |
-//! | live-backend host-time telemetry (observability) | [`telemetry`] |
+//! | lifecycle spans, metrics registry & `top` (observability) | [`span`] + [`metrics`] |
 //! | node manager (§3) | [`kernel`] (`handle_*`) |
 //! | program load module (§3) | [`registry`] |
 //! | CM-5 cost calibration | [`cost`] |
@@ -60,7 +59,6 @@ pub mod metrics;
 pub mod name_server;
 pub mod registry;
 pub mod span;
-pub mod telemetry;
 pub mod timeline;
 pub mod trace;
 pub mod wire;
@@ -81,8 +79,7 @@ pub use message::{ContRef, Msg, ProtocolDecl, Target, Value};
 pub use registry::{BehaviorRegistry, FactoryFn};
 pub use gc::GcReport;
 pub use hist::TraceHists;
-pub use metrics::{Metrics, MetricsReport};
+pub use metrics::{Metrics, MetricsReport, NodeCell, TelemetryHub};
 pub use span::{AliasSpan, ChaseSpan, MsgSpan, SpanReport};
-pub use telemetry::{NodeCell, TelemetryHub, TelemetrySnapshot};
 pub use trace::{DeliveryPath, KernelEvent, TraceEvent, TraceReport, TraceWarning, WarningKind};
 pub use wire::{ActorImage, KMsg};

@@ -43,10 +43,18 @@
 //! that panics aborts its peers and surfaces as
 //! [`MachineError::NodePanicked`].
 //!
+//! Metrics are the simulator's registry ([`crate::metrics`]) on another
+//! clock: each node samples its gauges in its own thread, whenever the
+//! clock it has just anchored crosses a 10 ms boundary — a node that
+//! slept through boundaries records them on waking, with the gauges it
+//! parked with. There is no collector thread; what other threads can
+//! read while the machine runs is each node's single-writer
+//! [`NodeCell`], through [`LiveMachine::telemetry`].
+//!
 //! The result is a genuine [`SimReport`] (merged stats
 //! including the thread-network's backpressure counters, per-node
-//! clocks, reports, optional merged trace, quiescence audit) so
-//! hal-check and the artifact tooling ingest live runs unchanged; only
+//! clocks, reports, optional merged trace and metrics, quiescence audit)
+//! so hal-check and the artifact tooling ingest live runs unchanged; only
 //! virtual-time *determinism* is absent, which downstream consumers
 //! must not assume (the perf gate relaxes its exact comparisons for
 //! reports tagged live).
@@ -59,14 +67,13 @@ use crate::registry::BehaviorRegistry;
 use crate::sync::{
     AtomicBool, Condvar, Doorbell, Mutex, Ordering, RING_JOB, RING_PACKET, RING_STOP,
 };
-use crate::telemetry::{spawn_collector, NodeCell, TelemetryHub, WAKE_COUNTERS};
-use crate::trace::{TraceWarning, WarningKind};
+use crate::metrics::{Metrics, NodeCell, TelemetryHub, WAKE_COUNTERS};
 use crate::wire::KMsg;
 use hal_am::{
     thread_network, thread_network_bounded, AmEnvelope, FaultPlan, NodeId, Packet,
     ThreadEndpoint, ThreadNetStats,
 };
-use hal_des::{VirtualDuration, VirtualTime};
+use hal_des::{StatSet, VirtualDuration, VirtualTime};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -325,25 +332,19 @@ pub struct LiveMachine {
     cfg: MachineConfig,
     state: LiveState,
     anchor: Instant,
-    /// Host-time telemetry: one padded cell per node (shared with that
-    /// node's kernel) plus the snapshot ring. Always wired — the hot
-    /// path costs one relaxed atomic per hook — so the console `top`
-    /// works against any running live machine; the *collector thread*
-    /// (timeseries history) spawns only when metrics were requested.
+    /// Every node's metrics cell (owned by that node's kernel registry)
+    /// plus its sender-side channel stats. Always wired — the hot path
+    /// costs one unlocked load/store per hook — so `top` works against
+    /// any running live machine, metrics requested or not.
     hub: Arc<TelemetryHub>,
-    collector: Option<JoinHandle<()>>,
     /// Doorbells, abort flag and exit count (see [`Shared`]).
     shared: Arc<Shared>,
 }
 
 /// Node `me`'s kernel configuration on a live machine built from `cfg`:
-/// the shared [`KernelConfig::for_node`] with the three live overrides.
+/// the shared [`KernelConfig::for_node`] with the two live overrides.
 fn live_kernel_config(cfg: &MachineConfig, me: NodeId) -> KernelConfig {
     let mut kcfg = KernelConfig::for_node(cfg, me);
-    // The PR 5 registry's cadences assume a deterministic virtual clock,
-    // so it stays off on live; an explicit metrics request is rerouted to
-    // the host-time telemetry collector (with a typed trace warning).
-    kcfg.metrics = false;
     kcfg.faults = live_fault_plan();
     kcfg.force_reliable = true;
     kcfg
@@ -365,22 +366,20 @@ impl LiveMachine {
             0 => thread_network::<KMsg>(cfg.nodes),
             cap => thread_network_bounded::<KMsg>(cfg.nodes, cap),
         };
-        let cells: Vec<Arc<NodeCell>> = (0..cfg.nodes)
-            .map(|_| Arc::new(NodeCell::new(cfg.nodes)))
-            .collect();
         let local_net: Vec<Arc<ThreadNetStats>> = endpoints
             .iter()
             .map(|ep| Arc::clone(ep.local_stats()))
             .collect();
-        let hub = Arc::new(TelemetryHub::new(cells.clone(), local_net));
         let kernels: Vec<Kernel> = (0..cfg.nodes)
             .map(|i| {
-                let kcfg = live_kernel_config(&cfg, i as NodeId);
-                let mut k = Kernel::new(kcfg, Arc::clone(&registry));
-                k.set_telemetry(Arc::clone(&cells[i]));
+                let me = i as NodeId;
+                let mut k = Kernel::new(live_kernel_config(&cfg, me), Arc::clone(&registry));
+                k.set_metrics(Metrics::new(me, cfg.nodes, Metrics::LIVE_CADENCE_NS));
                 k
             })
             .collect();
+        let cells = kernels.iter().map(node_cell).collect();
+        let hub = Arc::new(TelemetryHub::new(cells, local_net));
         let mut job_txs = Vec::with_capacity(cfg.nodes);
         let mut job_rxs = Vec::with_capacity(cfg.nodes);
         for _ in 0..cfg.nodes {
@@ -402,13 +401,12 @@ impl LiveMachine {
             },
             anchor: Instant::now(),
             hub,
-            collector: None,
             shared,
         }
     }
 
-    /// The host-time telemetry hub — live `top` reads it while the
-    /// machine runs.
+    /// The hub over the nodes' metrics cells — live `top` reads it while
+    /// the machine runs.
     pub fn telemetry(&self) -> &Arc<TelemetryHub> {
         &self.hub
     }
@@ -457,38 +455,45 @@ impl LiveMachine {
     }
 
     /// Assemble the [`SimReport`] from joined kernels — the merge the
-    /// simulator performs ([`SimReport::from_kernels`]) plus the
-    /// thread-network and wake-up counters.
+    /// simulator performs ([`SimReport::from_kernels`]), handed the
+    /// thread-network and wake-up counters, with each node's share of
+    /// them in its metrics slice.
     fn assemble_report(
         cfg: &MachineConfig,
         nodes: Vec<NodeDone>,
         net_stats: &ThreadNetStats,
-        cells: &[Arc<NodeCell>],
+        hub: &TelemetryHub,
     ) -> Result<SimReport, MachineError> {
         let events = nodes.iter().map(|n| n.events).sum();
         let mut kernels: Vec<Kernel> = nodes.into_iter().map(|n| n.kernel).collect();
         if let Some(e) = kernels.iter_mut().find_map(|k| k.failed.take()) {
             return Err(e);
         }
-        let mut report = SimReport::from_kernels(cfg, &kernels, events);
-        let stats = &mut report.stats;
-        stats.add("threadnet.packets", net_stats.packets.load(Ordering::Relaxed));
-        stats.add("threadnet.bytes", net_stats.bytes.load(Ordering::Relaxed));
-        stats.add(
-            "threadnet.backpressure_hits",
-            net_stats.backpressure_hits.load(Ordering::Relaxed),
-        );
-        stats.add(
-            "threadnet.dropped_on_close",
-            net_stats.dropped_on_close.load(Ordering::Relaxed),
-        );
-        // Why the nodes slept and what woke them, summed over nodes (the
-        // per-node split is in the telemetry cells / `top`).
-        for cell in cells {
-            stats.add("live.parks", cell.parks.load(Ordering::Relaxed));
+        let load = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+        let mut transport = StatSet::new();
+        transport.add("threadnet.packets", load(&net_stats.packets));
+        transport.add("threadnet.bytes", load(&net_stats.bytes));
+        transport.add("threadnet.backpressure_hits", load(&net_stats.backpressure_hits));
+        transport.add("threadnet.dropped_on_close", load(&net_stats.dropped_on_close));
+        // Why the nodes slept and what woke them, summed over nodes.
+        for cell in hub.cells() {
+            transport.add("live.parks", load(&cell.parks));
             for (name, c) in WAKE_COUNTERS.iter().zip(&cell.wakes) {
-                stats.add(name, c.load(Ordering::Relaxed));
+                transport.add(name, load(c));
             }
+        }
+        let mut report = SimReport::from_kernels(cfg, &kernels, events, &transport);
+        for n in report.metrics.iter_mut().flat_map(|m| &mut m.nodes) {
+            let i = n.node as usize;
+            let cell = &hub.cells()[i];
+            let (packets_sent, backpressure_hits) = hub.net_sent(i);
+            n.counters.extend([
+                ("telemetry.msgs_processed".to_string(), load(&cell.msgs_processed)),
+                ("telemetry.net_sends".to_string(), load(&cell.net_sends)),
+                ("threadnet.packets_sent".to_string(), packets_sent),
+                ("threadnet.backpressure_hits".to_string(), backpressure_hits),
+                ("live.parks".to_string(), load(&cell.parks)),
+            ]);
         }
         Ok(report)
     }
@@ -551,30 +556,11 @@ impl LiveMachine {
         // should not count against the run's clocks.
         self.anchor = Instant::now();
         let anchor = self.anchor;
-        self.hub.re_anchor();
-        if self.cfg.record_metrics && self.collector.is_none() {
-            // The timeseries collector: one hub pass per wall cadence.
-            // Metrics on a live machine mean *host-time* metrics — the
-            // virtual-cadence registry cannot run here (see the trace
-            // warning attached at drain).
-            self.collector = Some(spawn_collector(Arc::clone(&self.hub)));
-        }
         let handles = kernels
             .into_iter()
             .zip(nets)
             .zip(job_rxs)
-            .zip(self.hub.cells())
-            .map(|(((kernel, net), jobs), cell)| {
-                Node {
-                    kernel,
-                    net,
-                    jobs,
-                    anchor,
-                    cell: Arc::clone(cell),
-                    events: 0,
-                }
-                .spawn()
-            })
+            .map(|((kernel, net), jobs)| Node::new(kernel, net, jobs, anchor).spawn())
             .collect();
         self.state = LiveState::Running {
             handles,
@@ -627,34 +613,12 @@ impl LiveMachine {
                 // Drop the job senders so node loops see a disconnected
                 // queue rather than a forever-pending one.
                 drop(job_txs);
-                let joined = Self::join_nodes(handles, &self.shared, timeout);
-                // Final collector pass after every node joined: the last
-                // snapshot reflects the fully drained machine, so drained
-                // counter totals are exact (not a mid-run cut).
-                self.hub.request_stop();
-                if let Some(h) = self.collector.take() {
-                    h.join().expect("telemetry collector panicked");
-                }
                 // A failure leaves the state Poisoned: a run that lost a
-                // node or was cut short has no coherent report.
-                let nodes = joined?;
-                let mut report =
-                    Self::assemble_report(&self.cfg, nodes, &net_stats, self.hub.cells())?;
-                if self.cfg.record_metrics {
-                    // The explicit metrics request was rerouted to the
-                    // host-time collector; say so in-band rather than
-                    // silently handing back a differently-sampled
-                    // timeseries.
-                    report.metrics = Some(self.hub.metrics_report());
-                    if let Some(trace) = report.trace.as_mut() {
-                        trace.warnings.push(TraceWarning {
-                            kind: WarningKind::LiveMetricsHostTime,
-                            t: VirtualTime::ZERO,
-                            src: 0,
-                            dst: 0,
-                        });
-                    }
-                }
+                // node or was cut short has no coherent report. Every
+                // node thread has been joined, so the cell totals read
+                // into the report are exact, not a mid-run cut.
+                let nodes = Self::join_nodes(handles, &self.shared, timeout)?;
+                let report = Self::assemble_report(&self.cfg, nodes, &net_stats, &self.hub)?;
                 self.state = LiveState::Done(Box::new(report.clone()));
                 Ok(report)
             }
@@ -689,16 +653,36 @@ struct Node {
     net: LiveNet,
     jobs: Receiver<Job>,
     anchor: Instant,
+    /// The kernel's metrics cell, for the park counters this loop owns.
     cell: Arc<NodeCell>,
     /// Loop steps that did something (see [`NodeDone::events`]).
     events: u64,
 }
 
+/// The cell of a live kernel's metrics registry, which
+/// [`LiveMachine::new`] installs in every kernel it builds.
+fn node_cell(kernel: &Kernel) -> Arc<NodeCell> {
+    Arc::clone(kernel.metrics().expect("live kernels carry a metrics registry").cell())
+}
+
 impl Node {
+    fn new(kernel: Kernel, net: LiveNet, jobs: Receiver<Job>, anchor: Instant) -> Self {
+        Node {
+            cell: node_cell(&kernel),
+            kernel,
+            net,
+            jobs,
+            anchor,
+            events: 0,
+        }
+    }
+
     /// One pass over everything that can hand this node work. Returns
     /// whether anything happened.
     ///
-    /// 1. anchor the virtual clock to host time (`max`, never backwards);
+    /// 1. anchor the virtual clock to host time (`max`, never backwards)
+    ///    and sample the metrics cadence boundaries that passed while
+    ///    this thread was parked or descheduled;
     /// 2. run submitted jobs in a system context;
     /// 3. drain arrived packets — *before* the timers, so an ack that
     ///    sat in the queue while this thread was parked or descheduled
@@ -719,6 +703,7 @@ impl Node {
         kernel.clock = kernel
             .clock
             .max(VirtualTime::from_nanos(self.anchor.elapsed().as_nanos() as u64));
+        kernel.metrics_catch_up();
         while let Ok(job) = jobs.try_recv() {
             with_system_ctx(kernel, net, job);
             *events += 1;
@@ -812,7 +797,7 @@ impl Node {
                 .flatten()
                 .min()
                 .map(|t| self.anchor + Duration::from_nanos(t.as_nanos()));
-            self.cell.parks.fetch_add(1, Ordering::Relaxed);
+            NodeCell::add(&self.cell.parks, 1);
             self.cell.note_wake(bell.park(deadline));
         }
     }
@@ -955,14 +940,10 @@ mod tests {
             let silent_peer = eps.pop().unwrap();
             let shared = Arc::new(Shared::new(2));
             let (job_tx, jobs) = channel::<Job>();
-            let node = Node {
-                kernel: Kernel::new(live_kernel_config(&cfg, 0), registry_with_bomb()),
-                net: LiveNet::new(eps.pop().unwrap(), Arc::clone(&shared)),
-                jobs,
-                anchor: Instant::now(),
-                cell: Arc::new(NodeCell::new(2)),
-                events: 0,
-            };
+            let mut kernel = Kernel::new(live_kernel_config(&cfg, 0), registry_with_bomb());
+            kernel.set_metrics(Metrics::new(0, 2, Metrics::LIVE_CADENCE_NS));
+            let net = LiveNet::new(eps.pop().unwrap(), Arc::clone(&shared));
+            let node = Node::new(kernel, net, jobs, Instant::now());
             let cell = Arc::clone(&node.cell);
             let h = node.spawn();
             // One reliable packet to a peer that never acknowledges.
@@ -1030,9 +1011,9 @@ mod tests {
     }
 
     /// Sim and live kernels are configured from one function; live
-    /// differs in exactly the three fields it overrides.
+    /// differs in exactly the two fields it overrides.
     #[test]
-    fn live_kernel_config_differs_from_sim_in_three_fields_only() {
+    fn live_kernel_config_differs_from_sim_in_two_fields_only() {
         // Every machine-wide setting off its default, so a field that
         // `for_node` dropped would show.
         let mut cfg = MachineConfig::builder(3)
@@ -1063,9 +1044,8 @@ mod tests {
         assert!(!sim.force_reliable);
 
         let mut live = live_kernel_config(&cfg, 1);
-        assert!(!live.metrics && live.force_reliable);
+        assert!(live.metrics && live.force_reliable);
         assert_eq!(live.faults, live_fault_plan());
-        live.metrics = sim.metrics;
         live.faults = sim.faults.clone();
         live.force_reliable = sim.force_reliable;
         assert_eq!(format!("{live:?}"), format!("{sim:?}"));

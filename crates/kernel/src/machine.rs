@@ -418,12 +418,18 @@ impl SimReport {
     }
 
     /// Everything a run's kernels say about it, on either backend:
-    /// merged counters, reports, clocks, the flight-recorder trace when
-    /// `cfg.record_trace` is set, and the quiescence audit. The caller
-    /// adds what only its transport knows — network counters, and the
-    /// metrics timeseries of its own sampler (`metrics` is `None` here).
-    pub(crate) fn from_kernels(cfg: &MachineConfig, kernels: &[Kernel], events: u64) -> Self {
+    /// merged counters (the kernels' plus `transport`, what only the
+    /// caller's network knows), reports, clocks, the flight-recorder
+    /// trace when `cfg.record_trace` is set, the metrics timeseries when
+    /// `cfg.record_metrics` is, and the quiescence audit.
+    pub(crate) fn from_kernels(
+        cfg: &MachineConfig,
+        kernels: &[Kernel],
+        events: u64,
+        transport: &StatSet,
+    ) -> Self {
         let mut stats = StatSet::new();
+        stats.merge(transport);
         let mut reports = Vec::new();
         let mut actors = 0;
         for k in kernels {
@@ -440,6 +446,26 @@ impl SimReport {
         let trace = cfg.record_trace.then(|| {
             crate::trace::TraceReport::merge(kernels.iter().filter_map(|k| k.recorder()))
         });
+        let metrics = cfg.record_metrics.then(|| {
+            let mut metrics =
+                crate::metrics::MetricsReport::merge(kernels.iter().filter_map(|k| k.metrics()));
+            // Loss is loud: what the recorders and the fault layer had to
+            // drop shows in the metrics artifact, not just on stderr.
+            // Trace-ring truncation always; the others only when nonzero,
+            // so complete runs keep their exact bytes.
+            if let Some(t) = &trace {
+                metrics.set_counter("trace.dropped_events", t.dropped);
+            }
+            let dropped: u64 = metrics.nodes.iter().map(|n| n.samples_dropped).sum();
+            if dropped > 0 {
+                metrics.set_counter("metrics.dropped_samples", dropped);
+            }
+            let unclonable = stats.get("net.fault_dup_unclonable");
+            if unclonable > 0 {
+                metrics.set_counter("net.fault_dup_unclonable", unclonable);
+            }
+            metrics
+        });
         SimReport {
             makespan,
             node_clocks,
@@ -448,7 +474,7 @@ impl SimReport {
             events,
             actors_created: actors,
             trace,
-            metrics: None,
+            metrics,
             audit: quiescence_audit(kernels),
         }
     }
@@ -725,8 +751,8 @@ impl SimMachine {
 
     /// Snapshot the report without running.
     pub fn report(&self) -> SimReport {
-        let mut report = SimReport::from_kernels(&self.cfg, &self.kernels, self.events);
-        report.stats.merge(self.net.stats());
+        let mut report =
+            SimReport::from_kernels(&self.cfg, &self.kernels, self.events, self.net.stats());
         if let Some(t) = report.trace.as_mut() {
             // Chaos duplications whose copy could not be cloned: recorded
             // by the link state in admission order, surfaced as typed trace
@@ -739,30 +765,15 @@ impl SimMachine {
                 dst: d.dst,
             }));
         }
-        report.metrics = self.cfg.record_metrics.then(|| {
-            let mut metrics = crate::metrics::MetricsReport::merge(
-                self.kernels.iter().filter_map(|k| k.metrics()),
-            );
-            // Fold trace-ring truncation in as a counter so the loss is
-            // visible in the metrics artifact, not just on stderr.
-            if let Some(t) = &report.trace {
-                metrics.set_counter("trace.dropped_events", t.dropped);
-            }
-            // Mirror of the flight-recorder warning for the sampler
-            // itself: cadence crossings beyond per-node capacity. Only
-            // set when nonzero so complete runs keep their exact bytes.
-            let dropped: u64 = metrics.nodes.iter().map(|n| n.samples_dropped).sum();
-            if dropped > 0 {
-                metrics.set_counter("metrics.dropped_samples", dropped);
-            }
-            // Only set when nonzero so clean runs keep their exact bytes.
-            let unclonable = report.stats.get("net.fault_dup_unclonable");
-            if unclonable > 0 {
-                metrics.set_counter("net.fault_dup_unclonable", unclonable);
-            }
-            metrics
-        });
         report
+    }
+
+    /// A hub over the kernels' metrics cells (none with metrics off) —
+    /// the same `top` source a live machine has.
+    pub fn telemetry(&self) -> Arc<crate::metrics::TelemetryHub> {
+        let cells = self.kernels.iter().filter_map(|k| k.metrics());
+        let cells = cells.map(|m| Arc::clone(m.cell())).collect();
+        Arc::new(crate::metrics::TelemetryHub::new(cells, Vec::new()))
     }
 
     /// The network handle (tests needing raw injection).
@@ -805,5 +816,29 @@ impl SimMachine {
             rounds: find_last("gc_rounds")? as u32,
             live: find_last("gc_live")? as u64,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::metrics::Metrics;
+
+    /// What one node's sampler had to drop is reported once, on either
+    /// backend's report — not copied onto every node.
+    #[test]
+    fn dropped_samples_are_folded_into_the_report_once() {
+        let cfg = MachineConfig::builder(2).metrics().build().unwrap();
+        let mut m = SimMachine::new(cfg, Arc::new(BehaviorRegistry::new()));
+        // Node 1 crosses MAX_SAMPLES + 5 boundaries, node 0 none.
+        let k = m.kernel_mut(1);
+        k.clock = VirtualTime::from_nanos(
+            Metrics::DEFAULT_CADENCE_NS * (Metrics::MAX_SAMPLES as u64 + 4),
+        );
+        k.metrics_catch_up();
+        let metrics = m.report().metrics.expect("metrics were requested");
+        let dropped: Vec<u64> = metrics.nodes.iter().map(|n| n.samples_dropped).collect();
+        assert_eq!(dropped, [0, 5]);
+        assert_eq!(metrics.counter("metrics.dropped_samples"), 5);
     }
 }

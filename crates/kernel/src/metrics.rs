@@ -1,5 +1,5 @@
-//! Deterministic live-metrics registry: counters plus gauges sampled on
-//! a virtual-time cadence.
+//! The metrics registry: per-node counters and gauges, sampled on a
+//! cadence of the node's own clock — one module for both backends.
 //!
 //! The flight recorder ([`crate::trace`]) answers "what happened to this
 //! message"; the metrics registry answers "what did the node look like
@@ -8,25 +8,42 @@
 //! retransmit/ack counts, forward-chain length distribution, and the
 //! node's charged busy time (its utilization numerator).
 //!
-//! Everything here is driven by *virtual* time and per-node kernel
-//! state, never host clocks, so a run's [`MetricsReport`] is
-//! bit-identical for one seed: the simulator makes the same per-node
-//! sequence of `step`/`deliver` calls at the same virtual clock values
-//! on every host. Sampling is
+//! A kernel's [`Metrics`] keeps its counters and gauges in a
+//! [`NodeCell`] — a cache-line padded block of atomics with **one
+//! writer**, the thread that owns the node — and samples the gauges
+//! from the kernel's thread whenever the clock it is handed crosses a
+//! cadence boundary (`Metrics::advance`). The clock and the cadence
+//! are the caller's: the simulator passes the kernel's virtual clock
+//! at [`Metrics::DEFAULT_CADENCE_NS`]; the live node loop passes the
+//! clock it has just anchored to the host's at
+//! [`Metrics::LIVE_CADENCE_NS`]. Nothing else differs, so a run's
+//! [`MetricsReport`] has one shape on both backends, and on the
+//! simulator — where the per-node sequence of `step`/`deliver` calls
+//! and their clock values is a function of the seed — it is
+//! bit-identical from run to run.
+//!
+//! The cell is what lets *another* thread look while a live machine
+//! runs: [`TelemetryHub`] holds every node's cell and renders `top`
+//! from relaxed loads, so a node thread never blocks on an observer
+//! and a wedged machine can still be looked at. Sampling is
 //! allocation-light: one bounded `Vec<Sample>` per node (overflow is
-//! counted, not stored) and a handful of integer gauges bumped inline.
+//! counted, not stored).
 
-use hal_am::NodeId;
+use hal_am::{NodeId, ThreadNetStats};
 use hal_des::Histogram;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// One gauge snapshot, taken when the node's virtual clock first
-/// crosses a cadence boundary. `at_ns` is the *boundary* (so sample
+/// One gauge snapshot, taken when the node's clock first crosses a
+/// cadence boundary. `at_ns` is the *boundary* (so sample
 /// timestamps line up across nodes), the gauge values are the node
 /// state at the crossing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Sample {
-    /// The cadence boundary this sample represents, in virtual ns.
+    /// The cadence boundary this sample represents, in ns of the node's
+    /// clock.
     pub at_ns: u64,
     /// Messages parked in pending queues (§6.1) on this node.
     pub pending_depth: u32,
@@ -50,64 +67,184 @@ pub struct LinkStat {
     pub acks: u64,
 }
 
+/// Stat names of [`NodeCell::wakes`], in index order: bit `i` of a
+/// doorbell token ([`crate::sync::RING_PACKET`], `RING_JOB`, `RING_STOP`)
+/// is entry `i`; an empty token — the park's deadline passed — is the last.
+pub const WAKE_COUNTERS: [&str; 4] = [
+    "live.wake_packet",
+    "live.wake_job",
+    "live.wake_stop",
+    "live.wake_timer",
+];
+
+/// One node's counters and gauges, readable from any thread: cache-line
+/// padded so two nodes' hot counters never share a line. Every field
+/// has exactly one writer, the thread that owns the node — its kernel
+/// (through [`Metrics`]) for the message-path fields, its `live::Node`
+/// loop for the park fields — and everyone else only loads. That is
+/// what lets every counter be bumped with `NodeCell::add` (a plain
+/// load and store) instead of a locked read-modify-write.
+#[repr(align(128))]
+#[derive(Debug)]
+pub struct NodeCell {
+    /// Charged busy nanoseconds (every `Kernel::charge`) — the
+    /// numerator of this node's utilization.
+    pub busy_ns: AtomicU64,
+    /// Messages executed (method dispatches) on this node.
+    pub msgs_processed: AtomicU64,
+    /// Envelopes this node injected into the network.
+    pub net_sends: AtomicU64,
+    /// Gauge: ready (scheduled) actors, stored at kernel settle points.
+    pub ready: AtomicU64,
+    /// Gauge: messages parked in pending queues (§6.1), maintained at
+    /// the park/rescan/migration sites.
+    pub pending_depth: AtomicU64,
+    /// Gauge: name-table entries (key → descriptor bindings).
+    pub name_entries: AtomicU64,
+    /// Gauge: FIR chases opened here and not yet answered (§4.3).
+    pub inflight_firs: AtomicU64,
+    /// Gauge: messages buffered for keys this node has never heard of
+    /// (§5 alias traffic racing its creation).
+    pub unknown_buffered: AtomicU64,
+    /// Times this node's thread parked on its doorbell, counted on the
+    /// way in (idle path only; a busy node never touches it). Writer:
+    /// the node loop, `live::Node::run`.
+    pub parks: AtomicU64,
+    /// What ended those parks, indexed like [`WAKE_COUNTERS`]. A park two
+    /// producers rang at once counts both reasons. Writer: the node
+    /// loop, through [`NodeCell::note_wake`].
+    pub wakes: [AtomicU64; 4],
+    /// Per-peer reliable-layer counters, indexed by peer id:
+    /// `(retransmits, acks sent)`.
+    links: Box<[(AtomicU64, AtomicU64)]>,
+}
+
+impl NodeCell {
+    /// A zeroed cell for a partition of `nodes` nodes.
+    pub fn new(nodes: usize) -> Self {
+        NodeCell {
+            busy_ns: AtomicU64::new(0),
+            msgs_processed: AtomicU64::new(0),
+            net_sends: AtomicU64::new(0),
+            ready: AtomicU64::new(0),
+            pending_depth: AtomicU64::new(0),
+            name_entries: AtomicU64::new(0),
+            inflight_firs: AtomicU64::new(0),
+            unknown_buffered: AtomicU64::new(0),
+            parks: AtomicU64::new(0),
+            wakes: Default::default(),
+            links: (0..nodes).map(|_| Default::default()).collect(),
+        }
+    }
+
+    /// Add `delta` to one of this cell's counters **from its single
+    /// writer**: a relaxed load and a relaxed store, no locked
+    /// instruction. Readers on other threads see some earlier or the
+    /// current total, never a torn one, and the exact total once the
+    /// writer's thread has been joined. Two threads adding to one counter
+    /// this way would lose counts — the per-field docs name the writer.
+    #[inline]
+    pub(crate) fn add(counter: &AtomicU64, delta: u64) {
+        counter.store(
+            counter.load(Ordering::Relaxed).wrapping_add(delta),
+            Ordering::Relaxed,
+        );
+    }
+
+    /// Record what ended a park: `why` is the doorbell token (see
+    /// [`WAKE_COUNTERS`]).
+    pub fn note_wake(&self, why: u8) {
+        let [rung @ .., timer] = &self.wakes;
+        if why == 0 {
+            Self::add(timer, 1);
+        }
+        for (bit, c) in rung.iter().enumerate() {
+            if why & (1 << bit) != 0 {
+                Self::add(c, 1);
+            }
+        }
+    }
+
+    /// The peers this node retransmitted to or acknowledged, with counts.
+    fn link_stats(&self) -> BTreeMap<NodeId, LinkStat> {
+        let links = self.links.iter().enumerate().map(|(peer, (retx, acks))| {
+            let stat = LinkStat {
+                retransmits: retx.load(Ordering::Relaxed),
+                acks: acks.load(Ordering::Relaxed),
+            };
+            (peer as NodeId, stat)
+        });
+        links.filter(|(_, l)| *l != LinkStat::default()).collect()
+    }
+
+    /// The gauges as last stored, as a sample stamped `at_ns`.
+    fn gauges(&self, at_ns: u64) -> Sample {
+        let g = |v: &AtomicU64| v.load(Ordering::Relaxed) as u32;
+        Sample {
+            at_ns,
+            pending_depth: g(&self.pending_depth),
+            name_entries: g(&self.name_entries),
+            inflight_firs: g(&self.inflight_firs),
+            ready: g(&self.ready),
+            unknown_buffered: g(&self.unknown_buffered),
+        }
+    }
+}
+
 /// Per-kernel metrics state. Boxed behind an `Option` in the kernel so
 /// the disabled path costs one pointer test per hook, exactly like the
-/// flight recorder.
-#[derive(Clone, Debug, PartialEq)]
+/// flight recorder. The counters and gauges live in the node's
+/// [`NodeCell`]; what is private to the kernel's thread is the sampler
+/// (cadence, timeseries) and the chain-length histogram.
+#[derive(Debug)]
 pub struct Metrics {
     node: NodeId,
     cadence_ns: u64,
     next_sample_at: u64,
     samples: Vec<Sample>,
     samples_dropped: u64,
-    /// Live gauge: messages currently parked in pending queues here
-    /// (maintained at park/rescan/migration sites).
-    pub(crate) pending_depth: u32,
-    /// Charged virtual busy time (every `charge` accumulates here) —
-    /// the numerator of this node's utilization.
-    pub(crate) busy_ns: u64,
-    /// Per-peer reliable-layer counters.
-    pub(crate) links: BTreeMap<NodeId, LinkStat>,
     /// Distribution of forward-chain lengths (location epochs observed
     /// when FIR replies land, §4.3): how long the migration chains
     /// behind chases actually were.
     pub(crate) chain_epochs: Histogram,
+    cell: Arc<NodeCell>,
 }
 
 impl Metrics {
-    /// Default gauge-sampling cadence: one sample per 100 µs of virtual
-    /// time.
+    /// The simulator's gauge-sampling cadence: one sample per 100 µs of
+    /// virtual time.
     pub const DEFAULT_CADENCE_NS: u64 = 100_000;
+    /// The live backend's cadence: one sample per 10 ms of the node's
+    /// host-anchored clock.
+    pub const LIVE_CADENCE_NS: u64 = 10_000_000;
     /// Samples kept per node; crossings beyond this are counted in
     /// `samples_dropped` instead of stored.
     pub const MAX_SAMPLES: usize = 4096;
 
-    /// Fresh metrics state for `node`.
-    pub fn new(node: NodeId) -> Self {
+    /// Fresh metrics state for `node` of a `nodes`-node partition,
+    /// sampling once per `cadence_ns` of whatever clock its owner hands
+    /// `Metrics::advance`.
+    pub fn new(node: NodeId, nodes: usize, cadence_ns: u64) -> Self {
         Metrics {
             node,
-            cadence_ns: Self::DEFAULT_CADENCE_NS,
+            cadence_ns,
             next_sample_at: 0,
             samples: Vec::new(),
             samples_dropped: 0,
-            pending_depth: 0,
-            busy_ns: 0,
-            links: BTreeMap::new(),
             chain_epochs: Histogram::default(),
+            cell: Arc::new(NodeCell::new(nodes)),
         }
     }
 
-    /// Record one gauge snapshot per cadence boundary crossed by
-    /// `now_ns`. `template` carries the current gauge values; each
-    /// emitted sample gets the boundary timestamp.
+    /// Record one gauge snapshot per cadence boundary `now_ns` has
+    /// reached, each stamped with its boundary and carrying the gauges
+    /// as last stored — so a node that slept through boundaries records
+    /// them with the state it went to sleep in.
     #[inline]
-    pub(crate) fn advance(&mut self, now_ns: u64, template: Sample) {
+    pub(crate) fn advance(&mut self, now_ns: u64) {
         while self.next_sample_at <= now_ns {
             if self.samples.len() < Self::MAX_SAMPLES {
-                self.samples.push(Sample {
-                    at_ns: self.next_sample_at,
-                    ..template
-                });
+                self.samples.push(self.cell.gauges(self.next_sample_at));
             } else {
                 self.samples_dropped += 1;
             }
@@ -115,24 +252,61 @@ impl Metrics {
         }
     }
 
+    /// Store the gauges a kernel reads off its tables at a settle point,
+    /// then [`advance`](Metrics::advance) to `now_ns`.
+    #[inline]
+    pub(crate) fn tick(&mut self, now_ns: u64, ready: usize, names: usize, firs: usize, unknown: u32) {
+        let cell = &*self.cell;
+        cell.ready.store(ready as u64, Ordering::Relaxed);
+        cell.name_entries.store(names as u64, Ordering::Relaxed);
+        cell.inflight_firs.store(firs as u64, Ordering::Relaxed);
+        cell.unknown_buffered.store(u64::from(unknown), Ordering::Relaxed);
+        self.advance(now_ns);
+    }
+
+    /// Account `ns` of charged busy time.
+    #[inline]
+    pub(crate) fn busy(&self, ns: u64) {
+        NodeCell::add(&self.cell.busy_ns, ns);
+    }
+
+    /// Count one executed message.
+    #[inline]
+    pub(crate) fn msg_processed(&self) {
+        NodeCell::add(&self.cell.msgs_processed, 1);
+    }
+
+    /// Count one envelope injected into the network.
+    #[inline]
+    pub(crate) fn net_send(&self) {
+        NodeCell::add(&self.cell.net_sends, 1);
+    }
+
+    /// Adjust the pending-queue-depth gauge (saturating at zero).
+    #[inline]
+    pub(crate) fn pending(&self, delta: i64) {
+        let depth = &self.cell.pending_depth;
+        let v = depth.load(Ordering::Relaxed) as i64 + delta;
+        depth.store(v.max(0) as u64, Ordering::Relaxed);
+    }
+
     /// Bump the retransmit counter for `peer`.
-    pub(crate) fn link_retransmit(&mut self, peer: NodeId) {
-        self.links.entry(peer).or_default().retransmits += 1;
+    pub(crate) fn link_retransmit(&self, peer: NodeId) {
+        if let Some((retx, _)) = self.cell.links.get(peer as usize) {
+            NodeCell::add(retx, 1);
+        }
     }
 
     /// Bump the ack counter for `peer`.
-    pub(crate) fn link_ack(&mut self, peer: NodeId) {
-        self.links.entry(peer).or_default().acks += 1;
+    pub(crate) fn link_ack(&self, peer: NodeId) {
+        if let Some((_, acks)) = self.cell.links.get(peer as usize) {
+            NodeCell::add(acks, 1);
+        }
     }
 
-    /// The samples recorded so far (oldest first).
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
-    }
-
-    /// The node this state belongs to.
-    pub fn node(&self) -> NodeId {
-        self.node
+    /// This node's cell — what a [`TelemetryHub`] on another thread reads.
+    pub fn cell(&self) -> &Arc<NodeCell> {
+        &self.cell
     }
 }
 
@@ -145,10 +319,11 @@ pub struct NodeMetrics {
     pub samples: Vec<Sample>,
     /// Cadence crossings beyond [`Metrics::MAX_SAMPLES`].
     pub samples_dropped: u64,
-    /// Total charged virtual busy time on this node.
+    /// Total charged busy time on this node.
     pub busy_ns: u64,
-    /// Named counters (e.g. `trace.dropped_events`, folded in by the
-    /// machine at report time).
+    /// Named counters (e.g. `trace.dropped_events`, folded in when the
+    /// run's report is assembled; the live backend adds its per-node
+    /// transport counters here).
     pub counters: BTreeMap<String, u64>,
     /// Per-peer reliable-layer counters.
     pub links: BTreeMap<NodeId, LinkStat>,
@@ -168,24 +343,26 @@ pub struct MetricsReport {
 }
 
 impl MetricsReport {
-    /// Merge per-node metrics states into one report.
+    /// Merge per-node metrics states into one report. The cadence is the
+    /// states' own (one machine's kernels all sample at the same one).
     pub fn merge<'a>(states: impl Iterator<Item = &'a Metrics>) -> Self {
+        let mut cadence_ns = 0;
         let mut nodes: Vec<NodeMetrics> = states
-            .map(|m| NodeMetrics {
-                node: m.node,
-                samples: m.samples.clone(),
-                samples_dropped: m.samples_dropped,
-                busy_ns: m.busy_ns,
-                counters: BTreeMap::new(),
-                links: m.links.clone(),
-                chain_epochs: m.chain_epochs.clone(),
+            .map(|m| {
+                cadence_ns = m.cadence_ns;
+                NodeMetrics {
+                    node: m.node,
+                    samples: m.samples.clone(),
+                    samples_dropped: m.samples_dropped,
+                    busy_ns: m.cell.busy_ns.load(Ordering::Relaxed),
+                    counters: BTreeMap::new(),
+                    links: m.cell.link_stats(),
+                    chain_epochs: m.chain_epochs.clone(),
+                }
             })
             .collect();
         nodes.sort_by_key(|n| n.node);
-        MetricsReport {
-            cadence_ns: Metrics::DEFAULT_CADENCE_NS,
-            nodes,
-        }
+        MetricsReport { cadence_ns, nodes }
     }
 
     /// Per-node utilization: charged busy time over the run's makespan.
@@ -219,79 +396,10 @@ impl MetricsReport {
             .sum()
     }
 
-    /// One-screen human summary: the last gauge snapshot per node plus
-    /// utilization — what the console's `top` command prints.
-    pub fn summary(&self, makespan_ns: u64) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from(
-            "node   util%  pending  names  firs  ready  unknown  retx  acks\n",
-        );
-        for n in &self.nodes {
-            let util = if makespan_ns == 0 {
-                0.0
-            } else {
-                100.0 * n.busy_ns as f64 / makespan_ns as f64
-            };
-            let last = n.samples.last().copied().unwrap_or(Sample {
-                at_ns: 0,
-                pending_depth: 0,
-                name_entries: 0,
-                inflight_firs: 0,
-                ready: 0,
-                unknown_buffered: 0,
-            });
-            let (retx, acks) = n
-                .links
-                .values()
-                .fold((0u64, 0u64), |(r, a), l| (r + l.retransmits, a + l.acks));
-            let _ = writeln!(
-                out,
-                "{:<5} {:>6.1} {:>8} {:>6} {:>5} {:>6} {:>8} {:>5} {:>5}",
-                n.node,
-                util,
-                last.pending_depth,
-                last.name_entries,
-                last.inflight_firs,
-                last.ready,
-                last.unknown_buffered,
-                retx,
-                acks
-            );
-        }
-        if self.counter("trace.dropped_events") > 0 {
-            let _ = writeln!(
-                out,
-                "trace ring dropped {} event(s) — histograms/spans are partial",
-                self.counter("trace.dropped_events")
-            );
-        }
-        if self.counter("metrics.dropped_samples") > 0 {
-            let _ = writeln!(
-                out,
-                "metrics sampler dropped {} gauge sample(s) — timeseries are partial",
-                self.counter("metrics.dropped_samples")
-            );
-        }
-        let chains: Histogram = self.nodes.iter().fold(Histogram::default(), |mut h, n| {
-            h.merge(&n.chain_epochs);
-            h
-        });
-        if chains.count() > 0 {
-            let _ = writeln!(
-                out,
-                "forward-chain lengths: {} chases, mean {:.2}, max {}",
-                chains.count(),
-                chains.mean(),
-                chains.max()
-            );
-        }
-        out
-    }
-
     /// Serialize as JSON (dependency-free, like the bench records).
-    /// Contains virtual-time facts only — byte-identical across reruns.
+    /// A simulated run's document contains virtual-time facts only —
+    /// byte-identical across reruns.
     pub fn to_json(&self, makespan_ns: u64) -> String {
-        use std::fmt::Write as _;
         let mut nodes = String::new();
         for (i, n) in self.nodes.iter().enumerate() {
             if i > 0 {
@@ -358,7 +466,6 @@ impl MetricsReport {
 /// Serialize a log2 histogram: moments plus the non-empty buckets as
 /// `[bucket_index, count]` pairs.
 pub(crate) fn histogram_json(h: &Histogram) -> String {
-    use std::fmt::Write as _;
     let mut buckets = String::new();
     for (i, &c) in h.bucket_counts().iter().enumerate() {
         if c == 0 {
@@ -379,52 +486,156 @@ pub(crate) fn histogram_json(h: &Histogram) -> String {
     )
 }
 
+/// Every node's [`NodeCell`] plus the per-node sender-side
+/// thread-network stats: what a thread that is not a node reads to see
+/// a machine *while it runs* (`top`, `hal-serve --watch`). The
+/// simulator hands one out too, over its kernels' cells, so `top`
+/// renders one way on both backends.
+#[derive(Debug)]
+pub struct TelemetryHub {
+    cells: Vec<Arc<NodeCell>>,
+    /// Sender-side channel stats per node (from
+    /// [`hal_am::ThreadEndpoint::local_stats`]); empty on the simulator.
+    net: Vec<Arc<ThreadNetStats>>,
+}
+
+impl TelemetryHub {
+    /// A hub over `cells` and per-node sender-side network stats.
+    pub fn new(cells: Vec<Arc<NodeCell>>, net: Vec<Arc<ThreadNetStats>>) -> Self {
+        TelemetryHub { cells, net }
+    }
+
+    /// The node cells, indexed by node id.
+    pub fn cells(&self) -> &[Arc<NodeCell>] {
+        &self.cells
+    }
+
+    /// Node `node`'s sender-side `(packets sent, stalls on a full
+    /// bounded channel)`.
+    pub fn net_sent(&self, node: usize) -> (u64, u64) {
+        self.net.get(node).map_or((0, 0), |s| {
+            (
+                s.packets.load(Ordering::Relaxed),
+                s.backpressure_hits.load(Ordering::Relaxed),
+            )
+        })
+    }
+
+    /// The `top` text: per-node throughput, utilization, gauges and
+    /// link counters over `elapsed_ns` of the machine's clock — the
+    /// host time since start while a live machine runs, the makespan
+    /// once any run is over. Rendered from a fresh cell read (relaxed
+    /// loads only), so it is safe to call from a `--watch` loop.
+    pub fn top(&self, elapsed_ns: u64) -> String {
+        let secs = (elapsed_ns as f64 / 1e9).max(1e-9);
+        let mut out = String::from(
+            "node   thr/s    util%  ready  pending  names  firs  unknown  sends  retx  acks  bp_hits  parks/s\n",
+        );
+        let mut total = 0;
+        for (i, c) in self.cells.iter().enumerate() {
+            let load = |v: &AtomicU64| v.load(Ordering::Relaxed);
+            let msgs = load(&c.msgs_processed);
+            total += msgs;
+            let (retx, acks) = c
+                .links
+                .iter()
+                .fold((0, 0), |(r, a), (retx, acks)| (r + load(retx), a + load(acks)));
+            let _ = writeln!(
+                out,
+                "{:<5} {:>8.0} {:>7.1} {:>6} {:>8} {:>6} {:>5} {:>8} {:>6} {:>5} {:>5} {:>8} {:>8.0}",
+                i,
+                msgs as f64 / secs,
+                load(&c.busy_ns) as f64 / (secs * 1e7),
+                load(&c.ready),
+                load(&c.pending_depth),
+                load(&c.name_entries),
+                load(&c.inflight_firs),
+                load(&c.unknown_buffered),
+                load(&c.net_sends),
+                retx,
+                acks,
+                self.net_sent(i).1,
+                load(&c.parks) as f64 / secs,
+            );
+        }
+        let _ = writeln!(out, "total {:>8.0} msg/s over {:.2}s", total as f64 / secs, secs);
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn template() -> Sample {
-        Sample {
-            at_ns: 0,
+    /// A two-node registry that has settled once at time 0 with 2
+    /// pending, 5 names, 1 FIR and 3 ready — boundary 0 is sampled.
+    fn metrics(node: NodeId) -> Metrics {
+        let mut m = Metrics::new(node, 2, Metrics::DEFAULT_CADENCE_NS);
+        m.pending(2);
+        m.tick(0, 3, 5, 1, 0);
+        m
+    }
+
+    #[test]
+    fn advance_emits_one_sample_per_boundary() {
+        let mut m = metrics(0);
+        assert_eq!(m.samples.len(), 1); // boundary 0
+        m.advance(Metrics::DEFAULT_CADENCE_NS * 3 + 5);
+        assert_eq!(m.samples.len(), 4); // boundaries 0, 1c, 2c, 3c
+        let expect = Sample {
+            at_ns: Metrics::DEFAULT_CADENCE_NS * 3,
             pending_depth: 2,
             name_entries: 5,
             inflight_firs: 1,
             ready: 3,
             unknown_buffered: 0,
-        }
-    }
-
-    #[test]
-    fn advance_emits_one_sample_per_boundary() {
-        let mut m = Metrics::new(0);
-        m.advance(0, template()); // boundary 0
-        assert_eq!(m.samples().len(), 1);
-        m.advance(Metrics::DEFAULT_CADENCE_NS * 3 + 5, template());
-        assert_eq!(m.samples().len(), 4); // boundaries 0, 1c, 2c, 3c
-        assert_eq!(m.samples()[3].at_ns, Metrics::DEFAULT_CADENCE_NS * 3);
+        };
+        assert_eq!(m.samples[3], expect);
         // No boundary crossed: no new sample.
-        m.advance(Metrics::DEFAULT_CADENCE_NS * 3 + 10, template());
-        assert_eq!(m.samples().len(), 4);
+        m.advance(Metrics::DEFAULT_CADENCE_NS * 3 + 10);
+        assert_eq!(m.samples.len(), 4);
     }
 
     #[test]
     fn sample_overflow_is_counted_not_stored() {
-        let mut m = Metrics::new(0);
+        let mut m = metrics(0);
         let far = Metrics::DEFAULT_CADENCE_NS * (Metrics::MAX_SAMPLES as u64 + 10);
-        m.advance(far, template());
-        assert_eq!(m.samples().len(), Metrics::MAX_SAMPLES);
+        m.advance(far);
+        assert_eq!(m.samples.len(), Metrics::MAX_SAMPLES);
         assert_eq!(m.samples_dropped, 11);
     }
 
     #[test]
+    fn pending_gauge_saturates_at_zero() {
+        let m = metrics(0);
+        m.pending(-10);
+        assert_eq!(m.cell().pending_depth.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn wake_reasons_land_in_their_counters() {
+        use crate::sync::{RING_JOB, RING_PACKET, RING_STOP};
+        let cell = NodeCell::new(1);
+        cell.note_wake(RING_PACKET);
+        cell.note_wake(RING_PACKET | RING_JOB);
+        cell.note_wake(RING_STOP);
+        cell.note_wake(0);
+        let wakes: Vec<u64> = cell.wakes.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        assert_eq!(wakes, [2, 1, 1, 1], "{WAKE_COUNTERS:?}");
+    }
+
+    #[test]
     fn report_json_and_utilization() {
-        let mut m = Metrics::new(1);
-        m.busy_ns = 500;
+        let mut m = Metrics::new(1, 2, Metrics::LIVE_CADENCE_NS);
+        m.busy(500);
         m.link_ack(0);
         m.link_retransmit(0);
         m.chain_epochs.observe(3);
-        m.advance(0, template());
+        m.advance(0);
         let mut rep = MetricsReport::merge([&m].into_iter());
+        assert_eq!(rep.cadence_ns, Metrics::LIVE_CADENCE_NS, "the states' cadence");
+        let links = &rep.nodes[0].links;
+        assert_eq!(links.keys().collect::<Vec<_>>(), [&0], "untouched peers are omitted");
         rep.nodes[0]
             .counters
             .insert("trace.dropped_events".into(), 7);
@@ -435,8 +646,25 @@ mod tests {
         assert!(json.contains("\"retransmits\": 1"), "{json}");
         assert!(json.contains("trace.dropped_events"), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let top = rep.summary(1000);
-        assert!(top.contains("50.0"), "{top}");
-        assert!(top.contains("dropped 7"), "{top}");
+    }
+
+    #[test]
+    fn top_renders_throughput_and_backpressure() {
+        let (a, b) = (metrics(0), metrics(1));
+        for _ in 0..10 {
+            a.msg_processed();
+        }
+        b.busy(500_000_000);
+        b.link_ack(0);
+        let net: Vec<_> = (0..2).map(|_| Arc::new(ThreadNetStats::default())).collect();
+        net[1].backpressure_hits.fetch_add(7, Ordering::Relaxed);
+        let hub = TelemetryHub::new(vec![Arc::clone(a.cell()), Arc::clone(b.cell())], net);
+        let top = hub.top(1_000_000_000);
+        let rows: Vec<Vec<&str>> = top.lines().map(|l| l.split_whitespace().collect()).collect();
+        assert_eq!(rows[0][..3], ["node", "thr/s", "util%"], "{top}");
+        assert_eq!(rows[1], ["0", "10", "0.0", "3", "2", "5", "1", "0", "0", "0", "0", "0", "0"]);
+        assert_eq!(rows[2], ["1", "0", "50.0", "3", "2", "5", "1", "0", "0", "0", "1", "7", "0"]);
+        assert_eq!(rows[0].len(), rows[1].len(), "{top}");
+        assert!(top.ends_with("total       10 msg/s over 1.00s\n"), "{top}");
     }
 }

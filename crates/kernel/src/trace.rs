@@ -539,12 +539,6 @@ pub enum WarningKind {
     /// materialized and was counted (`net.fault_dup_unclonable`) and
     /// discarded instead of silently lost.
     DupCloneFailed,
-    /// Virtual-cadence metrics were explicitly requested on the live
-    /// backend, whose clock is host-anchored: the request was routed to
-    /// the host-time telemetry collector instead (`cadence_ns` in the
-    /// resulting report is *wall* time, and the timeseries is not
-    /// deterministic).
-    LiveMetricsHostTime,
 }
 
 impl WarningKind {
@@ -552,7 +546,6 @@ impl WarningKind {
     pub fn name(self) -> &'static str {
         match self {
             WarningKind::DupCloneFailed => "dup_clone_failed",
-            WarningKind::LiveMetricsHostTime => "live_metrics_host_time",
         }
     }
 }

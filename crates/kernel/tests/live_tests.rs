@@ -66,30 +66,57 @@ fn threaded_cross_node_call_return() {
 
 #[test]
 fn threaded_migration_roundtrip() {
+    const HOPS: i64 = 30;
+    /// Hops around the ring on selector 0. Before each hop it leaves a
+    /// `Prober` behind, which runs right after the actor has left and so
+    /// finds an unconfirmed forward pointer: its probe (selector 1) has to
+    /// chase. Stops once it has landed and every probe has caught up.
     struct Hopper {
         remaining: i64,
+        probed: i64,
+    }
+    struct Prober(hal_kernel::MailAddr);
+    impl Behavior for Prober {
+        fn dispatch(&mut self, ctx: &mut Ctx<'_>, _msg: Msg) {
+            ctx.send(self.0, 1, vec![]);
+        }
     }
     impl Behavior for Hopper {
-        fn dispatch(&mut self, ctx: &mut Ctx<'_>, _msg: Msg) {
-            if self.remaining == 0 {
-                ctx.report("landed_on", Value::Int(ctx.node() as i64));
-                ctx.stop();
-            } else {
+        fn dispatch(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+            if msg.selector == 1 {
+                self.probed += 1;
+            } else if self.remaining > 0 {
                 self.remaining -= 1;
                 let next = ((ctx.node() as usize + 1) % ctx.nodes()) as u16;
                 let me = ctx.me();
                 ctx.send(me, 0, vec![]);
+                let prober = ctx.create_local(Box::new(Prober(me)));
+                ctx.send(prober, 0, vec![]);
                 ctx.migrate(next);
+            }
+            if self.remaining == 0 && self.probed == HOPS {
+                ctx.report("landed_on", Value::Int(ctx.node() as i64));
+                ctx.stop();
             }
         }
     }
-    let r = run_live(MachineConfig::new(3), Duration::from_secs(20), |ctx| {
-        let h = ctx.create_local(Box::new(Hopper { remaining: 6 }));
+    let cfg = MachineConfig::builder(3).metrics().build().unwrap();
+    let r = run_live(cfg, Duration::from_secs(20), |ctx| {
+        let h = ctx.create_local(Box::new(Hopper {
+            remaining: HOPS,
+            probed: 0,
+        }));
         ctx.send(h, 0, vec![]);
     });
-    // 6 hops around a 3-ring starting at 0 ends back on node 0.
+    // 30 hops around a 3-ring starting at 0 ends back on node 0.
     assert_eq!(r.value("landed_on"), Some(&Value::Int(0)));
-    assert_eq!(r.stats.get("migrations.out"), 6);
+    assert_eq!(r.stats.get("migrations.out"), HOPS as u64);
+    // Every located chase left its forward-chain length in the registry.
+    let metrics = r.metrics.as_ref().expect("metrics were requested");
+    let chains: u64 = metrics.nodes.iter().map(|n| n.chain_epochs.count()).sum();
+    let found = r.stats.get("fir.found");
+    assert!(found > 0, "no probe had to chase: {:?}", r.stats);
+    assert_eq!(chains, found);
 }
 
 #[test]

@@ -343,7 +343,8 @@ fn probes_racing_migration_are_chased_and_delivered_exactly_once() {
     // Fire probes *while* the nomad is walking: they hit unconfirmed
     // forward pointers and must be chased (FIR) or forwarded, arriving
     // exactly once each.
-    let mut m = SimMachine::new(MachineConfig::new(4), registry());
+    let cfg = MachineConfig::builder(4).metrics().build().unwrap();
+    let mut m = SimMachine::new(cfg, registry());
     m.with_ctx(0, |ctx| {
         let nomad = ctx.create_local(Box::new(Nomad {
             hops: vec![1, 3, 2, 1, 3, 2], // six hops, popped back to front
@@ -368,6 +369,12 @@ fn probes_racing_migration_are_chased_and_delivered_exactly_once() {
         r.stats.get("fir.sent"),
         r.stats.get("deliver.forwarded")
     );
+    // Every located chase left its forward-chain length in the registry
+    // (the live twin is `live_tests::threaded_migration_roundtrip`).
+    let metrics = r.metrics.as_ref().expect("metrics were requested");
+    let chains: u64 = metrics.nodes.iter().map(|n| n.chain_epochs.count()).sum();
+    assert!(chains > 0);
+    assert_eq!(chains, r.stats.get("fir.found"));
 }
 
 #[test]

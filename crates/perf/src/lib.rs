@@ -515,8 +515,8 @@ fn diff_obs_runs(
 /// Compare one fresh `METRICS_` document against its baseline. Sim
 /// metrics are sampled on the virtual clock, so the whole document —
 /// cadence, per-node busy nanoseconds, dropped-sample counts, every
-/// counter — is deterministic and compared exactly. Live documents come
-/// from the host-time collector and are exempt from comparison beyond
+/// counter — is deterministic and compared exactly. Live documents are
+/// sampled on host-anchored clocks and are exempt from comparison beyond
 /// run presence.
 pub fn diff_metrics(artifact: &str, baseline: &Json, fresh: &Json) -> Vec<Regression> {
     diff_obs_runs(artifact, baseline, fresh, "metrics").0

@@ -8,10 +8,10 @@
 //! 2. Head-sampling at rate 1.0 reproduces the unsampled `SPANS_`
 //!    surface exactly: the sampler's id mints are rate-independent, so
 //!    "keep everything" and "no sampler configured" are the same bytes.
-//! 3. The live collector's drain loses no counts: after the node
-//!    threads join, the final collector pass must agree exactly with
-//!    the telemetry cells themselves — under backpressure (tiny
-//!    receive queues), across seeds and partition sizes.
+//! 3. The live drain loses no counts: after the node threads join, the
+//!    report must agree exactly with the metrics cells themselves —
+//!    under backpressure (tiny receive queues), across seeds and
+//!    partition sizes.
 
 use hal::prelude::*;
 use hal_kernel::span::SpanReport;
@@ -92,7 +92,7 @@ fn full_rate_sampling_reproduces_the_unsampled_span_surface() {
     }
 }
 
-// ---- live collector drain under backpressure ----
+// ---- live drain under backpressure ----
 
 /// Counts messages and stops the machine at the expected total. The
 /// busy loop makes the receiving node measurably slower than the
@@ -158,8 +158,8 @@ fn live_collector_drain_loses_no_counts_under_backpressure() {
                 .seed(seed)
                 .backend(BackendKind::Live)
                 // A few packets per queue: the burst must hit the
-                // backpressure path, the exact condition the collector
-                // drain has to survive without losing counts.
+                // backpressure path, the exact condition the drain has
+                // to survive without losing counts.
                 .live_queue_capacity(4)
                 .observe(ObserveOpts::none().metrics(true))
                 .build()
@@ -187,12 +187,17 @@ fn live_collector_drain_loses_no_counts_under_backpressure() {
                 .metrics
                 .as_ref()
                 .unwrap_or_else(|| panic!("{label}: live metrics missing"));
-            let hub = m.telemetry().unwrap_or_else(|| panic!("{label}: no hub"));
-            // The final collector pass ran after every node thread
-            // joined, so the report must agree with the cells exactly —
-            // any difference is a count lost in the drain.
+            let hub = m.telemetry();
+            // The report was assembled after every node thread joined,
+            // so it must agree with the cells exactly — any difference
+            // is a count lost in the drain.
             let mut total_processed = 0u64;
             for (i, cell) in hub.cells().iter().enumerate() {
+                assert_eq!(metrics.nodes[i].busy_ns, cell.busy_ns.load(Ordering::Relaxed));
+                // Sampled in the node's own thread, on its cadence.
+                let at: Vec<u64> = metrics.nodes[i].samples.iter().map(|s| s.at_ns).collect();
+                assert_eq!(at.first(), Some(&0), "{label}: node {i}");
+                assert!(at.iter().all(|t| t % metrics.cadence_ns == 0), "{label}: {at:?}");
                 let truth = cell.msgs_processed.load(Ordering::Relaxed);
                 let reported = metrics.nodes[i].counters["telemetry.msgs_processed"];
                 assert_eq!(reported, truth, "{label}: node {i} lost msgs_processed in drain");

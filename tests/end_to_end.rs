@@ -129,10 +129,11 @@ impl Behavior for Caller {
 /// The local message path keeps its books without locks or searches; this
 /// pins that the books stay exact. On one live node, N local call/return
 /// round trips must report their closed-form counts, and the node's
-/// telemetry cell — bumped by plain load/store from the kernel thread —
-/// must agree after drain with the kernel's own counter, with the
-/// collector's last pass, and with the charges the same program incurs on
-/// the simulator.
+/// metrics cell — bumped by plain load/store from the kernel thread —
+/// must agree after drain with the kernel's own counter, with the drained
+/// report, and with the charges the same program incurs on the simulator.
+/// The two backends' metrics documents have one shape: the same keys, and
+/// samples on strictly increasing cadence boundaries.
 #[test]
 fn live_local_round_trips_are_counted_exactly() {
     use std::sync::atomic::Ordering;
@@ -161,7 +162,8 @@ fn live_local_round_trips_are_counted_exactly() {
     assert_eq!(live.stats.get("joins.fired"), trips);
     assert_eq!(live.stats.get("msgs.remote"), 0);
 
-    let cell = &m.telemetry().expect("live machines have a hub").cells()[0];
+    let hub = m.telemetry();
+    let cell = &hub.cells()[0];
     let processed = cell.msgs_processed.load(Ordering::Relaxed);
     let busy = cell.busy_ns.load(Ordering::Relaxed);
     assert_eq!(processed, trips + 1, "cell lost or gained dispatches");
@@ -173,6 +175,26 @@ fn live_local_round_trips_are_counted_exactly() {
     assert_eq!(sim.stats.get("msgs.processed"), trips + 1);
     let charged = sim.metrics.as_ref().expect("sim metrics").nodes[0].busy_ns;
     assert_eq!(busy, charged, "live cell vs the simulator's sum of charges");
+
+    // Keys are plain identifiers; the backend-specific entries of
+    // "counters" have dotted names and drop out.
+    let keys = |r: &hal_kernel::SimReport| -> std::collections::BTreeSet<String> {
+        let json = r.metrics.as_ref().unwrap().to_json(r.makespan.as_nanos());
+        let parts: Vec<&str> = json.split('"').collect();
+        let is_key = |w: &&[&str]| {
+            w[1].starts_with(':') && w[0].chars().all(|c| c.is_ascii_alphabetic() || c == '_')
+        };
+        parts.windows(2).filter(is_key).map(|w| w[0].to_string()).collect()
+    };
+    assert_eq!(keys(&live), keys(&sim));
+    assert!(keys(&sim).contains("chain_epochs"), "{:?}", keys(&sim));
+    for report in [&live, &sim] {
+        let metrics = report.metrics.as_ref().unwrap();
+        let at: Vec<u64> = metrics.nodes[0].samples.iter().map(|s| s.at_ns).collect();
+        assert!(!at.is_empty());
+        assert!(at.iter().all(|t| t % metrics.cadence_ns == 0), "{at:?}");
+        assert!(at.windows(2).all(|w| w[0] < w[1]), "{at:?}");
+    }
 }
 
 #[test]
