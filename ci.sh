@@ -15,20 +15,19 @@ cargo test -q --workspace
 echo "== cargo clippy -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== no environment reads in library crates =="
-# Library crates take configuration through MachineConfig, never from the
-# environment (a getenv on a message path costs 60-80 ns and hides a
-# switch). The bins' HAL_* flags live in bench/src/out.rs and
-# frontend/src/bin/hal_serve.rs, outside this list.
-if grep -rn 'env::var' crates/{des,am,kernel,hal,check,workloads}/src; then
-  echo "ci: a library crate reads the environment"; exit 1
+echo "== no environment reads under crates/ =="
+# Configuration comes through MachineConfig and command-line flags, never
+# from the environment (a getenv on a message path costs 60-80 ns, and a
+# variable is a switch no artifact records).
+if grep -rn 'env::var' crates/; then
+  echo "ci: a crate reads the environment"; exit 1
 fi
 
-echo "== cargo clippy pedantic (kernel + check + profile + perf + frontend + model) =="
+echo "== cargo clippy pedantic (kernel + check + profile + frontend + model) =="
 # The protocol-critical crates additionally hold a pedantic bar. The
 # allow list below is the accepted legacy noise (cast styles, must_use
 # candidates, doc completeness); anything pedantic outside it fails.
-cargo clippy -p hal-kernel -p hal-check -p hal-profile -p hal-perf -p hal-frontend -p hal-model \
+cargo clippy -p hal-kernel -p hal-check -p hal-profile -p hal-frontend -p hal-model \
   --all-targets -- -D warnings -W clippy::pedantic \
   -A clippy::cast_possible_truncation -A clippy::cast_lossless -A clippy::cast_sign_loss \
   -A clippy::cast_precision_loss -A clippy::cast_possible_wrap -A clippy::must_use_candidate \
@@ -85,7 +84,7 @@ echo "== spans/metrics smoke (table4_fib --spans --metrics) =="
 # and the in-process assert guarantees the critical path never exceeds
 # the makespan. Both artifacts must exist and carry their payload
 # sections.
-(cd "$smoke_dir" && HAL_SPANS=1 HAL_METRICS=1 "$repo_root/target/release/table4_fib" --quick \
+(cd "$smoke_dir" && "$repo_root/target/release/table4_fib" --quick --spans --metrics \
    >/dev/null 2>&1) \
   || { echo "ci: table4_fib --spans --metrics failed"; exit 1; }
 for f in SPANS_table4_fib.json METRICS_table4_fib.json; do
@@ -117,75 +116,64 @@ diff <(metrics_schema "$smoke_dir/results/METRICS_table4_fib.json") \
   || { echo "ci: live METRICS_ schema differs from sim's"; exit 1; }
 echo "   METRICS_table4_fib.json: live and sim documents have one key set and one sample_fields line"
 
-echo "== protocol checker + lint + observability sweep (repro_all --quick --check --lint --spans --metrics) =="
-# Every harness under the hal-check protocol invariant checker AND the
-# hal-lint static protocol analyzer — repro_all runs each bin once,
-# fails if any verdict is dirty, and writes a manifest of expected
-# artifacts. Run from the scratch dir so committed results/ stay
-# untouched.
-(cd "$smoke_dir" && "$repo_root/target/release/repro_all" --quick --check --lint --spans --metrics 2>&1 | tail -n 20) \
+echo "== results gate (repro_all --check --lint --spans --metrics, cmp vs results/) =="
+# The full sweep from an empty directory: every harness under the
+# hal-check protocol invariant checker AND the hal-lint static protocol
+# analyzer — repro_all runs each bin once, fails if any verdict is dirty,
+# and writes a manifest of expected artifacts. Nothing it writes depends
+# on the host clock, so every file must be byte-identical to the
+# committed results/ — a difference is a change in simulation semantics
+# (or a stale results/), never noise. Host time is benchmark/'s job.
+# `./ci.sh --update-results` copies the sweep over results/ instead.
+sweep_dir="$smoke_dir/sweep"
+mkdir -p "$sweep_dir"
+(cd "$sweep_dir" && "$repo_root/target/release/repro_all" --check --lint --spans --metrics 2>&1 | tail -n 20) \
   || { echo "ci: protocol checker sweep failed"; exit 1; }
-grep -q '"clean": true' "$smoke_dir/results/CHECK_repro_all.json" \
+grep -q '"clean": true' "$sweep_dir/results/CHECK_repro_all.json" \
   || { echo "ci: CHECK_repro_all.json is not clean"; exit 1; }
-grep -q '"clean": true' "$smoke_dir/results/LINT_repro_all.json" \
+grep -q '"clean": true' "$sweep_dir/results/LINT_repro_all.json" \
   || { echo "ci: LINT_repro_all.json is not clean"; exit 1; }
-grep -q 'SPANS_table5_matmul.json' "$smoke_dir/results/MANIFEST_repro_all.json" \
+grep -q 'SPANS_table5_matmul.json' "$sweep_dir/results/MANIFEST_repro_all.json" \
   || { echo "ci: MANIFEST_repro_all.json is missing span artifacts"; exit 1; }
 echo "   repro_all --check --lint --spans --metrics: CLEAN"
 
-echo "== perf-gate (hal-perf diff vs results/baselines) =="
-# Two representative bins from the sweep above are diffed against the
-# committed baselines: deterministic virtual facts (events, virtual_ns)
-# and the sim METRICS_/SPANS_ documents, all exactly. Host throughput is
-# not gated here — measuring it is benchmark/noise.sh's job.
-# `./ci.sh --update-baselines` regenerates the committed files instead
-# of diffing.
-perf_bins="table4_fib fig3_delivery"
-if [ "${1:-}" = "--update-baselines" ]; then
-  mkdir -p results/baselines
-  rm -f results/baselines/*.json
-  for bin in $perf_bins; do
-    # Sim-tagged METRICS_/SPANS_ documents are deterministic, so the
-    # gate holds them byte-exact.
-    cp "$smoke_dir/results/BENCH_$bin.json" "$smoke_dir/results/METRICS_$bin.json" \
-       "$smoke_dir/results/SPANS_$bin.json" results/baselines/
+# results_match <committed> <fresh>: every fresh file is byte-equal to its
+# committed twin, and no committed file (hal-serve's SERVE_* aside, which
+# the sweep does not write) lacks a fresh one.
+results_match() {
+  local rc=0 f name
+  for f in "$2"/*; do
+    name="$(basename "$f")"
+    cmp "$1/$name" "$f" || rc=1
   done
-  # The sweep's per-bin wall-time table, with the host_cores it was
-  # taken on. Nothing in it is gated beyond "the sweep wrote it".
-  cp "$smoke_dir/results/BENCH_repro_all.json" results/baselines/
-  echo "   baselines regenerated under results/baselines/ — review and commit"
+  for f in "$1"/*; do
+    name="$(basename "$f")"
+    case "$name" in SERVE_*) continue ;; esac
+    [ -e "$2/$name" ] || { echo "ci: $1/$name is committed but the sweep did not write it"; rc=1; }
+  done
+  return $rc
+}
+
+if [ "${1:-}" = "--update-results" ]; then
+  find results -maxdepth 1 -type f ! -name 'SERVE_*' -delete
+  cp "$sweep_dir"/results/* results/
+  echo "   results/ regenerated from the sweep — review and commit"
 else
-  "$repo_root/target/release/hal-perf" diff \
-    --baselines results/baselines --fresh "$smoke_dir/results" \
-    || { echo "ci: perf gate failed against committed baselines"; exit 1; }
-  # The gate must also FAIL when pointed at a baseline that disagrees
-  # on an exact fact: doctor every run's event count in the committed
-  # BENCH_ files and require a nonzero exit.
-  mkdir -p "$smoke_dir/regressed_baselines"
-  for f in results/baselines/*.json; do
-    sed 's/"events": \([0-9][0-9]*\)/"events": 7\1/g' "$f" \
-      >"$smoke_dir/regressed_baselines/$(basename "$f")"
+  results_match results "$sweep_dir/results" \
+    || { echo "ci: committed results/ differ from a fresh sweep (./ci.sh --update-results regenerates them)"; exit 1; }
+  # The gate must also FAIL when a committed file disagrees: flip one
+  # digit in a copy of one file of each kind and require a nonzero exit.
+  mkdir -p "$smoke_dir/doctored"
+  cp results/* "$smoke_dir/doctored/"
+  for doctored in METRICS_table4_fib.json BENCH_fig3_delivery.json table3_invocation.txt; do
+    sed -i '0,/[0-8]/s/[0-8]/9/' "$smoke_dir/doctored/$doctored"
+    if results_match "$smoke_dir/doctored" "$sweep_dir/results" >/dev/null 2>&1; then
+      echo "ci: the results gate passed on a doctored $doctored — the gate is inert"
+      exit 1
+    fi
+    cp "results/$doctored" "$smoke_dir/doctored/"
   done
-  if "$repo_root/target/release/hal-perf" diff \
-       --baselines "$smoke_dir/regressed_baselines" --fresh "$smoke_dir/results" >/dev/null 2>&1; then
-    echo "ci: hal-perf diff passed on a doctored BENCH_ baseline — the gate is inert"
-    exit 1
-  fi
-  # Same inertness check for the observability documents: doctor one
-  # deterministic fact in a METRICS_ baseline (busy_ns) and one in a
-  # SPANS_ baseline (msgs_minted); the exact gate must catch both.
-  mkdir -p "$smoke_dir/doctored_baselines"
-  cp results/baselines/*.json "$smoke_dir/doctored_baselines/"
-  sed -i 's/"busy_ns": \([0-9][0-9]*\)/"busy_ns": 7\1/' \
-    "$smoke_dir/doctored_baselines/METRICS_table4_fib.json"
-  sed -i 's/"msgs_minted": \([0-9][0-9]*\)/"msgs_minted": 7\1/' \
-    "$smoke_dir/doctored_baselines/SPANS_table4_fib.json"
-  if "$repo_root/target/release/hal-perf" diff \
-       --baselines "$smoke_dir/doctored_baselines" --fresh "$smoke_dir/results" >/dev/null 2>&1; then
-    echo "ci: hal-perf diff passed on doctored METRICS_/SPANS_ baselines — the exact gate is inert"
-    exit 1
-  fi
-  echo "   perf gate: committed baselines pass, doctored baselines caught (BENCH_ and METRICS_/SPANS_)"
+  echo "   results gate: $(ls "$sweep_dir/results" | wc -l) files byte-identical to results/, doctored copies caught"
 fi
 
 echo "== live-serve smoke (hal-serve --backend=live) =="

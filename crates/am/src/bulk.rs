@@ -80,11 +80,6 @@ impl<P> BulkSender<P> {
         self.parked.len()
     }
 
-    /// Total transfers begun (diagnostics).
-    pub fn started_total(&self) -> u64 {
-        self.started
-    }
-
     /// Total transfers whose data phase was released (diagnostics).
     pub fn completed_total(&self) -> u64 {
         self.completed

@@ -1,18 +1,8 @@
-//! Sequential Fibonacci — the "optimized C" baseline of Table 4.
+//! Sequential Fibonacci — the reference the fib workload validates
+//! against, and the call-tree size behind Table 4's "C 1node" column.
 //!
 //! The paper reports 8.49 s for an optimized C fib(33) on one 33 MHz
 //! SPARC node, against which the actor system's overhead is judged.
-
-/// Plain recursive Fibonacci — deliberately the same doubly-recursive
-/// algorithm the actor version runs, so the comparison isolates runtime
-/// overhead rather than algorithmic differences.
-pub fn fib(n: u64) -> u64 {
-    if n < 2 {
-        n
-    } else {
-        fib(n - 1) + fib(n - 2)
-    }
-}
 
 /// Iterative Fibonacci (for result validation only — O(n)).
 pub fn fib_iter(n: u64) -> u64 {
@@ -40,15 +30,7 @@ mod tests {
     fn small_values() {
         let expect = [0u64, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55];
         for (n, &e) in expect.iter().enumerate() {
-            assert_eq!(fib(n as u64), e);
             assert_eq!(fib_iter(n as u64), e);
-        }
-    }
-
-    #[test]
-    fn recursive_matches_iterative() {
-        for n in 0..25 {
-            assert_eq!(fib(n), fib_iter(n));
         }
     }
 

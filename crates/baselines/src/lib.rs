@@ -1,11 +1,10 @@
 //! # hal-baselines — the comparison systems of the paper's evaluation
 //!
 //! Table 4 judges the actor runtime against an optimized sequential C
-//! fib and against Cilk; Table 5 against Split-C's dense kernels. This
-//! crate provides honest Rust equivalents:
+//! fib; Table 5 against Split-C's dense kernels. This crate provides
+//! the references the workloads validate against:
 //!
-//! * [`fib_seq`] — sequential recursive Fibonacci ("optimized C");
-//! * [`stealpool`] — a Chase–Lev work-stealing fork-join pool ("Cilk");
+//! * [`fib_seq`] — Fibonacci values and call-tree sizes;
 //! * [`gemm`] — dense matmul kernels (per-node compute of the systolic
 //!   algorithm + validation references);
 //! * [`linalg`] — sequential Cholesky factorization and SPD generators
@@ -16,9 +15,7 @@
 pub mod fib_seq;
 pub mod gemm;
 pub mod linalg;
-pub mod stealpool;
 
-pub use fib_seq::{call_tree_nodes, fib, fib_iter};
+pub use fib_seq::{call_tree_nodes, fib_iter};
 pub use gemm::{matmul_flops, matmul_ikj_acc, matmul_naive, max_abs_diff, random_matrix};
 pub use linalg::{b_row, cholesky_flops, cholesky_seq, llt, random_spd, spd_column};
-pub use stealpool::{parallel_fib, StealPool};

@@ -72,10 +72,9 @@ fn run_cfg(cfg: MachineConfigBuilder, f: impl FnOnce(&mut Ctx<'_>, &Ids)) -> hal
     let cfg = cfg.build().unwrap();
     let mut m = SimMachine::new(cfg, program.build());
     m.with_ctx(0, |ctx| f(ctx, &ids));
-    let t0 = std::time::Instant::now();
     let r = m.run().unwrap();
     let n = RUN_NO.fetch_add(1, Ordering::Relaxed);
-    out::note_run(format!("ablation run {n}"), &r, t0.elapsed());
+    out::note_run(format!("ablation run {n}"), &r);
     r
 }
 

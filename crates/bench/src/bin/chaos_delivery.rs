@@ -87,7 +87,6 @@ fn run(rate: f64, chain: usize, probes: i64) -> ChaosRun {
         let s = ctx.create_on(4, spray, vec![Value::Addr(nomad), Value::Int(probes)]);
         ctx.send(s, 0, vec![]);
     });
-    let t0 = std::time::Instant::now();
     let r = m.run().unwrap();
     let c = ChaosRun {
         delivered: r.values("probe_delivered").len() as u64,
@@ -100,7 +99,6 @@ fn run(rate: f64, chain: usize, probes: i64) -> ChaosRun {
     out::note_run_with(
         format!("chaos rate={rate}"),
         &r,
-        t0.elapsed(),
         &[
             ("delivered", c.delivered),
             ("retransmits", c.retransmits),

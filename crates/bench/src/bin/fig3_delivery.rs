@@ -77,9 +77,8 @@ fn run(chain: usize, probes: i64) -> (u64, u64, u64, u64, u64, Option<TraceRepor
         let s = ctx.create_on(4, spray, vec![Value::Addr(nomad), Value::Int(probes)]);
         ctx.send(s, 0, vec![]);
     });
-    let t0 = std::time::Instant::now();
     let r = m.run().unwrap();
-    out::note_run(format!("fig3 chain={chain} probes={probes}"), &r, t0.elapsed());
+    out::note_run(format!("fig3 chain={chain} probes={probes}"), &r);
     let delivered = r.values("probe_delivered").len() as u64;
     (
         delivered,

@@ -29,7 +29,7 @@ fn main() {
         let cfg = UtsConfig::standard(seed);
         let size = sequential_size(&cfg);
         for &p in &[1usize, 4, 16, 64] {
-            let (s0, r0) = out::timed(format!("uts seed={seed} p={p} noLB"), || {
+            let (s0, r0) = out::recorded(format!("uts seed={seed} p={p} noLB"), || {
                 run_sim(
                     MachineConfig::builder(p)
                         .seed(1)
@@ -43,7 +43,7 @@ fn main() {
             assert_eq!(s0, size);
             let nolb_ns = r0.makespan.as_nanos();
             let (lb_ns, steals) = if p > 1 {
-                let (s1, r1) = out::timed(format!("uts seed={seed} p={p} LB"), || {
+                let (s1, r1) = out::recorded(format!("uts seed={seed} p={p} LB"), || {
                     run_sim(
                         MachineConfig::builder(p)
                             .seed(1)

@@ -25,7 +25,7 @@ fn chol(link: LinkModel, name: &str, variant: Variant) -> f64 {
         .unwrap();
     let label = format!("cholesky n=96 {variant:?} {name}");
     m.link = link;
-    let (_, r) = out::timed(label, || {
+    let (_, r) = out::recorded(label, || {
         cholesky::run_sim(
             m,
             CholeskyConfig {
@@ -49,7 +49,7 @@ fn mm(link: LinkModel, name: &str) -> f64 {
         .unwrap();
     let label = format!("matmul 256 p=16 {name}");
     m.link = link;
-    let (_, r) = out::timed(label, || {
+    let (_, r) = out::recorded(label, || {
         matmul::run_sim(
             m,
             MatmulConfig {

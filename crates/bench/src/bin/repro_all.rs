@@ -2,8 +2,11 @@
 //! regeneration of the paper's evaluation plus the extension
 //! experiments.
 //!
-//! Each bin runs once; its stdout is committed to `results/<bin>.txt`
-//! and its wall-clock total goes into `results/BENCH_repro_all.json`.
+//! Each bin runs once; its stdout is committed to `results/<bin>.txt`.
+//! Nothing the sweep writes depends on the host clock or on what was in
+//! `results/` before: run twice from empty directories, every file is
+//! byte-identical, and `ci.sh` holds the committed `results/` to that
+//! with `cmp`. The flags below are forwarded to the children as flags.
 //!
 //! With `--check`, every bin additionally runs the `hal-check` protocol
 //! invariant checker over its simulations (a bin that finds violations
@@ -17,16 +20,16 @@
 //! folded into `results/LINT_repro_all.json`.
 //!
 //! With `--spans` / `--metrics`, every bin also exports lifecycle spans
-//! with critical-path analysis (`results/SPANS_<bin>.json`) and the live
+//! with critical-path analysis (`results/SPANS_<bin>.json`) and the
 //! metrics timeseries (`results/METRICS_<bin>.json`). Both artifacts
 //! carry only virtual-time facts.
 //!
 //! Artifact hygiene: stale derived files (`*_trace.json`, `SPANS_*`,
 //! `METRICS_*`, `CHECK_*`, `LINT_*`, `SERVE_*`) are deleted
-//! before the sweep, and `results/MANIFEST_repro_all.json` records both
-//! every artifact this sweep was expected to (and did) regenerate *and*
-//! the stale files it removed (`removed_stale`) — a file in `results/`
-//! but not in the manifest is leftover from an older tree.
+//! before the sweep (how many goes to stderr), and
+//! `results/MANIFEST_repro_all.json` records every artifact this sweep
+//! was expected to (and did) regenerate — a file in `results/` but not
+//! in the manifest is leftover from an older tree.
 //!
 //! ```bash
 //! cargo run --release -p hal-bench --bin repro_all            # full
@@ -57,55 +60,7 @@ const BINS: &[&str] = &[
 /// Bins that always export a Chrome trace to `results/<bin>_trace.json`.
 const TRACE_EXPORTS: &[&str] = &["fig3_delivery", "ablations", "table3_invocation"];
 
-struct BinResult {
-    bin: &'static str,
-    wall_ms: f64,
-    /// Per-run label → wall ms.
-    runs: Vec<(String, f64)>,
-}
-
-/// Pull `wall_ms=` out of the `BENCHTOTAL <bin> ...` stderr line.
-fn parse_total_ms(stderr: &str, bin: &str) -> f64 {
-    let prefix = format!("BENCHTOTAL {bin} ");
-    stderr
-        .lines()
-        .find_map(|l| l.strip_prefix(&prefix))
-        .and_then(|rest| {
-            rest.split_whitespace()
-                .find_map(|t| t.strip_prefix("wall_ms="))
-        })
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0)
-}
-
-/// Parse every `BENCHLINE <label> virtual_ms=... wall_ms=...` stderr
-/// line into (label, wall_ms). Labels may contain spaces; the four
-/// trailing tokens are the key=value fields.
-fn parse_benchlines(stderr: &str) -> Vec<(String, f64)> {
-    let mut v = Vec::new();
-    for line in stderr.lines() {
-        let Some(rest) = line.strip_prefix("BENCHLINE ") else {
-            continue;
-        };
-        let toks: Vec<&str> = rest.split_whitespace().collect();
-        if toks.len() < 5 {
-            continue;
-        }
-        let (label_toks, kv) = toks.split_at(toks.len() - 4);
-        let wall_ms = kv
-            .iter()
-            .find_map(|t| t.strip_prefix("wall_ms="))
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0.0);
-        v.push((label_toks.join(" "), wall_ms));
-    }
-    v
-}
-
-fn run_bin(bin: &str, quick: bool, check: bool) -> std::process::Output {
-    let spans = out::spans_enabled();
-    let metrics = out::metrics_enabled();
-    let lint = out::lint_enabled();
+fn run_bin(bin: &str, flags: &[&str]) -> std::process::Output {
     // Prefer the sibling executable next to this one: it lets CI run
     // the whole sweep from a scratch directory (results/ under that
     // directory, committed files untouched). Fall back to cargo for
@@ -122,22 +77,8 @@ fn run_bin(bin: &str, quick: bool, check: bool) -> std::process::Output {
             c
         }
     };
-    if quick {
-        cmd.arg("--quick");
-    }
-    if check {
-        cmd.env("HAL_CHECK", "1");
-    }
-    if lint {
-        cmd.env("HAL_LINT", "1");
-    }
-    if spans {
-        cmd.env("HAL_SPANS", "1");
-    }
-    if metrics {
-        cmd.env("HAL_METRICS", "1");
-    }
     let out = cmd
+        .args(flags)
         .output()
         .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
     assert!(
@@ -180,9 +121,9 @@ fn bin_artifacts(bin: &str, check: bool, lint: bool, spans: bool, metrics: bool)
 /// Delete derived files a previous sweep (or an older tree) left in
 /// `results/` that this sweep may not overwrite — otherwise a stale
 /// `*_trace.json` from a removed bin looks exactly like fresh output.
-/// Returns the removed paths (sorted) so the manifest can record them.
-fn remove_stale_artifacts() -> Vec<String> {
-    let mut removed = Vec::new();
+/// Returns how many it removed.
+fn remove_stale_artifacts() -> usize {
+    let mut removed = 0;
     let Ok(dir) = std::fs::read_dir("results") else {
         return removed;
     };
@@ -200,11 +141,10 @@ fn remove_stale_artifacts() -> Vec<String> {
             if let Err(e) = std::fs::remove_file(entry.path()) {
                 eprintln!("repro_all: could not remove stale results/{name}: {e}");
             } else {
-                removed.push(format!("results/{name}"));
+                removed += 1;
             }
         }
     }
-    removed.sort();
     removed
 }
 
@@ -216,15 +156,23 @@ fn main() {
     let metrics = out::metrics_enabled();
     std::fs::create_dir_all("results").expect("create results/");
     let removed_stale = remove_stale_artifacts();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut results = Vec::new();
+    let flags: Vec<&str> = [
+        ("--quick", quick),
+        ("--check", check),
+        ("--lint", lint),
+        ("--spans", spans),
+        ("--metrics", metrics),
+    ]
+    .into_iter()
+    .filter_map(|(flag, on)| on.then_some(flag))
+    .collect();
     let mut checks: Vec<(&str, bool)> = Vec::new();
     let mut lints: Vec<(&str, bool)> = Vec::new();
     let mut manifest: Vec<String> = Vec::new();
 
     for bin in BINS {
         eprintln!("== running {bin} ==");
-        let run = run_bin(bin, quick, check);
+        let run = run_bin(bin, &flags);
         let path = format!("results/{bin}.txt");
         std::fs::write(&path, &run.stdout).expect("write results file");
         eprintln!("   -> {path} ({} bytes)", run.stdout.len());
@@ -241,49 +189,7 @@ fn main() {
             );
             manifest.push(p);
         }
-        let err = String::from_utf8_lossy(&run.stderr);
-        results.push(BinResult {
-            bin,
-            wall_ms: parse_total_ms(&err, bin),
-            runs: parse_benchlines(&err),
-        });
     }
-
-    // Human-readable wall-time table (stderr, like all timing output).
-    eprintln!("\n== simulator wall time ({cores} host cores) ==");
-    eprintln!("{:<20} {:>12}", "bin", "wall (ms)");
-    let mut total = 0.0f64;
-    for r in &results {
-        total += r.wall_ms;
-        eprintln!("{:<20} {:>12.1}", r.bin, r.wall_ms);
-    }
-    eprintln!("{:<20} {:>12.1}", "TOTAL", total);
-
-    // Machine-readable record.
-    let mut bins_json = String::new();
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            bins_json.push_str(",\n");
-        }
-        let mut runs_json = String::new();
-        for (j, (label, ms)) in r.runs.iter().enumerate() {
-            if j > 0 {
-                runs_json.push_str(",\n");
-            }
-            runs_json.push_str(&format!(
-                "        {{\"label\": \"{}\", \"wall_ms\": {ms:.3}}}",
-                json_escape(label),
-            ));
-        }
-        bins_json.push_str(&format!(
-            "    {{\n      \"bin\": \"{}\",\n      \"wall_ms\": {:.3},\n      \"runs\": [\n{}\n      ]\n    }}",
-            r.bin, r.wall_ms, runs_json
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"repro_all\",\n  \"host_cores\": {cores},\n  \"quick\": {quick},\n  \"bins\": [\n{bins_json}\n  ],\n  \"total_wall_ms\": {total:.3}\n}}\n"
-    );
-    std::fs::write("results/BENCH_repro_all.json", json).expect("write BENCH_repro_all.json");
 
     // Fold the per-bin checker verdicts into one machine-readable file.
     // Each bin already exits nonzero on violations (killing the sweep
@@ -301,39 +207,30 @@ fn main() {
 
     // Manifest of everything this sweep regenerated (existence already
     // asserted per bin above).
-    manifest.push("results/BENCH_repro_all.json".to_string());
     if check {
         manifest.push("results/CHECK_repro_all.json".to_string());
     }
     if lint {
         manifest.push("results/LINT_repro_all.json".to_string());
     }
-    let file_list = |paths: &[String]| -> String {
-        let mut out = String::new();
-        for (i, p) in paths.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str(&format!("    \"{}\"", json_escape(p)));
-        }
-        out
-    };
-    let files_json = file_list(&manifest);
-    let removed_json = file_list(&removed_stale);
+    let files_json = manifest
+        .iter()
+        .map(|p| format!("    \"{}\"", json_escape(p)))
+        .collect::<Vec<_>>()
+        .join(",\n");
     let manifest_json = format!(
         "{{\n  \"subject\": \"repro_all\",\n  \"quick\": {quick},\n  \"check\": {check},\n  \
          \"lint\": {lint},\n  \"spans\": {spans},\n  \"metrics\": {metrics},\n  \
-         \"removed_stale\": [\n{removed_json}\n  ],\n  \"artifacts\": [\n{files_json}\n  ]\n}}\n"
+         \"artifacts\": [\n{files_json}\n  ]\n}}\n"
     );
     std::fs::write("results/MANIFEST_repro_all.json", manifest_json)
         .expect("write MANIFEST_repro_all.json");
     eprintln!(
-        "manifest: {} artifact(s) regenerated, {} stale file(s) removed \
+        "manifest: {} artifact(s) regenerated, {removed_stale} stale file(s) removed \
          (results/MANIFEST_repro_all.json)",
         manifest.len() + 1,
-        removed_stale.len()
     );
-    eprintln!("all harnesses completed; see results/ (wall times in results/BENCH_repro_all.json)");
+    eprintln!("all harnesses completed; see results/");
 }
 
 /// Fold per-bin verdicts of one family (`CHECK` / `LINT`) into

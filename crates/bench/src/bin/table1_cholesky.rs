@@ -32,7 +32,7 @@ fn run(n: usize, p: usize, variant: Variant, flow: bool) -> f64 {
         .build()
         .unwrap();
     let label = format!("cholesky n={n} p={p} {variant:?} fc={flow}");
-    let (_, report) = out::timed(label, || run_sim(machine, cfg, false));
+    let (_, report) = out::recorded(label, || run_sim(machine, cfg, false));
     report.makespan.as_secs_f64()
 }
 

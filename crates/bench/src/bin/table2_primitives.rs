@@ -60,9 +60,8 @@ fn main() {
     let remote_apparent = clocked(&mut m, |ctx| {
         ctx.create_on(1, nil, vec![]);
     });
-    let t0 = std::time::Instant::now();
     let rep = m.run().unwrap();
-    out::note_run("remote creation", &rep, t0.elapsed());
+    out::note_run("remote creation", &rep);
     let remote_actual = rep
         .stats
         .histogram("create.remote_actual_ns")
@@ -113,9 +112,8 @@ fn main() {
         let (sel, args) = SynthMsg::Echo { v: 1 }.encode();
         hal::call_then(ctx, echo, sel, args, |ctx, _| ctx.stop());
     });
-    let t0 = std::time::Instant::now();
     let r = m.run().unwrap();
-    out::note_run("local call/return", &r, t0.elapsed());
+    out::note_run("local call/return", &r);
     let callret = (m.kernel(0).clock - before).as_nanos() as f64;
 
     let widths = [44usize, 12];

@@ -1,22 +1,20 @@
 //! Table 4 reproduction: Fibonacci with and without dynamic load
-//! balancing, plus the Cilk and sequential-C comparison points.
+//! balancing, plus the sequential-C comparison point.
 //!
 //! Paper: fib(33) creates 11,405,773 actors; receiver-initiated random
 //! polling balances the skewed call tree; Cilk takes 73.16 s and an
 //! optimized C version 8.49 s on one node.
 //!
 //! Simulated virtual seconds reproduce the with/without-LB comparison
-//! across partition sizes; the host rows report real wall-clock for the
-//! Rust baselines. We run smaller n than 33 to keep the discrete-event
-//! simulation tractable and scale grain size with n exactly as the
-//! paper's creation-elision optimization did ("actor creations were
-//! optimized away").
+//! across partition sizes. We run smaller n than 33 to keep the
+//! discrete-event simulation tractable and scale grain size with n
+//! exactly as the paper's creation-elision optimization did ("actor
+//! creations were optimized away").
 
 use hal::MachineConfig;
-use hal_baselines::{call_tree_nodes, fib, parallel_fib};
+use hal_baselines::call_tree_nodes;
 use hal_bench::{banner, cell, header, out, row, secs};
 use hal_workloads::fib::{run_sim, FibConfig, Placement, SEQ_NODE_COST_NS};
-use std::time::Instant;
 
 fn sim(n: u64, grain: u64, p: usize, lb: bool, placement: Placement) -> (u64, f64, u64) {
     let machine = MachineConfig::builder(p)
@@ -28,7 +26,7 @@ fn sim(n: u64, grain: u64, p: usize, lb: bool, placement: Placement) -> (u64, f6
         .unwrap();
     let cfg = FibConfig { n, grain, placement };
     let label = format!("fib n={n} p={p} lb={lb} {placement:?}");
-    let (v, r) = out::timed(label, || run_sim(machine, cfg));
+    let (v, r) = out::recorded(label, || run_sim(machine, cfg));
     (v, r.makespan.as_secs_f64(), r.stats.get("steal.granted"))
 }
 
@@ -84,24 +82,6 @@ fn main() {
         }
     }
 
-    // Host-baseline wall clocks fluctuate run to run, so they go to
-    // stderr: stdout stays byte-identical across reruns.
-    let n_host = if out::quick() { 24u64 } else { 30 };
-    let t0 = Instant::now();
-    let v = fib(n_host);
-    let t_seq = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let v2 = parallel_fib(n_host, 1, 16);
-    let t_pool = t0.elapsed().as_secs_f64();
-    assert_eq!(v, v2);
-    eprintln!(
-        "host baseline: sequential Rust fib({n_host})           : {:.3} s  ('optimized C' role)",
-        t_seq
-    );
-    eprintln!(
-        "host baseline: work-stealing pool fib({n_host}), 1 thr : {:.3} s  ('Cilk' role; single-CPU host)",
-        t_pool
-    );
     println!(
         "\nshape: LB recovers nearly all of static placement's parallelism\n\
          without any placement annotations, while noLB stays serial at every P;\n\

@@ -51,7 +51,7 @@ fn main() {
                 .build()
                 .unwrap();
             let label = format!("matmul n={n} p={p}");
-            let (_fro, report) = out::timed(label, || run_sim(machine, cfg, false));
+            let (_fro, report) = out::recorded(label, || run_sim(machine, cfg, false));
             let t = report.makespan.as_secs_f64();
             let flops = 2.0 * (n as f64).powi(3);
             let mflops = flops / t / 1e6;

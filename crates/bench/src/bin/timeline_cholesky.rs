@@ -31,9 +31,8 @@ fn show(variant: Variant) {
         program.build(),
     );
     m.with_ctx(0, |ctx| cholesky::bootstrap(ctx, id, cfg, false));
-    let t0 = std::time::Instant::now();
     let report = m.run().unwrap();
-    out::note_run(format!("timeline cholesky {variant:?}"), &report, t0.elapsed());
+    out::note_run(format!("timeline cholesky {variant:?}"), &report);
     println!(
         "-- {variant:?}: {} --",
         report.makespan

@@ -7,13 +7,16 @@
 //! | `table1_cholesky` | Table 1 — Cholesky variants (BP/CP/Seq/Bcast) + flow-control ablation |
 //! | `table2_primitives` | Table 2 — runtime primitive costs (simulated µs) |
 //! | `table3_invocation` | Table 3 — method-invocation cost ladder |
-//! | `table4_fib` | Table 4 — fib with/without load balancing + baselines |
+//! | `table4_fib` | Table 4 — fib with/without load balancing, the paper's sequential-C cost beside |
 //! | `table5_matmul` | Table 5 — systolic matmul times and MFLOPS |
 //! | `fig3_delivery` | Fig. 3 — FIR message delivery under migration |
 //!
-//! The binaries report simulated CM-5-calibrated microseconds; the host
-//! cost of the same primitives is measured by the standalone
-//! `benchmark/` package's layer ledger.
+//! The binaries report simulated CM-5-calibrated microseconds and
+//! nothing else: no bin reads the host clock or the environment, so
+//! every file a sweep leaves under `results/` is a pure function of the
+//! tree and the flags, and `ci.sh` compares the committed copies with a
+//! fresh sweep byte for byte. The host cost of the same primitives is
+//! measured by the standalone `benchmark/` package's layer ledger.
 
 #![warn(missing_docs)]
 

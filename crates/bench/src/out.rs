@@ -2,66 +2,63 @@
 //!
 //! Every table bin records its simulation runs here and calls
 //! [`finish`] at exit, which writes `results/BENCH_<bin>.json` next to
-//! the human-readable `results/<bin>.txt` — virtual time, host wall
-//! time, and events/sec throughput per run — so the performance
-//! trajectory of the simulator itself is tracked from PR to PR.
+//! the human-readable `results/<bin>.txt` — label, virtual time, event
+//! count and the bin's extra counters per run. Nothing here reads the
+//! host clock: on the sim backend every file a bin writes is a pure
+//! function of the tree and the flags, which is what lets `ci.sh` hold
+//! the committed `results/` to a fresh sweep with `cmp`. Host time is
+//! measured by the standalone `benchmark/` package only.
 //!
-//! The module also owns the switches every bin honors:
+//! The module also owns the switches every bin honors (command-line
+//! flags only — no environment variable is read):
 //!
-//! * `--quick` / `HAL_QUICK=1` — shrink problem sizes so the bin
-//!   finishes in seconds (CI smoke).
-//! * `--backend=sim|live` / `HAL_BACKEND` — which
-//!   [`hal_kernel::BackendKind`] the bin's machines run on ([`backend`]). The deterministic
-//!   simulator is the default; `live` runs one real kernel per host
-//!   thread, so virtual-time facts become host-time facts and the
-//!   artifacts carry a `"backend": "live"` tag for the perf gate.
-//! * `--check` / `HAL_CHECK=1` — run the `hal-check` protocol invariant
+//! * `--quick` — shrink problem sizes so the bin finishes in seconds.
+//! * `--backend=sim|live` — which [`hal_kernel::BackendKind`] the bin's
+//!   machines run on ([`backend`]). The deterministic simulator is the
+//!   default; `live` runs one real kernel per host thread, so
+//!   virtual-time facts become host-time facts and the artifacts carry
+//!   a `"backend": "live"` tag saying they are not reproducible.
+//! * `--check` — run the `hal-check` protocol invariant
 //!   checker over every recorded run. Bins opt their machines into the
 //!   flight recorder via `.observe(out::observe_opts())`; [`finish`]
 //!   then writes `results/CHECK_<bin>.json` and **exits nonzero** on any
 //!   violation.
-//! * `--lint` / `HAL_LINT=1` — run the `hal-check` **static** protocol
+//! * `--lint` — run the `hal-check` **static** protocol
 //!   lint over the program's compile-time declarations (the `messages!`
 //!   protocols fed via [`note_protocol`], handlers via [`note_handler`],
 //!   roots via [`note_root`], wait-for gates via [`note_gate`]).
 //!   [`finish`] writes `results/LINT_<bin>.json` and **exits nonzero**
 //!   on any finding. Purely static: no run, trace, or host fact enters
 //!   the artifact.
-//! * `--spans` / `HAL_SPANS=1` — reconstruct message-lifecycle spans
+//! * `--spans` — reconstruct message-lifecycle spans
 //!   ([`hal_kernel::span`]) and the critical path (`hal-profile`) for
 //!   every recorded run, asserting the critical path never exceeds the
 //!   makespan, and write `results/SPANS_<bin>.json`. Implies tracing
 //!   via [`trace_wanted`].
-//! * `--metrics` / `HAL_METRICS=1` — enable the metrics registry
+//! * `--metrics` — enable the metrics registry
 //!   ([`hal_kernel::metrics`], folded into [`observe_opts`]) and write
 //!   `results/METRICS_<bin>.json` — one document shape on both
 //!   backends.
-//! * `--span-sample=R` / `HAL_SPAN_SAMPLE=R` — head-sample spans at
+//! * `--span-sample=R` — head-sample spans at
 //!   rate `R` in `[0, 1]` (folded into [`observe_opts`]). The sample
 //!   decision hashes the deterministic trace id, so sampled `SPANS_`
 //!   artifacts stay byte-identical across reruns, and rate 1 reproduces
 //!   the unsampled surface exactly.
 //!
-//! Timing lines go to **stderr**, so stdout carries virtual-time facts
-//! only and is byte-identical across reruns. The checker, span, and
-//! metrics passes write only to stderr and their JSON files, which carry
-//! only virtual-time facts too; host time appears in `BENCH_<bin>.json`
-//! alone.
+//! Progress lines (`BENCHLINE`, `SPANLINE`, `CHECKFILE`, ...) go to
+//! **stderr**; stdout is the bin's table and becomes `results/<bin>.txt`.
 
 use hal_check::{json_escape, CheckReport, LintSpec};
 use hal_kernel::span::SpanReport;
 use hal_kernel::{BackendKind, ObserveOpts, ProtocolDecl, SimReport};
 use hal_profile::critical_paths;
-use std::io::Write;
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// One recorded simulation run.
 struct Run {
     label: String,
     virtual_ns: u64,
     events: u64,
-    wall: Duration,
     /// Extra per-run counters (e.g. chaos delivery stats), emitted
     /// verbatim into the JSON record.
     extras: Vec<(String, u64)>,
@@ -82,23 +79,29 @@ static SPANS: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
 /// Per-run JSON fragments accumulated for `results/METRICS_<bin>.json`.
 static METRICS: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
 
+/// True when `name` (e.g. `--quick`) is on this process's command line.
+fn flag(name: &str) -> bool {
+    std::env::args().skip(1).any(|a| a == name)
+}
+
+/// The value of a `--name=value` argument on this process's command
+/// line, if present.
+fn flag_value(name: &str) -> Option<String> {
+    std::env::args()
+        .skip(1)
+        .find_map(|a| a.strip_prefix(name)?.strip_prefix('=').map(str::to_string))
+}
+
 /// Which backend this process's machines run on: `--backend=sim|live`
-/// on the command line, else the `HAL_BACKEND` environment variable,
-/// else the deterministic simulator. Bins pass this to
-/// [`hal_kernel::MachineConfigBuilder::backend`]; under `live` the
-/// virtual-time facts in every artifact are host-time facts and carry a
-/// `"backend": "live"` tag so downstream tooling (the perf gate) knows
-/// not to expect determinism.
+/// on the command line, else the deterministic simulator. Bins pass
+/// this to [`hal_kernel::MachineConfigBuilder::backend`]; under `live`
+/// the virtual-time facts in every artifact are host-time facts and
+/// carry a `"backend": "live"` tag so a reader knows not to expect
+/// determinism.
 pub fn backend() -> BackendKind {
-    for arg in std::env::args().skip(1) {
-        if let Some(v) = arg.strip_prefix("--backend=") {
-            return v.parse().unwrap_or_else(|e| panic!("{e}"));
-        }
-    }
-    match std::env::var("HAL_BACKEND") {
-        Ok(v) => v.parse().unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => BackendKind::Sim,
-    }
+    flag_value("--backend").map_or(BackendKind::Sim, |v| {
+        v.parse().unwrap_or_else(|e| panic!("{e}"))
+    })
 }
 
 /// The observability options implied by this process's switches — what
@@ -114,64 +117,53 @@ pub fn observe_opts() -> ObserveOpts {
 
 /// Head-sampling rate for lifecycle spans, in parts per million:
 /// `--span-sample=R` (a fraction in `[0, 1]`) on the command line, else
-/// the `HAL_SPAN_SAMPLE` environment variable, else full sampling.
-/// Folded into [`observe_opts`]; only observable when tracing is on
-/// (see [`trace_wanted`]).
+/// full sampling. Folded into [`observe_opts`]; only observable when
+/// tracing is on (see [`trace_wanted`]).
 pub fn span_sample_ppm() -> u32 {
-    fn parse_rate(v: &str) -> u32 {
-        let r: f64 = v.parse().unwrap_or_else(|_| {
-            panic!("bad span sample rate {v:?}: expected a fraction in [0, 1]")
-        });
-        assert!(
-            (0.0..=1.0).contains(&r),
-            "span sample rate {r} outside [0, 1]"
-        );
-        (r * 1e6).round() as u32
-    }
-    for arg in std::env::args().skip(1) {
-        if let Some(v) = arg.strip_prefix("--span-sample=") {
-            return parse_rate(v);
-        }
-    }
-    match std::env::var("HAL_SPAN_SAMPLE") {
-        Ok(v) => parse_rate(&v),
-        Err(_) => 1_000_000,
-    }
+    let Some(v) = flag_value("--span-sample") else {
+        return 1_000_000;
+    };
+    let r: f64 = v
+        .parse()
+        .unwrap_or_else(|_| panic!("bad span sample rate {v:?}: expected a fraction in [0, 1]"));
+    assert!(
+        (0.0..=1.0).contains(&r),
+        "span sample rate {r} outside [0, 1]"
+    );
+    (r * 1e6).round() as u32
 }
 
 /// True when the bin should shrink its problem sizes to finish in
-/// seconds: `--quick` on the command line or `HAL_QUICK` set.
+/// seconds (`--quick`).
 pub fn quick() -> bool {
-    std::env::args().skip(1).any(|a| a == "--quick") || std::env::var("HAL_QUICK").is_ok()
+    flag("--quick")
 }
 
-/// True when the protocol checker should run over every recorded run:
-/// `--check` on the command line or `HAL_CHECK` set. Folded into
-/// [`observe_opts`] (via [`trace_wanted`]) so the trace pass has events
-/// to look at; the audit pass works either way.
+/// True when the protocol checker should run over every recorded run
+/// (`--check`). Folded into [`observe_opts`] (via [`trace_wanted`]) so
+/// the trace pass has events to look at; the audit pass works either
+/// way.
 pub fn check_enabled() -> bool {
-    std::env::args().skip(1).any(|a| a == "--check") || std::env::var("HAL_CHECK").is_ok()
+    flag("--check")
 }
 
 /// True when the static protocol lint should run over this process's
-/// declared protocols/handlers/roots/gates: `--lint` on the command
-/// line or `HAL_LINT` set. Purely static — needs no trace and no run.
+/// declared protocols/handlers/roots/gates (`--lint`). Purely static —
+/// needs no trace and no run.
 pub fn lint_enabled() -> bool {
-    std::env::args().skip(1).any(|a| a == "--lint") || std::env::var("HAL_LINT").is_ok()
+    flag("--lint")
 }
 
 /// True when lifecycle spans + critical-path analysis should run over
-/// every recorded run: `--spans` on the command line or `HAL_SPANS`
-/// set.
+/// every recorded run (`--spans`).
 pub fn spans_enabled() -> bool {
-    std::env::args().skip(1).any(|a| a == "--spans") || std::env::var("HAL_SPANS").is_ok()
+    flag("--spans")
 }
 
-/// True when the live metrics registry should be enabled: `--metrics`
-/// on the command line or `HAL_METRICS` set. Folded into
-/// [`observe_opts`].
+/// True when the metrics registry should be enabled (`--metrics`).
+/// Folded into [`observe_opts`].
 pub fn metrics_enabled() -> bool {
-    std::env::args().skip(1).any(|a| a == "--metrics") || std::env::var("HAL_METRICS").is_ok()
+    flag("--metrics")
 }
 
 /// True when the flight recorder is needed by any enabled pass — folded
@@ -229,10 +221,9 @@ pub fn note_gate(from: &str, to: &str) {
     }
 }
 
-/// Record one simulation run under `label`. `wall` is the host
-/// wall-clock time of the `run()` call.
-pub fn note_run(label: impl Into<String>, report: &SimReport, wall: Duration) {
-    note_run_with(label, report, wall, &[]);
+/// Record one simulation run under `label`.
+pub fn note_run(label: impl Into<String>, report: &SimReport) {
+    note_run_with(label, report, &[]);
 }
 
 /// Like [`note_run`] but with extra named counters attached to the JSON
@@ -241,7 +232,6 @@ pub fn note_run(label: impl Into<String>, report: &SimReport, wall: Duration) {
 pub fn note_run_with(
     label: impl Into<String>,
     report: &SimReport,
-    wall: Duration,
     extras: &[(&str, u64)],
 ) {
     let label = label.into();
@@ -307,38 +297,22 @@ pub fn note_run_with(
         label,
         virtual_ns: report.makespan.as_nanos(),
         events: report.events,
-        wall,
         extras: extras.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
     };
     eprintln!(
-        "BENCHLINE {label} virtual_ms={vms:.3} wall_ms={wms:.3} events={ev} events_per_sec={eps:.0}",
+        "BENCHLINE {label} virtual_ms={vms:.3} events={ev}",
         label = run.label,
         vms = run.virtual_ns as f64 / 1e6,
-        wms = run.wall.as_secs_f64() * 1e3,
         ev = run.events,
-        eps = events_per_sec(run.events, run.wall),
     );
     RUNS.lock().expect("bench out lock").push(run);
 }
 
-fn events_per_sec(events: u64, wall: Duration) -> f64 {
-    let s = wall.as_secs_f64();
-    if s > 0.0 {
-        events as f64 / s
-    } else {
-        0.0
-    }
-}
-
-/// Write `results/BENCH_<bin>.json` from every run recorded so far and
-/// print a total line to stderr. Call once, at the end of `main`.
-pub fn finish(bin: &str) {
-    let runs = std::mem::take(&mut *RUNS.lock().expect("bench out lock"));
-    let (mut total_events, mut total_wall) = (0u64, Duration::ZERO);
+/// The `BENCH_<bin>.json` document for `runs`: a pure function of its
+/// arguments, so the file is byte-identical across reruns on sim.
+fn bench_json(bin: &str, backend: BackendKind, runs: &[Run]) -> String {
     let mut body = String::new();
     for (i, r) in runs.iter().enumerate() {
-        total_events += r.events;
-        total_wall += r.wall;
         if i > 0 {
             body.push_str(",\n");
         }
@@ -348,38 +322,46 @@ pub fn finish(bin: &str) {
             .map(|(k, v)| format!(", \"{}\": {}", json_escape(k), v))
             .collect();
         body.push_str(&format!(
-            "    {{\"label\": \"{}\", \"virtual_ns\": {}, \"events\": {}, \"wall_ns\": {}, \"events_per_sec\": {:.0}{}}}",
+            "    {{\"label\": \"{}\", \"virtual_ns\": {}, \"events\": {}{}}}",
             json_escape(&r.label),
             r.virtual_ns,
             r.events,
-            r.wall.as_nanos(),
-            events_per_sec(r.events, r.wall),
             extras,
         ));
     }
-    let json = format!(
-        "{{\n  \"bench\": \"{}\",\n  \"backend\": \"{}\",\n  \"runs\": [\n{}\n  ],\n  \"total_events\": {},\n  \"total_wall_ns\": {},\n  \"total_events_per_sec\": {:.0}\n}}\n",
+    format!(
+        "{{\n  \"bench\": \"{}\",\n  \"backend\": \"{}\",\n  \"runs\": [\n{}\n  ],\n  \"total_events\": {}\n}}\n",
         json_escape(bin),
-        backend(),
+        backend,
         body,
-        total_events,
-        total_wall.as_nanos(),
-        events_per_sec(total_events, total_wall),
-    );
+        runs.iter().map(|r| r.events).sum::<u64>(),
+    )
+}
+
+/// Write `json` to `path` under `results/`, reporting a failure on
+/// stderr. Returns whether the file was written.
+fn write_results_file(path: &str, json: &str) -> bool {
+    match std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, json)) {
+        Ok(()) => true,
+        Err(e) => {
+            eprintln!("bench out: writing {path} failed: {e}");
+            false
+        }
+    }
+}
+
+/// Write `results/BENCH_<bin>.json` from every run recorded so far and
+/// print a total line to stderr. Call once, at the end of `main`.
+pub fn finish(bin: &str) {
+    let runs = std::mem::take(&mut *RUNS.lock().expect("bench out lock"));
     let path = format!("results/BENCH_{bin}.json");
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|_| std::fs::File::create(&path))
-        .and_then(|mut f| f.write_all(json.as_bytes()))
-    {
-        eprintln!("bench out: writing {path} failed: {e}");
+    if !write_results_file(&path, &bench_json(bin, backend(), &runs)) {
         return;
     }
     eprintln!(
-        "BENCHTOTAL {bin} runs={n} wall_ms={wms:.3} events={ev} events_per_sec={eps:.0} json={path}",
+        "BENCHTOTAL {bin} runs={n} events={ev} json={path}",
         n = runs.len(),
-        wms = total_wall.as_secs_f64() * 1e3,
-        ev = total_events,
-        eps = events_per_sec(total_events, total_wall),
+        ev = runs.iter().map(|r| r.events).sum::<u64>(),
     );
 
     if spans_enabled() {
@@ -431,9 +413,8 @@ pub fn finish(bin: &str) {
 }
 
 /// Write one per-run JSON artifact (`SPANS_*` / `METRICS_*`) and print
-/// its stderr marker line. Carries the `"backend"` tag like `BENCH_*`
-/// so the perf gate can exempt live (host-time) documents from exact
-/// comparison.
+/// its stderr marker line. Carries the `"backend"` tag like `BENCH_*`:
+/// a live-tagged document holds host-time facts and is not reproducible.
 fn write_artifact(path: &str, marker: &str, bin: &str, runs: &[(String, String)]) {
     let mut body = String::new();
     for (i, (_, obj)) in runs.iter().enumerate() {
@@ -449,21 +430,53 @@ fn write_artifact(path: &str, marker: &str, bin: &str, runs: &[(String, String)]
         backend(),
         body
     );
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|_| std::fs::File::create(path))
-        .and_then(|mut f| f.write_all(json.as_bytes()))
-    {
-        eprintln!("bench out: writing {path} failed: {e}");
-        return;
+    if write_results_file(path, &json) {
+        eprintln!("{marker} {path}");
     }
-    eprintln!("{marker} {path}");
 }
 
-/// Time `f` and record its report under `label` — the common wrapper
+/// Run `f` and record its report under `label` — the common wrapper
 /// for `run_sim`-style calls returning `(value, SimReport)`.
-pub fn timed<T>(label: impl Into<String>, f: impl FnOnce() -> (T, SimReport)) -> (T, SimReport) {
-    let t0 = std::time::Instant::now();
+pub fn recorded<T>(label: impl Into<String>, f: impl FnOnce() -> (T, SimReport)) -> (T, SimReport) {
     let (v, report) = f();
-    note_run(label, &report, t0.elapsed());
+    note_run(label, &report);
     (v, report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bench_document_is_a_pure_function_of_the_recorded_runs() {
+        let runs = || {
+            vec![
+                Run {
+                    label: "fib n=24 p=4 \"lb\"".to_string(),
+                    virtual_ns: 36_108_196,
+                    events: 3152,
+                    extras: vec![],
+                },
+                Run {
+                    label: "chaos drop=5%".to_string(),
+                    virtual_ns: 9_000,
+                    events: 80,
+                    extras: vec![("delivered".to_string(), 40), ("retransmits".to_string(), 3)],
+                },
+            ]
+        };
+        let a = bench_json("t", BackendKind::Sim, &runs());
+        let b = bench_json("t", BackendKind::Sim, &runs());
+        assert_eq!(a, b, "same runs, same bytes");
+        assert!(!a.contains("wall") && !a.contains("per_sec"), "{a}");
+        assert!(
+            a.contains(
+                "{\"label\": \"chaos drop=5%\", \"virtual_ns\": 9000, \"events\": 80, \
+                 \"delivered\": 40, \"retransmits\": 3}"
+            ),
+            "{a}"
+        );
+        assert!(a.contains("\"total_events\": 3232"), "{a}");
+        hal_check::Json::parse(&a).expect("the document is JSON");
+    }
 }

@@ -31,14 +31,16 @@
 
 #![warn(missing_docs)]
 
+mod json;
 mod lint;
 mod program_check;
 mod report;
 mod trace_check;
 
+pub use json::{json_escape, Json};
 pub use lint::{run_lint, LintFinding, LintKind, LintReport, LintSpec};
 pub use program_check::{check_audit, check_behavior_image, check_registry, check_tags};
-pub use report::{json_escape, CheckReport, Violation, ViolationKind};
+pub use report::{CheckReport, Violation, ViolationKind};
 pub use trace_check::check_trace;
 
 use hal_kernel::{SimReport, TraceReport};

@@ -31,7 +31,8 @@
 //! report is built from sorted containers and carries no host facts, so
 //! its bytes are identical across runs and hosts.
 
-use crate::report::{json_escape, CheckReport};
+use crate::json::json_escape;
+use crate::report::CheckReport;
 use hal_kernel::ProtocolDecl;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write as _;

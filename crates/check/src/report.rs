@@ -1,6 +1,7 @@
 //! Typed check results: violation kinds, counts, offending event
 //! windows, and the `results/CHECK_<bin>.json` serialization.
 
+use crate::json::json_escape;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 
@@ -301,27 +302,6 @@ impl CheckReport {
         let mut f = std::fs::File::create(path)?;
         f.write_all(self.to_json().as_bytes())
     }
-}
-
-/// Escape `s` for the inside of a JSON string literal: quote, backslash,
-/// newline and every other control character. The one escaper of the
-/// workspace's hand-written artifact writers.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //!
 //! Flags (all optional):
 //!
-//! * `--backend=sim|live`   backend (default `sim`; `HAL_BACKEND` too)
+//! * `--backend=sim|live`   backend (default `sim`)
 //! * `--scenario=NAME`      artifact name (default `pipeline`)
 //! * `--nodes=N`            partition size (default 4)
 //! * `--stages=S`           pipeline depth (default 3)
@@ -67,9 +67,6 @@ fn main() {
     }
 
     let mut cfg = serve::ServeConfig::default();
-    if let Ok(v) = std::env::var("HAL_BACKEND") {
-        cfg.backend = v.parse().unwrap_or_else(|e| panic!("{e}"));
-    }
     for arg in &args {
         if let Some(v) = parse_flag::<BackendKind>(arg, "--backend") {
             cfg.backend = v;

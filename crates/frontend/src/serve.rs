@@ -782,7 +782,7 @@ pub fn run(cfg: ServeConfig) -> Result<ServeOutcome, MachineError> {
 /// percentile ladder, and the ladder is monotone (p50 ≤ p99 ≤ p999 ≤
 /// max). Returns a human-readable error otherwise.
 pub fn verify_artifact(body: &str) -> Result<(), String> {
-    let doc = hal_perf::Json::parse(body)?;
+    let doc = hal_check::Json::parse(body)?;
     let lat = doc.get("latency_ns").ok_or("missing latency_ns object")?;
     let field = |k: &str| -> Result<f64, String> {
         lat.get(k)

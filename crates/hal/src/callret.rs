@@ -11,15 +11,10 @@
 
 use crate::value::IntoValue;
 use hal_kernel::kernel::Ctx;
-use hal_kernel::{ContRef, GroupId, MailAddr, Selector, Value};
+use hal_kernel::{ContRef, MailAddr, Selector, Value};
 
 /// One pending request to be issued under a shared join continuation.
-enum Call {
-    /// To an ordinary mail address.
-    Addr(MailAddr, Selector, Vec<Value>),
-    /// To a group member.
-    Member(GroupId, u32, Selector, Vec<Value>),
-}
+type Call = (MailAddr, Selector, Vec<Value>);
 
 /// Builder for a group of `request` sends sharing one continuation.
 ///
@@ -45,19 +40,7 @@ impl JoinBuilder {
 
     /// Add a request whose reply fills the next slot.
     pub fn call(mut self, to: MailAddr, selector: Selector, args: Vec<Value>) -> Self {
-        self.calls.push(Call::Addr(to, selector, args));
-        self
-    }
-
-    /// Add a request to a group member whose reply fills the next slot.
-    pub fn call_member(
-        mut self,
-        group: GroupId,
-        index: u32,
-        selector: Selector,
-        args: Vec<Value>,
-    ) -> Self {
-        self.calls.push(Call::Member(group, index, selector, args));
+        self.calls.push((to, selector, args));
         self
     }
 
@@ -91,12 +74,9 @@ impl JoinBuilder {
             .map(|(i, v)| ((n_calls + i) as u16, v))
             .collect();
         let jc = ctx.create_join(arity as u16, prefilled, Box::new(f));
-        for (i, call) in self.calls.into_iter().enumerate() {
+        for (i, (to, sel, args)) in self.calls.into_iter().enumerate() {
             let cont = ctx.cont_slot(jc, i as u16);
-            match call {
-                Call::Addr(to, sel, args) => ctx.request(to, sel, args, cont),
-                Call::Member(g, idx, sel, args) => ctx.request_member(g, idx, sel, args, cont),
-            }
+            ctx.request(to, sel, args, cont);
         }
     }
 }

@@ -101,11 +101,6 @@ impl Balancer {
         self.next_poll_at = now + backoff;
     }
 
-    /// True while a steal request is outstanding.
-    pub fn is_polling(&self) -> bool {
-        self.polling
-    }
-
     /// Polls sent (diagnostics, Table 4 instrumentation).
     pub fn polls_sent(&self) -> u64 {
         self.polls_sent

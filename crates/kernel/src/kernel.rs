@@ -372,11 +372,6 @@ impl Kernel {
         !self.dispatcher.is_empty() || !self.loopback.is_empty()
     }
 
-    /// Number of ready actors (machine-level idle/steal decisions).
-    pub fn ready_len(&self) -> usize {
-        self.dispatcher.len()
-    }
-
     /// Live actors on this node.
     pub fn actor_count(&self) -> usize {
         self.actors.len()
@@ -2323,11 +2318,13 @@ impl Kernel {
             self.net_send(net, child, KMsg::GcSweepCmd { root });
         }
         let mut freed = 0u64;
+        let mut swept_keys = std::collections::HashSet::new();
         for aid in self.actors.live_ids() {
             if self.gc.marked.contains(&aid) {
                 continue;
             }
             let rec = self.actors.remove(aid);
+            swept_keys.extend(rec.keys.iter().copied());
             for key in &rec.keys {
                 if key.birthplace == self.cfg.me {
                     if self.names.descriptor_live(key.index) {
@@ -2340,6 +2337,12 @@ impl Kernel {
                 }
             }
             freed += 1;
+        }
+        // A dead key's "already advised" marks must not outlive it: the
+        // set would grow with actors ever addressed, and a recycled
+        // descriptor index would inherit them.
+        if !swept_keys.is_empty() {
+            self.advised.retain(|(_, key)| !swept_keys.contains(key));
         }
         self.stats.add("gc.freed", freed);
         self.gc.active = false;
@@ -2701,10 +2704,13 @@ impl Kernel {
         }
     }
 
-    /// The generic send minus the locality check (already charged).
+    /// The generic send for a `send_fast` fallback, whose caller has
+    /// already charged one locality check. Only a local receiver is
+    /// spared a second one: any other resolution re-enters
+    /// `send_to_addr`, which charges `locality_check` again (a cost-model
+    /// wart, ROADMAP item 1 — fixing it moves `virtual_ns` in every
+    /// artifact with a remote `send_fast`).
     fn send_after_check(&mut self, net: &mut dyn NetOut, to: MailAddr, msg: Msg) {
-        // send_to_addr re-checks; refund the duplicate check so fast-path
-        // fallbacks are not double-charged.
         match self.names.resolve(to.key) {
             Resolution::Local(aid) => {
                 self.charge(self.cfg.cost.local_send);
@@ -2783,11 +2789,6 @@ impl<'a> Ctx<'a> {
     /// Asynchronous send (the actor `send` primitive).
     pub fn send(&mut self, to: MailAddr, selector: Selector, args: Vec<Value>) {
         self.k.send_to_addr(self.net, to, Msg::new(selector, args));
-    }
-
-    /// Send a fully formed message (continuation reference included).
-    pub fn send_msg(&mut self, to: MailAddr, msg: Msg) {
-        self.k.send_to_addr(self.net, to, msg);
     }
 
     /// Compiler fast path (§6.3): inline local dispatch when legal, else
@@ -2984,4 +2985,54 @@ pub fn with_system_ctx<R>(
     debug_assert!(ctx.become_to.is_none());
     debug_assert!(ctx.migrate_to.is_none());
     r
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::machine::SimMachine;
+
+    /// Selector 0 with an address argument: message that address.
+    struct Relay;
+    impl Behavior for Relay {
+        fn dispatch(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+            if let Some(target) = msg.args.first() {
+                ctx.send(target.as_addr(), 0, vec![]);
+            }
+        }
+    }
+
+    /// The "already advised" set follows the actors alive, not the
+    /// actors ever addressed: a swept actor's (sender, key) pairs go
+    /// with its descriptors.
+    #[test]
+    fn advised_pairs_are_dropped_with_the_swept_actor() {
+        let mut reg = BehaviorRegistry::new();
+        reg.register(BehaviorId(0), "relay", |_| Box::new(Relay));
+        let mut m = SimMachine::new(MachineConfig::new(3), Arc::new(reg));
+        let relay = m.with_ctx(1, |ctx| {
+            let relay = ctx.create_local(Box::new(Relay));
+            ctx.pin(relay);
+            relay
+        });
+        let advised = |m: &SimMachine| -> usize { (0..3).map(|n| m.kernel(n).advised.len()).sum() };
+        let mut after_first = None;
+        for round in 0..100 {
+            // Remote-create on node 2, message it from node 0 directly
+            // and from node 1 through the relay, then drop it.
+            m.with_ctx(0, |ctx| {
+                let a = ctx.create_on(2, BehaviorId(0), vec![]);
+                ctx.send(a, 0, vec![]);
+                ctx.send(relay, 0, vec![Value::Addr(a)]);
+            });
+            m.run().unwrap();
+            assert!(
+                m.kernel(2).advised.len() >= 2,
+                "round {round}: both senders were advised"
+            );
+            assert_eq!(m.collect_garbage().unwrap().freed, 1, "round {round}");
+            after_first.get_or_insert_with(|| advised(&m));
+        }
+        assert_eq!(Some(advised(&m)), after_first);
+    }
 }

@@ -11,7 +11,7 @@ use crate::cost::CostModel;
 use crate::error::{ConfigError, MachineError};
 use crate::gc::GcReport;
 use crate::timeline::{SpanKind, Timeline};
-use crate::kernel::{with_system_ctx, Ctx, Kernel, KernelConfig, NetOut};
+use crate::kernel::{with_system_ctx, Ctx, Kernel, KernelConfig};
 use crate::message::Value;
 use crate::registry::BehaviorRegistry;
 use crate::wire::KMsg;
@@ -774,11 +774,6 @@ impl SimMachine {
         let cells = self.kernels.iter().filter_map(|k| k.metrics());
         let cells = cells.map(|m| Arc::clone(m.cell())).collect();
         Arc::new(crate::metrics::TelemetryHub::new(cells, Vec::new()))
-    }
-
-    /// The network handle (tests needing raw injection).
-    pub fn net_mut(&mut self) -> &mut impl NetOut {
-        &mut self.net
     }
 
     /// The recorded timeline (empty unless

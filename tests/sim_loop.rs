@@ -49,6 +49,22 @@ fn fib_with_stealing_is_pinned() {
     assert_eq!(r.actors_created, 898, "actors created");
 }
 
+/// The observability documents are facts of the run, not of the host:
+/// two same-seed runs give byte-equal `SPANS_` and `METRICS_` payloads
+/// (what lets ci.sh hold `results/` to a fresh sweep with `cmp`).
+#[test]
+fn spans_and_metrics_documents_are_byte_equal_across_reruns() {
+    let documents = || {
+        let cfg = stealing().trace().metrics().build().unwrap();
+        let r = fib_machine(cfg, Placement::Local, true).run().unwrap();
+        let spans = hal_kernel::SpanReport::build(r.trace.as_ref().expect("trace was on"));
+        let metrics = r.metrics.as_ref().expect("metrics were on");
+        assert!(!spans.msgs.is_empty() && !metrics.nodes.is_empty());
+        (spans.to_json(), metrics.to_json(r.makespan.as_nanos()))
+    };
+    assert_eq!(documents(), documents());
+}
+
 // ---- migration chase (the Fig. 3 pattern): a nomad walks a hop chain
 // while a sprayer's probes race it through FIR chases and forwards ----
 
