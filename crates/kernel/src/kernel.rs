@@ -9,9 +9,9 @@
 //! [`Kernel`] owns one node's name server, actor heap, dispatcher, join
 //! table, FIR table, group table, balancer, and bulk/flow state, and is
 //! driven from outside by a *machine* (simulated or live) that feeds
-//! it packets and step requests. All outbound traffic goes through the
-//! [`NetOut`] abstraction so the identical kernel code runs on both
-//! backends.
+//! it packets and step requests and drains the kernel's outbox after each
+//! one ([`Outbound`]): the kernel never touches a network object, so the
+//! identical kernel code runs on both backends.
 //!
 //! [`Ctx`] is the actor interface of Fig. 2 — the surface "exported to
 //! the compiler". Behaviors receive a `Ctx` in every dispatch and use it
@@ -43,40 +43,33 @@ use hal_des::{StatSet, VirtualDuration, VirtualTime};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Outbound network interface the kernel writes to. Implemented by the
-/// simulated network and by the live backend's [`crate::live::LiveNet`].
-pub trait NetOut {
-    /// Inject an envelope from `src` to `dst` at virtual time `now`.
-    fn inject(
-        &mut self,
-        now: VirtualTime,
-        src: NodeId,
+/// One thing the kernel wants from the network. The kernel does no I/O:
+/// whatever a kernel entry point sends or arms is left in its outbox, and
+/// the machine that called the entry point drains it, in order, right
+/// afterwards ([`Kernel::drain_outbox`]).
+#[derive(Debug)]
+pub enum Outbound {
+    /// Inject `env` from this node towards `dst`.
+    Packet {
+        /// The kernel clock at the call that pushed the entry — inside
+        /// [`Kernel::deliver`] that is the packet's arrival time plus the
+        /// handler's work so far, not the clock the node ends up with.
+        at: VirtualTime,
+        /// Destination node.
         dst: NodeId,
+        /// What to send.
         env: AmEnvelope<KMsg>,
-        wire_bytes: usize,
-    );
-
-    /// Schedule a self-addressed timer event on `node` at `fire_at`
-    /// (chaos subsystem: retransmit timeouts, FIR watchdogs). Timers
-    /// bypass the link resource model and fault layer entirely.
-    fn schedule(&mut self, fire_at: VirtualTime, node: NodeId, env: AmEnvelope<KMsg>);
-}
-
-impl NetOut for hal_am::SimNetwork<KMsg> {
-    fn inject(
-        &mut self,
-        now: VirtualTime,
-        src: NodeId,
-        dst: NodeId,
+        /// Bytes on the wire.
+        wire: usize,
+    },
+    /// Arm a self-addressed timer (chaos subsystem: retransmit timeouts,
+    /// FIR watchdogs). Timers bypass the link model and the fault layer.
+    Timer {
+        /// When it fires.
+        fire_at: VirtualTime,
+        /// The [`AmEnvelope::Timer`] to hand back then.
         env: AmEnvelope<KMsg>,
-        wire_bytes: usize,
-    ) {
-        hal_am::SimNetwork::inject(self, now, src, dst, env, wire_bytes);
-    }
-
-    fn schedule(&mut self, fire_at: VirtualTime, node: NodeId, env: AmEnvelope<KMsg>) {
-        hal_am::SimNetwork::schedule(self, fire_at, node, env);
-    }
+    },
 }
 
 /// Ablation switches for the paper's individual design choices. All
@@ -210,6 +203,9 @@ pub struct Kernel {
     flow: FlowControl,
     /// Self-addressed kernel messages (never touch the network).
     loopback: VecDeque<KMsg>,
+    /// Packets and timers for the machine to pick up after the current
+    /// entry point returns, in the order they were issued.
+    outbox: Vec<Outbound>,
     /// Messages for keys this node knows nothing about yet (e.g. alias
     /// traffic racing the creation request).
     unknown_buffer: HashMap<AddrKey, Vec<Msg>>,
@@ -287,6 +283,7 @@ impl Kernel {
             bulk_tx: BulkSender::new(cfg.me),
             flow: FlowControl::new(),
             loopback: VecDeque::new(),
+            outbox: Vec::new(),
             unknown_buffer: HashMap::new(),
             unknown_buffered: 0,
             advised: std::collections::HashSet::new(),
@@ -548,10 +545,34 @@ impl Kernel {
     // Outbound path
     // ------------------------------------------------------------------
 
+    /// Leave one packet for the machine, stamped with the clock as it is
+    /// now.
+    #[inline]
+    fn emit(&mut self, dst: NodeId, env: AmEnvelope<KMsg>, wire: usize) {
+        self.outbox.push(Outbound::Packet { at: self.clock, dst, env, wire });
+    }
+
+    /// Leave a self-addressed timer `after` from now for the machine.
+    #[inline]
+    fn arm_timer(&mut self, after: VirtualDuration, body: KMsg) {
+        let fire_at = self.clock + after;
+        self.outbox.push(Outbound::Timer { fire_at, env: AmEnvelope::Timer(body) });
+    }
+
+    /// Take everything sent or armed since the last drain, oldest first.
+    /// A machine calls this after every kernel entry point it drives —
+    /// [`Kernel::deliver`], [`Kernel::handle_packet`], [`Kernel::step`],
+    /// [`Kernel::send_steal_poll`], [`Kernel::start_gc`],
+    /// [`with_system_ctx`] — also when that call stopped the kernel: the
+    /// Halt that [`Ctx::stop`] sends is in here.
+    pub fn drain_outbox(&mut self) -> std::vec::Drain<'_, Outbound> {
+        self.outbox.drain(..)
+    }
+
     /// Send a kernel message to `dst`, choosing the small or bulk path by
     /// wire size (§6.5). Local destinations loop back without touching
     /// the network.
-    fn net_send(&mut self, net: &mut dyn NetOut, dst: NodeId, kmsg: KMsg) {
+    fn net_send(&mut self, dst: NodeId, kmsg: KMsg) {
         if dst == self.cfg.me {
             self.loopback.push_back(kmsg);
             return;
@@ -563,13 +584,13 @@ impl Kernel {
             m.net_send();
         }
         if wire <= MAX_SMALL_BYTES {
-            self.inject_env(net, dst, AmEnvelope::Small(kmsg), wire + 16);
+            self.inject_env(dst, AmEnvelope::Small(kmsg), wire + 16);
         } else if self.cfg.flow_control {
             // Three-phase protocol: announce, park the payload, wait for
             // the grant.
             let (_tag, req) = self.bulk_tx.begin(dst, kmsg, wire);
             self.stats.bump("net.bulk_requests");
-            self.inject_env(net, dst, req, 16);
+            self.inject_env(dst, req, 16);
         } else {
             // Ablation: eager injection of bulk data (no grant). The
             // receiver will not run flow control either (same config
@@ -580,7 +601,7 @@ impl Kernel {
                 bytes: wire,
             };
             self.stats.bump("net.bulk_eager");
-            self.inject_env(net, dst, env, wire + 16);
+            self.inject_env(dst, env, wire + 16);
         }
     }
 
@@ -612,7 +633,7 @@ impl Kernel {
     /// destination, and — when the fault plan is live and `reliable` is
     /// on — wraps the envelope in [`AmEnvelope::Rel`], parks a
     /// retransmittable copy, and arms the per-peer retransmit timer.
-    fn inject_env(&mut self, net: &mut dyn NetOut, dst: NodeId, env: AmEnvelope<KMsg>, wire: usize) {
+    fn inject_env(&mut self, dst: NodeId, env: AmEnvelope<KMsg>, wire: usize) {
         if (dst as usize) >= self.cfg.nodes {
             self.fail(MachineError::InvalidNode {
                 node: dst,
@@ -621,7 +642,7 @@ impl Kernel {
             return;
         }
         if !self.rel_on() {
-            net.inject(self.clock, self.cfg.me, dst, env, wire);
+            self.emit(dst, env, wire);
             return;
         }
         // Note which message span (if any) rides this reliable packet,
@@ -648,23 +669,14 @@ impl Kernel {
                 }
             }
         }
-        net.inject(
-            self.clock,
-            self.cfg.me,
-            dst,
-            AmEnvelope::Rel {
-                seq: ticket.seq,
-                body: ticket.payload,
-                bytes: wire,
-            },
-            wire + REL_HEADER,
-        );
+        let rel = AmEnvelope::Rel {
+            seq: ticket.seq,
+            body: ticket.payload,
+            bytes: wire,
+        };
+        self.emit(dst, rel, wire + REL_HEADER);
         if ticket.arm_timer {
-            net.schedule(
-                self.clock + self.cfg.faults.rto,
-                self.cfg.me,
-                AmEnvelope::Timer(KMsg::RetxTimer { peer: dst }),
-            );
+            self.arm_timer(self.cfg.faults.rto, KMsg::RetxTimer { peer: dst });
         }
     }
 
@@ -690,14 +702,14 @@ impl Kernel {
     /// least the arrival time before calling. Node-manager work executes
     /// immediately on the current stack (the paper's "steals the
     /// processor").
-    pub fn handle_packet(&mut self, net: &mut dyn NetOut, pkt: Packet<KMsg>) {
+    pub fn handle_packet(&mut self, pkt: Packet<KMsg>) {
         debug_assert_eq!(pkt.dst, self.cfg.me);
         match pkt.body {
             // Timers are local clock events, not network traffic: no
             // receive overhead, no recv counter.
             AmEnvelope::Timer(body) => {
-                self.handle_timer(net, body);
-                self.drain_loopback(net);
+                self.handle_timer(body);
+                self.drain_loopback();
                 return;
             }
             body => {
@@ -727,7 +739,7 @@ impl Kernel {
                                 }
                                 for env in envs {
                                     self.stats.bump("rel.delivered");
-                                    self.handle_envelope(net, pkt.src, env);
+                                    self.handle_envelope(pkt.src, env);
                                 }
                             }
                         }
@@ -740,39 +752,33 @@ impl Kernel {
                         if let Some(m) = self.metrics.as_deref() {
                             m.link_ack(pkt.src);
                         }
-                        net.inject(
-                            self.clock,
-                            self.cfg.me,
-                            pkt.src,
-                            AmEnvelope::RelAck { cum },
-                            16 + REL_HEADER,
-                        );
+                        self.emit(pkt.src, AmEnvelope::RelAck { cum }, 16 + REL_HEADER);
                     }
                     AmEnvelope::RelAck { cum } => {
                         self.rel_tx.on_ack(pkt.src, cum);
                     }
-                    env => self.handle_envelope(net, pkt.src, env),
+                    env => self.handle_envelope(pkt.src, env),
                 }
             }
         }
-        self.drain_loopback(net);
+        self.drain_loopback();
     }
 
     /// Dispatch one unwrapped envelope (either straight off the wire on
     /// the fault-free fast path, or released in order by the reliable
     /// receiver).
-    fn handle_envelope(&mut self, net: &mut dyn NetOut, src: NodeId, env: AmEnvelope<KMsg>) {
+    fn handle_envelope(&mut self, src: NodeId, env: AmEnvelope<KMsg>) {
         match env {
-            AmEnvelope::Small(k) => self.handle_kmsg(net, src, k),
+            AmEnvelope::Small(k) => self.handle_kmsg(src, k),
             AmEnvelope::BulkRequest { tag, bytes: _ } => {
                 if let Some(grant) = self.flow.on_request(src, tag) {
-                    self.net_send_ctl(net, grant.to, AmEnvelope::BulkAck { tag: grant.tag });
+                    self.net_send_ctl(grant.to, AmEnvelope::BulkAck { tag: grant.tag });
                 }
             }
             AmEnvelope::BulkAck { tag } => {
                 let (dst, data, bytes) = self.bulk_tx.on_ack(tag);
                 self.charge(self.cfg.cost.net_send_overhead);
-                self.inject_env(net, dst, data, bytes + 16);
+                self.inject_env(dst, data, bytes + 16);
             }
             AmEnvelope::BulkData { tag, body, bytes } => {
                 if self.cfg.flow_control {
@@ -780,9 +786,9 @@ impl Kernel {
                     // when it issued the ack, so reception is a single
                     // copy out of the network interface.
                     self.charge(VirtualDuration::from_nanos(bytes as u64 * 10));
-                    self.handle_kmsg(net, src, body);
+                    self.handle_kmsg(src, body);
                     if let Some(next) = self.flow.on_data_complete(src, tag) {
-                        self.net_send_ctl(net, next.to, AmEnvelope::BulkAck { tag: next.tag });
+                        self.net_send_ctl(next.to, AmEnvelope::BulkAck { tag: next.tag });
                     }
                 } else {
                     // Ablation (§6.5): unexpected bulk data. Active
@@ -793,7 +799,7 @@ impl Kernel {
                     // exists to avoid.
                     self.stats.bump("net.bulk_unexpected");
                     self.charge(VirtualDuration::from_nanos(5_000 + bytes as u64 * 30));
-                    self.handle_kmsg(net, src, body);
+                    self.handle_kmsg(src, body);
                 }
             }
             AmEnvelope::Rel { .. } | AmEnvelope::RelAck { .. } | AmEnvelope::Timer(_) => {
@@ -803,9 +809,9 @@ impl Kernel {
     }
 
     /// Send a protocol control envelope (acks) — small, fixed size.
-    fn net_send_ctl(&mut self, net: &mut dyn NetOut, dst: NodeId, env: AmEnvelope<KMsg>) {
+    fn net_send_ctl(&mut self, dst: NodeId, env: AmEnvelope<KMsg>) {
         self.charge(self.cfg.cost.net_send_overhead);
-        self.inject_env(net, dst, env, 16);
+        self.inject_env(dst, env, 16);
     }
 
     // ------------------------------------------------------------------
@@ -833,7 +839,7 @@ impl Kernel {
     }
 
     /// A live timer fired.
-    fn handle_timer(&mut self, net: &mut dyn NetOut, body: KMsg) {
+    fn handle_timer(&mut self, body: KMsg) {
         match body {
             KMsg::RetxTimer { peer } => match self.rel_tx.timer_fired(peer) {
                 RetxDecision::Stale => {}
@@ -850,23 +856,10 @@ impl Kernel {
                             .and_then(|r| r.rel_span.get(&(peer, seq)).copied())
                             .unwrap_or(0);
                         self.trace_event_span(KernelEvent::Retransmit { peer, seq }, span, 0);
-                        net.inject(
-                            self.clock,
-                            self.cfg.me,
-                            peer,
-                            AmEnvelope::Rel {
-                                seq,
-                                body: payload,
-                                bytes,
-                            },
-                            bytes + REL_HEADER,
-                        );
+                        let rel = AmEnvelope::Rel { seq, body: payload, bytes };
+                        self.emit(peer, rel, bytes + REL_HEADER);
                     }
-                    net.schedule(
-                        self.clock + self.retx_delay(attempt),
-                        self.cfg.me,
-                        AmEnvelope::Timer(KMsg::RetxTimer { peer }),
-                    );
+                    self.arm_timer(self.retx_delay(attempt), KMsg::RetxTimer { peer });
                 }
             },
             KMsg::FirTimer { key } => {
@@ -890,12 +883,8 @@ impl Kernel {
                     Resolution::Unknown => key.birthplace,
                 };
                 if next != self.cfg.me {
-                    self.net_send(net, next, KMsg::Fir { key, span });
-                    net.schedule(
-                        self.clock + self.cfg.faults.fir_timeout,
-                        self.cfg.me,
-                        AmEnvelope::Timer(KMsg::FirTimer { key }),
-                    );
+                    self.net_send(next, KMsg::Fir { key, span });
+                    self.arm_timer(self.cfg.faults.fir_timeout, KMsg::FirTimer { key });
                 }
             }
             other => unreachable!("not a timer: {other:?}"),
@@ -903,18 +892,18 @@ impl Kernel {
     }
 
     /// Process self-addressed kernel messages until none remain.
-    fn drain_loopback(&mut self, net: &mut dyn NetOut) {
+    fn drain_loopback(&mut self) {
         while let Some(k) = self.loopback.pop_front() {
             let me = self.cfg.me;
-            self.handle_kmsg(net, me, k);
+            self.handle_kmsg(me, k);
         }
     }
 
     /// Node-manager message handling (§3): deliveries, creations, FIRs,
     /// replies, migrations, steals, group traffic.
-    fn handle_kmsg(&mut self, net: &mut dyn NetOut, src: NodeId, k: KMsg) {
+    fn handle_kmsg(&mut self, src: NodeId, k: KMsg) {
         match k {
-            KMsg::Deliver { target, msg } => self.handle_deliver(net, src, target, msg),
+            KMsg::Deliver { target, msg } => self.handle_deliver(src, target, msg),
             KMsg::NameInfo { key, node, index, epoch } => {
                 if let Some(r) = self.recorder.as_deref_mut() {
                     // If this NameInfo answers a §5 alias creation, the
@@ -943,16 +932,16 @@ impl Kernel {
                 init,
                 requester,
                 span,
-            } => self.handle_create(net, alias, behavior, init, requester, span),
-            KMsg::Fir { key, span } => self.handle_fir(net, src, key, span),
+            } => self.handle_create(alias, behavior, init, requester, span),
+            KMsg::Fir { key, span } => self.handle_fir(src, key, span),
             KMsg::FirFound { key, node, index, epoch } => {
-                self.handle_fir_found(net, key, node, index, epoch)
+                self.handle_fir_found(key, node, index, epoch)
             }
-            KMsg::Reply { jc, slot, value, span } => self.fill_join(net, jc, slot, value, span),
+            KMsg::Reply { jc, slot, value, span } => self.fill_join(jc, slot, value, span),
             KMsg::MigrateArrive { image, from, stolen } => {
-                self.handle_migrate_arrive(net, image, from, stolen)
+                self.handle_migrate_arrive(image, from, stolen)
             }
-            KMsg::StealRequest { thief } => self.handle_steal_request(net, thief),
+            KMsg::StealRequest { thief } => self.handle_steal_request(thief),
             KMsg::StealNone => {
                 let now = self.clock;
                 self.balancer.poll_failed(now, self.cfg.cost.steal_poll_interval);
@@ -962,14 +951,14 @@ impl Kernel {
                 behavior,
                 init,
                 root,
-            } => self.handle_grp_create(net, group, behavior, init, root),
-            KMsg::GrpBcast { group, msg, root } => self.handle_grp_bcast(net, group, msg, root),
-            KMsg::GcBegin { coordinator, root } => self.handle_gc_begin(net, coordinator, root),
-            KMsg::GcRoundGo { root } => self.handle_gc_round(net, root),
+            } => self.handle_grp_create(group, behavior, init, root),
+            KMsg::GrpBcast { group, msg, root } => self.handle_grp_bcast(group, msg, root),
+            KMsg::GcBegin { coordinator, root } => self.handle_gc_begin(coordinator, root),
+            KMsg::GcRoundGo { root } => self.handle_gc_round(root),
             KMsg::GcMark { keys } => self.gc.incoming.extend(keys),
-            KMsg::GcRoundDone { activity } => self.handle_gc_round_done(net, activity),
-            KMsg::GcSweepCmd { root } => self.handle_gc_sweep(net, root),
-            KMsg::GcSwept { freed, live } => self.handle_gc_swept(net, freed, live),
+            KMsg::GcRoundDone { activity } => self.handle_gc_round_done(activity),
+            KMsg::GcSweepCmd { root } => self.handle_gc_sweep(root),
+            KMsg::GcSwept { freed, live } => self.handle_gc_swept(freed, live),
             KMsg::Halt => self.stopped = true,
             KMsg::RetxTimer { .. } | KMsg::FirTimer { .. } => {
                 unreachable!("timers are dispatched at the packet layer")
@@ -1000,7 +989,6 @@ impl Kernel {
     /// stale chaos timer (retired for free, without touching the clock).
     pub fn deliver(
         &mut self,
-        net: &mut dyn NetOut,
         t: VirtualTime,
         pkt: Packet<KMsg>,
     ) -> Option<(VirtualTime, VirtualTime)> {
@@ -1013,7 +1001,7 @@ impl Kernel {
         let t = self.pause_shift(t);
         let busy_until = self.clock;
         self.clock = t;
-        self.handle_packet(net, pkt);
+        self.handle_packet(pkt);
         let handler_time = self.clock.since(t);
         self.clock = self.clock.max(busy_until + handler_time);
         self.metrics_tick();
@@ -1026,7 +1014,7 @@ impl Kernel {
 
     /// Send `msg` to mail address `to` from this node (the generic send
     /// of Fig. 3, sender side).
-    fn send_to_addr(&mut self, net: &mut dyn NetOut, to: MailAddr, mut msg: Msg) {
+    fn send_to_addr(&mut self, to: MailAddr, mut msg: Msg) {
         self.charge(self.cfg.cost.locality_check);
         match self.names.resolve(to.key) {
             Resolution::Local(aid) => {
@@ -1058,7 +1046,6 @@ impl Kernel {
                     None
                 };
                 self.net_send(
-                    net,
                     node,
                     KMsg::Deliver {
                         target: Target::Addr {
@@ -1087,7 +1074,6 @@ impl Kernel {
                 self.stats.bump("msgs.remote");
                 self.stats.bump("name.first_contact");
                 self.net_send(
-                    net,
                     route,
                     KMsg::Deliver {
                         target: Target::Addr {
@@ -1104,7 +1090,7 @@ impl Kernel {
 
     /// Receiver side of the generic send (Fig. 3): the node manager
     /// locates the actor or starts an FIR chase.
-    fn handle_deliver(&mut self, net: &mut dyn NetOut, src: NodeId, target: Target, msg: Msg) {
+    fn handle_deliver(&mut self, src: NodeId, target: Target, msg: Msg) {
         match target {
             Target::Addr {
                 key,
@@ -1123,7 +1109,7 @@ impl Kernel {
                             Locality::Remote { node, remote_index } => {
                                 // Migrated away since the sender cached us.
                                 self.stats.bump("deliver.cached_stale");
-                                self.forward_or_chase(net, key, msg, node, remote_index);
+                                self.forward_or_chase(key, msg, node, remote_index);
                                 return;
                             }
                         }
@@ -1142,7 +1128,6 @@ impl Kernel {
                             let d = self.names.descriptor_for(key).expect("just resolved");
                             let epoch = self.actor_epoch(aid);
                             self.net_send(
-                                net,
                                 src,
                                 KMsg::NameInfo {
                                     key,
@@ -1156,7 +1141,7 @@ impl Kernel {
                     }
                     Resolution::Remote { node, remote_index } => {
                         self.stats.bump("deliver.migrated");
-                        self.forward_or_chase(net, key, msg, node, remote_index);
+                        self.forward_or_chase(key, msg, node, remote_index);
                     }
                     Resolution::Unknown => {
                         // Alias traffic racing the creation request, or a
@@ -1172,7 +1157,7 @@ impl Kernel {
                     }
                 }
             }
-            Target::Member { group, index } => self.deliver_member(net, group, index, msg),
+            Target::Member { group, index } => self.deliver_member(group, index, msg),
         }
     }
 
@@ -1186,7 +1171,6 @@ impl Kernel {
     /// Unconfirmed history pointers trigger the FIR chase instead.
     fn forward_or_chase(
         &mut self,
-        net: &mut dyn NetOut,
         key: AddrKey,
         mut msg: Msg,
         node: NodeId,
@@ -1203,7 +1187,6 @@ impl Kernel {
             // rejected alternative — bulk payloads traverse every hop).
             self.stats.bump("deliver.forwarded_whole");
             self.net_send(
-                net,
                 node,
                 KMsg::Deliver {
                     target: Target::Addr {
@@ -1232,7 +1215,6 @@ impl Kernel {
             Some(idx) => {
                 self.stats.bump("deliver.forwarded");
                 self.net_send(
-                    net,
                     node,
                     KMsg::Deliver {
                         target: Target::Addr {
@@ -1244,14 +1226,14 @@ impl Kernel {
                     },
                 );
             }
-            None => self.fir_chase(net, key, msg, node),
+            None => self.fir_chase(key, msg, node),
         }
     }
 
     /// Park `msg` and (unless one is already outstanding) send an FIR
     /// toward `next_hop` (§4.3: "instead of forwarding the entire message
     /// the node manager sends a special forwarding information request").
-    fn fir_chase(&mut self, net: &mut dyn NetOut, key: AddrKey, msg: Msg, next_hop: NodeId) {
+    fn fir_chase(&mut self, key: AddrKey, msg: Msg, next_hop: NodeId) {
         self.charge(self.cfg.cost.fir_handle);
         if self.firs.need_location(key) {
             self.stats.bump("fir.sent");
@@ -1278,8 +1260,8 @@ impl Kernel {
                 None => (0, 0),
             };
             self.trace_event_span(KernelEvent::FirSent { key, to: next_hop }, span, parent);
-            self.net_send(net, next_hop, KMsg::Fir { key, span });
-            self.arm_fir_watchdog(net, key);
+            self.net_send(next_hop, KMsg::Fir { key, span });
+            self.arm_fir_watchdog(key);
         } else {
             self.stats.bump("fir.suppressed");
             let span = self
@@ -1295,7 +1277,7 @@ impl Kernel {
     /// An FIR arrived from `src` looking for `key`. `span` is the chase
     /// episode's span id, adopted by every relay so all hops of one
     /// chase share a single span.
-    fn handle_fir(&mut self, net: &mut dyn NetOut, src: NodeId, key: AddrKey, span: u64) {
+    fn handle_fir(&mut self, src: NodeId, key: AddrKey, span: u64) {
         self.charge(self.cfg.cost.fir_handle);
         self.stats.bump("fir.handled");
         match self.names.resolve(key) {
@@ -1303,7 +1285,6 @@ impl Kernel {
                 let d = self.names.descriptor_for(key).expect("just resolved");
                 let epoch = self.actor_epoch(aid);
                 self.net_send(
-                    net,
                     src,
                     KMsg::FirFound {
                         key,
@@ -1325,8 +1306,8 @@ impl Kernel {
                         }
                     }
                     self.trace_event_span(KernelEvent::FirSent { key, to: node }, span, 0);
-                    self.net_send(net, node, KMsg::Fir { key, span });
-                    self.arm_fir_watchdog(net, key);
+                    self.net_send(node, KMsg::Fir { key, span });
+                    self.arm_fir_watchdog(key);
                 }
             }
             Resolution::Unknown => {
@@ -1353,8 +1334,8 @@ impl Kernel {
                         span,
                         0,
                     );
-                    self.net_send(net, key.birthplace, KMsg::Fir { key, span });
-                    self.arm_fir_watchdog(net, key);
+                    self.net_send(key.birthplace, KMsg::Fir { key, span });
+                    self.arm_fir_watchdog(key);
                 }
             }
         }
@@ -1363,13 +1344,9 @@ impl Kernel {
     /// Under a live fault plan an FIR (or its reply) can be eaten by the
     /// link; arm a watchdog so the chase is re-issued instead of wedging
     /// the buffered messages forever.
-    fn arm_fir_watchdog(&mut self, net: &mut dyn NetOut, key: AddrKey) {
+    fn arm_fir_watchdog(&mut self, key: AddrKey) {
         if self.chaos_on() || self.cfg.force_reliable {
-            net.schedule(
-                self.clock + self.cfg.faults.fir_timeout,
-                self.cfg.me,
-                AmEnvelope::Timer(KMsg::FirTimer { key }),
-            );
+            self.arm_timer(self.cfg.faults.fir_timeout, KMsg::FirTimer { key });
         }
     }
 
@@ -1377,7 +1354,6 @@ impl Kernel {
     /// propagate back along the chain.
     fn handle_fir_found(
         &mut self,
-        net: &mut dyn NetOut,
         key: AddrKey,
         node: NodeId,
         index: DescriptorId,
@@ -1408,14 +1384,13 @@ impl Kernel {
                 0,
             );
             for asker in pending.askers {
-                self.net_send(net, asker, KMsg::FirFound { key, node, index, epoch });
+                self.net_send(asker, KMsg::FirFound { key, node, index, epoch });
             }
             for msg in pending.buffered {
                 // "Once the location is known, the original message is
                 // sent directly to the node where the receiver resides."
                 self.stats.bump("fir.flushed");
                 self.net_send(
-                    net,
                     node,
                     KMsg::Deliver {
                         target: Target::Addr {
@@ -1536,7 +1511,6 @@ impl Kernel {
     /// alias, fire off the request, and return immediately.
     fn create_remote(
         &mut self,
-        net: &mut dyn NetOut,
         node: NodeId,
         behavior: BehaviorId,
         init: Vec<Value>,
@@ -1583,7 +1557,6 @@ impl Kernel {
             });
         }
         self.net_send(
-            net,
             node,
             KMsg::Create {
                 alias: alias.key,
@@ -1600,7 +1573,6 @@ impl Kernel {
     /// alias-creation span (0 when tracing is off there).
     fn handle_create(
         &mut self,
-        net: &mut dyn NetOut,
         alias: AddrKey,
         behavior: BehaviorId,
         init: Vec<Value>,
@@ -1636,15 +1608,14 @@ impl Kernel {
             .push(alias);
         self.flush_unknown(alias, aid);
         self.flush_unknown(addr.key, aid);
-        self.complete_local_fir(net, alias, d, 0);
-        self.complete_local_fir(net, addr.key, d, 0);
+        self.complete_local_fir(alias, d, 0);
+        self.complete_local_fir(addr.key, d, 0);
         // Cache our descriptor index back at the requester ("as
         // background processing").
         // Observe the moment the actor exists — the paper's "actual
         // creation" latency (20.83 us end to end).
         self.stats.observe("create.remote_actual_ns", self.clock.as_nanos());
         self.net_send(
-            net,
             requester,
             KMsg::NameInfo {
                 key: alias,
@@ -1670,7 +1641,6 @@ impl Kernel {
     /// the actor just became local. Answer askers, deliver parked mail.
     fn complete_local_fir(
         &mut self,
-        net: &mut dyn NetOut,
         key: AddrKey,
         index: DescriptorId,
         epoch: u32,
@@ -1696,7 +1666,7 @@ impl Kernel {
                 0,
             );
             for asker in pending.askers {
-                self.net_send(net, asker, KMsg::FirFound { key, node: me, index, epoch });
+                self.net_send(asker, KMsg::FirFound { key, node: me, index, epoch });
             }
             if !pending.buffered.is_empty() {
                 if let Resolution::Local(aid) = self.names.resolve(key) {
@@ -1718,7 +1688,7 @@ impl Kernel {
     /// the span of the message whose handler produced the reply; sends
     /// issued by the fired continuation are parented by it so the
     /// causal chain survives the join.
-    fn fill_join(&mut self, net: &mut dyn NetOut, jc: JcId, slot: u16, value: Value, span: u64) {
+    fn fill_join(&mut self, jc: JcId, slot: u16, value: Value, span: u64) {
         self.charge(self.cfg.cost.join_fill);
         if let Some(fired) = self.joins.fill(jc, slot, value) {
             self.charge(self.cfg.cost.join_fire);
@@ -1732,7 +1702,6 @@ impl Kernel {
             };
             let mut ctx = Ctx {
                 k: self,
-                net,
                 ident: Ident::Continuation,
                 customer: None,
                 become_to: None,
@@ -1748,19 +1717,19 @@ impl Kernel {
     }
 
     /// Route a reply to a continuation reference.
-    fn send_reply(&mut self, net: &mut dyn NetOut, cont: ContRef, value: Value) {
+    fn send_reply(&mut self, cont: ContRef, value: Value) {
         let span = self.recorder.as_deref().map_or(0, |r| r.current_span);
         match cont {
             ContRef::Join { node, jc, slot } => {
                 if node == self.cfg.me {
-                    self.fill_join(net, jc, slot, value, span);
+                    self.fill_join(jc, slot, value, span);
                 } else {
                     self.stats.bump("replies.remote");
-                    self.net_send(net, node, KMsg::Reply { jc, slot, value, span });
+                    self.net_send(node, KMsg::Reply { jc, slot, value, span });
                 }
             }
             ContRef::Actor { addr, selector } => {
-                self.send_to_addr(net, addr, Msg::new(selector, vec![value]));
+                self.send_to_addr(addr, Msg::new(selector, vec![value]));
             }
         }
     }
@@ -1772,7 +1741,7 @@ impl Kernel {
     /// Ship actor `aid` to `dst`. The actor must be checked in and not
     /// scheduled (callers arrange this). `stolen` marks steal-reply
     /// migrations so the thief can clear its poll state.
-    fn migrate_out(&mut self, net: &mut dyn NetOut, aid: ActorId, dst: NodeId, stolen: bool) {
+    fn migrate_out(&mut self, aid: ActorId, dst: NodeId, stolen: bool) {
         self.charge(self.cfg.cost.migrate_fixed);
         let rec = self.actors.remove(aid);
         // Every local descriptor for the actor becomes a forward pointer
@@ -1800,7 +1769,6 @@ impl Kernel {
             hops: next_epoch,
         };
         self.net_send(
-            net,
             dst,
             KMsg::MigrateArrive {
                 image,
@@ -1813,7 +1781,6 @@ impl Kernel {
     /// An actor arrives (migration or steal).
     fn handle_migrate_arrive(
         &mut self,
-        net: &mut dyn NetOut,
         image: ActorImage,
         from: NodeId,
         stolen: bool,
@@ -1863,7 +1830,7 @@ impl Kernel {
                 .names
                 .descriptor_for(*key)
                 .expect("key just registered");
-            self.complete_local_fir(net, *key, idx, epoch);
+            self.complete_local_fir(*key, idx, epoch);
         }
         // Cache the new location at the birthplace and the old node
         // (§4.3 "cached in its birthplace node as well as in the old
@@ -1876,7 +1843,6 @@ impl Kernel {
             .expect("primary key just registered");
         if primary_key.birthplace != me {
             self.net_send(
-                net,
                 primary_key.birthplace,
                 KMsg::NameInfo {
                     key: primary_key,
@@ -1888,7 +1854,6 @@ impl Kernel {
         }
         if from != me && from != primary_key.birthplace {
             self.net_send(
-                net,
                 from,
                 KMsg::NameInfo {
                     key: primary_key,
@@ -1908,12 +1873,12 @@ impl Kernel {
 
     /// Idle-node action: send a steal request to a random victim (§7.2).
     /// The machine calls this when the node is idle and `may_poll`.
-    pub fn send_steal_poll(&mut self, net: &mut dyn NetOut) {
+    pub fn send_steal_poll(&mut self) {
         debug_assert!(self.balancer.may_poll(self.clock));
         let victim = self.balancer.start_poll(self.cfg.me, self.cfg.nodes);
         self.stats.bump("steal.polls");
         self.trace_event(KernelEvent::StealRequest { victim });
-        self.net_send(net, victim, KMsg::StealRequest { thief: self.cfg.me });
+        self.net_send(victim, KMsg::StealRequest { thief: self.cfg.me });
     }
 
     /// Victim side of a steal: donate up to half the ready queue
@@ -1921,12 +1886,12 @@ impl Kernel {
     /// the tail — the coldest, largest-subtree end. Group members are
     /// stealable too: their home-node entry keeps a mail address, and
     /// descriptors forward.
-    fn handle_steal_request(&mut self, net: &mut dyn NetOut, thief: NodeId) {
+    fn handle_steal_request(&mut self, thief: NodeId) {
         self.charge(self.cfg.cost.steal_handle);
         let batch = self.dispatcher.steal_half(16);
         if batch.is_empty() {
             self.stats.bump("steal.denied");
-            self.net_send(net, thief, KMsg::StealNone);
+            self.net_send(thief, KMsg::StealNone);
             return;
         }
         for aid in batch {
@@ -1934,7 +1899,7 @@ impl Kernel {
                 rec.scheduled = false;
                 self.stats.bump("steal.granted");
                 self.trace_event(KernelEvent::StealGrant { thief });
-                self.migrate_out(net, aid, thief, true);
+                self.migrate_out(aid, thief, true);
             }
         }
     }
@@ -1947,7 +1912,6 @@ impl Kernel {
     /// spanning tree. Returns the id immediately.
     fn grpnew(
         &mut self,
-        net: &mut dyn NetOut,
         behavior: BehaviorId,
         count: u32,
         init: Vec<Value>,
@@ -1955,13 +1919,12 @@ impl Kernel {
     ) -> GroupId {
         let group = self.groups.mint(self.cfg.me, count, mapping);
         let me = self.cfg.me;
-        self.handle_grp_create(net, group, behavior, init, me);
+        self.handle_grp_create(group, behavior, init, me);
         group
     }
 
     fn handle_grp_create(
         &mut self,
-        net: &mut dyn NetOut,
         group: GroupId,
         behavior: BehaviorId,
         init: Vec<Value>,
@@ -1970,7 +1933,6 @@ impl Kernel {
         // Relay down the tree first so subtree creation overlaps ours.
         for child in bcast::children(self.cfg.me, root, self.cfg.nodes) {
             self.net_send(
-                net,
                 child,
                 KMsg::GrpCreate {
                     group,
@@ -2009,19 +1971,19 @@ impl Kernel {
         self.stats.add("groups.members_created", members.len() as u64);
         let (parked_member, parked_bcast) = self.groups.install(group, members);
         for (idx, msg) in parked_member {
-            self.deliver_member(net, group, idx, msg);
+            self.deliver_member(group, idx, msg);
         }
         for msg in parked_bcast {
-            self.deliver_bcast_local(net, group, msg);
+            self.deliver_bcast_local(group, msg);
         }
     }
 
     /// Route a message to group member `index` (home-node resolution).
-    fn deliver_member(&mut self, net: &mut dyn NetOut, group: GroupId, index: u32, msg: Msg) {
+    fn deliver_member(&mut self, group: GroupId, index: u32, msg: Msg) {
         let home = home_node(index, group.count(), self.cfg.nodes, group.mapping());
         if home == self.cfg.me {
             if let Some(addr) = self.groups.member(group, index) {
-                self.send_to_addr(net, addr, msg);
+                self.send_to_addr(addr, msg);
             } else if self.groups.known(group) {
                 panic!("group {group:?} installed without member {index}");
             } else {
@@ -2029,7 +1991,6 @@ impl Kernel {
             }
         } else {
             self.net_send(
-                net,
                 home,
                 KMsg::Deliver {
                     target: Target::Member { group, index },
@@ -2040,16 +2001,15 @@ impl Kernel {
     }
 
     /// Broadcast to a group from this node.
-    fn broadcast(&mut self, net: &mut dyn NetOut, group: GroupId, msg: Msg) {
+    fn broadcast(&mut self, group: GroupId, msg: Msg) {
         let me = self.cfg.me;
         self.stats.bump("bcast.initiated");
-        self.handle_grp_bcast(net, group, msg, me);
+        self.handle_grp_bcast(group, msg, me);
     }
 
-    fn handle_grp_bcast(&mut self, net: &mut dyn NetOut, group: GroupId, msg: Msg, root: NodeId) {
+    fn handle_grp_bcast(&mut self, group: GroupId, msg: Msg, root: NodeId) {
         for child in bcast::children(self.cfg.me, root, self.cfg.nodes) {
             self.net_send(
-                net,
                 child,
                 KMsg::GrpBcast {
                     group,
@@ -2059,7 +2019,7 @@ impl Kernel {
             );
         }
         if self.groups.known(group) {
-            self.deliver_bcast_local(net, group, msg);
+            self.deliver_bcast_local(group, msg);
         } else {
             self.groups.park_bcast(group, msg);
         }
@@ -2068,7 +2028,7 @@ impl Kernel {
     /// Collective scheduling (§6.4): deliver a broadcast to every local
     /// member consecutively — one dispatch charge for the whole quantum
     /// rather than one per message.
-    fn deliver_bcast_local(&mut self, net: &mut dyn NetOut, group: GroupId, msg: Msg) {
+    fn deliver_bcast_local(&mut self, group: GroupId, msg: Msg) {
         let members = self.groups.local_members(group);
         if members.is_empty() {
             return;
@@ -2133,7 +2093,7 @@ impl Kernel {
                         self.dispatcher.push(aid);
                     }
                 }
-                _ => self.send_to_addr(net, addr, m),
+                _ => self.send_to_addr(addr, m),
             }
         }
     }
@@ -2144,7 +2104,7 @@ impl Kernel {
 
     /// Coordinator entry point: start a distributed collection from this
     /// node. The machine calls this at a quiescent point.
-    pub fn start_gc(&mut self, net: &mut dyn NetOut) {
+    pub fn start_gc(&mut self) {
         assert!(
             self.joins.pending() == 0,
             "GC requires quiescence without pending join continuations"
@@ -2162,7 +2122,7 @@ impl Kernel {
             coordinator: me,
             root: me,
         });
-        self.drain_loopback(net);
+        self.drain_loopback();
     }
 
     /// Where a traced mail address should be marked: locally now, or at
@@ -2222,18 +2182,18 @@ impl Kernel {
         roots
     }
 
-    fn gc_flush_batches(&mut self, net: &mut dyn NetOut, out: MarkBatches) -> u64 {
+    fn gc_flush_batches(&mut self, out: MarkBatches) -> u64 {
         let mut forwarded = 0;
         for (node, keys) in out.drain() {
             forwarded += keys.len() as u64;
-            self.net_send(net, node, KMsg::GcMark { keys });
+            self.net_send(node, KMsg::GcMark { keys });
         }
         forwarded
     }
 
-    fn handle_gc_begin(&mut self, net: &mut dyn NetOut, coordinator: NodeId, root: NodeId) {
+    fn handle_gc_begin(&mut self, coordinator: NodeId, root: NodeId) {
         for child in bcast::children(self.cfg.me, root, self.cfg.nodes) {
-            self.net_send(net, child, KMsg::GcBegin { coordinator, root });
+            self.net_send(child, KMsg::GcBegin { coordinator, root });
         }
         assert!(
             self.joins.pending() == 0,
@@ -2255,13 +2215,13 @@ impl Kernel {
         let mut out = MarkBatches::default();
         let mut activity = newly.len() as u64;
         activity += self.gc_trace(newly, &mut out);
-        activity += self.gc_flush_batches(net, out);
-        self.net_send(net, coordinator, KMsg::GcRoundDone { activity });
+        activity += self.gc_flush_batches(out);
+        self.net_send(coordinator, KMsg::GcRoundDone { activity });
     }
 
-    fn handle_gc_round(&mut self, net: &mut dyn NetOut, root: NodeId) {
+    fn handle_gc_round(&mut self, root: NodeId) {
         for child in bcast::children(self.cfg.me, root, self.cfg.nodes) {
-            self.net_send(net, child, KMsg::GcRoundGo { root });
+            self.net_send(child, KMsg::GcRoundGo { root });
         }
         let incoming = std::mem::take(&mut self.gc.incoming);
         let mut out = MarkBatches::default();
@@ -2288,12 +2248,12 @@ impl Kernel {
             }
         }
         activity += self.gc_trace(work, &mut out);
-        activity += self.gc_flush_batches(net, out);
+        activity += self.gc_flush_batches(out);
         let coordinator = self.gc_coordinator;
-        self.net_send(net, coordinator, KMsg::GcRoundDone { activity });
+        self.net_send(coordinator, KMsg::GcRoundDone { activity });
     }
 
-    fn handle_gc_round_done(&mut self, _net: &mut dyn NetOut, activity: u64) {
+    fn handle_gc_round_done(&mut self, activity: u64) {
         let me = self.cfg.me;
         let nodes = self.cfg.nodes;
         let coord = self.gc.coord.as_mut().expect("round report at non-coordinator");
@@ -2313,9 +2273,9 @@ impl Kernel {
         }
     }
 
-    fn handle_gc_sweep(&mut self, net: &mut dyn NetOut, root: NodeId) {
+    fn handle_gc_sweep(&mut self, root: NodeId) {
         for child in bcast::children(self.cfg.me, root, self.cfg.nodes) {
-            self.net_send(net, child, KMsg::GcSweepCmd { root });
+            self.net_send(child, KMsg::GcSweepCmd { root });
         }
         let mut freed = 0u64;
         let mut swept_keys = std::collections::HashSet::new();
@@ -2351,10 +2311,10 @@ impl Kernel {
             self.trace_event(KernelEvent::GcSweep { freed, live });
         }
         let coordinator = self.gc_coordinator;
-        self.net_send(net, coordinator, KMsg::GcSwept { freed, live });
+        self.net_send(coordinator, KMsg::GcSwept { freed, live });
     }
 
-    fn handle_gc_swept(&mut self, _net: &mut dyn NetOut, freed: u64, live: u64) {
+    fn handle_gc_swept(&mut self, freed: u64, live: u64) {
         let coord = self.gc.coord.as_mut().expect("sweep report at non-coordinator");
         coord.awaiting -= 1;
         coord.freed += freed;
@@ -2388,12 +2348,12 @@ impl Kernel {
     /// Run one scheduling step: drain loopback work, then execute one
     /// ready actor for up to a quantum of messages. Returns `true` if any
     /// work was done.
-    pub fn step(&mut self, net: &mut dyn NetOut) -> bool {
+    pub fn step(&mut self) -> bool {
         if !self.pauses.is_empty() {
             self.clock = self.pause_shift(self.clock);
         }
         if !self.loopback.is_empty() {
-            self.drain_loopback(net);
+            self.drain_loopback();
             self.metrics_tick();
             return true;
         }
@@ -2401,15 +2361,15 @@ impl Kernel {
             return false;
         };
         self.charge(self.cfg.cost.dispatch);
-        self.run_actor(net, aid);
-        self.drain_loopback(net);
+        self.run_actor(aid);
+        self.drain_loopback();
         self.metrics_tick();
         true
     }
 
     /// Execute up to `quantum` enabled messages on actor `aid`, with
     /// pending-queue rescans after each method (§6.1).
-    fn run_actor(&mut self, net: &mut dyn NetOut, aid: ActorId) {
+    fn run_actor(&mut self, aid: ActorId) {
         let Some(mut rec) = self.actors.checkout(aid) else {
             // Stolen or migrated between scheduling and execution.
             return;
@@ -2428,7 +2388,7 @@ impl Kernel {
             self.charge(self.cfg.cost.constraint_check);
             if rec.behavior.enabled(msg.selector, &msg.args) {
                 processed += 1;
-                let mreq = self.execute_message(net, aid, &mut rec, msg);
+                let mreq = self.execute_message(aid, &mut rec, msg);
                 if mreq.is_some() {
                     migrate_req = mreq;
                 }
@@ -2436,7 +2396,7 @@ impl Kernel {
                 // execution, it examines whether or not it has pending
                 // messages" — dispatch newly enabled ones immediately.
                 if migrate_req.is_none() {
-                    let m2 = self.rescan_pending(net, aid, &mut rec);
+                    let m2 = self.rescan_pending(aid, &mut rec);
                     if m2.is_some() {
                         migrate_req = m2;
                     }
@@ -2469,7 +2429,7 @@ impl Kernel {
         // state-changing messages that all went to pendq — nothing to do,
         // but harmless and keeps semantics uniform).
         if processed == 0 && migrate_req.is_none() && !rec.pendq.is_empty() {
-            let m2 = self.rescan_pending(net, aid, &mut rec);
+            let m2 = self.rescan_pending(aid, &mut rec);
             if m2.is_some() {
                 migrate_req = m2;
             }
@@ -2487,7 +2447,7 @@ impl Kernel {
                     }
                 }
             } else {
-                self.migrate_out(net, aid, dst, false);
+                self.migrate_out(aid, dst, false);
             }
             return;
         }
@@ -2503,7 +2463,6 @@ impl Kernel {
     /// until none is enabled. Returns a migration request if one arose.
     fn rescan_pending(
         &mut self,
-        net: &mut dyn NetOut,
         aid: ActorId,
         rec: &mut ActorRecord,
     ) -> Option<NodeId> {
@@ -2553,7 +2512,7 @@ impl Kernel {
                         }
                     }
                     fired = true;
-                    let mreq = self.execute_message(net, aid, rec, msg);
+                    let mreq = self.execute_message(aid, rec, msg);
                     if mreq.is_some() {
                         return mreq;
                     }
@@ -2571,7 +2530,6 @@ impl Kernel {
     /// migration destination if the method requested one.
     fn execute_message(
         &mut self,
-        net: &mut dyn NetOut,
         aid: ActorId,
         rec: &mut ActorRecord,
         msg: Msg,
@@ -2609,7 +2567,6 @@ impl Kernel {
             become_to: None,
             migrate_to: None,
             k: self,
-            net,
         };
         rec.behavior.dispatch(&mut ctx, msg);
         let become_to = ctx.become_to.take();
@@ -2642,11 +2599,11 @@ impl Kernel {
     /// on the current stack, when the receiver is local, enabled, idle,
     /// and the depth bound permits. Falls back to the generic send.
     /// Returns `true` if the fast path was taken.
-    fn send_fast(&mut self, net: &mut dyn NetOut, to: MailAddr, msg: Msg) -> bool {
+    fn send_fast(&mut self, to: MailAddr, msg: Msg) -> bool {
         self.charge(self.cfg.cost.locality_check);
         if self.stack_depth >= self.cfg.max_stack_depth {
             self.stats.bump("fast.depth_fallback");
-            self.send_after_check(net, to, msg);
+            self.send_after_check(to, msg);
             return false;
         }
         match self.names.resolve(to.key) {
@@ -2673,9 +2630,9 @@ impl Kernel {
                 self.stats.bump("fast.inline");
                 let mut rec = self.actors.checkout(aid).expect("checked above");
                 self.stack_depth += 1;
-                let mreq = self.execute_message(net, aid, &mut rec, msg);
+                let mreq = self.execute_message(aid, &mut rec, msg);
                 let m2 = if mreq.is_none() {
-                    self.rescan_pending(net, aid, &mut rec)
+                    self.rescan_pending(aid, &mut rec)
                 } else {
                     mreq
                 };
@@ -2684,7 +2641,7 @@ impl Kernel {
                 self.actors.checkin(aid, rec);
                 if let Some(dst) = m2 {
                     if dst != self.cfg.me {
-                        self.migrate_out(net, aid, dst, false);
+                        self.migrate_out(aid, dst, false);
                         return true;
                     }
                 }
@@ -2698,7 +2655,7 @@ impl Kernel {
                 true
             }
             _ => {
-                self.send_after_check(net, to, msg);
+                self.send_after_check(to, msg);
                 false
             }
         }
@@ -2710,14 +2667,14 @@ impl Kernel {
     /// `send_to_addr`, which charges `locality_check` again (a cost-model
     /// wart, ROADMAP item 1 — fixing it moves `virtual_ns` in every
     /// artifact with a remote `send_fast`).
-    fn send_after_check(&mut self, net: &mut dyn NetOut, to: MailAddr, msg: Msg) {
+    fn send_after_check(&mut self, to: MailAddr, msg: Msg) {
         match self.names.resolve(to.key) {
             Resolution::Local(aid) => {
                 self.charge(self.cfg.cost.local_send);
                 self.stats.bump("msgs.local");
                 self.enqueue_local(aid, msg);
             }
-            _ => self.send_to_addr(net, to, msg),
+            _ => self.send_to_addr(to, msg),
         }
     }
 }
@@ -2741,7 +2698,6 @@ enum Ident {
 /// ask of the kernel during a method execution.
 pub struct Ctx<'a> {
     k: &'a mut Kernel,
-    net: &'a mut dyn NetOut,
     ident: Ident,
     customer: Option<ContRef>,
     become_to: Option<Box<dyn Behavior>>,
@@ -2788,19 +2744,19 @@ impl<'a> Ctx<'a> {
 
     /// Asynchronous send (the actor `send` primitive).
     pub fn send(&mut self, to: MailAddr, selector: Selector, args: Vec<Value>) {
-        self.k.send_to_addr(self.net, to, Msg::new(selector, args));
+        self.k.send_to_addr(to, Msg::new(selector, args));
     }
 
     /// Compiler fast path (§6.3): inline local dispatch when legal, else
     /// the generic send. Returns whether the inline path ran.
     pub fn send_fast(&mut self, to: MailAddr, selector: Selector, args: Vec<Value>) -> bool {
-        self.k.send_fast(self.net, to, Msg::new(selector, args))
+        self.k.send_fast(to, Msg::new(selector, args))
     }
 
     /// `request`: asynchronous send whose reply fills `cont`.
     pub fn request(&mut self, to: MailAddr, selector: Selector, args: Vec<Value>, cont: ContRef) {
         self.k
-            .send_to_addr(self.net, to, Msg::request(selector, args, cont));
+            .send_to_addr(to, Msg::request(selector, args, cont));
     }
 
     /// `reply`: answer the current message's customer.
@@ -2812,13 +2768,13 @@ impl<'a> Ctx<'a> {
             .customer
             .take()
             .expect("reply without a customer continuation");
-        self.k.send_reply(self.net, cont, value);
+        self.k.send_reply(cont, value);
     }
 
     /// Answer an explicit continuation reference (for forwarded or stored
     /// customers).
     pub fn reply_to(&mut self, cont: ContRef, value: Value) {
-        self.k.send_reply(self.net, cont, value);
+        self.k.send_reply(cont, value);
     }
 
     /// Create a join continuation with `arity` slots, `prefilled` known
@@ -2860,7 +2816,7 @@ impl<'a> Ctx<'a> {
             self.k.recycle_args(init);
             self.k.create_local(b)
         } else {
-            self.k.create_remote(self.net, node, behavior, init)
+            self.k.create_remote(node, behavior, init)
         }
     }
 
@@ -2869,7 +2825,7 @@ impl<'a> Ctx<'a> {
     /// member's factory receives `init ++ [Group(id), Int(index),
     /// Int(count)]`.
     pub fn grpnew(&mut self, behavior: BehaviorId, count: u32, init: Vec<Value>) -> GroupId {
-        self.k.grpnew(self.net, behavior, count, init, Mapping::Block)
+        self.k.grpnew(behavior, count, init, Mapping::Block)
     }
 
     /// `grpnew` with an explicit member-distribution mapping (Table 1's
@@ -2881,18 +2837,18 @@ impl<'a> Ctx<'a> {
         init: Vec<Value>,
         mapping: Mapping,
     ) -> GroupId {
-        self.k.grpnew(self.net, behavior, count, init, mapping)
+        self.k.grpnew(behavior, count, init, mapping)
     }
 
     /// Broadcast to every member of `group` (§6.4).
     pub fn broadcast(&mut self, group: GroupId, selector: Selector, args: Vec<Value>) {
-        self.k.broadcast(self.net, group, Msg::new(selector, args));
+        self.k.broadcast(group, Msg::new(selector, args));
     }
 
     /// Send to one member of a group by index.
     pub fn send_member(&mut self, group: GroupId, index: u32, selector: Selector, args: Vec<Value>) {
         self.k
-            .deliver_member(self.net, group, index, Msg::new(selector, args));
+            .deliver_member(group, index, Msg::new(selector, args));
     }
 
     /// Send a request to one member of a group.
@@ -2905,7 +2861,7 @@ impl<'a> Ctx<'a> {
         cont: ContRef,
     ) {
         self.k
-            .deliver_member(self.net, group, index, Msg::request(selector, args, cont));
+            .deliver_member(group, index, Msg::request(selector, args, cont));
     }
 
     /// `become`: replace this actor's behavior after the current method
@@ -2940,7 +2896,7 @@ impl<'a> Ctx<'a> {
         self.k.stopped = true;
         for n in 0..self.k.cfg.nodes as NodeId {
             if n != self.k.cfg.me {
-                self.k.net_send(self.net, n, KMsg::Halt);
+                self.k.net_send(n, KMsg::Halt);
             }
         }
     }
@@ -2968,14 +2924,9 @@ impl<'a> Ctx<'a> {
 
 /// Run a closure in a bootstrap (`System`) context against a kernel —
 /// how machines let harness code create the initial actors.
-pub fn with_system_ctx<R>(
-    kernel: &mut Kernel,
-    net: &mut dyn NetOut,
-    f: impl FnOnce(&mut Ctx<'_>) -> R,
-) -> R {
+pub fn with_system_ctx<R>(kernel: &mut Kernel, f: impl FnOnce(&mut Ctx<'_>) -> R) -> R {
     let mut ctx = Ctx {
         k: kernel,
-        net,
         ident: Ident::System,
         customer: None,
         become_to: None,
@@ -2992,14 +2943,80 @@ mod tests {
     use super::*;
     use crate::machine::SimMachine;
 
-    /// Selector 0 with an address argument: message that address.
+    /// Selector 0 with address arguments: report the time, then message
+    /// each address in turn.
     struct Relay;
     impl Behavior for Relay {
         fn dispatch(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-            if let Some(target) = msg.args.first() {
+            ctx.report("relay_at", Value::Int(ctx.now().as_nanos() as i64));
+            for target in &msg.args {
                 ctx.send(target.as_addr(), 0, vec![]);
             }
         }
+    }
+
+    /// Node 1 of 3 with one `Relay` on it — and no network of any kind.
+    fn relay_kernel(force_reliable: bool) -> (Kernel, MailAddr) {
+        let mut cfg = KernelConfig::for_node(&MachineConfig::new(3), 1);
+        cfg.force_reliable = force_reliable;
+        let mut k = Kernel::new(cfg, Arc::new(BehaviorRegistry::new()));
+        let relay = k.bootstrap(Box::new(Relay), None);
+        (k, relay)
+    }
+
+    /// An actor born on `node` that this kernel has never heard of.
+    fn stranger(node: NodeId) -> Value {
+        Value::Addr(MailAddr::ordinary(node, DescriptorId(7)))
+    }
+
+    /// What the `Relay`'s last run stamped, plus `d`.
+    fn relay_at(k: &Kernel, d: VirtualDuration) -> VirtualTime {
+        VirtualTime::from_nanos(k.reports.last().expect("relay ran").1.as_int() as u64) + d
+    }
+
+    /// The kernel needs no network object: one remote `Deliver` handled,
+    /// and what it wants sent is in the outbox, each packet stamped with
+    /// the clock at the call that pushed it.
+    #[test]
+    fn a_delivered_packet_leaves_its_answers_in_the_outbox() {
+        let (mut k, relay) = relay_kernel(false);
+        let cost = k.config().cost;
+        // Mid-method at 1 ms when the packet arrives at 10 us.
+        k.clock = VirtualTime::from_nanos(1_000_000);
+        let t = VirtualTime::from_nanos(10_000);
+        let target = Target::Addr { key: relay.key, dst_desc: None, route_hint: 1 };
+        let body = KMsg::Deliver { target, msg: Msg::new(0, vec![stranger(2)]) };
+        k.deliver(t, Packet { src: 0, dst: 1, body: AmEnvelope::Small(body) });
+        // The node manager told the sender our descriptor (§4.1) at the
+        // arrival time plus its own work, not at the interrupted clock.
+        let advised_at = t + cost.net_recv_overhead + cost.name_lookup + cost.net_send_overhead;
+        assert!(advised_at < k.clock);
+        assert!(k.step(), "the relay runs");
+        let sent_at = relay_at(&k, cost.locality_check + cost.net_send_overhead);
+        let outbox: Vec<_> = k.drain_outbox().collect();
+        assert!(matches!(outbox[0], Outbound::Packet { dst: 0, at, .. } if at == advised_at));
+        assert!(matches!(outbox[1], Outbound::Packet { dst: 2, at, .. } if at == sent_at));
+        assert_eq!((outbox.len(), k.outbox.len()), (2, 0));
+    }
+
+    /// Packets and timers share one queue, in call order.
+    #[test]
+    fn sends_and_timers_leave_in_call_order() {
+        let (mut k, relay) = relay_kernel(true);
+        let (cost, rto) = (k.config().cost, k.config().faults.rto);
+        // Peer 2's retransmit timer is armed by an earlier send ...
+        with_system_ctx(&mut k, |ctx| ctx.send(stranger(2).as_addr(), 0, vec![]));
+        assert_eq!(k.drain_outbox().count(), 2);
+        // ... so a handler sending to 0 and then to 2 arms one more.
+        with_system_ctx(&mut k, |ctx| ctx.send(relay, 0, vec![stranger(0), stranger(2)]));
+        assert!(k.step());
+        let first = relay_at(&k, cost.locality_check + cost.net_send_overhead);
+        let second = first + cost.locality_check + cost.net_send_overhead;
+        let outbox: Vec<_> = k.drain_outbox().collect();
+        assert_eq!(outbox.len(), 3);
+        assert!(matches!(outbox[0], Outbound::Packet { dst: 0, at, .. } if at == first));
+        assert!(matches!(outbox[1], Outbound::Timer { fire_at, .. } if fire_at == first + rto));
+        assert!(matches!(outbox[2], Outbound::Packet { dst: 2, at, .. } if at == second));
     }
 
     /// The "already advised" set follows the actors alive, not the

@@ -18,7 +18,8 @@
 //!   written for the simulator (e.g. the serving front-end's
 //!   `now() - sent_at`) is meaningful on both backends;
 //! * migration, aliases, and FIR chases run the exact same kernel code
-//!   paths — the backends differ only below [`crate::kernel::NetOut`].
+//!   paths — the backends differ only in who drains the kernel's outbox
+//!   ([`crate::kernel::Outbound`]) and into what.
 //!
 //! Chaos timers need a place to live without a DES heap: [`LiveNet`]
 //! pairs the thread endpoint with a local binary heap of `(fire_at,
@@ -26,8 +27,8 @@
 //!
 //! A node with nothing to do **sleeps until something happens**; it never
 //! polls. Each node owns one [`Doorbell`], and whoever hands it work
-//! rings that bell after enqueueing: [`LiveNet::inject`] after a packet
-//! went onto the peer's queue, [`LiveMachine::submit`] after a job was
+//! rings that bell after enqueueing: [`LiveNet::inject`] (the flush of a
+//! kernel's outbox) after a packet went onto the peer's queue, [`LiveMachine::submit`] after a job was
 //! queued, and `Shared::raise_abort` (watchdog, peer panic) after
 //! raising the abort flag. The sleeper announces itself, takes one more
 //! full loop turn with the flag up — so anything enqueued before the flag
@@ -61,7 +62,7 @@
 
 use crate::backend::Job;
 use crate::error::MachineError;
-use crate::kernel::{with_system_ctx, Ctx, Kernel, KernelConfig, NetOut};
+use crate::kernel::{with_system_ctx, Ctx, Kernel, KernelConfig, Outbound};
 use crate::machine::{MachineConfig, SimReport};
 use crate::registry::BehaviorRegistry;
 use crate::sync::{
@@ -238,21 +239,26 @@ impl LiveNet {
     }
 }
 
-impl NetOut for LiveNet {
-    fn inject(
-        &mut self,
-        _now: VirtualTime,
-        src: NodeId,
-        dst: NodeId,
-        env: AmEnvelope<KMsg>,
-        wire_bytes: usize,
-    ) {
-        debug_assert_eq!(src, self.ep.node());
+impl LiveNet {
+    /// Send everything `kernel` left in its outbox, oldest first, and arm
+    /// its timers. The node loop calls this after every kernel entry
+    /// point, on every exit path.
+    fn flush(&mut self, kernel: &mut Kernel) {
+        for out in kernel.drain_outbox() {
+            match out {
+                Outbound::Packet { dst, env, wire, .. } => self.inject(dst, env, wire),
+                Outbound::Timer { fire_at, env } => self.schedule(fire_at, env),
+            }
+        }
+    }
+
+    fn inject(&mut self, dst: NodeId, env: AmEnvelope<KMsg>, wire_bytes: usize) {
         // Drain-while-stalled: never block on a full peer queue without
-        // also draining our own. A blocking send from inside a dispatch
-        // (e.g. a retransmit burst re-sending every unacked copy) can
-        // wedge the partition — two nodes blocked on each other's full
-        // queues, neither consuming. Instead, retry the non-blocking
+        // also draining our own. A blocking send (e.g. a retransmit burst
+        // re-sending every unacked copy) can wedge the partition — two
+        // nodes blocked on each other's full queues, neither consuming.
+        // The kernel is not running while its outbox is flushed, so
+        // arrivals cannot be handled here; instead, retry the non-blocking
         // send and between attempts pull our own arrivals into `inbox`,
         // so this node always stays a consumer while it waits. The
         // blocked sender makes progress as soon as the peer frees a
@@ -284,8 +290,7 @@ impl NetOut for LiveNet {
         }
     }
 
-    fn schedule(&mut self, fire_at: VirtualTime, node: NodeId, env: AmEnvelope<KMsg>) {
-        debug_assert_eq!(node, self.ep.node(), "timers are always self-addressed");
+    fn schedule(&mut self, fire_at: VirtualTime, env: AmEnvelope<KMsg>) {
         self.timer_seq += 1;
         self.timers.push(Reverse(TimerEntry {
             fire_at,
@@ -520,11 +525,12 @@ impl LiveMachine {
             });
         }
         match &mut self.state {
-            LiveState::Staged { kernels, nets, .. } => Ok(with_system_ctx(
-                &mut kernels[node as usize],
-                &mut nets[node as usize],
-                f,
-            )),
+            LiveState::Staged { kernels, nets, .. } => {
+                let kernel = &mut kernels[node as usize];
+                let r = with_system_ctx(kernel, f);
+                nets[node as usize].flush(kernel);
+                Ok(r)
+            }
             _ => Err(MachineError::BackendState {
                 what: "run a borrowing bootstrap closure after init (submit a Job instead)",
             }),
@@ -705,7 +711,8 @@ impl Node {
             .max(VirtualTime::from_nanos(self.anchor.elapsed().as_nanos() as u64));
         kernel.metrics_catch_up();
         while let Ok(job) = jobs.try_recv() {
-            with_system_ctx(kernel, net, job);
+            with_system_ctx(kernel, job);
+            net.flush(kernel);
             *events += 1;
             if kernel.stopped {
                 return true;
@@ -714,7 +721,8 @@ impl Node {
         // Inbox first: packets set aside while a send was stalled are
         // older than anything still in the endpoint queue.
         while let Some(pkt) = net.take_inbox().or_else(|| net.ep.try_recv()) {
-            kernel.handle_packet(net, pkt);
+            kernel.handle_packet(pkt);
+            net.flush(kernel);
             *events += 1;
             if kernel.stopped {
                 return true;
@@ -728,17 +736,16 @@ impl Node {
                     continue;
                 }
             }
-            kernel.handle_packet(
-                net,
-                Packet {
-                    src: me,
-                    dst: me,
-                    body: env,
-                },
-            );
+            kernel.handle_packet(Packet {
+                src: me,
+                dst: me,
+                body: env,
+            });
+            net.flush(kernel);
             *events += 1;
         }
-        if kernel.step(net) {
+        if kernel.step() {
+            net.flush(kernel);
             *events += 1;
         }
         *events != before
@@ -781,7 +788,8 @@ impl Node {
                 continue;
             }
             if self.kernel.nodes() > 1 && self.kernel.balancer.may_poll(self.kernel.clock) {
-                self.kernel.send_steal_poll(&mut self.net);
+                self.kernel.send_steal_poll();
+                self.net.flush(&mut self.kernel);
             }
             bell.announce();
             if shared.abort.load(Ordering::SeqCst) || self.turn() {
@@ -827,6 +835,23 @@ mod tests {
         // Drained: report() re-reads the same result.
         let again = m.report().unwrap();
         assert_eq!(again.value("who"), Some(&Value::Int(7)));
+    }
+
+    /// `Ctx::stop` from a job on a running machine: the job returns with
+    /// the kernel stopped and the Halt still in its outbox, so the node
+    /// loop must flush on that exit path too — or node 1 sleeps until
+    /// the watchdog.
+    #[test]
+    fn live_stop_from_a_job_after_init_halts_the_peer() {
+        let cfg = MachineConfig::builder(2).build().unwrap();
+        let mut m = Machine::live(cfg, empty_registry());
+        m.init().unwrap();
+        // Let both nodes park without a timeout first.
+        std::thread::sleep(Duration::from_millis(20));
+        m.submit(0, Box::new(|ctx| ctx.stop())).unwrap();
+        let t = Instant::now();
+        m.drain(Duration::from_secs(10)).unwrap();
+        assert!(t.elapsed() < Duration::from_secs(5), "the Halt was flushed");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::cost::CostModel;
 use crate::error::{ConfigError, MachineError};
 use crate::gc::GcReport;
 use crate::timeline::{SpanKind, Timeline};
-use crate::kernel::{with_system_ctx, Ctx, Kernel, KernelConfig};
+use crate::kernel::{with_system_ctx, Ctx, Kernel, KernelConfig, Outbound};
 use crate::message::Value;
 use crate::registry::BehaviorRegistry;
 use crate::wire::KMsg;
@@ -577,7 +577,25 @@ impl SimMachine {
     /// Run harness code in a system context on `node` — the front-end
     /// loading a program: create initial actors, send kick-off messages.
     pub fn with_ctx<R>(&mut self, node: NodeId, f: impl FnOnce(&mut Ctx<'_>) -> R) -> R {
-        with_system_ctx(&mut self.kernels[node as usize], &mut self.net, f)
+        let r = with_system_ctx(&mut self.kernels[node as usize], f);
+        self.flush(node as usize);
+        r
+    }
+
+    /// Hand node `i`'s outbox to the network, oldest entry first, each
+    /// packet at the clock its kernel stamped on it. Called after every
+    /// kernel entry point this machine drives.
+    fn flush(&mut self, i: usize) {
+        let k = &mut self.kernels[i];
+        let me = k.node();
+        for out in k.drain_outbox() {
+            match out {
+                Outbound::Packet { at, dst, env, wire } => {
+                    self.net.inject(at, me, dst, env, wire);
+                }
+                Outbound::Timer { fire_at, env } => self.net.schedule(fire_at, me, env),
+            }
+        }
     }
 
     /// Run until every node is idle and the network is drained (or a
@@ -708,7 +726,8 @@ impl SimMachine {
                 RANK_STEP => {
                     let k = &mut self.kernels[i];
                     let before = k.clock;
-                    k.step(&mut self.net);
+                    k.step();
+                    self.flush(i);
                     if self.cfg.record_timeline {
                         let after = self.kernels[i].clock;
                         self.timeline
@@ -725,7 +744,8 @@ impl SimMachine {
                     // still counted as an event.
                     if !k.has_work() && k.balancer.poll_ready_at().is_some_and(|t0| t0 <= t) {
                         k.clock = k.clock.max(t);
-                        k.send_steal_poll(&mut self.net);
+                        k.send_steal_poll();
+                        self.flush(i);
                     }
                 }
             }
@@ -741,8 +761,9 @@ impl SimMachine {
     /// CPU time. Stale chaos timers are retired for free.
     fn deliver_packet(&mut self, t: VirtualTime, pkt: hal_am::Packet<KMsg>) {
         let node = pkt.dst;
-        let k = &mut self.kernels[node as usize];
-        if let Some((start, end)) = k.deliver(&mut self.net, t, pkt) {
+        let span = self.kernels[node as usize].deliver(t, pkt);
+        self.flush(node as usize);
+        if let Some((start, end)) = span {
             if self.cfg.record_timeline {
                 self.timeline.push(node, start, end, SpanKind::Handler);
             }
@@ -791,7 +812,8 @@ impl SimMachine {
         if self.net.in_flight() != 0 || self.kernels.iter().any(|k| k.has_work()) {
             return Err(MachineError::NotQuiescent);
         }
-        self.kernels[0].start_gc(&mut self.net);
+        self.kernels[0].start_gc();
+        self.flush(0);
         self.run()?;
         // The coordinator posted gc_freed / gc_rounds / gc_live as its
         // most recent reports.
