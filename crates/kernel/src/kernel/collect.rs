@@ -1,0 +1,238 @@
+//! Distributed garbage collection (§9 future work): the kernel side of
+//! the mark rounds and the sweep in [`crate::gc`].
+
+use super::*;
+
+impl Kernel {
+    // ------------------------------------------------------------------
+    // Garbage collection (§9 future work)
+    // ------------------------------------------------------------------
+
+    /// Coordinator entry point: start a distributed collection from this
+    /// node. The machine calls this at a quiescent point.
+    pub fn start_gc(&mut self) {
+        assert!(
+            self.joins.pending() == 0,
+            "GC requires quiescence without pending join continuations"
+        );
+        self.gc.coord = Some(CoordState {
+            awaiting: self.cfg.nodes,
+            round_activity: 0,
+            rounds: 0,
+            freed: 0,
+        });
+        let me = self.cfg.me;
+        // Deliver to ourselves through the loopback so the coordinator
+        // node follows the identical code path as everyone else.
+        self.loopback.push_back(KMsg::GcBegin {
+            coordinator: me,
+            root: me,
+        });
+        self.drain_loopback();
+    }
+
+    /// Where a traced mail address should be marked: locally now, or at
+    /// the believed owner. Returns the number of *new* local marks.
+    fn gc_trace_addr(&mut self, addr: MailAddr, work: &mut Vec<ActorId>, out: &mut MarkBatches) -> u64 {
+        match self.names.resolve(addr.key) {
+            Resolution::Local(aid) => {
+                if self.gc.mark(aid) {
+                    work.push(aid);
+                    1
+                } else {
+                    0
+                }
+            }
+            Resolution::Remote { node, .. } => {
+                out.push(node, addr.key);
+                0
+            }
+            Resolution::Unknown => {
+                out.push(addr.default_route(), addr.key);
+                0
+            }
+        }
+    }
+
+    /// Trace from the current worklist to a local fixpoint; batch remote
+    /// references. Returns new local marks.
+    fn gc_trace(&mut self, mut work: Vec<ActorId>, out: &mut MarkBatches) -> u64 {
+        let mut new_marks = 0;
+        while let Some(aid) = work.pop() {
+            let refs = match self.actors.get(aid) {
+                Some(rec) => rec.behavior.acquaintances(),
+                None => continue,
+            };
+            for addr in refs {
+                new_marks += self.gc_trace_addr(addr, &mut work, out);
+            }
+        }
+        new_marks
+    }
+
+    /// Local roots: pinned actors, actors with queued work, and group
+    /// members (externally reachable by `(group, index)`).
+    fn gc_roots(&mut self) -> Vec<ActorId> {
+        let mut roots: Vec<ActorId> = Vec::new();
+        for aid in self.actors.live_ids() {
+            let rec = self.actors.get(aid).expect("live id");
+            let is_root = self.gc.pinned.contains(&aid)
+                || rec.scheduled
+                || !rec.mailq.is_empty()
+                || !rec.pendq.is_empty()
+                || rec.group.is_some();
+            if is_root {
+                roots.push(aid);
+            }
+        }
+        roots
+    }
+
+    fn gc_flush_batches(&mut self, out: MarkBatches) -> u64 {
+        let mut forwarded = 0;
+        for (node, keys) in out.drain() {
+            forwarded += keys.len() as u64;
+            self.net_send(node, KMsg::GcMark { keys });
+        }
+        forwarded
+    }
+
+    pub(super) fn handle_gc_begin(&mut self, coordinator: NodeId, root: NodeId) {
+        for child in bcast::children(self.cfg.me, root, self.cfg.nodes) {
+            self.net_send(child, KMsg::GcBegin { coordinator, root });
+        }
+        assert!(
+            self.joins.pending() == 0,
+            "GC requires quiescence without pending join continuations"
+        );
+        let was_active = self.gc.active;
+        let coord = self.gc.coord.take();
+        self.gc.begin();
+        self.gc.coord = coord;
+        debug_assert!(!was_active, "nested collection");
+        self.gc_coordinator = coordinator;
+        let roots: Vec<ActorId> = self.gc_roots();
+        let mut newly = Vec::new();
+        for aid in roots {
+            if self.gc.mark(aid) {
+                newly.push(aid);
+            }
+        }
+        let mut out = MarkBatches::default();
+        let mut activity = newly.len() as u64;
+        activity += self.gc_trace(newly, &mut out);
+        activity += self.gc_flush_batches(out);
+        self.net_send(coordinator, KMsg::GcRoundDone { activity });
+    }
+
+    pub(super) fn handle_gc_round(&mut self, root: NodeId) {
+        for child in bcast::children(self.cfg.me, root, self.cfg.nodes) {
+            self.net_send(child, KMsg::GcRoundGo { root });
+        }
+        let incoming = std::mem::take(&mut self.gc.incoming);
+        let mut out = MarkBatches::default();
+        let mut work = Vec::new();
+        let mut activity = 0u64;
+        for key in incoming {
+            match self.names.resolve(key) {
+                Resolution::Local(aid) => {
+                    if self.gc.mark(aid) {
+                        work.push(aid);
+                        activity += 1;
+                    }
+                }
+                Resolution::Remote { node, .. } => {
+                    out.push(node, key);
+                }
+                Resolution::Unknown => {
+                    // At the birthplace an unknown key means the actor is
+                    // already gone; elsewhere, ask the birthplace.
+                    if key.birthplace != self.cfg.me {
+                        out.push(key.birthplace, key);
+                    }
+                }
+            }
+        }
+        activity += self.gc_trace(work, &mut out);
+        activity += self.gc_flush_batches(out);
+        let coordinator = self.gc_coordinator;
+        self.net_send(coordinator, KMsg::GcRoundDone { activity });
+    }
+
+    pub(super) fn handle_gc_round_done(&mut self, activity: u64) {
+        let me = self.cfg.me;
+        let nodes = self.cfg.nodes;
+        let coord = self.gc.coord.as_mut().expect("round report at non-coordinator");
+        coord.awaiting -= 1;
+        coord.round_activity += activity;
+        if coord.awaiting > 0 {
+            return;
+        }
+        if coord.round_activity > 0 {
+            coord.awaiting = nodes;
+            coord.round_activity = 0;
+            coord.rounds += 1;
+            self.loopback.push_back(KMsg::GcRoundGo { root: me });
+        } else {
+            coord.awaiting = nodes;
+            self.loopback.push_back(KMsg::GcSweepCmd { root: me });
+        }
+    }
+
+    pub(super) fn handle_gc_sweep(&mut self, root: NodeId) {
+        for child in bcast::children(self.cfg.me, root, self.cfg.nodes) {
+            self.net_send(child, KMsg::GcSweepCmd { root });
+        }
+        let mut freed = 0u64;
+        let mut swept_keys = std::collections::HashSet::new();
+        for aid in self.actors.live_ids() {
+            if self.gc.marked.contains(&aid) {
+                continue;
+            }
+            let rec = self.actors.remove(aid);
+            swept_keys.extend(rec.keys.iter().copied());
+            for key in &rec.keys {
+                if key.birthplace == self.cfg.me {
+                    if self.names.descriptor_live(key.index) {
+                        self.names.free_descriptor(key.index);
+                    }
+                } else if let Some(d) = self.names.unbind(*key) {
+                    if self.names.descriptor_live(d) {
+                        self.names.free_descriptor(d);
+                    }
+                }
+            }
+            freed += 1;
+        }
+        // A dead key's "already advised" marks must not outlive it: the
+        // set would grow with actors ever addressed, and a recycled
+        // descriptor index would inherit them.
+        if !swept_keys.is_empty() {
+            self.advised.retain(|(_, key)| !swept_keys.contains(key));
+        }
+        self.stats.add("gc.freed", freed);
+        self.gc.active = false;
+        let live = self.actors.len() as u64;
+        if self.recorder.is_some() {
+            self.trace_event(KernelEvent::GcSweep { freed, live });
+        }
+        let coordinator = self.gc_coordinator;
+        self.net_send(coordinator, KMsg::GcSwept { freed, live });
+    }
+
+    pub(super) fn handle_gc_swept(&mut self, freed: u64, live: u64) {
+        let coord = self.gc.coord.as_mut().expect("sweep report at non-coordinator");
+        coord.awaiting -= 1;
+        coord.freed += freed;
+        self.gc_live_total += live;
+        if coord.awaiting == 0 {
+            let rounds = coord.rounds;
+            let freed = coord.freed;
+            let live = self.gc_live_total;
+            self.gc_live_total = 0;
+            self.reports.push(("gc_freed".into(), Value::Int(freed as i64)));
+            self.reports.push(("gc_rounds".into(), Value::Int(rounds as i64)));
+            self.reports.push(("gc_live".into(), Value::Int(live as i64)));
+        }
+    }
+}

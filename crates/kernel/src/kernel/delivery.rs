@@ -1,0 +1,478 @@
+//! Message delivery (§4.3, Fig. 3): the generic send, the receiving node
+//! manager, forwarding vs. the FIR chase, and name-table repair.
+
+use super::*;
+
+impl Kernel {
+    // ------------------------------------------------------------------
+    // Message delivery (Fig. 3)
+    // ------------------------------------------------------------------
+
+    /// Send `msg` to mail address `to` from this node (the generic send
+    /// of Fig. 3, sender side).
+    pub(super) fn send_to_addr(&mut self, to: MailAddr, mut msg: Msg) {
+        self.charge(self.cfg.cost.locality_check);
+        match self.names.resolve(to.key) {
+            Resolution::Local(aid) => {
+                if self.recorder.is_some() {
+                    self.trace_stamp_send(&mut msg, to.key, false);
+                }
+                self.charge(self.cfg.cost.local_send);
+                self.stats.bump("msgs.local");
+                self.enqueue_local(aid, msg);
+            }
+            Resolution::Remote { node, remote_index } => {
+                if self.recorder.is_some() {
+                    self.trace_stamp_send(&mut msg, to.key, true);
+                }
+                if self.firs.is_pending(to.key) {
+                    // We already know our guess is stale; park with the
+                    // FIR instead of bouncing off the old node again.
+                    if let Some(tag) = msg.trace.as_mut() {
+                        tag.flags |= TraceTag::CHASED;
+                    }
+                    self.firs.buffer(to.key, msg);
+                    self.stats.bump("fir.buffered_at_send");
+                    return;
+                }
+                self.stats.bump("msgs.remote");
+                let dst_desc = if self.cfg.opt.name_caching {
+                    remote_index
+                } else {
+                    None
+                };
+                self.net_send(
+                    node,
+                    KMsg::Deliver {
+                        target: Target::Addr {
+                            key: to.key,
+                            dst_desc,
+                            route_hint: to.default_route(),
+                        },
+                        msg,
+                    },
+                );
+            }
+            Resolution::Unknown => {
+                // First contact: allocate a best-guess descriptor toward
+                // the default route and send there (§4.1).
+                assert!(
+                    to.key.birthplace != self.cfg.me,
+                    "dangling local mail address {:?}",
+                    to
+                );
+                if self.recorder.is_some() {
+                    self.trace_stamp_send(&mut msg, to.key, true);
+                }
+                let route = to.default_route();
+                let d = self.names.alloc_remote(route, None, 0);
+                self.names.bind(to.key, d);
+                self.stats.bump("msgs.remote");
+                self.stats.bump("name.first_contact");
+                self.net_send(
+                    route,
+                    KMsg::Deliver {
+                        target: Target::Addr {
+                            key: to.key,
+                            dst_desc: None,
+                            route_hint: route,
+                        },
+                        msg,
+                    },
+                );
+            }
+        }
+    }
+
+    /// Receiver side of the generic send (Fig. 3): the node manager
+    /// locates the actor or starts an FIR chase.
+    pub(super) fn handle_deliver(&mut self, src: NodeId, target: Target, msg: Msg) {
+        match target {
+            Target::Addr {
+                key,
+                dst_desc,
+                route_hint,
+            } => {
+                // Cached-descriptor fast path: no name-table lookup.
+                if let Some(d) = dst_desc {
+                    if self.names.descriptor_live(d) {
+                        match self.names.descriptor(d).locality {
+                            Locality::Local(aid) => {
+                                self.stats.bump("deliver.cached_hit");
+                                self.enqueue_local(aid, msg);
+                                return;
+                            }
+                            Locality::Remote { node, remote_index } => {
+                                // Migrated away since the sender cached us.
+                                self.stats.bump("deliver.cached_stale");
+                                self.forward_or_chase(key, msg, node, remote_index);
+                                return;
+                            }
+                        }
+                    }
+                }
+                self.charge(self.cfg.cost.name_lookup);
+                match self.names.resolve(key) {
+                    Resolution::Local(aid) => {
+                        // Reply with our descriptor index so the sender
+                        // skips our name table next time (§4.1).
+                        if self.cfg.opt.name_caching
+                            && dst_desc.is_none()
+                            && src != self.cfg.me
+                            && self.advised.insert((src, key))
+                        {
+                            let d = self.names.descriptor_for(key).expect("just resolved");
+                            let epoch = self.actor_epoch(aid);
+                            self.net_send(
+                                src,
+                                KMsg::NameInfo {
+                                    key,
+                                    node: self.cfg.me,
+                                    index: d,
+                                    epoch,
+                                },
+                            );
+                        }
+                        self.enqueue_local(aid, msg);
+                    }
+                    Resolution::Remote { node, remote_index } => {
+                        self.stats.bump("deliver.migrated");
+                        self.forward_or_chase(key, msg, node, remote_index);
+                    }
+                    Resolution::Unknown => {
+                        // Alias traffic racing the creation request, or a
+                        // chase overtaking a migration: park until the
+                        // key becomes known.
+                        assert!(
+                            key.birthplace != self.cfg.me || route_hint != self.cfg.me,
+                            "undeliverable message to dangling key {key:?}"
+                        );
+                        self.stats.bump("deliver.unknown_parked");
+                        self.unknown_buffer.entry(key).or_default().push(msg);
+                        self.unknown_buffered += 1;
+                    }
+                }
+            }
+            Target::Member { group, index } => self.deliver_member(group, index, msg),
+        }
+    }
+
+    /// A message arrived here for an actor that has moved on. If our
+    /// information is *confirmed* (we hold the descriptor index on the
+    /// believed node — i.e. that node itself told us the actor arrived),
+    /// the location is known and the message is forwarded directly
+    /// (§4.3: "once the location is known, the original message is sent
+    /// directly to the node where the receiver resides"). Confirmed
+    /// pointers are strictly epoch-increasing, so forwarding is acyclic.
+    /// Unconfirmed history pointers trigger the FIR chase instead.
+    fn forward_or_chase(
+        &mut self,
+        key: AddrKey,
+        mut msg: Msg,
+        node: NodeId,
+        remote_index: Option<DescriptorId>,
+    ) {
+        // Any message that lands here is behind a migration: its
+        // eventual delivery should count in the `migrated` latency
+        // column.
+        if let Some(tag) = msg.trace.as_mut() {
+            tag.flags |= TraceTag::CHASED;
+        }
+        if !self.cfg.opt.fir_chase {
+            // Ablation: forward the entire message along the chain (§4.3's
+            // rejected alternative — bulk payloads traverse every hop).
+            self.stats.bump("deliver.forwarded_whole");
+            self.net_send(
+                node,
+                KMsg::Deliver {
+                    target: Target::Addr {
+                        key,
+                        dst_desc: remote_index,
+                        route_hint: node,
+                    },
+                    msg,
+                },
+            );
+            return;
+        }
+        if self.firs.is_pending(key) {
+            // A chase is already running; join it.
+            self.stats.bump("fir.suppressed");
+            let span = self
+                .recorder
+                .as_deref()
+                .and_then(|r| r.chase_span.get(&key).copied())
+                .unwrap_or(0);
+            self.trace_event_span(KernelEvent::FirSuppressed { key }, span, 0);
+            self.firs.buffer(key, msg);
+            return;
+        }
+        match remote_index {
+            Some(idx) => {
+                self.stats.bump("deliver.forwarded");
+                self.net_send(
+                    node,
+                    KMsg::Deliver {
+                        target: Target::Addr {
+                            key,
+                            dst_desc: Some(idx),
+                            route_hint: node,
+                        },
+                        msg,
+                    },
+                );
+            }
+            None => self.fir_chase(key, msg, node),
+        }
+    }
+
+    /// Park `msg` and (unless one is already outstanding) send an FIR
+    /// toward `next_hop` (§4.3: "instead of forwarding the entire message
+    /// the node manager sends a special forwarding information request").
+    fn fir_chase(&mut self, key: AddrKey, msg: Msg, next_hop: NodeId) {
+        self.charge(self.cfg.cost.fir_handle);
+        if self.firs.need_location(key) {
+            self.stats.bump("fir.sent");
+            // Open a chase span: every hop of this episode (here and on
+            // relaying nodes) shares it, parented by the message that
+            // triggered the chase.
+            let (span, parent) = match self.recorder.as_deref_mut() {
+                Some(r) => {
+                    // Head sampling: an unsampled chase episode travels
+                    // with span 0 — the protocol events still land in
+                    // the ring for the histograms, but the span builder
+                    // (which keys on span != 0) never opens an episode.
+                    let span = r.next_msg_id();
+                    let span = if r.span_sampled(span) { span } else { 0 };
+                    if span != 0 {
+                        r.chase_span.insert(key, span);
+                    }
+                    let parent = msg
+                        .trace
+                        .filter(|t| r.span_sampled(t.id))
+                        .map_or(0, |t| t.id);
+                    (span, parent)
+                }
+                None => (0, 0),
+            };
+            self.trace_event_span(KernelEvent::FirSent { key, to: next_hop }, span, parent);
+            self.net_send(next_hop, KMsg::Fir { key, span });
+            self.arm_fir_watchdog(key);
+        } else {
+            self.stats.bump("fir.suppressed");
+            let span = self
+                .recorder
+                .as_deref()
+                .and_then(|r| r.chase_span.get(&key).copied())
+                .unwrap_or(0);
+            self.trace_event_span(KernelEvent::FirSuppressed { key }, span, 0);
+        }
+        self.firs.buffer(key, msg);
+    }
+
+    /// An FIR arrived from `src` looking for `key`. `span` is the chase
+    /// episode's span id, adopted by every relay so all hops of one
+    /// chase share a single span.
+    pub(super) fn handle_fir(&mut self, src: NodeId, key: AddrKey, span: u64) {
+        self.charge(self.cfg.cost.fir_handle);
+        self.stats.bump("fir.handled");
+        match self.names.resolve(key) {
+            Resolution::Local(aid) => {
+                let d = self.names.descriptor_for(key).expect("just resolved");
+                let epoch = self.actor_epoch(aid);
+                self.net_send(
+                    src,
+                    KMsg::FirFound {
+                        key,
+                        node: self.cfg.me,
+                        index: d,
+                        epoch,
+                    },
+                );
+            }
+            Resolution::Remote { node, .. } => {
+                if self.firs.is_pending(key) {
+                    self.firs.add_asker(key, src);
+                } else {
+                    self.firs.need_location(key);
+                    self.firs.add_asker(key, src);
+                    if span != 0 {
+                        if let Some(r) = self.recorder.as_deref_mut() {
+                            r.chase_span.insert(key, span);
+                        }
+                    }
+                    self.trace_event_span(KernelEvent::FirSent { key, to: node }, span, 0);
+                    self.net_send(node, KMsg::Fir { key, span });
+                    self.arm_fir_watchdog(key);
+                }
+            }
+            Resolution::Unknown => {
+                // We know nothing (e.g. the actor is migrating toward us
+                // and the FIR overtook the bulk transfer). Park the
+                // question: if the actor arrives here, install completes
+                // the FIR; otherwise fall back to the birthplace chain.
+                assert!(
+                    key.birthplace != self.cfg.me,
+                    "FIR for dangling local key {key:?}"
+                );
+                if self.firs.is_pending(key) {
+                    self.firs.add_asker(key, src);
+                } else {
+                    self.firs.need_location(key);
+                    self.firs.add_asker(key, src);
+                    if span != 0 {
+                        if let Some(r) = self.recorder.as_deref_mut() {
+                            r.chase_span.insert(key, span);
+                        }
+                    }
+                    self.trace_event_span(
+                        KernelEvent::FirSent { key, to: key.birthplace },
+                        span,
+                        0,
+                    );
+                    self.net_send(key.birthplace, KMsg::Fir { key, span });
+                    self.arm_fir_watchdog(key);
+                }
+            }
+        }
+    }
+
+    /// Under a live fault plan an FIR (or its reply) can be eaten by the
+    /// link; arm a watchdog so the chase is re-issued instead of wedging
+    /// the buffered messages forever.
+    fn arm_fir_watchdog(&mut self, key: AddrKey) {
+        if self.chaos_on() || self.cfg.force_reliable {
+            self.arm_timer(self.cfg.faults.fir_timeout, KMsg::FirTimer { key });
+        }
+    }
+
+    /// The FIR reply: repair our table, release parked messages, and
+    /// propagate back along the chain.
+    pub(super) fn handle_fir_found(
+        &mut self,
+        key: AddrKey,
+        node: NodeId,
+        index: DescriptorId,
+        epoch: u32,
+    ) {
+        self.charge(self.cfg.cost.fir_handle);
+        self.stats.bump("fir.found");
+        self.repair_descriptor(key, node, index, epoch);
+        if let Some(m) = self.metrics.as_deref_mut() {
+            // The located epoch is the forward-chain length behind this
+            // chase — the paper's "how far did the actor get" number.
+            m.chain_epochs.observe(u64::from(epoch));
+        }
+        if let Some(pending) = self.firs.complete(key) {
+            let span = self
+                .recorder
+                .as_deref_mut()
+                .and_then(|r| r.chase_span.remove(&key))
+                .unwrap_or(0);
+            self.trace_event_span(
+                KernelEvent::FirReplyPropagated {
+                    key,
+                    node,
+                    askers: pending.askers.len() as u32,
+                    released: pending.buffered.len() as u32,
+                },
+                span,
+                0,
+            );
+            for asker in pending.askers {
+                self.net_send(asker, KMsg::FirFound { key, node, index, epoch });
+            }
+            for msg in pending.buffered {
+                // "Once the location is known, the original message is
+                // sent directly to the node where the receiver resides."
+                self.stats.bump("fir.flushed");
+                self.net_send(
+                    node,
+                    KMsg::Deliver {
+                        target: Target::Addr {
+                            key,
+                            dst_desc: Some(index),
+                            route_hint: node,
+                        },
+                        msg,
+                    },
+                );
+            }
+        }
+    }
+
+    /// The location epoch of a local actor (its migration hop count).
+    fn actor_epoch(&self, aid: ActorId) -> u32 {
+        self.actors.get(aid).map(|r| r.hops).unwrap_or(0)
+    }
+
+    /// Location gossip: update our descriptor for `key` unless we hold
+    /// newer information. Local knowledge is authoritative, and gossip
+    /// from an older epoch never overwrites a newer belief — this keeps
+    /// forward chains strictly epoch-increasing, so FIR chases terminate
+    /// even under arbitrarily reordered gossip.
+    pub(super) fn repair_descriptor(&mut self, key: AddrKey, node: NodeId, index: DescriptorId, epoch: u32) {
+        let repaired = match self.names.descriptor_for(key) {
+            Some(d) => {
+                let desc = self.names.descriptor_mut(d);
+                match desc.locality {
+                    Locality::Local(_) => false, // authoritative; ignore gossip
+                    Locality::Remote { .. } => {
+                        if epoch >= desc.epoch {
+                            desc.locality = Locality::Remote {
+                                node,
+                                remote_index: Some(index),
+                            };
+                            desc.epoch = epoch;
+                            true
+                        } else {
+                            false
+                        }
+                    }
+                }
+            }
+            None => {
+                let d = self.names.alloc_remote(node, Some(index), epoch);
+                self.names.bind(key, d);
+                true
+            }
+        };
+        if repaired && self.recorder.is_some() {
+            self.trace_event(KernelEvent::NameRepaired { key, node, epoch });
+        }
+    }
+
+    /// Enqueue a message for a local actor, scheduling it if idle.
+    pub(super) fn enqueue_local(&mut self, aid: ActorId, msg: Msg) {
+        self.charge(self.cfg.cost.constraint_check);
+        if self.recorder.is_some() {
+            if let Some(tag) = msg.trace {
+                let latency_ns = self.trace_latency_ns(&tag);
+                let sampled = if let Some(r) = self.recorder.as_deref_mut() {
+                    let keep = r.span_sampled(tag.id);
+                    if keep {
+                        // Enqueue time, for MessageExecuted's queued_ns.
+                        r.delivered_at.insert(tag.id, self.clock);
+                    }
+                    keep
+                } else {
+                    false
+                };
+                if sampled {
+                    self.trace_event_span(
+                        KernelEvent::MessageDelivered {
+                            id: tag.id,
+                            latency_ns,
+                            path: tag.path(),
+                        },
+                        tag.id,
+                        0,
+                    );
+                }
+            }
+        }
+        if self.actors.enqueue(aid, msg) {
+            self.dispatcher.push(aid);
+        }
+    }
+}

@@ -1,0 +1,200 @@
+//! Actor groups and broadcast (§2.2, §6.4): `grpnew` down the spanning
+//! tree, home-node member routing, collective local delivery.
+
+use super::*;
+
+impl Kernel {
+    // ------------------------------------------------------------------
+    // Groups (§2.2, §6.4)
+    // ------------------------------------------------------------------
+
+    /// `grpnew`: mint the group, create local members, fan out along the
+    /// spanning tree. Returns the id immediately.
+    pub(super) fn grpnew(
+        &mut self,
+        behavior: BehaviorId,
+        count: u32,
+        init: Vec<Value>,
+        mapping: Mapping,
+    ) -> GroupId {
+        let group = self.groups.mint(self.cfg.me, count, mapping);
+        let me = self.cfg.me;
+        self.handle_grp_create(group, behavior, init, me);
+        group
+    }
+
+    pub(super) fn handle_grp_create(
+        &mut self,
+        group: GroupId,
+        behavior: BehaviorId,
+        init: Vec<Value>,
+        root: NodeId,
+    ) {
+        // Relay down the tree first so subtree creation overlaps ours.
+        for child in bcast::children(self.cfg.me, root, self.cfg.nodes) {
+            self.net_send(
+                child,
+                KMsg::GrpCreate {
+                    group,
+                    behavior,
+                    init: init.clone(),
+                    root,
+                },
+            );
+        }
+        let count = group.count();
+        let mut members = Vec::new();
+        for idx in members_on(self.cfg.me, count, self.cfg.nodes, group.mapping()) {
+            self.charge(self.cfg.cost.local_creation);
+            // One pooled buffer per member instead of a fresh clone of
+            // `init` — group creation is the kernel's hottest
+            // allocation site (one vector per member per node).
+            let mut args = self.take_args(init.len() + 3);
+            args.extend_from_slice(&init);
+            args.push(Value::Group(group));
+            args.push(Value::Int(idx as i64));
+            args.push(Value::Int(count as i64));
+            let Some(b) = self.registry.try_create(behavior, &args) else {
+                self.recycle_args(args);
+                self.fail(MachineError::UnknownBehavior {
+                    behavior,
+                    node: self.cfg.me,
+                });
+                return;
+            };
+            self.recycle_args(args);
+            let (aid, addr) = self.install_actor(b);
+            self.actors.get_mut(aid).expect("just installed").group = Some((group, idx));
+            members.push((idx, addr));
+        }
+        self.recycle_args(init);
+        self.stats.add("groups.members_created", members.len() as u64);
+        let (parked_member, parked_bcast) = self.groups.install(group, members);
+        for (idx, msg) in parked_member {
+            self.deliver_member(group, idx, msg);
+        }
+        for msg in parked_bcast {
+            self.deliver_bcast_local(group, msg);
+        }
+    }
+
+    /// Route a message to group member `index` (home-node resolution).
+    pub(super) fn deliver_member(&mut self, group: GroupId, index: u32, msg: Msg) {
+        let home = home_node(index, group.count(), self.cfg.nodes, group.mapping());
+        if home == self.cfg.me {
+            if let Some(addr) = self.groups.member(group, index) {
+                self.send_to_addr(addr, msg);
+            } else if self.groups.known(group) {
+                panic!("group {group:?} installed without member {index}");
+            } else {
+                self.groups.park_member(group, index, msg);
+            }
+        } else {
+            self.net_send(
+                home,
+                KMsg::Deliver {
+                    target: Target::Member { group, index },
+                    msg,
+                },
+            );
+        }
+    }
+
+    /// Broadcast to a group from this node.
+    pub(super) fn broadcast(&mut self, group: GroupId, msg: Msg) {
+        let me = self.cfg.me;
+        self.stats.bump("bcast.initiated");
+        self.handle_grp_bcast(group, msg, me);
+    }
+
+    pub(super) fn handle_grp_bcast(&mut self, group: GroupId, msg: Msg, root: NodeId) {
+        for child in bcast::children(self.cfg.me, root, self.cfg.nodes) {
+            self.net_send(
+                child,
+                KMsg::GrpBcast {
+                    group,
+                    msg: msg.clone(),
+                    root,
+                },
+            );
+        }
+        if self.groups.known(group) {
+            self.deliver_bcast_local(group, msg);
+        } else {
+            self.groups.park_bcast(group, msg);
+        }
+    }
+
+    /// Collective scheduling (§6.4): deliver a broadcast to every local
+    /// member consecutively — one dispatch charge for the whole quantum
+    /// rather than one per message.
+    fn deliver_bcast_local(&mut self, group: GroupId, msg: Msg) {
+        let members = self.groups.local_members(group);
+        if members.is_empty() {
+            return;
+        }
+        if self.cfg.opt.collective_bcast {
+            // One dispatch for the whole local quantum (§6.4).
+            self.charge(self.cfg.cost.dispatch);
+        }
+        self.stats.add("bcast.local_deliveries", members.len() as u64);
+        let last = members.len() - 1;
+        let mut msg = Some(msg);
+        for (i, (_idx, addr)) in members.into_iter().enumerate() {
+            if !self.cfg.opt.collective_bcast {
+                // Ablation: every member delivery is its own scheduling
+                // event.
+                self.charge(self.cfg.cost.dispatch);
+                self.charge(self.cfg.cost.local_send);
+            }
+            // Members homed here are usually still local; if one migrated
+            // the normal descriptor path forwards it.
+            self.charge(self.cfg.cost.constraint_check);
+            // The last member takes the message itself; only the first
+            // `len - 1` deliveries pay for a clone.
+            let mut m = if i == last {
+                msg.take().expect("taken once")
+            } else {
+                msg.as_ref().expect("not yet taken").clone()
+            };
+            match self.names.resolve(addr.key) {
+                Resolution::Local(aid) => {
+                    // Collective deliveries bypass send_to_addr, so each
+                    // member's copy is stamped here — a broadcast is N
+                    // logical sends, one fresh id per member, keeping the
+                    // checker's exactly-once pass meaningful.
+                    if self.recorder.is_some() && m.trace.is_none() {
+                        self.trace_stamp_send(&mut m, addr.key, false);
+                        if let Some(tag) = m.trace {
+                            let latency_ns = self.trace_latency_ns(&tag);
+                            let sampled = if let Some(r) = self.recorder.as_deref_mut() {
+                                let keep = r.span_sampled(tag.id);
+                                if keep {
+                                    r.delivered_at.insert(tag.id, self.clock);
+                                }
+                                keep
+                            } else {
+                                false
+                            };
+                            if sampled {
+                                self.trace_event_span(
+                                    KernelEvent::MessageDelivered {
+                                        id: tag.id,
+                                        latency_ns,
+                                        path: tag.path(),
+                                    },
+                                    tag.id,
+                                    0,
+                                );
+                            }
+                        }
+                    }
+                    if self.actors.enqueue(aid, m) {
+                        self.dispatcher.push(aid);
+                    }
+                }
+                _ => self.send_to_addr(addr, m),
+            }
+        }
+    }
+}

@@ -1,0 +1,409 @@
+//! Scheduling (§6.1–6.3): the step, an actor's quantum with its
+//! pending-queue rescans, method invocation, the compiler fast path — and
+//! the join continuations (§6.2) those methods fill and fire.
+
+use super::*;
+
+impl Kernel {
+    // ------------------------------------------------------------------
+    // Scheduling (§6.3)
+    // ------------------------------------------------------------------
+
+    /// Bootstrap: create an actor on this node before the machine runs
+    /// (the front-end loading a program) and optionally hand it an
+    /// initial message.
+    pub fn bootstrap(&mut self, behavior: Box<dyn Behavior>, initial: Option<Msg>) -> MailAddr {
+        let (aid, addr) = self.install_actor(behavior);
+        if let Some(msg) = initial {
+            self.enqueue_local(aid, msg);
+        }
+        addr
+    }
+
+    /// Run one scheduling step: drain loopback work, then execute one
+    /// ready actor for up to a quantum of messages. Returns `true` if any
+    /// work was done.
+    pub fn step(&mut self) -> bool {
+        if !self.pauses.is_empty() {
+            self.clock = self.pause_shift(self.clock);
+        }
+        if !self.loopback.is_empty() {
+            self.drain_loopback();
+            self.metrics_tick();
+            return true;
+        }
+        let Some(aid) = self.dispatcher.pop() else {
+            return false;
+        };
+        self.charge(self.cfg.cost.dispatch);
+        self.run_actor(aid);
+        self.drain_loopback();
+        self.metrics_tick();
+        true
+    }
+
+    /// Execute up to `quantum` enabled messages on actor `aid`, with
+    /// pending-queue rescans after each method (§6.1).
+    fn run_actor(&mut self, aid: ActorId) {
+        let Some(mut rec) = self.actors.checkout(aid) else {
+            // Stolen or migrated between scheduling and execution.
+            return;
+        };
+        rec.scheduled = false;
+        let mut processed = 0usize;
+        let mut migrate_req: Option<NodeId> = None;
+
+        loop {
+            if processed >= self.cfg.quantum || migrate_req.is_some() {
+                break;
+            }
+            let Some(msg) = rec.mailq.pop_front() else {
+                break;
+            };
+            self.charge(self.cfg.cost.constraint_check);
+            if rec.behavior.enabled(msg.selector, &msg.args) {
+                processed += 1;
+                let mreq = self.execute_message(aid, &mut rec, msg);
+                if mreq.is_some() {
+                    migrate_req = mreq;
+                }
+                // Pending rescan: "Whenever an actor completes its method
+                // execution, it examines whether or not it has pending
+                // messages" — dispatch newly enabled ones immediately.
+                if migrate_req.is_none() {
+                    let m2 = self.rescan_pending(aid, &mut rec);
+                    if m2.is_some() {
+                        migrate_req = m2;
+                    }
+                }
+            } else {
+                self.stats.bump("sync.deferred");
+                self.metrics_pending(1);
+                if let Some(r) = self.recorder.as_deref_mut() {
+                    if let Some(tag) = msg.trace {
+                        if r.span_sampled(tag.id) {
+                            r.pending_since.insert(tag.id, self.clock);
+                            let time = self.clock;
+                            let me = self.cfg.me;
+                            r.ring.push(TraceEvent {
+                                time,
+                                node: me,
+                                seq: 0,
+                                span: tag.id,
+                                parent: 0,
+                                event: KernelEvent::PendingEnqueued { id: tag.id },
+                            });
+                        }
+                    }
+                }
+                rec.pendq.push_back(msg);
+            }
+        }
+        // A migration-free actor with nothing processed but a nonempty
+        // pendq still deserves one rescan (e.g. scheduled by arrival of
+        // state-changing messages that all went to pendq — nothing to do,
+        // but harmless and keeps semantics uniform).
+        if processed == 0 && migrate_req.is_none() && !rec.pendq.is_empty() {
+            let m2 = self.rescan_pending(aid, &mut rec);
+            if m2.is_some() {
+                migrate_req = m2;
+            }
+        }
+
+        let more = !rec.mailq.is_empty();
+        self.actors.checkin(aid, rec);
+        if let Some(dst) = migrate_req {
+            if dst == self.cfg.me {
+                // Degenerate migration to self: just reschedule.
+                if let Some(r) = self.actors.get_mut(aid) {
+                    if (!r.mailq.is_empty() || !r.pendq.is_empty()) && !r.scheduled {
+                        r.scheduled = true;
+                        self.dispatcher.push(aid);
+                    }
+                }
+            } else {
+                self.migrate_out(aid, dst, false);
+            }
+            return;
+        }
+        // checkin may have merged new arrivals; reschedule if needed.
+        let rec = self.actors.get_mut(aid).expect("just checked in");
+        if (more || !rec.mailq.is_empty()) && !rec.scheduled {
+            rec.scheduled = true;
+            self.dispatcher.push(aid);
+        }
+    }
+
+    /// Dispatch every currently enabled pending message, repeatedly,
+    /// until none is enabled. Returns a migration request if one arose.
+    fn rescan_pending(
+        &mut self,
+        aid: ActorId,
+        rec: &mut ActorRecord,
+    ) -> Option<NodeId> {
+        loop {
+            let mut fired = false;
+            let mut i = 0;
+            while i < rec.pendq.len() {
+                self.charge(self.cfg.cost.constraint_check);
+                let enabled = {
+                    let m = &rec.pendq[i];
+                    rec.behavior.enabled(m.selector, &m.args)
+                };
+                if enabled {
+                    let msg = rec.pendq.remove(i).expect("index in range");
+                    self.stats.bump("sync.resumed");
+                    self.metrics_pending(-1);
+                    if let Some(r) = self.recorder.as_deref_mut() {
+                        if let Some(tag) = msg.trace.filter(|t| r.span_sampled(t.id)) {
+                            // A message parked on another node can be
+                            // re-enabled here after its actor migrated
+                            // with its pending queue: the park time
+                            // lives in the other node's recorder, so
+                            // residency falls back to zero. The event
+                            // itself must still fire — the checker's
+                            // liveness pass pairs every PendingEnqueued
+                            // with a PendingRescanned.
+                            let residency_ns = r
+                                .pending_since
+                                .remove(&tag.id)
+                                .map(|parked| {
+                                    self.clock.as_nanos().saturating_sub(parked.as_nanos())
+                                })
+                                .unwrap_or(0);
+                            let time = self.clock;
+                            let me = self.cfg.me;
+                            r.ring.push(TraceEvent {
+                                time,
+                                node: me,
+                                seq: 0,
+                                span: tag.id,
+                                parent: 0,
+                                event: KernelEvent::PendingRescanned {
+                                    id: tag.id,
+                                    residency_ns,
+                                },
+                            });
+                        }
+                    }
+                    fired = true;
+                    let mreq = self.execute_message(aid, rec, msg);
+                    if mreq.is_some() {
+                        return mreq;
+                    }
+                } else {
+                    i += 1;
+                }
+            }
+            if !fired {
+                return None;
+            }
+        }
+    }
+
+    /// Invoke one method on a checked-out actor record. Returns the
+    /// migration destination if the method requested one.
+    fn execute_message(
+        &mut self,
+        aid: ActorId,
+        rec: &mut ActorRecord,
+        msg: Msg,
+    ) -> Option<NodeId> {
+        self.charge(self.cfg.cost.method_invoke);
+        self.stats.bump("msgs.processed");
+        if let Some(m) = self.metrics.as_deref() {
+            m.msg_processed();
+        }
+        // Span bookkeeping: the dispatched message becomes the current
+        // span, so every send the handler issues is parented by it.
+        // Under head sampling an unsampled message executes with
+        // current_span 0: its children become causal roots rather than
+        // orphans pointing at a span the ring never opened.
+        let tag = msg.trace;
+        let exec_start = self.clock;
+        let (saved, sampled) = if let Some(r) = self.recorder.as_deref_mut() {
+            let saved = r.current_span;
+            let sampled = tag.is_some_and(|t| r.span_sampled(t.id));
+            r.current_span = if sampled {
+                tag.map_or(0, |t| t.id)
+            } else {
+                0
+            };
+            (saved, sampled)
+        } else {
+            (0, false)
+        };
+        let mut ctx = Ctx {
+            ident: Ident::Actor {
+                aid,
+                addr: rec.addr,
+            },
+            customer: msg.customer,
+            become_to: None,
+            migrate_to: None,
+            k: self,
+        };
+        rec.behavior.dispatch(&mut ctx, msg);
+        let become_to = ctx.become_to.take();
+        let migrate_to = ctx.migrate_to.take();
+        if let Some(b) = become_to {
+            rec.behavior = b;
+        }
+        if self.recorder.is_some() {
+            if let Some(tag) = tag.filter(|_| sampled) {
+                let run_ns = self.clock.since(exec_start).as_nanos();
+                let queued_ns = self
+                    .recorder
+                    .as_deref_mut()
+                    .and_then(|r| r.delivered_at.remove(&tag.id))
+                    .map_or(0, |at| exec_start.since(at).as_nanos());
+                self.trace_event_span(
+                    KernelEvent::MessageExecuted { id: tag.id, queued_ns, run_ns },
+                    tag.id,
+                    0,
+                );
+            }
+            if let Some(r) = self.recorder.as_deref_mut() {
+                r.current_span = saved;
+            }
+        }
+        migrate_to
+    }
+
+    /// Compiler fast path (§6.3): locality check + inline static dispatch
+    /// on the current stack, when the receiver is local, enabled, idle,
+    /// and the depth bound permits. Falls back to the generic send.
+    /// Returns `true` if the fast path was taken.
+    pub(super) fn send_fast(&mut self, to: MailAddr, msg: Msg) -> bool {
+        self.charge(self.cfg.cost.locality_check);
+        if self.stack_depth >= self.cfg.max_stack_depth {
+            self.stats.bump("fast.depth_fallback");
+            self.send_after_check(to, msg);
+            return false;
+        }
+        match self.names.resolve(to.key) {
+            Resolution::Local(aid) => {
+                // The runtime "additionally checks if the recipient actor
+                // is in a state in which it is enabled to process the
+                // message" — and that it has no queued messages (queue
+                // jumping would break the actor's arrival order).
+                let ok = match self.actors.get(aid) {
+                    Some(rec) => {
+                        rec.mailq.is_empty()
+                            && rec.pendq.is_empty()
+                            && rec.behavior.enabled(msg.selector, &msg.args)
+                    }
+                    None => false, // running: fall back to queueing
+                };
+                if !ok {
+                    self.charge(self.cfg.cost.local_send);
+                    self.stats.bump("fast.state_fallback");
+                    self.enqueue_local(aid, msg);
+                    return false;
+                }
+                self.charge(self.cfg.cost.local_send_fast);
+                self.stats.bump("fast.inline");
+                let mut rec = self.actors.checkout(aid).expect("checked above");
+                self.stack_depth += 1;
+                let mreq = self.execute_message(aid, &mut rec, msg);
+                let m2 = if mreq.is_none() {
+                    self.rescan_pending(aid, &mut rec)
+                } else {
+                    mreq
+                };
+                self.stack_depth -= 1;
+                let has_more = !rec.mailq.is_empty();
+                self.actors.checkin(aid, rec);
+                if let Some(dst) = m2 {
+                    if dst != self.cfg.me {
+                        self.migrate_out(aid, dst, false);
+                        return true;
+                    }
+                }
+                if has_more {
+                    let rec = self.actors.get_mut(aid).expect("just checked in");
+                    if !rec.scheduled {
+                        rec.scheduled = true;
+                        self.dispatcher.push(aid);
+                    }
+                }
+                true
+            }
+            _ => {
+                self.send_after_check(to, msg);
+                false
+            }
+        }
+    }
+
+    /// The generic send for a `send_fast` fallback, whose caller has
+    /// already charged one locality check. Only a local receiver is
+    /// spared a second one: any other resolution re-enters
+    /// `send_to_addr`, which charges `locality_check` again (a cost-model
+    /// wart, ROADMAP item 1 — fixing it moves `virtual_ns` in every
+    /// artifact with a remote `send_fast`).
+    fn send_after_check(&mut self, to: MailAddr, msg: Msg) {
+        match self.names.resolve(to.key) {
+            Resolution::Local(aid) => {
+                self.charge(self.cfg.cost.local_send);
+                self.stats.bump("msgs.local");
+                self.enqueue_local(aid, msg);
+            }
+            _ => self.send_to_addr(to, msg),
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Join continuations (§6.2)
+    // ------------------------------------------------------------------
+
+    /// Fill a join slot; fire the continuation if complete. `span` is
+    /// the span of the message whose handler produced the reply; sends
+    /// issued by the fired continuation are parented by it so the
+    /// causal chain survives the join.
+    pub(super) fn fill_join(&mut self, jc: JcId, slot: u16, value: Value, span: u64) {
+        self.charge(self.cfg.cost.join_fill);
+        if let Some(fired) = self.joins.fill(jc, slot, value) {
+            self.charge(self.cfg.cost.join_fire);
+            self.stats.bump("joins.fired");
+            let saved = if let Some(r) = self.recorder.as_deref_mut() {
+                let saved = r.current_span;
+                r.current_span = span;
+                saved
+            } else {
+                0
+            };
+            let mut ctx = Ctx {
+                k: self,
+                ident: Ident::Continuation,
+                customer: None,
+                become_to: None,
+                migrate_to: None,
+            };
+            (fired.func)(&mut ctx, fired.values);
+            debug_assert!(ctx.become_to.is_none(), "continuations cannot become");
+            debug_assert!(ctx.migrate_to.is_none(), "continuations cannot migrate");
+            if let Some(r) = self.recorder.as_deref_mut() {
+                r.current_span = saved;
+            }
+        }
+    }
+
+    /// Route a reply to a continuation reference.
+    pub(super) fn send_reply(&mut self, cont: ContRef, value: Value) {
+        let span = self.recorder.as_deref().map_or(0, |r| r.current_span);
+        match cont {
+            ContRef::Join { node, jc, slot } => {
+                if node == self.cfg.me {
+                    self.fill_join(jc, slot, value, span);
+                } else {
+                    self.stats.bump("replies.remote");
+                    self.net_send(node, KMsg::Reply { jc, slot, value, span });
+                }
+            }
+            ContRef::Actor { addr, selector } => {
+                self.send_to_addr(addr, Msg::new(selector, vec![value]));
+            }
+        }
+    }
+}
