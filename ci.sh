@@ -23,11 +23,31 @@ if grep -rn 'env::var' crates/; then
   echo "ci: a crate reads the environment"; exit 1
 fi
 
-echo "== cargo clippy pedantic (kernel + check + profile + frontend + model) =="
+echo "== no host clock under crates/ outside the live runtime =="
+# Host time is benchmark/'s to measure. The live node loop, its doorbell
+# and hal-serve's open-loop generator pace themselves by it; nothing
+# else under crates/ may read it (word match: registry.rs "Instantiate"s).
+if grep -rnw 'Instant' crates/ \
+   | grep -v -e '^crates/kernel/src/live\.rs:' -e '^crates/kernel/src/sync\.rs:' \
+             -e '^crates/frontend/src/serve\.rs:'; then
+  echo "ci: a crate outside the live runtime reads the host clock"; exit 1
+fi
+
+echo "== README.md and DESIGN.md name only crates/ paths that exist =="
+# Every backticked or linked crates/... path (globs allowed, a :line
+# suffix ignored) must be in the tree. EXPERIMENTS.md is history and is
+# not scanned.
+stale=0
+while read -r path; do
+  compgen -G "${path%%:*}" >/dev/null || { echo "ci: docs name $path, which does not exist"; stale=1; }
+done < <(grep -oh -e '`crates/[^` ]*`' -e '](crates/[^)]*)' README.md DESIGN.md | tr -d '`]()' | sort -u)
+[ "$stale" = 0 ] || exit 1
+
+echo "== cargo clippy pedantic (kernel + check + frontend + model) =="
 # The protocol-critical crates additionally hold a pedantic bar. The
 # allow list below is the accepted legacy noise (cast styles, must_use
 # candidates, doc completeness); anything pedantic outside it fails.
-cargo clippy -p hal-kernel -p hal-check -p hal-profile -p hal-frontend -p hal-model \
+cargo clippy -p hal-kernel -p hal-check -p hal-frontend -p hal-model \
   --all-targets -- -D warnings -W clippy::pedantic \
   -A clippy::cast_possible_truncation -A clippy::cast_lossless -A clippy::cast_sign_loss \
   -A clippy::cast_precision_loss -A clippy::cast_possible_wrap -A clippy::must_use_candidate \
@@ -116,7 +136,7 @@ diff <(metrics_schema "$smoke_dir/results/METRICS_table4_fib.json") \
   || { echo "ci: live METRICS_ schema differs from sim's"; exit 1; }
 echo "   METRICS_table4_fib.json: live and sim documents have one key set and one sample_fields line"
 
-echo "== results gate (repro_all --check --lint --spans --metrics, cmp vs results/) =="
+echo "== results gate (repro_all --check --lint --spans --metrics + hal-serve on sim, cmp vs results/) =="
 # The full sweep from an empty directory: every harness under the
 # hal-check protocol invariant checker AND the hal-lint static protocol
 # analyzer — repro_all runs each bin once, fails if any verdict is dirty,
@@ -136,10 +156,17 @@ grep -q '"clean": true' "$sweep_dir/results/LINT_repro_all.json" \
 grep -q 'SPANS_table5_matmul.json' "$sweep_dir/results/MANIFEST_repro_all.json" \
   || { echo "ci: MANIFEST_repro_all.json is missing span artifacts"; exit 1; }
 echo "   repro_all --check --lint --spans --metrics: CLEAN"
+# hal-serve on the simulator is a pure function of its flags too, so its
+# artifact is swept and compared like the rest — after repro_all, whose
+# stale-file pass deletes SERVE_*. These are the flags README prints.
+(cd "$sweep_dir" && "$repo_root/target/release/hal-serve" \
+   --backend=sim --rate=500 --requests=1000 --nodes=4 --stages=3 >/dev/null 2>&1) \
+  || { echo "ci: hal-serve --backend=sim failed (SLO miss)"; exit 1; }
+"$repo_root/target/release/hal-serve" --verify "$sweep_dir/results/SERVE_pipeline.json" >/dev/null \
+  || { echo "ci: SERVE_pipeline.json failed artifact verification"; exit 1; }
 
 # results_match <committed> <fresh>: every fresh file is byte-equal to its
-# committed twin, and no committed file (hal-serve's SERVE_* aside, which
-# the sweep does not write) lacks a fresh one.
+# committed twin, and no committed file lacks a fresh one.
 results_match() {
   local rc=0 f name
   for f in "$2"/*; do
@@ -148,14 +175,13 @@ results_match() {
   done
   for f in "$1"/*; do
     name="$(basename "$f")"
-    case "$name" in SERVE_*) continue ;; esac
     [ -e "$2/$name" ] || { echo "ci: $1/$name is committed but the sweep did not write it"; rc=1; }
   done
   return $rc
 }
 
 if [ "${1:-}" = "--update-results" ]; then
-  find results -maxdepth 1 -type f ! -name 'SERVE_*' -delete
+  find results -maxdepth 1 -type f -delete
   cp "$sweep_dir"/results/* results/
   echo "   results/ regenerated from the sweep — review and commit"
 else
@@ -165,7 +191,8 @@ else
   # digit in a copy of one file of each kind and require a nonzero exit.
   mkdir -p "$smoke_dir/doctored"
   cp results/* "$smoke_dir/doctored/"
-  for doctored in METRICS_table4_fib.json BENCH_fig3_delivery.json table3_invocation.txt; do
+  for doctored in METRICS_table4_fib.json BENCH_fig3_delivery.json table3_invocation.txt \
+                  SERVE_pipeline.json; do
     sed -i '0,/[0-8]/s/[0-8]/9/' "$smoke_dir/doctored/$doctored"
     if results_match "$smoke_dir/doctored" "$sweep_dir/results" >/dev/null 2>&1; then
       echo "ci: the results gate passed on a doctored $doctored — the gate is inert"

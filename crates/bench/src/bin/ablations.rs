@@ -15,7 +15,7 @@
 //!   injection, on pipelined Cholesky (also in Table 1).
 
 use hal::prelude::*;
-use hal_kernel::SimMachine;
+use hal_kernel::{SimMachine, SpanReport};
 use hal::OptFlags;
 use hal_bench::{banner, header, out, row};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -279,14 +279,15 @@ fn main() {
         chase,
     );
     let trace = traced.trace.expect("tracing was enabled");
-    let h = trace.histograms();
+    let spans = SpanReport::build(&trace);
+    let chain = spans.chain_lengths();
     println!(
         "\nflight recorder (FIR chase run): {} chase episodes, mean chain {:.1} hops,\n\
          longest {} hops; {} deliveries waited out a migration",
-        h.fir_chain.count(),
-        h.fir_chain.mean(),
-        h.fir_chain.max(),
-        h.delivery_migrated.count(),
+        chain.count(),
+        chain.mean(),
+        chain.max(),
+        spans.stage("wire.migrated").count(),
     );
     let path = "results/ablations_trace.json";
     if let Err(e) = trace.write_chrome(path) {

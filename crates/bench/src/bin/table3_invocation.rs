@@ -18,7 +18,7 @@
 //! `kernel.send_fast_ns`), not this table's.
 
 use hal::prelude::*;
-use hal_kernel::SimMachine;
+use hal_kernel::{SimMachine, SpanReport};
 use hal_bench::{banner, header, out, row, us};
 use hal_workloads::synth::{self, SynthMsg};
 
@@ -104,11 +104,11 @@ fn main() {
     let r = m.run().unwrap();
     out::note_run("traced generic sends", &r);
     let trace = r.trace.expect("tracing was enabled");
-    let h = trace.histograms();
+    let local = SpanReport::build(&trace).stage("wire.local");
     println!(
         "\nflight recorder: {} local deliveries, mean latency {:.0} ns (sim)",
-        h.delivery_local.count(),
-        h.delivery_local.mean()
+        local.count(),
+        local.mean()
     );
     let out = "results/table3_invocation_trace.json";
     if let Err(e) = trace.write_chrome(out) {

@@ -31,10 +31,10 @@
 //!   on any finding. Purely static: no run, trace, or host fact enters
 //!   the artifact.
 //! * `--spans` — reconstruct message-lifecycle spans
-//!   ([`hal_kernel::span`]) and the critical path (`hal-profile`) for
-//!   every recorded run, asserting the critical path never exceeds the
-//!   makespan, and write `results/SPANS_<bin>.json`. Implies tracing
-//!   via [`trace_wanted`].
+//!   ([`hal_kernel::span`]) and the critical path
+//!   ([`hal_kernel::critical_path`]) for every recorded run, asserting
+//!   it never exceeds the makespan, and write `results/SPANS_<bin>.json`.
+//!   Implies tracing via [`trace_wanted`].
 //! * `--metrics` — enable the metrics registry
 //!   ([`hal_kernel::metrics`], folded into [`observe_opts`]) and write
 //!   `results/METRICS_<bin>.json` — one document shape on both
@@ -51,7 +51,7 @@
 use hal_check::{json_escape, CheckReport, LintSpec};
 use hal_kernel::span::SpanReport;
 use hal_kernel::{BackendKind, ObserveOpts, ProtocolDecl, SimReport};
-use hal_profile::critical_paths;
+use hal_kernel::critical_path::critical_paths;
 use std::sync::Mutex;
 
 /// One recorded simulation run.

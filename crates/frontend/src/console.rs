@@ -173,7 +173,7 @@ impl Console {
                 }
                 if let Some(trace) = &r.trace {
                     let spans = hal_kernel::span::SpanReport::build(trace);
-                    let cp = hal_profile::critical_paths(&spans, 3);
+                    let cp = hal_kernel::critical_path::critical_paths(&spans, 3);
                     let _ = write!(out, "\n{}", cp.summary(makespan_ns).trim_end());
                 } else {
                     let _ = write!(

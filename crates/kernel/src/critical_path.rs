@@ -1,8 +1,8 @@
-//! # hal-profile — critical-path analysis over message-lifecycle spans
+//! Critical-path analysis over message-lifecycle spans.
 //!
-//! The span reconstructor ([`hal_kernel::span`]) turns a flight-recorder
+//! The span reconstructor ([`crate::span`]) turns a flight-recorder
 //! trace into a causal DAG: every [`MsgSpan`]'s `parent` is the span of
-//! the message whose handler issued the send. This crate walks that DAG
+//! the message whose handler issued the send. This module walks that DAG
 //! backwards from each chain terminal to find the **critical path** —
 //! the longest causal chain in charged virtual time — and attributes
 //! each hop's contribution to lifecycle stages (wire, queue, pending
@@ -20,11 +20,9 @@
 //! [`CriticalPathReport::to_json`] is byte-identical across reruns of
 //! one seed.
 
-#![warn(missing_docs)]
-
+use crate::span::{MsgSpan, SpanReport};
 use hal_am::NodeId;
 use hal_des::VirtualTime;
-use hal_kernel::span::{MsgSpan, SpanReport};
 use std::collections::{HashMap, HashSet};
 
 /// One hop (message) on a causal chain, with its stage attribution.
@@ -330,8 +328,8 @@ fn build_chain(terminal: &MsgSpan, total: u64, by_id: &HashMap<u64, &MsgSpan>) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hal_kernel::trace::DeliveryPath;
-    use hal_kernel::{AddrKey, DescriptorId};
+    use crate::trace::DeliveryPath;
+    use crate::{AddrKey, DescriptorId};
 
     fn key(i: u32) -> AddrKey {
         AddrKey { birthplace: 0, index: DescriptorId(i) }

@@ -13,20 +13,31 @@
 //! | mail addresses & aliases (§4.1, §5) | [`addr`] |
 //! | locality descriptors (§4.1) | [`descriptor`] |
 //! | distributed name table (§4.2) | [`name_server`] |
-//! | FIR message delivery (§4.3, Fig. 3) | [`fir`] + [`kernel`] |
-//! | remote creation latency hiding (§5) | [`kernel`] (`create_on`) |
-//! | local synchronization constraints (§6.1) | [`actor`] + [`kernel`] |
+//! | local synchronization constraints (§6.1) | [`actor`] (queues) + `kernel/sched.rs` |
 //! | join continuations (§6.2, Fig. 4) | [`join`] |
-//! | compiler-controlled scheduling (§6.3) | [`dispatch`] + `Ctx::send_fast` |
 //! | collective broadcast scheduling (§6.4) | [`group`] |
-//! | minimal flow control (§6.5) | `hal-am` + [`kernel`] |
 //! | random-polling load balancing (§7.2) | [`balance`] |
-//! | flight recorder (observability) | [`trace`] + [`hist`] |
-//! | lifecycle spans, metrics registry & `top` (observability) | [`span`] + [`metrics`] |
-//! | node manager (§3) | [`kernel`] (`handle_*`) |
 //! | program load module (§3) | [`registry`] |
 //! | CM-5 cost calibration | [`cost`] |
+//! | flight recorder (observability) | [`trace`] |
+//! | lifecycle spans, critical path, metrics registry & `top` | [`span`] + [`critical_path`] + [`metrics`] |
 //! | the partition itself | [`machine`] (simulated), [`live`] (live threads) |
+//!
+//! The [`kernel`] module is the per-node [`Kernel`], one file per paper
+//! section. It does no I/O: what it sends goes to an outbox
+//! ([`Outbound`]) that the machine drains after each call.
+//!
+//! | Paper concept | File under `kernel/` |
+//! |---|---|
+//! | the kernel of Fig. 2: state, configuration, accessors, trace helpers | `mod.rs` |
+//! | communication glue: outbox, small/bulk split, minimal flow control (§6.5), reliable layer + timers; packet entry and the node manager's dispatch (§3) | `transport.rs` |
+//! | FIR message delivery and name-table repair (§4.3, Fig. 3) — state in [`fir`] | `delivery.rs` |
+//! | remote creation latency hiding (§5), `create_on` | `creation.rs` |
+//! | scheduling: step, quantum, pending rescan, compiler-controlled fast path (§6.1–6.3) — ready queue in [`dispatch`]; join fill/reply | `sched.rs` |
+//! | groups and broadcast (§2.2, §6.4) | `groups.rs` |
+//! | migration and work stealing (§4.3, §7.2) | `migrate.rs` |
+//! | distributed garbage collection (§9) — state in [`gc`] | `collect.rs` |
+//! | the actor interface "exported to the compiler": [`Ctx`] | `ctx.rs` |
 //!
 //! The [`backend`] module is the handle above all of it: [`Machine`], a
 //! two-arm enum over the simulated and the live machine — the only two
@@ -40,6 +51,7 @@ pub mod audit;
 pub mod backend;
 pub mod balance;
 pub mod cost;
+pub mod critical_path;
 pub mod descriptor;
 pub mod dispatch;
 pub mod error;
@@ -49,7 +61,6 @@ pub mod sync;
 pub mod fir;
 pub mod gc;
 pub mod group;
-pub mod hist;
 pub mod join;
 pub mod kernel;
 pub mod live;
@@ -78,7 +89,6 @@ pub use hal_am::{Bytes, FaultPlan, LinkOutage, NodeId, NodePause};
 pub use message::{ContRef, Msg, ProtocolDecl, Target, Value};
 pub use registry::{BehaviorRegistry, FactoryFn};
 pub use gc::GcReport;
-pub use hist::TraceHists;
 pub use metrics::{Metrics, MetricsReport, NodeCell, TelemetryHub};
 pub use span::{AliasSpan, ChaseSpan, MsgSpan, SpanReport};
 pub use trace::{DeliveryPath, KernelEvent, TraceEvent, TraceReport, TraceWarning, WarningKind};

@@ -27,7 +27,7 @@
 //!
 //! A node with nothing to do **sleeps until something happens**; it never
 //! polls. Each node owns one [`Doorbell`], and whoever hands it work
-//! rings that bell after enqueueing: [`LiveNet::inject`] (the flush of a
+//! rings that bell after enqueueing: `LiveNet::inject` (the flush of a
 //! kernel's outbox) after a packet went onto the peer's queue, [`LiveMachine::submit`] after a job was
 //! queued, and `Shared::raise_abort` (watchdog, peer panic) after
 //! raising the abort flag. The sleeper announces itself, takes one more
@@ -202,7 +202,7 @@ pub struct LiveNet {
     timer_seq: u64,
     /// Packets received while a send was stalled on a full peer queue.
     /// The node loop consumes these before fresh arrivals so per-link
-    /// FIFO order is preserved (see [`LiveNet::inject`]).
+    /// FIFO order is preserved (see `LiveNet::inject`).
     inbox: VecDeque<Packet<KMsg>>,
     /// The peers' doorbells, rung after every send.
     shared: Arc<Shared>,

@@ -8,8 +8,8 @@
 //! [`TraceEvent`](crate::trace::TraceEvent)s.
 //! The result is a causal DAG: each [`MsgSpan`]'s `parent` is the span
 //! of the message whose handler issued the send, which is what the
-//! critical-path analyzer (`hal-profile`) walks to find the longest
-//! causal chain in charged virtual time.
+//! critical-path analyzer ([`crate::critical_path`]) walks to find the
+//! longest causal chain in charged virtual time.
 //!
 //! Everything here is derived from virtual-time facts, so
 //! [`SpanReport::to_json`] is byte-identical across reruns of one seed.
@@ -315,6 +315,43 @@ impl SpanReport {
         self.stages.entry(stage).or_default().observe(value);
     }
 
+    /// One stage's histogram (empty when nothing was observed).
+    pub fn stage(&self, name: &str) -> Histogram {
+        self.stages.get(name).cloned().unwrap_or_default()
+    }
+
+    /// FIR hops per chase episode — the length of §4.3's forward chains.
+    pub fn chain_lengths(&self) -> Histogram {
+        let mut h = Histogram::default();
+        for c in &self.chases {
+            h.observe(c.hops.len() as u64);
+        }
+        h
+    }
+
+    /// The latency rows of the flight-recorder summary: delivery by path,
+    /// FIR chain length, alias resolution, pending-queue residency.
+    pub fn latency_table(&self) -> String {
+        use std::fmt::Write as _;
+        let mut out = format!(
+            "{:<26} {:>8} {:>12} {:>12} {:>12}\n{}\n",
+            "histogram", "count", "mean", "max", "unit", "-".repeat(74)
+        );
+        let rows = [
+            ("delivery.local", self.stage("wire.local"), "ns"),
+            ("delivery.remote", self.stage("wire.remote"), "ns"),
+            ("delivery.migrated", self.stage("wire.migrated"), "ns"),
+            ("fir.chain_length", self.chain_lengths(), "hops"),
+            ("alias.resolution", self.stage("alias.resolve"), "ns"),
+            ("pending.residency", self.stage("pending"), "ns"),
+        ];
+        for (name, h, unit) in rows {
+            let (count, mean, max) = (h.count(), h.mean(), h.max());
+            let _ = writeln!(out, "{name:<26} {count:>8} {mean:>12.1} {max:>12} {unit:>12}");
+        }
+        out
+    }
+
     /// Look up a message span by id.
     pub fn msg(&self, id: u64) -> Option<&MsgSpan> {
         self.msgs
@@ -442,6 +479,36 @@ mod tests {
         assert_eq!(c.suppressed, 1);
         assert_eq!(c.resolved_at.unwrap().as_nanos(), 90);
         assert_eq!(rep.stages["chase"].sum(), 80);
+    }
+
+    /// One chase is one episode however its replies interleave with its
+    /// hops: a relay answering its asker while the chain is still growing
+    /// does not cut it in two.
+    #[test]
+    fn fir_chain_counts_hops_per_episode() {
+        let hop = |ns, node, k, to, span| {
+            at(ns, node, KernelEvent::FirSent { key: key(k), to }).with_span(span)
+        };
+        let reply = |ns, node| {
+            let event = KernelEvent::FirReplyPropagated { key: key(1), node: 3, askers: 1, released: 0 };
+            at(ns, node, event).with_span(5)
+        };
+        let rep = build(vec![
+            hop(10, 0, 1, 1, 5),
+            hop(20, 1, 1, 2, 5),
+            reply(30, 1),
+            hop(40, 2, 1, 3, 5),
+            reply(50, 0),
+            // Another key's chase: one hop, never answered.
+            hop(60, 0, 2, 1, 6),
+        ]);
+        let chain = rep.chain_lengths();
+        assert_eq!((chain.count(), chain.max(), chain.sum()), (2, 3, 4));
+        let table = rep.latency_table();
+        for row in ["delivery.local", "delivery.remote", "delivery.migrated", "alias.resolution"] {
+            assert!(table.contains(row), "{table}");
+        }
+        assert!(table.contains("fir.chain_length                  2          2.0            3"), "{table}");
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! the machine merges the rings into one time-ordered [`TraceReport`]
 //! that can
 //!
-//! * derive latency histograms ([`crate::hist`]) — message delivery
-//!   split by path (local / remote / migrated-chase), FIR chain length,
-//!   alias-resolution latency, pending-queue residency;
+//! * be folded into lifecycle spans and their latency histograms
+//!   ([`crate::span`]) — message delivery split by path (local / remote /
+//!   migrated-chase), FIR chain length, alias-resolution latency,
+//!   pending-queue residency;
 //! * export Chrome trace-event JSON loadable in `chrome://tracing` or
 //!   [Perfetto](https://ui.perfetto.dev) (one track per node, delivery
 //!   latencies as duration slices, protocol events as instants).
@@ -260,7 +261,7 @@ pub struct TraceEvent {
     /// the span of the message whose handler issued the send, for an
     /// opening chase/alias event the message or handler that triggered
     /// it. Spans plus parents form the causal DAG walked by the
-    /// critical-path analyzer (`hal-profile`).
+    /// critical-path analyzer ([`crate::critical_path`]).
     pub parent: u64,
     /// What happened.
     pub event: KernelEvent,
@@ -614,13 +615,8 @@ impl TraceReport {
         self.events.iter().filter(|e| e.event.name() == name).count()
     }
 
-    /// Derive the standard latency histograms ([`crate::hist`]).
-    pub fn histograms(&self) -> crate::hist::TraceHists {
-        crate::hist::derive(&self.events)
-    }
-
-    /// Human-readable summary: event counts plus the derived latency
-    /// histograms.
+    /// Human-readable summary: event counts plus the latency table of
+    /// the span fold ([`crate::span::SpanReport::latency_table`]).
     pub fn summary(&self) -> String {
         use std::fmt::Write as _;
         let mut counts: std::collections::BTreeMap<&'static str, u64> =
@@ -641,7 +637,7 @@ impl TraceReport {
             let _ = writeln!(out, "  {name:<20} {n:>8}");
         }
         out.push('\n');
-        out.push_str(&crate::hist::render(&self.histograms()));
+        out.push_str(&crate::span::SpanReport::build(self).latency_table());
         out
     }
 

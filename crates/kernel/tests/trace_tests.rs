@@ -134,10 +134,10 @@ fn forced_migration_produces_fir_event_sequence() {
     assert!(!migrated_deliveries.is_empty());
     assert!(migrated_deliveries[0].time >= fir_sent[0].time);
 
-    // And the derived histogram sees them on the migrated column.
-    let h = trace.histograms();
-    assert_eq!(h.delivery_migrated.count(), migrated_deliveries.len() as u64);
-    assert!(h.fir_chain.count() > 0, "chase episodes have a chain length");
+    // And the span fold sees them on the migrated column.
+    let spans = hal_kernel::SpanReport::build(&trace);
+    assert_eq!(spans.stage("wire.migrated").count(), migrated_deliveries.len() as u64);
+    assert!(spans.chain_lengths().count() > 0, "chase episodes have a chain length");
 }
 
 #[test]

@@ -7,7 +7,7 @@
 use hal::prelude::*;
 use hal_kernel::span::SpanReport;
 use hal_kernel::{SimMachine, SimReport};
-use hal_profile::critical_paths;
+use hal_kernel::critical_path::critical_paths;
 use hal_workloads::fib;
 
 const SEEDS: [u64; 3] = [1, 0x5EED, 42];
