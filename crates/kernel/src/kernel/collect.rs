@@ -1,7 +1,14 @@
 //! Distributed garbage collection (§9 future work): the kernel side of
 //! the mark rounds and the sweep in [`crate::gc`].
 
-use super::*;
+use super::Kernel;
+use crate::addr::{ActorId, MailAddr};
+use crate::gc::{CoordState, MarkBatches};
+use crate::message::Value;
+use crate::name_server::Resolution;
+use crate::trace::KernelEvent;
+use crate::wire::KMsg;
+use hal_am::{NodeId, bcast};
 
 impl Kernel {
     // ------------------------------------------------------------------

@@ -1,7 +1,15 @@
 //! Actor creation (§5): local `new`, remote creation behind an alias, and
 //! what becomes deliverable once a key turns local.
 
-use super::*;
+use super::Kernel;
+use crate::actor::{ActorRecord, Behavior};
+use crate::addr::{ActorId, AddrKey, BehaviorId, DescriptorId, MailAddr};
+use crate::error::MachineError;
+use crate::message::Value;
+use crate::name_server::Resolution;
+use crate::trace::KernelEvent;
+use crate::wire::KMsg;
+use hal_am::NodeId;
 
 impl Kernel {
     // ------------------------------------------------------------------
@@ -69,16 +77,8 @@ impl Kernel {
             if span != 0 {
                 r.alias_span.insert(alias.key, span);
             }
-            let time = self.clock;
-            let me = self.cfg.me;
-            r.ring.push(TraceEvent {
-                time,
-                node: me,
-                seq: 0,
-                span,
-                parent,
-                event: KernelEvent::AliasCreated { key: alias.key, target: node },
-            });
+            let event = KernelEvent::AliasCreated { key: alias.key, target: node };
+            self.trace_event_span(event, span, parent);
         }
         self.net_send(
             node,
@@ -171,24 +171,10 @@ impl Kernel {
     ) {
         if let Some(pending) = self.firs.complete(key) {
             let me = self.cfg.me;
-            let span = self
-                .recorder
-                .as_deref_mut()
-                .and_then(|r| r.chase_span.remove(&key))
-                .unwrap_or(0);
             // The chase ends here because the actor became local: same
             // terminal event as a reply arriving, so the checker sees
             // every opened chase close.
-            self.trace_event_span(
-                KernelEvent::FirReplyPropagated {
-                    key,
-                    node: me,
-                    askers: pending.askers.len() as u32,
-                    released: pending.buffered.len() as u32,
-                },
-                span,
-                0,
-            );
+            self.trace_chase_closed(key, me, &pending);
             for asker in pending.askers {
                 self.net_send(asker, KMsg::FirFound { key, node: me, index, epoch });
             }

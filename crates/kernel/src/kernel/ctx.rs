@@ -2,7 +2,15 @@
 //! ask of the kernel during a method, and the bootstrap context machines
 //! hand to harness code.
 
-use super::*;
+use super::Kernel;
+use crate::actor::Behavior;
+use crate::addr::{ActorId, BehaviorId, GroupId, JcId, MailAddr, Mapping, Selector};
+use crate::join::JoinFn;
+use crate::message::{ContRef, Msg, Value};
+use crate::name_server::Resolution;
+use crate::wire::KMsg;
+use hal_am::NodeId;
+use hal_des::{VirtualDuration, VirtualTime};
 
 /// Who is currently executing.
 pub(super) enum Ident {
@@ -22,14 +30,19 @@ pub(super) enum Ident {
 /// The actor interface (Fig. 2's top layer): everything a behavior can
 /// ask of the kernel during a method execution.
 pub struct Ctx<'a> {
-    pub(super) k: &'a mut Kernel,
-    pub(super) ident: Ident,
-    pub(super) customer: Option<ContRef>,
+    k: &'a mut Kernel,
+    ident: Ident,
+    customer: Option<ContRef>,
     pub(super) become_to: Option<Box<dyn Behavior>>,
     pub(super) migrate_to: Option<NodeId>,
 }
 
 impl<'a> Ctx<'a> {
+    /// A context for `ident` on `k`, with nothing requested yet.
+    pub(super) fn new(k: &'a mut Kernel, ident: Ident, customer: Option<ContRef>) -> Self {
+        Ctx { k, ident, customer, become_to: None, migrate_to: None }
+    }
+
     /// This node's id.
     pub fn node(&self) -> NodeId {
         self.k.cfg.me
@@ -250,13 +263,7 @@ impl<'a> Ctx<'a> {
 /// Run a closure in a bootstrap (`System`) context against a kernel —
 /// how machines let harness code create the initial actors.
 pub fn with_system_ctx<R>(kernel: &mut Kernel, f: impl FnOnce(&mut Ctx<'_>) -> R) -> R {
-    let mut ctx = Ctx {
-        k: kernel,
-        ident: Ident::System,
-        customer: None,
-        become_to: None,
-        migrate_to: None,
-    };
+    let mut ctx = Ctx::new(kernel, Ident::System, None);
     let r = f(&mut ctx);
     debug_assert!(ctx.become_to.is_none());
     debug_assert!(ctx.migrate_to.is_none());

@@ -1,7 +1,15 @@
 //! Message delivery (§4.3, Fig. 3): the generic send, the receiving node
 //! manager, forwarding vs. the FIR chase, and name-table repair.
 
-use super::*;
+use super::Kernel;
+use crate::addr::{ActorId, AddrKey, DescriptorId, MailAddr};
+use crate::descriptor::Locality;
+use crate::fir::FirPending;
+use crate::message::{Msg, Target};
+use crate::name_server::Resolution;
+use crate::trace::{KernelEvent, TraceTag};
+use crate::wire::KMsg;
+use hal_am::NodeId;
 
 impl Kernel {
     // ------------------------------------------------------------------
@@ -36,22 +44,8 @@ impl Kernel {
                     return;
                 }
                 self.stats.bump("msgs.remote");
-                let dst_desc = if self.cfg.opt.name_caching {
-                    remote_index
-                } else {
-                    None
-                };
-                self.net_send(
-                    node,
-                    KMsg::Deliver {
-                        target: Target::Addr {
-                            key: to.key,
-                            dst_desc,
-                            route_hint: to.default_route(),
-                        },
-                        msg,
-                    },
-                );
+                let dst_desc = remote_index.filter(|_| self.cfg.opt.name_caching);
+                self.send_deliver(node, to.key, dst_desc, to.default_route(), msg);
             }
             Resolution::Unknown => {
                 // First contact: allocate a best-guess descriptor toward
@@ -69,19 +63,23 @@ impl Kernel {
                 self.names.bind(to.key, d);
                 self.stats.bump("msgs.remote");
                 self.stats.bump("name.first_contact");
-                self.net_send(
-                    route,
-                    KMsg::Deliver {
-                        target: Target::Addr {
-                            key: to.key,
-                            dst_desc: None,
-                            route_hint: route,
-                        },
-                        msg,
-                    },
-                );
+                self.send_deliver(route, to.key, None, route, msg);
             }
         }
+    }
+
+    /// Ship `msg` for the actor `key` to `node`, naming the descriptor we
+    /// believe it has there, if any.
+    fn send_deliver(
+        &mut self,
+        node: NodeId,
+        key: AddrKey,
+        dst_desc: Option<DescriptorId>,
+        route_hint: NodeId,
+        msg: Msg,
+    ) {
+        let target = Target::Addr { key, dst_desc, route_hint };
+        self.net_send(node, KMsg::Deliver { target, msg });
     }
 
     /// Receiver side of the generic send (Fig. 3): the node manager
@@ -182,92 +180,61 @@ impl Kernel {
             // Ablation: forward the entire message along the chain (§4.3's
             // rejected alternative — bulk payloads traverse every hop).
             self.stats.bump("deliver.forwarded_whole");
-            self.net_send(
-                node,
-                KMsg::Deliver {
-                    target: Target::Addr {
-                        key,
-                        dst_desc: remote_index,
-                        route_hint: node,
-                    },
-                    msg,
-                },
-            );
-            return;
-        }
-        if self.firs.is_pending(key) {
+            self.send_deliver(node, key, remote_index, node, msg);
+        } else if self.firs.is_pending(key) {
             // A chase is already running; join it.
             self.stats.bump("fir.suppressed");
-            let span = self
-                .recorder
-                .as_deref()
-                .and_then(|r| r.chase_span.get(&key).copied())
-                .unwrap_or(0);
+            let span = self.chase_span(key);
             self.trace_event_span(KernelEvent::FirSuppressed { key }, span, 0);
             self.firs.buffer(key, msg);
-            return;
-        }
-        match remote_index {
-            Some(idx) => {
-                self.stats.bump("deliver.forwarded");
-                self.net_send(
-                    node,
-                    KMsg::Deliver {
-                        target: Target::Addr {
-                            key,
-                            dst_desc: Some(idx),
-                            route_hint: node,
-                        },
-                        msg,
-                    },
-                );
-            }
-            None => self.fir_chase(key, msg, node),
+        } else if remote_index.is_some() {
+            self.stats.bump("deliver.forwarded");
+            self.send_deliver(node, key, remote_index, node, msg);
+        } else {
+            self.fir_chase(key, msg, node);
         }
     }
 
-    /// Park `msg` and (unless one is already outstanding) send an FIR
-    /// toward `next_hop` (§4.3: "instead of forwarding the entire message
-    /// the node manager sends a special forwarding information request").
+    /// Park `msg` and send an FIR toward `next_hop` (§4.3: "instead of
+    /// forwarding the entire message the node manager sends a special
+    /// forwarding information request"). The caller has checked that no
+    /// chase for `key` is outstanding here.
     fn fir_chase(&mut self, key: AddrKey, msg: Msg, next_hop: NodeId) {
         self.charge(self.cfg.cost.fir_handle);
-        if self.firs.need_location(key) {
-            self.stats.bump("fir.sent");
-            // Open a chase span: every hop of this episode (here and on
-            // relaying nodes) shares it, parented by the message that
-            // triggered the chase.
-            let (span, parent) = match self.recorder.as_deref_mut() {
-                Some(r) => {
-                    // Head sampling: an unsampled chase episode travels
-                    // with span 0 — the protocol events still land in
-                    // the ring for the histograms, but the span builder
-                    // (which keys on span != 0) never opens an episode.
-                    let span = r.next_msg_id();
-                    let span = if r.span_sampled(span) { span } else { 0 };
-                    if span != 0 {
-                        r.chase_span.insert(key, span);
-                    }
-                    let parent = msg
-                        .trace
-                        .filter(|t| r.span_sampled(t.id))
-                        .map_or(0, |t| t.id);
-                    (span, parent)
-                }
-                None => (0, 0),
-            };
-            self.trace_event_span(KernelEvent::FirSent { key, to: next_hop }, span, parent);
-            self.net_send(next_hop, KMsg::Fir { key, span });
-            self.arm_fir_watchdog(key);
-        } else {
-            self.stats.bump("fir.suppressed");
-            let span = self
-                .recorder
-                .as_deref()
-                .and_then(|r| r.chase_span.get(&key).copied())
-                .unwrap_or(0);
-            self.trace_event_span(KernelEvent::FirSuppressed { key }, span, 0);
-        }
+        let fresh = self.firs.need_location(key);
+        debug_assert!(fresh, "a chase for {key:?} was already running");
+        self.stats.bump("fir.sent");
+        // Open a chase span: every hop of this episode (here and on
+        // relaying nodes) shares it, parented by the message that
+        // triggered the chase.
+        let (span, parent) = match self.recorder.as_deref_mut() {
+            Some(r) => {
+                // Head sampling: an unsampled chase episode travels with
+                // span 0 — the protocol events still land in the ring,
+                // but the span builder (which keys on span != 0) never
+                // opens an episode.
+                let span = r.next_msg_id();
+                let span = if r.span_sampled(span) { span } else { 0 };
+                let parent = msg.trace.filter(|t| r.span_sampled(t.id)).map_or(0, |t| t.id);
+                (span, parent)
+            }
+            None => (0, 0),
+        };
+        self.relay_fir(key, next_hop, span, parent);
         self.firs.buffer(key, msg);
+    }
+
+    /// Send the FIR for `key` one hop on under the episode's `span`, and
+    /// remember the span so this node's later events join it.
+    fn relay_fir(&mut self, key: AddrKey, to: NodeId, span: u64, parent: u64) {
+        if span != 0 {
+            if let Some(r) = self.recorder.as_deref_mut() {
+                r.chase_span.insert(key, span);
+            }
+        }
+        self.trace_event_span(KernelEvent::FirSent { key, to }, span, parent);
+        self.net_send(to, KMsg::Fir { key, span });
+        self.arm_fir_watchdog(key);
     }
 
     /// An FIR arrived from `src` looking for `key`. `span` is the chase
@@ -276,36 +243,14 @@ impl Kernel {
     pub(super) fn handle_fir(&mut self, src: NodeId, key: AddrKey, span: u64) {
         self.charge(self.cfg.cost.fir_handle);
         self.stats.bump("fir.handled");
-        match self.names.resolve(key) {
+        let next = match self.names.resolve(key) {
             Resolution::Local(aid) => {
-                let d = self.names.descriptor_for(key).expect("just resolved");
+                let index = self.names.descriptor_for(key).expect("just resolved");
                 let epoch = self.actor_epoch(aid);
-                self.net_send(
-                    src,
-                    KMsg::FirFound {
-                        key,
-                        node: self.cfg.me,
-                        index: d,
-                        epoch,
-                    },
-                );
+                self.net_send(src, KMsg::FirFound { key, node: self.cfg.me, index, epoch });
+                return;
             }
-            Resolution::Remote { node, .. } => {
-                if self.firs.is_pending(key) {
-                    self.firs.add_asker(key, src);
-                } else {
-                    self.firs.need_location(key);
-                    self.firs.add_asker(key, src);
-                    if span != 0 {
-                        if let Some(r) = self.recorder.as_deref_mut() {
-                            r.chase_span.insert(key, span);
-                        }
-                    }
-                    self.trace_event_span(KernelEvent::FirSent { key, to: node }, span, 0);
-                    self.net_send(node, KMsg::Fir { key, span });
-                    self.arm_fir_watchdog(key);
-                }
-            }
+            Resolution::Remote { node, .. } => node,
             Resolution::Unknown => {
                 // We know nothing (e.g. the actor is migrating toward us
                 // and the FIR overtook the bulk transfer). Park the
@@ -315,25 +260,15 @@ impl Kernel {
                     key.birthplace != self.cfg.me,
                     "FIR for dangling local key {key:?}"
                 );
-                if self.firs.is_pending(key) {
-                    self.firs.add_asker(key, src);
-                } else {
-                    self.firs.need_location(key);
-                    self.firs.add_asker(key, src);
-                    if span != 0 {
-                        if let Some(r) = self.recorder.as_deref_mut() {
-                            r.chase_span.insert(key, span);
-                        }
-                    }
-                    self.trace_event_span(
-                        KernelEvent::FirSent { key, to: key.birthplace },
-                        span,
-                        0,
-                    );
-                    self.net_send(key.birthplace, KMsg::Fir { key, span });
-                    self.arm_fir_watchdog(key);
-                }
+                key.birthplace
             }
+        };
+        // The asker is owed the reply either way; the chase goes one hop
+        // further only if none is running here already.
+        let relay = !self.firs.is_pending(key) && self.firs.need_location(key);
+        self.firs.add_asker(key, src);
+        if relay {
+            self.relay_fir(key, next, span, 0);
         }
     }
 
@@ -364,21 +299,7 @@ impl Kernel {
             m.chain_epochs.observe(u64::from(epoch));
         }
         if let Some(pending) = self.firs.complete(key) {
-            let span = self
-                .recorder
-                .as_deref_mut()
-                .and_then(|r| r.chase_span.remove(&key))
-                .unwrap_or(0);
-            self.trace_event_span(
-                KernelEvent::FirReplyPropagated {
-                    key,
-                    node,
-                    askers: pending.askers.len() as u32,
-                    released: pending.buffered.len() as u32,
-                },
-                span,
-                0,
-            );
+            self.trace_chase_closed(key, node, &pending);
             for asker in pending.askers {
                 self.net_send(asker, KMsg::FirFound { key, node, index, epoch });
             }
@@ -386,19 +307,20 @@ impl Kernel {
                 // "Once the location is known, the original message is
                 // sent directly to the node where the receiver resides."
                 self.stats.bump("fir.flushed");
-                self.net_send(
-                    node,
-                    KMsg::Deliver {
-                        target: Target::Addr {
-                            key,
-                            dst_desc: Some(index),
-                            route_hint: node,
-                        },
-                        msg,
-                    },
-                );
+                self.send_deliver(node, key, Some(index), node, msg);
             }
         }
+    }
+
+    /// The chase for `key` ends on this node, with the actor found on
+    /// `node`: close this node's share of the episode's span.
+    pub(super) fn trace_chase_closed(&mut self, key: AddrKey, node: NodeId, pending: &FirPending) {
+        let recorder = self.recorder.as_deref_mut();
+        let span = recorder.and_then(|r| r.chase_span.remove(&key)).unwrap_or(0);
+        let askers = pending.askers.len() as u32;
+        let released = pending.buffered.len() as u32;
+        let event = KernelEvent::FirReplyPropagated { key, node, askers, released };
+        self.trace_event_span(event, span, 0);
     }
 
     /// The location epoch of a local actor (its migration hop count).
@@ -445,31 +367,8 @@ impl Kernel {
     /// Enqueue a message for a local actor, scheduling it if idle.
     pub(super) fn enqueue_local(&mut self, aid: ActorId, msg: Msg) {
         self.charge(self.cfg.cost.constraint_check);
-        if self.recorder.is_some() {
-            if let Some(tag) = msg.trace {
-                let latency_ns = self.trace_latency_ns(&tag);
-                let sampled = if let Some(r) = self.recorder.as_deref_mut() {
-                    let keep = r.span_sampled(tag.id);
-                    if keep {
-                        // Enqueue time, for MessageExecuted's queued_ns.
-                        r.delivered_at.insert(tag.id, self.clock);
-                    }
-                    keep
-                } else {
-                    false
-                };
-                if sampled {
-                    self.trace_event_span(
-                        KernelEvent::MessageDelivered {
-                            id: tag.id,
-                            latency_ns,
-                            path: tag.path(),
-                        },
-                        tag.id,
-                        0,
-                    );
-                }
-            }
+        if let Some(tag) = msg.trace {
+            self.trace_delivered(tag);
         }
         if self.actors.enqueue(aid, msg) {
             self.dispatcher.push(aid);

@@ -1,7 +1,14 @@
 //! Actor groups and broadcast (§2.2, §6.4): `grpnew` down the spanning
 //! tree, home-node member routing, collective local delivery.
 
-use super::*;
+use super::Kernel;
+use crate::addr::{BehaviorId, GroupId, Mapping};
+use crate::error::MachineError;
+use crate::group::{home_node, members_on};
+use crate::message::{Msg, Target, Value};
+use crate::name_server::Resolution;
+use crate::wire::KMsg;
+use hal_am::{NodeId, bcast};
 
 impl Kernel {
     // ------------------------------------------------------------------
@@ -166,27 +173,7 @@ impl Kernel {
                     if self.recorder.is_some() && m.trace.is_none() {
                         self.trace_stamp_send(&mut m, addr.key, false);
                         if let Some(tag) = m.trace {
-                            let latency_ns = self.trace_latency_ns(&tag);
-                            let sampled = if let Some(r) = self.recorder.as_deref_mut() {
-                                let keep = r.span_sampled(tag.id);
-                                if keep {
-                                    r.delivered_at.insert(tag.id, self.clock);
-                                }
-                                keep
-                            } else {
-                                false
-                            };
-                            if sampled {
-                                self.trace_event_span(
-                                    KernelEvent::MessageDelivered {
-                                        id: tag.id,
-                                        latency_ns,
-                                        path: tag.path(),
-                                    },
-                                    tag.id,
-                                    0,
-                                );
-                            }
+                            self.trace_delivered(tag);
                         }
                     }
                     if self.actors.enqueue(aid, m) {

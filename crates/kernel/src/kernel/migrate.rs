@@ -1,7 +1,13 @@
 //! Migration and receiver-initiated load balancing (§4.3, §7.2): shipping
 //! an actor out, installing one that arrives, steal polls and grants.
 
-use super::*;
+use super::Kernel;
+use crate::actor::ActorRecord;
+use crate::addr::{ActorId, DescriptorId, MailAddr};
+use crate::descriptor::Locality;
+use crate::trace::KernelEvent;
+use crate::wire::{ActorImage, KMsg};
+use hal_am::NodeId;
 
 impl Kernel {
     // ------------------------------------------------------------------
@@ -104,34 +110,17 @@ impl Kernel {
         }
         // Cache the new location at the birthplace and the old node
         // (§4.3 "cached in its birthplace node as well as in the old
-        // node").
+        // node") — once each, and not here.
         let me = self.cfg.me;
-        let primary_key = keys[0];
-        let primary_desc = self
+        let index = self
             .names
-            .descriptor_for(primary_key)
+            .descriptor_for(primary)
             .expect("primary key just registered");
-        if primary_key.birthplace != me {
-            self.net_send(
-                primary_key.birthplace,
-                KMsg::NameInfo {
-                    key: primary_key,
-                    node: me,
-                    index: primary_desc,
-                    epoch,
-                },
-            );
-        }
-        if from != me && from != primary_key.birthplace {
-            self.net_send(
-                from,
-                KMsg::NameInfo {
-                    key: primary_key,
-                    node: me,
-                    index: primary_desc,
-                    epoch,
-                },
-            );
+        let told = [primary.birthplace, from];
+        for (i, &node) in told.iter().enumerate() {
+            if node != me && !told[..i].contains(&node) {
+                self.net_send(node, KMsg::NameInfo { key: primary, node: me, index, epoch });
+            }
         }
         // Schedule if it carried work.
         let rec = self.actors.get_mut(aid).expect("just inserted");

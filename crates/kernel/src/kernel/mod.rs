@@ -17,27 +17,25 @@
 //! the compiler". Behaviors receive a `Ctx` in every dispatch and use it
 //! to send, create, become, broadcast, request/reply, and migrate.
 
-use crate::actor::{ActorRecord, ActorSlab, Behavior};
-use crate::addr::{ActorId, AddrKey, BehaviorId, DescriptorId, GroupId, JcId, MailAddr, Mapping, Selector};
+use crate::actor::ActorSlab;
+use crate::addr::AddrKey;
 use crate::balance::Balancer;
 use crate::cost::CostModel;
-use crate::descriptor::Locality;
 use crate::dispatch::Dispatcher;
 use crate::error::MachineError;
 use crate::fir::FirTable;
-use crate::gc::{CoordState, GcState, MarkBatches};
-use crate::group::{home_node, members_on, GroupTable};
-use crate::join::{JoinFn, JoinTable};
+use crate::gc::GcState;
+use crate::group::GroupTable;
+use crate::join::JoinTable;
 use crate::machine::MachineConfig;
-use crate::message::{ContRef, Msg, Target, Value};
+use crate::message::{Msg, Value};
 use crate::metrics::Metrics;
-use crate::name_server::{NameServer, Resolution};
+use crate::name_server::NameServer;
 use crate::registry::BehaviorRegistry;
 use crate::trace::{KernelEvent, Recorder, TraceEvent, TraceTag};
-use crate::wire::{ActorImage, KMsg};
+use crate::wire::KMsg;
 use hal_am::{
-    bcast, AmEnvelope, BulkSender, FaultPlan, FlowControl, NodeId, Packet, RelReceiver, RelSender,
-    RetxDecision, RxOutcome, MAX_SMALL_BYTES, REL_HEADER,
+    AmEnvelope, BulkSender, FaultPlan, FlowControl, NodeId, RelReceiver, RelSender,
 };
 use hal_des::{StatSet, VirtualDuration, VirtualTime};
 use std::collections::{HashMap, VecDeque};
@@ -519,31 +517,53 @@ impl Kernel {
                 // so forwards don't re-mint and downstream nodes can
                 // recompute the same keep/drop decision from the id.
                 let (id, keep) = r.mint_msg_span();
-                let time = self.clock;
-                let node = self.cfg.me;
                 // The causal parent: the message whose handler is
                 // executing right now (0 at bootstrap / between
                 // dispatches). This edge is what makes spans a DAG.
                 let parent = r.current_span;
                 msg.trace = Some(TraceTag {
                     id,
-                    sent_at: time,
+                    sent_at: self.clock,
                     flags: if remote { TraceTag::REMOTE } else { 0 },
                 });
                 if keep {
-                    r.ring.push(TraceEvent {
-                        time,
-                        node,
-                        seq: 0,
-                        span: id,
-                        parent,
-                        event: KernelEvent::MessageSent { id, key, remote },
-                    });
+                    self.trace_event_span(KernelEvent::MessageSent { id, key, remote }, id, parent);
                 }
             }
             Some(tag) if remote => tag.flags |= TraceTag::REMOTE,
             Some(_) => {}
         }
+    }
+
+    /// A tagged message reached a local mail queue: note the enqueue time
+    /// (for `MessageExecuted`'s `queued_ns`) and record `MessageDelivered`
+    /// — for sampled ids, with tracing on.
+    fn trace_delivered(&mut self, tag: TraceTag) {
+        let Some(r) = self.recorder.as_deref_mut() else {
+            return;
+        };
+        if r.span_sampled(tag.id) {
+            r.delivered_at.insert(tag.id, self.clock);
+            let latency_ns = self.trace_latency_ns(&tag);
+            let event = KernelEvent::MessageDelivered { id: tag.id, latency_ns, path: tag.path() };
+            self.trace_event_span(event, tag.id, 0);
+        }
+    }
+
+    /// Make `span` the span sends are parented by — the message whose
+    /// handler is about to run, or the one restored after it — and return
+    /// the one it replaces (0 with tracing off).
+    fn swap_current_span(&mut self, span: u64) -> u64 {
+        match self.recorder.as_deref_mut() {
+            Some(r) => std::mem::replace(&mut r.current_span, span),
+            None => 0,
+        }
+    }
+
+    /// The span of the chase episode running for `key` on this node (0 =
+    /// none, or untraced).
+    fn chase_span(&self, key: AddrKey) -> u64 {
+        self.recorder.as_deref().and_then(|r| r.chase_span.get(&key).copied()).unwrap_or(0)
     }
 
     /// Latency from a tag's send time to now, robust against the
@@ -557,7 +577,11 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::Behavior;
+    use crate::addr::{BehaviorId, DescriptorId, MailAddr};
     use crate::machine::SimMachine;
+    use crate::message::Target;
+    use hal_am::Packet;
 
     /// Selector 0 with address arguments: report the time, then message
     /// each address in turn.

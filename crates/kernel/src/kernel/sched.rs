@@ -2,7 +2,14 @@
 //! pending-queue rescans, method invocation, the compiler fast path — and
 //! the join continuations (§6.2) those methods fill and fire.
 
-use super::*;
+use super::{Ctx, Ident, Kernel};
+use crate::actor::{ActorRecord, Behavior};
+use crate::addr::{ActorId, JcId, MailAddr};
+use crate::message::{ContRef, Msg, Value};
+use crate::name_server::Resolution;
+use crate::trace::KernelEvent;
+use crate::wire::KMsg;
+use hal_am::NodeId;
 
 impl Kernel {
     // ------------------------------------------------------------------
@@ -63,19 +70,7 @@ impl Kernel {
             self.charge(self.cfg.cost.constraint_check);
             if rec.behavior.enabled(msg.selector, &msg.args) {
                 processed += 1;
-                let mreq = self.execute_message(aid, &mut rec, msg);
-                if mreq.is_some() {
-                    migrate_req = mreq;
-                }
-                // Pending rescan: "Whenever an actor completes its method
-                // execution, it examines whether or not it has pending
-                // messages" — dispatch newly enabled ones immediately.
-                if migrate_req.is_none() {
-                    let m2 = self.rescan_pending(aid, &mut rec);
-                    if m2.is_some() {
-                        migrate_req = m2;
-                    }
-                }
+                migrate_req = self.execute_then_rescan(aid, &mut rec, msg);
             } else {
                 self.stats.bump("sync.deferred");
                 self.metrics_pending(1);
@@ -83,16 +78,8 @@ impl Kernel {
                     if let Some(tag) = msg.trace {
                         if r.span_sampled(tag.id) {
                             r.pending_since.insert(tag.id, self.clock);
-                            let time = self.clock;
-                            let me = self.cfg.me;
-                            r.ring.push(TraceEvent {
-                                time,
-                                node: me,
-                                seq: 0,
-                                span: tag.id,
-                                parent: 0,
-                                event: KernelEvent::PendingEnqueued { id: tag.id },
-                            });
+                            let event = KernelEvent::PendingEnqueued { id: tag.id };
+                            self.trace_event_span(event, tag.id, 0);
                         }
                     }
                 }
@@ -104,10 +91,7 @@ impl Kernel {
         // state-changing messages that all went to pendq — nothing to do,
         // but harmless and keeps semantics uniform).
         if processed == 0 && migrate_req.is_none() && !rec.pendq.is_empty() {
-            let m2 = self.rescan_pending(aid, &mut rec);
-            if m2.is_some() {
-                migrate_req = m2;
-            }
+            migrate_req = self.rescan_pending(aid, &mut rec);
         }
 
         let more = !rec.mailq.is_empty();
@@ -134,13 +118,25 @@ impl Kernel {
         }
     }
 
-    /// Dispatch every currently enabled pending message, repeatedly,
-    /// until none is enabled. Returns a migration request if one arose.
-    fn rescan_pending(
+    /// Invoke one method, then the pending rescan: "Whenever an actor
+    /// completes its method execution, it examines whether or not it has
+    /// pending messages" — newly enabled ones are dispatched immediately.
+    /// Returns a migration request if one arose.
+    fn execute_then_rescan(
         &mut self,
         aid: ActorId,
         rec: &mut ActorRecord,
+        msg: Msg,
     ) -> Option<NodeId> {
+        match self.execute_message(aid, rec, msg) {
+            None => self.rescan_pending(aid, rec),
+            dst => dst,
+        }
+    }
+
+    /// Dispatch every currently enabled pending message, repeatedly,
+    /// until none is enabled. Returns a migration request if one arose.
+    fn rescan_pending(&mut self, aid: ActorId, rec: &mut ActorRecord) -> Option<NodeId> {
         loop {
             let mut fired = false;
             let mut i = 0;
@@ -171,19 +167,8 @@ impl Kernel {
                                     self.clock.as_nanos().saturating_sub(parked.as_nanos())
                                 })
                                 .unwrap_or(0);
-                            let time = self.clock;
-                            let me = self.cfg.me;
-                            r.ring.push(TraceEvent {
-                                time,
-                                node: me,
-                                seq: 0,
-                                span: tag.id,
-                                parent: 0,
-                                event: KernelEvent::PendingRescanned {
-                                    id: tag.id,
-                                    residency_ns,
-                                },
-                            });
+                            let event = KernelEvent::PendingRescanned { id: tag.id, residency_ns };
+                            self.trace_event_span(event, tag.id, 0);
                         }
                     }
                     fired = true;
@@ -219,54 +204,28 @@ impl Kernel {
         // Under head sampling an unsampled message executes with
         // current_span 0: its children become causal roots rather than
         // orphans pointing at a span the ring never opened.
-        let tag = msg.trace;
+        let recorder = self.recorder.as_deref();
+        let sampled = recorder.and_then(|r| msg.trace.filter(|t| r.span_sampled(t.id)));
         let exec_start = self.clock;
-        let (saved, sampled) = if let Some(r) = self.recorder.as_deref_mut() {
-            let saved = r.current_span;
-            let sampled = tag.is_some_and(|t| r.span_sampled(t.id));
-            r.current_span = if sampled {
-                tag.map_or(0, |t| t.id)
-            } else {
-                0
-            };
-            (saved, sampled)
-        } else {
-            (0, false)
-        };
-        let mut ctx = Ctx {
-            ident: Ident::Actor {
-                aid,
-                addr: rec.addr,
-            },
-            customer: msg.customer,
-            become_to: None,
-            migrate_to: None,
-            k: self,
-        };
+        let saved = self.swap_current_span(sampled.map_or(0, |t| t.id));
+        let mut ctx = Ctx::new(self, Ident::Actor { aid, addr: rec.addr }, msg.customer);
         rec.behavior.dispatch(&mut ctx, msg);
         let become_to = ctx.become_to.take();
         let migrate_to = ctx.migrate_to.take();
         if let Some(b) = become_to {
             rec.behavior = b;
         }
-        if self.recorder.is_some() {
-            if let Some(tag) = tag.filter(|_| sampled) {
-                let run_ns = self.clock.since(exec_start).as_nanos();
-                let queued_ns = self
-                    .recorder
-                    .as_deref_mut()
-                    .and_then(|r| r.delivered_at.remove(&tag.id))
-                    .map_or(0, |at| exec_start.since(at).as_nanos());
-                self.trace_event_span(
-                    KernelEvent::MessageExecuted { id: tag.id, queued_ns, run_ns },
-                    tag.id,
-                    0,
-                );
-            }
-            if let Some(r) = self.recorder.as_deref_mut() {
-                r.current_span = saved;
-            }
+        if let Some(tag) = sampled {
+            let run_ns = self.clock.since(exec_start).as_nanos();
+            let queued_ns = self
+                .recorder
+                .as_deref_mut()
+                .and_then(|r| r.delivered_at.remove(&tag.id))
+                .map_or(0, |at| exec_start.since(at).as_nanos());
+            let event = KernelEvent::MessageExecuted { id: tag.id, queued_ns, run_ns };
+            self.trace_event_span(event, tag.id, 0);
         }
+        self.swap_current_span(saved);
         migrate_to
     }
 
@@ -305,12 +264,7 @@ impl Kernel {
                 self.stats.bump("fast.inline");
                 let mut rec = self.actors.checkout(aid).expect("checked above");
                 self.stack_depth += 1;
-                let mreq = self.execute_message(aid, &mut rec, msg);
-                let m2 = if mreq.is_none() {
-                    self.rescan_pending(aid, &mut rec)
-                } else {
-                    mreq
-                };
+                let m2 = self.execute_then_rescan(aid, &mut rec, msg);
                 self.stack_depth -= 1;
                 let has_more = !rec.mailq.is_empty();
                 self.actors.checkin(aid, rec);
@@ -366,26 +320,12 @@ impl Kernel {
         if let Some(fired) = self.joins.fill(jc, slot, value) {
             self.charge(self.cfg.cost.join_fire);
             self.stats.bump("joins.fired");
-            let saved = if let Some(r) = self.recorder.as_deref_mut() {
-                let saved = r.current_span;
-                r.current_span = span;
-                saved
-            } else {
-                0
-            };
-            let mut ctx = Ctx {
-                k: self,
-                ident: Ident::Continuation,
-                customer: None,
-                become_to: None,
-                migrate_to: None,
-            };
+            let saved = self.swap_current_span(span);
+            let mut ctx = Ctx::new(self, Ident::Continuation, None);
             (fired.func)(&mut ctx, fired.values);
             debug_assert!(ctx.become_to.is_none(), "continuations cannot become");
             debug_assert!(ctx.migrate_to.is_none(), "continuations cannot migrate");
-            if let Some(r) = self.recorder.as_deref_mut() {
-                r.current_span = saved;
-            }
+            self.swap_current_span(saved);
         }
     }
 

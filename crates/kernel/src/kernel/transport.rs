@@ -4,7 +4,13 @@
 //! envelope unwrapping, the node manager's message dispatch and the
 //! interrupt-semantics `deliver`.
 
-use super::*;
+use super::{Kernel, Outbound};
+use crate::error::MachineError;
+use crate::name_server::Resolution;
+use crate::trace::KernelEvent;
+use crate::wire::KMsg;
+use hal_am::{AmEnvelope, MAX_SMALL_BYTES, NodeId, Packet, REL_HEADER, RetxDecision, RxOutcome};
+use hal_des::{VirtualDuration, VirtualTime};
 
 impl Kernel {
     // ------------------------------------------------------------------
@@ -29,8 +35,8 @@ impl Kernel {
     /// A machine calls this after every kernel entry point it drives —
     /// [`Kernel::deliver`], [`Kernel::handle_packet`], [`Kernel::step`],
     /// [`Kernel::send_steal_poll`], [`Kernel::start_gc`],
-    /// [`with_system_ctx`] — also when that call stopped the kernel: the
-    /// Halt that [`Ctx::stop`] sends is in here.
+    /// [`super::with_system_ctx`] — also when that call stopped the kernel: the
+    /// Halt that [`super::Ctx::stop`] sends is in here.
     pub fn drain_outbox(&mut self) -> std::vec::Drain<'_, Outbound> {
         self.outbox.drain(..)
     }
@@ -334,11 +340,7 @@ impl Kernel {
                 }
                 let retries = self.firs.note_reissue(key);
                 self.stats.bump("fir.reissued");
-                let span = self
-                    .recorder
-                    .as_deref()
-                    .and_then(|r| r.chase_span.get(&key).copied())
-                    .unwrap_or(0);
+                let span = self.chase_span(key);
                 self.trace_event_span(KernelEvent::FirTimeout { key, retries }, span, 0);
                 // Re-chase from current knowledge: our best guess if we
                 // have one, else the birthplace (which always learns of
@@ -378,16 +380,8 @@ impl Kernel {
                         let latency_ns =
                             self.clock.as_nanos().saturating_sub(born.as_nanos());
                         let span = r.alias_span.remove(&key).unwrap_or(0);
-                        let time = self.clock;
-                        let me = self.cfg.me;
-                        r.ring.push(TraceEvent {
-                            time,
-                            node: me,
-                            seq: 0,
-                            span,
-                            parent: 0,
-                            event: KernelEvent::AliasResolved { key, latency_ns },
-                        });
+                        let event = KernelEvent::AliasResolved { key, latency_ns };
+                        self.trace_event_span(event, span, 0);
                     }
                 }
                 self.repair_descriptor(key, node, index, epoch)
