@@ -43,6 +43,23 @@ while read -r path; do
 done < <(grep -oh -e '`crates/[^` ]*`' -e '](crates/[^)]*)' README.md DESIGN.md | tr -d '`]()' | sort -u)
 [ "$stale" = 0 ] || exit 1
 
+echo "== README.md and DESIGN.md name only flags and harnesses that exist =="
+# Every --flag token must occur in the sources that parse or pass it
+# (crates/*/src, benchmark/, this script) or be one of cargo's own, and
+# every word after `repro_all` or `-p hal-bench --` on a command line
+# must be a row of the table (one crates/bench/src/harness/<name>.rs).
+cargo_flags=" --release --bin --example --features --workspace --test "
+while read -r flag; do
+  [[ "$cargo_flags" == *" $flag "* ]] && continue
+  grep -rqFw -e "$flag" crates/*/src benchmark ci.sh \
+    || { echo "ci: docs name the flag $flag, which nothing parses"; stale=1; }
+done < <(grep -ohE -e '--[a-z][a-z0-9-]*' README.md DESIGN.md | sort -u)
+while read -r name; do
+  [ -f "crates/bench/src/harness/$name.rs" ] \
+    || { echo "ci: docs run the harness $name, which is not in crates/bench/src/harness/"; stale=1; }
+done < <(grep -ohE '(repro_all|hal-bench --) +[a-z][a-z0-9_]*' README.md DESIGN.md | awk '{print $NF}' | sort -u)
+[ "$stale" = 0 ] || exit 1
+
 echo "== cargo clippy pedantic (kernel + check + frontend + model) =="
 # The protocol-critical crates additionally hold a pedantic bar. The
 # allow list below is the accepted legacy noise (cast styles, must_use
@@ -95,7 +112,7 @@ repo_root="$PWD"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 mkdir -p "$smoke_dir/results"
-(cd "$smoke_dir" && "$repo_root/target/release/chaos_delivery" --quick >/dev/null 2>&1) \
+(cd "$smoke_dir" && "$repo_root/target/release/repro_all" chaos_delivery --quick >/dev/null 2>&1) \
   || { echo "ci: chaos_delivery failed"; exit 1; }
 echo "   chaos_delivery: exactly-once under faults"
 
@@ -104,7 +121,7 @@ echo "== spans/metrics smoke (table4_fib --spans --metrics) =="
 # and the in-process assert guarantees the critical path never exceeds
 # the makespan. Both artifacts must exist and carry their payload
 # sections.
-(cd "$smoke_dir" && "$repo_root/target/release/table4_fib" --quick --spans --metrics \
+(cd "$smoke_dir" && "$repo_root/target/release/repro_all" table4_fib --quick --spans --metrics \
    >/dev/null 2>&1) \
   || { echo "ci: table4_fib --spans --metrics failed"; exit 1; }
 for f in SPANS_table4_fib.json METRICS_table4_fib.json; do
@@ -117,14 +134,14 @@ grep -q '"samples"' "$smoke_dir/results/METRICS_table4_fib.json" \
 echo "   table4_fib: spans+metrics present"
 
 echo "== metrics schema: live document == sim document (table4_fib --metrics --backend=live) =="
-# One registry, one document shape: the same bin on the live backend
+# One registry, one document shape: the same harness on the live backend
 # must write a METRICS_ file with the sim file's key set and sample
 # fields. The key pattern skips the dotted names inside "counters"
 # (backend-specific by design); peer/retransmits/acks are dropped
 # because sim engages the reliable layer only under a fault plan, so its
 # "links" are empty here.
 mkdir -p "$smoke_dir/live/results"
-(cd "$smoke_dir/live" && "$repo_root/target/release/table4_fib" --quick --metrics --backend=live \
+(cd "$smoke_dir/live" && "$repo_root/target/release/repro_all" table4_fib --quick --metrics --backend=live \
    >/dev/null 2>&1) \
   || { echo "ci: table4_fib --metrics --backend=live failed"; exit 1; }
 metrics_schema() {
@@ -136,11 +153,23 @@ diff <(metrics_schema "$smoke_dir/results/METRICS_table4_fib.json") \
   || { echo "ci: live METRICS_ schema differs from sim's"; exit 1; }
 echo "   METRICS_table4_fib.json: live and sim documents have one key set and one sample_fields line"
 
+echo "== command-line refusals (exit 2: live on a SimMachine harness, a misspelt flag) =="
+# --backend=live means something only for rows written against Machine;
+# the others must refuse it rather than run on the simulator and tag the
+# artifact "live". A switch the parse does not know must not run either.
+for refused in "table2_primitives --backend=live" "table4_fib --quick --metrcs"; do
+  rc=0
+  # shellcheck disable=SC2086
+  (cd "$smoke_dir/live" && "$repo_root/target/release/repro_all" $refused >/dev/null 2>&1) || rc=$?
+  [ "$rc" = 2 ] || { echo "ci: repro_all $refused exited $rc, expected 2"; exit 1; }
+done
+echo "   repro_all: both refused with exit 2"
+
 echo "== results gate (repro_all --check --lint --spans --metrics + hal-serve on sim, cmp vs results/) =="
 # The full sweep from an empty directory: every harness under the
 # hal-check protocol invariant checker AND the hal-lint static protocol
-# analyzer — repro_all runs each bin once, fails if any verdict is dirty,
-# and writes a manifest of expected artifacts. Nothing it writes depends
+# analyzer — repro_all runs each harness once in its own process, fails
+# if any verdict is dirty, and writes a manifest of what it wrote. Nothing it writes depends
 # on the host clock, so every file must be byte-identical to the
 # committed results/ — a difference is a change in simulation semantics
 # (or a stale results/), never noise. Host time is benchmark/'s job.

@@ -17,8 +17,7 @@
 use hal::prelude::*;
 use hal_kernel::{SimMachine, SpanReport};
 use hal::OptFlags;
-use hal_bench::{banner, header, out, row};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use crate::out::Session;
 
 struct Sink;
 impl Behavior for Sink {
@@ -52,16 +51,16 @@ fn make_spawner(args: &[Value]) -> Box<dyn Behavior> {
     })
 }
 
-static RUN_NO: AtomicUsize = AtomicUsize::new(0);
-
-fn run(opt: OptFlags, f: impl FnOnce(&mut Ctx<'_>, &Ids)) -> hal::SimReport {
-    run_cfg(
-        MachineConfig::builder(8).opt(opt).seed(2).observe(out::observe_opts()),
-        f,
-    )
+fn sim(s: &mut Session, opt: OptFlags, f: impl FnOnce(&mut Ctx<'_>, &Ids)) -> hal::SimReport {
+    let cfg = s.machine(8).opt(opt).seed(2);
+    sim_cfg(s, cfg, f)
 }
 
-fn run_cfg(cfg: MachineConfigBuilder, f: impl FnOnce(&mut Ctx<'_>, &Ids)) -> hal::SimReport {
+fn sim_cfg(
+    s: &mut Session,
+    cfg: MachineConfigBuilder,
+    f: impl FnOnce(&mut Ctx<'_>, &Ids),
+) -> hal::SimReport {
     let mut program = Program::new();
     let ids = Ids {
         sink: program.behavior("sink", make_sink),
@@ -73,8 +72,7 @@ fn run_cfg(cfg: MachineConfigBuilder, f: impl FnOnce(&mut Ctx<'_>, &Ids)) -> hal
     let mut m = SimMachine::new(cfg, program.build());
     m.with_ctx(0, |ctx| f(ctx, &ids));
     let r = m.run().unwrap();
-    let n = RUN_NO.fetch_add(1, Ordering::Relaxed);
-    out::note_run(format!("ablation run {n}"), &r);
+    s.note_run(format!("ablation run {}", s.run_count()), &r);
     r
 }
 
@@ -153,26 +151,34 @@ fn make_bulk_spray(args: &[Value]) -> Box<dyn Behavior> {
     })
 }
 
-fn main() {
-    banner(
+/// One table row: `workload` with the paper's mechanisms all on, then
+/// with `ablated`; returns both reports.
+fn ablate(
+    s: &mut Session,
+    name: &str,
+    ablated: OptFlags,
+    workload: impl Fn(&mut Ctx<'_>, &Ids) + Copy,
+) -> (hal::SimReport, hal::SimReport) {
+    let with = sim(s, OptFlags::default(), workload);
+    let without = sim(s, ablated, workload);
+    let (a, b) = (with.makespan.as_micros_f64(), without.makespan.as_micros_f64());
+    s.row(
+        &[name.to_string(), format!("{a:.1}"), format!("{b:.1}"), format!("{:.2}x", b / a)],
+        &WIDTHS,
+    );
+    (with, without)
+}
+
+const WIDTHS: [usize; 4] = [34, 14, 14, 10];
+
+/// Print the ablation table and export the FIR-chase trace.
+pub fn run(s: &mut Session) {
+    s.banner(
         "Ablations: each design choice vs the alternative the paper rejects",
         "8 simulated nodes; times are virtual.",
     );
     let on = OptFlags::default();
-    let widths = [34usize, 14, 14, 10];
-    header(&["mechanism (workload)", "paper (us)", "ablated (us)", "ratio"], &widths);
-
-    let print = |name: &str, a: f64, b: f64| {
-        row(
-            &[
-                name.to_string(),
-                format!("{:.1}", a),
-                format!("{:.1}", b),
-                format!("{:.2}x", b / a),
-            ],
-            &widths,
-        );
-    };
+    s.header(&["mechanism (workload)", "paper (us)", "ablated (us)", "ratio"], &WIDTHS);
 
     // ---- aliases: chain of 64 remote creations with overlapped work.
     let chain = |ctx: &mut Ctx<'_>, ids: &Ids| {
@@ -181,13 +187,7 @@ fn main() {
         }));
         ctx.send(root, 0, vec![Value::Int(64)]);
     };
-    let with = run(on, chain);
-    let without = run(OptFlags { aliases: false, ..on }, chain);
-    print(
-        "aliases (creation chain x64)",
-        with.makespan.as_micros_f64(),
-        without.makespan.as_micros_f64(),
-    );
+    ablate(s, "aliases (creation chain x64)", OptFlags { aliases: false, ..on }, chain);
 
     // ---- name caching: 7 nodes each storm one hot actor on node 5 —
     // the receiver's name table is the bottleneck, so per-message hash
@@ -206,19 +206,8 @@ fn main() {
             ctx.send(s, 0, vec![]);
         }
     };
-    let with = run(on, storm);
-    let without = run(
-        OptFlags {
-            name_caching: false,
-            ..on
-        },
-        storm,
-    );
-    print(
-        "name caching (7x150 sends, hot node)",
-        with.makespan.as_micros_f64(),
-        without.makespan.as_micros_f64(),
-    );
+    let ablated = OptFlags { name_caching: false, ..on };
+    ablate(s, "name caching (7x150 sends, hot node)", ablated, storm);
 
     // ---- collective broadcast: 40 broadcasts to a 256-member group.
     let bcasts = |ctx: &mut Ctx<'_>, ids: &Ids| {
@@ -227,19 +216,8 @@ fn main() {
             ctx.broadcast(g, 0, vec![]);
         }
     };
-    let with = run(on, bcasts);
-    let without = run(
-        OptFlags {
-            collective_bcast: false,
-            ..on
-        },
-        bcasts,
-    );
-    print(
-        "collective sched (40 bcasts x256)",
-        with.makespan.as_micros_f64(),
-        without.makespan.as_micros_f64(),
-    );
+    let ablated = OptFlags { collective_bcast: false, ..on };
+    ablate(s, "collective sched (40 bcasts x256)", ablated, bcasts);
 
     // ---- FIR vs whole-message forwarding: 4KB messages from node 4
     // chase a fast-hopping nomad through unconfirmed forward pointers.
@@ -253,47 +231,35 @@ fn main() {
         );
         ctx.send(s, 0, vec![]);
     };
-    let with = run(on, chase);
-    let without = run(OptFlags { fir_chase: false, ..on }, chase);
-    print(
-        "FIR locate (20x4KB chasing 32 hops)",
-        with.makespan.as_micros_f64(),
-        without.makespan.as_micros_f64(),
-    );
-    println!(
+    let ablated = OptFlags { fir_chase: false, ..on };
+    let (with, without) = ablate(s, "FIR locate (20x4KB chasing 32 hops)", ablated, chase);
+    s.say(format!(
         "  (network bytes: {} with FIR vs {} forwarding whole messages; whole-forwards: {})",
         with.stats.get("net.bytes"),
         without.stats.get("net.bytes"),
         without.stats.get("deliver.forwarded_whole"),
-    );
+    ));
 
-    println!(
+    s.say(
         "\nratios > 1 mean the paper's mechanism wins; see table1_cholesky\n\
-         for the flow-control ablation on the pipelined Cholesky workload."
+         for the flow-control ablation on the pipelined Cholesky workload.",
     );
 
     // Flight-recorder view of the FIR chase ablation's paper-side run:
     // chain-length and delivery-path histograms for the same workload.
-    let traced = run_cfg(
-        MachineConfig::builder(8).opt(on).seed(2).observe(out::observe_opts().trace(true)),
-        chase,
-    );
+    let cfg = s.machine(8).opt(on).seed(2).trace();
+    let traced = sim_cfg(s, cfg, chase);
     let trace = traced.trace.expect("tracing was enabled");
     let spans = SpanReport::build(&trace);
     let chain = spans.chain_lengths();
-    println!(
+    s.say(format!(
         "\nflight recorder (FIR chase run): {} chase episodes, mean chain {:.1} hops,\n\
          longest {} hops; {} deliveries waited out a migration",
         chain.count(),
         chain.mean(),
         chain.max(),
         spans.stage("wire.migrated").count(),
-    );
-    let path = "results/ablations_trace.json";
-    if let Err(e) = trace.write_chrome(path) {
-        eprintln!("ablations: trace export to {path} failed: {e}");
-        std::process::exit(1);
-    }
-    println!("chrome trace written to {path}");
-    out::finish("ablations");
+    ));
+    let path = s.export_trace(&trace);
+    s.say(format!("chrome trace written to {path}"));
 }

@@ -10,101 +10,77 @@
 //! pipelined, locally synchronized programs degrade gracefully; the
 //! globally synchronized ones pay the latency on every iteration.
 
-use hal::MachineConfig;
 use hal_am::LinkModel;
-use hal_bench::{banner, header, out, row};
+use crate::out::Session;
 use hal_workloads::cholesky::{self, CholeskyConfig, Variant};
 use hal_workloads::matmul::{self, MatmulConfig};
 
-fn chol(link: LinkModel, name: &str, variant: Variant) -> f64 {
-    let mut m = MachineConfig::builder(8)
-        .seed(4)
-        .observe(out::observe_opts())
-        .backend(out::backend())
-        .build()
-        .unwrap();
+fn chol(s: &mut Session, link: LinkModel, name: &str, variant: Variant) -> f64 {
+    let mut m = s.machine(8).seed(4).build().unwrap();
     let label = format!("cholesky n=96 {variant:?} {name}");
     m.link = link;
-    let (_, r) = out::recorded(label, || {
-        cholesky::run_sim(
-            m,
-            CholeskyConfig {
-                n: 96,
-                variant,
-                per_flop_ns: 140,
-                seed: 21,
-            },
-            false,
-        )
-    });
+    let cfg = CholeskyConfig {
+        n: 96,
+        variant,
+        per_flop_ns: 140,
+        seed: 21,
+    };
+    let (_, r) = s.recorded(label, cholesky::run_sim(m, cfg, false));
     r.makespan.as_secs_f64() * 1e3
 }
 
-fn mm(link: LinkModel, name: &str) -> f64 {
-    let mut m = MachineConfig::builder(16)
-        .seed(4)
-        .observe(out::observe_opts())
-        .backend(out::backend())
-        .build()
-        .unwrap();
+fn mm(s: &mut Session, link: LinkModel, name: &str) -> f64 {
+    let mut m = s.machine(16).seed(4).build().unwrap();
     let label = format!("matmul 256 p=16 {name}");
     m.link = link;
-    let (_, r) = out::recorded(label, || {
-        matmul::run_sim(
-            m,
-            MatmulConfig {
-                grid: 4,
-                block: 64,
-                per_flop_ns: 135,
-                seed_a: 5,
-                seed_b: 6,
-            },
-            false,
-        )
-    });
+    let cfg = MatmulConfig {
+        grid: 4,
+        block: 64,
+        per_flop_ns: 135,
+        seed_a: 5,
+        seed_b: 6,
+    };
+    let (_, r) = s.recorded(label, matmul::run_sim(m, cfg, false));
     r.makespan.as_secs_f64() * 1e3
 }
 
-fn main() {
-    out::note_protocol(&cholesky::ChMsg::DECL);
-    out::note_handler("chol-column", "ChMsg");
-    out::note_handler("chol-coordinator", "ChMsg");
-    out::note_handler("chol-collector", "ChMsg");
-    out::note_root("ChMsg");
-    out::note_protocol(&matmul::MmMsg::DECL);
-    out::note_handler("mm-member", "MmMsg");
-    out::note_handler("mm-collector", "MmMsg");
-    out::note_root("MmMsg");
-    banner(
+/// Print the CM-5 vs NOW table.
+pub fn run(s: &mut Session) {
+    s.note_protocol(
+        &cholesky::ChMsg::DECL,
+        &["chol-column", "chol-coordinator", "chol-collector"],
+    );
+    s.note_protocol(&matmul::MmMsg::DECL, &["mm-member", "mm-collector"]);
+    s.banner(
         "Extension: CM-5 fabric vs network-of-workstations link model (virtual ms)",
         "same kernels, same programs; only the interconnect calibration changes",
     );
     let widths = [28usize, 10, 10, 8];
-    header(&["workload", "CM-5", "NOW", "slowdown"], &widths);
+    s.header(&["workload", "CM-5", "NOW", "slowdown"], &widths);
     let rows: Vec<(&str, f64, f64)> = vec![
         (
             "cholesky BP (pipelined)",
-            chol(LinkModel::cm5(), "cm5", Variant::BP),
-            chol(LinkModel::now_cluster(), "now", Variant::BP),
+            chol(s, LinkModel::cm5(), "cm5", Variant::BP),
+            chol(s, LinkModel::now_cluster(), "now", Variant::BP),
         ),
         (
             "cholesky Bcast (global)",
-            chol(LinkModel::cm5(), "cm5", Variant::Bcast),
-            chol(LinkModel::now_cluster(), "now", Variant::Bcast),
+            chol(s, LinkModel::cm5(), "cm5", Variant::Bcast),
+            chol(s, LinkModel::now_cluster(), "now", Variant::Bcast),
         ),
         (
             "cholesky Seq (global)",
-            chol(LinkModel::cm5(), "cm5", Variant::Seq),
-            chol(LinkModel::now_cluster(), "now", Variant::Seq),
+            chol(s, LinkModel::cm5(), "cm5", Variant::Seq),
+            chol(s, LinkModel::now_cluster(), "now", Variant::Seq),
         ),
         (
             "matmul 256^2 on 16 (systolic)",
-            mm(LinkModel::cm5(), "cm5"),
-            mm(LinkModel::now_cluster(), "now"),
+            mm(s, LinkModel::cm5(), "cm5"),
+            mm(s, LinkModel::now_cluster(), "now"),
         ),
     ];
     for (name, cm5, now) in rows {
-        row(
+        s.row(
             &[
                 name.to_string(),
                 format!("{cm5:.2}"),
@@ -114,12 +90,11 @@ fn main() {
             &widths,
         );
     }
-    println!(
+    s.say(
         "\nshape: the communication-intensive factorization pays roughly the\n\
          bandwidth ratio (~3x) regardless of variant — with the pipelined BP\n\
          still fastest in absolute terms — while the compute-dense systolic\n\
          multiply barely notices the commodity network. Location-transparent\n\
-         programs carry over unchanged; only the cost calibration moved."
+         programs carry over unchanged; only the cost calibration moved.",
     );
-    out::finish("now_cluster");
 }

@@ -13,58 +13,49 @@
 //! Expected shape: BP/CP (pipelined, local sync) beat Seq/Bcast (global
 //! sync); disabling flow control degrades the pipelined variant.
 
-use hal::MachineConfig;
-use hal_bench::{banner, cell, header, ms, out, row};
-use hal_workloads::cholesky::{run_sim, CholeskyConfig, Variant};
+use crate::out::Session;
+use crate::{cell, ms};
+use hal_workloads::cholesky::{run_sim, ChMsg, CholeskyConfig, Variant};
 
-fn run(n: usize, p: usize, variant: Variant, flow: bool) -> f64 {
+fn chol(s: &mut Session, n: usize, p: usize, variant: Variant, flow: bool) -> f64 {
     let cfg = CholeskyConfig {
         n,
         variant,
         per_flop_ns: 140,
         seed: 42,
     };
-    let machine = MachineConfig::builder(p)
-        .flow_control(flow)
-        .seed(7)
-        .observe(out::observe_opts())
-        .backend(out::backend())
-        .build()
-        .unwrap();
+    let machine = s.machine(p).flow_control(flow).seed(7).build().unwrap();
     let label = format!("cholesky n={n} p={p} {variant:?} fc={flow}");
-    let (_, report) = out::recorded(label, || run_sim(machine, cfg, false));
+    let (_, report) = s.recorded(label, run_sim(machine, cfg, false));
     report.makespan.as_secs_f64()
 }
 
-fn main() {
-    out::note_protocol(&hal_workloads::cholesky::ChMsg::DECL);
-    out::note_handler("chol-column", "ChMsg");
-    out::note_handler("chol-coordinator", "ChMsg");
-    out::note_handler("chol-collector", "ChMsg");
-    out::note_root("ChMsg");
+/// Print Table 1.
+pub fn run(s: &mut Session) {
+    s.note_protocol(&ChMsg::DECL, &["chol-column", "chol-coordinator", "chol-collector"]);
     // Global ordering: a column told to cdiv has applied every earlier
     // finished column first (declared wait-for edge; acyclic).
-    out::note_gate("ChMsg::DoColumn", "ChMsg::Update");
-    banner(
+    s.note_gate("ChMsg::DoColumn", "ChMsg::Update");
+    s.banner(
         "Table 1: Cholesky decomposition (msec) on the simulated CM-5",
         "BP/CP = pipelined with local synchronization (block/cyclic mapping);\n\
          Seq/Bcast = iteration i completes before i+1 starts.\n\
          'BP noFC' = the \u{a7}6.5 ablation: BP with bulk flow control disabled.",
     );
     let widths = [5usize, 4, 10, 10, 10, 10, 10];
-    header(&["n", "P", "BP", "CP", "Seq", "Bcast", "BP noFC"], &widths);
-    let sizes: &[usize] = if out::quick() { &[64] } else { &[64, 128, 256] };
+    s.header(&["n", "P", "BP", "CP", "Seq", "Bcast", "BP noFC"], &widths);
+    let sizes: &[usize] = if s.quick() { &[64] } else { &[64, 128, 256] };
     for &n in sizes {
         for &p in &[4usize, 8, 16, 32] {
             if p > n {
                 continue;
             }
-            let bp = run(n, p, Variant::BP, true);
-            let cp = run(n, p, Variant::CP, true);
-            let seq = run(n, p, Variant::Seq, true);
-            let bc = run(n, p, Variant::Bcast, true);
-            let bp_nofc = run(n, p, Variant::BP, false);
-            row(
+            let bp = chol(s, n, p, Variant::BP, true);
+            let cp = chol(s, n, p, Variant::CP, true);
+            let seq = chol(s, n, p, Variant::Seq, true);
+            let bc = chol(s, n, p, Variant::Bcast, true);
+            let bp_nofc = chol(s, n, p, Variant::BP, false);
+            s.row(
                 &[
                     cell(n),
                     cell(p),
@@ -78,10 +69,9 @@ fn main() {
             );
         }
     }
-    println!(
+    s.say(
         "\nshape checks: pipelined (BP/CP) < global (Seq/Bcast) at every P;\n\
          cyclic (CP) <= block (BP) at larger P (better tail balance);\n\
-         BP-without-flow-control >= BP."
+         BP-without-flow-control >= BP.",
     );
-    out::finish("table1_cholesky");
 }

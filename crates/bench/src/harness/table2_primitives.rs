@@ -12,7 +12,8 @@
 
 use hal::prelude::*;
 use hal_kernel::SimMachine;
-use hal_bench::{banner, header, out, row, us};
+use crate::out::Session;
+use crate::us;
 use hal_workloads::synth::{self, SynthMsg};
 
 /// Measure the node-0 clock advance caused by `f`.
@@ -22,11 +23,10 @@ fn clocked(m: &mut SimMachine, f: impl FnOnce(&mut Ctx<'_>)) -> f64 {
     (m.kernel(0).clock - before).as_nanos() as f64
 }
 
-fn main() {
-    out::note_protocol(&SynthMsg::DECL);
-    out::note_handler("probe", "SynthMsg");
-    out::note_root("SynthMsg");
-    banner(
+/// Print Table 2.
+pub fn run(s: &mut Session) {
+    s.note_protocol(&SynthMsg::DECL, &["probe"]);
+    s.banner(
         "Table 2: execution time of runtime primitives (us, simulated CM-5)",
         "paper anchors: remote creation 5.83 apparent / 20.83 actual; locality check < 1",
     );
@@ -36,15 +36,8 @@ fn main() {
     let nil = synth::register_nil(&mut program);
     let registry = program.build();
 
-    let fresh = || {
-        SimMachine::new(
-            MachineConfig::builder(4)
-                .observe(out::observe_opts())
-                .build()
-                .unwrap(),
-            registry.clone(),
-        )
-    };
+    let cfg = s.machine(4).build().unwrap();
+    let fresh = || SimMachine::new(cfg.clone(), registry.clone());
 
     // --- creation ------------------------------------------------------
     let mut m = fresh();
@@ -61,7 +54,7 @@ fn main() {
         ctx.create_on(1, nil, vec![]);
     });
     let rep = m.run().unwrap();
-    out::note_run("remote creation", &rep);
+    s.note_run("remote creation", &rep);
     let remote_actual = rep
         .stats
         .histogram("create.remote_actual_ns")
@@ -113,11 +106,11 @@ fn main() {
         hal::call_then(ctx, echo, sel, args, |ctx, _| ctx.stop());
     });
     let r = m.run().unwrap();
-    out::note_run("local call/return", &r);
+    s.note_run("local call/return", &r);
     let callret = (m.kernel(0).clock - before).as_nanos() as f64;
 
     let widths = [44usize, 12];
-    header(&["primitive", "time (us)"], &widths);
+    s.header(&["primitive", "time (us)"], &widths);
     let rows: Vec<(&str, f64)> = vec![
         ("local actor creation", local_creation),
         ("remote creation (apparent, at requester)", remote_apparent),
@@ -129,14 +122,13 @@ fn main() {
         ("local call/return incl. join continuation", callret),
     ];
     for (name, ns) in rows {
-        row(&[name.to_string(), us(ns)], &widths);
+        s.row(&[name.to_string(), us(ns)], &widths);
     }
-    println!(
+    s.say(format!(
         "\npaper targets: apparent 5.83us / actual 20.83us; locality check < 1us.\n\
          measured apparent = {:.2}us, actual = {:.2}us, locality check = {:.2}us",
         remote_apparent / 1e3,
         remote_actual / 1e3,
         locality_local / 1e3
-    );
-    out::finish("table2_primitives");
+    ));
 }

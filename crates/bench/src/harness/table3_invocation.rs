@@ -19,7 +19,8 @@
 
 use hal::prelude::*;
 use hal_kernel::{SimMachine, SpanReport};
-use hal_bench::{banner, header, out, row, us};
+use crate::out::Session;
+use crate::us;
 use hal_workloads::synth::{self, SynthMsg};
 
 struct Sink {
@@ -31,11 +32,10 @@ impl Behavior for Sink {
     }
 }
 
-fn main() {
-    out::note_protocol(&SynthMsg::DECL);
-    out::note_handler("probe", "SynthMsg");
-    out::note_root("SynthMsg");
-    banner(
+/// Print Table 3 and export the traced cross-check run.
+pub fn run(s: &mut Session) {
+    s.note_protocol(&SynthMsg::DECL, &["probe"]);
+    s.banner(
         "Table 3: comparable method-invocation costs",
         "generic send vs compiler fast path (locality check + static dispatch) vs plain call.\n\
          Simulated us use the CM-5 cost model.",
@@ -58,7 +58,7 @@ fn main() {
     // run it and count.
     let mut program = Program::new();
     let _probe = synth::register(&mut program);
-    let iters = if out::quick() { 20_000u64 } else { 200_000 };
+    let iters = if s.quick() { 20_000u64 } else { 200_000 };
     let mut m = SimMachine::new(MachineConfig::new(1), program.build());
     let sink = m.with_ctx(0, |ctx| ctx.create_local(Box::new(Sink { hits: 0 })));
     m.with_ctx(0, |ctx| {
@@ -70,20 +70,20 @@ fn main() {
     let fast_taken = m.report().stats.get("fast.inline");
 
     let widths = [44usize, 14];
-    header(&["mechanism", "sim (us)"], &widths);
+    s.header(&["mechanism", "sim (us)"], &widths);
     for (mechanism, ns) in [
         ("generic local send (queue + dispatch)", generic_us),
         ("fast path: locality check + static dispatch", fast_us),
         ("plain function call", call_us),
     ] {
-        row(&[mechanism.into(), us(ns)], &widths);
+        s.row(&[mechanism.into(), us(ns)], &widths);
     }
-    println!(
+    s.say(format!(
         "\nfast path taken inline {fast_taken} / {iters} times.\n\
          shape: on the CM-5 scale the ladder is ~13x (generic) / ~5x (fast)\n\
          over a plain call, motivating \u{a7}6.3's compiler-controlled static\n\
          dispatch."
-    );
+    ));
 
     // Flight-recorder cross-check: a traced generic-send run whose
     // per-message delivery latency should sit at the locality-check +
@@ -91,7 +91,7 @@ fn main() {
     let mut program = Program::new();
     let _probe = synth::register(&mut program);
     let mut m = SimMachine::new(
-        MachineConfig::builder(1).observe(out::observe_opts().trace(true)).build().unwrap(),
+        s.machine(1).trace().build().unwrap(),
         program.build(),
     );
     let sink = m.with_ctx(0, |ctx| ctx.create_local(Box::new(Sink { hits: 0 })));
@@ -102,19 +102,14 @@ fn main() {
         }
     });
     let r = m.run().unwrap();
-    out::note_run("traced generic sends", &r);
+    s.note_run("traced generic sends", &r);
     let trace = r.trace.expect("tracing was enabled");
     let local = SpanReport::build(&trace).stage("wire.local");
-    println!(
+    s.say(format!(
         "\nflight recorder: {} local deliveries, mean latency {:.0} ns (sim)",
         local.count(),
         local.mean()
-    );
-    let out = "results/table3_invocation_trace.json";
-    if let Err(e) = trace.write_chrome(out) {
-        eprintln!("table3_invocation: trace export to {out} failed: {e}");
-        std::process::exit(1);
-    }
-    println!("chrome trace written to {out}");
-    hal_bench::out::finish("table3_invocation");
+    ));
+    let path = s.export_trace(&trace);
+    s.say(format!("chrome trace written to {path}"));
 }

@@ -5,28 +5,26 @@
 //! synchronization only; "the performance peaks at 434 MFlops for
 //! 1024 by 1024 matrix on 64 node partition of the CM-5."
 
-use hal::MachineConfig;
-use hal_bench::{banner, cell, header, out, row, secs};
+use crate::out::Session;
+use crate::{cell, secs};
 use hal_workloads::matmul::{run_sim, MatmulConfig};
 
-fn main() {
-    out::note_protocol(&hal_workloads::matmul::MmMsg::DECL);
-    out::note_handler("mm-member", "MmMsg");
-    out::note_handler("mm-collector", "MmMsg");
-    out::note_root("MmMsg");
+/// Print Table 5.
+pub fn run(s: &mut Session) {
+    s.note_protocol(&hal_workloads::matmul::MmMsg::DECL, &["mm-member", "mm-collector"]);
     // §6.1 constraint: block deliveries wait for the member's Start
     // (declared wait-for edges; acyclic).
-    out::note_gate("MmMsg::ABlock", "MmMsg::Start");
-    out::note_gate("MmMsg::BBlock", "MmMsg::Start");
-    banner(
+    s.note_gate("MmMsg::ABlock", "MmMsg::Start");
+    s.note_gate("MmMsg::BBlock", "MmMsg::Start");
+    s.banner(
         "Table 5: systolic matrix multiplication (virtual seconds / MFLOPS)",
         "Cannon's algorithm, one block actor per grid cell, block = n / sqrt(P);\n\
          per-node kernel calibrated to the CM-5's ~7 MFLOPS sustained.",
     );
     let widths = [6usize, 4, 7, 12, 10];
-    header(&["n", "P", "block", "time (s)", "MFLOPS"], &widths);
+    s.header(&["n", "P", "block", "time (s)", "MFLOPS"], &widths);
     let mut peak = 0.0f64;
-    let sizes: &[usize] = if out::quick() {
+    let sizes: &[usize] = if s.quick() {
         &[256]
     } else {
         &[256, 512, 1024]
@@ -44,28 +42,22 @@ fn main() {
                 seed_a: 7,
                 seed_b: 8,
             };
-            let machine = MachineConfig::builder(p)
-                .seed(99)
-                .observe(out::observe_opts())
-                .backend(out::backend())
-                .build()
-                .unwrap();
+            let machine = s.machine(p).seed(99).build().unwrap();
             let label = format!("matmul n={n} p={p}");
-            let (_fro, report) = out::recorded(label, || run_sim(machine, cfg, false));
+            let (_fro, report) = s.recorded(label, run_sim(machine, cfg, false));
             let t = report.makespan.as_secs_f64();
             let flops = 2.0 * (n as f64).powi(3);
             let mflops = flops / t / 1e6;
             peak = peak.max(mflops);
-            row(
+            s.row(
                 &[cell(n), cell(p), cell(n / grid), secs(t), format!("{mflops:.0}")],
                 &widths,
             );
         }
     }
-    println!(
+    s.say(format!(
         "\npeak = {peak:.0} MFLOPS (paper: 434 MFLOPS at n=1024, P=64).\n\
          shape: MFLOPS grow with P and with n (bigger blocks amortize\n\
          communication), peaking at the largest configuration."
-    );
-    out::finish("table5_matmul");
+    ));
 }

@@ -7,11 +7,11 @@
 
 use hal::prelude::*;
 use hal_kernel::SimMachine;
-use hal_bench::{banner, out};
+use crate::out::Session;
 use hal_kernel::timeline::render_ascii;
 use hal_workloads::cholesky::{self, CholeskyConfig, Variant};
 
-fn show(variant: Variant) {
+fn show(s: &mut Session, variant: Variant) {
     let p = 8;
     let cfg = CholeskyConfig {
         n: 64,
@@ -22,43 +22,34 @@ fn show(variant: Variant) {
     let mut program = Program::new();
     let id = cholesky::register(&mut program);
     let mut m = SimMachine::new(
-        MachineConfig::builder(p)
-            .seed(9)
-            .timeline()
-            .observe(out::observe_opts())
-            .build()
-            .unwrap(),
+        s.machine(p).seed(9).timeline().build().unwrap(),
         program.build(),
     );
     m.with_ctx(0, |ctx| cholesky::bootstrap(ctx, id, cfg, false));
     let report = m.run().unwrap();
-    out::note_run(format!("timeline cholesky {variant:?}"), &report);
-    println!(
-        "-- {variant:?}: {} --",
-        report.makespan
-    );
-    print!("{}", render_ascii(m.timeline(), p, report.makespan, 72));
+    s.note_run(format!("timeline cholesky {variant:?}"), &report);
+    s.say(format!("-- {variant:?}: {} --", report.makespan));
+    s.print(render_ascii(m.timeline(), p, report.makespan, 72));
     let utils = m.timeline().utilization(p, report.makespan);
     let mean = utils.iter().sum::<f64>() / p as f64;
-    println!("mean utilization {:.1}%\n", mean * 100.0);
+    s.say(format!("mean utilization {:.1}%\n", mean * 100.0));
 }
 
-fn main() {
-    out::note_protocol(&cholesky::ChMsg::DECL);
-    out::note_handler("chol-column", "ChMsg");
-    out::note_handler("chol-coordinator", "ChMsg");
-    out::note_handler("chol-collector", "ChMsg");
-    out::note_root("ChMsg");
-    banner(
+/// Print the three timelines.
+pub fn run(s: &mut Session) {
+    s.note_protocol(
+        &cholesky::ChMsg::DECL,
+        &["chol-column", "chol-coordinator", "chol-collector"],
+    );
+    s.banner(
         "Timelines: Cholesky n=64 on 8 nodes ('#' busy, '+' partial, '.' idle)",
         "the overlap argument behind Table 1, made visible",
     );
-    show(Variant::BP);
-    show(Variant::Bcast);
-    show(Variant::Seq);
-    println!(
+    show(s, Variant::BP);
+    show(s, Variant::Bcast);
+    show(s, Variant::Seq);
+    s.say(
         "shape: the pipelined variant fills the chart; the globally\n\
-         synchronized ones leave idle stripes between iterations."
+         synchronized ones leave idle stripes between iterations.",
     );
-    out::finish("timeline_cholesky");
 }

@@ -1,8 +1,9 @@
 //! # hal-bench — harnesses regenerating the paper's tables and figures
 //!
-//! One binary per evaluation artifact (see `src/bin/`):
+//! One table, [`HARNESSES`], one row per evaluation artifact; one
+//! binary, `repro_all`, that runs rows of it in its own process:
 //!
-//! | Binary | Paper artifact |
+//! | Harness | Paper artifact |
 //! |---|---|
 //! | `table1_cholesky` | Table 1 — Cholesky variants (BP/CP/Seq/Bcast) + flow-control ablation |
 //! | `table2_primitives` | Table 2 — runtime primitive costs (simulated µs) |
@@ -10,9 +11,21 @@
 //! | `table4_fib` | Table 4 — fib with/without load balancing, the paper's sequential-C cost beside |
 //! | `table5_matmul` | Table 5 — systolic matmul times and MFLOPS |
 //! | `fig3_delivery` | Fig. 3 — FIR message delivery under migration |
+//! | `chaos_delivery` | the Fig. 3 chase under seeded link faults |
+//! | `ablations` | each design choice vs the alternative the paper rejects |
+//! | `irregular_uts` | unbalanced tree search under dynamic load balancing |
+//! | `now_cluster` | the evaluation on a network-of-workstations link model |
+//! | `timeline_cholesky` | per-node utilization timelines behind Table 1 |
 //!
-//! The binaries report simulated CM-5-calibrated microseconds and
-//! nothing else: no bin reads the host clock or the environment, so
+//! To add a harness: write `src/harness/<name>.rs` with a
+//! `pub fn run(s: &mut Session)` that prints its table into the session
+//! and records its runs there, declare the module below, add a row to
+//! [`HARNESSES`] (`live: true` only if every machine it runs is built
+//! from `s.machine(..)` and run through `Machine`/`run_sim`), and commit the files `./ci.sh
+//! --update-results` adds to `results/`.
+//!
+//! The harnesses report simulated CM-5-calibrated microseconds and
+//! nothing else: none reads the host clock or the environment, so
 //! every file a sweep leaves under `results/` is a pure function of the
 //! tree and the flags, and `ci.sh` compares the committed copies with a
 //! fresh sweep byte for byte. The host cost of the same primitives is
@@ -22,27 +35,254 @@
 
 pub mod out;
 
-use std::fmt::Display;
-
-/// Print a formatted table row.
-pub fn row(cells: &[String], widths: &[usize]) {
-    let mut line = String::new();
-    for (c, w) in cells.iter().zip(widths) {
-        line.push_str(&format!("{c:>w$}  ", w = *w));
-    }
-    println!("{}", line.trim_end());
+/// The harness bodies, one module per row of [`HARNESSES`].
+pub mod harness {
+    pub mod ablations;
+    pub mod chaos_delivery;
+    pub mod fig3_delivery;
+    pub mod irregular_uts;
+    pub mod now_cluster;
+    pub mod table1_cholesky;
+    pub mod table2_primitives;
+    pub mod table3_invocation;
+    pub mod table4_fib;
+    pub mod table5_matmul;
+    pub mod timeline_cholesky;
 }
 
-/// Print a header row plus underline.
-pub fn header(cells: &[&str], widths: &[usize]) {
-    row(
-        &cells.iter().map(|c| c.to_string()).collect::<Vec<_>>(),
-        widths,
+use hal_check::json_escape;
+use hal_kernel::BackendKind;
+use out::{Flags, Session, Verdict};
+use std::fmt::Display;
+use std::path::Path;
+
+/// One row of the evaluation.
+pub struct Harness {
+    /// Its name: the positional argument that selects it and the stem of
+    /// every file it writes.
+    pub name: &'static str,
+    /// True when every machine it builds goes through `Machine` /
+    /// `run_sim`, so `--backend=live` means something; false when it
+    /// reaches into `SimMachine`.
+    pub live: bool,
+    /// The harness body.
+    pub run: fn(&mut Session),
+}
+
+/// The evaluation, in sweep order.
+pub const HARNESSES: &[Harness] = &[
+    Harness { name: "table1_cholesky", live: true, run: harness::table1_cholesky::run },
+    Harness { name: "table2_primitives", live: false, run: harness::table2_primitives::run },
+    Harness { name: "table3_invocation", live: false, run: harness::table3_invocation::run },
+    Harness { name: "table4_fib", live: true, run: harness::table4_fib::run },
+    Harness { name: "table5_matmul", live: true, run: harness::table5_matmul::run },
+    Harness { name: "fig3_delivery", live: false, run: harness::fig3_delivery::run },
+    Harness { name: "chaos_delivery", live: false, run: harness::chaos_delivery::run },
+    Harness { name: "ablations", live: false, run: harness::ablations::run },
+    Harness { name: "irregular_uts", live: true, run: harness::irregular_uts::run },
+    Harness { name: "now_cluster", live: true, run: harness::now_cluster::run },
+    Harness { name: "timeline_cholesky", live: false, run: harness::timeline_cholesky::run },
+];
+
+/// The command line in one paragraph: the seven flags and the eleven
+/// names.
+pub fn usage() -> String {
+    let names: Vec<&str> = HARNESSES.iter().map(|h| h.name).collect();
+    format!(
+        "usage: repro_all [HARNESS]... [--quick] [--backend=sim|live] [--check] [--lint] \
+         [--spans] [--metrics] [--span-sample=R]\n\
+         no HARNESS: sweep all of them into results/ with the CHECK_/LINT_ folds and a manifest\n\
+         harnesses: {}",
+        names.join(" ")
+    )
+}
+
+/// Parse the arguments after the program name into the flags and the
+/// selected rows (none named = the full sweep, returned as an empty
+/// list). An unknown flag, an unknown harness, a bad value, or
+/// `--backend=live` with a selected row that cannot honour it is an
+/// error; the caller prints it with [`usage`] and exits 2.
+pub fn parse_args(
+    args: impl IntoIterator<Item = String>,
+) -> Result<(Flags, Vec<&'static Harness>), String> {
+    let mut flags = Flags::default();
+    let mut rows = Vec::new();
+    for arg in args {
+        match arg.as_str() {
+            "--quick" => flags.quick = true,
+            "--check" => flags.check = true,
+            "--lint" => flags.lint = true,
+            "--spans" => flags.spans = true,
+            "--metrics" => flags.metrics = true,
+            a => {
+                if let Some(v) = a.strip_prefix("--backend=") {
+                    flags.backend = v.parse()?;
+                } else if let Some(v) = a.strip_prefix("--span-sample=") {
+                    let rate: f64 = v
+                        .parse()
+                        .ok()
+                        .filter(|r| (0.0..=1.0).contains(r))
+                        .ok_or_else(|| format!("bad span sample rate {v:?}: expected a fraction in [0, 1]"))?;
+                    flags.span_sample_ppm = Some((rate * 1e6).round() as u32);
+                } else if a.starts_with('-') {
+                    return Err(format!("unknown flag {a:?}"));
+                } else {
+                    let row = HARNESSES.iter().find(|h| h.name == a);
+                    rows.push(row.ok_or_else(|| format!("unknown harness {a:?}"))?);
+                }
+            }
+        }
+    }
+    if flags.backend == BackendKind::Live {
+        let selected = if rows.is_empty() { HARNESSES.iter().collect() } else { rows.clone() };
+        let refused: Vec<&str> = selected.iter().filter(|h| !h.live).map(|h| h.name).collect();
+        if !refused.is_empty() {
+            let accept: Vec<&str> = HARNESSES.iter().filter(|h| h.live).map(|h| h.name).collect();
+            return Err(format!(
+                "--backend=live is refused for {} (written against SimMachine); \
+                 the rows that accept it are {}",
+                refused.join(" "),
+                accept.join(" ")
+            ));
+        }
+    }
+    Ok((flags, rows))
+}
+
+/// Run one row into `dir`.
+pub fn run(h: &Harness, flags: Flags, dir: &Path) -> Verdict {
+    let mut s = Session::new(h.name, flags, dir);
+    (h.run)(&mut s);
+    s.finish()
+}
+
+/// What a full sweep left behind.
+pub struct Sweep {
+    /// True when every harness's verdict is ok and both folds are clean.
+    pub ok: bool,
+    /// Every file the sweep wrote into the directory except the manifest
+    /// that lists them, in write order.
+    pub files: Vec<String>,
+}
+
+/// Run every row into `dir` — `results/` for the binary — and fold what
+/// the sessions return: `CHECK_`/`LINT_repro_all.json` from the
+/// verdicts under `--check`/`--lint`, and `MANIFEST_repro_all.json`
+/// from the files written.
+///
+/// Nothing the sweep writes depends on the host clock or on what was in
+/// `dir` before: stale derived files (`*_trace.json`, `SPANS_*`,
+/// `METRICS_*`, `CHECK_*`, `LINT_*`, `SERVE_*`, `MANIFEST_*`) are
+/// deleted first, so a file in `dir` but not in the manifest is
+/// leftover from an older tree.
+pub fn sweep(flags: Flags, dir: &Path) -> Sweep {
+    std::fs::create_dir_all(dir).expect("create the results directory");
+    let removed_stale = remove_stale_artifacts(dir);
+    let mut verdicts = Vec::new();
+    for h in HARNESSES {
+        eprintln!("== running {} ==", h.name);
+        let v = run(h, flags, dir);
+        eprintln!("   -> {}.txt ({} bytes)", dir.join(h.name).display(), v.text.len());
+        verdicts.push(v);
+    }
+
+    let mut ok = verdicts.iter().all(Verdict::ok);
+    let mut files: Vec<String> = verdicts.iter().flat_map(|v| v.files.iter().cloned()).collect();
+    if flags.check {
+        let rows = verdicts.iter().map(|v| (v.name, v.check_clean == Some(true))).collect();
+        ok &= fold(dir, &mut files, "CHECK", "protocol checker", "VIOLATIONS", rows);
+    }
+    if flags.lint {
+        let rows = verdicts.iter().map(|v| (v.name, v.lint_clean == Some(true))).collect();
+        ok &= fold(dir, &mut files, "LINT", "protocol lint", "FINDINGS", rows);
+    }
+
+    let manifest = dir.join("MANIFEST_repro_all.json");
+    std::fs::write(&manifest, manifest_json(flags, &files))
+        .unwrap_or_else(|e| panic!("write {}: {e}", manifest.display()));
+    eprintln!(
+        "manifest: {} artifact(s) regenerated, {removed_stale} stale file(s) removed ({})",
+        files.len() + 1,
+        manifest.display()
     );
-    row(
-        &widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>(),
-        widths,
+    eprintln!("all harnesses completed; see {}/", dir.display());
+    Sweep { ok, files }
+}
+
+/// Fold the per-harness verdicts of one family (`CHECK` / `LINT`) into
+/// `<family>_repro_all.json`; true when all are clean.
+fn fold(
+    dir: &Path,
+    files: &mut Vec<String>,
+    family: &str,
+    what: &str,
+    dirty: &str,
+    verdicts: Vec<(&str, bool)>,
+) -> bool {
+    let all_clean = verdicts.iter().all(|&(_, clean)| clean);
+    let bins: Vec<String> = verdicts
+        .iter()
+        .map(|(bin, clean)| {
+            format!(
+                "    {{\"bin\": \"{bin}\", \"clean\": {clean}, \"detail\": \"results/{family}_{bin}.json\"}}"
+            )
+        })
+        .collect();
+    let json = format!(
+        "{{\n  \"subject\": \"repro_all\",\n  \"clean\": {all_clean},\n  \"bins\": [\n{}\n  ]\n}}\n",
+        bins.join(",\n")
     );
+    let file = format!("{family}_repro_all.json");
+    let path = dir.join(&file);
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    eprintln!(
+        "{what}: {} across {} bin(s) ({})",
+        if all_clean { "CLEAN" } else { dirty },
+        verdicts.len(),
+        path.display()
+    );
+    files.push(file);
+    all_clean
+}
+
+/// Delete derived files a previous sweep (or an older tree) left in
+/// `dir` that this sweep may not overwrite — otherwise a stale
+/// `*_trace.json` from a removed harness looks exactly like fresh
+/// output. Returns how many it removed.
+fn remove_stale_artifacts(dir: &Path) -> usize {
+    let mut removed = 0;
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return removed;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        let stale = name.ends_with("_trace.json")
+            || ["SPANS_", "METRICS_", "CHECK_", "LINT_", "SERVE_", "MANIFEST_"]
+                .iter()
+                .any(|family| name.starts_with(family));
+        if stale {
+            match std::fs::remove_file(entry.path()) {
+                Ok(()) => removed += 1,
+                Err(e) => eprintln!("repro_all: could not remove stale {name}: {e}"),
+            }
+        }
+    }
+    removed
+}
+
+/// `MANIFEST_repro_all.json`: the flags and every file the sweep wrote,
+/// as paths under `results/`.
+fn manifest_json(flags: Flags, files: &[String]) -> String {
+    let Flags { quick, check, lint, spans, metrics, .. } = flags;
+    let files: Vec<String> =
+        files.iter().map(|f| format!("    \"results/{}\"", json_escape(f))).collect();
+    format!(
+        "{{\n  \"subject\": \"repro_all\",\n  \"quick\": {quick},\n  \"check\": {check},\n  \
+         \"lint\": {lint},\n  \"spans\": {spans},\n  \"metrics\": {metrics},\n  \
+         \"artifacts\": [\n{}\n  ]\n}}\n",
+        files.join(",\n")
+    )
 }
 
 /// Format a cell.
@@ -65,11 +305,41 @@ pub fn us(ns: f64) -> String {
     format!("{:.2}", ns / 1e3)
 }
 
-/// Standard banner naming the artifact being reproduced.
-pub fn banner(title: &str, note: &str) {
-    println!("\n== {title} ==");
-    if !note.is_empty() {
-        println!("{note}");
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(Flags, Vec<&'static str>), String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+            .map(|(flags, rows)| (flags, rows.iter().map(|h| h.name).collect()))
     }
-    println!();
+
+    #[test]
+    fn flags_and_names_parse_in_any_order() {
+        let (flags, rows) =
+            parse(&["table4_fib", "--quick", "--span-sample=0.25", "fig3_delivery", "--lint"]).unwrap();
+        assert_eq!(rows, ["table4_fib", "fig3_delivery"]);
+        let expect = Flags { quick: true, lint: true, span_sample_ppm: Some(250_000), ..Flags::default() };
+        assert_eq!(flags, expect);
+        assert_eq!(parse(&[]).unwrap(), (Flags::default(), vec![]));
+    }
+
+    #[test]
+    fn what_the_parse_does_not_know_is_an_error() {
+        for bad in ["--metrcs", "table9", "--span-sample=1.5", "--span-sample=x", "--backend=gpu"] {
+            assert!(parse(&["table4_fib", bad]).is_err(), "{bad} was accepted");
+        }
+    }
+
+    #[test]
+    fn live_is_refused_for_a_row_written_against_sim_machine() {
+        let (flags, rows) = parse(&["table4_fib", "--backend=live"]).expect("a live row");
+        assert_eq!((flags.backend, rows), (BackendKind::Live, vec!["table4_fib"]));
+        let refusal = parse(&["table4_fib", "table2_primitives", "--backend=live"]).unwrap_err();
+        assert!(refusal.contains("refused for table2_primitives ("), "{refusal}");
+        assert!(refusal.contains("table1_cholesky table4_fib table5_matmul irregular_uts now_cluster"));
+        // The full sweep selects every row, so it is refused too.
+        assert!(parse(&["--backend=live"]).is_err());
+        assert!(parse(&["table2_primitives", "--backend=sim"]).is_ok());
+    }
 }

@@ -1,58 +1,81 @@
-//! Machine-readable benchmark output + shared bench-bin switches.
+//! One harness run: its switches, its table, its recorded runs and the
+//! files it writes.
 //!
-//! Every table bin records its simulation runs here and calls
-//! [`finish`] at exit, which writes `results/BENCH_<bin>.json` next to
-//! the human-readable `results/<bin>.txt` — label, virtual time, event
-//! count and the bin's extra counters per run. Nothing here reads the
-//! host clock: on the sim backend every file a bin writes is a pure
-//! function of the tree and the flags, which is what lets `ci.sh` hold
-//! the committed `results/` to a fresh sweep with `cmp`. Host time is
-//! measured by the standalone `benchmark/` package only.
+//! A [`Session`] is handed to a harness's `run`. The harness prints its
+//! table into it ([`Session::say`], [`Session::row`], …), records every
+//! simulation it makes ([`Session::note_run`]) and declares its message
+//! protocols; [`Session::finish`] then writes `<name>.txt` and
+//! `BENCH_<name>.json` — label, virtual time, event count and the
+//! harness's extra counters per run — plus whatever the switches ask
+//! for, and returns a [`Verdict`]. Nothing here reads the host clock,
+//! the environment or the command line: on the sim backend every file
+//! is a pure function of the tree and the [`Flags`], which is what lets
+//! `ci.sh` hold the committed `results/` to a fresh sweep with `cmp`.
+//! Host time is measured by the standalone `benchmark/` package only.
 //!
-//! The module also owns the switches every bin honors (command-line
-//! flags only — no environment variable is read):
+//! The switches (parsed once, by `repro_all`'s `main`):
 //!
-//! * `--quick` — shrink problem sizes so the bin finishes in seconds.
-//! * `--backend=sim|live` — which [`hal_kernel::BackendKind`] the bin's
-//!   machines run on ([`backend`]). The deterministic simulator is the
+//! * `--quick` — shrink problem sizes so the harness finishes in seconds.
+//! * `--backend=sim|live` — which [`hal_kernel::BackendKind`] the
+//!   harness's machines run on. The deterministic simulator is the
 //!   default; `live` runs one real kernel per host thread, so
 //!   virtual-time facts become host-time facts and the artifacts carry
-//!   a `"backend": "live"` tag saying they are not reproducible.
-//! * `--check` — run the `hal-check` protocol invariant
-//!   checker over every recorded run. Bins opt their machines into the
-//!   flight recorder via `.observe(out::observe_opts())`; [`finish`]
-//!   then writes `results/CHECK_<bin>.json` and **exits nonzero** on any
-//!   violation.
-//! * `--lint` — run the `hal-check` **static** protocol
-//!   lint over the program's compile-time declarations (the `messages!`
-//!   protocols fed via [`note_protocol`], handlers via [`note_handler`],
-//!   roots via [`note_root`], wait-for gates via [`note_gate`]).
-//!   [`finish`] writes `results/LINT_<bin>.json` and **exits nonzero**
-//!   on any finding. Purely static: no run, trace, or host fact enters
-//!   the artifact.
+//!   a `"backend": "live"` tag saying they are not reproducible. Only
+//!   rows of the table with `live: true` accept it.
+//! * `--check` — run the `hal-check` protocol invariant checker over
+//!   every recorded run (harnesses build their machines from
+//!   [`Session::machine`], which turns the flight recorder on) and write
+//!   `CHECK_<name>.json`; a violation makes the verdict dirty.
+//! * `--lint` — run the `hal-check` **static** protocol lint over the
+//!   program's compile-time declarations (the `messages!` protocols fed
+//!   with their handlers via [`Session::note_protocol`], wait-for gates)
+//!   and write `LINT_<name>.json`; a finding makes the verdict dirty.
+//!   Purely static: no run, trace, or host fact enters the artifact.
 //! * `--spans` — reconstruct message-lifecycle spans
 //!   ([`hal_kernel::span`]) and the critical path
 //!   ([`hal_kernel::critical_path`]) for every recorded run, asserting
-//!   it never exceeds the makespan, and write `results/SPANS_<bin>.json`.
-//!   Implies tracing via [`trace_wanted`].
-//! * `--metrics` — enable the metrics registry
-//!   ([`hal_kernel::metrics`], folded into [`observe_opts`]) and write
-//!   `results/METRICS_<bin>.json` — one document shape on both
+//!   it never exceeds the makespan, and write `SPANS_<name>.json`.
+//!   Implies tracing.
+//! * `--metrics` — enable the metrics registry ([`hal_kernel::metrics`])
+//!   and write `METRICS_<name>.json` — one document shape on both
 //!   backends.
-//! * `--span-sample=R` — head-sample spans at
-//!   rate `R` in `[0, 1]` (folded into [`observe_opts`]). The sample
-//!   decision hashes the deterministic trace id, so sampled `SPANS_`
-//!   artifacts stay byte-identical across reruns, and rate 1 reproduces
-//!   the unsampled surface exactly.
+//! * `--span-sample=R` — head-sample spans at rate `R` in `[0, 1]`. The
+//!   sample decision hashes the deterministic trace id, so sampled
+//!   `SPANS_` artifacts stay byte-identical across reruns, and rate 1
+//!   reproduces the unsampled surface exactly.
 //!
 //! Progress lines (`BENCHLINE`, `SPANLINE`, `CHECKFILE`, ...) go to
-//! **stderr**; stdout is the bin's table and becomes `results/<bin>.txt`.
+//! **stderr**; the table is the session's text.
 
 use hal_check::{json_escape, CheckReport, LintSpec};
-use hal_kernel::span::SpanReport;
-use hal_kernel::{BackendKind, ObserveOpts, ProtocolDecl, SimReport};
 use hal_kernel::critical_path::critical_paths;
-use std::sync::Mutex;
+use hal_kernel::span::SpanReport;
+use hal_kernel::{
+    BackendKind, MachineConfig, MachineConfigBuilder, ObserveOpts, ProtocolDecl, SimReport,
+    TraceReport,
+};
+use std::fmt::Display;
+use std::path::PathBuf;
+
+/// The seven switches, as parsed from the command line.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Flags {
+    /// `--quick`.
+    pub quick: bool,
+    /// `--backend=`; the simulator unless given.
+    pub backend: BackendKind,
+    /// `--check`.
+    pub check: bool,
+    /// `--lint`.
+    pub lint: bool,
+    /// `--spans`.
+    pub spans: bool,
+    /// `--metrics`.
+    pub metrics: bool,
+    /// `--span-sample=R` in parts per million; full sampling unless
+    /// given. Only observable when tracing is on.
+    pub span_sample_ppm: Option<u32>,
+}
 
 /// One recorded simulation run.
 struct Run {
@@ -64,201 +87,190 @@ struct Run {
     extras: Vec<(String, u64)>,
 }
 
-static RUNS: Mutex<Vec<Run>> = Mutex::new(Vec::new());
-
-/// Violations accumulated across this process's checked runs.
-static CHECK: Mutex<Option<CheckReport>> = Mutex::new(None);
-
-/// The static lint spec accumulated from this process's declarations.
-static LINT: Mutex<Option<LintSpec>> = Mutex::new(None);
-
-/// Per-run JSON fragments accumulated for `results/SPANS_<bin>.json`
-/// (label, composed span + critical-path object).
-static SPANS: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
-
-/// Per-run JSON fragments accumulated for `results/METRICS_<bin>.json`.
-static METRICS: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
-
-/// True when `name` (e.g. `--quick`) is on this process's command line.
-fn flag(name: &str) -> bool {
-    std::env::args().skip(1).any(|a| a == name)
+/// What one harness run left behind.
+#[derive(Debug)]
+pub struct Verdict {
+    /// The harness.
+    pub name: &'static str,
+    /// Its table, as written to `<name>.txt`.
+    pub text: String,
+    /// The protocol checker's verdict, under `--check`.
+    pub check_clean: Option<bool>,
+    /// The static lint's verdict, under `--lint`.
+    pub lint_clean: Option<bool>,
+    /// Names of the files written into the output directory, in write
+    /// order.
+    pub files: Vec<String>,
+    /// False when any file could not be written.
+    pub io_ok: bool,
 }
 
-/// The value of a `--name=value` argument on this process's command
-/// line, if present.
-fn flag_value(name: &str) -> Option<String> {
-    std::env::args()
-        .skip(1)
-        .find_map(|a| a.strip_prefix(name)?.strip_prefix('=').map(str::to_string))
-}
-
-/// Which backend this process's machines run on: `--backend=sim|live`
-/// on the command line, else the deterministic simulator. Bins pass
-/// this to [`hal_kernel::MachineConfigBuilder::backend`]; under `live`
-/// the virtual-time facts in every artifact are host-time facts and
-/// carry a `"backend": "live"` tag so a reader knows not to expect
-/// determinism.
-pub fn backend() -> BackendKind {
-    flag_value("--backend").map_or(BackendKind::Sim, |v| {
-        v.parse().unwrap_or_else(|e| panic!("{e}"))
-    })
-}
-
-/// The observability options implied by this process's switches — what
-/// bins feed to [`hal_kernel::MachineConfigBuilder::observe`]: flight
-/// recording when the checker or span pass needs it, metrics under
-/// `--metrics`.
-pub fn observe_opts() -> ObserveOpts {
-    ObserveOpts::none()
-        .trace(trace_wanted())
-        .metrics(metrics_enabled())
-        .span_sample_ppm(span_sample_ppm())
-}
-
-/// Head-sampling rate for lifecycle spans, in parts per million:
-/// `--span-sample=R` (a fraction in `[0, 1]`) on the command line, else
-/// full sampling. Folded into [`observe_opts`]; only observable when
-/// tracing is on (see [`trace_wanted`]).
-pub fn span_sample_ppm() -> u32 {
-    let Some(v) = flag_value("--span-sample") else {
-        return 1_000_000;
-    };
-    let r: f64 = v
-        .parse()
-        .unwrap_or_else(|_| panic!("bad span sample rate {v:?}: expected a fraction in [0, 1]"));
-    assert!(
-        (0.0..=1.0).contains(&r),
-        "span sample rate {r} outside [0, 1]"
-    );
-    (r * 1e6).round() as u32
-}
-
-/// True when the bin should shrink its problem sizes to finish in
-/// seconds (`--quick`).
-pub fn quick() -> bool {
-    flag("--quick")
-}
-
-/// True when the protocol checker should run over every recorded run
-/// (`--check`). Folded into [`observe_opts`] (via [`trace_wanted`]) so
-/// the trace pass has events to look at; the audit pass works either
-/// way.
-pub fn check_enabled() -> bool {
-    flag("--check")
-}
-
-/// True when the static protocol lint should run over this process's
-/// declared protocols/handlers/roots/gates (`--lint`). Purely static —
-/// needs no trace and no run.
-pub fn lint_enabled() -> bool {
-    flag("--lint")
-}
-
-/// True when lifecycle spans + critical-path analysis should run over
-/// every recorded run (`--spans`).
-pub fn spans_enabled() -> bool {
-    flag("--spans")
-}
-
-/// True when the metrics registry should be enabled (`--metrics`).
-/// Folded into [`observe_opts`].
-pub fn metrics_enabled() -> bool {
-    flag("--metrics")
-}
-
-/// True when the flight recorder is needed by any enabled pass — folded
-/// into [`observe_opts`].
-pub fn trace_wanted() -> bool {
-    check_enabled() || spans_enabled()
-}
-
-fn with_check(f: impl FnOnce(&mut CheckReport)) {
-    let mut guard = CHECK.lock().expect("bench check lock");
-    f(guard.get_or_insert_with(|| CheckReport::new("bench")));
-}
-
-fn with_lint(f: impl FnOnce(&mut LintSpec)) {
-    let mut guard = LINT.lock().expect("bench lint lock");
-    f(guard.get_or_insert_with(LintSpec::new));
-}
-
-/// Declare one message protocol (the `DECL` const generated by hal's
-/// `messages!` macro). Under [`check_enabled`] the tag table goes to
-/// the checker's static tag pass; under [`lint_enabled`] the whole
-/// declaration (tags + send annotations) enters the lint spec. No-op
-/// otherwise.
-pub fn note_protocol(decl: &ProtocolDecl) {
-    if check_enabled() {
-        with_check(|c| hal_check::check_tags(decl.name, decl.tags, c));
-    }
-    if lint_enabled() {
-        with_lint(|s| s.protocols.push(*decl));
+impl Verdict {
+    /// True when every file was written and no enabled pass found
+    /// anything.
+    pub fn ok(&self) -> bool {
+        self.io_ok && self.check_clean != Some(false) && self.lint_clean != Some(false)
     }
 }
 
-/// Declare that behavior `behavior` handles protocol `protocol` (its
-/// dispatch decodes it). No-op unless [`lint_enabled`].
-pub fn note_handler(behavior: &str, protocol: &str) {
-    if lint_enabled() {
-        with_lint(|s| s.handlers.push((behavior.to_string(), protocol.to_string())));
-    }
+/// Everything one harness run accumulates.
+pub struct Session {
+    name: &'static str,
+    flags: Flags,
+    dir: PathBuf,
+    text: String,
+    runs: Vec<Run>,
+    check: CheckReport,
+    lint: LintSpec,
+    /// Per-run JSON fragments for `SPANS_<name>.json` (composed span +
+    /// critical-path object).
+    spans: Vec<String>,
+    /// Per-run JSON fragments for `METRICS_<name>.json`.
+    metrics: Vec<String>,
+    files: Vec<String>,
+    io_ok: bool,
 }
 
-/// Declare a root protocol — one the driver injects from outside any
-/// handler (bootstrap sends). No-op unless [`lint_enabled`].
-pub fn note_root(protocol: &str) {
-    if lint_enabled() {
-        with_lint(|s| s.roots.push(protocol.to_string()));
-    }
-}
-
-/// Declare a wait-for gate: handling selector `from` (as
-/// `"Proto::Variant"`) blocks until selector `to` arrives. No-op unless
-/// [`lint_enabled`].
-pub fn note_gate(from: &str, to: &str) {
-    if lint_enabled() {
-        with_lint(|s| s.gates.push((from.to_string(), to.to_string())));
-    }
-}
-
-/// Record one simulation run under `label`.
-pub fn note_run(label: impl Into<String>, report: &SimReport) {
-    note_run_with(label, report, &[]);
-}
-
-/// Like [`note_run`] but with extra named counters attached to the JSON
-/// record — chaos bins use this for delivered/retransmit/duplicate
-/// counts.
-pub fn note_run_with(
-    label: impl Into<String>,
-    report: &SimReport,
-    extras: &[(&str, u64)],
-) {
-    let label = label.into();
-    if check_enabled() {
-        with_check(|c| hal_check::check_sim_report(&label, report, c));
-    }
-    if let Some(trace) = &report.trace {
-        if trace.dropped > 0 {
-            eprintln!(
-                "WARNING {label}: trace ring dropped {} event(s) — spans and histograms are partial",
-                trace.dropped
-            );
+impl Session {
+    /// A session for harness `name` writing into `dir` (`results` from
+    /// the binary, a scratch directory from tests).
+    pub fn new(name: &'static str, flags: Flags, dir: impl Into<PathBuf>) -> Self {
+        Session {
+            name,
+            flags,
+            dir: dir.into(),
+            text: String::new(),
+            runs: Vec::new(),
+            check: CheckReport::new(name),
+            lint: LintSpec::new(),
+            spans: Vec::new(),
+            metrics: Vec::new(),
+            files: Vec::new(),
+            io_ok: true,
         }
     }
-    if let Some(m) = &report.metrics {
-        let dropped = m.counter("metrics.dropped_samples");
-        if dropped > 0 {
-            eprintln!(
-                "WARNING {label}: metrics sampler dropped {dropped} gauge sample(s) — timeseries are partial"
-            );
+
+    /// True when the harness should shrink its problem sizes to finish
+    /// in seconds.
+    pub fn quick(&self) -> bool {
+        self.flags.quick
+    }
+
+    /// A machine configuration for `nodes` nodes with what the switches
+    /// imply already applied: the backend, flight recording when the
+    /// checker or span pass needs it, metrics under `--metrics`, the
+    /// span sampling rate. Harnesses add their seed and options and
+    /// build it.
+    pub fn machine(&self, nodes: usize) -> MachineConfigBuilder {
+        let observe = ObserveOpts::none()
+            .trace(self.flags.check || self.flags.spans)
+            .metrics(self.flags.metrics)
+            .span_sample_ppm(self.flags.span_sample_ppm.unwrap_or(1_000_000));
+        MachineConfig::builder(nodes).backend(self.flags.backend).observe(observe)
+    }
+
+    /// How many runs have been recorded so far.
+    pub fn run_count(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// Append one line to the table.
+    pub fn say(&mut self, line: impl Display) {
+        self.print(line);
+        self.text.push('\n');
+    }
+
+    /// Append `text` to the table as is.
+    pub fn print(&mut self, text: impl Display) {
+        use std::fmt::Write as _;
+        write!(self.text, "{text}").expect("writing to a String");
+    }
+
+    /// Append a formatted table row.
+    pub fn row(&mut self, cells: &[String], widths: &[usize]) {
+        let mut line = String::new();
+        for (c, w) in cells.iter().zip(widths) {
+            line.push_str(&format!("{c:>w$}  ", w = *w));
+        }
+        self.say(line.trim_end());
+    }
+
+    /// Append a header row plus underline.
+    pub fn header(&mut self, cells: &[&str], widths: &[usize]) {
+        self.row(&cells.iter().map(|c| c.to_string()).collect::<Vec<_>>(), widths);
+        self.row(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>(), widths);
+    }
+
+    /// Standard banner naming the artifact being reproduced.
+    pub fn banner(&mut self, title: &str, note: &str) {
+        self.say(format!("\n== {title} =="));
+        if !note.is_empty() {
+            self.say(note);
+        }
+        self.say("");
+    }
+
+    /// Declare one message protocol the harness's bootstrap injects (the
+    /// `DECL` const generated by hal's `messages!` macro) and the
+    /// behaviors whose dispatch decodes it: the tag table goes to the
+    /// checker's static tag pass under `--check`; the declaration (tags
+    /// and send annotations), its handlers and its being a root go to
+    /// the lint.
+    pub fn note_protocol(&mut self, decl: &ProtocolDecl, handlers: &[&str]) {
+        if self.flags.check {
+            hal_check::check_tags(decl.name, decl.tags, &mut self.check);
+        }
+        self.lint.protocols.push(*decl);
+        self.lint.roots.push(decl.name.to_string());
+        for behavior in handlers {
+            self.lint.handlers.push((behavior.to_string(), decl.name.to_string()));
         }
     }
-    if spans_enabled() {
+
+    /// Declare to the lint a wait-for gate: handling selector `from` (as
+    /// `"Proto::Variant"`) blocks until selector `to` arrives.
+    pub fn note_gate(&mut self, from: &str, to: &str) {
+        self.lint.gates.push((from.to_string(), to.to_string()));
+    }
+
+    /// Record one simulation run under `label`.
+    pub fn note_run(&mut self, label: impl Into<String>, report: &SimReport) {
+        self.note_run_with(label, report, &[]);
+    }
+
+    /// Like [`Session::note_run`] but with extra named counters attached
+    /// to the JSON record — chaos harnesses use this for
+    /// delivered/retransmit/duplicate counts.
+    pub fn note_run_with(
+        &mut self,
+        label: impl Into<String>,
+        report: &SimReport,
+        extras: &[(&str, u64)],
+    ) {
+        let label = label.into();
+        if self.flags.check {
+            hal_check::check_sim_report(&label, report, &mut self.check);
+        }
         if let Some(trace) = &report.trace {
+            if trace.dropped > 0 {
+                eprintln!(
+                    "WARNING {label}: trace ring dropped {} event(s) — spans and histograms are partial",
+                    trace.dropped
+                );
+            }
+        }
+        if let Some(m) = &report.metrics {
+            let dropped = m.counter("metrics.dropped_samples");
+            if dropped > 0 {
+                eprintln!(
+                    "WARNING {label}: metrics sampler dropped {dropped} gauge sample(s) — timeseries are partial"
+                );
+            }
+        }
+        let makespan_ns = report.makespan.as_nanos();
+        if let (true, Some(trace)) = (self.flags.spans, &report.trace) {
             let spans = SpanReport::build(trace);
             let cp = critical_paths(&spans, 5);
-            let makespan_ns = report.makespan.as_nanos();
             if let Some(c) = cp.critical() {
                 assert!(
                     c.total_ns <= makespan_ns,
@@ -274,43 +286,131 @@ pub fn note_run_with(
                 cp.ratio(makespan_ns),
                 cp.chains.len()
             );
-            let obj = format!(
+            self.spans.push(format!(
                 "{{\"label\": \"{}\", \"spans\": {}, \"critical_path\": {}}}",
                 json_escape(&label),
                 spans.to_json().trim_end(),
                 cp.to_json(makespan_ns).trim_end()
-            );
-            SPANS.lock().expect("bench spans lock").push((label.clone(), obj));
+            ));
         }
-    }
-    if metrics_enabled() {
-        if let Some(m) = &report.metrics {
-            let obj = format!(
+        if let (true, Some(m)) = (self.flags.metrics, &report.metrics) {
+            self.metrics.push(format!(
                 "{{\"label\": \"{}\", \"metrics\": {}}}",
                 json_escape(&label),
-                m.to_json(report.makespan.as_nanos()).trim_end()
-            );
-            METRICS.lock().expect("bench metrics lock").push((label.clone(), obj));
+                m.to_json(makespan_ns).trim_end()
+            ));
+        }
+        eprintln!(
+            "BENCHLINE {label} virtual_ms={vms:.3} events={ev}",
+            vms = makespan_ns as f64 / 1e6,
+            ev = report.events,
+        );
+        self.runs.push(Run {
+            label,
+            virtual_ns: makespan_ns,
+            events: report.events,
+            extras: extras.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+        });
+    }
+
+    /// Record the report of a `run_sim`-style call returning
+    /// `(value, SimReport)` under `label` and hand the pair back.
+    pub fn recorded<T>(&mut self, label: impl Into<String>, run: (T, SimReport)) -> (T, SimReport) {
+        self.note_run(label, &run.1);
+        run
+    }
+
+    /// Write `trace` as Chrome trace JSON to `<name>_trace.json` and
+    /// return the path the table should print for it.
+    pub fn export_trace(&mut self, trace: &TraceReport) -> String {
+        let file = format!("{}_trace.json", self.name);
+        self.write(&file, &trace.chrome_json());
+        format!("results/{file}")
+    }
+
+    /// Write `contents` to `file` in the output directory; the failure
+    /// goes to stderr and into the verdict.
+    fn write(&mut self, file: &str, contents: &str) -> Option<String> {
+        let path = self.dir.join(file);
+        match std::fs::create_dir_all(&self.dir).and_then(|()| std::fs::write(&path, contents)) {
+            Ok(()) => {
+                self.files.push(file.to_string());
+                Some(path.display().to_string())
+            }
+            Err(e) => {
+                eprintln!("{}: writing {} failed: {e}", self.name, path.display());
+                self.io_ok = false;
+                None
+            }
         }
     }
-    let run = Run {
-        label,
-        virtual_ns: report.makespan.as_nanos(),
-        events: report.events,
-        extras: extras.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-    };
-    eprintln!(
-        "BENCHLINE {label} virtual_ms={vms:.3} events={ev}",
-        label = run.label,
-        vms = run.virtual_ns as f64 / 1e6,
-        ev = run.events,
-    );
-    RUNS.lock().expect("bench out lock").push(run);
+
+    /// Write the table, `BENCH_<name>.json` and the artifacts the
+    /// switches ask for; return what was found and written.
+    pub fn finish(mut self) -> Verdict {
+        let name = self.name;
+        let text = std::mem::take(&mut self.text);
+        self.write(&format!("{name}.txt"), &text);
+        let bench = bench_json(name, self.flags.backend, &self.runs);
+        if let Some(path) = self.write(&format!("BENCH_{name}.json"), &bench) {
+            eprintln!(
+                "BENCHTOTAL {name} runs={n} events={ev} json={path}",
+                n = self.runs.len(),
+                ev = self.runs.iter().map(|r| r.events).sum::<u64>(),
+            );
+        }
+
+        let check_clean = self.flags.check.then(|| {
+            let json = self.check.to_json();
+            if let Some(path) = self.write(&format!("CHECK_{name}.json"), &json) {
+                eprint!("{}", self.check.summary());
+                eprintln!("CHECKFILE {path}");
+            }
+            if !self.check.is_clean() {
+                eprintln!("CHECKFAIL {name}: {} violation(s)", self.check.violations.len());
+            }
+            self.check.is_clean()
+        });
+
+        let lint_clean = self.flags.lint.then(|| {
+            let report = hal_check::run_lint(name, &self.lint);
+            if let Some(path) = self.write(&format!("LINT_{name}.json"), &report.to_json()) {
+                eprint!("{}", report.summary());
+                eprintln!("LINTFILE {path}");
+            }
+            if !report.is_clean() {
+                eprintln!("LINTFAIL {name}: {} finding(s)", report.findings.len());
+            }
+            report.is_clean()
+        });
+
+        if self.flags.spans {
+            let json = runs_json(name, self.flags.backend, &self.spans);
+            if let Some(path) = self.write(&format!("SPANS_{name}.json"), &json) {
+                eprintln!("SPANSFILE {path}");
+            }
+        }
+        if self.flags.metrics {
+            let json = runs_json(name, self.flags.backend, &self.metrics);
+            if let Some(path) = self.write(&format!("METRICS_{name}.json"), &json) {
+                eprintln!("METRICSFILE {path}");
+            }
+        }
+
+        Verdict {
+            name,
+            text,
+            check_clean,
+            lint_clean,
+            files: self.files,
+            io_ok: self.io_ok,
+        }
+    }
 }
 
-/// The `BENCH_<bin>.json` document for `runs`: a pure function of its
+/// The `BENCH_<name>.json` document for `runs`: a pure function of its
 /// arguments, so the file is byte-identical across reruns on sim.
-fn bench_json(bin: &str, backend: BackendKind, runs: &[Run]) -> String {
+fn bench_json(name: &str, backend: BackendKind, runs: &[Run]) -> String {
     let mut body = String::new();
     for (i, r) in runs.iter().enumerate() {
         if i > 0 {
@@ -331,116 +431,24 @@ fn bench_json(bin: &str, backend: BackendKind, runs: &[Run]) -> String {
     }
     format!(
         "{{\n  \"bench\": \"{}\",\n  \"backend\": \"{}\",\n  \"runs\": [\n{}\n  ],\n  \"total_events\": {}\n}}\n",
-        json_escape(bin),
+        json_escape(name),
         backend,
         body,
         runs.iter().map(|r| r.events).sum::<u64>(),
     )
 }
 
-/// Write `json` to `path` under `results/`, reporting a failure on
-/// stderr. Returns whether the file was written.
-fn write_results_file(path: &str, json: &str) -> bool {
-    match std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, json)) {
-        Ok(()) => true,
-        Err(e) => {
-            eprintln!("bench out: writing {path} failed: {e}");
-            false
-        }
-    }
-}
-
-/// Write `results/BENCH_<bin>.json` from every run recorded so far and
-/// print a total line to stderr. Call once, at the end of `main`.
-pub fn finish(bin: &str) {
-    let runs = std::mem::take(&mut *RUNS.lock().expect("bench out lock"));
-    let path = format!("results/BENCH_{bin}.json");
-    if !write_results_file(&path, &bench_json(bin, backend(), &runs)) {
-        return;
-    }
-    eprintln!(
-        "BENCHTOTAL {bin} runs={n} events={ev} json={path}",
-        n = runs.len(),
-        ev = runs.iter().map(|r| r.events).sum::<u64>(),
-    );
-
-    if spans_enabled() {
-        let runs = std::mem::take(&mut *SPANS.lock().expect("bench spans lock"));
-        write_artifact(&format!("results/SPANS_{bin}.json"), "SPANSFILE", bin, &runs);
-    }
-    if metrics_enabled() {
-        let runs = std::mem::take(&mut *METRICS.lock().expect("bench metrics lock"));
-        write_artifact(&format!("results/METRICS_{bin}.json"), "METRICSFILE", bin, &runs);
-    }
-
-    if check_enabled() {
-        let mut report = CHECK
-            .lock()
-            .expect("bench check lock")
-            .take()
-            .unwrap_or_else(|| CheckReport::new(bin));
-        report.subject = bin.to_string();
-        let check_path = format!("results/CHECK_{bin}.json");
-        if let Err(e) = report.write_json(&check_path) {
-            eprintln!("bench out: writing {check_path} failed: {e}");
-        }
-        eprint!("{}", report.summary());
-        eprintln!("CHECKFILE {check_path}");
-        if !report.is_clean() {
-            eprintln!("CHECKFAIL {bin}: {} violation(s)", report.violations.len());
-            std::process::exit(1);
-        }
-    }
-
-    if lint_enabled() {
-        let spec = LINT
-            .lock()
-            .expect("bench lint lock")
-            .take()
-            .unwrap_or_default();
-        let report = hal_check::run_lint(bin, &spec);
-        let lint_path = format!("results/LINT_{bin}.json");
-        if let Err(e) = report.write_json(&lint_path) {
-            eprintln!("bench out: writing {lint_path} failed: {e}");
-        }
-        eprint!("{}", report.summary());
-        eprintln!("LINTFILE {lint_path}");
-        if !report.is_clean() {
-            eprintln!("LINTFAIL {bin}: {} finding(s)", report.findings.len());
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Write one per-run JSON artifact (`SPANS_*` / `METRICS_*`) and print
-/// its stderr marker line. Carries the `"backend"` tag like `BENCH_*`:
-/// a live-tagged document holds host-time facts and is not reproducible.
-fn write_artifact(path: &str, marker: &str, bin: &str, runs: &[(String, String)]) {
-    let mut body = String::new();
-    for (i, (_, obj)) in runs.iter().enumerate() {
-        if i > 0 {
-            body.push_str(",\n");
-        }
-        body.push_str("    ");
-        body.push_str(obj);
-    }
-    let json = format!(
+/// A per-run JSON artifact (`SPANS_*` / `METRICS_*`) from its run
+/// fragments. Carries the `"backend"` tag like `BENCH_*`: a live-tagged
+/// document holds host-time facts and is not reproducible.
+fn runs_json(name: &str, backend: BackendKind, runs: &[String]) -> String {
+    let body: Vec<String> = runs.iter().map(|obj| format!("    {obj}")).collect();
+    format!(
         "{{\n  \"bench\": \"{}\",\n  \"backend\": \"{}\",\n  \"runs\": [\n{}\n  ]\n}}\n",
-        json_escape(bin),
-        backend(),
-        body
-    );
-    if write_results_file(path, &json) {
-        eprintln!("{marker} {path}");
-    }
-}
-
-/// Run `f` and record its report under `label` — the common wrapper
-/// for `run_sim`-style calls returning `(value, SimReport)`.
-pub fn recorded<T>(label: impl Into<String>, f: impl FnOnce() -> (T, SimReport)) -> (T, SimReport) {
-    let (v, report) = f();
-    note_run(label, &report);
-    (v, report)
+        json_escape(name),
+        backend,
+        body.join(",\n")
+    )
 }
 
 #[cfg(test)]

@@ -1,0 +1,77 @@
+//! The sweep as a function: run twice in this process it writes the
+//! same bytes, its manifest lists exactly what it wrote, and the table
+//! it walks agrees with the committed `results/` and `src/harness/`.
+
+use hal_bench::out::Flags;
+use hal_bench::{sweep, HARNESSES};
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+
+/// The file names in `dir`, sorted.
+fn listing(dir: &Path) -> BTreeSet<String> {
+    std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect()
+}
+
+#[test]
+fn quick_sweep_is_byte_identical_across_runs_and_matches_its_manifest() {
+    let flags = Flags {
+        quick: true,
+        check: true,
+        lint: true,
+        spans: true,
+        metrics: true,
+        ..Flags::default()
+    };
+    let runs: Vec<(PathBuf, Vec<String>)> = ["a", "b"]
+        .iter()
+        .map(|run| {
+            let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("sweep-{run}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            // A leftover of an older tree: the stale-file pass removes it.
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join("SPANS_removed_harness.json"), "{}").unwrap();
+            let swept = sweep(flags, &dir);
+            assert!(swept.ok, "sweep {run}: a verdict is dirty");
+            (dir, swept.files)
+        })
+        .collect();
+    let ((dir_a, files_a), (dir_b, files_b)) = (&runs[0], &runs[1]);
+
+    assert_eq!(files_a, files_b, "the two sweeps wrote different file lists");
+    let mut on_disk: BTreeSet<String> = files_a.iter().cloned().collect();
+    assert_eq!(on_disk.len(), files_a.len(), "a file was written twice");
+    on_disk.insert("MANIFEST_repro_all.json".to_string());
+    assert_eq!(listing(dir_a), on_disk, "files on disk vs files the sweep says it wrote");
+    for file in &on_disk {
+        let read = |dir: &Path| std::fs::read(dir.join(file)).unwrap();
+        assert!(read(dir_a) == read(dir_b), "{file} differs between two sweeps");
+    }
+
+    let manifest = std::fs::read_to_string(dir_a.join("MANIFEST_repro_all.json")).unwrap();
+    let manifest = hal_check::Json::parse(&manifest).expect("the manifest is JSON");
+    let listed: Vec<&str> = manifest
+        .get("artifacts")
+        .and_then(|a| a.as_arr())
+        .expect("artifacts array")
+        .iter()
+        .map(|p| p.as_str().unwrap().strip_prefix("results/").unwrap())
+        .collect();
+    assert_eq!(listed, *files_a, "the manifest lists what the sweep wrote, in write order");
+}
+
+#[test]
+fn the_table_the_committed_results_and_the_harness_modules_agree() {
+    let names: BTreeSet<String> = HARNESSES.iter().map(|h| h.name.to_string()).collect();
+    assert_eq!(names.len(), HARNESSES.len(), "a harness name is used twice");
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let stems = |dir: &Path, ext: &str| -> BTreeSet<String> {
+        let ext = format!(".{ext}");
+        listing(dir).iter().filter_map(|f| f.strip_suffix(&ext).map(str::to_string)).collect()
+    };
+    assert_eq!(stems(&root.join("../../results"), "txt"), names, "results/*.txt vs HARNESSES");
+    assert_eq!(stems(&root.join("src/harness"), "rs"), names, "src/harness/*.rs vs HARNESSES");
+}

@@ -35,7 +35,6 @@ use crate::json::json_escape;
 use crate::report::CheckReport;
 use hal_kernel::ProtocolDecl;
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::Write as _;
 
 /// Everything the static pass knows about a program, assembled by the
 /// harness from compile-time declarations.
@@ -239,22 +238,6 @@ impl LintReport {
             counts,
             findings,
         )
-    }
-
-    /// Write the JSON to `path`, creating parent directories as needed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-creation and file-write failures.
-    pub fn write_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_json().as_bytes())
     }
 }
 

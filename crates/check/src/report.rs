@@ -3,7 +3,6 @@
 
 use crate::json::json_escape;
 use std::collections::BTreeMap;
-use std::io::Write as _;
 
 /// Every invariant the checker can see broken, one kind per rule.
 ///
@@ -285,22 +284,6 @@ impl CheckReport {
             counts,
             violations,
         )
-    }
-
-    /// Write the JSON to `path`, creating parent directories as needed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-creation and file-write failures.
-    pub fn write_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_json().as_bytes())
     }
 }
 

@@ -6,6 +6,8 @@
 //!   with per-actor local synchronization;
 //! * [`cholesky`] — the Table 1 column-Cholesky variants (BP/CP
 //!   pipelined with local sync, Seq/Bcast with global sync);
+//! * [`chase`] — the Fig. 3 migration chase: probes racing a migrating
+//!   actor through FIR chases and forward chains (§4.3);
 //! * [`synth`] — synthetic micro-workloads driving the Table 2/3
 //!   primitive-cost harnesses;
 //! * [`uts`] — unbalanced tree search, the "dynamic, irregular
@@ -15,6 +17,7 @@
 
 #![warn(missing_docs)]
 
+pub mod chase;
 pub mod cholesky;
 pub mod fib;
 pub mod matmul;

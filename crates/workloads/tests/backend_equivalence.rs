@@ -11,6 +11,7 @@
 
 use hal::prelude::*;
 use hal_kernel::SimReport;
+use hal_workloads::chase::{self, ChaseConfig};
 use hal_workloads::{cholesky, fib};
 
 const SEEDS: [u64; 3] = [1, 0x5EED, 42];
@@ -85,68 +86,14 @@ fn cholesky_norm_agrees_across_backends() {
 // itself (the live runtime has no global quiescence detection), so the
 // same program drives both backends. ----
 
-struct Nomad {
-    hops: Vec<u16>,
-    probes: i64,
-    expected: i64,
-}
-impl Behavior for Nomad {
-    fn dispatch(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-        match msg.selector {
-            0 => {
-                if let Some(next) = self.hops.pop() {
-                    let me = ctx.me();
-                    ctx.send(me, 0, vec![]);
-                    ctx.migrate(next);
-                }
-            }
-            1 => {
-                self.probes += 1;
-                ctx.report("probe_delivered", Value::Int(self.probes));
-                if self.probes == self.expected {
-                    ctx.stop();
-                }
-            }
-            _ => unreachable!(),
-        }
-    }
-}
-
-struct Spray {
-    target: MailAddr,
-    n: i64,
-}
-impl Behavior for Spray {
-    fn dispatch(&mut self, ctx: &mut Ctx<'_>, _msg: Msg) {
-        for _ in 0..self.n {
-            ctx.send(self.target, 1, vec![]);
-        }
-    }
-}
-
 fn run_chase(nodes: usize, seed: u64, backend: BackendKind) -> SimReport {
-    const CHAIN: usize = 8;
-    const PROBES: i64 = 20;
-    let mut program = Program::new();
-    let spray = program.behavior("spray", |args: &[Value]| {
-        Box::new(Spray {
-            target: args[0].as_addr(),
-            n: args[1].as_int(),
-        }) as Box<dyn Behavior>
-    });
-    let mut m = Machine::from_config(cfg(nodes, seed, backend), program.build());
-    m.with_ctx(0, |ctx| {
-        let hops: Vec<u16> = (0..CHAIN).rev().map(|i| ((i % (nodes - 1)) + 1) as u16).collect();
-        let nomad = ctx.create_local(Box::new(Nomad {
-            hops,
-            probes: 0,
-            expected: PROBES,
-        }));
-        ctx.send(nomad, 0, vec![]);
-        let s = ctx.create_on((nodes - 1) as u16, spray, vec![Value::Addr(nomad), Value::Int(PROBES)]);
-        ctx.send(s, 0, vec![]);
-    });
-    m.run().unwrap()
+    let chase = ChaseConfig {
+        chain: 8,
+        probes: 20,
+        prober_node: (nodes - 1) as u16,
+        stop_after_last_probe: true,
+    };
+    chase::run_sim(cfg(nodes, seed, backend), chase).1
 }
 
 #[test]

@@ -14,6 +14,7 @@
 use hal::prelude::*;
 use hal_am::LinkModel;
 use hal_kernel::SimMachine;
+use hal_workloads::chase::{self, ChaseConfig};
 use hal_workloads::fib::{self, FibConfig, Placement};
 
 /// fib(16) loaded on a fresh machine. With `stop` off the program never
@@ -68,66 +69,15 @@ fn spans_and_metrics_documents_are_byte_equal_across_reruns() {
 // ---- migration chase (the Fig. 3 pattern): a nomad walks a hop chain
 // while a sprayer's probes race it through FIR chases and forwards ----
 
-struct Nomad {
-    hops: Vec<u16>,
-    probes: i64,
-}
-impl Behavior for Nomad {
-    fn dispatch(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-        match msg.selector {
-            0 => {
-                if let Some(next) = self.hops.pop() {
-                    let me = ctx.me();
-                    ctx.send(me, 0, vec![]);
-                    ctx.migrate(next);
-                }
-            }
-            1 => {
-                self.probes += 1;
-                ctx.report("probe_delivered", Value::Int(self.probes));
-            }
-            _ => unreachable!(),
-        }
-    }
-}
-
-struct Spray {
-    target: MailAddr,
-    n: i64,
-}
-impl Behavior for Spray {
-    fn dispatch(&mut self, ctx: &mut Ctx<'_>, _msg: Msg) {
-        for _ in 0..self.n {
-            ctx.send(self.target, 1, vec![]);
-        }
-    }
-}
-
 #[test]
 fn chase_under_chaos_is_pinned() {
     const PROBES: i64 = 20;
-    let p = 8usize;
-    let mut program = Program::new();
-    let spray = program.behavior("spray", |args: &[Value]| {
-        Box::new(Spray {
-            target: args[0].as_addr(),
-            n: args[1].as_int(),
-        }) as Box<dyn Behavior>
-    });
-    let cfg = MachineConfig::builder(p)
+    let cfg = MachineConfig::builder(8)
         .seed(42)
         .faults(FaultPlan::chaos(0.15))
         .build()
         .unwrap();
-    let mut m = SimMachine::new(cfg, program.build());
-    m.with_ctx(0, |ctx| {
-        let hops: Vec<u16> = (0..8).rev().map(|i| ((i % (p - 1)) + 1) as u16).collect();
-        let nomad = ctx.create_local(Box::new(Nomad { hops, probes: 0 }));
-        ctx.send(nomad, 0, vec![]);
-        let s = ctx.create_on(4, spray, vec![Value::Addr(nomad), Value::Int(PROBES)]);
-        ctx.send(s, 0, vec![]);
-    });
-    let r = m.run().unwrap();
+    let (_, r) = chase::run_sim(cfg, ChaseConfig::fig3(8, PROBES));
     let seq: Vec<i64> = r
         .values("probe_delivered")
         .into_iter()

@@ -137,3 +137,33 @@ fn member_ranges_cover_thread_partition() {
         .sum();
     assert_eq!(total, count as usize);
 }
+
+#[test]
+fn chase_agrees_on_sim_and_live() {
+    use hal_workloads::chase::{self, ChaseConfig};
+    // The nomad stops the machine at its last probe: the live runtime
+    // has no quiescence detection, and the same program drives both.
+    // That stop can land while an FIR reply is still propagating back
+    // along the chain (or before the walk's last hop), so open FIRs are
+    // the one audit row a truncated chase may leave; nothing may be
+    // stranded, buffered for an unknown key, or waiting on a join.
+    let cfg = ChaseConfig {
+        chain: 8,
+        probes: 20,
+        prober_node: 3,
+        stop_after_last_probe: true,
+    };
+    let on = |backend| {
+        let machine = MachineConfig::builder(4).backend(backend).build().unwrap();
+        let (delivered, report) = chase::run_sim(machine, cfg);
+        let a = &report.audit;
+        assert_eq!(
+            (a.stranded_pending(), a.unknown_buffered(), a.unresolved_joins()),
+            (0, 0, 0),
+            "{backend}: {a:?}"
+        );
+        delivered
+    };
+    assert_eq!(on(BackendKind::Sim), 20);
+    assert_eq!(on(BackendKind::Live), 20);
+}
