@@ -186,8 +186,8 @@ grep -q 'SPANS_table5_matmul.json' "$sweep_dir/results/MANIFEST_repro_all.json" 
   || { echo "ci: MANIFEST_repro_all.json is missing span artifacts"; exit 1; }
 echo "   repro_all --check --lint --spans --metrics: CLEAN"
 # hal-serve on the simulator is a pure function of its flags too, so its
-# artifact is swept and compared like the rest — after repro_all, whose
-# stale-file pass deletes SERVE_*. These are the flags README prints.
+# artifact is swept and compared like the rest. These are the flags
+# README prints.
 (cd "$sweep_dir" && "$repo_root/target/release/hal-serve" \
    --backend=sim --rate=500 --requests=1000 --nodes=4 --stages=3 >/dev/null 2>&1) \
   || { echo "ci: hal-serve --backend=sim failed (SLO miss)"; exit 1; }

@@ -10,12 +10,13 @@
 //! twice from empty directories, every file is byte-identical, and
 //! `ci.sh` holds the committed `results/` to that with `cmp`.
 //!
-//! With names it runs just those rows and also prints each table to
-//! stdout.
+//! With names it runs just those rows, printing each table to stdout as
+//! it grows instead of writing `results/<name>.txt`, so a quick run from
+//! the repository root leaves the committed tables alone.
 //!
 //! Exit status: 0 when every verdict is clean and every file was
 //! written, 1 when not, 2 on a command line it does not understand
-//! (including `--backend=live` for a row that drives `SimMachine`).
+//! (including `--backend=live` for a row with `live: false`).
 //!
 //! ```bash
 //! cargo run --release -p hal-bench                            # full sweep
@@ -36,13 +37,7 @@ fn main() {
     let ok = if rows.is_empty() {
         hal_bench::sweep(flags, dir).ok
     } else {
-        let mut ok = true;
-        for h in rows {
-            let verdict = hal_bench::run(h, flags, dir);
-            print!("{}", verdict.text);
-            ok &= verdict.ok();
-        }
-        ok
+        rows.iter().fold(true, |ok, h| ok & hal_bench::run(h, flags, dir, true).ok())
     };
     if !ok {
         std::process::exit(1);

@@ -162,14 +162,9 @@ fn ablate(
     let with = sim(s, OptFlags::default(), workload);
     let without = sim(s, ablated, workload);
     let (a, b) = (with.makespan.as_micros_f64(), without.makespan.as_micros_f64());
-    s.row(
-        &[name.to_string(), format!("{a:.1}"), format!("{b:.1}"), format!("{:.2}x", b / a)],
-        &WIDTHS,
-    );
+    s.row(&[&name, &format!("{a:.1}"), &format!("{b:.1}"), &format!("{:.2}x", b / a)]);
     (with, without)
 }
-
-const WIDTHS: [usize; 4] = [34, 14, 14, 10];
 
 /// Print the ablation table and export the FIR-chase trace.
 pub fn run(s: &mut Session) {
@@ -178,7 +173,7 @@ pub fn run(s: &mut Session) {
         "8 simulated nodes; times are virtual.",
     );
     let on = OptFlags::default();
-    s.header(&["mechanism (workload)", "paper (us)", "ablated (us)", "ratio"], &WIDTHS);
+    s.header(&["mechanism (workload)", "paper (us)", "ablated (us)", "ratio"], &[34, 14, 14, 10]);
 
     // ---- aliases: chain of 64 remote creations with overlapped work.
     let chain = |ctx: &mut Ctx<'_>, ids: &Ids| {

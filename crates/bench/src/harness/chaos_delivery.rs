@@ -15,7 +15,6 @@
 //! across reruns.
 
 use crate::out::Session;
-use crate::cell;
 use hal::prelude::*;
 use hal_workloads::chase::{self, ChaseConfig, ChaseMsg};
 
@@ -49,10 +48,9 @@ pub fn run(s: &mut Session) {
          duplicates by per-link sequence number; delivery stays exactly\n\
          once at every rate.",
     );
-    let widths = [7usize, 11, 9, 12, 9, 9, 9];
     s.header(
         &["rate", "delivered", "retx", "dup-suppr", "dropped", "dup'd", "FIR-rtx"],
-        &widths,
+        &[7, 11, 9, 12, 9, 9, 9],
     );
     let rates: &[f64] = if s.quick() {
         &[0.0, 0.10]
@@ -61,15 +59,12 @@ pub fn run(s: &mut Session) {
     };
     let probes = 40i64;
     for &rate in rates {
-        let counters = chase(s, rate, 8, probes);
-        let [delivered, ..] = counters;
+        let [delivered, retx, dup_suppr, dropped, duped, fir_rtx] = chase(s, rate, 8, probes);
         assert_eq!(
             delivered, probes as u64,
             "exactly-once delivery violated at fault rate {rate}"
         );
-        let mut cells = vec![format!("{rate:.2}")];
-        cells.extend(counters.map(cell));
-        s.row(&cells, &widths);
+        s.row(&[&format!("{rate:.2}"), &delivered, &retx, &dup_suppr, &dropped, &duped, &fir_rtx]);
     }
     s.say(
         "\nshape: the fault-free row pays zero overhead (the fault layer is\n\

@@ -10,7 +10,6 @@
 //! effect of the birthplace cache once gossip settles.
 
 use crate::out::Session;
-use crate::cell;
 use hal_workloads::chase::{self, ChaseConfig, ChaseMsg};
 
 /// Print the Fig. 3 table and export the deepest chase's trace.
@@ -22,10 +21,9 @@ pub fn run(s: &mut Session) {
          suppressed; confirmed locations forward directly; every probe is\n\
          delivered exactly once.",
     );
-    let widths = [7usize, 11, 9, 11, 10, 9];
     s.header(
         &["hops", "delivered", "FIRs", "suppressed", "forwards", "packets"],
-        &widths,
+        &[7, 11, 9, 11, 10, 9],
     );
     let mut deepest_trace = None;
     let chains: &[usize] = if s.quick() {
@@ -42,17 +40,15 @@ pub fn run(s: &mut Session) {
             chase::run_sim(machine, ChaseConfig::fig3(chain, 20)),
         );
         assert_eq!(delivered, 20, "exactly-once delivery violated");
-        s.row(
-            &[
-                cell(chain),
-                cell(delivered),
-                cell(r.stats.get("fir.sent")),
-                cell(r.stats.get("fir.suppressed")),
-                cell(r.stats.get("deliver.forwarded")),
-                cell(r.stats.get("net.packets")),
-            ],
-            &widths,
-        );
+        let stat = |name| r.stats.get(name);
+        s.row(&[
+            &chain,
+            &delivered,
+            &stat("fir.sent"),
+            &stat("fir.suppressed"),
+            &stat("deliver.forwarded"),
+            &stat("net.packets"),
+        ]);
         deepest_trace = r.trace; // keep the longest-chain run's recording
     }
     s.say(

@@ -8,7 +8,6 @@
 //! random polling is the only source of parallelism.
 
 use crate::out::Session;
-use crate::cell;
 use hal_workloads::uts::{run_sim, sequential_size, UtsConfig};
 
 /// Print the UTS table.
@@ -18,10 +17,9 @@ pub fn run(s: &mut Session) {
         "Extension: unbalanced tree search (UTS), virtual ms",
         "all actors created locally; only \u{a7}7.2 random polling distributes the tree",
     );
-    let widths = [6usize, 8, 4, 12, 12, 9, 9];
     s.header(
         &["seed", "nodes", "P", "noLB (ms)", "LB (ms)", "steals", "speedup"],
-        &widths,
+        &[6, 8, 4, 12, 12, 9, 9],
     );
     let seeds: &[u64] = if s.quick() { &[11] } else { &[11, 23] };
     for &seed in seeds {
@@ -45,18 +43,15 @@ pub fn run(s: &mut Session) {
             } else {
                 (nolb_ns, 0)
             };
-            s.row(
-                &[
-                    cell(seed),
-                    cell(size),
-                    cell(p),
-                    format!("{:.2}", nolb_ns as f64 / 1e6),
-                    format!("{:.2}", lb_ns as f64 / 1e6),
-                    cell(steals),
-                    format!("{:.1}x", nolb_ns as f64 / lb_ns as f64),
-                ],
-                &widths,
-            );
+            s.row(&[
+                &seed,
+                &size,
+                &p,
+                &format!("{:.2}", nolb_ns as f64 / 1e6),
+                &format!("{:.2}", lb_ns as f64 / 1e6),
+                &steals,
+                &format!("{:.1}x", nolb_ns as f64 / lb_ns as f64),
+            ]);
         }
     }
     s.say(

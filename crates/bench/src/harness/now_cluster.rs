@@ -16,9 +16,8 @@ use hal_workloads::cholesky::{self, CholeskyConfig, Variant};
 use hal_workloads::matmul::{self, MatmulConfig};
 
 fn chol(s: &mut Session, link: LinkModel, name: &str, variant: Variant) -> f64 {
-    let mut m = s.machine(8).seed(4).build().unwrap();
+    let m = s.machine(8).seed(4).link(link).build().unwrap();
     let label = format!("cholesky n=96 {variant:?} {name}");
-    m.link = link;
     let cfg = CholeskyConfig {
         n: 96,
         variant,
@@ -30,9 +29,8 @@ fn chol(s: &mut Session, link: LinkModel, name: &str, variant: Variant) -> f64 {
 }
 
 fn mm(s: &mut Session, link: LinkModel, name: &str) -> f64 {
-    let mut m = s.machine(16).seed(4).build().unwrap();
+    let m = s.machine(16).seed(4).link(link).build().unwrap();
     let label = format!("matmul 256 p=16 {name}");
-    m.link = link;
     let cfg = MatmulConfig {
         grid: 4,
         block: 64,
@@ -42,6 +40,12 @@ fn mm(s: &mut Session, link: LinkModel, name: &str) -> f64 {
     };
     let (_, r) = s.recorded(label, matmul::run_sim(m, cfg, false));
     r.makespan.as_secs_f64() * 1e3
+}
+
+/// One table row: `run` on the CM-5 link model, then on the NOW one.
+fn compare(s: &mut Session, name: &str, run: impl Fn(&mut Session, LinkModel, &str) -> f64) {
+    let (cm5, now) = (run(s, LinkModel::cm5(), "cm5"), run(s, LinkModel::now_cluster(), "now"));
+    s.row(&[&name, &format!("{cm5:.2}"), &format!("{now:.2}"), &format!("{:.2}x", now / cm5)]);
 }
 
 /// Print the CM-5 vs NOW table.
@@ -55,41 +59,11 @@ pub fn run(s: &mut Session) {
         "Extension: CM-5 fabric vs network-of-workstations link model (virtual ms)",
         "same kernels, same programs; only the interconnect calibration changes",
     );
-    let widths = [28usize, 10, 10, 8];
-    s.header(&["workload", "CM-5", "NOW", "slowdown"], &widths);
-    let rows: Vec<(&str, f64, f64)> = vec![
-        (
-            "cholesky BP (pipelined)",
-            chol(s, LinkModel::cm5(), "cm5", Variant::BP),
-            chol(s, LinkModel::now_cluster(), "now", Variant::BP),
-        ),
-        (
-            "cholesky Bcast (global)",
-            chol(s, LinkModel::cm5(), "cm5", Variant::Bcast),
-            chol(s, LinkModel::now_cluster(), "now", Variant::Bcast),
-        ),
-        (
-            "cholesky Seq (global)",
-            chol(s, LinkModel::cm5(), "cm5", Variant::Seq),
-            chol(s, LinkModel::now_cluster(), "now", Variant::Seq),
-        ),
-        (
-            "matmul 256^2 on 16 (systolic)",
-            mm(s, LinkModel::cm5(), "cm5"),
-            mm(s, LinkModel::now_cluster(), "now"),
-        ),
-    ];
-    for (name, cm5, now) in rows {
-        s.row(
-            &[
-                name.to_string(),
-                format!("{cm5:.2}"),
-                format!("{now:.2}"),
-                format!("{:.2}x", now / cm5),
-            ],
-            &widths,
-        );
-    }
+    s.header(&["workload", "CM-5", "NOW", "slowdown"], &[28, 10, 10, 8]);
+    compare(s, "cholesky BP (pipelined)", |s, link, net| chol(s, link, net, Variant::BP));
+    compare(s, "cholesky Bcast (global)", |s, link, net| chol(s, link, net, Variant::Bcast));
+    compare(s, "cholesky Seq (global)", |s, link, net| chol(s, link, net, Variant::Seq));
+    compare(s, "matmul 256^2 on 16 (systolic)", mm);
     s.say(
         "\nshape: the communication-intensive factorization pays roughly the\n\
          bandwidth ratio (~3x) regardless of variant — with the pipelined BP\n\

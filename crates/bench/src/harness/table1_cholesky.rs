@@ -14,7 +14,7 @@
 //! sync); disabling flow control degrades the pipelined variant.
 
 use crate::out::Session;
-use crate::{cell, ms};
+use crate::ms;
 use hal_workloads::cholesky::{run_sim, ChMsg, CholeskyConfig, Variant};
 
 fn chol(s: &mut Session, n: usize, p: usize, variant: Variant, flow: bool) -> f64 {
@@ -42,8 +42,7 @@ pub fn run(s: &mut Session) {
          Seq/Bcast = iteration i completes before i+1 starts.\n\
          'BP noFC' = the \u{a7}6.5 ablation: BP with bulk flow control disabled.",
     );
-    let widths = [5usize, 4, 10, 10, 10, 10, 10];
-    s.header(&["n", "P", "BP", "CP", "Seq", "Bcast", "BP noFC"], &widths);
+    s.header(&["n", "P", "BP", "CP", "Seq", "Bcast", "BP noFC"], &[5, 4, 10, 10, 10, 10, 10]);
     let sizes: &[usize] = if s.quick() { &[64] } else { &[64, 128, 256] };
     for &n in sizes {
         for &p in &[4usize, 8, 16, 32] {
@@ -55,18 +54,7 @@ pub fn run(s: &mut Session) {
             let seq = chol(s, n, p, Variant::Seq, true);
             let bc = chol(s, n, p, Variant::Bcast, true);
             let bp_nofc = chol(s, n, p, Variant::BP, false);
-            s.row(
-                &[
-                    cell(n),
-                    cell(p),
-                    ms(bp),
-                    ms(cp),
-                    ms(seq),
-                    ms(bc),
-                    ms(bp_nofc),
-                ],
-                &widths,
-            );
+            s.row(&[&n, &p, &ms(bp), &ms(cp), &ms(seq), &ms(bc), &ms(bp_nofc)]);
         }
     }
     s.say(

@@ -109,8 +109,7 @@ pub fn run(s: &mut Session) {
     s.note_run("local call/return", &r);
     let callret = (m.kernel(0).clock - before).as_nanos() as f64;
 
-    let widths = [44usize, 12];
-    s.header(&["primitive", "time (us)"], &widths);
+    s.header(&["primitive", "time (us)"], &[44, 12]);
     let rows: Vec<(&str, f64)> = vec![
         ("local actor creation", local_creation),
         ("remote creation (apparent, at requester)", remote_apparent),
@@ -122,7 +121,7 @@ pub fn run(s: &mut Session) {
         ("local call/return incl. join continuation", callret),
     ];
     for (name, ns) in rows {
-        s.row(&[name.to_string(), us(ns)], &widths);
+        s.row(&[&name, &us(ns)]);
     }
     s.say(format!(
         "\npaper targets: apparent 5.83us / actual 20.83us; locality check < 1us.\n\

@@ -69,14 +69,13 @@ pub fn run(s: &mut Session) {
     });
     let fast_taken = m.report().stats.get("fast.inline");
 
-    let widths = [44usize, 14];
-    s.header(&["mechanism", "sim (us)"], &widths);
+    s.header(&["mechanism", "sim (us)"], &[44, 14]);
     for (mechanism, ns) in [
         ("generic local send (queue + dispatch)", generic_us),
         ("fast path: locality check + static dispatch", fast_us),
         ("plain function call", call_us),
     ] {
-        s.row(&[mechanism.into(), us(ns)], &widths);
+        s.row(&[&mechanism, &us(ns)]);
     }
     s.say(format!(
         "\nfast path taken inline {fast_taken} / {iters} times.\n\

@@ -13,7 +13,7 @@
 
 use hal_baselines::call_tree_nodes;
 use crate::out::Session;
-use crate::{cell, secs};
+use crate::secs;
 use hal_workloads::fib::{run_sim, FibConfig, Placement, SEQ_NODE_COST_NS};
 
 fn sim(s: &mut Session, n: u64, grain: u64, p: usize, lb: bool, placement: Placement) -> (u64, f64, u64) {
@@ -41,10 +41,9 @@ pub fn run(s: &mut Session) {
     } else {
         &[(24, 10), (28, 12), (30, 14)]
     };
-    let widths = [6usize, 7, 4, 12, 12, 12, 9, 10];
     s.header(
         &["n", "grain", "P", "noLB (s)", "static (s)", "LB (s)", "steals", "C 1node(s)"],
-        &widths,
+        &[6, 7, 4, 12, 12, 12, 9, 10],
     );
     for &(n, grain) in configs {
         let c_seconds = (call_tree_nodes(n) * SEQ_NODE_COST_NS) as f64 / 1e9;
@@ -59,19 +58,8 @@ pub fn run(s: &mut Session) {
             assert_eq!(v_nolb, hal_baselines::fib_iter(n));
             assert_eq!(v_lb, v_nolb);
             assert_eq!(v_static, v_nolb);
-            s.row(
-                &[
-                    cell(n),
-                    cell(grain),
-                    cell(p),
-                    secs(t_nolb),
-                    secs(t_static),
-                    secs(t_lb),
-                    cell(steals),
-                    secs(c_seconds),
-                ],
-                &widths,
-            );
+            let (nolb, stat, lb) = (secs(t_nolb), secs(t_static), secs(t_lb));
+            s.row(&[&n, &grain, &p, &nolb, &stat, &lb, &steals, &secs(c_seconds)]);
         }
     }
 

@@ -6,7 +6,7 @@
 //! 1024 by 1024 matrix on 64 node partition of the CM-5."
 
 use crate::out::Session;
-use crate::{cell, secs};
+use crate::secs;
 use hal_workloads::matmul::{run_sim, MatmulConfig};
 
 /// Print Table 5.
@@ -21,8 +21,7 @@ pub fn run(s: &mut Session) {
         "Cannon's algorithm, one block actor per grid cell, block = n / sqrt(P);\n\
          per-node kernel calibrated to the CM-5's ~7 MFLOPS sustained.",
     );
-    let widths = [6usize, 4, 7, 12, 10];
-    s.header(&["n", "P", "block", "time (s)", "MFLOPS"], &widths);
+    s.header(&["n", "P", "block", "time (s)", "MFLOPS"], &[6, 4, 7, 12, 10]);
     let mut peak = 0.0f64;
     let sizes: &[usize] = if s.quick() {
         &[256]
@@ -49,10 +48,7 @@ pub fn run(s: &mut Session) {
             let flops = 2.0 * (n as f64).powi(3);
             let mflops = flops / t / 1e6;
             peak = peak.max(mflops);
-            s.row(
-                &[cell(n), cell(p), cell(n / grid), secs(t), format!("{mflops:.0}")],
-                &widths,
-            );
+            s.row(&[&n, &p, &(n / grid), &secs(t), &format!("{mflops:.0}")]);
         }
     }
     s.say(format!(

@@ -29,7 +29,7 @@ fn show(s: &mut Session, variant: Variant) {
     let report = m.run().unwrap();
     s.note_run(format!("timeline cholesky {variant:?}"), &report);
     s.say(format!("-- {variant:?}: {} --", report.makespan));
-    s.print(render_ascii(m.timeline(), p, report.makespan, 72));
+    s.say(render_ascii(m.timeline(), p, report.makespan, 72).trim_end());
     let utils = m.timeline().utilization(p, report.makespan);
     let mean = utils.iter().sum::<f64>() / p as f64;
     s.say(format!("mean utilization {:.1}%\n", mean * 100.0));

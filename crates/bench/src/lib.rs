@@ -20,8 +20,8 @@
 //! To add a harness: write `src/harness/<name>.rs` with a
 //! `pub fn run(s: &mut Session)` that prints its table into the session
 //! and records its runs there, declare the module below, add a row to
-//! [`HARNESSES`] (`live: true` only if every machine it runs is built
-//! from `s.machine(..)` and run through `Machine`/`run_sim`), and commit the files `./ci.sh
+//! [`HARNESSES`] (`live: true` only if it can run on the live backend,
+//! see [`Harness::live`]), and commit the files `./ci.sh
 //! --update-results` adds to `results/`.
 //!
 //! The harnesses report simulated CM-5-calibrated microseconds and
@@ -53,7 +53,6 @@ pub mod harness {
 use hal_check::json_escape;
 use hal_kernel::BackendKind;
 use out::{Flags, Session, Verdict};
-use std::fmt::Display;
 use std::path::Path;
 
 /// One row of the evaluation.
@@ -61,15 +60,20 @@ pub struct Harness {
     /// Its name: the positional argument that selects it and the stem of
     /// every file it writes.
     pub name: &'static str,
-    /// True when every machine it builds goes through `Machine` /
-    /// `run_sim`, so `--backend=live` means something; false when it
-    /// reaches into `SimMachine`.
+    /// True when it can run on the live backend: every machine it builds
+    /// comes from `s.machine(..)` and goes through `Machine` / `run_sim`,
+    /// stops itself (live has no quiescence detection) and has no fault
+    /// plan (sim-only). False rows refuse `--backend=live`.
     pub live: bool,
     /// The harness body.
     pub run: fn(&mut Session),
 }
 
-/// The evaluation, in sweep order.
+/// The evaluation, in sweep order. Why the six `live: false` rows cannot
+/// run live: `table2_primitives`, `table3_invocation`, `ablations` and
+/// `timeline_cholesky` drive a `SimMachine` by hand; `fig3_delivery`
+/// runs its chases to quiescence; `chaos_delivery` does too, under a
+/// fault plan.
 pub const HARNESSES: &[Harness] = &[
     Harness { name: "table1_cholesky", live: true, run: harness::table1_cholesky::run },
     Harness { name: "table2_primitives", live: false, run: harness::table2_primitives::run },
@@ -139,8 +143,8 @@ pub fn parse_args(
         if !refused.is_empty() {
             let accept: Vec<&str> = HARNESSES.iter().filter(|h| h.live).map(|h| h.name).collect();
             return Err(format!(
-                "--backend=live is refused for {} (written against SimMachine); \
-                 the rows that accept it are {}",
+                "--backend=live cannot run {}: a row that drives SimMachine by hand, runs to \
+                 quiescence or injects faults has no live form; the rows that accept it are {}",
                 refused.join(" "),
                 accept.join(" ")
             ));
@@ -149,9 +153,10 @@ pub fn parse_args(
     Ok((flags, rows))
 }
 
-/// Run one row into `dir`.
-pub fn run(h: &Harness, flags: Flags, dir: &Path) -> Verdict {
-    let mut s = Session::new(h.name, flags, dir);
+/// Run one row into `dir`, echoing its table to stdout line by line
+/// when `echo`.
+pub fn run(h: &Harness, flags: Flags, dir: &Path, echo: bool) -> Verdict {
+    let mut s = Session::new(h.name, flags, dir, echo);
     (h.run)(&mut s);
     s.finish()
 }
@@ -166,109 +171,67 @@ pub struct Sweep {
 }
 
 /// Run every row into `dir` — `results/` for the binary — and fold what
-/// the sessions return: `CHECK_`/`LINT_repro_all.json` from the
-/// verdicts under `--check`/`--lint`, and `MANIFEST_repro_all.json`
-/// from the files written.
+/// the sessions return: each table to `<name>.txt`,
+/// `CHECK_`/`LINT_repro_all.json` from the verdicts under
+/// `--check`/`--lint`, and `MANIFEST_repro_all.json` from the files
+/// written.
 ///
 /// Nothing the sweep writes depends on the host clock or on what was in
-/// `dir` before: stale derived files (`*_trace.json`, `SPANS_*`,
-/// `METRICS_*`, `CHECK_*`, `LINT_*`, `SERVE_*`, `MANIFEST_*`) are
-/// deleted first, so a file in `dir` but not in the manifest is
-/// leftover from an older tree.
+/// `dir` before; a file in `dir` that the manifest does not list is
+/// leftover from an older tree (`ci.sh` sweeps into an empty directory
+/// and fails on a committed file the sweep did not write).
 pub fn sweep(flags: Flags, dir: &Path) -> Sweep {
     std::fs::create_dir_all(dir).expect("create the results directory");
-    let removed_stale = remove_stale_artifacts(dir);
+    let mut files = Vec::new();
     let mut verdicts = Vec::new();
     for h in HARNESSES {
         eprintln!("== running {} ==", h.name);
-        let v = run(h, flags, dir);
-        eprintln!("   -> {}.txt ({} bytes)", dir.join(h.name).display(), v.text.len());
+        let v = run(h, flags, dir, false);
+        write(dir, &mut files, format!("{}.txt", h.name), &v.text);
+        files.extend(v.files.iter().cloned());
         verdicts.push(v);
     }
 
     let mut ok = verdicts.iter().all(Verdict::ok);
-    let mut files: Vec<String> = verdicts.iter().flat_map(|v| v.files.iter().cloned()).collect();
+    // One family's verdicts folded into `<family>_repro_all.json`.
+    let mut fold = |family: &str, clean: fn(&Verdict) -> Option<bool>| {
+        let all_clean = verdicts.iter().all(|v| clean(v) == Some(true));
+        let bins: Vec<String> = verdicts
+            .iter()
+            .map(|v| {
+                format!(
+                    "    {{\"bin\": \"{bin}\", \"clean\": {}, \"detail\": \"results/{family}_{bin}.json\"}}",
+                    clean(v) == Some(true),
+                    bin = v.name
+                )
+            })
+            .collect();
+        let json = format!(
+            "{{\n  \"subject\": \"repro_all\",\n  \"clean\": {all_clean},\n  \"bins\": [\n{}\n  ]\n}}\n",
+            bins.join(",\n")
+        );
+        write(dir, &mut files, format!("{family}_repro_all.json"), &json);
+        eprintln!("{family}_repro_all.json: {}", if all_clean { "CLEAN" } else { "DIRTY" });
+        ok &= all_clean;
+    };
     if flags.check {
-        let rows = verdicts.iter().map(|v| (v.name, v.check_clean == Some(true))).collect();
-        ok &= fold(dir, &mut files, "CHECK", "protocol checker", "VIOLATIONS", rows);
+        fold("CHECK", |v| v.check_clean);
     }
     if flags.lint {
-        let rows = verdicts.iter().map(|v| (v.name, v.lint_clean == Some(true))).collect();
-        ok &= fold(dir, &mut files, "LINT", "protocol lint", "FINDINGS", rows);
+        fold("LINT", |v| v.lint_clean);
     }
 
-    let manifest = dir.join("MANIFEST_repro_all.json");
-    std::fs::write(&manifest, manifest_json(flags, &files))
-        .unwrap_or_else(|e| panic!("write {}: {e}", manifest.display()));
-    eprintln!(
-        "manifest: {} artifact(s) regenerated, {removed_stale} stale file(s) removed ({})",
-        files.len() + 1,
-        manifest.display()
-    );
-    eprintln!("all harnesses completed; see {}/", dir.display());
+    std::fs::write(dir.join("MANIFEST_repro_all.json"), manifest_json(flags, &files))
+        .expect("write the manifest");
+    eprintln!("all harnesses completed; {} file(s) in {}/", files.len() + 1, dir.display());
     Sweep { ok, files }
 }
 
-/// Fold the per-harness verdicts of one family (`CHECK` / `LINT`) into
-/// `<family>_repro_all.json`; true when all are clean.
-fn fold(
-    dir: &Path,
-    files: &mut Vec<String>,
-    family: &str,
-    what: &str,
-    dirty: &str,
-    verdicts: Vec<(&str, bool)>,
-) -> bool {
-    let all_clean = verdicts.iter().all(|&(_, clean)| clean);
-    let bins: Vec<String> = verdicts
-        .iter()
-        .map(|(bin, clean)| {
-            format!(
-                "    {{\"bin\": \"{bin}\", \"clean\": {clean}, \"detail\": \"results/{family}_{bin}.json\"}}"
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"subject\": \"repro_all\",\n  \"clean\": {all_clean},\n  \"bins\": [\n{}\n  ]\n}}\n",
-        bins.join(",\n")
-    );
-    let file = format!("{family}_repro_all.json");
+/// Write `file` into `dir` and list it in `files`.
+fn write(dir: &Path, files: &mut Vec<String>, file: String, contents: &str) {
     let path = dir.join(&file);
-    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    eprintln!(
-        "{what}: {} across {} bin(s) ({})",
-        if all_clean { "CLEAN" } else { dirty },
-        verdicts.len(),
-        path.display()
-    );
+    std::fs::write(&path, contents).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     files.push(file);
-    all_clean
-}
-
-/// Delete derived files a previous sweep (or an older tree) left in
-/// `dir` that this sweep may not overwrite — otherwise a stale
-/// `*_trace.json` from a removed harness looks exactly like fresh
-/// output. Returns how many it removed.
-fn remove_stale_artifacts(dir: &Path) -> usize {
-    let mut removed = 0;
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return removed;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        let stale = name.ends_with("_trace.json")
-            || ["SPANS_", "METRICS_", "CHECK_", "LINT_", "SERVE_", "MANIFEST_"]
-                .iter()
-                .any(|family| name.starts_with(family));
-        if stale {
-            match std::fs::remove_file(entry.path()) {
-                Ok(()) => removed += 1,
-                Err(e) => eprintln!("repro_all: could not remove stale {name}: {e}"),
-            }
-        }
-    }
-    removed
 }
 
 /// `MANIFEST_repro_all.json`: the flags and every file the sweep wrote,
@@ -283,11 +246,6 @@ fn manifest_json(flags: Flags, files: &[String]) -> String {
          \"artifacts\": [\n{}\n  ]\n}}\n",
         files.join(",\n")
     )
-}
-
-/// Format a cell.
-pub fn cell(v: impl Display) -> String {
-    format!("{v}")
 }
 
 /// Format seconds with 3 decimals.
@@ -332,11 +290,11 @@ mod tests {
     }
 
     #[test]
-    fn live_is_refused_for_a_row_written_against_sim_machine() {
+    fn live_is_refused_for_a_row_that_cannot_run_on_it() {
         let (flags, rows) = parse(&["table4_fib", "--backend=live"]).expect("a live row");
         assert_eq!((flags.backend, rows), (BackendKind::Live, vec!["table4_fib"]));
         let refusal = parse(&["table4_fib", "table2_primitives", "--backend=live"]).unwrap_err();
-        assert!(refusal.contains("refused for table2_primitives ("), "{refusal}");
+        assert!(refusal.starts_with("--backend=live cannot run table2_primitives:"), "{refusal}");
         assert!(refusal.contains("table1_cholesky table4_fib table5_matmul irregular_uts now_cluster"));
         // The full sweep selects every row, so it is refused too.
         assert!(parse(&["--backend=live"]).is_err());

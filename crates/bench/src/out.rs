@@ -4,10 +4,10 @@
 //! A [`Session`] is handed to a harness's `run`. The harness prints its
 //! table into it ([`Session::say`], [`Session::row`], …), records every
 //! simulation it makes ([`Session::note_run`]) and declares its message
-//! protocols; [`Session::finish`] then writes `<name>.txt` and
-//! `BENCH_<name>.json` — label, virtual time, event count and the
-//! harness's extra counters per run — plus whatever the switches ask
-//! for, and returns a [`Verdict`]. Nothing here reads the host clock,
+//! protocols; [`Session::finish`] then writes `BENCH_<name>.json` —
+//! label, virtual time, event count and the harness's extra counters
+//! per run — plus whatever the switches ask for, and returns a
+//! [`Verdict`] carrying the table. Nothing here reads the host clock,
 //! the environment or the command line: on the sim backend every file
 //! is a pure function of the tree and the [`Flags`], which is what lets
 //! `ci.sh` hold the committed `results/` to a fresh sweep with `cmp`.
@@ -44,8 +44,9 @@
 //!   `SPANS_` artifacts stay byte-identical across reruns, and rate 1
 //!   reproduces the unsampled surface exactly.
 //!
-//! Progress lines (`BENCHLINE`, `SPANLINE`, `CHECKFILE`, ...) go to
-//! **stderr**; the table is the session's text.
+//! Progress lines (`BENCHLINE`, `SPANLINE`, `WROTE <path>`, the checker's
+//! and the lint's summaries) go to **stderr**; the table is the session's
+//! text.
 
 use hal_check::{json_escape, CheckReport, LintSpec};
 use hal_kernel::critical_path::critical_paths;
@@ -92,7 +93,7 @@ struct Run {
 pub struct Verdict {
     /// The harness.
     pub name: &'static str,
-    /// Its table, as written to `<name>.txt`.
+    /// Its table (the sweep writes it to `<name>.txt`).
     pub text: String,
     /// The protocol checker's verdict, under `--check`.
     pub check_clean: Option<bool>,
@@ -118,7 +119,11 @@ pub struct Session {
     name: &'static str,
     flags: Flags,
     dir: PathBuf,
+    /// Echo the table to stdout as it is appended (a named run; a
+    /// harness assert then keeps the rows printed before it).
+    echo: bool,
     text: String,
+    widths: Vec<usize>,
     runs: Vec<Run>,
     check: CheckReport,
     lint: LintSpec,
@@ -134,12 +139,14 @@ pub struct Session {
 impl Session {
     /// A session for harness `name` writing into `dir` (`results` from
     /// the binary, a scratch directory from tests).
-    pub fn new(name: &'static str, flags: Flags, dir: impl Into<PathBuf>) -> Self {
+    pub fn new(name: &'static str, flags: Flags, dir: impl Into<PathBuf>, echo: bool) -> Self {
         Session {
             name,
             flags,
             dir: dir.into(),
+            echo,
             text: String::new(),
+            widths: Vec::new(),
             runs: Vec::new(),
             check: CheckReport::new(name),
             lint: LintSpec::new(),
@@ -176,29 +183,32 @@ impl Session {
 
     /// Append one line to the table.
     pub fn say(&mut self, line: impl Display) {
-        self.print(line);
+        let line = line.to_string();
+        if self.echo {
+            println!("{line}");
+        }
+        self.text.push_str(&line);
         self.text.push('\n');
     }
 
-    /// Append `text` to the table as is.
-    pub fn print(&mut self, text: impl Display) {
-        use std::fmt::Write as _;
-        write!(self.text, "{text}").expect("writing to a String");
+    /// Append a table row, right-aligned to the widths of the last
+    /// [`Session::header`].
+    pub fn row(&mut self, cells: &[&dyn Display]) {
+        self.line(cells.iter());
     }
 
-    /// Append a formatted table row.
-    pub fn row(&mut self, cells: &[String], widths: &[usize]) {
-        let mut line = String::new();
-        for (c, w) in cells.iter().zip(widths) {
-            line.push_str(&format!("{c:>w$}  ", w = *w));
-        }
-        self.say(line.trim_end());
-    }
-
-    /// Append a header row plus underline.
+    /// Start a table: a header row plus underline, whose column widths
+    /// the rows that follow share.
     pub fn header(&mut self, cells: &[&str], widths: &[usize]) {
-        self.row(&cells.iter().map(|c| c.to_string()).collect::<Vec<_>>(), widths);
-        self.row(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>(), widths);
+        self.widths = widths.to_vec();
+        self.line(cells.iter());
+        self.line(widths.iter().map(|w| "-".repeat(*w)));
+    }
+
+    fn line(&mut self, cells: impl Iterator<Item = impl Display>) {
+        let line: String =
+            cells.zip(&self.widths).map(|(c, w)| format!("{c:>w$}  ", w = *w)).collect();
+        self.say(line.trim_end());
     }
 
     /// Standard banner naming the artifact being reproduced.
@@ -328,78 +338,48 @@ impl Session {
         format!("results/{file}")
     }
 
-    /// Write `contents` to `file` in the output directory; the failure
-    /// goes to stderr and into the verdict.
-    fn write(&mut self, file: &str, contents: &str) -> Option<String> {
+    /// Write `contents` to `file` in the output directory and say so on
+    /// stderr; a failure goes there too, and into the verdict.
+    fn write(&mut self, file: &str, contents: &str) {
         let path = self.dir.join(file);
         match std::fs::create_dir_all(&self.dir).and_then(|()| std::fs::write(&path, contents)) {
             Ok(()) => {
+                eprintln!("WROTE {}", path.display());
                 self.files.push(file.to_string());
-                Some(path.display().to_string())
             }
             Err(e) => {
                 eprintln!("{}: writing {} failed: {e}", self.name, path.display());
                 self.io_ok = false;
-                None
             }
         }
     }
 
-    /// Write the table, `BENCH_<name>.json` and the artifacts the
-    /// switches ask for; return what was found and written.
+    /// Write `BENCH_<name>.json` and the artifacts the switches ask for;
+    /// return the table with what was found and written. (The sweep
+    /// writes the table to `<name>.txt`; a named run has echoed it.)
     pub fn finish(mut self) -> Verdict {
-        let name = self.name;
-        let text = std::mem::take(&mut self.text);
-        self.write(&format!("{name}.txt"), &text);
-        let bench = bench_json(name, self.flags.backend, &self.runs);
-        if let Some(path) = self.write(&format!("BENCH_{name}.json"), &bench) {
-            eprintln!(
-                "BENCHTOTAL {name} runs={n} events={ev} json={path}",
-                n = self.runs.len(),
-                ev = self.runs.iter().map(|r| r.events).sum::<u64>(),
-            );
-        }
-
+        let (name, backend) = (self.name, self.flags.backend);
+        self.write(&format!("BENCH_{name}.json"), &bench_json(name, backend, &self.runs));
         let check_clean = self.flags.check.then(|| {
-            let json = self.check.to_json();
-            if let Some(path) = self.write(&format!("CHECK_{name}.json"), &json) {
-                eprint!("{}", self.check.summary());
-                eprintln!("CHECKFILE {path}");
-            }
-            if !self.check.is_clean() {
-                eprintln!("CHECKFAIL {name}: {} violation(s)", self.check.violations.len());
-            }
+            eprint!("{}", self.check.summary());
+            self.write(&format!("CHECK_{name}.json"), &self.check.to_json());
             self.check.is_clean()
         });
-
         let lint_clean = self.flags.lint.then(|| {
             let report = hal_check::run_lint(name, &self.lint);
-            if let Some(path) = self.write(&format!("LINT_{name}.json"), &report.to_json()) {
-                eprint!("{}", report.summary());
-                eprintln!("LINTFILE {path}");
-            }
-            if !report.is_clean() {
-                eprintln!("LINTFAIL {name}: {} finding(s)", report.findings.len());
-            }
+            eprint!("{}", report.summary());
+            self.write(&format!("LINT_{name}.json"), &report.to_json());
             report.is_clean()
         });
-
         if self.flags.spans {
-            let json = runs_json(name, self.flags.backend, &self.spans);
-            if let Some(path) = self.write(&format!("SPANS_{name}.json"), &json) {
-                eprintln!("SPANSFILE {path}");
-            }
+            self.write(&format!("SPANS_{name}.json"), &runs_json(name, backend, &self.spans));
         }
         if self.flags.metrics {
-            let json = runs_json(name, self.flags.backend, &self.metrics);
-            if let Some(path) = self.write(&format!("METRICS_{name}.json"), &json) {
-                eprintln!("METRICSFILE {path}");
-            }
+            self.write(&format!("METRICS_{name}.json"), &runs_json(name, backend, &self.metrics));
         }
-
         Verdict {
             name,
-            text,
+            text: self.text,
             check_clean,
             lint_clean,
             files: self.files,

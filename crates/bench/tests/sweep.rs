@@ -30,9 +30,6 @@ fn quick_sweep_is_byte_identical_across_runs_and_matches_its_manifest() {
         .map(|run| {
             let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("sweep-{run}"));
             let _ = std::fs::remove_dir_all(&dir);
-            // A leftover of an older tree: the stale-file pass removes it.
-            std::fs::create_dir_all(&dir).unwrap();
-            std::fs::write(dir.join("SPANS_removed_harness.json"), "{}").unwrap();
             let swept = sweep(flags, &dir);
             assert!(swept.ok, "sweep {run}: a verdict is dirty");
             (dir, swept.files)
@@ -60,6 +57,19 @@ fn quick_sweep_is_byte_identical_across_runs_and_matches_its_manifest() {
         .map(|p| p.as_str().unwrap().strip_prefix("results/").unwrap())
         .collect();
     assert_eq!(listed, *files_a, "the manifest lists what the sweep wrote, in write order");
+}
+
+#[test]
+fn a_single_row_run_writes_no_table_file() {
+    // `repro_all table2_primitives --quick` from the repository root must
+    // not overwrite the committed `results/table2_primitives.txt`.
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("one-row");
+    let _ = std::fs::remove_dir_all(&dir);
+    let row = HARNESSES.iter().find(|h| h.name == "table2_primitives").unwrap();
+    let verdict = hal_bench::run(row, Flags { quick: true, ..Flags::default() }, &dir, false);
+    assert!(verdict.ok() && verdict.text.contains("Table 2"), "{}", verdict.text);
+    assert_eq!(verdict.files, ["BENCH_table2_primitives.json"]);
+    assert_eq!(listing(&dir), verdict.files.iter().cloned().collect());
 }
 
 #[test]

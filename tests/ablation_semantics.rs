@@ -6,7 +6,6 @@
 use hal::prelude::*;
 use hal_kernel::SimMachine;
 use hal::OptFlags;
-use hal_workloads::chase::{self, ChaseConfig};
 use hal_workloads::cholesky::{self, CholeskyConfig, Variant};
 use hal_workloads::fib::{self, FibConfig, Placement};
 use hal_workloads::matmul::{self, MatmulConfig};
@@ -101,18 +100,63 @@ fn matmul_result_invariant_under_all_ablations() {
 #[test]
 fn migration_chases_deliver_exactly_once_without_fir() {
     // The whole-message-forwarding alternative must still be exactly-once.
+    // Not `hal_workloads::chase`: this nomad walks the ring, so it returns to
+    // its birthplace (node 0) twice, which is a kernel path of its own.
+    struct Nomad {
+        hops: i64,
+        probes: i64,
+    }
+    impl Behavior for Nomad {
+        fn dispatch(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+            match msg.selector {
+                0 => {
+                    if self.hops > 0 {
+                        self.hops -= 1;
+                        let me = ctx.me();
+                        let next = ((ctx.node() as usize + 1) % ctx.nodes()) as u16;
+                        ctx.send(me, 0, vec![]);
+                        ctx.migrate(next);
+                    }
+                }
+                1 => {
+                    self.probes += 1;
+                    ctx.report("probe", Value::Int(self.probes));
+                }
+                _ => unreachable!(),
+            }
+        }
+    }
+    struct Spray {
+        target: MailAddr,
+    }
+    impl Behavior for Spray {
+        fn dispatch(&mut self, ctx: &mut Ctx<'_>, _msg: Msg) {
+            for _ in 0..10 {
+                ctx.send(self.target, 1, vec![]);
+            }
+        }
+    }
+    fn make_spray(args: &[Value]) -> Box<dyn Behavior> {
+        Box::new(Spray {
+            target: args[0].as_addr(),
+        })
+    }
+
+    let mut program = Program::new();
+    let spray = program.behavior("spray", make_spray);
     let opt = OptFlags {
         fir_chase: false,
         ..OptFlags::default()
     };
-    let chase = ChaseConfig {
-        chain: 12,
-        probes: 10,
-        prober_node: 3,
-        stop_after_last_probe: false,
-    };
-    let (delivered, r) = chase::run_sim(MachineConfig::builder(6).opt(opt).build().unwrap(), chase);
-    assert_eq!(delivered, 10, "exactly-once even when forwarding whole messages");
+    let mut m = SimMachine::new(MachineConfig::builder(6).opt(opt).build().unwrap(), program.build());
+    m.with_ctx(0, |ctx| {
+        let nomad = ctx.create_local(Box::new(Nomad { hops: 12, probes: 0 }));
+        ctx.send(nomad, 0, vec![]);
+        let s = ctx.create_on(3, spray, vec![Value::Addr(nomad)]);
+        ctx.send(s, 0, vec![]);
+    });
+    let r = m.run().unwrap();
+    assert_eq!(r.values("probe").len(), 10, "exactly-once even when forwarding whole messages");
     assert!(r.stats.get("fir.sent") == 0, "no FIRs in the ablated mode");
     assert!(r.stats.get("deliver.forwarded_whole") > 0, "whole messages were forwarded");
 }

@@ -143,10 +143,11 @@ fn chase_agrees_on_sim_and_live() {
     use hal_workloads::chase::{self, ChaseConfig};
     // The nomad stops the machine at its last probe: the live runtime
     // has no quiescence detection, and the same program drives both.
-    // That stop can land while an FIR reply is still propagating back
-    // along the chain (or before the walk's last hop), so open FIRs are
-    // the one audit row a truncated chase may leave; nothing may be
-    // stranded, buffered for an unknown key, or waiting on a join.
+    // On live that stop can land while an FIR reply is still propagating
+    // back along the chain (or before the walk's last hop), so open FIRs
+    // are the one audit row a truncated live chase may leave; nothing may
+    // be stranded, buffered for an unknown key, or waiting on a join. The
+    // simulator's stop is deterministic and its audit is clean outright.
     let cfg = ChaseConfig {
         chain: 8,
         probes: 20,
@@ -162,8 +163,8 @@ fn chase_agrees_on_sim_and_live() {
             (0, 0, 0),
             "{backend}: {a:?}"
         );
-        delivered
+        (delivered, a.is_clean())
     };
-    assert_eq!(on(BackendKind::Sim), 20);
-    assert_eq!(on(BackendKind::Live), 20);
+    assert_eq!(on(BackendKind::Sim), (20, true));
+    assert_eq!(on(BackendKind::Live).0, 20);
 }
