@@ -33,6 +33,16 @@ if grep -rnw 'Instant' crates/ \
   echo "ci: a crate outside the live runtime reads the host clock"; exit 1
 fi
 
+echo "== no process-lifetime state in workloads/ and baselines/ =="
+# A behavior factory's inputs are its creation arguments (registry.rs:
+# "construction state must travel in the creation message"), and a
+# reference computes from its parameters: nothing the process remembers
+# from an earlier call may shape either.
+if grep -rn -e 'thread_local!' -e 'static mut' -e 'OnceLock' -e 'LazyLock' \
+     crates/workloads/src crates/baselines/src; then
+  echo "ci: a workload or baseline keeps state across calls"; exit 1
+fi
+
 echo "== README.md and DESIGN.md name only crates/ paths that exist =="
 # Every backticked or linked crates/... path (globs allowed, a :line
 # suffix ignored) must be in the tree. EXPERIMENTS.md is history and is

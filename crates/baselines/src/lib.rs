@@ -18,4 +18,6 @@ pub mod linalg;
 
 pub use fib_seq::{call_tree_nodes, fib_iter};
 pub use gemm::{matmul_flops, matmul_ikj_acc, matmul_naive, max_abs_diff, random_matrix};
-pub use linalg::{b_row, cholesky_flops, cholesky_seq, llt, random_spd, spd_column};
+pub use linalg::{
+    b_row, cholesky_flops, cholesky_seq, llt, random_spd, spd_column, spd_column_tail,
+};

@@ -2,22 +2,29 @@
 //! workloads: column-oriented Cholesky factorization and helpers for
 //! generating well-conditioned inputs.
 
+/// Initial xorshift state of row `i` of the random factor `B`.
+#[inline]
+fn b_row_state(seed: u64, i: usize) -> u64 {
+    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add((i as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03))
+        | 1
+}
+
+/// Advance a row's xorshift state and return its next entry in [-1, 1).
+#[inline]
+fn b_next(state: &mut u64) -> f64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    (*state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+}
+
 /// Row `i` of the random factor `B` used by the SPD generators —
 /// regenerable in O(n) anywhere, so distributed column actors can build
 /// their own column without shipping the matrix.
 pub fn b_row(n: usize, seed: u64, i: usize) -> Vec<f64> {
-    let mut state = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add((i as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03))
-        | 1;
-    (0..n)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
-        })
-        .collect()
+    let mut state = b_row_state(seed, i);
+    (0..n).map(|_| b_next(&mut state)).collect()
 }
 
 /// Column `j` of the deterministic SPD matrix `A = B·Bᵀ + n·I`.
@@ -33,15 +40,50 @@ pub fn spd_column(n: usize, seed: u64, j: usize) -> Vec<f64> {
         .collect()
 }
 
+/// Rows generated side by side by [`spd_column_tail`]: a row's xorshift
+/// chain and its running sum are both serial, so one row at a time
+/// leaves the core waiting on latency.
+const TAIL_LANES: usize = 4;
+
+/// Rows `j..n` of column `j` of the same matrix — bit for bit
+/// `spd_column(n, seed, j)[j..]`, the part a left-looking factorization
+/// touches — without materializing any row of `B` but `b_j`: each row's
+/// entries are consumed by its dot product as the generator produces
+/// them, every sum in the same `k` order as `spd_column`'s.
+pub fn spd_column_tail(n: usize, seed: u64, j: usize) -> Vec<f64> {
+    let bj = b_row(n, seed, j);
+    let mut tail = vec![0.0; n - j];
+    for (block, out) in tail.chunks_mut(TAIL_LANES).enumerate() {
+        let first = j + block * TAIL_LANES;
+        // A short last block still runs every lane (a row index past n
+        // is only a seed) and keeps the lanes it has room for.
+        let mut state: [u64; TAIL_LANES] = std::array::from_fn(|l| b_row_state(seed, first + l));
+        // `-0.0` is where `Iterator::sum` starts an f64 sum.
+        let mut dot = [-0.0f64; TAIL_LANES];
+        for &y in &bj {
+            for l in 0..TAIL_LANES {
+                dot[l] += b_next(&mut state[l]) * y;
+            }
+        }
+        for (l, v) in out.iter_mut().enumerate() {
+            *v = dot[l] + if first + l == j { n as f64 } else { 0.0 };
+        }
+    }
+    tail
+}
+
 /// Generate a deterministic symmetric positive-definite n×n matrix:
 /// `A = B·Bᵀ + n·I` with random B — always SPD, well conditioned.
 pub fn random_spd(n: usize, seed: u64) -> Vec<f64> {
     let rows: Vec<Vec<f64>> = (0..n).map(|i| b_row(n, seed, i)).collect();
     let mut a = vec![0.0; n * n];
     for i in 0..n {
-        for j in 0..n {
+        // Each `b_i·b_j` once, mirrored: products commute and both
+        // orders sum over the same k, so the mirror is the exact value.
+        for j in 0..=i {
             let acc: f64 = rows[i].iter().zip(&rows[j]).map(|(x, y)| x * y).sum();
             a[i * n + j] = acc;
+            a[j * n + i] = acc;
         }
         a[i * n + i] += n as f64;
     }
@@ -173,7 +215,28 @@ mod tests {
         let a = random_spd(n, 9);
         for i in 0..n {
             for j in 0..n {
-                assert!((a[i * n + j] - a[j * n + i]).abs() < 1e-12);
+                assert_eq!(a[i * n + j].to_bits(), a[j * n + i].to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn spd_column_tail_is_the_column_tail_bit_for_bit() {
+        // Every j, so the diagonal's `+ n` is compared at both ends; 37
+        // so the last block of rows is short for most j.
+        for (n, seed) in [(16usize, 5u64), (37, 99), (192, 12345)] {
+            for j in 0..n {
+                let full = spd_column(n, seed, j);
+                let tail = spd_column_tail(n, seed, j);
+                assert_eq!(tail.len(), n - j);
+                for (i, (t, f)) in tail.iter().zip(&full[j..]).enumerate() {
+                    assert_eq!(
+                        t.to_bits(),
+                        f.to_bits(),
+                        "n={n} seed={seed} column {j} row {}",
+                        j + i
+                    );
+                }
             }
         }
     }

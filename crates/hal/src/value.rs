@@ -37,7 +37,7 @@ impl FromValue for GroupId {
 }
 impl FromValue for Bytes {
     fn from_value(v: Value) -> Self {
-        v.as_bytes()
+        v.into_bytes()
     }
 }
 impl FromValue for Value {
@@ -140,6 +140,12 @@ mod tests {
     fn roundtrip_bytes() {
         let b = Bytes::from(vec![1u8, 2, 3]);
         assert_eq!(Bytes::from_value(b.clone().into_value()), b);
+    }
+
+    #[test]
+    #[should_panic(expected = "expected Bytes")]
+    fn bytes_mismatch_panics() {
+        Bytes::from_value(Value::Int(1));
     }
 
     #[test]

@@ -18,6 +18,8 @@ use crate::addr::{GroupId, MailAddr, Mapping};
 use crate::message::Msg;
 use hal_am::NodeId;
 use std::collections::HashMap;
+use std::iter::StepBy;
+use std::ops::Range;
 
 /// Compute the home node of member `index` of a `count`-member group on a
 /// `p`-node partition under `mapping`.
@@ -30,13 +32,10 @@ pub fn home_node(index: u32, count: u32, p: usize, mapping: Mapping) -> NodeId {
     }
 }
 
-/// The member indices that live on `node` (inverse of [`home_node`]).
-pub fn members_on(
-    node: NodeId,
-    count: u32,
-    p: usize,
-    mapping: Mapping,
-) -> Box<dyn Iterator<Item = u32>> {
+/// The member indices that live on `node` (inverse of [`home_node`]),
+/// ascending: a block is a range walked in steps of one, a cyclic share
+/// one walked in steps of `p`.
+pub fn members_on(node: NodeId, count: u32, p: usize, mapping: Mapping) -> StepBy<Range<u32>> {
     match mapping {
         Mapping::Block => {
             let p = p as u64;
@@ -45,26 +44,26 @@ pub fn members_on(
             // Smallest i with i*p/count == n  is ceil(n*count / p).
             let lo = (n * count).div_ceil(p) as u32;
             let hi = (((n + 1) * count).div_ceil(p) as u32).min(count as u32);
-            Box::new(lo..hi)
+            (lo..hi).step_by(1)
         }
-        Mapping::Cyclic => Box::new((node as u32..count).step_by(p)),
+        Mapping::Cyclic => (node as u32..count).step_by(p),
     }
 }
 
-/// Per-node knowledge about one group.
-#[derive(Default)]
-pub struct GroupInfo {
-    /// Members homed on this node: group index → mail address. Addresses
-    /// (not actor ids) so that a member that migrates away stays
-    /// reachable — delivery goes through the normal locality-descriptor
-    /// path, FIR chasing included.
-    pub local: HashMap<u32, MailAddr>,
-}
+/// Where [`GroupTable`] keeps a known group; see [`GroupTable::slot`].
+pub type GroupSlot = usize;
 
 /// The per-node group table.
 #[derive(Default)]
 pub struct GroupTable {
-    groups: HashMap<GroupId, GroupInfo>,
+    /// Per known group, the members homed on this node as (group index,
+    /// mail address), ascending by index. Addresses (not actor ids) so
+    /// that a member that migrates away stays reachable — delivery goes
+    /// through the normal locality-descriptor path, FIR chasing included.
+    local: Vec<Vec<(u32, MailAddr)>>,
+    /// Group id → position in `local`: a broadcast hashes once to find
+    /// its group and then walks the members by position.
+    slots: HashMap<GroupId, GroupSlot>,
     /// Traffic for groups whose `grpnew` has not reached this node yet:
     /// per group, parked (member index or broadcast) deliveries.
     pending_member: HashMap<GroupId, Vec<(u32, Msg)>>,
@@ -92,10 +91,15 @@ impl GroupTable {
         group: GroupId,
         members: impl IntoIterator<Item = (u32, MailAddr)>,
     ) -> (Vec<(u32, Msg)>, Vec<Msg>) {
-        let info = self.groups.entry(group).or_default();
-        for (idx, addr) in members {
-            let prev = info.local.insert(idx, addr);
-            assert!(prev.is_none(), "group member {idx} installed twice");
+        let slot = *self.slots.entry(group).or_insert_with(|| {
+            self.local.push(Vec::new());
+            self.local.len() - 1
+        });
+        let local = &mut self.local[slot];
+        local.extend(members);
+        local.sort_unstable_by_key(|&(idx, _)| idx);
+        if let Some(pair) = local.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            panic!("group member {} installed twice", pair[0].0);
         }
         (
             self.pending_member.remove(&group).unwrap_or_default(),
@@ -103,27 +107,27 @@ impl GroupTable {
         )
     }
 
+    /// Where the group is kept, if it is known on this node.
+    pub fn slot(&self, group: GroupId) -> Option<GroupSlot> {
+        self.slots.get(&group).copied()
+    }
+
     /// Is the group known on this node?
     pub fn known(&self, group: GroupId) -> bool {
-        self.groups.contains_key(&group)
+        self.slots.contains_key(&group)
     }
 
     /// Look up a member homed on this node.
     pub fn member(&self, group: GroupId, index: u32) -> Option<MailAddr> {
-        self.groups.get(&group)?.local.get(&index).copied()
+        let local = self.local_members(self.slot(group)?);
+        let at = local.binary_search_by_key(&index, |&(idx, _)| idx).ok()?;
+        Some(local[at].1)
     }
 
-    /// All local members of a group in index order (collective
-    /// scheduling delivers to them consecutively).
-    pub fn local_members(&self, group: GroupId) -> Vec<(u32, MailAddr)> {
-        match self.groups.get(&group) {
-            None => Vec::new(),
-            Some(info) => {
-                let mut v: Vec<_> = info.local.iter().map(|(&i, &a)| (i, a)).collect();
-                v.sort_unstable_by_key(|&(i, _)| i);
-                v
-            }
-        }
+    /// All local members of the group at `slot` in index order
+    /// (collective scheduling delivers to them consecutively).
+    pub fn local_members(&self, slot: GroupSlot) -> &[(u32, MailAddr)] {
+        &self.local[slot]
     }
 
     /// Park a member-addressed message for a not-yet-installed group.
@@ -138,12 +142,12 @@ impl GroupTable {
 
     /// Number of groups known locally.
     pub fn len(&self) -> usize {
-        self.groups.len()
+        self.local.len()
     }
 
     /// True if no groups are known.
     pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
+        self.local.is_empty()
     }
 }
 
@@ -221,8 +225,28 @@ mod tests {
         let g = GroupId::new(0, 0, 8, Mapping::Block);
         let a = |i| MailAddr::ordinary(0, crate::addr::DescriptorId(i));
         t.install(g, vec![(5, a(2)), (1, a(0)), (3, a(1))]);
-        let m = t.local_members(g);
+        let m = t.local_members(t.slot(g).unwrap());
         assert_eq!(m, vec![(1, a(0)), (3, a(1)), (5, a(2))]);
+    }
+
+    #[test]
+    fn member_lookup_agrees_with_the_sorted_list_after_two_installs() {
+        let mut t = GroupTable::new();
+        let other = GroupId::new(0, 0, 8, Mapping::Cyclic);
+        let g = GroupId::new(0, 1, 8, Mapping::Cyclic);
+        let a = |i| MailAddr::ordinary(0, crate::addr::DescriptorId(i));
+        t.install(g, vec![(6, a(6)), (2, a(2))]);
+        t.install(other, vec![(1, a(10))]);
+        t.install(g, vec![(4, a(4)), (0, a(0))]);
+        assert_eq!(t.len(), 2);
+        let sorted = t.local_members(t.slot(g).unwrap()).to_vec();
+        assert_eq!(sorted, vec![(0, a(0)), (2, a(2)), (4, a(4)), (6, a(6))]);
+        for idx in 0..8 {
+            let listed = sorted.iter().find(|&&(i, _)| i == idx).map(|&(_, addr)| addr);
+            assert_eq!(t.member(g, idx), listed, "member {idx}");
+        }
+        assert_eq!(t.member(other, 1), Some(a(10)));
+        assert_eq!(t.member(other, 2), None);
     }
 
     #[test]

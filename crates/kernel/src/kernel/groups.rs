@@ -4,7 +4,7 @@
 use super::Kernel;
 use crate::addr::{BehaviorId, GroupId, Mapping};
 use crate::error::MachineError;
-use crate::group::{home_node, members_on};
+use crate::group::{GroupSlot, home_node, members_on};
 use crate::message::{Msg, Target, Value};
 use crate::name_server::Resolution;
 use crate::wire::KMsg;
@@ -80,8 +80,9 @@ impl Kernel {
         for (idx, msg) in parked_member {
             self.deliver_member(group, idx, msg);
         }
+        let slot = self.groups.slot(group).expect("just installed");
         for msg in parked_bcast {
-            self.deliver_bcast_local(group, msg);
+            self.deliver_bcast_local(slot, msg);
         }
     }
 
@@ -125,29 +126,31 @@ impl Kernel {
                 },
             );
         }
-        if self.groups.known(group) {
-            self.deliver_bcast_local(group, msg);
-        } else {
-            self.groups.park_bcast(group, msg);
+        match self.groups.slot(group) {
+            Some(slot) => self.deliver_bcast_local(slot, msg),
+            None => self.groups.park_bcast(group, msg),
         }
     }
 
     /// Collective scheduling (§6.4): deliver a broadcast to every local
     /// member consecutively — one dispatch charge for the whole quantum
-    /// rather than one per message.
-    fn deliver_bcast_local(&mut self, group: GroupId, msg: Msg) {
-        let members = self.groups.local_members(group);
-        if members.is_empty() {
+    /// rather than one per message. The members are walked by position
+    /// in the table's index-sorted list: nothing is hashed, sorted or
+    /// allocated per broadcast.
+    fn deliver_bcast_local(&mut self, slot: GroupSlot, msg: Msg) {
+        let members = self.groups.local_members(slot).len();
+        if members == 0 {
             return;
         }
         if self.cfg.opt.collective_bcast {
             // One dispatch for the whole local quantum (§6.4).
             self.charge(self.cfg.cost.dispatch);
         }
-        self.stats.add("bcast.local_deliveries", members.len() as u64);
-        let last = members.len() - 1;
+        self.stats.add("bcast.local_deliveries", members as u64);
+        let last = members - 1;
         let mut msg = Some(msg);
-        for (i, (_idx, addr)) in members.into_iter().enumerate() {
+        for i in 0..members {
+            let (_idx, addr) = self.groups.local_members(slot)[i];
             if !self.cfg.opt.collective_bcast {
                 // Ablation: every member delivery is its own scheduling
                 // event.
@@ -182,6 +185,102 @@ impl Kernel {
                 }
                 _ => self.send_to_addr(addr, m),
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::actor::Behavior;
+    use crate::kernel::{AmEnvelope, Outbound};
+    use crate::registry::BehaviorRegistry;
+    use crate::{Ctx, KernelConfig, MachineConfig};
+    use hal_am::Packet;
+    use hal_des::VirtualTime;
+    use std::sync::Arc;
+
+    /// A group member that reports its index for every message it gets.
+    struct Member(i64);
+    impl Behavior for Member {
+        fn dispatch(&mut self, ctx: &mut Ctx<'_>, _msg: Msg) {
+            ctx.report("got", Value::Int(self.0));
+        }
+    }
+
+    /// Node 1 of 3 with the `Member` behavior loaded and no network.
+    fn kernel() -> Kernel {
+        let mut reg = BehaviorRegistry::new();
+        // Creation arguments: [group, index, count].
+        reg.register(BehaviorId(0), "member", |args| Box::new(Member(args[1].as_int())));
+        Kernel::new(KernelConfig::for_node(&MachineConfig::new(3), 1), Arc::new(reg))
+    }
+
+    fn arrive(k: &mut Kernel, body: KMsg) {
+        k.deliver(VirtualTime::ZERO, Packet { src: 0, dst: 1, body: AmEnvelope::Small(body) });
+    }
+
+    /// Run every ready actor; the member indices in the order they ran.
+    fn ran(k: &mut Kernel) -> Vec<u32> {
+        while k.step() {}
+        k.reports.drain(..).map(|(_, v)| v.as_int() as u32).collect()
+    }
+
+    /// Node 1's share of a 10-member group, ascending.
+    fn share(mapping: Mapping) -> Vec<u32> {
+        match mapping {
+            Mapping::Block => vec![4, 5, 6],
+            Mapping::Cyclic => vec![1, 4, 7],
+        }
+    }
+
+    /// A broadcast that overtook its group's `GrpCreate` is parked and
+    /// replayed at install — to the local members in ascending index.
+    #[test]
+    fn parked_broadcast_reaches_members_in_index_order() {
+        for mapping in [Mapping::Block, Mapping::Cyclic] {
+            let mut k = kernel();
+            let group = GroupId::new(0, 0, 10, mapping);
+            arrive(&mut k, KMsg::GrpBcast { group, msg: Msg::new(0, vec![]), root: 0 });
+            assert!(ran(&mut k).is_empty(), "{mapping:?}: parked, nobody to run");
+            arrive(&mut k, KMsg::GrpCreate { group, behavior: BehaviorId(0), init: vec![], root: 0 });
+            assert_eq!(k.stats.get("bcast.local_deliveries"), 3, "{mapping:?}");
+            assert_eq!(ran(&mut k), share(mapping), "{mapping:?}");
+        }
+    }
+
+    /// A member that migrated away is reached through its forwarding
+    /// descriptor (`send_to_addr`), in its turn; the members still here
+    /// are enqueued directly, ascending.
+    #[test]
+    fn broadcast_forwards_a_migrated_member_and_enqueues_the_rest() {
+        for mapping in [Mapping::Block, Mapping::Cyclic] {
+            let mut k = kernel();
+            let group = GroupId::new(0, 0, 10, mapping);
+            arrive(&mut k, KMsg::GrpCreate { group, behavior: BehaviorId(0), init: vec![], root: 0 });
+            let here = share(mapping);
+            let gone = k.groups.member(group, here[1]).expect("homed here");
+            let Resolution::Local(aid) = k.names.resolve(gone.key) else {
+                panic!("{mapping:?}: member {} was created here", here[1]);
+            };
+            k.migrate_out(aid, 2, false);
+            k.drain_outbox().for_each(drop);
+
+            arrive(&mut k, KMsg::GrpBcast { group, msg: Msg::new(0, vec![]), root: 0 });
+            let forwarded: Vec<_> = k
+                .drain_outbox()
+                .filter_map(|out| match out {
+                    Outbound::Packet {
+                        dst,
+                        env: AmEnvelope::Small(KMsg::Deliver { target: Target::Addr { key, .. }, .. }),
+                        ..
+                    } => Some((dst, key)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(forwarded, vec![(2, gone.key)], "{mapping:?}");
+            assert_eq!(k.stats.get("bcast.local_deliveries"), 3, "{mapping:?}");
+            assert_eq!(ran(&mut k), vec![here[0], here[2]], "{mapping:?}");
         }
     }
 }

@@ -85,6 +85,15 @@ impl Value {
             other => panic!("expected Bytes, got {other:?}"),
         }
     }
+
+    /// Move the bulk payload out — the receiver owns the value, so no
+    /// refcount is touched.
+    pub fn into_bytes(self) -> Bytes {
+        match self {
+            Value::Bytes(b) => b,
+            other => panic!("expected Bytes, got {other:?}"),
+        }
+    }
 }
 
 /// Where a reply should go: the "continuation address" of §3.

@@ -138,15 +138,18 @@ struct Column {
 
 impl Column {
     /// Apply `cmod(j, k)`: subtract the outer-product contribution of
-    /// finished column k. `data` is rows k..n of L's column k.
-    fn cmod(&mut self, ctx: &mut Ctx<'_>, k: usize, data: &[f64]) {
+    /// finished column k. `data` is rows k..n of L's column k, packed;
+    /// it is read where it lies.
+    fn cmod(&mut self, ctx: &mut Ctx<'_>, k: usize, data: &[u8]) {
         debug_assert!(k < self.j);
-        let ljk = data[self.j - k];
+        // Global row j + i sits at payload index (j + i) - k.
+        let lk = crate::f64s(data).skip(self.j - k);
         let rows = self.n - self.j;
+        assert_eq!(lk.len(), rows, "column {k} is not rows {k}..{}", self.n);
+        let ljk = lk.clone().next().expect("rows > 0");
         ctx.charge(VirtualDuration::from_nanos(2 * rows as u64 * self.per_flop_ns));
-        for i in 0..rows {
-            // global row index = j + i; data index = (j + i) - k.
-            self.col[i] -= data[self.j + i - k] * ljk;
+        for (c, lik) in self.col.iter_mut().zip(lk) {
+            *c -= lik * ljk;
         }
         self.applied += 1;
     }
@@ -223,8 +226,7 @@ impl Behavior for Column {
                 if self.factored {
                     return; // stale broadcast copy
                 }
-                let col_k = crate::unpack_f64(&data);
-                self.cmod(ctx, k, &col_k);
+                self.cmod(ctx, k, &data);
                 match self.sync {
                     Sync::Pipelined => {
                         if self.applied == self.j {
@@ -269,7 +271,6 @@ fn make_column(args: &[Value]) -> Box<dyn Behavior> {
     let group = args[6].as_group();
     let j = args[7].as_int() as usize;
     // args[8] is the member count (== n).
-    let full = linalg::spd_column(n, seed, j);
     Box::new(Column {
         j,
         n,
@@ -278,7 +279,7 @@ fn make_column(args: &[Value]) -> Box<dyn Behavior> {
         coordinator,
         sync,
         per_flop_ns,
-        col: full[j..].to_vec(),
+        col: linalg::spd_column_tail(n, seed, j),
         applied: 0,
         factored: false,
     })
@@ -347,8 +348,7 @@ impl Behavior for Collector {
             unreachable!("collector only receives Result");
         };
         self.received += 1;
-        let col = crate::unpack_f64(&data);
-        self.fro += col.iter().map(|x| x * x).sum::<f64>();
+        self.fro += crate::f64s(&data).map(|x| x * x).sum::<f64>();
         if self.publish {
             ctx.report(format!("l_{j}"), Value::Bytes(data));
         }

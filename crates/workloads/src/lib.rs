@@ -33,12 +33,16 @@ pub fn pack_f64(data: &[f64]) -> hal_am::Bytes {
     hal_am::Bytes::from(out)
 }
 
-/// Unpack a wire payload into f64s.
-pub fn unpack_f64(b: &hal_am::Bytes) -> Vec<f64> {
+/// The f64s of a wire payload, read in place.
+pub fn f64s(b: &[u8]) -> impl ExactSizeIterator<Item = f64> + Clone + '_ {
     assert_eq!(b.len() % 8, 0, "payload not a multiple of 8 bytes");
     b.chunks_exact(8)
         .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect()
+}
+
+/// Unpack a wire payload into f64s.
+pub fn unpack_f64(b: &hal_am::Bytes) -> Vec<f64> {
+    f64s(b).collect()
 }
 
 #[cfg(test)]

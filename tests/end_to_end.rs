@@ -385,3 +385,20 @@ fn fib_33_scales_on_64_nodes_with_load_balancing() {
         "64 nodes should be >20x faster than the 1-node 8.49s: got {secs:.3}s"
     );
 }
+
+/// Cholesky BP, n = 48 on 8 nodes, pinned: the group fan-out, the
+/// collective broadcasts, the bulk protocol under them and the input
+/// generator may get faster, never different.
+#[test]
+fn cholesky_bp_is_pinned() {
+    let cfg = CholeskyConfig {
+        n: 48,
+        variant: Variant::BP,
+        per_flop_ns: 100,
+        seed: 7,
+    };
+    let (fro, r) = cholesky::run_sim(MachineConfig::new(8), cfg, false);
+    assert_eq!(r.events, 3_149, "events");
+    assert_eq!(r.makespan.as_nanos(), 4_879_080, "makespan");
+    assert_eq!(fro.to_bits(), 0x404b_9f51_ded3_8371, "chol_fro = {fro}");
+}
