@@ -33,6 +33,14 @@ if grep -rnw 'Instant' crates/ \
   echo "ci: a crate outside the live runtime reads the host clock"; exit 1
 fi
 
+echo "== one JSON writer: no hand-formatted document under crates/*/src =="
+# Every document is pushed through hal_des::json's Writer, which quotes
+# and escapes keys itself; an escaped-quote key literal (\"name\":)
+# anywhere else is a second writer growing back.
+if grep -rnE '\\"[A-Za-z_][A-Za-z0-9_.]*\\":' crates/*/src | grep -v '^crates/des/src/json\.rs:'; then
+  echo "ci: a JSON document is formatted by hand outside hal_des::json"; exit 1
+fi
+
 echo "== no process-lifetime state in workloads/ and baselines/ =="
 # A behavior factory's inputs are its creation arguments (registry.rs:
 # "construction state must travel in the creation message"), and a

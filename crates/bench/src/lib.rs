@@ -50,7 +50,7 @@ pub mod harness {
     pub mod timeline_cholesky;
 }
 
-use hal_check::json_escape;
+use hal_des::json::{self, Style::Block, Style::Inline};
 use hal_kernel::BackendKind;
 use out::{Flags, Session, Verdict};
 use std::path::Path;
@@ -196,20 +196,19 @@ pub fn sweep(flags: Flags, dir: &Path) -> Sweep {
     // One family's verdicts folded into `<family>_repro_all.json`.
     let mut fold = |family: &str, clean: fn(&Verdict) -> Option<bool>| {
         let all_clean = verdicts.iter().all(|v| clean(v) == Some(true));
-        let bins: Vec<String> = verdicts
-            .iter()
-            .map(|v| {
-                format!(
-                    "    {{\"bin\": \"{bin}\", \"clean\": {}, \"detail\": \"results/{family}_{bin}.json\"}}",
-                    clean(v) == Some(true),
-                    bin = v.name
-                )
-            })
-            .collect();
-        let json = format!(
-            "{{\n  \"subject\": \"repro_all\",\n  \"clean\": {all_clean},\n  \"bins\": [\n{}\n  ]\n}}\n",
-            bins.join(",\n")
-        );
+        let json = json::document(|w| {
+            w.obj(Block, |w| {
+                w.key("subject").str("repro_all").key("clean").bool(all_clean);
+                w.key("bins").arr(Block, |w| {
+                    for v in &verdicts {
+                        w.obj(Inline, |w| {
+                            w.key("bin").str(v.name).key("clean").bool(clean(v) == Some(true));
+                            w.key("detail").str(&format!("results/{family}_{}.json", v.name));
+                        });
+                    }
+                });
+            });
+        });
         write(dir, &mut files, format!("{family}_repro_all.json"), &json);
         eprintln!("{family}_repro_all.json: {}", if all_clean { "CLEAN" } else { "DIRTY" });
         ok &= all_clean;
@@ -238,14 +237,17 @@ fn write(dir: &Path, files: &mut Vec<String>, file: String, contents: &str) {
 /// as paths under `results/`.
 fn manifest_json(flags: Flags, files: &[String]) -> String {
     let Flags { quick, check, lint, spans, metrics, .. } = flags;
-    let files: Vec<String> =
-        files.iter().map(|f| format!("    \"results/{}\"", json_escape(f))).collect();
-    format!(
-        "{{\n  \"subject\": \"repro_all\",\n  \"quick\": {quick},\n  \"check\": {check},\n  \
-         \"lint\": {lint},\n  \"spans\": {spans},\n  \"metrics\": {metrics},\n  \
-         \"artifacts\": [\n{}\n  ]\n}}\n",
-        files.join(",\n")
-    )
+    json::document(|w| {
+        w.obj(Block, |w| {
+            w.key("subject").str("repro_all").key("quick").bool(quick).key("check").bool(check);
+            w.key("lint").bool(lint).key("spans").bool(spans).key("metrics").bool(metrics);
+            w.key("artifacts").arr(Block, |w| {
+                for f in files {
+                    w.str(&format!("results/{f}"));
+                }
+            });
+        });
+    })
 }
 
 /// Format seconds with 3 decimals.

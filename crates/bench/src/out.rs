@@ -48,7 +48,8 @@
 //! and the lint's summaries) go to **stderr**; the table is the session's
 //! text.
 
-use hal_check::{json_escape, CheckReport, LintSpec};
+use hal_check::{CheckReport, LintSpec};
+use hal_des::json::{Style::Block, Style::Inline, Writer};
 use hal_kernel::critical_path::critical_paths;
 use hal_kernel::span::SpanReport;
 use hal_kernel::{
@@ -127,11 +128,11 @@ pub struct Session {
     runs: Vec<Run>,
     check: CheckReport,
     lint: LintSpec,
-    /// Per-run JSON fragments for `SPANS_<name>.json` (composed span +
-    /// critical-path object).
-    spans: Vec<String>,
-    /// Per-run JSON fragments for `METRICS_<name>.json`.
-    metrics: Vec<String>,
+    /// `SPANS_<name>.json` and `METRICS_<name>.json` under their
+    /// switches, open at their `runs` arrays: each recorded run writes its
+    /// object into them.
+    spans: Option<Writer>,
+    metrics: Option<Writer>,
     files: Vec<String>,
     io_ok: bool,
 }
@@ -150,8 +151,8 @@ impl Session {
             runs: Vec::new(),
             check: CheckReport::new(name),
             lint: LintSpec::new(),
-            spans: Vec::new(),
-            metrics: Vec::new(),
+            spans: flags.spans.then(|| runs_doc(name, flags.backend)),
+            metrics: flags.metrics.then(|| runs_doc(name, flags.backend)),
             files: Vec::new(),
             io_ok: true,
         }
@@ -278,7 +279,7 @@ impl Session {
             }
         }
         let makespan_ns = report.makespan.as_nanos();
-        if let (true, Some(trace)) = (self.flags.spans, &report.trace) {
+        if let (Some(doc), Some(trace)) = (&mut self.spans, &report.trace) {
             let spans = SpanReport::build(trace);
             let cp = critical_paths(&spans, 5);
             if let Some(c) = cp.critical() {
@@ -296,19 +297,18 @@ impl Session {
                 cp.ratio(makespan_ns),
                 cp.chains.len()
             );
-            self.spans.push(format!(
-                "{{\"label\": \"{}\", \"spans\": {}, \"critical_path\": {}}}",
-                json_escape(&label),
-                spans.to_json().trim_end(),
-                cp.to_json(makespan_ns).trim_end()
-            ));
+            doc.obj(Inline, |w| {
+                w.key("label").str(&label).key("spans");
+                spans.write_json(w);
+                w.key("critical_path");
+                cp.write_json(w, makespan_ns);
+            });
         }
-        if let (true, Some(m)) = (self.flags.metrics, &report.metrics) {
-            self.metrics.push(format!(
-                "{{\"label\": \"{}\", \"metrics\": {}}}",
-                json_escape(&label),
-                m.to_json(makespan_ns).trim_end()
-            ));
+        if let (Some(doc), Some(m)) = (&mut self.metrics, &report.metrics) {
+            doc.obj(Inline, |w| {
+                w.key("label").str(&label).key("metrics");
+                m.write_json(w, makespan_ns);
+            });
         }
         eprintln!(
             "BENCHLINE {label} virtual_ms={vms:.3} events={ev}",
@@ -371,11 +371,11 @@ impl Session {
             self.write(&format!("LINT_{name}.json"), &report.to_json());
             report.is_clean()
         });
-        if self.flags.spans {
-            self.write(&format!("SPANS_{name}.json"), &runs_json(name, backend, &self.spans));
-        }
-        if self.flags.metrics {
-            self.write(&format!("METRICS_{name}.json"), &runs_json(name, backend, &self.metrics));
+        for (family, doc) in [("SPANS", self.spans.take()), ("METRICS", self.metrics.take())] {
+            if let Some(mut doc) = doc {
+                doc.end().end();
+                self.write(&format!("{family}_{name}.json"), &doc.finish());
+            }
         }
         Verdict {
             name,
@@ -391,49 +391,36 @@ impl Session {
 /// The `BENCH_<name>.json` document for `runs`: a pure function of its
 /// arguments, so the file is byte-identical across reruns on sim.
 fn bench_json(name: &str, backend: BackendKind, runs: &[Run]) -> String {
-    let mut body = String::new();
-    for (i, r) in runs.iter().enumerate() {
-        if i > 0 {
-            body.push_str(",\n");
-        }
-        let extras: String = r
-            .extras
-            .iter()
-            .map(|(k, v)| format!(", \"{}\": {}", json_escape(k), v))
-            .collect();
-        body.push_str(&format!(
-            "    {{\"label\": \"{}\", \"virtual_ns\": {}, \"events\": {}{}}}",
-            json_escape(&r.label),
-            r.virtual_ns,
-            r.events,
-            extras,
-        ));
+    let mut w = runs_doc(name, backend);
+    for r in runs {
+        w.obj(Inline, |w| {
+            w.key("label").str(&r.label);
+            w.key("virtual_ns").int(r.virtual_ns).key("events").int(r.events);
+            for (k, v) in &r.extras {
+                w.key(k).int(*v);
+            }
+        });
     }
-    format!(
-        "{{\n  \"bench\": \"{}\",\n  \"backend\": \"{}\",\n  \"runs\": [\n{}\n  ],\n  \"total_events\": {}\n}}\n",
-        json_escape(name),
-        backend,
-        body,
-        runs.iter().map(|r| r.events).sum::<u64>(),
-    )
+    w.end().key("total_events").int(runs.iter().map(|r| r.events).sum::<u64>());
+    w.end();
+    w.finish()
 }
 
-/// A per-run JSON artifact (`SPANS_*` / `METRICS_*`) from its run
-/// fragments. Carries the `"backend"` tag like `BENCH_*`: a live-tagged
-/// document holds host-time facts and is not reproducible.
-fn runs_json(name: &str, backend: BackendKind, runs: &[String]) -> String {
-    let body: Vec<String> = runs.iter().map(|obj| format!("    {obj}")).collect();
-    format!(
-        "{{\n  \"bench\": \"{}\",\n  \"backend\": \"{}\",\n  \"runs\": [\n{}\n  ]\n}}\n",
-        json_escape(name),
-        backend,
-        body.join(",\n")
-    )
+/// A `BENCH_` / `SPANS_` / `METRICS_` document opened at its `runs`
+/// array; the caller writes the runs and closes it. The `"backend"` tag
+/// says whether it holds virtual-time facts or host-time ones, which are
+/// not reproducible.
+fn runs_doc(name: &str, backend: BackendKind) -> Writer {
+    let mut w = Writer::default();
+    w.begin_obj(Block).key("bench").str(name).key("backend").str(&backend.to_string());
+    w.key("runs").begin_arr(Block);
+    w
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hal_des::json::Json;
 
     #[test]
     fn bench_document_is_a_pure_function_of_the_recorded_runs() {
@@ -456,15 +443,17 @@ mod tests {
         let a = bench_json("t", BackendKind::Sim, &runs());
         let b = bench_json("t", BackendKind::Sim, &runs());
         assert_eq!(a, b, "same runs, same bytes");
-        assert!(!a.contains("wall") && !a.contains("per_sec"), "{a}");
-        assert!(
-            a.contains(
-                "{\"label\": \"chaos drop=5%\", \"virtual_ns\": 9000, \"events\": 80, \
-                 \"delivered\": 40, \"retransmits\": 3}"
-            ),
-            "{a}"
-        );
-        assert!(a.contains("\"total_events\": 3232"), "{a}");
-        hal_check::Json::parse(&a).expect("the document is JSON");
+        let doc = Json::parse(&a).expect("the document is JSON");
+        let keys = |v: &Json| match v {
+            Json::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+            _ => panic!("not an object: {v:?}"),
+        };
+        assert_eq!(keys(&doc), ["bench", "backend", "runs", "total_events"], "no host fact");
+        let runs = doc.get("runs").and_then(Json::as_arr).unwrap();
+        assert_eq!(runs[0].get("label").and_then(Json::as_str), Some("fib n=24 p=4 \"lb\""));
+        let chaos = |k: &str| runs[1].get(k).and_then(Json::as_f64);
+        assert_eq!(keys(&runs[1]), ["label", "virtual_ns", "events", "delivered", "retransmits"]);
+        assert_eq!((chaos("virtual_ns"), chaos("retransmits")), (Some(9000.0), Some(3.0)));
+        assert_eq!(doc.get("total_events").and_then(Json::as_f64), Some(3232.0));
     }
 }

@@ -4,6 +4,7 @@
 
 use hal_bench::out::Flags;
 use hal_bench::{sweep, HARNESSES};
+use hal_des::json::Json;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -46,9 +47,18 @@ fn quick_sweep_is_byte_identical_across_runs_and_matches_its_manifest() {
         let read = |dir: &Path| std::fs::read(dir.join(file)).unwrap();
         assert!(read(dir_a) == read(dir_b), "{file} differs between two sweeps");
     }
+    // Every document the sweep writes — Chrome traces included — is JSON.
+    let parse = |file: &str| {
+        let text = std::fs::read_to_string(dir_a.join(file)).unwrap();
+        Json::parse(&text).unwrap_or_else(|e| panic!("{file} is not JSON: {e}"))
+    };
+    let documents: Vec<&String> = on_disk.iter().filter(|f| f.ends_with(".json")).collect();
+    assert!(documents.iter().filter(|f| f.ends_with("_trace.json")).count() >= 3, "{documents:?}");
+    for file in documents {
+        parse(file);
+    }
 
-    let manifest = std::fs::read_to_string(dir_a.join("MANIFEST_repro_all.json")).unwrap();
-    let manifest = hal_check::Json::parse(&manifest).expect("the manifest is JSON");
+    let manifest = parse("MANIFEST_repro_all.json");
     let listed: Vec<&str> = manifest
         .get("artifacts")
         .and_then(|a| a.as_arr())

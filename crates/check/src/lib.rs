@@ -31,13 +31,11 @@
 
 #![warn(missing_docs)]
 
-mod json;
 mod lint;
 mod program_check;
 mod report;
 mod trace_check;
 
-pub use json::{json_escape, Json};
 pub use lint::{run_lint, LintFinding, LintKind, LintReport, LintSpec};
 pub use program_check::{check_audit, check_behavior_image, check_registry, check_tags};
 pub use report::{CheckReport, Violation, ViolationKind};

@@ -31,8 +31,8 @@
 //! report is built from sorted containers and carries no host facts, so
 //! its bytes are identical across runs and hosts.
 
-use crate::json::json_escape;
-use crate::report::CheckReport;
+use crate::report::{counts, CheckReport};
+use hal_des::json::{self, Style::Block, Style::Inline};
 use hal_kernel::ProtocolDecl;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -193,51 +193,26 @@ impl LintReport {
         out
     }
 
-    /// Serialize as JSON (dependency-free, like the bench records).
-    /// Every container is sorted, so the bytes are deterministic.
+    /// The `LINT_<bin>.json` document. Every container is sorted, so the
+    /// bytes are deterministic.
     #[must_use]
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let list = |v: &[String]| {
-            v.iter()
-                .map(|s| format!("\"{}\"", json_escape(s)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let mut counts = String::new();
-        for (i, (name, n)) in self.counts().iter().enumerate() {
-            if i > 0 {
-                counts.push_str(", ");
-            }
-            let _ = write!(counts, "\"{}\": {}", json_escape(name), n);
-        }
-        let mut findings = String::new();
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                findings.push_str(",\n");
-            }
-            let _ = write!(
-                findings,
-                "    {{\"kind\": \"{}\", \"detail\": \"{}\"}}",
-                json_escape(f.kind.name()),
-                json_escape(&f.detail),
-            );
-        }
-        format!(
-            "{{\n  \"subject\": \"{}\",\n  \"clean\": {},\n  \"protocols\": [{}],\n  \
-             \"behaviors\": [{}],\n  \"roots\": [{}],\n  \"reachable\": [{}],\n  \
-             \"warnings\": [{}],\n  \
-             \"finding_counts\": {{{}}},\n  \"findings\": [\n{}\n  ]\n}}\n",
-            json_escape(&self.subject),
-            self.is_clean(),
-            list(&self.protocols),
-            list(&self.behaviors),
-            list(&self.roots),
-            list(&self.reachable),
-            list(&self.warnings),
-            counts,
-            findings,
-        )
+        json::document(|w| {
+            w.obj(Block, |w| {
+                w.key("subject").str(&self.subject).key("clean").bool(self.is_clean());
+                w.key("protocols").strs(&self.protocols).key("behaviors").strs(&self.behaviors);
+                w.key("roots").strs(&self.roots).key("reachable").strs(&self.reachable);
+                w.key("warnings").strs(&self.warnings);
+                w.key("finding_counts").obj(Inline, |w| counts(w, self.counts()));
+                w.key("findings").arr(Block, |w| {
+                    for f in &self.findings {
+                        w.obj(Inline, |w| {
+                            w.key("kind").str(f.kind.name()).key("detail").str(&f.detail);
+                        });
+                    }
+                });
+            });
+        })
     }
 }
 
@@ -684,7 +659,7 @@ mod tests {
         let a = run_lint("unit", &spec).to_json();
         let b = run_lint("unit", &flipped).to_json();
         assert_eq!(a, b);
-        assert!(a.contains("\"clean\": true"), "{a}");
-        assert_eq!(a.matches('{').count(), a.matches('}').count());
+        let doc = hal_des::json::Json::parse(&a).expect("the report is JSON");
+        assert_eq!(doc.get("clean"), Some(&hal_des::json::Json::Bool(true)));
     }
 }

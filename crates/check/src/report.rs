@@ -1,7 +1,7 @@
 //! Typed check results: violation kinds, counts, offending event
 //! windows, and the `results/CHECK_<bin>.json` serialization.
 
-use crate::json::json_escape;
+use hal_des::json::{self, Style::Block, Style::Inline, Writer};
 use std::collections::BTreeMap;
 
 /// Every invariant the checker can see broken, one kind per rule.
@@ -228,68 +228,41 @@ impl CheckReport {
         out
     }
 
-    /// Serialize as JSON (dependency-free, like the bench records).
+    /// The `CHECK_<bin>.json` document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut counts = String::new();
-        for (i, (name, n)) in self.counts().iter().enumerate() {
-            if i > 0 {
-                counts.push_str(", ");
-            }
-            let _ = write!(counts, "\"{}\": {}", json_escape(name), n);
-        }
-        let mut violations = String::new();
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                violations.push_str(",\n");
-            }
-            let window: String = v
-                .window
-                .iter()
-                .map(|w| format!("\"{}\"", json_escape(w)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let _ = write!(
-                violations,
-                "    {{\"kind\": \"{}\", \"detail\": \"{}\", \"window\": [{}]}}",
-                json_escape(v.kind.name()),
-                json_escape(&v.detail),
-                window,
-            );
-        }
-        let passes: String = self
-            .passes
-            .iter()
-            .map(|p| format!("\"{}\"", json_escape(p)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let warnings: String = self
-            .warnings
-            .iter()
-            .map(|w| format!("\"{}\"", json_escape(w)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\n  \"subject\": \"{}\",\n  \"clean\": {},\n  \"passes\": [{}],\n  \
-             \"events_checked\": {},\n  \"trace_truncated\": {},\n  \
-             \"warnings\": [{}],\n  \
-             \"violation_counts\": {{{}}},\n  \"violations\": [\n{}\n  ]\n}}\n",
-            json_escape(&self.subject),
-            self.is_clean(),
-            passes,
-            self.events_checked,
-            self.trace_truncated,
-            warnings,
-            counts,
-            violations,
-        )
+        json::document(|w| {
+            w.obj(Block, |w| {
+                w.key("subject").str(&self.subject).key("clean").bool(self.is_clean());
+                w.key("passes").strs(&self.passes);
+                w.key("events_checked").int(self.events_checked);
+                w.key("trace_truncated").bool(self.trace_truncated);
+                w.key("warnings").strs(&self.warnings);
+                w.key("violation_counts").obj(Inline, |w| counts(w, self.counts()));
+                w.key("violations").arr(Block, |w| {
+                    for v in &self.violations {
+                        w.obj(Inline, |w| {
+                            w.key("kind").str(v.kind.name()).key("detail").str(&v.detail);
+                            w.key("window").strs(&v.window);
+                        });
+                    }
+                });
+            });
+        })
+    }
+}
+
+/// Push a kind-name → count map as object members.
+pub(crate) fn counts(w: &mut Writer, counts: BTreeMap<&str, u64>) {
+    for (name, n) in counts {
+        w.key(name).int(n);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hal_des::json::Json;
 
     #[test]
     fn json_shape_and_counts() {
@@ -303,10 +276,13 @@ mod tests {
         );
         assert!(!r.is_clean());
         assert_eq!(r.counts()["DoubleDelivery"], 1);
-        let json = r.to_json();
-        assert!(json.contains("\"clean\": false"), "{json}");
-        assert!(json.contains("DoubleDelivery"), "{json}");
-        assert!(json.contains("PendingEnqueued"), "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let doc = Json::parse(&r.to_json()).expect("the report is JSON");
+        assert_eq!(doc.get("clean"), Some(&Json::Bool(false)));
+        let counts = doc.get("violation_counts").unwrap();
+        assert_eq!(counts.get("DoubleDelivery").and_then(Json::as_f64), Some(1.0));
+        let violations = doc.get("violations").and_then(Json::as_arr).unwrap();
+        assert_eq!(violations.len(), 2);
+        let window = violations[1].get("window").and_then(Json::as_arr).unwrap();
+        assert_eq!(window[0].as_str(), Some("t=5 node=0 PendingEnqueued"));
     }
 }

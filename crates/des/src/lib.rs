@@ -14,7 +14,8 @@
 //!   deterministic FIFO tie-breaking;
 //! * [`rng`] — tiny self-contained deterministic RNGs (SplitMix64, PCG32)
 //!   so that runs are bit-reproducible for a fixed seed;
-//! * [`stats`] — counters/histograms the bench harnesses read back.
+//! * [`stats`] — counters/histograms the bench harnesses read back;
+//! * [`json`] — the workspace's one JSON writer and reader.
 //!
 //! The actor kernel (`hal-kernel`) charges each runtime primitive a cost
 //! from a CM-5-calibrated cost model against its node's virtual clock, and
@@ -26,6 +27,7 @@
 
 pub mod clock;
 pub mod event;
+pub mod json;
 pub mod rng;
 pub mod stats;
 

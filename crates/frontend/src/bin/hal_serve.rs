@@ -29,8 +29,9 @@
 //!   stderr every ~500 ms while the load runs
 //! * `--verify <path>`      instead of serving: sanity-check an artifact
 //!
-//! Exit status: nonzero when the SLO fails, the checker finds
-//! violations, or `--verify` rejects the artifact.
+//! Exit status: 2 on a non-positive or non-finite rate or a non-finite
+//! SLO; nonzero when the SLO fails, the checker finds violations, or
+//! `--verify` rejects the artifact.
 
 use hal_frontend::serve;
 use hal_kernel::BackendKind;
@@ -102,6 +103,10 @@ fn main() {
         } else {
             panic!("unknown flag `{arg}` (see the module doc)");
         }
+    }
+    if let Err(e) = cfg.validate() {
+        eprintln!("hal-serve: {e}");
+        std::process::exit(2);
     }
 
     let out = match serve::run(cfg) {

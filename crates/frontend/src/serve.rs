@@ -28,9 +28,9 @@
 
 use hal::messages;
 use hal::prelude::*;
+use hal_des::json::{self, Json, Style::Block, Style::Inline};
 use hal_des::VirtualDuration;
 use hal_kernel::{Bytes, NodeId};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -480,6 +480,25 @@ impl Default for ServeConfig {
     }
 }
 
+impl ServeConfig {
+    /// Why this scenario cannot run, if it cannot: a rate that is not a
+    /// positive finite number, no requests or stages, or an SLO bound
+    /// that is not finite (`hal-serve` refuses these before running).
+    pub fn validate(&self) -> Result<(), String> {
+        let Slo { p50_ms, p99_ms, p999_ms } = self.slo;
+        let slos = [("p50", p50_ms), ("p99", p99_ms), ("p999", p999_ms)];
+        if !(self.rate_rps.is_finite() && self.rate_rps > 0.0) {
+            Err(format!("rate must be positive and finite, not {}", self.rate_rps))
+        } else if self.requests == 0 || self.stages == 0 {
+            Err("need at least one request and one stage".into())
+        } else if let Some((name, v)) = slos.into_iter().find(|(_, v)| !v.is_finite()) {
+            Err(format!("the {name} SLO must be finite, not {v}"))
+        } else {
+            Ok(())
+        }
+    }
+}
+
 /// The harvested outcome of one scenario run.
 pub struct ServeOutcome {
     /// The scenario that ran.
@@ -548,54 +567,43 @@ impl ServeOutcome {
 
     /// Render the `SERVE_<scenario>.json` document.
     pub fn to_json(&self) -> String {
-        let q = |p: f64| self.hist.quantile(p);
-        let mut s = String::from("{\n");
-        let _ = writeln!(s, "  \"scenario\": \"{}\",", self.cfg.scenario);
-        let _ = writeln!(s, "  \"backend\": \"{}\",", self.cfg.backend);
-        let _ = writeln!(s, "  \"nodes\": {},", self.cfg.nodes);
-        let _ = writeln!(s, "  \"stages\": {},", self.cfg.stages);
-        let _ = writeln!(s, "  \"requests\": {},", self.cfg.requests);
-        let _ = writeln!(s, "  \"completed\": {},", self.completed);
-        let _ = writeln!(s, "  \"offered_rps\": {:.1},", self.cfg.rate_rps);
-        let _ = writeln!(s, "  \"achieved_rps\": {:.1},", self.achieved_rps());
-        let _ = writeln!(s, "  \"wall_ns\": {},", self.wall_ns);
-        let _ = writeln!(s, "  \"latency_ns\": {{");
-        let _ = writeln!(s, "    \"min\": {},", self.hist.min());
-        let _ = writeln!(s, "    \"mean\": {:.0},", self.hist.mean());
-        let _ = writeln!(s, "    \"p50\": {},", q(0.50));
-        let _ = writeln!(s, "    \"p90\": {},", q(0.90));
-        let _ = writeln!(s, "    \"p99\": {},", q(0.99));
-        let _ = writeln!(s, "    \"p999\": {},", q(0.999));
-        let _ = writeln!(s, "    \"max\": {}", self.hist.max());
-        let _ = writeln!(s, "  }},");
-        let _ = writeln!(
-            s,
-            "  \"slo_ms\": {{ \"p50\": {}, \"p99\": {}, \"p999\": {} }},",
-            self.cfg.slo.p50_ms, self.cfg.slo.p99_ms, self.cfg.slo.p999_ms
-        );
-        let _ = writeln!(s, "  \"slo_pass\": {},", self.slo_pass());
-        let (b50, b99, b999) = self.burn_rates();
-        let _ = writeln!(s, "  \"burn_rate\": {{");
-        let _ = writeln!(s, "    \"p50\": {b50:.4},");
-        let _ = writeln!(s, "    \"p99\": {b99:.4},");
-        let _ = writeln!(s, "    \"p999\": {b999:.4},");
-        let _ = writeln!(s, "    \"window_ns\": {BURN_WINDOW_NS},");
-        let _ = writeln!(s, "    \"windows\": {},", self.windows);
-        let _ = writeln!(s, "    \"worst_window_over\": {},", self.worst_window_over);
-        let _ = writeln!(s, "    \"worst_window_count\": {},", self.worst_window_count);
-        let _ = writeln!(s, "    \"worst_window_frac\": {:.4}", self.worst_window_frac());
-        let _ = writeln!(s, "  }},");
-        let _ = writeln!(s, "  \"backpressure_hits\": {},", self.backpressure_hits);
-        let _ = writeln!(
-            s,
-            "  \"check\": {}",
-            match self.check_clean {
-                None => "null".into(),
-                Some(c) => format!("\"{}\"", if c { "CLEAN" } else { "VIOLATIONS" }),
-            }
-        );
-        s.push_str("}\n");
-        s
+        let (cfg, h) = (&self.cfg, &self.hist);
+        json::document(|w| {
+            w.obj(Block, |w| {
+                w.key("scenario").str(&cfg.scenario).key("backend").str(&cfg.backend.to_string());
+                w.key("nodes").int(cfg.nodes).key("stages").int(cfg.stages);
+                w.key("requests").int(cfg.requests).key("completed").int(self.completed);
+                w.key("offered_rps").float(cfg.rate_rps, 1);
+                w.key("achieved_rps").float(self.achieved_rps(), 1);
+                w.key("wall_ns").int(self.wall_ns);
+                w.key("latency_ns").obj(Block, |w| {
+                    w.key("min").int(h.min()).key("mean").float(h.mean(), 0);
+                    for (name, q) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99), ("p999", 0.999)] {
+                        w.key(name).int(h.quantile(q));
+                    }
+                    w.key("max").int(h.max());
+                });
+                w.key("slo_ms").obj(Inline, |w| {
+                    let slo = &cfg.slo;
+                    w.key("p50").float(slo.p50_ms, 3).key("p99").float(slo.p99_ms, 3);
+                    w.key("p999").float(slo.p999_ms, 3);
+                });
+                w.key("slo_pass").bool(self.slo_pass());
+                let (b50, b99, b999) = self.burn_rates();
+                w.key("burn_rate").obj(Block, |w| {
+                    w.key("p50").float(b50, 4).key("p99").float(b99, 4).key("p999").float(b999, 4);
+                    w.key("window_ns").int(BURN_WINDOW_NS).key("windows").int(self.windows);
+                    w.key("worst_window_over").int(self.worst_window_over);
+                    w.key("worst_window_count").int(self.worst_window_count);
+                    w.key("worst_window_frac").float(self.worst_window_frac(), 4);
+                });
+                w.key("backpressure_hits").int(self.backpressure_hits).key("check");
+                match self.check_clean {
+                    None => w.null(),
+                    Some(c) => w.str(if c { "CLEAN" } else { "VIOLATIONS" }),
+                };
+            });
+        })
     }
 
     /// One-line human summary for the console.
@@ -621,12 +629,12 @@ impl ServeOutcome {
 /// Run one scenario to completion and harvest its latency distribution.
 ///
 /// # Panics
-/// Panics on invalid configuration (zero rate, zero requests) — the
+/// Panics on a configuration [`ServeConfig::validate`] refuses — the
 /// `hal-serve` bin validates its flags first.
 pub fn run(cfg: ServeConfig) -> Result<ServeOutcome, MachineError> {
-    assert!(cfg.rate_rps > 0.0, "rate must be positive");
-    assert!(cfg.requests > 0, "need at least one request");
-    assert!(cfg.stages >= 1, "need at least one stage");
+    if let Err(e) = cfg.validate() {
+        panic!("invalid serve config: {e}");
+    }
     let period_ns = (1e9 / cfg.rate_rps) as u64;
 
     let mut program = Program::new();
@@ -782,39 +790,27 @@ pub fn run(cfg: ServeConfig) -> Result<ServeOutcome, MachineError> {
 /// percentile ladder, and the ladder is monotone (p50 ≤ p99 ≤ p999 ≤
 /// max). Returns a human-readable error otherwise.
 pub fn verify_artifact(body: &str) -> Result<(), String> {
-    let doc = hal_check::Json::parse(body)?;
-    let lat = doc.get("latency_ns").ok_or("missing latency_ns object")?;
-    let field = |k: &str| -> Result<f64, String> {
-        lat.get(k)
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("missing latency_ns.{k}"))
+    let doc = Json::parse(body)?;
+    let num = |path: &str| {
+        let v = path.split('.').try_fold(&doc, |v, k| v.get(k)).and_then(Json::as_f64);
+        v.ok_or_else(|| format!("missing {path}"))
     };
-    let (p50, p99, p999, max) = (field("p50")?, field("p99")?, field("p999")?, field("max")?);
+    let lat = |k: &str| num(&format!("latency_ns.{k}"));
+    let (p50, p99, p999, max) = (lat("p50")?, lat("p99")?, lat("p999")?, lat("max")?);
     if !(p50 <= p99 && p99 <= p999 && p999 <= max) {
         return Err(format!(
             "percentiles not monotone: p50={p50} p99={p99} p999={p999} max={max}"
         ));
     }
-    let completed = doc
-        .get("completed")
-        .and_then(|v| v.as_f64())
-        .ok_or("missing completed")?;
-    let requests = doc
-        .get("requests")
-        .and_then(|v| v.as_f64())
-        .ok_or("missing requests")?;
+    let (completed, requests) = (num("completed")?, num("requests")?);
     if completed > requests {
         return Err(format!("completed {completed} exceeds offered {requests}"));
     }
     if doc.get("slo_pass").is_none() {
         return Err("missing slo_pass".into());
     }
-    let burn = doc.get("burn_rate").ok_or("missing burn_rate object")?;
     for k in ["p50", "p99", "p999", "windows", "worst_window_frac"] {
-        let v = burn
-            .get(k)
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("missing burn_rate.{k}"))?;
+        let v = num(&format!("burn_rate.{k}"))?;
         if v < 0.0 {
             return Err(format!("burn_rate.{k} is negative: {v}"));
         }
@@ -950,5 +946,36 @@ mod tests {
         verify_artifact(&body).expect("fresh artifact verifies");
         assert!(verify_artifact("{}").is_err());
         assert!(verify_artifact(&body.replace("\"p50\"", "\"p5x\"")).is_err());
+    }
+
+    #[test]
+    fn a_scenario_name_with_json_syntax_in_it_still_verifies() {
+        let cfg = ServeConfig {
+            scenario: "q\"x\\".into(),
+            requests: 16,
+            rate_rps: 100_000.0,
+            ..ServeConfig::default()
+        };
+        let body = run(cfg).expect("serve runs").to_json();
+        verify_artifact(&body).unwrap_or_else(|e| panic!("{e}: {body}"));
+        let doc = Json::parse(&body).unwrap();
+        assert_eq!(doc.get("scenario").and_then(Json::as_str), Some("q\"x\\"));
+        assert_eq!(doc.get("check"), Some(&Json::Null));
+    }
+
+    #[test]
+    fn validate_refuses_what_cannot_run() {
+        let with = |f: fn(&mut ServeConfig)| {
+            let mut cfg = ServeConfig::default();
+            f(&mut cfg);
+            cfg.validate()
+        };
+        assert_eq!(with(|_| {}), Ok(()));
+        assert!(with(|c| c.rate_rps = 0.0).is_err());
+        assert!(with(|c| c.rate_rps = f64::INFINITY).is_err());
+        assert!(with(|c| c.rate_rps = f64::NAN).is_err());
+        assert!(with(|c| c.requests = 0).is_err());
+        let nan_slo = with(|c| c.slo.p999_ms = f64::NAN).unwrap_err();
+        assert!(nan_slo.contains("p999"), "{nan_slo}");
     }
 }

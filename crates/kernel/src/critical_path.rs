@@ -22,6 +22,7 @@
 
 use crate::span::{MsgSpan, SpanReport};
 use hal_am::NodeId;
+use hal_des::json::{self, Style::Block, Style::Inline, Writer};
 use hal_des::VirtualTime;
 use std::collections::{HashMap, HashSet};
 
@@ -156,53 +157,48 @@ impl CriticalPathReport {
         out
     }
 
-    /// Serialize as JSON (dependency-free, virtual-time facts only —
+    /// The report as a JSON document (virtual-time facts only —
     /// byte-identical across reruns).
     pub fn to_json(&self, makespan_ns: u64) -> String {
-        use std::fmt::Write as _;
-        let mut chains = String::new();
-        for (i, c) in self.chains.iter().enumerate() {
-            if i > 0 {
-                chains.push_str(",\n");
-            }
-            let mut hops = String::new();
-            for (j, h) in c.hops.iter().enumerate() {
-                if j > 0 {
-                    hops.push_str(", ");
-                }
-                let dst = h.dst.map_or_else(|| "null".to_string(), |d| d.to_string());
-                let _ = write!(
-                    hops,
-                    "[{}, {}, {}, {}, {}, {}, {}]",
-                    h.id, h.src, dst, h.wire_ns, h.queue_ns, h.pending_ns, h.exec_ns
-                );
-            }
-            let _ = write!(
-                chains,
-                "    {{\n      \"total_ns\": {},\n      \"started_at_ns\": {},\n      \
-                 \"finished_at_ns\": {},\n      \"wire_ns\": {},\n      \"queue_ns\": {},\n      \
-                 \"pending_ns\": {},\n      \"exec_ns\": {},\n      \"hops\": [{}]\n    }}",
-                c.total_ns,
-                c.started_at.as_nanos(),
-                c.finished_at.as_nanos(),
-                c.stages.wire_ns,
-                c.stages.queue_ns,
-                c.stages.pending_ns,
-                c.stages.exec_ns,
-                hops
-            );
-        }
-        let critical_ns = self.critical().map_or(0, |c| c.total_ns);
-        format!(
-            "{{\n  \"makespan_ns\": {},\n  \"critical_ns\": {},\n  \"serial_fraction\": {:.6},\n  \
-             \"hop_fields\": [\"id\", \"src\", \"dst\", \"wire_ns\", \"queue_ns\", \"pending_ns\", \"exec_ns\"],\n  \
-             \"chains\": [\n{}\n  ]\n}}\n",
-            makespan_ns,
-            critical_ns,
-            self.ratio(makespan_ns),
-            chains
-        )
+        json::document(|w| self.write_json(w, makespan_ns))
     }
+
+    /// Write the document's object into `w` at its current depth.
+    pub fn write_json(&self, w: &mut Writer, makespan_ns: u64) {
+        let critical_ns = self.critical().map_or(0, |c| c.total_ns);
+        let fields = ["id", "src", "dst", "wire_ns", "queue_ns", "pending_ns", "exec_ns"];
+        w.obj(Block, |w| {
+            w.key("makespan_ns").int(makespan_ns).key("critical_ns").int(critical_ns);
+            w.key("serial_fraction").float(self.ratio(makespan_ns), 6);
+            w.key("hop_fields").strs(fields);
+            w.key("chains").arr(Block, |w| {
+                for c in &self.chains {
+                    w.obj(Block, |w| write_chain(w, c));
+                }
+            });
+        });
+    }
+}
+
+/// One chain's members of the critical-path document.
+fn write_chain(w: &mut Writer, c: &Chain) {
+    w.key("total_ns").int(c.total_ns).key("started_at_ns").int(c.started_at.as_nanos());
+    w.key("finished_at_ns").int(c.finished_at.as_nanos());
+    let s = &c.stages;
+    w.key("wire_ns").int(s.wire_ns).key("queue_ns").int(s.queue_ns);
+    w.key("pending_ns").int(s.pending_ns).key("exec_ns").int(s.exec_ns);
+    w.key("hops").arr(Inline, |w| {
+        for h in &c.hops {
+            w.arr(Inline, |w| {
+                w.int(h.id).int(h.src);
+                match h.dst {
+                    Some(d) => w.int(d),
+                    None => w.null(),
+                };
+                w.int(h.wire_ns).int(h.queue_ns).int(h.pending_ns).int(h.exec_ns);
+            });
+        }
+    });
 }
 
 /// Walk the span DAG and return the top-`k` causal chains by total
@@ -330,6 +326,7 @@ mod tests {
     use super::*;
     use crate::trace::DeliveryPath;
     use crate::{AddrKey, DescriptorId};
+    use hal_des::json::Json;
 
     fn key(i: u32) -> AddrKey {
         AddrKey { birthplace: 0, index: DescriptorId(i) }
@@ -412,10 +409,25 @@ mod tests {
         let cp = critical_paths(&rep, 3);
         assert!(cp.critical().unwrap().total_ns <= 200);
         let json = cp.to_json(200);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"critical_ns\": 200"), "{json}");
-        assert!(json.contains("\"serial_fraction\": 1.000000"), "{json}");
+        let doc = Json::parse(&json).expect("the report is JSON");
+        let num = |v: Option<&Json>| v.and_then(Json::as_f64);
+        assert_eq!(num(doc.get("critical_ns")), Some(200.0));
+        assert_eq!(num(doc.get("serial_fraction")), Some(1.0));
+        let chain = &doc.get("chains").and_then(Json::as_arr).unwrap()[0];
+        let hops = chain.get("hops").and_then(Json::as_arr).unwrap();
+        assert_eq!(hops.len(), 2);
+        assert_eq!(num(hops[1].as_arr().unwrap().get(2)), Some(1.0), "hop 2's dst");
         let again = cp.to_json(200);
         assert_eq!(json, again);
+    }
+
+    #[test]
+    fn a_hop_that_never_landed_has_a_null_dst() {
+        let mut lost = span(1, 0, 0, 10, 50, 100);
+        lost.dst = None;
+        let doc = Json::parse(&critical_paths(&report(vec![lost]), 1).to_json(100)).unwrap();
+        let chain = &doc.get("chains").and_then(Json::as_arr).unwrap()[0];
+        let hop = &chain.get("hops").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(hop.as_arr().unwrap()[2], Json::Null);
     }
 }

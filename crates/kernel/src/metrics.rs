@@ -30,6 +30,7 @@
 //! counted, not stored).
 
 use hal_am::{NodeId, ThreadNetStats};
+use hal_des::json::{self, Style::Block, Style::Inline, Writer};
 use hal_des::Histogram;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -396,94 +397,69 @@ impl MetricsReport {
             .sum()
     }
 
-    /// Serialize as JSON (dependency-free, like the bench records).
-    /// A simulated run's document contains virtual-time facts only —
-    /// byte-identical across reruns.
+    /// The `METRICS_` document. A simulated run's contains virtual-time
+    /// facts only — byte-identical across reruns.
     pub fn to_json(&self, makespan_ns: u64) -> String {
-        let mut nodes = String::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                nodes.push_str(",\n");
-            }
-            let mut samples = String::new();
-            for (j, s) in n.samples.iter().enumerate() {
-                if j > 0 {
-                    samples.push_str(", ");
+        json::document(|w| self.write_json(w, makespan_ns))
+    }
+
+    /// Write the document's object into `w` at its current depth.
+    pub fn write_json(&self, w: &mut Writer, makespan_ns: u64) {
+        w.obj(Block, |w| {
+            w.key("cadence_ns").int(self.cadence_ns).key("makespan_ns").int(makespan_ns);
+            let fields =
+                ["at_ns", "pending_depth", "name_entries", "inflight_firs", "ready", "unknown_buffered"];
+            w.key("sample_fields").strs(fields);
+            w.key("nodes").arr(Block, |w| {
+                for (n, (_, util)) in self.nodes.iter().zip(self.utilization(makespan_ns)) {
+                    w.obj(Block, |w| write_node(w, n, util));
                 }
-                let _ = write!(
-                    samples,
-                    "[{}, {}, {}, {}, {}, {}]",
-                    s.at_ns,
-                    s.pending_depth,
-                    s.name_entries,
-                    s.inflight_firs,
-                    s.ready,
-                    s.unknown_buffered
-                );
-            }
-            let mut counters = String::new();
-            for (j, (k, v)) in n.counters.iter().enumerate() {
-                if j > 0 {
-                    counters.push_str(", ");
-                }
-                let _ = write!(counters, "\"{k}\": {v}");
-            }
-            let mut links = String::new();
-            for (j, (peer, l)) in n.links.iter().enumerate() {
-                if j > 0 {
-                    links.push_str(", ");
-                }
-                let _ = write!(
-                    links,
-                    "{{\"peer\": {peer}, \"retransmits\": {}, \"acks\": {}}}",
-                    l.retransmits, l.acks
-                );
-            }
-            let util = if makespan_ns == 0 {
-                0.0
-            } else {
-                n.busy_ns as f64 / makespan_ns as f64
-            };
-            let chain_buckets = histogram_json(&n.chain_epochs);
-            let _ = write!(
-                nodes,
-                "    {{\n      \"node\": {},\n      \"busy_ns\": {},\n      \"utilization\": {:.6},\n      \
-                 \"samples_dropped\": {},\n      \"counters\": {{{}}},\n      \"links\": [{}],\n      \
-                 \"chain_epochs\": {},\n      \
-                 \"samples\": [{}]\n    }}",
-                n.node, n.busy_ns, util, n.samples_dropped, counters, links, chain_buckets, samples
-            );
-        }
-        format!(
-            "{{\n  \"cadence_ns\": {},\n  \"makespan_ns\": {},\n  \
-             \"sample_fields\": [\"at_ns\", \"pending_depth\", \"name_entries\", \"inflight_firs\", \"ready\", \"unknown_buffered\"],\n  \
-             \"nodes\": [\n{}\n  ]\n}}\n",
-            self.cadence_ns, makespan_ns, nodes
-        )
+            });
+        });
     }
 }
 
-/// Serialize a log2 histogram: moments plus the non-empty buckets as
-/// `[bucket_index, count]` pairs.
-pub(crate) fn histogram_json(h: &Histogram) -> String {
-    let mut buckets = String::new();
-    for (i, &c) in h.bucket_counts().iter().enumerate() {
-        if c == 0 {
-            continue;
+/// One node's members of the `METRICS_` document.
+fn write_node(w: &mut Writer, n: &NodeMetrics, util: f64) {
+    w.key("node").int(n.node).key("busy_ns").int(n.busy_ns);
+    w.key("utilization").float(util, 6).key("samples_dropped").int(n.samples_dropped);
+    w.key("counters").obj(Inline, |w| {
+        for (k, v) in &n.counters {
+            w.key(k).int(*v);
         }
-        if !buckets.is_empty() {
-            buckets.push_str(", ");
+    });
+    w.key("links").arr(Inline, |w| {
+        for (peer, l) in &n.links {
+            w.obj(Inline, |w| {
+                w.key("peer").int(*peer).key("retransmits").int(l.retransmits).key("acks").int(l.acks);
+            });
         }
-        let _ = write!(buckets, "[{i}, {c}]");
-    }
-    format!(
-        "{{\"count\": {}, \"sum\": {}, \"max\": {}, \"mean\": {:.3}, \"log2_buckets\": [{}]}}",
-        h.count(),
-        h.sum(),
-        h.max(),
-        h.mean(),
-        buckets
-    )
+    });
+    w.key("chain_epochs");
+    write_histogram(w, &n.chain_epochs);
+    w.key("samples").arr(Inline, |w| {
+        for s in &n.samples {
+            w.arr(Inline, |w| {
+                w.int(s.at_ns).int(s.pending_depth).int(s.name_entries);
+                w.int(s.inflight_firs).int(s.ready).int(s.unknown_buffered);
+            });
+        }
+    });
+}
+
+/// A log2 histogram as an inline object: moments plus the non-empty
+/// buckets as `[bucket_index, count]` pairs.
+pub(crate) fn write_histogram(w: &mut Writer, h: &Histogram) {
+    w.obj(Inline, |w| {
+        w.key("count").int(h.count()).key("sum").int(h.sum()).key("max").int(h.max());
+        w.key("mean").float(h.mean(), 3).key("log2_buckets").arr(Inline, |w| {
+            for (i, &c) in h.bucket_counts().iter().enumerate().filter(|(_, &c)| c > 0) {
+                w.arr(Inline, |w| {
+                    w.int(i).int(c);
+                });
+            }
+        });
+    });
 }
 
 /// Every node's [`NodeCell`] plus the per-node sender-side
@@ -566,6 +542,7 @@ impl TelemetryHub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hal_des::json::Json;
 
     /// A two-node registry that has settled once at time 0 with 2
     /// pending, 5 names, 1 FIR and 3 ready — boundary 0 is sampled.
@@ -639,13 +616,21 @@ mod tests {
         rep.nodes[0]
             .counters
             .insert("trace.dropped_events".into(), 7);
+        // A counter name is the caller's string: the writer escapes it.
+        rep.set_counter("a\"b", 3);
         let u = rep.utilization(1000);
         assert_eq!(u, vec![(1, 0.5)]);
-        let json = rep.to_json(1000);
-        assert!(json.contains("\"busy_ns\": 500"), "{json}");
-        assert!(json.contains("\"retransmits\": 1"), "{json}");
-        assert!(json.contains("trace.dropped_events"), "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let doc = Json::parse(&rep.to_json(1000)).expect("the report is JSON");
+        let node = &doc.get("nodes").and_then(Json::as_arr).unwrap()[0];
+        let num = |v: Option<&Json>| v.and_then(Json::as_f64);
+        assert_eq!(num(node.get("busy_ns")), Some(500.0));
+        assert_eq!(num(node.get("utilization")), Some(0.5));
+        let link = &node.get("links").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(num(link.get("retransmits")), Some(1.0));
+        let counters = node.get("counters").unwrap();
+        assert_eq!(num(counters.get("trace.dropped_events")), Some(7.0));
+        assert_eq!(num(counters.get("a\"b")), Some(3.0));
+        assert_eq!(num(node.get("chain_epochs").and_then(|h| h.get("count"))), Some(1.0));
     }
 
     #[test]

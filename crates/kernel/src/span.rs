@@ -15,9 +15,10 @@
 //! [`SpanReport::to_json`] is byte-identical across reruns of one seed.
 
 use crate::addr::AddrKey;
-use crate::metrics::histogram_json;
+use crate::metrics::write_histogram;
 use crate::trace::{DeliveryPath, KernelEvent, TraceReport};
 use hal_am::NodeId;
+use hal_des::json::{self, Style::Block, Writer};
 use hal_des::{Histogram, VirtualTime};
 use std::collections::{BTreeMap, HashMap};
 
@@ -360,49 +361,38 @@ impl SpanReport {
             .map(|i| &self.msgs[i])
     }
 
-    /// Serialize the per-stage aggregates as JSON (counts, moments,
+    /// The per-stage aggregates as a JSON document (counts, moments,
     /// log2 buckets — not every span; the raw spans stay in memory for
     /// the critical-path pass). Virtual-time facts only, so the output
     /// is byte-identical across reruns.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let executed = self.msgs.iter().filter(|m| m.exec_end.is_some()).count();
-        let delivered = self.msgs.iter().filter(|m| m.delivered_at.is_some()).count();
+        json::document(|w| self.write_json(w))
+    }
+
+    /// Write the document's object into `w` at its current depth.
+    pub fn write_json(&self, w: &mut Writer) {
+        let msgs = |f: fn(&MsgSpan) -> bool| self.msgs.iter().filter(|m| f(m)).count();
         let retx: u64 = self.msgs.iter().map(|m| u64::from(m.retransmits)).sum();
-        let parked = self.msgs.iter().filter(|m| m.pending_ns > 0).count();
         let chase_hops: usize = self.chases.iter().map(|c| c.hops.len()).sum();
         let resolved_chases = self.chases.iter().filter(|c| c.resolved_at.is_some()).count();
-        let resolved_aliases =
-            self.aliases.iter().filter(|a| a.resolved_at.is_some()).count();
-        let mut stages = String::new();
-        for (i, (name, h)) in self.stages.iter().enumerate() {
-            if i > 0 {
-                stages.push_str(",\n");
-            }
-            let _ = write!(stages, "    \"{name}\": {}", histogram_json(h));
-        }
-        format!(
-            "{{\n  \"messages\": {},\n  \"delivered\": {},\n  \"executed\": {},\n  \
-             \"parked\": {},\n  \"retransmits\": {},\n  \"chases\": {},\n  \
-             \"chases_resolved\": {},\n  \"chase_hops\": {},\n  \"aliases\": {},\n  \
-             \"aliases_resolved\": {},\n  \"incomplete\": {},\n  \"sample_ppm\": {},\n  \
-             \"msgs_minted\": {},\n  \"msgs_sampled\": {},\n  \"stages\": {{\n{}\n  }}\n}}\n",
-            self.msgs.len(),
-            delivered,
-            executed,
-            parked,
-            retx,
-            self.chases.len(),
-            resolved_chases,
-            chase_hops,
-            self.aliases.len(),
-            resolved_aliases,
-            self.incomplete,
-            self.sample_ppm,
-            self.msgs_minted,
-            self.msgs_sampled,
-            stages
-        )
+        let resolved_aliases = self.aliases.iter().filter(|a| a.resolved_at.is_some()).count();
+        w.obj(Block, |w| {
+            w.key("messages").int(self.msgs.len());
+            w.key("delivered").int(msgs(|m| m.delivered_at.is_some()));
+            w.key("executed").int(msgs(|m| m.exec_end.is_some()));
+            w.key("parked").int(msgs(|m| m.pending_ns > 0)).key("retransmits").int(retx);
+            w.key("chases").int(self.chases.len()).key("chases_resolved").int(resolved_chases);
+            w.key("chase_hops").int(chase_hops).key("aliases").int(self.aliases.len());
+            w.key("aliases_resolved").int(resolved_aliases);
+            w.key("incomplete").int(self.incomplete).key("sample_ppm").int(self.sample_ppm);
+            w.key("msgs_minted").int(self.msgs_minted).key("msgs_sampled").int(self.msgs_sampled);
+            w.key("stages").obj(Block, |w| {
+                for (name, h) in &self.stages {
+                    w.key(name);
+                    write_histogram(w, h);
+                }
+            });
+        });
     }
 }
 
@@ -563,8 +553,9 @@ mod tests {
         let a = build(events.clone()).to_json();
         let b = build(events).to_json();
         assert_eq!(a, b);
-        assert_eq!(a.matches('{').count(), a.matches('}').count());
-        assert!(a.contains("\"messages\": 1"), "{a}");
-        assert!(a.contains("wire.local"), "{a}");
+        let doc = hal_des::json::Json::parse(&a).expect("the report is JSON");
+        assert_eq!(doc.get("messages").and_then(|v| v.as_f64()), Some(1.0));
+        let local = doc.get("stages").and_then(|s| s.get("wire.local"));
+        assert_eq!(local.and_then(|h| h.get("sum")).and_then(|v| v.as_f64()), Some(20.0));
     }
 }

@@ -23,6 +23,7 @@
 
 use crate::addr::AddrKey;
 use hal_am::NodeId;
+use hal_des::json::{self, Style::Block, Style::Inline, Writer};
 use hal_des::VirtualTime;
 use std::collections::HashMap;
 
@@ -650,139 +651,27 @@ impl TraceReport {
     /// Perfetto draws each message's whole life as one arc even when it
     /// crosses nodes.
     pub fn chrome_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\"traceEvents\":[\n");
         let mut nodes: Vec<NodeId> = self.events.iter().map(|e| e.node).collect();
         nodes.sort_unstable();
         nodes.dedup();
-        let mut first = true;
-        let push = |out: &mut String, first: &mut bool, line: &str| {
-            if !*first {
-                out.push_str(",\n");
-            }
-            *first = false;
-            out.push_str(line);
-        };
-        for n in nodes {
-            push(
-                &mut out,
-                &mut first,
-                &format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{n},\
-                     \"args\":{{\"name\":\"node {n}\"}}}}"
-                ),
-            );
-        }
-        for e in &self.events {
-            let ts_us = e.time.as_nanos() as f64 / 1e3;
-            let tid = e.node;
-            // The async "message lifecycle" track: one begin/end pair
-            // per span id, opened at send and closed at handler
-            // completion. Unbalanced pairs (ring wrap, still-in-flight
-            // messages) are tolerated by the viewers.
-            match &e.event {
-                KernelEvent::MessageSent { id, .. } => {
-                    let start_us = ts_us;
-                    push(
-                        &mut out,
-                        &mut first,
-                        &format!(
-                            "{{\"name\":\"msg\",\"cat\":\"span\",\"ph\":\"b\",\"id\":{id},\
-                             \"pid\":0,\"tid\":{tid},\"ts\":{start_us:.3},\
-                             \"args\":{{\"parent\":{}}}}}",
-                            e.parent
-                        ),
-                    );
-                }
-                KernelEvent::MessageExecuted { id, .. } => {
-                    push(
-                        &mut out,
-                        &mut first,
-                        &format!(
-                            "{{\"name\":\"msg\",\"cat\":\"span\",\"ph\":\"e\",\"id\":{id},\
-                             \"pid\":0,\"tid\":{tid},\"ts\":{ts_us:.3}}}"
-                        ),
-                    );
-                }
-                _ => {}
-            }
-            let line = match &e.event {
-                KernelEvent::MessageDelivered { id, latency_ns, path } => {
-                    // A slice spanning the delivery latency, ending at
-                    // the enqueue instant.
-                    let dur_us = *latency_ns as f64 / 1e3;
-                    let start_us = ts_us - dur_us;
-                    format!(
-                        "{{\"name\":\"deliver:{path:?}\",\"cat\":\"delivery\",\"ph\":\"X\",\
-                         \"pid\":0,\"tid\":{tid},\"ts\":{start_us:.3},\"dur\":{dur_us:.3},\
-                         \"args\":{{\"id\":{id}}}}}"
-                    )
-                }
-                ev => {
-                    let args = match ev {
-                        KernelEvent::MessageSent { id, key, remote } => format!(
-                            "{{\"id\":{id},\"key\":\"{key:?}\",\"remote\":{remote}}}"
-                        ),
-                        KernelEvent::FirSent { key, to } => {
-                            format!("{{\"key\":\"{key:?}\",\"to\":{to}}}")
-                        }
-                        KernelEvent::FirSuppressed { key } => format!("{{\"key\":\"{key:?}\"}}"),
-                        KernelEvent::FirReplyPropagated { key, node, askers, released } => format!(
-                            "{{\"key\":\"{key:?}\",\"node\":{node},\"askers\":{askers},\
-                             \"released\":{released}}}"
-                        ),
-                        KernelEvent::ActorMigrated { key, from, epoch } => format!(
-                            "{{\"key\":\"{key:?}\",\"from\":{from},\"epoch\":{epoch}}}"
-                        ),
-                        KernelEvent::AliasCreated { key, target } => {
-                            format!("{{\"key\":\"{key:?}\",\"target\":{target}}}")
-                        }
-                        KernelEvent::AliasResolved { key, latency_ns } => {
-                            format!("{{\"key\":\"{key:?}\",\"latency_ns\":{latency_ns}}}")
-                        }
-                        KernelEvent::MessageExecuted { id, queued_ns, run_ns } => {
-                            format!("{{\"id\":{id},\"queued_ns\":{queued_ns},\"run_ns\":{run_ns}}}")
-                        }
-                        KernelEvent::PendingEnqueued { id } => format!("{{\"id\":{id}}}"),
-                        KernelEvent::PendingRescanned { id, residency_ns } => {
-                            format!("{{\"id\":{id},\"residency_ns\":{residency_ns}}}")
-                        }
-                        KernelEvent::StealRequest { victim } => {
-                            format!("{{\"victim\":{victim}}}")
-                        }
-                        KernelEvent::StealGrant { thief } => format!("{{\"thief\":{thief}}}"),
-                        KernelEvent::GcSweep { freed, live } => {
-                            format!("{{\"freed\":{freed},\"live\":{live}}}")
-                        }
-                        KernelEvent::Drop { src, seq } => {
-                            format!("{{\"src\":{src},\"seq\":{seq}}}")
-                        }
-                        KernelEvent::Retransmit { peer, seq } => {
-                            format!("{{\"peer\":{peer},\"seq\":{seq}}}")
-                        }
-                        KernelEvent::FirTimeout { key, retries } => {
-                            format!("{{\"key\":\"{key:?}\",\"retries\":{retries}}}")
-                        }
-                        KernelEvent::ActorCreated { key } => format!("{{\"key\":\"{key:?}\"}}"),
-                        KernelEvent::NameRepaired { key, node, epoch } => format!(
-                            "{{\"key\":\"{key:?}\",\"node\":{node},\"epoch\":{epoch}}}"
-                        ),
-                        KernelEvent::RelDelivered { src, seq } => {
-                            format!("{{\"src\":{src},\"seq\":{seq}}}")
-                        }
-                        KernelEvent::MessageDelivered { .. } => unreachable!("handled above"),
-                    };
-                    format!(
-                        "{{\"name\":\"{}\",\"cat\":\"kernel\",\"ph\":\"i\",\"s\":\"t\",\
-                         \"pid\":0,\"tid\":{tid},\"ts\":{ts_us:.3},\"args\":{args}}}",
-                        e.event.name()
-                    )
-                }
-            };
-            push(&mut out, &mut first, &line);
-        }
-        let _ = write!(out, "\n],\"displayTimeUnit\":\"ns\"}}");
-        out
+        json::document(|w| {
+            w.obj(Block, |w| {
+                w.key("traceEvents").arr(Block, |w| {
+                    for n in nodes {
+                        w.obj(Inline, |w| {
+                            w.key("name").str("thread_name").key("ph").str("M");
+                            w.key("pid").int(0).key("tid").int(n).key("args").obj(Inline, |w| {
+                                w.key("name").str(&format!("node {n}"));
+                            });
+                        });
+                    }
+                    for e in &self.events {
+                        write_chrome_events(w, e);
+                    }
+                });
+                w.key("displayTimeUnit").str("ns");
+            });
+        })
     }
 
     /// Write the Chrome trace JSON to `path`, creating parent
@@ -798,10 +687,94 @@ impl TraceReport {
     }
 }
 
+/// `e` as Chrome trace events: its end of the async "message lifecycle"
+/// track if it has one — a begin at send, an end at handler completion,
+/// keyed by span id (unbalanced pairs from ring wrap or messages still in
+/// flight are tolerated by the viewers) — then the event itself.
+fn write_chrome_events(w: &mut Writer, e: &TraceEvent) {
+    let ts_us = e.time.as_nanos() as f64 / 1e3;
+    let at = |w: &mut Writer, ts_us: f64| {
+        w.key("pid").int(0).key("tid").int(e.node).key("ts").float(ts_us, 3);
+    };
+    if let KernelEvent::MessageSent { id, .. } | KernelEvent::MessageExecuted { id, .. } = e.event {
+        let begin = matches!(e.event, KernelEvent::MessageSent { .. });
+        w.obj(Inline, |w| {
+            w.key("name").str("msg").key("cat").str("span");
+            w.key("ph").str(if begin { "b" } else { "e" }).key("id").int(id);
+            at(w, ts_us);
+            if begin {
+                w.key("args").obj(Inline, |w| {
+                    w.key("parent").int(e.parent);
+                });
+            }
+        });
+    }
+    w.obj(Inline, |w| {
+        if let KernelEvent::MessageDelivered { id, latency_ns, path } = e.event {
+            // A slice spanning the delivery latency, ending at the
+            // enqueue instant.
+            let dur_us = latency_ns as f64 / 1e3;
+            w.key("name").str(&format!("deliver:{path:?}")).key("cat").str("delivery");
+            w.key("ph").str("X");
+            at(w, ts_us - dur_us);
+            w.key("dur").float(dur_us, 3).key("args").obj(Inline, |w| {
+                w.key("id").int(id);
+            });
+        } else {
+            w.key("name").str(e.event.name()).key("cat").str("kernel");
+            w.key("ph").str("i").key("s").str("t");
+            at(w, ts_us);
+            w.key("args").obj(Inline, |w| write_chrome_args(w, &e.event));
+        }
+    });
+}
+
+/// The `args` members of an instant event.
+fn write_chrome_args(w: &mut Writer, event: &KernelEvent) {
+    fn key(w: &mut Writer, key: AddrKey) -> &mut Writer {
+        w.key("key").str(&format!("{key:?}"))
+    }
+    match *event {
+        KernelEvent::MessageSent { id, key: k, remote } => {
+            key(w.key("id").int(id), k).key("remote").bool(remote)
+        }
+        KernelEvent::FirSent { key: k, to } => key(w, k).key("to").int(to),
+        KernelEvent::FirSuppressed { key: k } | KernelEvent::ActorCreated { key: k } => key(w, k),
+        KernelEvent::FirReplyPropagated { key: k, node, askers, released } => {
+            key(w, k).key("node").int(node).key("askers").int(askers).key("released").int(released)
+        }
+        KernelEvent::ActorMigrated { key: k, from, epoch } => {
+            key(w, k).key("from").int(from).key("epoch").int(epoch)
+        }
+        KernelEvent::AliasCreated { key: k, target } => key(w, k).key("target").int(target),
+        KernelEvent::AliasResolved { key: k, latency_ns } => key(w, k).key("latency_ns").int(latency_ns),
+        KernelEvent::FirTimeout { key: k, retries } => key(w, k).key("retries").int(retries),
+        KernelEvent::NameRepaired { key: k, node, epoch } => {
+            key(w, k).key("node").int(node).key("epoch").int(epoch)
+        }
+        KernelEvent::MessageExecuted { id, queued_ns, run_ns } => {
+            w.key("id").int(id).key("queued_ns").int(queued_ns).key("run_ns").int(run_ns)
+        }
+        KernelEvent::PendingEnqueued { id } => w.key("id").int(id),
+        KernelEvent::PendingRescanned { id, residency_ns } => {
+            w.key("id").int(id).key("residency_ns").int(residency_ns)
+        }
+        KernelEvent::StealRequest { victim } => w.key("victim").int(victim),
+        KernelEvent::StealGrant { thief } => w.key("thief").int(thief),
+        KernelEvent::GcSweep { freed, live } => w.key("freed").int(freed).key("live").int(live),
+        KernelEvent::Drop { src, seq } | KernelEvent::RelDelivered { src, seq } => {
+            w.key("src").int(src).key("seq").int(seq)
+        }
+        KernelEvent::Retransmit { peer, seq } => w.key("peer").int(peer).key("seq").int(seq),
+        KernelEvent::MessageDelivered { .. } => unreachable!("a delivery is a slice, not an instant"),
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::addr::DescriptorId;
+    use hal_des::json::Json;
 
     fn ev(ns: u64, node: NodeId) -> TraceEvent {
         TraceEvent::at(
@@ -879,7 +852,7 @@ mod tests {
     }
 
     #[test]
-    fn chrome_json_is_well_formed_enough() {
+    fn chrome_json_parses_to_the_events_it_exports() {
         let mut r = Recorder::new(0, 16);
         r.ring.push(
             TraceEvent::at(
@@ -922,19 +895,29 @@ mod tests {
             },
         ));
         let report = TraceReport::merge([&r].into_iter());
-        let json = report.chrome_json();
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.contains("\"ph\":\"X\""), "{json}");
-        assert!(json.contains("\"dur\":1.000"), "{json}");
-        assert!(json.contains("FirSent"), "{json}");
-        // The async lifecycle track: a begin at send, an end at execute.
-        assert!(json.contains("\"ph\":\"b\",\"id\":7"), "{json}");
-        assert!(json.contains("\"ph\":\"e\",\"id\":7"), "{json}");
-        assert!(json.ends_with("\"displayTimeUnit\":\"ns\"}"));
-        // Balanced braces — cheap structural sanity check.
-        let open = json.matches('{').count();
-        let close = json.matches('}').count();
-        assert_eq!(open, close);
+        let doc = Json::parse(&report.chrome_json()).expect("the trace is JSON");
+        assert_eq!(doc.get("displayTimeUnit").and_then(Json::as_str), Some("ns"));
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let field = |e: &Json, k: &str| e.get(k).cloned().unwrap_or(Json::Null);
+        let text = |e: &'_ Json, k| e.get(k).and_then(Json::as_str).unwrap().to_string();
+        let phases: Vec<_> = events.iter().map(|e| (text(e, "name"), text(e, "ph"))).collect();
+        let expect = [
+            ("thread_name", "M"),
+            // The async lifecycle track: a begin at send, an end at execute.
+            ("msg", "b"),
+            ("MessageSent", "i"),
+            ("deliver:Remote", "X"),
+            ("msg", "e"),
+            ("MessageExecuted", "i"),
+            ("FirSent", "i"),
+        ];
+        assert_eq!(phases, expect.map(|(n, p)| (n.to_string(), p.to_string())));
+        assert_eq!(field(&events[1], "id"), Json::Num(7.0));
+        assert_eq!(field(&events[3], "ts"), Json::Num(1.0), "the slice starts at the send");
+        assert_eq!(field(&events[3], "dur"), Json::Num(1.0));
+        let args = field(&events[6], "args");
+        assert_eq!(args.get("key").and_then(Json::as_str), Some("0:d1"));
+        assert_eq!(args.get("to"), Some(&Json::Num(3.0)));
     }
 
     #[test]

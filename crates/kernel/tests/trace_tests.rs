@@ -7,6 +7,7 @@ use hal_kernel::{
     Behavior, BehaviorId, BehaviorRegistry, DeliveryPath, KernelEvent, MachineConfig, MailAddr,
     Msg, SimMachine, TraceReport, Value,
 };
+use hal_des::json::Json;
 use std::sync::Arc;
 
 const SPRAY: BehaviorId = BehaviorId(1);
@@ -175,23 +176,16 @@ fn tracing_disabled_records_nothing() {
 #[test]
 fn chrome_export_is_wellformed() {
     let (_, trace) = chase_run(8, 10);
-    let json = trace.chrome_json();
-    assert!(json.starts_with("{\"traceEvents\":["), "bad header");
-    assert!(
-        json.trim_end().ends_with("],\"displayTimeUnit\":\"ns\"}"),
-        "bad trailer"
-    );
-    assert!(json.contains("\"FirSent\""));
-    assert!(json.contains("\"ph\":\"X\""), "deliveries are duration slices");
-    assert!(json.contains("\"thread_name\""), "per-node metadata present");
-    // Cheap well-formedness proxy: every line between the wrapper lines
-    // is a complete JSON object.
-    let lines: Vec<&str> = json.lines().collect();
-    for line in &lines[1..lines.len() - 1] {
-        let line = line.trim_end_matches(',');
-        assert!(
-            line.starts_with('{') && line.ends_with('}'),
-            "trace line is not an object: {line}"
-        );
-    }
+    let doc = Json::parse(&trace.chrome_json()).expect("the trace is JSON");
+    assert_eq!(doc.get("displayTimeUnit").and_then(Json::as_str), Some("ns"));
+    let events = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents");
+    let text = |e: &Json, k: &str| e.get(k).and_then(Json::as_str).map(str::to_string);
+    let named = |name: &str| events.iter().filter(|e| text(e, "name").as_deref() == Some(name)).count();
+    let nodes: std::collections::BTreeSet<u16> = trace.events.iter().map(|e| e.node).collect();
+    assert_eq!(named("thread_name"), nodes.len(), "per-node metadata present");
+    assert!(trace.count("FirSent") > 0);
+    assert_eq!(named("FirSent"), trace.count("FirSent"));
+    let slices: Vec<&Json> = events.iter().filter(|e| text(e, "ph").as_deref() == Some("X")).collect();
+    assert_eq!(slices.len(), trace.count("MessageDelivered"), "deliveries are duration slices");
+    assert!(slices.iter().all(|e| e.get("dur").and_then(Json::as_f64).is_some()));
 }
