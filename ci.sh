@@ -78,6 +78,34 @@ while read -r name; do
 done < <(grep -ohE '(repro_all|hal-bench --) +[a-z][a-z0-9_]*' README.md DESIGN.md | awk '{print $NF}' | sort -u)
 [ "$stale" = 0 ] || exit 1
 
+echo "== README.md and DESIGN.md name only counters that exist =="
+# Every name a report can carry is declared once, in a counters! table:
+# hal_kernel::{Counter, Folded} and hal_am::NetCounter. A backquoted dotted
+# token whose first segment begins some declared name is a counter token
+# (file names such as `trace.rs` are not); each of its {a,b} expansions
+# must be a declared name, or match one as a glob when it holds a `*`.
+declared="$(sed -n '/counters! {/,/^}/p' crates/kernel/src/metrics.rs crates/am/src/sim.rs \
+  | grep -oE '=> "[a-z0-9_.]+"' | cut -d'"' -f2 | sort -u)"
+prefixes=" $(cut -d. -f1 <<<"$declared" | sort -u | tr '\n' ' ')"
+# Reads doc text, prints each counter form that names nothing declared.
+undeclared_counters() {
+  local token form name
+  set -f
+  while read -r token; do
+    [[ "$prefixes" == *" ${token%%.*} "* ]] || continue
+    for form in $(eval "echo $token"); do
+      while read -r name; do [[ "$name" == $form ]] && continue 2; done <<<"$declared"
+      echo "$form"
+    done
+  done < <(grep -oE '`[a-z_]+\.[a-z0-9_.{},*]+`' | tr -d '`' | grep -vE '\.(rs|sh|md|json|txt|toml)$' | sort -u)
+  set +f
+}
+missing="$(cat README.md DESIGN.md | undeclared_counters)"
+[ -z "$missing" ] || { echo "ci: docs name counters no table declares:" $missing; exit 1; }
+# The gate must catch a misspelling, inside a brace list too.
+[ "$(echo '`rel.retransmitz` `live.wake_{job,nap}`' | undeclared_counters | tr '\n' ' ')" \
+  = "live.wake_nap rel.retransmitz " ] || { echo "ci: the counter-name gate is inert"; exit 1; }
+
 echo "== cargo clippy pedantic (kernel + check + frontend + model) =="
 # The protocol-critical crates additionally hold a pedantic bar. The
 # allow list below is the accepted legacy noise (cast styles, must_use
@@ -97,9 +125,9 @@ cargo clippy -p hal-kernel -p hal-check -p hal-frontend -p hal-model \
 
 echo "== model-checker suite (hal-model + kernel protocol programs) =="
 # The deterministic interleaving explorer's own tests, then the kernel's
-# live-lifecycle and doorbell protocol programs under `--features model`
-# (clean under exploration; both seeded doorbell bugs must be *found*,
-# trace included) — see DESIGN.md §14.
+# doorbell program under `--features model`, which drives the shipped
+# Doorbell (clean under exploration; both seeded doorbell bugs must be
+# *found*, trace included) — see DESIGN.md §14.
 cargo test -q -p hal-model
 cargo test -q -p hal-kernel --features model --test model_tests
 

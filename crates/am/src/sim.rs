@@ -23,6 +23,19 @@ use crate::packet::{AmEnvelope, NodeId, Packet};
 use hal_des::{EventQueue, StatSet, VirtualDuration, VirtualTime};
 use std::collections::HashMap;
 
+hal_des::counters! {
+    /// What [`LinkState`] counts, one slot each in its counter array.
+    pub enum NetCounter {
+        Packets => "net.packets",
+        Bytes => "net.bytes",
+        BackpressureStalls => "net.backpressure_stalls",
+        FaultReordered => "net.fault_reordered",
+        FaultDropped => "net.fault_dropped",
+        FaultDuplicated => "net.fault_duplicated",
+        FaultDupUnclonable => "net.fault_dup_unclonable",
+    }
+}
+
 /// Timing parameters of the simulated interconnect.
 #[derive(Clone, Copy, Debug)]
 pub struct LinkModel {
@@ -136,8 +149,8 @@ pub struct DupCloneFailed {
     pub dst: NodeId,
 }
 
-/// Recorded [`DupCloneFailed`] events are bounded; the stats counter
-/// `net.fault_dup_unclonable` keeps the exact total.
+/// Recorded [`DupCloneFailed`] events are bounded; the counter
+/// [`NetCounter::FaultDupUnclonable`] keeps the exact total.
 pub const MAX_DUP_CLONE_RECORDS: usize = 64;
 
 /// The network's resource state machine, separate from the event queue
@@ -167,9 +180,10 @@ pub struct LinkState {
     /// Next admission sequence number.
     seq: u64,
     /// Chaos duplications whose copy could not be cloned (bounded at
-    /// [`MAX_DUP_CLONE_RECORDS`]; exact count in the stats).
+    /// [`MAX_DUP_CLONE_RECORDS`]; exact count in `counts`).
     dup_unclonable: Vec<DupCloneFailed>,
-    stats: StatSet,
+    /// Indexed by [`NetCounter`].
+    counts: [u64; NetCounter::COUNT],
     /// Fault machinery; `None` (the default) keeps the exact legacy
     /// admission path — zero RNG draws, byte-identical behavior.
     faults: Option<FaultState>,
@@ -185,7 +199,7 @@ impl LinkState {
             eject_busy: vec![(VirtualTime::ZERO, VirtualTime::ZERO); nodes],
             seq: 0,
             dup_unclonable: Vec::new(),
-            stats: StatSet::new(),
+            counts: [0; NetCounter::COUNT],
             faults: None,
         }
     }
@@ -209,9 +223,16 @@ impl LinkState {
         self.model
     }
 
-    /// Network statistics (packet/byte counters).
-    pub fn stats(&self) -> &StatSet {
-        &self.stats
+    /// The nonzero counters, by name (a report's network share).
+    pub fn stats(&self) -> StatSet {
+        let mut stats = StatSet::new();
+        stats.add_nonzero(NetCounter::ALL.iter().map(|c| c.name()).zip(self.counts));
+        stats
+    }
+
+    #[inline]
+    fn count(&mut self, c: NetCounter, n: u64) {
+        self.counts[c as usize] += n;
     }
 
     /// Admit one injection at virtual time `now`: run the full resource
@@ -289,7 +310,7 @@ impl LinkState {
                 .saturating_sub(self.model.backpressure_window.as_nanos()),
         );
         if backlog_release > ni_free {
-            self.stats.bump("net.backpressure_stalls");
+            self.count(NetCounter::BackpressureStalls, 1);
             ni_free = backlog_release;
         }
 
@@ -310,22 +331,22 @@ impl LinkState {
             self.eject_busy[dst as usize] = (now, eject_done.max(e_busy));
         }
 
-        self.stats.bump("net.packets");
-        self.stats.add("net.bytes", wire_bytes as u64);
+        self.count(NetCounter::Packets, 1);
+        self.count(NetCounter::Bytes, wire_bytes as u64);
         let seq = self.seq;
         self.seq += 1;
         let fate = match raw {
             RawFate::Deliver => Fate::Deliver,
             RawFate::Delay(_) => {
-                self.stats.bump("net.fault_reordered");
+                self.count(NetCounter::FaultReordered, 1);
                 Fate::Deliver
             }
             RawFate::Drop => {
-                self.stats.bump("net.fault_dropped");
+                self.count(NetCounter::FaultDropped, 1);
                 Fate::Dropped
             }
             RawFate::Dup(extra) => {
-                self.stats.bump("net.fault_duplicated");
+                self.count(NetCounter::FaultDuplicated, 1);
                 let seq2 = self.seq;
                 self.seq += 1;
                 Fate::Duplicated {
@@ -344,11 +365,11 @@ impl LinkState {
 
     /// Record a chaos duplication whose copy could not be materialized:
     /// the envelope is a one-shot payload with no [`AmEnvelope::try_clone`]
-    /// representation. Counted in `net.fault_dup_unclonable` and kept
+    /// representation. Counted in [`NetCounter::FaultDupUnclonable`] and kept
     /// (bounded) for the trace-warning surface — the admission order is
     /// deterministic, so the record list is too.
     pub fn note_dup_clone_failed(&mut self, t: VirtualTime, src: NodeId, dst: NodeId) {
-        self.stats.bump("net.fault_dup_unclonable");
+        self.count(NetCounter::FaultDupUnclonable, 1);
         if self.dup_unclonable.len() < MAX_DUP_CLONE_RECORDS {
             self.dup_unclonable.push(DupCloneFailed { t, src, dst });
         }
@@ -481,8 +502,8 @@ impl<P> SimNetwork<P> {
         self.queue.len()
     }
 
-    /// Network statistics (packet/byte counters).
-    pub fn stats(&self) -> &StatSet {
+    /// The nonzero network counters, by name ([`LinkState::stats`]).
+    pub fn stats(&self) -> StatSet {
         self.link.stats()
     }
 
@@ -566,8 +587,8 @@ mod tests {
         let mut net = SimNetwork::new(2, LinkModel::instant());
         net.inject(VirtualTime::ZERO, 0, 1, small(1), 30);
         net.inject(VirtualTime::ZERO, 1, 0, small(2), 12);
-        assert_eq!(net.stats().get("net.packets"), 2);
-        assert_eq!(net.stats().get("net.bytes"), 42);
+        assert_eq!(net.link.counts[NetCounter::Packets as usize], 2);
+        assert_eq!(net.link.counts[NetCounter::Bytes as usize], 42);
         assert_eq!(net.in_flight(), 2);
     }
 
@@ -585,7 +606,7 @@ mod tests {
         let free = net.inject(VirtualTime::ZERO, 0, 1, small(1), 8);
         assert!(free > VirtualTime::ZERO, "NI time still spent");
         assert_eq!(net.in_flight(), 0, "the packet was lost");
-        assert_eq!(net.stats().get("net.fault_dropped"), 1);
+        assert_eq!(net.link.counts[NetCounter::FaultDropped as usize], 1);
     }
 
     #[test]
@@ -597,7 +618,7 @@ mod tests {
         // is counted and recorded, not silently dropped…
         net.inject(VirtualTime::ZERO, 0, 1, small(1), 8);
         assert_eq!(net.in_flight(), 1);
-        assert_eq!(net.stats().get("net.fault_dup_unclonable"), 1);
+        assert_eq!(net.link.counts[NetCounter::FaultDupUnclonable as usize], 1);
         assert_eq!(net.link.dup_clone_failures().len(), 1);
         assert_eq!(net.link.dup_clone_failures()[0].src, 0);
         assert_eq!(net.link.dup_clone_failures()[0].dst, 1);
@@ -609,7 +630,7 @@ mod tests {
         };
         net.inject(VirtualTime::ZERO, 0, 1, rel, 16);
         assert_eq!(net.in_flight(), 3, "original + duplicate");
-        assert_eq!(net.stats().get("net.fault_duplicated"), 2);
+        assert_eq!(net.link.counts[NetCounter::FaultDuplicated as usize], 2);
     }
 
     #[test]
@@ -631,7 +652,7 @@ mod tests {
         net.inject(VirtualTime::ZERO, 0, 1, small(1), 10_000);
         net.inject(VirtualTime::ZERO, 0, 1, small(2), 1);
         assert_eq!(net.in_flight(), 2);
-        assert_eq!(net.stats().get("net.fault_reordered"), 2);
+        assert_eq!(net.link.counts[NetCounter::FaultReordered as usize], 2);
     }
 
     #[test]
@@ -667,7 +688,7 @@ mod tests {
     fn scheduled_timers_bypass_admission() {
         let mut net = SimNetwork::new(2, LinkModel::cm5());
         net.schedule(VirtualTime::from_nanos(500), 1, AmEnvelope::Timer(7u32));
-        assert_eq!(net.stats().get("net.packets"), 0, "no admission stats");
+        assert_eq!(net.link.counts[NetCounter::Packets as usize], 0, "no admission stats");
         let (t, p) = net.pop().unwrap();
         assert_eq!(t.as_nanos(), 500);
         assert_eq!(p.src, 1);

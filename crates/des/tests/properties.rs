@@ -138,10 +138,10 @@ fn statset_merge_additive() {
         let mut sa = StatSet::new();
         let mut sb = StatSet::new();
         for &i in &a {
-            sa.bump(NAMES[i]);
+            sa.add(NAMES[i], 1);
         }
         for &i in &b {
-            sb.bump(NAMES[i]);
+            sb.add(NAMES[i], 1);
         }
         sa.merge(&sb);
         for (i, name) in NAMES.iter().enumerate() {

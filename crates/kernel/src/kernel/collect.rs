@@ -5,6 +5,7 @@ use super::Kernel;
 use crate::addr::{ActorId, MailAddr};
 use crate::gc::{CoordState, MarkBatches};
 use crate::message::Value;
+use crate::metrics::Counter;
 use crate::name_server::Resolution;
 use crate::trace::KernelEvent;
 use crate::wire::KMsg;
@@ -217,7 +218,7 @@ impl Kernel {
         if !swept_keys.is_empty() {
             self.advised.retain(|(_, key)| !swept_keys.contains(key));
         }
-        self.stats.add("gc.freed", freed);
+        self.cell.count(Counter::GcFreed, freed);
         self.gc.active = false;
         let live = self.actors.len() as u64;
         if self.recorder.is_some() {

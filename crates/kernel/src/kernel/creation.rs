@@ -6,6 +6,7 @@ use crate::actor::{ActorRecord, Behavior};
 use crate::addr::{ActorId, AddrKey, BehaviorId, DescriptorId, MailAddr};
 use crate::error::MachineError;
 use crate::message::Value;
+use crate::metrics::Counter;
 use crate::name_server::Resolution;
 use crate::trace::KernelEvent;
 use crate::wire::KMsg;
@@ -25,7 +26,6 @@ impl Kernel {
         let rec = self.actors.get_mut(aid).expect("just inserted");
         rec.addr = addr;
         rec.keys.push(addr.key);
-        self.stats.bump("actors.created");
         if self.recorder.is_some() {
             self.trace_event(KernelEvent::ActorCreated { key: addr.key });
         }
@@ -55,9 +55,9 @@ impl Kernel {
             // full round trip of stall on top of the request cost (§5's
             // rejected alternative on stock hardware).
             self.charge(self.cfg.cost.remote_creation_rtt_stall);
-            self.stats.bump("actors.remote_blocking");
+            self.count(Counter::ActorsRemoteBlocking);
         }
-        self.stats.bump("actors.remote_requests");
+        self.count(Counter::ActorsRemoteRequests);
         let d = self.names.alloc_remote(node, None, 0);
         let alias = MailAddr::alias(self.cfg.me, d, node, behavior);
         let mut span = 0;
@@ -138,7 +138,7 @@ impl Kernel {
         // background processing").
         // Observe the moment the actor exists — the paper's "actual
         // creation" latency (20.83 us end to end).
-        self.stats.observe("create.remote_actual_ns", self.clock.as_nanos());
+        self.remote_actual_ns.observe(self.clock.as_nanos());
         self.net_send(
             requester,
             KMsg::NameInfo {
@@ -148,7 +148,7 @@ impl Kernel {
                 epoch: 0,
             },
         );
-        self.stats.bump("actors.remote_created");
+        self.count(Counter::ActorsRemoteCreated);
     }
 
     /// Deliver any messages parked for a previously unknown key.

@@ -6,6 +6,7 @@ use crate::addr::{ActorId, AddrKey, DescriptorId, MailAddr};
 use crate::descriptor::Locality;
 use crate::fir::FirPending;
 use crate::message::{Msg, Target};
+use crate::metrics::Counter;
 use crate::name_server::Resolution;
 use crate::trace::{KernelEvent, TraceTag};
 use crate::wire::KMsg;
@@ -26,7 +27,7 @@ impl Kernel {
                     self.trace_stamp_send(&mut msg, to.key, false);
                 }
                 self.charge(self.cfg.cost.local_send);
-                self.stats.bump("msgs.local");
+                self.count(Counter::MsgsLocal);
                 self.enqueue_local(aid, msg);
             }
             Resolution::Remote { node, remote_index } => {
@@ -40,10 +41,10 @@ impl Kernel {
                         tag.flags |= TraceTag::CHASED;
                     }
                     self.firs.buffer(to.key, msg);
-                    self.stats.bump("fir.buffered_at_send");
+                    self.count(Counter::FirBufferedAtSend);
                     return;
                 }
-                self.stats.bump("msgs.remote");
+                self.count(Counter::MsgsRemote);
                 let dst_desc = remote_index.filter(|_| self.cfg.opt.name_caching);
                 self.send_deliver(node, to.key, dst_desc, to.default_route(), msg);
             }
@@ -61,8 +62,8 @@ impl Kernel {
                 let route = to.default_route();
                 let d = self.names.alloc_remote(route, None, 0);
                 self.names.bind(to.key, d);
-                self.stats.bump("msgs.remote");
-                self.stats.bump("name.first_contact");
+                self.count(Counter::MsgsRemote);
+                self.count(Counter::NameFirstContact);
                 self.send_deliver(route, to.key, None, route, msg);
             }
         }
@@ -96,13 +97,13 @@ impl Kernel {
                     if self.names.descriptor_live(d) {
                         match self.names.descriptor(d).locality {
                             Locality::Local(aid) => {
-                                self.stats.bump("deliver.cached_hit");
+                                self.count(Counter::DeliverCachedHit);
                                 self.enqueue_local(aid, msg);
                                 return;
                             }
                             Locality::Remote { node, remote_index } => {
                                 // Migrated away since the sender cached us.
-                                self.stats.bump("deliver.cached_stale");
+                                self.count(Counter::DeliverCachedStale);
                                 self.forward_or_chase(key, msg, node, remote_index);
                                 return;
                             }
@@ -134,7 +135,7 @@ impl Kernel {
                         self.enqueue_local(aid, msg);
                     }
                     Resolution::Remote { node, remote_index } => {
-                        self.stats.bump("deliver.migrated");
+                        self.count(Counter::DeliverMigrated);
                         self.forward_or_chase(key, msg, node, remote_index);
                     }
                     Resolution::Unknown => {
@@ -145,7 +146,7 @@ impl Kernel {
                             key.birthplace != self.cfg.me || route_hint != self.cfg.me,
                             "undeliverable message to dangling key {key:?}"
                         );
-                        self.stats.bump("deliver.unknown_parked");
+                        self.count(Counter::DeliverUnknownParked);
                         self.unknown_buffer.entry(key).or_default().push(msg);
                         self.unknown_buffered += 1;
                     }
@@ -179,16 +180,16 @@ impl Kernel {
         if !self.cfg.opt.fir_chase {
             // Ablation: forward the entire message along the chain (§4.3's
             // rejected alternative — bulk payloads traverse every hop).
-            self.stats.bump("deliver.forwarded_whole");
+            self.count(Counter::DeliverForwardedWhole);
             self.send_deliver(node, key, remote_index, node, msg);
         } else if self.firs.is_pending(key) {
             // A chase is already running; join it.
-            self.stats.bump("fir.suppressed");
+            self.count(Counter::FirSuppressed);
             let span = self.chase_span(key);
             self.trace_event_span(KernelEvent::FirSuppressed { key }, span, 0);
             self.firs.buffer(key, msg);
         } else if remote_index.is_some() {
-            self.stats.bump("deliver.forwarded");
+            self.count(Counter::DeliverForwarded);
             self.send_deliver(node, key, remote_index, node, msg);
         } else {
             self.fir_chase(key, msg, node);
@@ -203,7 +204,7 @@ impl Kernel {
         self.charge(self.cfg.cost.fir_handle);
         let fresh = self.firs.need_location(key);
         debug_assert!(fresh, "a chase for {key:?} was already running");
-        self.stats.bump("fir.sent");
+        self.count(Counter::FirSent);
         // Open a chase span: every hop of this episode (here and on
         // relaying nodes) shares it, parented by the message that
         // triggered the chase.
@@ -242,7 +243,7 @@ impl Kernel {
     /// chase share a single span.
     pub(super) fn handle_fir(&mut self, src: NodeId, key: AddrKey, span: u64) {
         self.charge(self.cfg.cost.fir_handle);
-        self.stats.bump("fir.handled");
+        self.count(Counter::FirHandled);
         let next = match self.names.resolve(key) {
             Resolution::Local(aid) => {
                 let index = self.names.descriptor_for(key).expect("just resolved");
@@ -291,7 +292,7 @@ impl Kernel {
         epoch: u32,
     ) {
         self.charge(self.cfg.cost.fir_handle);
-        self.stats.bump("fir.found");
+        self.count(Counter::FirFound);
         self.repair_descriptor(key, node, index, epoch);
         if let Some(m) = self.metrics.as_deref_mut() {
             // The located epoch is the forward-chain length behind this
@@ -306,7 +307,7 @@ impl Kernel {
             for msg in pending.buffered {
                 // "Once the location is known, the original message is
                 // sent directly to the node where the receiver resides."
-                self.stats.bump("fir.flushed");
+                self.count(Counter::FirFlushed);
                 self.send_deliver(node, key, Some(index), node, msg);
             }
         }

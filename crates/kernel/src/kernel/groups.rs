@@ -6,6 +6,7 @@ use crate::addr::{BehaviorId, GroupId, Mapping};
 use crate::error::MachineError;
 use crate::group::{GroupSlot, home_node, members_on};
 use crate::message::{Msg, Target, Value};
+use crate::metrics::Counter;
 use crate::name_server::Resolution;
 use crate::wire::KMsg;
 use hal_am::{NodeId, bcast};
@@ -75,7 +76,7 @@ impl Kernel {
             members.push((idx, addr));
         }
         self.recycle_args(init);
-        self.stats.add("groups.members_created", members.len() as u64);
+        self.cell.count(Counter::GroupsMembersCreated, members.len() as u64);
         let (parked_member, parked_bcast) = self.groups.install(group, members);
         for (idx, msg) in parked_member {
             self.deliver_member(group, idx, msg);
@@ -111,7 +112,7 @@ impl Kernel {
     /// Broadcast to a group from this node.
     pub(super) fn broadcast(&mut self, group: GroupId, msg: Msg) {
         let me = self.cfg.me;
-        self.stats.bump("bcast.initiated");
+        self.count(Counter::BcastInitiated);
         self.handle_grp_bcast(group, msg, me);
     }
 
@@ -146,7 +147,7 @@ impl Kernel {
             // One dispatch for the whole local quantum (§6.4).
             self.charge(self.cfg.cost.dispatch);
         }
-        self.stats.add("bcast.local_deliveries", members as u64);
+        self.cell.count(Counter::BcastLocalDeliveries, members as u64);
         let last = members - 1;
         let mut msg = Some(msg);
         for i in 0..members {
@@ -244,7 +245,7 @@ mod tests {
             arrive(&mut k, KMsg::GrpBcast { group, msg: Msg::new(0, vec![]), root: 0 });
             assert!(ran(&mut k).is_empty(), "{mapping:?}: parked, nobody to run");
             arrive(&mut k, KMsg::GrpCreate { group, behavior: BehaviorId(0), init: vec![], root: 0 });
-            assert_eq!(k.stats.get("bcast.local_deliveries"), 3, "{mapping:?}");
+            assert_eq!(k.cell().get(Counter::BcastLocalDeliveries), 3, "{mapping:?}");
             assert_eq!(ran(&mut k), share(mapping), "{mapping:?}");
         }
     }
@@ -279,7 +280,7 @@ mod tests {
                 })
                 .collect();
             assert_eq!(forwarded, vec![(2, gone.key)], "{mapping:?}");
-            assert_eq!(k.stats.get("bcast.local_deliveries"), 3, "{mapping:?}");
+            assert_eq!(k.cell().get(Counter::BcastLocalDeliveries), 3, "{mapping:?}");
             assert_eq!(ran(&mut k), vec![here[0], here[2]], "{mapping:?}");
         }
     }

@@ -5,6 +5,7 @@ use super::Kernel;
 use crate::actor::ActorRecord;
 use crate::addr::{ActorId, DescriptorId, MailAddr};
 use crate::descriptor::Locality;
+use crate::metrics::Counter;
 use crate::trace::KernelEvent;
 use crate::wire::{ActorImage, KMsg};
 use hal_am::NodeId;
@@ -34,7 +35,7 @@ impl Kernel {
                 desc.epoch = next_epoch;
             }
         }
-        self.stats.bump("migrations.out");
+        self.count(Counter::MigrationsOut);
         self.metrics_pending(-(rec.pendq.len() as i64));
         let image = ActorImage {
             behavior: rec.behavior,
@@ -62,7 +63,7 @@ impl Kernel {
         stolen: bool,
     ) {
         self.charge(self.cfg.cost.migrate_fixed);
-        self.stats.bump("migrations.in");
+        self.count(Counter::MigrationsIn);
         if stolen {
             self.balancer.poll_succeeded();
         }
@@ -82,7 +83,6 @@ impl Kernel {
             group: image.group,
             hops: epoch,
         });
-        self.stats.bump("actors.created"); // arrival installs a record
         let keys = self.actors.get(aid).expect("just inserted").keys.clone();
         // Keys born here resolve through the arena fast path: their
         // original descriptor must become Local *in place* (allocating a
@@ -135,7 +135,7 @@ impl Kernel {
     pub fn send_steal_poll(&mut self) {
         debug_assert!(self.balancer.may_poll(self.clock));
         let victim = self.balancer.start_poll(self.cfg.me, self.cfg.nodes);
-        self.stats.bump("steal.polls");
+        self.count(Counter::StealPolls);
         self.trace_event(KernelEvent::StealRequest { victim });
         self.net_send(victim, KMsg::StealRequest { thief: self.cfg.me });
     }
@@ -149,14 +149,14 @@ impl Kernel {
         self.charge(self.cfg.cost.steal_handle);
         let batch = self.dispatcher.steal_half(16);
         if batch.is_empty() {
-            self.stats.bump("steal.denied");
+            self.count(Counter::StealDenied);
             self.net_send(thief, KMsg::StealNone);
             return;
         }
         for aid in batch {
             if let Some(rec) = self.actors.get_mut(aid) {
                 rec.scheduled = false;
-                self.stats.bump("steal.granted");
+                self.count(Counter::StealGranted);
                 self.trace_event(KernelEvent::StealGrant { thief });
                 self.migrate_out(aid, thief, true);
             }

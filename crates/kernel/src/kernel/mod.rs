@@ -29,7 +29,7 @@ use crate::group::GroupTable;
 use crate::join::JoinTable;
 use crate::machine::MachineConfig;
 use crate::message::{Msg, Value};
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Metrics, NodeCell};
 use crate::name_server::NameServer;
 use crate::registry::BehaviorRegistry;
 use crate::trace::{KernelEvent, Recorder, TraceEvent, TraceTag};
@@ -37,7 +37,7 @@ use crate::wire::KMsg;
 use hal_am::{
     AmEnvelope, BulkSender, FaultPlan, FlowControl, NodeId, RelReceiver, RelSender,
 };
-use hal_des::{StatSet, VirtualDuration, VirtualTime};
+use hal_des::{Histogram, VirtualDuration, VirtualTime};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -241,17 +241,22 @@ pub struct Kernel {
     args_pool: Vec<Vec<Value>>,
     /// Set by `Ctx::stop` or an incoming Halt.
     pub stopped: bool,
-    /// Counters; the machine merges these into its report.
-    pub stats: StatSet,
+    /// This node's counters, indexed by [`Counter`] — written by this
+    /// kernel (and its live node loop), read by `top` on any thread and
+    /// folded into the report at the end.
+    cell: Arc<NodeCell>,
+    /// When each remote creation made its actor (§5's "actual creation"
+    /// latency), reported as `create.remote_actual_ns`.
+    pub(crate) remote_actual_ns: Histogram,
     /// Values posted by actors via `Ctx::report` (harness results).
     pub reports: Vec<(String, Value)>,
     /// Flight recorder ([`crate::trace`]); `None` when tracing is off,
     /// boxed so the common case carries one cold pointer.
     recorder: Option<Box<Recorder>>,
-    /// Metrics registry ([`crate::metrics`]), boxed like the recorder.
+    /// Metrics sampler ([`crate::metrics`]), boxed like the recorder.
     /// `None` on a simulated machine with metrics off; a live kernel
-    /// always has one ([`Kernel::set_metrics`]), because its cell is
-    /// what `top` on another thread reads.
+    /// always has one ([`Kernel::enable_metrics`]), because the gauges
+    /// it stores are what `top` on another thread reads.
     metrics: Option<Box<Metrics>>,
     /// Reliable-delivery sender state (per-peer unacked queues). Only
     /// touched when the fault plan is active and `reliable` is on.
@@ -276,9 +281,10 @@ impl Kernel {
                 cfg.span_sample_ppm,
             ))
         });
-        let metrics = cfg
-            .metrics
-            .then(|| Box::new(Metrics::new(cfg.me, cfg.nodes, Metrics::DEFAULT_CADENCE_NS)));
+        let cell = Arc::new(NodeCell::new(cfg.nodes));
+        let metrics = cfg.metrics.then(|| {
+            Box::new(Metrics::new(cfg.me, Metrics::DEFAULT_CADENCE_NS, Arc::clone(&cell)))
+        });
         Kernel {
             recorder,
             metrics,
@@ -304,7 +310,8 @@ impl Kernel {
             args_pool: Vec::new(),
             stopped: false,
             clock: VirtualTime::ZERO,
-            stats: StatSet::new(),
+            cell,
+            remote_actual_ns: Histogram::default(),
             reports: Vec::new(),
             rel_tx: RelSender::new(),
             rel_rx: RelReceiver::new(),
@@ -338,12 +345,19 @@ impl Kernel {
         }
     }
 
-    /// Install this node's metrics registry in place of the one
+    /// Count one `c` event in this node's cell.
+    #[inline]
+    fn count(&self, c: Counter) {
+        self.cell.count(c, 1);
+    }
+
+    /// Install a metrics sampler at `cadence_ns` in place of the one
     /// [`KernelConfig::metrics`] asked for: the live backend's, which
     /// samples on its own cadence and is present whether or not the
     /// timeseries was requested.
-    pub fn set_metrics(&mut self, metrics: Metrics) {
-        self.metrics = Some(Box::new(metrics));
+    pub fn enable_metrics(&mut self, cadence_ns: u64) {
+        let cell = Arc::clone(&self.cell);
+        self.metrics = Some(Box::new(Metrics::new(self.cfg.me, cadence_ns, cell)));
     }
 
     /// Bound on [`Kernel::args_pool`]: beyond this, spent buffers are
@@ -384,9 +398,21 @@ impl Kernel {
         self.actors.len()
     }
 
-    /// Total actors ever created on this node.
+    /// Actor records ever installed on this node: creations, plus every
+    /// migration or steal that arrived here.
     pub fn actors_created(&self) -> u64 {
         self.actors.created_total()
+    }
+
+    /// Join continuations fired on this node.
+    pub(crate) fn joins_fired(&self) -> u64 {
+        self.joins.fired_total()
+    }
+
+    /// This node's counters — what a [`crate::TelemetryHub`] on another
+    /// thread reads.
+    pub fn cell(&self) -> &Arc<NodeCell> {
+        &self.cell
     }
 
     /// Read-only access to the name server (tests, diagnostics).
@@ -404,7 +430,7 @@ impl Kernel {
         self.recorder.as_deref()
     }
 
-    /// The metrics registry, if this kernel has one.
+    /// The metrics sampler, if this kernel has one.
     pub fn metrics(&self) -> Option<&Metrics> {
         self.metrics.as_deref()
     }

@@ -6,6 +6,7 @@ use super::{Ctx, Ident, Kernel};
 use crate::actor::{ActorRecord, Behavior};
 use crate::addr::{ActorId, JcId, MailAddr};
 use crate::message::{ContRef, Msg, Value};
+use crate::metrics::Counter;
 use crate::name_server::Resolution;
 use crate::trace::KernelEvent;
 use crate::wire::KMsg;
@@ -72,7 +73,7 @@ impl Kernel {
                 processed += 1;
                 migrate_req = self.execute_then_rescan(aid, &mut rec, msg);
             } else {
-                self.stats.bump("sync.deferred");
+                self.count(Counter::SyncDeferred);
                 self.metrics_pending(1);
                 if let Some(r) = self.recorder.as_deref_mut() {
                     if let Some(tag) = msg.trace {
@@ -148,7 +149,7 @@ impl Kernel {
                 };
                 if enabled {
                     let msg = rec.pendq.remove(i).expect("index in range");
-                    self.stats.bump("sync.resumed");
+                    self.count(Counter::SyncResumed);
                     self.metrics_pending(-1);
                     if let Some(r) = self.recorder.as_deref_mut() {
                         if let Some(tag) = msg.trace.filter(|t| r.span_sampled(t.id)) {
@@ -195,10 +196,7 @@ impl Kernel {
         msg: Msg,
     ) -> Option<NodeId> {
         self.charge(self.cfg.cost.method_invoke);
-        self.stats.bump("msgs.processed");
-        if let Some(m) = self.metrics.as_deref() {
-            m.msg_processed();
-        }
+        self.count(Counter::MsgsProcessed);
         // Span bookkeeping: the dispatched message becomes the current
         // span, so every send the handler issues is parented by it.
         // Under head sampling an unsampled message executes with
@@ -236,7 +234,7 @@ impl Kernel {
     pub(super) fn send_fast(&mut self, to: MailAddr, msg: Msg) -> bool {
         self.charge(self.cfg.cost.locality_check);
         if self.stack_depth >= self.cfg.max_stack_depth {
-            self.stats.bump("fast.depth_fallback");
+            self.count(Counter::FastDepthFallback);
             self.send_after_check(to, msg);
             return false;
         }
@@ -256,12 +254,12 @@ impl Kernel {
                 };
                 if !ok {
                     self.charge(self.cfg.cost.local_send);
-                    self.stats.bump("fast.state_fallback");
+                    self.count(Counter::FastStateFallback);
                     self.enqueue_local(aid, msg);
                     return false;
                 }
                 self.charge(self.cfg.cost.local_send_fast);
-                self.stats.bump("fast.inline");
+                self.count(Counter::FastInline);
                 let mut rec = self.actors.checkout(aid).expect("checked above");
                 self.stack_depth += 1;
                 let m2 = self.execute_then_rescan(aid, &mut rec, msg);
@@ -300,7 +298,7 @@ impl Kernel {
         match self.names.resolve(to.key) {
             Resolution::Local(aid) => {
                 self.charge(self.cfg.cost.local_send);
-                self.stats.bump("msgs.local");
+                self.count(Counter::MsgsLocal);
                 self.enqueue_local(aid, msg);
             }
             _ => self.send_to_addr(to, msg),
@@ -319,7 +317,6 @@ impl Kernel {
         self.charge(self.cfg.cost.join_fill);
         if let Some(fired) = self.joins.fill(jc, slot, value) {
             self.charge(self.cfg.cost.join_fire);
-            self.stats.bump("joins.fired");
             let saved = self.swap_current_span(span);
             let mut ctx = Ctx::new(self, Ident::Continuation, None);
             (fired.func)(&mut ctx, fired.values);
@@ -337,7 +334,7 @@ impl Kernel {
                 if node == self.cfg.me {
                     self.fill_join(jc, slot, value, span);
                 } else {
-                    self.stats.bump("replies.remote");
+                    self.count(Counter::RepliesRemote);
                     self.net_send(node, KMsg::Reply { jc, slot, value, span });
                 }
             }

@@ -6,6 +6,7 @@
 
 use super::{Kernel, Outbound};
 use crate::error::MachineError;
+use crate::metrics::Counter;
 use crate::name_server::Resolution;
 use crate::trace::KernelEvent;
 use crate::wire::KMsg;
@@ -51,17 +52,14 @@ impl Kernel {
         }
         self.charge(self.cfg.cost.net_send_overhead);
         let wire = kmsg.wire_bytes();
-        self.stats.bump("net.sends");
-        if let Some(m) = self.metrics.as_deref() {
-            m.net_send();
-        }
+        self.count(Counter::NetSends);
         if wire <= MAX_SMALL_BYTES {
             self.inject_env(dst, AmEnvelope::Small(kmsg), wire + 16);
         } else if self.cfg.flow_control {
             // Three-phase protocol: announce, park the payload, wait for
             // the grant.
             let (_tag, req) = self.bulk_tx.begin(dst, kmsg, wire);
-            self.stats.bump("net.bulk_requests");
+            self.count(Counter::NetBulkRequests);
             self.inject_env(dst, req, 16);
         } else {
             // Ablation: eager injection of bulk data (no grant). The
@@ -72,7 +70,7 @@ impl Kernel {
                 body: kmsg,
                 bytes: wire,
             };
-            self.stats.bump("net.bulk_eager");
+            self.count(Counter::NetBulkEager);
             self.inject_env(dst, env, wire + 16);
         }
     }
@@ -186,13 +184,13 @@ impl Kernel {
             }
             body => {
                 self.charge(self.cfg.cost.net_recv_overhead);
-                self.stats.bump("net.recvs");
+                self.count(Counter::NetRecvs);
                 match body {
                     AmEnvelope::Rel { seq, body, bytes } => {
                         let cum_before = self.rel_rx.cum(pkt.src);
                         match self.rel_rx.on_data(pkt.src, seq, body, bytes) {
                             RxOutcome::Duplicate => {
-                                self.stats.bump("rel.dup_dropped");
+                                self.count(Counter::RelDupDropped);
                                 self.trace_event(KernelEvent::Drop { src: pkt.src, seq });
                             }
                             RxOutcome::Deliver(envs) => {
@@ -210,7 +208,7 @@ impl Kernel {
                                     }
                                 }
                                 for env in envs {
-                                    self.stats.bump("rel.delivered");
+                                    self.count(Counter::RelDelivered);
                                     self.handle_envelope(pkt.src, env);
                                 }
                             }
@@ -220,10 +218,7 @@ impl Kernel {
                         // have been lost). Cumulative, so idempotent.
                         let cum = self.rel_rx.cum(pkt.src);
                         self.charge(self.cfg.cost.net_send_overhead);
-                        self.stats.bump("rel.acks");
-                        if let Some(m) = self.metrics.as_deref() {
-                            m.link_ack(pkt.src);
-                        }
+                        self.cell.link_ack(pkt.src);
                         self.emit(pkt.src, AmEnvelope::RelAck { cum }, 16 + REL_HEADER);
                     }
                     AmEnvelope::RelAck { cum } => {
@@ -269,7 +264,7 @@ impl Kernel {
                     // extra copy while the NI drains into memory. This is
                     // the receiver-side cost the three-phase protocol
                     // exists to avoid.
-                    self.stats.bump("net.bulk_unexpected");
+                    self.count(Counter::NetBulkUnexpected);
                     self.charge(VirtualDuration::from_nanos(5_000 + bytes as u64 * 30));
                     self.handle_kmsg(src, body);
                 }
@@ -302,11 +297,16 @@ impl Kernel {
     }
 
     /// Retire a stale timer: disarm the peer's retransmit state so the
-    /// next `register` arms a fresh timer.
+    /// next `register` arms a fresh timer; an answered FIR's watchdog
+    /// just goes.
     pub fn expire_timer(&mut self, body: &KMsg) {
-        self.stats.bump("rel.timers_expired");
-        if let KMsg::RetxTimer { peer } = body {
-            self.rel_tx.expire(*peer);
+        match body {
+            KMsg::RetxTimer { peer } => {
+                self.count(Counter::RelTimersExpired);
+                self.rel_tx.expire(*peer);
+            }
+            KMsg::FirTimer { .. } => self.count(Counter::FirTimersExpired),
+            _ => {}
         }
     }
 
@@ -318,10 +318,7 @@ impl Kernel {
                 RetxDecision::Retransmit { copies, attempt } => {
                     for (seq, payload, bytes) in copies {
                         self.charge(self.cfg.cost.net_send_overhead);
-                        self.stats.bump("rel.retransmits");
-                        if let Some(m) = self.metrics.as_deref() {
-                            m.link_retransmit(peer);
-                        }
+                        self.cell.link_retransmit(peer);
                         let span = self
                             .recorder
                             .as_deref()
@@ -339,7 +336,7 @@ impl Kernel {
                     return; // reply arrived first; let the watchdog die
                 }
                 let retries = self.firs.note_reissue(key);
-                self.stats.bump("fir.reissued");
+                self.count(Counter::FirReissued);
                 let span = self.chase_span(key);
                 self.trace_event_span(KernelEvent::FirTimeout { key, retries }, span, 0);
                 // Re-chase from current knowledge: our best guess if we

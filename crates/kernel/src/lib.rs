@@ -89,7 +89,7 @@ pub use hal_am::{Bytes, FaultPlan, LinkOutage, NodeId, NodePause};
 pub use message::{ContRef, Msg, ProtocolDecl, Target, Value};
 pub use registry::{BehaviorRegistry, FactoryFn};
 pub use gc::GcReport;
-pub use metrics::{Metrics, MetricsReport, NodeCell, TelemetryHub};
+pub use metrics::{Counter, Folded, Metrics, MetricsReport, NodeCell, TelemetryHub};
 pub use span::{AliasSpan, ChaseSpan, MsgSpan, SpanReport};
 pub use trace::{DeliveryPath, KernelEvent, TraceEvent, TraceReport, TraceWarning, WarningKind};
 pub use wire::{ActorImage, KMsg};

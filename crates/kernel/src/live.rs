@@ -51,7 +51,7 @@
 //! slept through boundaries records them on waking, with the gauges it
 //! parked with. There is no collector thread; what other threads can
 //! read while the machine runs is each node's single-writer
-//! [`NodeCell`], through [`LiveMachine::telemetry`].
+//! [`crate::metrics::NodeCell`], through [`LiveMachine::telemetry`].
 //!
 //! The result is a genuine [`SimReport`] (merged stats
 //! including the thread-network's backpressure counters, per-node
@@ -69,7 +69,7 @@ use crate::registry::BehaviorRegistry;
 use crate::sync::{
     AtomicBool, Condvar, Doorbell, Mutex, Ordering, RING_JOB, RING_PACKET, RING_STOP,
 };
-use crate::metrics::{Metrics, NodeCell, TelemetryHub, WAKE_COUNTERS};
+use crate::metrics::{Counter, Folded, Metrics, TelemetryHub};
 use crate::wire::KMsg;
 use hal_am::{
     thread_network, thread_network_bounded, AmEnvelope, FaultPlan, NodeId, Packet,
@@ -338,8 +338,8 @@ pub struct LiveMachine {
     cfg: MachineConfig,
     state: LiveState,
     anchor: Instant,
-    /// Every node's metrics cell (owned by that node's kernel registry)
-    /// plus its sender-side channel stats. Always wired — the hot path
+    /// Every node's cell (owned by that node's kernel) plus its
+    /// sender-side channel stats. Always wired — the hot path
     /// costs one unlocked load/store per hook — so `top` works against
     /// any running live machine, metrics requested or not.
     hub: Arc<TelemetryHub>,
@@ -380,11 +380,11 @@ impl LiveMachine {
             .map(|i| {
                 let me = i as NodeId;
                 let mut k = Kernel::new(live_kernel_config(&cfg, me), Arc::clone(&registry));
-                k.set_metrics(Metrics::new(me, cfg.nodes, Metrics::LIVE_CADENCE_NS));
+                k.enable_metrics(Metrics::LIVE_CADENCE_NS);
                 k
             })
             .collect();
-        let cells = kernels.iter().map(node_cell).collect();
+        let cells = kernels.iter().map(|k| Arc::clone(k.cell())).collect();
         let hub = Arc::new(TelemetryHub::new(cells, local_net));
         let mut job_txs = Vec::with_capacity(cfg.nodes);
         let mut job_rxs = Vec::with_capacity(cfg.nodes);
@@ -462,8 +462,8 @@ impl LiveMachine {
 
     /// Assemble the [`SimReport`] from joined kernels — the merge the
     /// simulator performs ([`SimReport::from_kernels`]), handed the
-    /// thread-network and wake-up counters, with each node's share of
-    /// them in its metrics slice.
+    /// thread-network counters, with each node's share of them and of
+    /// its cell in its metrics slice.
     fn assemble_report(
         cfg: &MachineConfig,
         nodes: Vec<NodeDone>,
@@ -477,29 +477,27 @@ impl LiveMachine {
         }
         let load = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
         let mut transport = StatSet::new();
-        transport.add("threadnet.packets", load(&net_stats.packets));
-        transport.add("threadnet.bytes", load(&net_stats.bytes));
-        transport.add("threadnet.backpressure_hits", load(&net_stats.backpressure_hits));
-        transport.add("threadnet.dropped_on_close", load(&net_stats.dropped_on_close));
-        // Why the nodes slept and what woke them, summed over nodes.
-        for cell in hub.cells() {
-            transport.add("live.parks", load(&cell.parks));
-            for (name, c) in WAKE_COUNTERS.iter().zip(&cell.wakes) {
-                transport.add(name, load(c));
-            }
+        for (name, c) in [
+            (Folded::ThreadnetPackets, &net_stats.packets),
+            (Folded::ThreadnetBytes, &net_stats.bytes),
+            (Folded::ThreadnetBackpressureHits, &net_stats.backpressure_hits),
+            (Folded::ThreadnetDroppedOnClose, &net_stats.dropped_on_close),
+        ] {
+            transport.add(name.name(), load(c));
         }
         let mut report = SimReport::from_kernels(cfg, &kernels, events, &transport);
         for n in report.metrics.iter_mut().flat_map(|m| &mut m.nodes) {
             let i = n.node as usize;
             let cell = &hub.cells()[i];
             let (packets_sent, backpressure_hits) = hub.net_sent(i);
-            n.counters.extend([
-                ("telemetry.msgs_processed".to_string(), load(&cell.msgs_processed)),
-                ("telemetry.net_sends".to_string(), load(&cell.net_sends)),
-                ("threadnet.packets_sent".to_string(), packets_sent),
-                ("threadnet.backpressure_hits".to_string(), backpressure_hits),
-                ("live.parks".to_string(), load(&cell.parks)),
-            ]);
+            let named = [
+                (Folded::TelemetryMsgsProcessed.name(), cell.get(Counter::MsgsProcessed)),
+                (Folded::TelemetryNetSends.name(), cell.get(Counter::NetSends)),
+                (Folded::ThreadnetPacketsSent.name(), packets_sent),
+                (Folded::ThreadnetBackpressureHits.name(), backpressure_hits),
+                (Counter::LiveParks.name(), cell.get(Counter::LiveParks)),
+            ];
+            n.counters.extend(named.map(|(name, v)| (name.to_string(), v)));
         }
         Ok(report)
     }
@@ -660,22 +658,13 @@ struct Node {
     net: LiveNet,
     jobs: Receiver<Job>,
     anchor: Instant,
-    /// The kernel's metrics cell, for the park counters this loop owns.
-    cell: Arc<NodeCell>,
     /// Loop steps that did something (see [`NodeDone::events`]).
     events: u64,
-}
-
-/// The cell of a live kernel's metrics registry, which
-/// [`LiveMachine::new`] installs in every kernel it builds.
-fn node_cell(kernel: &Kernel) -> Arc<NodeCell> {
-    Arc::clone(kernel.metrics().expect("live kernels carry a metrics registry").cell())
 }
 
 impl Node {
     fn new(kernel: Kernel, net: LiveNet, jobs: Receiver<Job>, anchor: Instant) -> Self {
         Node {
-            cell: node_cell(&kernel),
             kernel,
             net,
             jobs,
@@ -806,8 +795,9 @@ impl Node {
                 .flatten()
                 .min()
                 .map(|t| self.anchor + Duration::from_nanos(t.as_nanos()));
-            NodeCell::add(&self.cell.parks, 1);
-            self.cell.note_wake(bell.park(deadline));
+            let cell = self.kernel.cell();
+            cell.count(Counter::LiveParks, 1);
+            cell.note_wake(bell.park(deadline));
         }
     }
 }
@@ -908,7 +898,7 @@ mod tests {
             .telemetry()
             .cells()
             .iter()
-            .map(|c| c.parks.load(Ordering::Relaxed))
+            .map(|c| c.get(Counter::LiveParks))
             .collect();
         assert!(
             parks.iter().all(|&p| (1..=4).contains(&p)),
@@ -963,10 +953,10 @@ mod tests {
             let shared = Arc::new(Shared::new(2));
             let (job_tx, jobs) = channel::<Job>();
             let mut kernel = Kernel::new(live_kernel_config(&cfg, 0), registry_with_bomb());
-            kernel.set_metrics(Metrics::new(0, 2, Metrics::LIVE_CADENCE_NS));
+            kernel.enable_metrics(Metrics::LIVE_CADENCE_NS);
             let net = LiveNet::new(eps.pop().unwrap(), Arc::clone(&shared));
             let node = Node::new(kernel, net, jobs, Instant::now());
-            let cell = Arc::clone(&node.cell);
+            let cell = Arc::clone(node.kernel.cell());
             let h = node.spawn();
             // One reliable packet to a peer that never acknowledges.
             job_tx
@@ -980,8 +970,7 @@ mod tests {
             silent_peer.recv().expect("retransmitted copy");
             late.push(first.elapsed().saturating_sub(rto));
             assert!(first.elapsed() + Duration::from_millis(1) >= rto, "not early");
-            let by_deadline = cell.wakes.last().unwrap().load(Ordering::Relaxed);
-            assert!(by_deadline >= 1, "{}", WAKE_COUNTERS[3]);
+            assert!(cell.get(Counter::LiveWakeTimer) >= 1, "woken by its deadline");
             shared.raise_abort();
             h.join().unwrap();
         }

@@ -13,9 +13,10 @@ use crate::gc::GcReport;
 use crate::timeline::{SpanKind, Timeline};
 use crate::kernel::{with_system_ctx, Ctx, Kernel, KernelConfig, Outbound};
 use crate::message::Value;
+use crate::metrics::{Counter, Folded};
 use crate::registry::BehaviorRegistry;
 use crate::wire::KMsg;
-use hal_am::{FaultPlan, LinkModel, NodeId, SimNetwork};
+use hal_am::{FaultPlan, LinkModel, NetCounter, NodeId, SimNetwork};
 use hal_des::{StatSet, VirtualTime};
 use std::sync::Arc;
 
@@ -389,7 +390,8 @@ pub struct SimReport {
     pub reports: Vec<(String, Value)>,
     /// Total simulation events dispatched.
     pub events: u64,
-    /// Total actors created across all nodes.
+    /// Actor records installed across all nodes: creations, plus every
+    /// migration or steal arrival (`actors.created`).
     pub actors_created: u64,
     /// Merged flight-recorder events, present when
     /// [`MachineConfig::record_trace`] was set.
@@ -418,9 +420,10 @@ impl SimReport {
     }
 
     /// Everything a run's kernels say about it, on either backend:
-    /// merged counters (the kernels' plus `transport`, what only the
-    /// caller's network knows), reports, clocks, the flight-recorder
-    /// trace when `cfg.record_trace` is set, the metrics timeseries when
+    /// counters (the kernels' cells summed, then each nonzero one named
+    /// once, plus `transport`, what only the caller's network knows),
+    /// reports, clocks, the flight-recorder trace when
+    /// `cfg.record_trace` is set, the metrics timeseries when
     /// `cfg.record_metrics` is, and the quiescence audit.
     pub(crate) fn from_kernels(
         cfg: &MachineConfig,
@@ -428,15 +431,23 @@ impl SimReport {
         events: u64,
         transport: &StatSet,
     ) -> Self {
-        let mut stats = StatSet::new();
-        stats.merge(transport);
+        let mut stats = transport.clone();
         let mut reports = Vec::new();
-        let mut actors = 0;
+        let (mut counts, mut folded) = ([0; Counter::COUNT], [0; Folded::COUNT]);
         for k in kernels {
-            stats.merge(&k.stats);
+            for (n, &c) in counts.iter_mut().zip(Counter::ALL) {
+                *n += k.cell().get(c);
+            }
+            let links = k.cell().link_totals();
+            folded[Folded::ActorsCreated as usize] += k.actors_created();
+            folded[Folded::JoinsFired as usize] += k.joins_fired();
+            folded[Folded::RelRetransmits as usize] += links.retransmits;
+            folded[Folded::RelAcks as usize] += links.acks;
+            stats.merge_histogram("create.remote_actual_ns", &k.remote_actual_ns);
             reports.extend(k.reports.iter().cloned());
-            actors += k.actors_created();
         }
+        stats.add_nonzero(Counter::ALL.iter().map(|c| c.name()).zip(counts));
+        stats.add_nonzero(Folded::ALL.iter().map(|c| c.name()).zip(folded));
         let node_clocks: Vec<_> = kernels.iter().map(|k| k.clock).collect();
         let makespan = node_clocks
             .iter()
@@ -454,15 +465,15 @@ impl SimReport {
             // Trace-ring truncation always; the others only when nonzero,
             // so complete runs keep their exact bytes.
             if let Some(t) = &trace {
-                metrics.set_counter("trace.dropped_events", t.dropped);
+                metrics.set_counter(Folded::TraceDroppedEvents.name(), t.dropped);
             }
             let dropped: u64 = metrics.nodes.iter().map(|n| n.samples_dropped).sum();
             if dropped > 0 {
-                metrics.set_counter("metrics.dropped_samples", dropped);
+                metrics.set_counter(Folded::MetricsDroppedSamples.name(), dropped);
             }
-            let unclonable = stats.get("net.fault_dup_unclonable");
-            if unclonable > 0 {
-                metrics.set_counter("net.fault_dup_unclonable", unclonable);
+            let unclonable = NetCounter::FaultDupUnclonable.name();
+            if stats.get(unclonable) > 0 {
+                metrics.set_counter(unclonable, stats.get(unclonable));
             }
             metrics
         });
@@ -472,7 +483,7 @@ impl SimReport {
             stats,
             reports,
             events,
-            actors_created: actors,
+            actors_created: folded[Folded::ActorsCreated as usize],
             trace,
             metrics,
             audit: quiescence_audit(kernels),
@@ -773,7 +784,7 @@ impl SimMachine {
     /// Snapshot the report without running.
     pub fn report(&self) -> SimReport {
         let mut report =
-            SimReport::from_kernels(&self.cfg, &self.kernels, self.events, self.net.stats());
+            SimReport::from_kernels(&self.cfg, &self.kernels, self.events, &self.net.stats());
         if let Some(t) = report.trace.as_mut() {
             // Chaos duplications whose copy could not be cloned: recorded
             // by the link state in admission order, surfaced as typed trace
@@ -789,11 +800,12 @@ impl SimMachine {
         report
     }
 
-    /// A hub over the kernels' metrics cells (none with metrics off) —
-    /// the same `top` source a live machine has.
+    /// A hub over the kernels' cells (none with metrics off: their
+    /// gauges were never stored) — the same `top` source a live machine
+    /// has.
     pub fn telemetry(&self) -> Arc<crate::metrics::TelemetryHub> {
-        let cells = self.kernels.iter().filter_map(|k| k.metrics());
-        let cells = cells.map(|m| Arc::clone(m.cell())).collect();
+        let sampled = self.kernels.iter().filter(|k| k.metrics().is_some());
+        let cells = sampled.map(|k| Arc::clone(k.cell())).collect();
         Arc::new(crate::metrics::TelemetryHub::new(cells, Vec::new()))
     }
 

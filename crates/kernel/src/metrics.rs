@@ -8,11 +8,13 @@
 //! retransmit/ack counts, forward-chain length distribution, and the
 //! node's charged busy time (its utilization numerator).
 //!
-//! A kernel's [`Metrics`] keeps its counters and gauges in a
-//! [`NodeCell`] — a cache-line padded block of atomics with **one
-//! writer**, the thread that owns the node — and samples the gauges
-//! from the kernel's thread whenever the clock it is handed crosses a
-//! cadence boundary (`Metrics::advance`). The clock and the cadence
+//! Every kernel keeps its counters in a [`NodeCell`] — a cache-line
+//! padded block of atomics with **one writer**, the thread that owns the
+//! node — indexed by the [`Counter`] table, the one declaration of what a
+//! kernel counts. A kernel with a [`Metrics`] sampler also stores its
+//! gauges there and samples them from the kernel's thread whenever the
+//! clock it is handed crosses a cadence boundary (`Metrics::advance`).
+//! The clock and the cadence
 //! are the caller's: the simulator passes the kernel's virtual clock
 //! at [`Metrics::DEFAULT_CADENCE_NS`]; the live node loop passes the
 //! clock it has just anchored to the host's at
@@ -29,6 +31,7 @@
 //! allocation-light: one bounded `Vec<Sample>` per node (overflow is
 //! counted, not stored).
 
+use crate::sync::{RING_JOB, RING_PACKET, RING_STOP};
 use hal_am::{NodeId, ThreadNetStats};
 use hal_des::json::{self, Style::Block, Style::Inline, Writer};
 use hal_des::Histogram;
@@ -36,6 +39,93 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+hal_des::counters! {
+    /// Everything a kernel counts, one slot each in its [`NodeCell`]:
+    /// `kernel/*.rs` writes all but the last five, which the live node
+    /// loop writes around its parks.
+    pub enum Counter {
+        // transport.rs
+        NetSends => "net.sends",
+        NetBulkRequests => "net.bulk_requests",
+        NetBulkEager => "net.bulk_eager",
+        NetBulkUnexpected => "net.bulk_unexpected",
+        NetRecvs => "net.recvs",
+        RelDupDropped => "rel.dup_dropped",
+        RelDelivered => "rel.delivered",
+        RelTimersExpired => "rel.timers_expired",
+        FirTimersExpired => "fir.timers_expired",
+        FirReissued => "fir.reissued",
+        // delivery.rs
+        MsgsLocal => "msgs.local",
+        MsgsRemote => "msgs.remote",
+        NameFirstContact => "name.first_contact",
+        DeliverCachedHit => "deliver.cached_hit",
+        DeliverCachedStale => "deliver.cached_stale",
+        DeliverMigrated => "deliver.migrated",
+        DeliverUnknownParked => "deliver.unknown_parked",
+        DeliverForwarded => "deliver.forwarded",
+        DeliverForwardedWhole => "deliver.forwarded_whole",
+        FirBufferedAtSend => "fir.buffered_at_send",
+        FirSuppressed => "fir.suppressed",
+        FirSent => "fir.sent",
+        FirHandled => "fir.handled",
+        FirFound => "fir.found",
+        FirFlushed => "fir.flushed",
+        // creation.rs
+        ActorsRemoteRequests => "actors.remote_requests",
+        ActorsRemoteBlocking => "actors.remote_blocking",
+        ActorsRemoteCreated => "actors.remote_created",
+        // sched.rs
+        MsgsProcessed => "msgs.processed",
+        SyncDeferred => "sync.deferred",
+        SyncResumed => "sync.resumed",
+        FastInline => "fast.inline",
+        FastDepthFallback => "fast.depth_fallback",
+        FastStateFallback => "fast.state_fallback",
+        RepliesRemote => "replies.remote",
+        // groups.rs
+        GroupsMembersCreated => "groups.members_created",
+        BcastInitiated => "bcast.initiated",
+        BcastLocalDeliveries => "bcast.local_deliveries",
+        // migrate.rs
+        MigrationsOut => "migrations.out",
+        MigrationsIn => "migrations.in",
+        StealPolls => "steal.polls",
+        StealDenied => "steal.denied",
+        StealGranted => "steal.granted",
+        // collect.rs
+        GcFreed => "gc.freed",
+        // live.rs: bit `i` of a doorbell token is the `i`-th wake reason;
+        // an empty token — the park's deadline passed — is the timer.
+        LiveParks => "live.parks",
+        LiveWakePacket => "live.wake_packet",
+        LiveWakeJob => "live.wake_job",
+        LiveWakeStop => "live.wake_stop",
+        LiveWakeTimer => "live.wake_timer",
+    }
+}
+
+hal_des::counters! {
+    /// Names a report computes once, at the end of a run, from state that
+    /// is not a [`Counter`] cell: kernel tables, per-peer link counts,
+    /// the thread network's shared stats, the recorders' losses.
+    pub enum Folded {
+        ActorsCreated => "actors.created",
+        JoinsFired => "joins.fired",
+        RelRetransmits => "rel.retransmits",
+        RelAcks => "rel.acks",
+        ThreadnetPackets => "threadnet.packets",
+        ThreadnetBytes => "threadnet.bytes",
+        ThreadnetBackpressureHits => "threadnet.backpressure_hits",
+        ThreadnetDroppedOnClose => "threadnet.dropped_on_close",
+        ThreadnetPacketsSent => "threadnet.packets_sent",
+        TelemetryMsgsProcessed => "telemetry.msgs_processed",
+        TelemetryNetSends => "telemetry.net_sends",
+        TraceDroppedEvents => "trace.dropped_events",
+        MetricsDroppedSamples => "metrics.dropped_samples",
+    }
+}
 
 /// One gauge snapshot, taken when the node's clock first crosses a
 /// cadence boundary. `at_ns` is the *boundary* (so sample
@@ -68,33 +158,22 @@ pub struct LinkStat {
     pub acks: u64,
 }
 
-/// Stat names of [`NodeCell::wakes`], in index order: bit `i` of a
-/// doorbell token ([`crate::sync::RING_PACKET`], `RING_JOB`, `RING_STOP`)
-/// is entry `i`; an empty token — the park's deadline passed — is the last.
-pub const WAKE_COUNTERS: [&str; 4] = [
-    "live.wake_packet",
-    "live.wake_job",
-    "live.wake_stop",
-    "live.wake_timer",
-];
-
 /// One node's counters and gauges, readable from any thread: cache-line
 /// padded so two nodes' hot counters never share a line. Every field
-/// has exactly one writer, the thread that owns the node — its kernel
-/// (through [`Metrics`]) for the message-path fields, its `live::Node`
-/// loop for the park fields — and everyone else only loads. That is
-/// what lets every counter be bumped with `NodeCell::add` (a plain
-/// load and store) instead of a locked read-modify-write.
+/// has exactly one writer, the thread that owns the node — its kernel,
+/// or its `live::Node` loop for the park counters — and everyone else
+/// only loads. That is what lets every counter be bumped with
+/// `NodeCell::add` (a plain load and store) instead of a locked
+/// read-modify-write.
 #[repr(align(128))]
 #[derive(Debug)]
 pub struct NodeCell {
+    /// Indexed by [`Counter`]; read with [`NodeCell::get`].
+    counters: [AtomicU64; Counter::COUNT],
     /// Charged busy nanoseconds (every `Kernel::charge`) — the
-    /// numerator of this node's utilization.
+    /// numerator of this node's utilization. Written with a [`Metrics`]
+    /// sampler only.
     pub busy_ns: AtomicU64,
-    /// Messages executed (method dispatches) on this node.
-    pub msgs_processed: AtomicU64,
-    /// Envelopes this node injected into the network.
-    pub net_sends: AtomicU64,
     /// Gauge: ready (scheduled) actors, stored at kernel settle points.
     pub ready: AtomicU64,
     /// Gauge: messages parked in pending queues (§6.1), maintained at
@@ -107,16 +186,8 @@ pub struct NodeCell {
     /// Gauge: messages buffered for keys this node has never heard of
     /// (§5 alias traffic racing its creation).
     pub unknown_buffered: AtomicU64,
-    /// Times this node's thread parked on its doorbell, counted on the
-    /// way in (idle path only; a busy node never touches it). Writer:
-    /// the node loop, `live::Node::run`.
-    pub parks: AtomicU64,
-    /// What ended those parks, indexed like [`WAKE_COUNTERS`]. A park two
-    /// producers rang at once counts both reasons. Writer: the node
-    /// loop, through [`NodeCell::note_wake`].
-    pub wakes: [AtomicU64; 4],
     /// Per-peer reliable-layer counters, indexed by peer id:
-    /// `(retransmits, acks sent)`.
+    /// `(retransmits, acks sent)` — the only record of either.
     links: Box<[(AtomicU64, AtomicU64)]>,
 }
 
@@ -124,18 +195,26 @@ impl NodeCell {
     /// A zeroed cell for a partition of `nodes` nodes.
     pub fn new(nodes: usize) -> Self {
         NodeCell {
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             busy_ns: AtomicU64::new(0),
-            msgs_processed: AtomicU64::new(0),
-            net_sends: AtomicU64::new(0),
             ready: AtomicU64::new(0),
             pending_depth: AtomicU64::new(0),
             name_entries: AtomicU64::new(0),
             inflight_firs: AtomicU64::new(0),
             unknown_buffered: AtomicU64::new(0),
-            parks: AtomicU64::new(0),
-            wakes: Default::default(),
             links: (0..nodes).map(|_| Default::default()).collect(),
         }
+    }
+
+    /// Counter `c`'s value as last stored.
+    pub fn get(&self, c: Counter) -> u64 {
+        self.counters[c as usize].load(Ordering::Relaxed)
+    }
+
+    /// Add `delta` to counter `c`, from the cell's single writer.
+    #[inline]
+    pub(crate) fn count(&self, c: Counter, delta: u64) {
+        Self::add(&self.counters[c as usize], delta);
     }
 
     /// Add `delta` to one of this cell's counters **from its single
@@ -152,18 +231,46 @@ impl NodeCell {
         );
     }
 
-    /// Record what ended a park: `why` is the doorbell token (see
-    /// [`WAKE_COUNTERS`]).
-    pub fn note_wake(&self, why: u8) {
-        let [rung @ .., timer] = &self.wakes;
+    /// Record what ended a park: `why` is the doorbell token, empty when
+    /// the park's deadline passed. A park two producers rang at once
+    /// counts both reasons.
+    pub(crate) fn note_wake(&self, why: u8) {
         if why == 0 {
-            Self::add(timer, 1);
+            self.count(Counter::LiveWakeTimer, 1);
         }
-        for (bit, c) in rung.iter().enumerate() {
-            if why & (1 << bit) != 0 {
-                Self::add(c, 1);
+        let rung = [
+            (RING_PACKET, Counter::LiveWakePacket),
+            (RING_JOB, Counter::LiveWakeJob),
+            (RING_STOP, Counter::LiveWakeStop),
+        ];
+        for (bit, c) in rung {
+            if why & bit != 0 {
+                self.count(c, 1);
             }
         }
+    }
+
+    /// Count one retransmit to `peer`.
+    pub(crate) fn link_retransmit(&self, peer: NodeId) {
+        if let Some((retx, _)) = self.links.get(peer as usize) {
+            Self::add(retx, 1);
+        }
+    }
+
+    /// Count one ack sent to `peer`.
+    pub(crate) fn link_ack(&self, peer: NodeId) {
+        if let Some((_, acks)) = self.links.get(peer as usize) {
+            Self::add(acks, 1);
+        }
+    }
+
+    /// Retransmits and acks summed over every peer.
+    pub(crate) fn link_totals(&self) -> LinkStat {
+        let load = |v: &AtomicU64| v.load(Ordering::Relaxed);
+        self.links.iter().fold(LinkStat::default(), |t, (retx, acks)| LinkStat {
+            retransmits: t.retransmits + load(retx),
+            acks: t.acks + load(acks),
+        })
     }
 
     /// The peers this node retransmitted to or acknowledged, with counts.
@@ -192,11 +299,11 @@ impl NodeCell {
     }
 }
 
-/// Per-kernel metrics state. Boxed behind an `Option` in the kernel so
+/// Per-kernel metrics sampler. Boxed behind an `Option` in the kernel so
 /// the disabled path costs one pointer test per hook, exactly like the
-/// flight recorder. The counters and gauges live in the node's
-/// [`NodeCell`]; what is private to the kernel's thread is the sampler
-/// (cadence, timeseries) and the chain-length histogram.
+/// flight recorder. What it owns is private to the kernel's thread: the
+/// cadence, the timeseries and the chain-length histogram. The gauges it
+/// stores and the busy time it adds go to the kernel's [`NodeCell`].
 #[derive(Debug)]
 pub struct Metrics {
     node: NodeId,
@@ -222,10 +329,10 @@ impl Metrics {
     /// `samples_dropped` instead of stored.
     pub const MAX_SAMPLES: usize = 4096;
 
-    /// Fresh metrics state for `node` of a `nodes`-node partition,
-    /// sampling once per `cadence_ns` of whatever clock its owner hands
-    /// `Metrics::advance`.
-    pub fn new(node: NodeId, nodes: usize, cadence_ns: u64) -> Self {
+    /// Fresh metrics state for `node`, storing its gauges and busy time in
+    /// `cell` and sampling once per `cadence_ns` of whatever clock its
+    /// owner hands `Metrics::advance`.
+    pub fn new(node: NodeId, cadence_ns: u64, cell: Arc<NodeCell>) -> Self {
         Metrics {
             node,
             cadence_ns,
@@ -233,7 +340,7 @@ impl Metrics {
             samples: Vec::new(),
             samples_dropped: 0,
             chain_epochs: Histogram::default(),
-            cell: Arc::new(NodeCell::new(nodes)),
+            cell,
         }
     }
 
@@ -271,43 +378,12 @@ impl Metrics {
         NodeCell::add(&self.cell.busy_ns, ns);
     }
 
-    /// Count one executed message.
-    #[inline]
-    pub(crate) fn msg_processed(&self) {
-        NodeCell::add(&self.cell.msgs_processed, 1);
-    }
-
-    /// Count one envelope injected into the network.
-    #[inline]
-    pub(crate) fn net_send(&self) {
-        NodeCell::add(&self.cell.net_sends, 1);
-    }
-
     /// Adjust the pending-queue-depth gauge (saturating at zero).
     #[inline]
     pub(crate) fn pending(&self, delta: i64) {
         let depth = &self.cell.pending_depth;
         let v = depth.load(Ordering::Relaxed) as i64 + delta;
         depth.store(v.max(0) as u64, Ordering::Relaxed);
-    }
-
-    /// Bump the retransmit counter for `peer`.
-    pub(crate) fn link_retransmit(&self, peer: NodeId) {
-        if let Some((retx, _)) = self.cell.links.get(peer as usize) {
-            NodeCell::add(retx, 1);
-        }
-    }
-
-    /// Bump the ack counter for `peer`.
-    pub(crate) fn link_ack(&self, peer: NodeId) {
-        if let Some((_, acks)) = self.cell.links.get(peer as usize) {
-            NodeCell::add(acks, 1);
-        }
-    }
-
-    /// This node's cell — what a [`TelemetryHub`] on another thread reads.
-    pub fn cell(&self) -> &Arc<NodeCell> {
-        &self.cell
     }
 }
 
@@ -510,12 +586,9 @@ impl TelemetryHub {
         let mut total = 0;
         for (i, c) in self.cells.iter().enumerate() {
             let load = |v: &AtomicU64| v.load(Ordering::Relaxed);
-            let msgs = load(&c.msgs_processed);
+            let msgs = c.get(Counter::MsgsProcessed);
             total += msgs;
-            let (retx, acks) = c
-                .links
-                .iter()
-                .fold((0, 0), |(r, a), (retx, acks)| (r + load(retx), a + load(acks)));
+            let links = c.link_totals();
             let _ = writeln!(
                 out,
                 "{:<5} {:>8.0} {:>7.1} {:>6} {:>8} {:>6} {:>5} {:>8} {:>6} {:>5} {:>5} {:>8} {:>8.0}",
@@ -527,11 +600,11 @@ impl TelemetryHub {
                 load(&c.name_entries),
                 load(&c.inflight_firs),
                 load(&c.unknown_buffered),
-                load(&c.net_sends),
-                retx,
-                acks,
+                c.get(Counter::NetSends),
+                links.retransmits,
+                links.acks,
                 self.net_sent(i).1,
-                load(&c.parks) as f64 / secs,
+                c.get(Counter::LiveParks) as f64 / secs,
             );
         }
         let _ = writeln!(out, "total {:>8.0} msg/s over {:.2}s", total as f64 / secs, secs);
@@ -547,7 +620,7 @@ mod tests {
     /// A two-node registry that has settled once at time 0 with 2
     /// pending, 5 names, 1 FIR and 3 ready — boundary 0 is sampled.
     fn metrics(node: NodeId) -> Metrics {
-        let mut m = Metrics::new(node, 2, Metrics::DEFAULT_CADENCE_NS);
+        let mut m = Metrics::new(node, Metrics::DEFAULT_CADENCE_NS, Arc::new(NodeCell::new(2)));
         m.pending(2);
         m.tick(0, 3, 5, 1, 0);
         m
@@ -586,27 +659,42 @@ mod tests {
     fn pending_gauge_saturates_at_zero() {
         let m = metrics(0);
         m.pending(-10);
-        assert_eq!(m.cell().pending_depth.load(Ordering::Relaxed), 0);
+        assert_eq!(m.cell.pending_depth.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn wake_reasons_land_in_their_counters() {
-        use crate::sync::{RING_JOB, RING_PACKET, RING_STOP};
         let cell = NodeCell::new(1);
         cell.note_wake(RING_PACKET);
         cell.note_wake(RING_PACKET | RING_JOB);
         cell.note_wake(RING_STOP);
         cell.note_wake(0);
-        let wakes: Vec<u64> = cell.wakes.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-        assert_eq!(wakes, [2, 1, 1, 1], "{WAKE_COUNTERS:?}");
+        let wakes = [
+            Counter::LiveWakePacket,
+            Counter::LiveWakeJob,
+            Counter::LiveWakeStop,
+            Counter::LiveWakeTimer,
+        ];
+        assert_eq!(wakes.map(|c| cell.get(c)), [2, 1, 1, 1]);
+    }
+
+    /// Every name a report can carry comes from one entry of one table.
+    #[test]
+    fn counter_names_are_pairwise_distinct() {
+        let names: Vec<&str> = (Counter::ALL.iter().map(|c| c.name()))
+            .chain(hal_am::NetCounter::ALL.iter().map(|c| c.name()))
+            .chain(Folded::ALL.iter().map(|c| c.name()))
+            .collect();
+        let distinct: std::collections::BTreeSet<&str> = names.iter().copied().collect();
+        assert_eq!(distinct.len(), names.len(), "{names:?}");
     }
 
     #[test]
     fn report_json_and_utilization() {
-        let mut m = Metrics::new(1, 2, Metrics::LIVE_CADENCE_NS);
+        let mut m = Metrics::new(1, Metrics::LIVE_CADENCE_NS, Arc::new(NodeCell::new(2)));
         m.busy(500);
-        m.link_ack(0);
-        m.link_retransmit(0);
+        m.cell.link_ack(0);
+        m.cell.link_retransmit(0);
         m.chain_epochs.observe(3);
         m.advance(0);
         let mut rep = MetricsReport::merge([&m].into_iter());
@@ -636,14 +724,12 @@ mod tests {
     #[test]
     fn top_renders_throughput_and_backpressure() {
         let (a, b) = (metrics(0), metrics(1));
-        for _ in 0..10 {
-            a.msg_processed();
-        }
+        a.cell.count(Counter::MsgsProcessed, 10);
         b.busy(500_000_000);
-        b.link_ack(0);
+        b.cell.link_ack(0);
         let net: Vec<_> = (0..2).map(|_| Arc::new(ThreadNetStats::default())).collect();
         net[1].backpressure_hits.fetch_add(7, Ordering::Relaxed);
-        let hub = TelemetryHub::new(vec![Arc::clone(a.cell()), Arc::clone(b.cell())], net);
+        let hub = TelemetryHub::new(vec![Arc::clone(&a.cell), Arc::clone(&b.cell)], net);
         let top = hub.top(1_000_000_000);
         let rows: Vec<Vec<&str>> = top.lines().map(|l| l.split_whitespace().collect()).collect();
         assert_eq!(rows[0][..3], ["node", "thr/s", "util%"], "{top}");

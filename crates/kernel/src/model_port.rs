@@ -1,24 +1,14 @@
 //! Model-checkable ports of the kernel's concurrent protocols, compiled
 //! only under `--features model`.
 //!
-//! The programs are written against [`crate::sync`] — which, under this
+//! The program is written against [`crate::sync`] — which, under this
 //! feature, routes every primitive through the `hal-model` interleaving
-//! explorer — and drive the *production* [`Doorbell`], not a
-//! re-implementation.
+//! explorer — and drives the *production* [`Doorbell`], not a
+//! re-implementation. A model program must drive shipped code: the live
+//! machine's lifecycle (`LiveState`) is an enum behind `&mut self`, with
+//! no claim to race, so it has no program here.
 //!
 //! # Checked invariants
-//!
-//! Live lifecycle ([`live_lifecycle_program`]):
-//! * **Bounded staging with backpressure** — jobs flow through a
-//!   capacity-1 channel, FIFO, exactly once.
-//! * **Flush ordering** — the stop flag set before the final send is
-//!   visible to the consumer of that send (the channel's happens-before
-//!   edge, exactly how [`crate::live`] sequences Flush against stop).
-//! * **Exactly-once claim election** — two workers race a
-//!   `Staged -> Running` CAS; precisely one wins and drives the job to
-//!   `Done`.
-//! * **Clean shutdown** — dropping the producer disconnects the consumer
-//!   rather than deadlocking it.
 //!
 //! Live wake-up ([`doorbell_program`]):
 //! * **No lost wake-up** — a node that parks *without a timeout* is woken
@@ -28,65 +18,8 @@
 //! * **Exactly-once consumption** — each producer's item is taken once.
 //! * **Honest tokens** — a wake names only reasons a producer rang.
 
-use crate::sync::{
-    channel, thread, AtomicBool, AtomicU64, AtomicU8, Doorbell, Mutex, Ordering, RING_JOB,
-    RING_PACKET,
-};
+use crate::sync::{thread, Doorbell, Mutex, RING_JOB, RING_PACKET};
 use std::sync::Arc;
-
-/// `Staged`: job deposited, unclaimed.
-pub const STAGED: u8 = 0;
-/// `Running`: a worker won the claim CAS.
-pub const RUNNING: u8 = 1;
-/// `Done`: the claiming worker finished the job.
-pub const DONE: u8 = 2;
-
-/// The live machine's lifecycle shape: a producer pushes jobs through a
-/// capacity-1 channel (backpressure), arms the stop flag before the final
-/// "Flush" send, and two workers race a `Staged -> Running` claim CAS.
-pub fn live_lifecycle_program() {
-    let (tx, rx) = channel::<u32>(1, "jobs");
-    let stop = Arc::new(AtomicBool::named(false, "stop"));
-    let state = Arc::new(AtomicU8::named(STAGED, "job.state"));
-    let claimed = Arc::new(AtomicU64::named(0, "claimed"));
-    let workers: Vec<_> = (0..2)
-        .map(|_| {
-            let (state, claimed) = (state.clone(), claimed.clone());
-            thread::spawn(move || {
-                if state
-                    .compare_exchange(STAGED, RUNNING, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    claimed.fetch_add(1, Ordering::Relaxed);
-                    state.store(DONE, Ordering::Release);
-                }
-            })
-        })
-        .collect();
-    let s2 = stop.clone();
-    let producer = thread::spawn(move || {
-        tx.send(10).expect("receiver alive");
-        tx.send(11).expect("receiver alive");
-        // Flush: stop is armed strictly before the final send, so the
-        // channel edge publishes it to whoever receives that job.
-        s2.store(true, Ordering::Release);
-        tx.send(12).expect("receiver alive");
-    });
-    assert_eq!(rx.recv(), Ok(10), "staging must be FIFO");
-    assert_eq!(rx.recv(), Ok(11), "staging must be FIFO");
-    assert_eq!(rx.recv(), Ok(12), "staging must be FIFO");
-    assert!(
-        stop.load(Ordering::Acquire),
-        "Flush delivery must imply the stop flag"
-    );
-    assert!(rx.recv().is_err(), "producer drop must disconnect, not hang");
-    producer.join();
-    for w in workers {
-        w.join();
-    }
-    assert_eq!(claimed.load(Ordering::SeqCst), 1, "job claimed exactly once");
-    assert_eq!(state.load(Ordering::SeqCst), DONE, "claimed job must finish");
-}
 
 /// Seeded misuse of the [`Doorbell`] protocol by its callers; each is a
 /// lost wake-up the explorer must find as a deadlock on `bell.cv`.

@@ -103,6 +103,34 @@ fn lost_fir_reply_is_reissued_by_watchdog() {
     );
 }
 
+/// Every chase under a link-fault plan arms an FIR watchdog, and one
+/// whose reply came first expires as a stale FIR timer — not as a
+/// retransmit timer, of which a plan that only reorders, with the
+/// reliable layer off, arms none.
+#[test]
+fn answered_fir_watchdogs_expire_as_fir_timers() {
+    let faults = FaultPlan::none().with_reorder(0.1).with_reliable(false);
+    let cfg = MachineConfig::builder(8).faults(faults).build().unwrap();
+    let mut m = SimMachine::new(cfg, empty_registry());
+    let hops: Vec<u16> = (0..40).map(|i| (i % 7 + 1) as u16).collect();
+    let nomad = m.with_ctx(0, |ctx| {
+        let nomad = ctx.create_local(Box::new(Nomad { hops, probes: 0 }));
+        ctx.send(nomad, 0, vec![]);
+        nomad
+    });
+    // Probes race the walk from another node: stale guesses, FIR chases.
+    m.with_ctx(4, |ctx| {
+        for _ in 0..30 {
+            ctx.send(nomad, 1, vec![]);
+        }
+    });
+    let r = m.run().unwrap();
+    assert_eq!(r.values("probe_delivered").len(), 30, "nothing is lost, so all arrive");
+    assert!(r.stats.get("fir.sent") > 0, "the probes had to chase");
+    assert_eq!(r.stats.get("rel.timers_expired"), 0, "{:?}", r.stats);
+    assert!(r.stats.get("fir.timers_expired") > 0, "{:?}", r.stats);
+}
+
 #[test]
 fn unknown_behavior_is_a_typed_error() {
     let mut m = SimMachine::new(MachineConfig::new(2), empty_registry());

@@ -7,12 +7,12 @@
 //! cargo test -p hal-kernel --features model --test model_tests
 //! ```
 //!
-//! The clean programs must verify with **zero** violations to the
+//! The clean program must verify with **zero** violations to the
 //! preemption bound; the two seeded doorbell misuses
 //! ([`hal_kernel::model_port::DoorbellBug`]) must each be *found*, with
 //! an interleaving trace.
 
-use hal_kernel::model_port::{doorbell_program, live_lifecycle_program, DoorbellBug};
+use hal_kernel::model_port::{doorbell_program, DoorbellBug};
 use hal_model::{explore, Opts, ViolationKind};
 
 fn opts() -> Opts {
@@ -20,14 +20,6 @@ fn opts() -> Opts {
         max_executions: 100_000,
         ..Opts::default()
     }
-}
-
-#[test]
-fn live_lifecycle_is_clean() {
-    let report = explore(opts(), || live_lifecycle_program());
-    assert!(report.ok(), "{}", report.render_violations());
-    assert!(report.complete, "exploration must finish under the caps");
-    assert!(report.executions > 1, "the lifecycle must branch the schedule");
 }
 
 /// The live node's wake-up protocol — two producers, one sleeper parked

@@ -12,10 +12,14 @@
 //!    report must agree exactly with the metrics cells themselves —
 //!    under backpressure (tiny receive queues), across seeds and
 //!    partition sizes.
+//! 4. A name the report folds from per-node records equals their sum, on
+//!    both backends: `rel.retransmits` / `rel.acks` are the `METRICS_`
+//!    links, `msgs.processed` is the cells' (and, live, the per-node
+//!    `telemetry.msgs_processed`).
 
 use hal::prelude::*;
 use hal_kernel::span::SpanReport;
-use hal_kernel::SimReport;
+use hal_kernel::{Counter, FaultPlan, SimReport, TelemetryHub};
 use hal_workloads::fib;
 use std::sync::atomic::Ordering;
 
@@ -35,6 +39,41 @@ fn fib_sim(seed: u64, obs: ObserveOpts) -> SimReport {
     let (v, report) = fib::run_sim(machine, cfg);
     assert_eq!(v, 233, "fib(13) wrong");
     report
+}
+
+/// Guarantee 4 for one finished run with metrics on; returns the acks the
+/// reliable layer sent, so a caller can require that it carried traffic.
+fn assert_folds_agree(label: &str, report: &SimReport, hub: &TelemetryHub) -> u64 {
+    let metrics = report.metrics.as_ref().unwrap_or_else(|| panic!("{label}: metrics on"));
+    let links = metrics.nodes.iter().flat_map(|n| n.links.values());
+    let (retx, acks) = links.fold((0, 0), |(r, a), l| (r + l.retransmits, a + l.acks));
+    assert_eq!(retx, report.stats.get("rel.retransmits"), "{label}: retransmits");
+    assert_eq!(acks, report.stats.get("rel.acks"), "{label}: acks");
+    let processed: u64 = hub.cells().iter().map(|c| c.get(Counter::MsgsProcessed)).sum();
+    assert_eq!(processed, report.stats.get("msgs.processed"), "{label}: cells");
+    acks
+}
+
+#[test]
+fn sim_folds_equal_the_per_node_records() {
+    for seed in SEEDS {
+        let label = format!("sim lossy fib seed={seed}");
+        let cfg = MachineConfig::builder(4)
+            .seed(seed)
+            .faults(FaultPlan::none().with_drop(0.02).with_duplicate(0.01))
+            .observe(ObserveOpts::none().metrics(true))
+            .build()
+            .unwrap();
+        let mut program = Program::new();
+        let id = fib::register(&mut program);
+        let mut m = Machine::from_config(cfg, program.build());
+        let fib_cfg = fib::FibConfig { n: 12, grain: 2, placement: fib::Placement::RoundRobin };
+        m.with_ctx(0, |ctx| fib::bootstrap(ctx, id, fib_cfg));
+        let report = m.run().unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(report.value("fib").map(|v| v.as_int()), Some(144), "{label}");
+        assert!(report.stats.get("rel.retransmits") > 0, "{label}: nothing was lost");
+        assert!(assert_folds_agree(&label, &report, &m.telemetry()) > 0, "{label}");
+    }
 }
 
 /// The deterministic artifact surface of one sim run, as bytes.
@@ -98,11 +137,11 @@ fn full_rate_sampling_reproduces_the_unsampled_span_surface() {
 /// busy loop makes the receiving node measurably slower than the
 /// sender, so the sender's bounded queue toward it stays full — that
 /// is the backpressure the test is about.
-struct Counter {
+struct Tally {
     got: i64,
     expected: i64,
 }
-impl Behavior for Counter {
+impl Behavior for Tally {
     fn dispatch(&mut self, ctx: &mut Ctx<'_>, _msg: Msg) {
         let mut spin = 0u64;
         for i in 0..500u64 {
@@ -166,7 +205,7 @@ fn live_collector_drain_loses_no_counts_under_backpressure() {
                 .unwrap();
             let mut m = Machine::from_config(cfg, program.build());
             m.with_ctx(0, |ctx| {
-                let counter = ctx.create_local(Box::new(Counter {
+                let counter = ctx.create_local(Box::new(Tally {
                     got: 0,
                     expected: BURST,
                 }));
@@ -198,14 +237,16 @@ fn live_collector_drain_loses_no_counts_under_backpressure() {
                 let at: Vec<u64> = metrics.nodes[i].samples.iter().map(|s| s.at_ns).collect();
                 assert_eq!(at.first(), Some(&0), "{label}: node {i}");
                 assert!(at.iter().all(|t| t % metrics.cadence_ns == 0), "{label}: {at:?}");
-                let truth = cell.msgs_processed.load(Ordering::Relaxed);
+                let truth = cell.get(Counter::MsgsProcessed);
                 let reported = metrics.nodes[i].counters["telemetry.msgs_processed"];
                 assert_eq!(reported, truth, "{label}: node {i} lost msgs_processed in drain");
-                let truth_sends = cell.net_sends.load(Ordering::Relaxed);
+                let truth_sends = cell.get(Counter::NetSends);
                 let reported_sends = metrics.nodes[i].counters["telemetry.net_sends"];
                 assert_eq!(reported_sends, truth_sends, "{label}: node {i} lost net_sends in drain");
                 total_processed += reported;
             }
+            assert_eq!(total_processed, report.stats.get("msgs.processed"), "{label}");
+            assert!(assert_folds_agree(&label, &report, &hub) > 0, "{label}: live is reliable");
             // Kick-off + burst activation + BURST counted messages, at
             // minimum (system traffic may add more, never fewer).
             assert!(

@@ -164,7 +164,7 @@ fn live_local_round_trips_are_counted_exactly() {
 
     let hub = m.telemetry();
     let cell = &hub.cells()[0];
-    let processed = cell.msgs_processed.load(Ordering::Relaxed);
+    let processed = cell.get(hal_kernel::Counter::MsgsProcessed);
     let busy = cell.busy_ns.load(Ordering::Relaxed);
     assert_eq!(processed, trips + 1, "cell lost or gained dispatches");
     let drained = &live.metrics.as_ref().expect("live metrics").nodes[0];
