@@ -51,6 +51,24 @@ if grep -rn -e 'thread_local!' -e 'static mut' -e 'OnceLock' -e 'LazyLock' \
   echo "ci: a workload or baseline keeps state across calls"; exit 1
 fi
 
+echo "== one hash table: no std HashMap/HashSet/RandomState in des/, am/, kernel/ =="
+# Every runtime map is hal_des::{Map, Set} (crates/des/src/table.rs): one
+# hasher, chosen because every key is minted in-process, and an iteration
+# order that is a function of the inserts. A std table here brings
+# SipHash back onto the packet path and a per-instance random order with
+# it. crates/check (offline trace analysis) is out of scope.
+std_tables() {
+  grep -nwE 'HashMap|HashSet|RandomState' "$@" | grep -v '^crates/des/src/table\.rs:'
+}
+if std_tables -r crates/des/src crates/am/src crates/kernel/src; then
+  echo "ci: a std hash table outside hal_des::table"; exit 1
+fi
+# The gate must catch a planted line.
+planted="$(mktemp)"
+echo 'use std::collections::HashMap;' >"$planted"
+std_tables "$planted" >/dev/null || { echo "ci: the one-table gate is inert"; rm -f "$planted"; exit 1; }
+rm -f "$planted"
+
 echo "== README.md and DESIGN.md name only crates/ paths that exist =="
 # Every backticked or linked crates/... path (globs allowed, a :line
 # suffix ignored) must be in the tree. EXPERIMENTS.md is history and is

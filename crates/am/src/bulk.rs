@@ -7,7 +7,7 @@
 //! packet. [`BulkSender`] parks the payload between phases 1 and 3.
 
 use crate::packet::{AmEnvelope, BulkTag, NodeId};
-use std::collections::HashMap;
+use hal_des::Map;
 
 /// A parked outbound transfer awaiting its grant.
 #[derive(Debug)]
@@ -20,7 +20,7 @@ struct Parked<P> {
 /// Sender-side bookkeeping for in-progress bulk transfers.
 #[derive(Debug)]
 pub struct BulkSender<P> {
-    parked: HashMap<BulkTag, Parked<P>>,
+    parked: Map<BulkTag, Parked<P>>,
     next_tag: BulkTag,
     started: u64,
     completed: u64,
@@ -32,7 +32,7 @@ impl<P> BulkSender<P> {
     /// uniqueness since receivers match on `(src, tag)`).
     pub fn new(node: NodeId) -> Self {
         BulkSender {
-            parked: HashMap::new(),
+            parked: Map::default(),
             next_tag: (node as u64) << 48,
             started: 0,
             completed: 0,

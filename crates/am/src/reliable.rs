@@ -22,7 +22,8 @@
 //! chaos subsystem.
 
 use crate::packet::{AmEnvelope, NodeId, RelPayload};
-use std::collections::{BTreeMap, HashMap};
+use hal_des::Map;
+use std::collections::BTreeMap;
 
 /// Max packets re-sent per retransmit-timer firing. Bounding the batch
 /// keeps a long unacked queue from flooding the link in one instant;
@@ -90,13 +91,13 @@ pub enum RetxDecision<P> {
 /// Sender half of the reliable-delivery protocol (one per kernel,
 /// tracking every peer it has sent to).
 pub struct RelSender<P> {
-    peers: HashMap<NodeId, PeerTx<P>>,
+    peers: Map<NodeId, PeerTx<P>>,
 }
 
 impl<P> Default for RelSender<P> {
     fn default() -> Self {
         RelSender {
-            peers: HashMap::new(),
+            peers: Map::default(),
         }
     }
 }
@@ -216,13 +217,13 @@ pub enum RxOutcome<P> {
 
 /// Receiver half of the reliable-delivery protocol.
 pub struct RelReceiver<P> {
-    peers: HashMap<NodeId, PeerRx<P>>,
+    peers: Map<NodeId, PeerRx<P>>,
 }
 
 impl<P> Default for RelReceiver<P> {
     fn default() -> Self {
         RelReceiver {
-            peers: HashMap::new(),
+            peers: Map::default(),
         }
     }
 }

@@ -20,8 +20,7 @@
 
 use crate::fault::{FaultPlan, FaultState, RawFate};
 use crate::packet::{AmEnvelope, NodeId, Packet};
-use hal_des::{EventQueue, StatSet, VirtualDuration, VirtualTime};
-use std::collections::HashMap;
+use hal_des::{EventQueue, Map, StatSet, VirtualDuration, VirtualTime};
 
 hal_des::counters! {
     /// What [`LinkState`] counts, one slot each in its counter array.
@@ -170,7 +169,7 @@ pub struct LinkState {
     model: LinkModel,
     /// Per-(src, dst) link: (inject time that set it, last scheduled
     /// arrival) — enforces FIFO forward in time.
-    link_last: HashMap<(NodeId, NodeId), (VirtualTime, VirtualTime)>,
+    link_last: Map<(NodeId, NodeId), (VirtualTime, VirtualTime)>,
     /// Per-source NI: (inject time that set it, time the NI frees up).
     ni_free: Vec<(VirtualTime, VirtualTime)>,
     /// Per-destination ejection port: (inject time that set it, time the
@@ -194,7 +193,7 @@ impl LinkState {
     pub fn new(nodes: usize, model: LinkModel) -> Self {
         LinkState {
             model,
-            link_last: HashMap::new(),
+            link_last: Map::default(),
             ni_free: vec![(VirtualTime::ZERO, VirtualTime::ZERO); nodes],
             eject_busy: vec![(VirtualTime::ZERO, VirtualTime::ZERO); nodes],
             seq: 0,

@@ -15,7 +15,8 @@
 //! * [`rng`] — tiny self-contained deterministic RNGs (SplitMix64, PCG32)
 //!   so that runs are bit-reproducible for a fixed seed;
 //! * [`stats`] — counters/histograms the bench harnesses read back;
-//! * [`json`] — the workspace's one JSON writer and reader.
+//! * [`json`] — the workspace's one JSON writer and reader;
+//! * [`table`] — the runtime's one hash table ([`Map`], [`Set`]).
 //!
 //! The actor kernel (`hal-kernel`) charges each runtime primitive a cost
 //! from a CM-5-calibrated cost model against its node's virtual clock, and
@@ -30,8 +31,10 @@ pub mod event;
 pub mod json;
 pub mod rng;
 pub mod stats;
+pub mod table;
 
 pub use clock::{VirtualDuration, VirtualTime};
 pub use event::EventQueue;
 pub use rng::{Pcg32, SplitMix64};
 pub use stats::{Histogram, StatSet};
+pub use table::{Map, Set};

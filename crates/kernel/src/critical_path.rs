@@ -23,8 +23,7 @@
 use crate::span::{MsgSpan, SpanReport};
 use hal_am::NodeId;
 use hal_des::json::{self, Style::Block, Style::Inline, Writer};
-use hal_des::VirtualTime;
-use std::collections::{HashMap, HashSet};
+use hal_des::{Map, Set, VirtualTime};
 
 /// One hop (message) on a causal chain, with its stage attribution.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -210,7 +209,7 @@ fn write_chain(w: &mut Writer, c: &Chain) {
 /// roots for this purpose). Terminals already covered by a selected
 /// chain are skipped, so the reported chains are disjoint.
 pub fn critical_paths(spans: &SpanReport, k: usize) -> CriticalPathReport {
-    let by_id: HashMap<u64, &MsgSpan> = spans.msgs.iter().map(|m| (m.id, m)).collect();
+    let by_id: Map<u64, &MsgSpan> = spans.msgs.iter().map(|m| (m.id, m)).collect();
     // Rank candidate terminals by chain total, descending; id ascending
     // as the deterministic tie-break.
     let mut candidates: Vec<(u64, u64)> = spans
@@ -228,7 +227,7 @@ pub fn critical_paths(spans: &SpanReport, k: usize) -> CriticalPathReport {
         .collect();
     candidates.sort_by_key(|&(total, id)| (std::cmp::Reverse(total), id));
 
-    let mut used: HashSet<u64> = HashSet::new();
+    let mut used: Set<u64> = Set::default();
     let mut chains = Vec::new();
     for (total, id) in candidates {
         if chains.len() >= k {
@@ -256,9 +255,9 @@ pub fn critical_paths(spans: &SpanReport, k: usize) -> CriticalPathReport {
 /// Follow parent links to the chain's root span. Parent ids that don't
 /// resolve (untraced senders, ring truncation) terminate the walk; a
 /// visited set guards against malformed cyclic input.
-fn walk_root<'a>(m: &'a MsgSpan, by_id: &HashMap<u64, &'a MsgSpan>) -> &'a MsgSpan {
+fn walk_root<'a>(m: &'a MsgSpan, by_id: &Map<u64, &'a MsgSpan>) -> &'a MsgSpan {
     let mut cur = m;
-    let mut seen = HashSet::new();
+    let mut seen = Set::default();
     while cur.parent != 0 && seen.insert(cur.id) {
         match by_id.get(&cur.parent) {
             Some(p) => cur = p,
@@ -270,10 +269,10 @@ fn walk_root<'a>(m: &'a MsgSpan, by_id: &HashMap<u64, &'a MsgSpan>) -> &'a MsgSp
 
 /// Materialize the chain ending at `terminal`, root hop first, with
 /// per-hop stage attribution.
-fn build_chain(terminal: &MsgSpan, total: u64, by_id: &HashMap<u64, &MsgSpan>) -> Chain {
+fn build_chain(terminal: &MsgSpan, total: u64, by_id: &Map<u64, &MsgSpan>) -> Chain {
     // Collect terminal → root, then reverse.
     let mut rev: Vec<&MsgSpan> = vec![terminal];
-    let mut seen: HashSet<u64> = [terminal.id].into();
+    let mut seen: Set<u64> = Set::from_iter([terminal.id]);
     let mut cur = terminal;
     while cur.parent != 0 {
         match by_id.get(&cur.parent) {

@@ -19,7 +19,8 @@
 use crate::addr::AddrKey;
 use crate::message::Msg;
 use hal_am::NodeId;
-use std::collections::HashMap;
+use hal_des::Map;
+use std::collections::hash_map::Entry;
 
 /// Per-actor state while an FIR is outstanding on this node.
 #[derive(Default, Debug)]
@@ -38,7 +39,7 @@ pub struct FirPending {
 /// The node's FIR table.
 #[derive(Default)]
 pub struct FirTable {
-    pending: HashMap<AddrKey, FirPending>,
+    pending: Map<AddrKey, FirPending>,
     sent_total: u64,
     suppressed_total: u64,
     reissued_total: u64,
@@ -54,14 +55,13 @@ impl FirTable {
     /// when the caller should send an FIR now (none outstanding yet);
     /// `false` means one is already in flight (suppressed duplicate).
     pub fn need_location(&mut self, key: AddrKey) -> bool {
-        let entry = self.pending.entry(key);
-        match entry {
-            std::collections::hash_map::Entry::Vacant(v) => {
+        match self.pending.entry(key) {
+            Entry::Vacant(v) => {
                 v.insert(FirPending::default());
                 self.sent_total += 1;
                 true
             }
-            std::collections::hash_map::Entry::Occupied(_) => {
+            Entry::Occupied(_) => {
                 self.suppressed_total += 1;
                 false
             }

@@ -18,9 +18,14 @@
 //!    implement [`crate::actor::Behavior::acquaintances`]). References
 //!    to non-local actors are batched into `GcMark` messages routed by
 //!    the same best-guess descriptors as ordinary sends. A round ends
-//!    when every node has reported its activity to the coordinator;
-//!    rounds repeat until a round produces no new marks anywhere —
-//!    termination is guaranteed because the mark set only grows.
+//!    when every node has reported to the coordinator its activity and
+//!    its running totals of `GcMark` keys sent and received. Rounds
+//!    repeat until one produces no new marks anywhere **and** the two
+//!    totals, summed over the nodes, are equal: a batch still in flight
+//!    (a large one travels the three-phase bulk protocol and can lose
+//!    the race to the next round's `GcRoundGo`) holds the sweep off.
+//!    Termination is guaranteed because the mark set only grows and
+//!    every batch in flight eventually lands.
 //! 3. **Sweep** — the coordinator broadcasts `GcSweep`; every node frees
 //!    unmarked actors, their descriptors, and their name-table entries,
 //!    and reports the count.
@@ -33,7 +38,8 @@
 
 use crate::addr::{ActorId, AddrKey};
 use hal_am::NodeId;
-use std::collections::{HashMap, HashSet};
+use hal_des::Set;
+use std::collections::BTreeMap;
 
 /// Per-node garbage-collection state.
 #[derive(Default)]
@@ -41,11 +47,17 @@ pub struct GcState {
     /// A collection is in progress.
     pub active: bool,
     /// Locally marked (reachable) actors.
-    pub marked: HashSet<ActorId>,
-    /// Keys received from other nodes, to be traced next round.
+    pub marked: Set<ActorId>,
+    /// Keys received from other nodes, to be traced next round. A batch
+    /// may land before this node's `GcBegin` does; it waits here for the
+    /// first round.
     pub incoming: Vec<AddrKey>,
     /// Actors pinned by the application (roots across collections).
-    pub pinned: HashSet<ActorId>,
+    pub pinned: Set<ActorId>,
+    /// `GcMark` keys this node has sent, over every collection.
+    pub marks_sent: u64,
+    /// `GcMark` keys this node has received, over every collection.
+    pub marks_received: u64,
     /// Coordinator bookkeeping (only used on the coordinating node).
     pub coord: Option<CoordState>,
 }
@@ -57,6 +69,10 @@ pub struct CoordState {
     pub awaiting: usize,
     /// Marks produced anywhere in the current round.
     pub round_activity: u64,
+    /// Sum of the nodes' reported `marks_sent` this round.
+    pub round_sent: u64,
+    /// Sum of the nodes' reported `marks_received` this round.
+    pub round_received: u64,
     /// Completed mark rounds.
     pub rounds: u32,
     /// Total actors freed (filled during sweep).
@@ -64,12 +80,19 @@ pub struct CoordState {
 }
 
 impl GcState {
-    /// Reset for a fresh collection.
+    /// Reset for a fresh collection. `incoming` is kept: it is empty
+    /// after every completed sweep, so whatever it holds now was sent in
+    /// this collection by a node that began first.
     pub fn begin(&mut self) {
         self.active = true;
         self.marked.clear();
-        self.incoming.clear();
         self.coord = None;
+    }
+
+    /// A `GcMark` batch arrived.
+    pub fn receive(&mut self, keys: Vec<AddrKey>) {
+        self.marks_received += keys.len() as u64;
+        self.incoming.extend(keys);
     }
 
     /// Mark an actor; returns true if newly marked.
@@ -81,7 +104,7 @@ impl GcState {
 /// Batch outgoing remote references by owner node.
 #[derive(Default)]
 pub struct MarkBatches {
-    batches: HashMap<NodeId, Vec<AddrKey>>,
+    batches: BTreeMap<NodeId, Vec<AddrKey>>,
 }
 
 impl MarkBatches {
@@ -90,7 +113,8 @@ impl MarkBatches {
         self.batches.entry(node).or_default().push(key);
     }
 
-    /// Drain the batches.
+    /// Drain the batches in ascending node order, so the `GcMark`s leave
+    /// in an order the code states.
     pub fn drain(self) -> impl Iterator<Item = (NodeId, Vec<AddrKey>)> {
         self.batches.into_iter()
     }
@@ -132,14 +156,21 @@ mod tests {
     }
 
     #[test]
-    fn begin_resets_marks_but_keeps_pins() {
+    fn begin_resets_marks_but_keeps_pins_and_early_batches() {
         let mut gc = GcState::default();
         gc.pinned.insert(ActorId(7));
         gc.mark(ActorId(1));
+        let k = AddrKey {
+            birthplace: 1,
+            index: crate::addr::DescriptorId(3),
+        };
+        gc.receive(vec![k]);
         gc.begin();
         assert!(gc.marked.is_empty());
         assert!(gc.active);
         assert!(gc.pinned.contains(&ActorId(7)), "pins survive collections");
+        assert_eq!(gc.incoming, vec![k], "a batch that beat GcBegin is kept");
+        assert_eq!(gc.marks_received, 1);
     }
 
     #[test]
@@ -149,12 +180,12 @@ mod tests {
             birthplace: n,
             index: crate::addr::DescriptorId(i),
         };
+        b.push(2, k(2, 0));
         b.push(1, k(1, 0));
         b.push(1, k(1, 1));
-        b.push(2, k(2, 0));
         assert_eq!(b.len(), 3);
-        let drained: HashMap<_, _> = b.drain().collect();
-        assert_eq!(drained[&1].len(), 2);
-        assert_eq!(drained[&2].len(), 1);
+        let drained: Vec<_> = b.drain().collect();
+        let ascending = vec![(1, vec![k(1, 0), k(1, 1)]), (2, vec![k(2, 0)])];
+        assert_eq!(drained, ascending);
     }
 }

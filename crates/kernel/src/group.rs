@@ -17,7 +17,7 @@
 use crate::addr::{GroupId, MailAddr, Mapping};
 use crate::message::Msg;
 use hal_am::NodeId;
-use std::collections::HashMap;
+use hal_des::Map;
 use std::iter::StepBy;
 use std::ops::Range;
 
@@ -63,11 +63,11 @@ pub struct GroupTable {
     local: Vec<Vec<(u32, MailAddr)>>,
     /// Group id → position in `local`: a broadcast hashes once to find
     /// its group and then walks the members by position.
-    slots: HashMap<GroupId, GroupSlot>,
+    slots: Map<GroupId, GroupSlot>,
     /// Traffic for groups whose `grpnew` has not reached this node yet:
     /// per group, parked (member index or broadcast) deliveries.
-    pending_member: HashMap<GroupId, Vec<(u32, Msg)>>,
-    pending_bcast: HashMap<GroupId, Vec<Msg>>,
+    pending_member: Map<GroupId, Vec<(u32, Msg)>>,
+    pending_bcast: Map<GroupId, Vec<Msg>>,
     next_counter: u16,
 }
 

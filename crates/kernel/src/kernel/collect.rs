@@ -10,6 +10,7 @@ use crate::name_server::Resolution;
 use crate::trace::KernelEvent;
 use crate::wire::KMsg;
 use hal_am::{NodeId, bcast};
+use hal_des::Set;
 
 impl Kernel {
     // ------------------------------------------------------------------
@@ -25,9 +26,7 @@ impl Kernel {
         );
         self.gc.coord = Some(CoordState {
             awaiting: self.cfg.nodes,
-            round_activity: 0,
-            rounds: 0,
-            freed: 0,
+            ..CoordState::default()
         });
         let me = self.cfg.me;
         // Deliver to ourselves through the loopback so the coordinator
@@ -102,6 +101,7 @@ impl Kernel {
             forwarded += keys.len() as u64;
             self.net_send(node, KMsg::GcMark { keys });
         }
+        self.gc.marks_sent += forwarded;
         forwarded
     }
 
@@ -119,28 +119,29 @@ impl Kernel {
         self.gc.coord = coord;
         debug_assert!(!was_active, "nested collection");
         self.gc_coordinator = coordinator;
-        let roots: Vec<ActorId> = self.gc_roots();
         let mut newly = Vec::new();
-        for aid in roots {
+        for aid in self.gc_roots() {
             if self.gc.mark(aid) {
                 newly.push(aid);
             }
         }
-        let mut out = MarkBatches::default();
-        let mut activity = newly.len() as u64;
-        activity += self.gc_trace(newly, &mut out);
-        activity += self.gc_flush_batches(out);
-        self.net_send(coordinator, KMsg::GcRoundDone { activity });
+        self.gc_mark_round(newly);
     }
 
     pub(super) fn handle_gc_round(&mut self, root: NodeId) {
         for child in bcast::children(self.cfg.me, root, self.cfg.nodes) {
             self.net_send(child, KMsg::GcRoundGo { root });
         }
+        self.gc_mark_round(Vec::new());
+    }
+
+    /// One mark round on this node: trace from `work` (actors newly
+    /// marked) and every key received since the last round to a local
+    /// fixpoint, send what is remote, and report to the coordinator.
+    fn gc_mark_round(&mut self, mut work: Vec<ActorId>) {
+        let mut activity = work.len() as u64;
         let incoming = std::mem::take(&mut self.gc.incoming);
         let mut out = MarkBatches::default();
-        let mut work = Vec::new();
-        let mut activity = 0u64;
         for key in incoming {
             match self.names.resolve(key) {
                 Resolution::Local(aid) => {
@@ -164,26 +165,46 @@ impl Kernel {
         activity += self.gc_trace(work, &mut out);
         activity += self.gc_flush_batches(out);
         let coordinator = self.gc_coordinator;
-        self.net_send(coordinator, KMsg::GcRoundDone { activity });
+        let (marks_sent, marks_received) = (self.gc.marks_sent, self.gc.marks_received);
+        self.net_send(
+            coordinator,
+            KMsg::GcRoundDone {
+                activity,
+                marks_sent,
+                marks_received,
+            },
+        );
     }
 
-    pub(super) fn handle_gc_round_done(&mut self, activity: u64) {
+    /// Sweep only after a round with no activity anywhere in which every
+    /// `GcMark` key ever sent has also been received: a batch still in
+    /// flight may carry the only path to a live actor.
+    pub(super) fn handle_gc_round_done(
+        &mut self,
+        activity: u64,
+        marks_sent: u64,
+        marks_received: u64,
+    ) {
         let me = self.cfg.me;
         let nodes = self.cfg.nodes;
         let coord = self.gc.coord.as_mut().expect("round report at non-coordinator");
         coord.awaiting -= 1;
         coord.round_activity += activity;
+        coord.round_sent += marks_sent;
+        coord.round_received += marks_received;
         if coord.awaiting > 0 {
             return;
         }
-        if coord.round_activity > 0 {
-            coord.awaiting = nodes;
-            coord.round_activity = 0;
+        let settled = coord.round_activity == 0 && coord.round_sent == coord.round_received;
+        coord.awaiting = nodes;
+        coord.round_activity = 0;
+        coord.round_sent = 0;
+        coord.round_received = 0;
+        if settled {
+            self.loopback.push_back(KMsg::GcSweepCmd { root: me });
+        } else {
             coord.rounds += 1;
             self.loopback.push_back(KMsg::GcRoundGo { root: me });
-        } else {
-            coord.awaiting = nodes;
-            self.loopback.push_back(KMsg::GcSweepCmd { root: me });
         }
     }
 
@@ -191,8 +212,9 @@ impl Kernel {
         for child in bcast::children(self.cfg.me, root, self.cfg.nodes) {
             self.net_send(child, KMsg::GcSweepCmd { root });
         }
+        debug_assert!(self.gc.incoming.is_empty(), "a mark batch outlived the rounds");
         let mut freed = 0u64;
-        let mut swept_keys = std::collections::HashSet::new();
+        let mut swept_keys = Set::default();
         for aid in self.actors.live_ids() {
             if self.gc.marked.contains(&aid) {
                 continue;

@@ -37,8 +37,8 @@ use crate::wire::KMsg;
 use hal_am::{
     AmEnvelope, BulkSender, FaultPlan, FlowControl, NodeId, RelReceiver, RelSender,
 };
-use hal_des::{Histogram, VirtualDuration, VirtualTime};
-use std::collections::{HashMap, VecDeque};
+use hal_des::{Histogram, Map, Set, VirtualDuration, VirtualTime};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 mod collect;
@@ -218,14 +218,14 @@ pub struct Kernel {
     outbox: Vec<Outbound>,
     /// Messages for keys this node knows nothing about yet (e.g. alias
     /// traffic racing the creation request).
-    unknown_buffer: HashMap<AddrKey, Vec<Msg>>,
+    unknown_buffer: Map<AddrKey, Vec<Msg>>,
     /// Messages in `unknown_buffer` over all keys, kept at the park and
     /// flush sites so the per-step gauge does not walk the map.
     unknown_buffered: u32,
     /// (sender, key) pairs already sent a NameInfo cache reply — a
     /// sender bursting messages before our first reply lands must not
     /// trigger one reply per message.
-    advised: std::collections::HashSet<(NodeId, AddrKey)>,
+    advised: Set<(NodeId, AddrKey)>,
     /// Garbage-collection state (§9 future work).
     pub(crate) gc: GcState,
     /// Coordinator of the in-flight collection.
@@ -300,9 +300,9 @@ impl Kernel {
             flow: FlowControl::new(),
             loopback: VecDeque::new(),
             outbox: Vec::new(),
-            unknown_buffer: HashMap::new(),
+            unknown_buffer: Map::default(),
             unknown_buffered: 0,
-            advised: std::collections::HashSet::new(),
+            advised: Set::default(),
             gc: GcState::default(),
             gc_coordinator: 0,
             gc_live_total: 0,

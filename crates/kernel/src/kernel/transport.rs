@@ -412,8 +412,12 @@ impl Kernel {
             KMsg::GrpBcast { group, msg, root } => self.handle_grp_bcast(group, msg, root),
             KMsg::GcBegin { coordinator, root } => self.handle_gc_begin(coordinator, root),
             KMsg::GcRoundGo { root } => self.handle_gc_round(root),
-            KMsg::GcMark { keys } => self.gc.incoming.extend(keys),
-            KMsg::GcRoundDone { activity } => self.handle_gc_round_done(activity),
+            KMsg::GcMark { keys } => self.gc.receive(keys),
+            KMsg::GcRoundDone {
+                activity,
+                marks_sent,
+                marks_received,
+            } => self.handle_gc_round_done(activity, marks_sent, marks_received),
             KMsg::GcSweepCmd { root } => self.handle_gc_sweep(root),
             KMsg::GcSwept { freed, live } => self.handle_gc_swept(freed, live),
             KMsg::Halt => self.stopped = true,

@@ -7,6 +7,12 @@
 //! location. Name tables are implemented as hash tables whose entries are
 //! actor locality descriptors."
 //!
+//! Our hash table is [`hal_des::Map`], hashed by [`hal_des::table::WordHasher`]
+//! (one add and one multiply per word) rather than std's SipHash. That is
+//! safe because every key is minted by this process's kernels, never chosen
+//! by an outside party; a transport that accepts keys from another process
+//! must revisit it (see [`hal_des::table`]).
+//!
 //! Two properties matter:
 //!
 //! 1. **Birthplace fast path** — when `key.birthplace == me`, the mail
@@ -20,7 +26,7 @@
 use crate::addr::{ActorId, AddrKey, DescriptorId};
 use crate::descriptor::{DescriptorArena, Locality, LocalityDescriptor};
 use hal_am::NodeId;
-use std::collections::HashMap;
+use hal_des::Map;
 
 /// The result of a locality check, distinguishing how the answer was
 /// found (the cost model charges differently for fast-path vs hashed
@@ -45,7 +51,7 @@ pub enum Resolution {
 pub struct NameServer {
     me: NodeId,
     arena: DescriptorArena,
-    table: HashMap<AddrKey, DescriptorId>,
+    table: Map<AddrKey, DescriptorId>,
     /// Lookups served by the birthplace fast path (diagnostics).
     pub fast_hits: u64,
     /// Lookups that went through the hash table (diagnostics).
@@ -58,7 +64,7 @@ impl NameServer {
         NameServer {
             me,
             arena: DescriptorArena::new(),
-            table: HashMap::new(),
+            table: Map::default(),
             fast_hits: 0,
             hash_lookups: 0,
         }

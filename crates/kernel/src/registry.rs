@@ -16,7 +16,7 @@
 use crate::actor::Behavior;
 use crate::addr::BehaviorId;
 use crate::message::Value;
-use std::collections::HashMap;
+use hal_des::Map;
 
 /// A behavior constructor: builds a fresh behavior from creation-message
 /// arguments.
@@ -25,7 +25,7 @@ pub type FactoryFn = fn(&[Value]) -> Box<dyn Behavior>;
 /// Registry mapping behavior ids to factories.
 #[derive(Default, Clone)]
 pub struct BehaviorRegistry {
-    factories: HashMap<u32, (&'static str, FactoryFn)>,
+    factories: Map<u32, (&'static str, FactoryFn)>,
 }
 
 impl BehaviorRegistry {

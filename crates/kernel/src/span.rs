@@ -19,8 +19,8 @@ use crate::metrics::write_histogram;
 use crate::trace::{DeliveryPath, KernelEvent, TraceReport};
 use hal_am::NodeId;
 use hal_des::json::{self, Style::Block, Writer};
-use hal_des::{Histogram, VirtualTime};
-use std::collections::{BTreeMap, HashMap};
+use hal_des::{Histogram, Map, VirtualTime};
+use std::collections::BTreeMap;
 
 /// One application message's reconstructed lifecycle.
 #[derive(Clone, Debug, PartialEq)]
@@ -164,9 +164,9 @@ impl SpanReport {
             msgs_sampled: trace.msgs_sampled,
             ..SpanReport::default()
         };
-        let mut msg_ix: HashMap<u64, usize> = HashMap::new();
-        let mut chase_ix: HashMap<u64, usize> = HashMap::new();
-        let mut alias_ix: HashMap<u64, usize> = HashMap::new();
+        let mut msg_ix: Map<u64, usize> = Map::default();
+        let mut chase_ix: Map<u64, usize> = Map::default();
+        let mut alias_ix: Map<u64, usize> = Map::default();
         for e in &trace.events {
             match &e.event {
                 KernelEvent::MessageSent { id, key, remote } => {

@@ -24,8 +24,7 @@
 use crate::addr::AddrKey;
 use hal_am::NodeId;
 use hal_des::json::{self, Style::Block, Style::Inline, Writer};
-use hal_des::VirtualTime;
-use std::collections::HashMap;
+use hal_des::{Map, VirtualTime};
 
 /// How a delivered message reached its receiver's mail queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -408,25 +407,25 @@ pub struct Recorder {
     /// How many of those mints the head sampler kept.
     msgs_sampled: u64,
     /// Alias key -> mint time (for [`KernelEvent::AliasResolved`]).
-    pub(crate) alias_born: HashMap<AddrKey, VirtualTime>,
+    pub(crate) alias_born: Map<AddrKey, VirtualTime>,
     /// Trace id -> park time (for [`KernelEvent::PendingRescanned`]).
-    pub(crate) pending_since: HashMap<u64, VirtualTime>,
+    pub(crate) pending_since: Map<u64, VirtualTime>,
     /// Span of the message whose handler is currently executing on this
     /// node (0 between dispatches). Sends stamp it as their causal
     /// parent.
     pub(crate) current_span: u64,
     /// Trace id -> enqueue time (for
     /// [`KernelEvent::MessageExecuted::queued_ns`]).
-    pub(crate) delivered_at: HashMap<u64, VirtualTime>,
+    pub(crate) delivered_at: Map<u64, VirtualTime>,
     /// Chased key -> the chase episode's span id (minted when the chase
     /// opens, shared by every hop, popped when the reply propagates).
-    pub(crate) chase_span: HashMap<AddrKey, u64>,
+    pub(crate) chase_span: Map<AddrKey, u64>,
     /// Alias key -> the remote-creation span id (mint → install →
     /// resolve).
-    pub(crate) alias_span: HashMap<AddrKey, u64>,
+    pub(crate) alias_span: Map<AddrKey, u64>,
     /// (peer, link seq) -> the message span riding that reliable-layer
     /// packet, so retransmits show up as retry sub-events of the span.
-    pub(crate) rel_span: HashMap<(NodeId, u64), u64>,
+    pub(crate) rel_span: Map<(NodeId, u64), u64>,
 }
 
 impl Recorder {
@@ -457,13 +456,13 @@ impl Recorder {
                 .saturating_mul(u64::MAX / u64::from(Self::FULL_SAMPLING_PPM)),
             msgs_minted: 0,
             msgs_sampled: 0,
-            alias_born: HashMap::new(),
-            pending_since: HashMap::new(),
+            alias_born: Map::default(),
+            pending_since: Map::default(),
             current_span: 0,
-            delivered_at: HashMap::new(),
-            chase_span: HashMap::new(),
-            alias_span: HashMap::new(),
-            rel_span: HashMap::new(),
+            delivered_at: Map::default(),
+            chase_span: Map::default(),
+            alias_span: Map::default(),
+            rel_span: Map::default(),
         }
     }
 

@@ -180,6 +180,10 @@ pub enum KMsg {
     GcRoundDone {
         /// New marks plus forwarded keys this round (0 = quiesced).
         activity: u64,
+        /// `GcMark` keys this node has sent, over every collection.
+        marks_sent: u64,
+        /// `GcMark` keys this node has received, over every collection.
+        marks_received: u64,
     },
     /// Sweep command: free everything unmarked.
     GcSweepCmd {
@@ -231,7 +235,8 @@ impl KMsg {
             KMsg::GrpBcast { msg, .. } => KEY + msg.wire_bytes(),
             KMsg::GcBegin { .. } | KMsg::GcRoundGo { .. } | KMsg::GcSweepCmd { .. } => 8,
             KMsg::GcMark { keys } => 4 + keys.len() * 16,
-            KMsg::GcRoundDone { .. } | KMsg::GcSwept { .. } => 12,
+            KMsg::GcRoundDone { .. } => 4 + 3 * 8,
+            KMsg::GcSwept { .. } => 12,
             // Timers never cross a link; they have no wire cost.
             KMsg::RetxTimer { .. } => 4,
             KMsg::FirTimer { .. } => KEY,
@@ -261,7 +266,11 @@ impl std::fmt::Debug for KMsg {
             KMsg::GcBegin { coordinator, .. } => write!(f, "GcBegin(coord {coordinator})"),
             KMsg::GcRoundGo { .. } => write!(f, "GcRoundGo"),
             KMsg::GcMark { keys } => write!(f, "GcMark({} keys)", keys.len()),
-            KMsg::GcRoundDone { activity } => write!(f, "GcRoundDone({activity})"),
+            KMsg::GcRoundDone {
+                activity,
+                marks_sent,
+                marks_received,
+            } => write!(f, "GcRoundDone({activity}, marks {marks_sent}/{marks_received})"),
             KMsg::GcSweepCmd { .. } => write!(f, "GcSweepCmd"),
             KMsg::GcSwept { freed, live } => write!(f, "GcSwept(freed {freed}, live {live})"),
             KMsg::RetxTimer { peer } => write!(f, "RetxTimer(peer {peer})"),

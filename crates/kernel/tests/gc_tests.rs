@@ -88,6 +88,35 @@ fn reference_chains_keep_actors_alive_across_nodes() {
     assert!(r.rounds >= 1, "cross-node marks need at least one extra round");
 }
 
+/// One pinned root on node 0 holds `per` actors on every other node. Its
+/// mark batches race the spanning tree: one may land before the node's
+/// `GcBegin`, and one of four or more keys travels the bulk protocol and
+/// may land after the next `GcRoundGo`. Neither may cost a reachable actor.
+#[test]
+fn marks_racing_the_rounds_keep_remote_acquaintances_alive() {
+    for nodes in [2, 3, 4, 8, 16] {
+        for per in [1, 4, 16] {
+            let mut m = SimMachine::new(MachineConfig::new(nodes), registry());
+            let mut held = Vec::new();
+            for n in 1..nodes as u16 {
+                for _ in 0..per {
+                    held.push(Value::Addr(m.with_ctx(n, new_holder)));
+                }
+            }
+            m.with_ctx(0, |ctx| {
+                let root = new_holder(ctx);
+                ctx.send(root, 0, held);
+                ctx.pin(root);
+            });
+            m.run().unwrap();
+            let r = m.collect_garbage().unwrap();
+            let what = format!("{nodes} nodes x {per} per node");
+            assert_eq!(r.freed, 0, "{what}: a reachable actor was freed");
+            assert_eq!(r.live, 1 + per * (nodes as u64 - 1), "{what}");
+        }
+    }
+}
+
 #[test]
 fn unpinning_makes_a_whole_chain_collectable() {
     let mut m = SimMachine::new(MachineConfig::new(2), registry());

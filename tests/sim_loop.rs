@@ -116,6 +116,51 @@ fn instant_link_with_stealing_computes_quiesces_and_reruns_identically() {
     }
 }
 
+/// Holds every address it is sent and declares them to the collector.
+struct Holder {
+    refs: Vec<MailAddr>,
+}
+impl Behavior for Holder {
+    fn dispatch(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
+        self.refs = msg.args.iter().map(Value::as_addr).collect();
+    }
+    fn acquaintances(&self) -> Vec<MailAddr> {
+        self.refs.clone()
+    }
+}
+
+#[test]
+fn a_collection_with_marks_to_every_node_reruns_identically() {
+    // A pinned root on node 0 holds one actor on each of the other 15
+    // nodes, so its first mark round sends 15 `GcMark` batches; the order
+    // they leave in decides when each lands.
+    const NODES: u16 = 16;
+    let run = || {
+        let mut m = SimMachine::new(MachineConfig::new(NODES as usize), Program::new().build());
+        let holder = |ctx: &mut Ctx<'_>| ctx.create_local(Box::new(Holder { refs: vec![] }));
+        let held: Vec<Value> = (1..NODES).map(|n| Value::Addr(m.with_ctx(n, holder))).collect();
+        m.with_ctx(0, |ctx| {
+            let root = holder(ctx);
+            ctx.send(root, 0, held);
+            ctx.pin(root);
+        });
+        m.run().unwrap();
+        let gc = m.collect_garbage().unwrap();
+        assert_eq!((gc.freed, gc.live), (0, u64::from(NODES)), "acquaintances survive");
+        m.report()
+    };
+    let first = run();
+    for rerun in 1..5 {
+        let again = run();
+        assert_eq!(
+            (again.makespan, &again.node_clocks, again.events),
+            (first.makespan, &first.node_clocks, first.events),
+            "rerun {rerun} diverged after the collection"
+        );
+        assert_eq!(again, first, "rerun {rerun}");
+    }
+}
+
 #[test]
 fn event_valve_blows_at_the_limit_on_both_kinds_of_link() {
     const LIMIT: u64 = 2_000;
