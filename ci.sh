@@ -69,6 +69,23 @@ echo 'use std::collections::HashMap;' >"$planted"
 std_tables "$planted" >/dev/null || { echo "ci: the one-table gate is inert"; rm -f "$planted"; exit 1; }
 rm -f "$planted"
 
+echo "== one message queue: no VecDeque<Msg> in kernel/ =="
+# Every actor message a node holds lives in that node's MailSlab
+# (crates/kernel/src/actor.rs), queued by a three-index Fifo. A VecDeque
+# of messages is a per-actor heap buffer growing back: 320 B on an
+# actor's first message, held until the actor dies.
+msg_deques() {
+  grep -nE 'VecDeque[[:space:]]*<[[:space:]]*Msg[[:space:]]*>' "$@"
+}
+if msg_deques -r crates/kernel/src; then
+  echo "ci: a message queue outside the mail slab"; exit 1
+fi
+# The gate must catch a planted line.
+planted="$(mktemp)"
+echo '    pub mailq: VecDeque<Msg>,' >"$planted"
+msg_deques "$planted" >/dev/null || { echo "ci: the one-queue gate is inert"; rm -f "$planted"; exit 1; }
+rm -f "$planted"
+
 echo "== README.md and DESIGN.md name only crates/ paths that exist =="
 # Every backticked or linked crates/... path (globs allowed, a :line
 # suffix ignored) must be in the tree. EXPERIMENTS.md is history and is

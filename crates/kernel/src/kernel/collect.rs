@@ -220,13 +220,16 @@ impl Kernel {
                 continue;
             }
             let rec = self.actors.remove(aid);
-            swept_keys.extend(rec.keys.iter().copied());
-            for key in &rec.keys {
+            // Queued mail makes an actor a root (`gc_roots`): a swept
+            // record links no message cells, so dropping it leaks none.
+            debug_assert_eq!(rec.queued(), 0, "swept an actor with queued mail");
+            for key in rec.all_keys() {
+                swept_keys.insert(key);
                 if key.birthplace == self.cfg.me {
                     if self.names.descriptor_live(key.index) {
                         self.names.free_descriptor(key.index);
                     }
-                } else if let Some(d) = self.names.unbind(*key) {
+                } else if let Some(d) = self.names.unbind(key) {
                     if self.names.descriptor_live(d) {
                         self.names.free_descriptor(d);
                     }

@@ -25,7 +25,6 @@ impl Kernel {
         let addr = MailAddr::ordinary(self.cfg.me, d);
         let rec = self.actors.get_mut(aid).expect("just inserted");
         rec.addr = addr;
-        rec.keys.push(addr.key);
         if self.recorder.is_some() {
             self.trace_event(KernelEvent::ActorCreated { key: addr.key });
         }
@@ -128,7 +127,7 @@ impl Kernel {
         self.actors
             .get_mut(aid)
             .expect("just installed")
-            .keys
+            .aliases
             .push(alias);
         self.flush_unknown(alias, aid);
         self.flush_unknown(addr.key, aid);

@@ -20,12 +20,12 @@ impl Kernel {
     /// migrations so the thief can clear its poll state.
     pub(super) fn migrate_out(&mut self, aid: ActorId, dst: NodeId, stolen: bool) {
         self.charge(self.cfg.cost.migrate_fixed);
-        let rec = self.actors.remove(aid);
+        let mut rec = self.actors.remove(aid);
         // Every local descriptor for the actor becomes a forward pointer
         // — the migration history of §4.3 — stamped with the epoch the
         // actor will have after this hop.
         let next_epoch = rec.hops + 1;
-        for &key in &rec.keys {
+        for key in rec.all_keys() {
             if let Some(d) = self.names.descriptor_for(key) {
                 let desc = self.names.descriptor_mut(d);
                 desc.locality = Locality::Remote {
@@ -37,11 +37,12 @@ impl Kernel {
         }
         self.count(Counter::MigrationsOut);
         self.metrics_pending(-(rec.pendq.len() as i64));
+        let keys = rec.all_keys().collect();
         let image = ActorImage {
+            mailq: self.actors.mail.drain(&mut rec.mailq),
+            pendq: self.actors.mail.drain(&mut rec.pendq),
             behavior: rec.behavior,
-            mailq: rec.mailq.into(),
-            pendq: rec.pendq.into(),
-            keys: rec.keys,
+            keys,
             group: rec.group,
             hops: next_epoch,
         };
@@ -73,17 +74,19 @@ impl Kernel {
             self.trace_event(KernelEvent::ActorMigrated { key: primary, from, epoch });
         }
         self.metrics_pending(image.pendq.len() as i64);
+        let keys = image.keys;
+        let mailq = self.actors.mail.fifo_from(image.mailq);
+        let pendq = self.actors.mail.fifo_from(image.pendq);
         let aid = self.actors.insert(ActorRecord {
             behavior: image.behavior,
             addr: MailAddr::ordinary(primary.birthplace, primary.index),
-            mailq: image.mailq.into(),
-            pendq: image.pendq.into(),
+            mailq,
+            pendq,
             scheduled: false,
-            keys: image.keys,
+            aliases: keys[1..].to_vec(),
             group: image.group,
             hops: epoch,
         });
-        let keys = self.actors.get(aid).expect("just inserted").keys.clone();
         // Keys born here resolve through the arena fast path: their
         // original descriptor must become Local *in place* (allocating a
         // fresh one would leave an orphan that other nodes could cache

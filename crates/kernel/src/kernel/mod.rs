@@ -398,6 +398,13 @@ impl Kernel {
         self.actors.len()
     }
 
+    /// `(held, allocated)`: messages queued on this node now, over every
+    /// actor's mail, pending and mid-execution queues, and the cells its
+    /// mail slab has allocated — the most it ever held at once.
+    pub fn mail_cells(&self) -> (usize, usize) {
+        (self.actors.mail.live(), self.actors.mail.cells())
+    }
+
     /// Actor records ever installed on this node: creations, plus every
     /// migration or steal that arrived here.
     pub fn actors_created(&self) -> u64 {

@@ -3,7 +3,7 @@
 //! the join continuations (§6.2) those methods fill and fire.
 
 use super::{Ctx, Ident, Kernel};
-use crate::actor::{ActorRecord, Behavior};
+use crate::actor::{ActorRecord, Behavior, Cursor};
 use crate::addr::{ActorId, JcId, MailAddr};
 use crate::message::{ContRef, Msg, Value};
 use crate::metrics::Counter;
@@ -65,7 +65,7 @@ impl Kernel {
             if processed >= self.cfg.quantum || migrate_req.is_some() {
                 break;
             }
-            let Some(msg) = rec.mailq.pop_front() else {
+            let Some(msg) = self.actors.mail.pop_front(&mut rec.mailq) else {
                 break;
             };
             self.charge(self.cfg.cost.constraint_check);
@@ -84,7 +84,7 @@ impl Kernel {
                         }
                     }
                 }
-                rec.pendq.push_back(msg);
+                self.actors.mail.push_back(&mut rec.pendq, msg);
             }
         }
         // A migration-free actor with nothing processed but a nonempty
@@ -140,15 +140,12 @@ impl Kernel {
     fn rescan_pending(&mut self, aid: ActorId, rec: &mut ActorRecord) -> Option<NodeId> {
         loop {
             let mut fired = false;
-            let mut i = 0;
-            while i < rec.pendq.len() {
+            let mut at = Cursor::start(&rec.pendq);
+            while let Some(m) = self.actors.mail.peek(&at) {
+                let enabled = rec.behavior.enabled(m.selector, &m.args);
                 self.charge(self.cfg.cost.constraint_check);
-                let enabled = {
-                    let m = &rec.pendq[i];
-                    rec.behavior.enabled(m.selector, &m.args)
-                };
                 if enabled {
-                    let msg = rec.pendq.remove(i).expect("index in range");
+                    let msg = self.actors.mail.unlink(&mut rec.pendq, &mut at);
                     self.count(Counter::SyncResumed);
                     self.metrics_pending(-1);
                     if let Some(r) = self.recorder.as_deref_mut() {
@@ -178,7 +175,7 @@ impl Kernel {
                         return mreq;
                     }
                 } else {
-                    i += 1;
+                    self.actors.mail.skip(&mut at);
                 }
             }
             if !fired {

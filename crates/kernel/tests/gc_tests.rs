@@ -169,11 +169,18 @@ fn actors_with_queued_messages_are_roots() {
     m.run().unwrap();
     let r = m.collect_garbage().unwrap();
     assert_eq!(r.freed, 0, "actor with a pending message is a root");
+    assert_eq!(m.kernel(0).mail_cells().0, 1, "the parked probe survived the sweep");
 
     // Open the gate; the parked probe fires; everything still works.
     m.with_ctx(0, |ctx| ctx.send(g, 0, vec![]));
     let rep = m.run().unwrap();
     assert_eq!(rep.value("gate_alive"), Some(&Value::Int(1)));
+
+    // With its queues empty the gate is garbage, and the sweep (which
+    // asserts a swept actor holds no mail) frees it without a cell left.
+    let r = m.collect_garbage().unwrap();
+    assert_eq!(r.freed, 1);
+    assert_eq!(m.kernel(0).mail_cells().0, 0);
 }
 
 #[test]

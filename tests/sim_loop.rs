@@ -50,6 +50,23 @@ fn fib_with_stealing_is_pinned() {
     assert_eq!(r.actors_created, 898, "actors created");
 }
 
+/// Every message a node queued — mail, pending, or behind a running
+/// actor — lives in that node's mail slab until processed or shipped
+/// with a migrating actor: a drained run leaves every slab empty.
+#[test]
+fn a_drained_run_leaves_no_message_in_any_mail_slab() {
+    let cfg = MachineConfig::builder(4).seed(7).load_balancing(true).build().unwrap();
+    let mut m = fib_machine(cfg, Placement::Local, false);
+    let r = m.run().unwrap();
+    assert_eq!(r.value("fib"), Some(&Value::Int(987)));
+    assert!(r.stats.get("steal.granted") > 0, "actors migrated with their queues");
+    for node in 0..4 {
+        let (held, allocated) = m.kernel(node).mail_cells();
+        assert_eq!(held, 0, "node {node} still holds {held} of {allocated} cells");
+        assert!(allocated > 0, "node {node} queued nothing");
+    }
+}
+
 /// The observability documents are facts of the run, not of the host:
 /// two same-seed runs give byte-equal `SPANS_` and `METRICS_` payloads
 /// (what lets ci.sh hold `results/` to a fresh sweep with `cmp`).
