@@ -86,6 +86,27 @@ echo '    pub mailq: VecDeque<Msg>,' >"$planted"
 msg_deques "$planted" >/dev/null || { echo "ci: the one-queue gate is inert"; rm -f "$planted"; exit 1; }
 rm -f "$planted"
 
+echo "== packets stay boxed: no KMsg by value in a packet in kernel/ =="
+# A kernel message is boxed once where it becomes a packet (net_send,
+# arm_timer) and only the pointer moves until the receiving node manager
+# unboxes it. An envelope or packet over KMsg by value copies the whole
+# message at every hop instead. The loopback deque never becomes a
+# packet and may hold KMsg.
+unboxed_packets() {
+  grep -nE '(AmEnvelope|Packet)[[:space:]]*<[[:space:]]*KMsg[[:space:]]*>' "$@"
+}
+if unboxed_packets -r crates/kernel/src; then
+  echo "ci: a packet carries KMsg by value"; exit 1
+fi
+# The gate must catch a planted line of either kind.
+planted="$(mktemp)"
+for line in '    fn handle_envelope(&mut self, src: NodeId, env: AmEnvelope<KMsg>) {' \
+            '    pub fn handle_packet(&mut self, pkt: Packet<KMsg>) {'; do
+  echo "$line" >"$planted"
+  unboxed_packets "$planted" >/dev/null || { echo "ci: the boxed-packet gate is inert"; rm -f "$planted"; exit 1; }
+done
+rm -f "$planted"
+
 echo "== README.md and DESIGN.md name only crates/ paths that exist =="
 # Every backticked or linked crates/... path (globs allowed, a :line
 # suffix ignored) must be in the tree. EXPERIMENTS.md is history and is

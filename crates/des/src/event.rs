@@ -18,20 +18,18 @@ use std::collections::BinaryHeap;
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
-    popped: u64,
 }
 
-/// A heap entry is its 16-byte key and a pointer: the payload is boxed so
-/// that a sift moves 24 bytes whatever `E` is, and so that the heap's one
-/// contiguous buffer stays small. The kernel's packets are 150 bytes; held
-/// inline, a queue 16 000 events deep was a 2.7 MB buffer, and doubling it
-/// either grew in place or copied it next to a fresh 5.5 MB one, as the
-/// allocator's free list happened to allow — a quarter of a whole run's
-/// peak memory, decided by heap layout.
+/// A heap entry is its 16-byte key and the payload, inline: a push or pop
+/// allocates nothing, and a sift moves `16 + size_of::<E>()` bytes. Keep
+/// `E` small — a large payload belongs behind a pointer the caller owns,
+/// as the kernel's packets are (`Packet<Box<KMsg>>` is held at ≤ 40 B by
+/// a compile-time assert in `hal_kernel`), so a deep queue's one
+/// contiguous buffer stays small.
 struct Entry<E> {
     time: VirtualTime,
     seq: u64,
-    payload: Box<E>,
+    payload: E,
 }
 
 // Manual impls: order entries by (time, seq) ascending; the payload is
@@ -60,7 +58,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             seq: 0,
-            popped: 0,
         }
     }
 
@@ -69,7 +66,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::with_capacity(cap),
             seq: 0,
-            popped: 0,
         }
     }
 
@@ -81,11 +77,7 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: VirtualTime, payload: E) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Entry {
-            time,
-            seq,
-            payload: Box::new(payload),
-        });
+        self.heap.push(Entry { time, seq, payload });
     }
 
     /// Schedule `payload` at `time` under a caller-supplied sequence
@@ -101,27 +93,21 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn push_at(&mut self, time: VirtualTime, seq: u64, payload: E) {
         self.seq = self.seq.max(seq + 1);
-        self.heap.push(Entry {
-            time,
-            seq,
-            payload: Box::new(payload),
-        });
+        self.heap.push(Entry { time, seq, payload });
     }
 
     /// Remove and return the earliest event, if any.
     #[inline]
     pub fn pop(&mut self) -> Option<(VirtualTime, E)> {
         let e = self.heap.pop()?;
-        self.popped += 1;
-        Some((e.time, *e.payload))
+        Some((e.time, e.payload))
     }
 
     /// Remove the earliest event together with its sequence number.
     #[inline]
     pub fn pop_seq(&mut self) -> Option<(VirtualTime, u64, E)> {
         let e = self.heap.pop()?;
-        self.popped += 1;
-        Some((e.time, e.seq, *e.payload))
+        Some((e.time, e.seq, e.payload))
     }
 
     /// Timestamp of the earliest pending event without removing it.
@@ -140,16 +126,6 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled (diagnostics).
-    pub fn scheduled_total(&self) -> u64 {
-        self.seq
-    }
-
-    /// Total number of events ever dispatched (diagnostics).
-    pub fn dispatched_total(&self) -> u64 {
-        self.popped
     }
 }
 
@@ -239,13 +215,23 @@ mod tests {
         assert_eq!(merged.pop().unwrap().1, 101);
     }
 
+    /// Payloads live in the heap's buffer: each is dropped exactly once,
+    /// by its popper or by the queue's own drop, and ties still pop in
+    /// push order.
     #[test]
-    fn counters_track_throughput() {
+    fn inline_payloads_drop_once_and_keep_tie_order() {
+        use std::rc::Rc;
+        let tokens: Vec<Rc<u32>> = (0..6).map(Rc::new).collect();
         let mut q = EventQueue::new();
-        q.push(T::ZERO, ());
-        q.push(T::ZERO, ());
-        let _ = q.pop();
-        assert_eq!(q.scheduled_total(), 2);
-        assert_eq!(q.dispatched_total(), 1);
+        for (i, t) in tokens.iter().enumerate() {
+            q.push(T::from_nanos(if i < 4 { 5 } else { 9 }), Rc::clone(t));
+        }
+        assert!(tokens.iter().all(|t| Rc::strong_count(t) == 2));
+        let popped: Vec<u32> = (0..3).map(|_| *q.pop().unwrap().1).collect();
+        assert_eq!(popped, [0, 1, 2], "ties pop in push order");
+        let counts = |ts: &[Rc<u32>]| ts.iter().map(Rc::strong_count).collect::<Vec<_>>();
+        assert_eq!(counts(&tokens), [1, 1, 1, 2, 2, 2], "popped payloads were dropped once");
+        drop(q);
+        assert_eq!(counts(&tokens), [1; 6], "pending payloads go with the queue");
     }
 }

@@ -84,6 +84,11 @@ impl JoinBuilder {
 /// Convenience: a single request whose reply runs `f` — the simplest
 /// call/return shape. Wires the one-slot join itself: a [`JoinBuilder`]
 /// would allocate a call list to hold this single call.
+///
+/// `#[inline]` so the instance sits in its caller's codegen unit: left
+/// to placement, a build could move it into another unit and lose the
+/// inlining at the call site with no change to either function.
+#[inline]
 pub fn call_then(
     ctx: &mut Ctx<'_>,
     to: MailAddr,

@@ -218,7 +218,8 @@ mod tests {
     }
 
     fn arrive(k: &mut Kernel, body: KMsg) {
-        k.deliver(VirtualTime::ZERO, Packet { src: 0, dst: 1, body: AmEnvelope::Small(body) });
+        let body = AmEnvelope::Small(Box::new(body));
+        k.deliver(VirtualTime::ZERO, Packet { src: 0, dst: 1, body });
     }
 
     /// Run every ready actor; the member indices in the order they ran.
@@ -271,11 +272,10 @@ mod tests {
             let forwarded: Vec<_> = k
                 .drain_outbox()
                 .filter_map(|out| match out {
-                    Outbound::Packet {
-                        dst,
-                        env: AmEnvelope::Small(KMsg::Deliver { target: Target::Addr { key, .. }, .. }),
-                        ..
-                    } => Some((dst, key)),
+                    Outbound::Packet { dst, env: AmEnvelope::Small(k), .. } => match *k {
+                        KMsg::Deliver { target: Target::Addr { key, .. }, .. } => Some((dst, key)),
+                        _ => None,
+                    },
                     _ => None,
                 })
                 .collect();

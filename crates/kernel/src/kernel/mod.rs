@@ -57,6 +57,11 @@ use ctx::Ident;
 /// whatever a kernel entry point sends or arms is left in its outbox, and
 /// the machine that called the entry point drains it, in order, right
 /// afterwards ([`Kernel::drain_outbox`]).
+///
+/// A kernel message is boxed once, where it becomes a packet, and from
+/// there on only the pointer moves — through this entry, the network's
+/// event queue or channel, and back into [`Kernel::handle_packet`], which
+/// unboxes it for the node manager.
 #[derive(Debug)]
 pub enum Outbound {
     /// Inject `env` from this node towards `dst`.
@@ -68,7 +73,7 @@ pub enum Outbound {
         /// Destination node.
         dst: NodeId,
         /// What to send.
-        env: AmEnvelope<KMsg>,
+        env: AmEnvelope<Box<KMsg>>,
         /// Bytes on the wire.
         wire: usize,
     },
@@ -78,9 +83,14 @@ pub enum Outbound {
         /// When it fires.
         fire_at: VirtualTime,
         /// The [`AmEnvelope::Timer`] to hand back then.
-        env: AmEnvelope<KMsg>,
+        env: AmEnvelope<Box<KMsg>>,
     },
 }
+
+// A packet is a pointer plus a few words wherever it travels: the outbox,
+// the simulator's event queue and the live channels all move it by value.
+const _: () = assert!(std::mem::size_of::<Outbound>() <= 56);
+const _: () = assert!(std::mem::size_of::<hal_am::Packet<Box<KMsg>>>() <= 40);
 
 /// Ablation switches for the paper's individual design choices. All
 /// default to the paper's design; each `false` selects the alternative
@@ -209,7 +219,7 @@ pub struct Kernel {
     /// idle-node poll scheduling).
     pub balancer: Balancer,
     registry: Arc<BehaviorRegistry>,
-    bulk_tx: BulkSender<KMsg>,
+    bulk_tx: BulkSender<Box<KMsg>>,
     flow: FlowControl,
     /// Self-addressed kernel messages (never touch the network).
     loopback: VecDeque<KMsg>,
@@ -260,9 +270,9 @@ pub struct Kernel {
     metrics: Option<Box<Metrics>>,
     /// Reliable-delivery sender state (per-peer unacked queues). Only
     /// touched when the fault plan is active and `reliable` is on.
-    rel_tx: RelSender<KMsg>,
+    rel_tx: RelSender<Box<KMsg>>,
     /// Reliable-delivery receiver state (per-peer dedup + holdback).
-    rel_rx: RelReceiver<KMsg>,
+    rel_rx: RelReceiver<Box<KMsg>>,
     /// This node's pause windows from the fault plan, sorted by start.
     pauses: Vec<(VirtualTime, VirtualTime)>,
     /// First typed error hit on a public kernel path; stops the machine
@@ -659,7 +669,7 @@ mod tests {
         let t = VirtualTime::from_nanos(10_000);
         let target = Target::Addr { key: relay.key, dst_desc: None, route_hint: 1 };
         let body = KMsg::Deliver { target, msg: Msg::new(0, vec![stranger(2)]) };
-        k.deliver(t, Packet { src: 0, dst: 1, body: AmEnvelope::Small(body) });
+        k.deliver(t, Packet { src: 0, dst: 1, body: AmEnvelope::Small(Box::new(body)) });
         // The node manager told the sender our descriptor (§4.1) at the
         // arrival time plus its own work, not at the interrupted clock.
         let advised_at = t + cost.net_recv_overhead + cost.name_lookup + cost.net_send_overhead;

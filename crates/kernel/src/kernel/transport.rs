@@ -21,7 +21,7 @@ impl Kernel {
     /// Leave one packet for the machine, stamped with the clock as it is
     /// now.
     #[inline]
-    fn emit(&mut self, dst: NodeId, env: AmEnvelope<KMsg>, wire: usize) {
+    fn emit(&mut self, dst: NodeId, env: AmEnvelope<Box<KMsg>>, wire: usize) {
         self.outbox.push(Outbound::Packet { at: self.clock, dst, env, wire });
     }
 
@@ -29,7 +29,8 @@ impl Kernel {
     #[inline]
     pub(super) fn arm_timer(&mut self, after: VirtualDuration, body: KMsg) {
         let fire_at = self.clock + after;
-        self.outbox.push(Outbound::Timer { fire_at, env: AmEnvelope::Timer(body) });
+        let env = AmEnvelope::Timer(Box::new(body));
+        self.outbox.push(Outbound::Timer { fire_at, env });
     }
 
     /// Take everything sent or armed since the last drain, oldest first.
@@ -44,12 +45,14 @@ impl Kernel {
 
     /// Send a kernel message to `dst`, choosing the small or bulk path by
     /// wire size (§6.5). Local destinations loop back without touching
-    /// the network.
+    /// the network; anything else is boxed here, once, and travels as
+    /// that pointer until the receiving node manager unboxes it.
     pub(super) fn net_send(&mut self, dst: NodeId, kmsg: KMsg) {
         if dst == self.cfg.me {
             self.loopback.push_back(kmsg);
             return;
         }
+        let kmsg = Box::new(kmsg);
         self.charge(self.cfg.cost.net_send_overhead);
         let wire = kmsg.wire_bytes();
         self.count(Counter::NetSends);
@@ -103,7 +106,7 @@ impl Kernel {
     /// destination, and — when the fault plan is live and `reliable` is
     /// on — wraps the envelope in [`AmEnvelope::Rel`], parks a
     /// retransmittable copy, and arms the per-peer retransmit timer.
-    fn inject_env(&mut self, dst: NodeId, env: AmEnvelope<KMsg>, wire: usize) {
+    fn inject_env(&mut self, dst: NodeId, env: AmEnvelope<Box<KMsg>>, wire: usize) {
         if (dst as usize) >= self.cfg.nodes {
             self.fail(MachineError::InvalidNode {
                 node: dst,
@@ -117,16 +120,16 @@ impl Kernel {
         }
         // Note which message span (if any) rides this reliable packet,
         // so a later retransmit shows up as a retry on that span.
-        let span = if self.recorder.is_some() {
-            match &env {
-                AmEnvelope::Small(KMsg::Deliver { msg, .. })
-                | AmEnvelope::BulkData { body: KMsg::Deliver { msg, .. }, .. } => {
-                    msg.trace.map_or(0, |t| t.id)
+        let span = match &env {
+            AmEnvelope::Small(k) | AmEnvelope::BulkData { body: k, .. }
+                if self.recorder.is_some() =>
+            {
+                match &**k {
+                    KMsg::Deliver { msg, .. } => msg.trace.map_or(0, |t| t.id),
+                    _ => 0,
                 }
-                _ => 0,
             }
-        } else {
-            0
+            _ => 0,
         };
         let ticket = self.rel_tx.register(dst, env, wire);
         if span != 0 {
@@ -172,13 +175,13 @@ impl Kernel {
     /// least the arrival time before calling. Node-manager work executes
     /// immediately on the current stack (the paper's "steals the
     /// processor").
-    pub fn handle_packet(&mut self, pkt: Packet<KMsg>) {
+    pub fn handle_packet(&mut self, pkt: Packet<Box<KMsg>>) {
         debug_assert_eq!(pkt.dst, self.cfg.me);
         match pkt.body {
             // Timers are local clock events, not network traffic: no
-            // receive overhead, no recv counter.
+            // receive overhead, no recv counter. Unboxed here, once.
             AmEnvelope::Timer(body) => {
-                self.handle_timer(body);
+                self.handle_timer(*body);
                 self.drain_loopback();
                 return;
             }
@@ -233,10 +236,10 @@ impl Kernel {
 
     /// Dispatch one unwrapped envelope (either straight off the wire on
     /// the fault-free fast path, or released in order by the reliable
-    /// receiver).
-    fn handle_envelope(&mut self, src: NodeId, env: AmEnvelope<KMsg>) {
+    /// receiver). A kernel message is unboxed here, its one unboxing.
+    fn handle_envelope(&mut self, src: NodeId, env: AmEnvelope<Box<KMsg>>) {
         match env {
-            AmEnvelope::Small(k) => self.handle_kmsg(src, k),
+            AmEnvelope::Small(k) => self.handle_kmsg(src, *k),
             AmEnvelope::BulkRequest { tag, bytes: _ } => {
                 if let Some(grant) = self.flow.on_request(src, tag) {
                     self.net_send_ctl(grant.to, AmEnvelope::BulkAck { tag: grant.tag });
@@ -253,7 +256,7 @@ impl Kernel {
                     // when it issued the ack, so reception is a single
                     // copy out of the network interface.
                     self.charge(VirtualDuration::from_nanos(bytes as u64 * 10));
-                    self.handle_kmsg(src, body);
+                    self.handle_kmsg(src, *body);
                     if let Some(next) = self.flow.on_data_complete(src, tag) {
                         self.net_send_ctl(next.to, AmEnvelope::BulkAck { tag: next.tag });
                     }
@@ -266,7 +269,7 @@ impl Kernel {
                     // exists to avoid.
                     self.count(Counter::NetBulkUnexpected);
                     self.charge(VirtualDuration::from_nanos(5_000 + bytes as u64 * 30));
-                    self.handle_kmsg(src, body);
+                    self.handle_kmsg(src, *body);
                 }
             }
             AmEnvelope::Rel { .. } | AmEnvelope::RelAck { .. } | AmEnvelope::Timer(_) => {
@@ -276,7 +279,7 @@ impl Kernel {
     }
 
     /// Send a protocol control envelope (acks) — small, fixed size.
-    fn net_send_ctl(&mut self, dst: NodeId, env: AmEnvelope<KMsg>) {
+    fn net_send_ctl(&mut self, dst: NodeId, env: AmEnvelope<Box<KMsg>>) {
         self.charge(self.cfg.cost.net_send_overhead);
         self.inject_env(dst, env, 16);
     }
@@ -451,7 +454,7 @@ impl Kernel {
     pub fn deliver(
         &mut self,
         t: VirtualTime,
-        pkt: Packet<KMsg>,
+        pkt: Packet<Box<KMsg>>,
     ) -> Option<(VirtualTime, VirtualTime)> {
         if let AmEnvelope::Timer(body) = &pkt.body {
             if self.timer_stale(body) {

@@ -21,9 +21,10 @@
 //!   paths — the backends differ only in who drains the kernel's outbox
 //!   ([`crate::kernel::Outbound`]) and into what.
 //!
-//! Chaos timers need a place to live without a DES heap: [`LiveNet`]
-//! pairs the thread endpoint with a local binary heap of `(fire_at,
-//! seq)` deadlines, popped once the anchored clock passes them.
+//! Chaos timers need a place to live without the simulator's event
+//! queue: [`LiveNet`] pairs the thread endpoint with a node-local
+//! [`EventQueue`] of deadlines, popped once the anchored clock passes
+//! them.
 //!
 //! A node with nothing to do **sleeps until something happens**; it never
 //! polls. Each node owns one [`Doorbell`], and whoever hands it work
@@ -75,9 +76,8 @@ use hal_am::{
     thread_network, thread_network_bounded, AmEnvelope, FaultPlan, NodeId, Packet,
     ThreadEndpoint, ThreadNetStats,
 };
-use hal_des::{StatSet, VirtualDuration, VirtualTime};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use hal_des::{EventQueue, StatSet, VirtualDuration, VirtualTime};
+use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -165,75 +165,41 @@ impl Drop for ExitGuard {
     }
 }
 
-/// One armed chaos timer: min-heap ordering on `(fire_at, seq)` so
-/// simultaneous deadlines pop in arming order. The envelope is the
-/// self-addressed `AmEnvelope::Timer` the kernel scheduled.
-struct TimerEntry {
-    fire_at: VirtualTime,
-    seq: u64,
-    env: AmEnvelope<KMsg>,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.fire_at == other.fire_at && self.seq == other.seq
-    }
-}
-
-impl Eq for TimerEntry {}
-
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.fire_at, self.seq).cmp(&(other.fire_at, other.seq))
-    }
-}
-
 /// A node's network interface on the live backend: the thread endpoint
-/// plus a local timer heap (the DES engine used to hold scheduled
-/// timers; here each node keeps its own).
+/// plus a local timer queue (the simulator keeps timers in its one event
+/// queue; here each node keeps its own, ordered the same way).
 pub struct LiveNet {
-    ep: ThreadEndpoint<KMsg>,
-    timers: BinaryHeap<Reverse<TimerEntry>>,
-    timer_seq: u64,
+    ep: ThreadEndpoint<Box<KMsg>>,
+    /// Armed chaos timers — each the self-addressed `AmEnvelope::Timer`
+    /// the kernel scheduled — by `(fire_at, arming order)`.
+    timers: EventQueue<AmEnvelope<Box<KMsg>>>,
     /// Packets received while a send was stalled on a full peer queue.
     /// The node loop consumes these before fresh arrivals so per-link
     /// FIFO order is preserved (see `LiveNet::inject`).
-    inbox: VecDeque<Packet<KMsg>>,
+    inbox: VecDeque<Packet<Box<KMsg>>>,
     /// The peers' doorbells, rung after every send.
     shared: Arc<Shared>,
 }
 
 impl LiveNet {
-    fn new(ep: ThreadEndpoint<KMsg>, shared: Arc<Shared>) -> Self {
+    fn new(ep: ThreadEndpoint<Box<KMsg>>, shared: Arc<Shared>) -> Self {
         LiveNet {
             ep,
-            timers: BinaryHeap::new(),
-            timer_seq: 0,
+            timers: EventQueue::new(),
             inbox: VecDeque::new(),
             shared,
         }
     }
 
     /// Next packet set aside during a stalled send, oldest first.
-    fn take_inbox(&mut self) -> Option<Packet<KMsg>> {
+    fn take_inbox(&mut self) -> Option<Packet<Box<KMsg>>> {
         self.inbox.pop_front()
     }
 
-    /// Earliest armed timer deadline, if any.
-    fn next_timer_due(&self) -> Option<VirtualTime> {
-        self.timers.peek().map(|Reverse(t)| t.fire_at)
-    }
-
     /// Pop the earliest timer if its deadline is at or before `now`.
-    fn pop_due(&mut self, now: VirtualTime) -> Option<AmEnvelope<KMsg>> {
-        if self.next_timer_due()? <= now {
-            Some(self.timers.pop().expect("peeked").0.env)
+    fn pop_due(&mut self, now: VirtualTime) -> Option<AmEnvelope<Box<KMsg>>> {
+        if self.timers.peek_time()? <= now {
+            self.timers.pop().map(|(_, env)| env)
         } else {
             None
         }
@@ -248,12 +214,12 @@ impl LiveNet {
         for out in kernel.drain_outbox() {
             match out {
                 Outbound::Packet { dst, env, wire, .. } => self.inject(dst, env, wire),
-                Outbound::Timer { fire_at, env } => self.schedule(fire_at, env),
+                Outbound::Timer { fire_at, env } => self.timers.push(fire_at, env),
             }
         }
     }
 
-    fn inject(&mut self, dst: NodeId, env: AmEnvelope<KMsg>, wire_bytes: usize) {
+    fn inject(&mut self, dst: NodeId, env: AmEnvelope<Box<KMsg>>, wire_bytes: usize) {
         // Drain-while-stalled: never block on a full peer queue without
         // also draining our own. A blocking send (e.g. a retransmit burst
         // re-sending every unacked copy) can wedge the partition — two
@@ -289,15 +255,6 @@ impl LiveNet {
                 std::thread::yield_now();
             }
         }
-    }
-
-    fn schedule(&mut self, fire_at: VirtualTime, env: AmEnvelope<KMsg>) {
-        self.timer_seq += 1;
-        self.timers.push(Reverse(TimerEntry {
-            fire_at,
-            seq: self.timer_seq,
-            env,
-        }));
     }
 }
 
@@ -369,8 +326,8 @@ impl LiveMachine {
             panic!("{e}");
         }
         let endpoints = match cfg.live_queue_capacity {
-            0 => thread_network::<KMsg>(cfg.nodes),
-            cap => thread_network_bounded::<KMsg>(cfg.nodes, cap),
+            0 => thread_network::<Box<KMsg>>(cfg.nodes),
+            cap => thread_network_bounded::<Box<KMsg>>(cfg.nodes, cap),
         };
         let local_net: Vec<Arc<ThreadNetStats>> = endpoints
             .iter()
@@ -787,7 +744,7 @@ impl Node {
                 continue;
             }
             let due = [
-                self.net.next_timer_due(),
+                self.net.timers.peek_time(),
                 self.kernel.balancer.poll_ready_at(),
             ];
             let deadline = due
@@ -948,7 +905,7 @@ mod tests {
         let mut late = Vec::new();
         for _ in 0..5 {
             let cfg = MachineConfig::builder(2).build().unwrap();
-            let mut eps = thread_network::<KMsg>(2);
+            let mut eps = thread_network::<Box<KMsg>>(2);
             let silent_peer = eps.pop().unwrap();
             let shared = Arc::new(Shared::new(2));
             let (job_tx, jobs) = channel::<Job>();

@@ -534,7 +534,7 @@ const RANK_POLL: u8 = 2;
 pub struct SimMachine {
     cfg: MachineConfig,
     kernels: Vec<Kernel>,
-    net: SimNetwork<KMsg>,
+    net: SimNetwork<Box<KMsg>>,
     events: u64,
     timeline: Timeline,
 }
@@ -770,7 +770,7 @@ impl SimMachine {
     /// its outbound packets (acks, relays, grants) leave immediately —
     /// while the interrupted method's completion slips by the handler's
     /// CPU time. Stale chaos timers are retired for free.
-    fn deliver_packet(&mut self, t: VirtualTime, pkt: hal_am::Packet<KMsg>) {
+    fn deliver_packet(&mut self, t: VirtualTime, pkt: hal_am::Packet<Box<KMsg>>) {
         let node = pkt.dst;
         let span = self.kernels[node as usize].deliver(t, pkt);
         self.flush(node as usize);

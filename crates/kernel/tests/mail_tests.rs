@@ -95,12 +95,11 @@ fn pump(ks: &mut [Kernel], shipped: &mut Vec<Shipped>) {
                 let Outbound::Packet { dst, env, .. } = o else {
                     continue;
                 };
-                if let AmEnvelope::Small(KMsg::MigrateArrive { image, stolen, .. })
-                | AmEnvelope::BulkData {
-                    body: KMsg::MigrateArrive { image, stolen, .. },
-                    ..
-                } = &env
-                {
+                let body = match &env {
+                    AmEnvelope::Small(k) | AmEnvelope::BulkData { body: k, .. } => Some(&**k),
+                    _ => None,
+                };
+                if let Some(KMsg::MigrateArrive { image, stolen, .. }) = body {
                     let msgs = image.mailq.iter().chain(&image.pendq);
                     shipped.push(Shipped {
                         mailq: image.mailq.iter().map(|m| m.args[0].as_int()).collect(),
@@ -188,7 +187,7 @@ fn migration_carries_both_queues_in_order() {
     ks[1].handle_packet(Packet {
         src: 2,
         dst: 1,
-        body: AmEnvelope::Small(poll),
+        body: AmEnvelope::Small(Box::new(poll)),
     });
     pump(&mut ks, &mut shipped);
     assert_eq!(ks[1].actor_count(), 1, "only the filler stayed");
