@@ -239,15 +239,15 @@ echo "== metrics schema: live document == sim document (table4_fib --metrics --b
 # One registry, one document shape: the same harness on the live backend
 # must write a METRICS_ file with the sim file's key set and sample
 # fields. The key pattern skips the dotted names inside "counters"
-# (backend-specific by design); peer/retransmits/acks are dropped
-# because sim engages the reliable layer only under a fault plan, so its
-# "links" are empty here.
+# (backend-specific by design). No key is exempt: both backends speak
+# the fault-free protocol, so a reliable-link record ("links" entries
+# with peer/retransmits/acks) on either side fails here.
 mkdir -p "$smoke_dir/live/results"
 (cd "$smoke_dir/live" && "$repo_root/target/release/repro_all" table4_fib --quick --metrics --backend=live \
    >/dev/null 2>&1) \
   || { echo "ci: table4_fib --metrics --backend=live failed"; exit 1; }
 metrics_schema() {
-  grep -o '"[A-Za-z_]*":' "$1" | sort -u | grep -vx -e '"peer":' -e '"retransmits":' -e '"acks":'
+  grep -o '"[A-Za-z_]*":' "$1" | sort -u
   grep '"sample_fields"' "$1" | sort -u
 }
 diff <(metrics_schema "$smoke_dir/results/METRICS_table4_fib.json") \

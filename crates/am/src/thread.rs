@@ -118,9 +118,8 @@ impl<P: Send + 'static> ThreadEndpoint<P> {
                 Err(TrySendError::Full(pkt)) => {
                     // Injection stall: the receiver's queue is at
                     // capacity. Count it, then block — backpressure, not
-                    // loss (the reliable layer above would retransmit a
-                    // drop anyway; blocking is both cheaper and honest
-                    // about the overload).
+                    // loss: the links stay lossless, so the kernel needs
+                    // no reliable layer over them.
                     self.stats.backpressure_hits.fetch_add(1, Ordering::Relaxed);
                     self.local.backpressure_hits.fetch_add(1, Ordering::Relaxed);
                     if tx.send(pkt).is_err() {
@@ -147,8 +146,8 @@ impl<P: Send + 'static> ThreadEndpoint<P> {
     /// The live node loop uses this to keep draining its own receive
     /// queue while a peer's queue is full: a sender that blocks without
     /// draining can wedge the whole partition (two nodes blocked on
-    /// each other's full queues), which a retransmit burst into small
-    /// queues will reliably produce.
+    /// each other's full queues), which two opposite bursts into small
+    /// queues will readily produce.
     pub fn try_send(
         &self,
         dst: NodeId,

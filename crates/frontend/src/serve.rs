@@ -929,7 +929,7 @@ mod tests {
             ..ServeConfig::default()
         };
         let out = run(cfg).expect("live serve runs");
-        assert_eq!(out.completed, 50, "reliable layer delivers every request");
+        assert_eq!(out.completed, 50, "lossless links deliver every request");
         assert_eq!(out.check_clean, Some(true));
         assert!(out.hist.max() > 0, "live latencies are real host time");
     }

@@ -9,9 +9,9 @@
 //!   sequential loop, bit-identical reports for one seed, the substrate
 //!   for every paper table.
 //! * **Live** ([`BackendKind::Live`]) — [`crate::live::LiveMachine`]:
-//!   one real kernel per host thread over
-//!   [`hal_am::thread_network`], with the PR 3 reliable layer as its
-//!   wire protocol and host monotonic time as its clock.
+//!   one real kernel per host thread over the lossless FIFO links of
+//!   [`hal_am::thread_network`], speaking the simulator's fault-free
+//!   protocol, with host monotonic time as its clock.
 //!
 //! The handle cuts exactly where `SimMachine::run` used to be monolithic:
 //! *bootstrap* ([`Machine::with_ctx`]), *start* ([`Machine::init`]),
@@ -42,7 +42,7 @@ pub enum BackendKind {
     #[default]
     Sim,
     /// Multi-threaded live runtime: real kernels on host threads over
-    /// mpsc links, reliable delivery, host-time clocks.
+    /// lossless mpsc links, host-time clocks.
     Live,
 }
 

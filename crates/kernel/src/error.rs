@@ -132,9 +132,9 @@ pub enum ConfigError {
         /// Which probability field was rejected.
         which: &'static str,
     },
-    /// A live-backend configuration carried a chaos fault plan — fault
-    /// injection lives in the simulated link layer, so a live run would
-    /// silently ignore it.
+    /// A live-backend configuration carried a chaos fault plan (link
+    /// faults or node pauses) — fault injection lives in the simulated
+    /// link layer and clock, so a live run would silently ignore it.
     LiveFaultsUnsupported,
     /// A chaos timeout is shorter than the link lookahead (injection
     /// overhead + latency): it would expire before the packet it guards
@@ -165,7 +165,7 @@ impl fmt::Display for ConfigError {
                 write!(f, "fault probability `{which}` must be in [0, 1]")
             }
             ConfigError::LiveFaultsUnsupported => {
-                write!(f, "the live backend cannot inject link faults (simulation-only)")
+                write!(f, "the live backend cannot inject faults (simulation-only)")
             }
             ConfigError::TimeoutTooShort { which, min_ns } => {
                 write!(f, "`{which}` must be at least {min_ns} ns (the link lookahead)")

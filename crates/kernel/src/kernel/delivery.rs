@@ -273,11 +273,11 @@ impl Kernel {
         }
     }
 
-    /// Under a live fault plan an FIR (or its reply) can be eaten by the
-    /// link; arm a watchdog so the chase is re-issued instead of wedging
-    /// the buffered messages forever.
+    /// Under a plan with link faults an FIR (or its reply) can be eaten
+    /// by the link; arm a watchdog so the chase is re-issued instead of
+    /// wedging the buffered messages forever.
     fn arm_fir_watchdog(&mut self, key: AddrKey) {
-        if self.chaos_on() || self.cfg.force_reliable {
+        if self.chaos_on() {
             self.arm_timer(self.cfg.faults.fir_timeout, KMsg::FirTimer { key });
         }
     }

@@ -168,22 +168,15 @@ pub struct KernelConfig {
     /// any node a message later visits.
     pub span_sample_ppm: u32,
     /// Seeded fault plan (chaos subsystem). [`FaultPlan::none`] runs the
-    /// byte-identical fault-free fast path.
+    /// byte-identical fault-free fast path, with no reliable layer, no
+    /// FIR watchdog and no timer of any kind.
     pub faults: FaultPlan,
-    /// Always wrap outbound envelopes in the reliable (seq + ack +
-    /// retransmit) protocol and arm FIR watchdogs, even with no fault
-    /// plan. The live backend sets this: real transports have no
-    /// deterministic delivery oracle, so the PR 3 reliable layer *is*
-    /// its wire protocol. Simulated machines leave it off — there the
-    /// reliable layer engages only under a chaos plan.
-    pub force_reliable: bool,
 }
 
 impl KernelConfig {
     /// Node `me`'s kernel configuration on a machine built from `cfg` —
-    /// the one place machine-wide settings become per-kernel ones. The
-    /// live backend overrides `faults` and `force_reliable` on top of
-    /// this; everything else is the same on both backends.
+    /// the one place machine-wide settings become per-kernel ones, on
+    /// both backends alike.
     pub fn for_node(cfg: &MachineConfig, me: NodeId) -> Self {
         KernelConfig {
             me,
@@ -199,7 +192,6 @@ impl KernelConfig {
             metrics: cfg.record_metrics,
             span_sample_ppm: cfg.span_sample_ppm,
             faults: cfg.faults.clone(),
-            force_reliable: false,
         }
     }
 }
@@ -639,9 +631,10 @@ mod tests {
     }
 
     /// Node 1 of 3 with one `Relay` on it — and no network of any kind.
-    fn relay_kernel(force_reliable: bool) -> (Kernel, MailAddr) {
+    /// A lossy `faults` plan puts its sends under the reliable layer.
+    fn relay_kernel(faults: FaultPlan) -> (Kernel, MailAddr) {
         let mut cfg = KernelConfig::for_node(&MachineConfig::new(3), 1);
-        cfg.force_reliable = force_reliable;
+        cfg.faults = faults;
         let mut k = Kernel::new(cfg, Arc::new(BehaviorRegistry::new()));
         let relay = k.bootstrap(Box::new(Relay), None);
         (k, relay)
@@ -662,7 +655,7 @@ mod tests {
     /// the clock at the call that pushed it.
     #[test]
     fn a_delivered_packet_leaves_its_answers_in_the_outbox() {
-        let (mut k, relay) = relay_kernel(false);
+        let (mut k, relay) = relay_kernel(FaultPlan::none());
         let cost = k.config().cost;
         // Mid-method at 1 ms when the packet arrives at 10 us.
         k.clock = VirtualTime::from_nanos(1_000_000);
@@ -685,7 +678,7 @@ mod tests {
     /// Packets and timers share one queue, in call order.
     #[test]
     fn sends_and_timers_leave_in_call_order() {
-        let (mut k, relay) = relay_kernel(true);
+        let (mut k, relay) = relay_kernel(FaultPlan::none().with_drop(0.5));
         let (cost, rto) = (k.config().cost, k.config().faults.rto);
         // Peer 2's retransmit timer is armed by an earlier send ...
         with_system_ctx(&mut k, |ctx| ctx.send(stranger(2).as_addr(), 0, vec![]));

@@ -86,11 +86,11 @@ impl Kernel {
     }
 
     /// True when outbound envelopes must travel under the reliable
-    /// (seq + ack + retransmit) protocol: either a chaos plan that can
-    /// corrupt the link, or a live transport that demands it outright.
+    /// (seq + ack + retransmit) protocol: a chaos plan that can corrupt
+    /// the link, with `reliable` left on.
     #[inline]
     fn rel_on(&self) -> bool {
-        self.cfg.force_reliable || (self.chaos_on() && self.cfg.faults.reliable)
+        self.chaos_on() && self.cfg.faults.reliable
     }
 
     /// Record a typed failure and stop the machine. Only the first
@@ -288,10 +288,10 @@ impl Kernel {
     // Chaos timers (retransmit timeouts, FIR watchdog)
     // ------------------------------------------------------------------
 
-    /// Would delivering this timer do nothing? Checked by the machine
+    /// Would delivering this timer do nothing? Checked by [`Kernel::deliver`]
     /// *before* clock mutation so stale timers (work already acked, FIR
     /// already answered) cost zero virtual time.
-    pub fn timer_stale(&self, body: &KMsg) -> bool {
+    fn timer_stale(&self, body: &KMsg) -> bool {
         match body {
             KMsg::RetxTimer { peer } => !self.rel_tx.has_unacked(*peer),
             KMsg::FirTimer { key } => !self.firs.is_pending(*key),
@@ -302,7 +302,7 @@ impl Kernel {
     /// Retire a stale timer: disarm the peer's retransmit state so the
     /// next `register` arms a fresh timer; an answered FIR's watchdog
     /// just goes.
-    pub fn expire_timer(&mut self, body: &KMsg) {
+    fn expire_timer(&mut self, body: &KMsg) {
         match body {
             KMsg::RetxTimer { peer } => {
                 self.count(Counter::RelTimersExpired);
@@ -313,7 +313,7 @@ impl Kernel {
         }
     }
 
-    /// A live timer fired.
+    /// A timer that is not stale fired.
     fn handle_timer(&mut self, body: KMsg) {
         match body {
             KMsg::RetxTimer { peer } => match self.rel_tx.timer_fired(peer) {

@@ -1,30 +1,25 @@
-//! The live backend: real kernels on host threads, real time, reliable
-//! links.
+//! The live backend: real kernels on host threads, real time, lossless
+//! FIFO links.
 //!
 //! Where [`crate::machine::SimMachine`] advances a virtual clock under a
 //! cost model, this machine runs one kernel per OS thread over
 //! [`hal_am::thread_network_bounded`] mpsc links and anchors every
 //! kernel's clock to the **host monotonic clock**: at the top of each
 //! loop iteration a node sets `clock = max(clock, elapsed-since-start)`.
-//! Virtual nanoseconds therefore *are* host nanoseconds, which makes
-//! three things work unchanged:
+//! Virtual nanoseconds therefore *are* host nanoseconds, so `Ctx::now()`
+//! measures real time and latency instrumentation written for the
+//! simulator (e.g. the serving front-end's `now() - sent_at`) is
+//! meaningful on both backends.
 //!
-//! * the PR 3 reliable layer's RTO / FIR-watchdog timers (virtual-time
-//!   deadlines) fire at real wall deadlines — `KernelConfig::
-//!   force_reliable` turns the layer on unconditionally, so seq/ack/
-//!   retransmit + in-order holdback is the live wire protocol even
-//!   though mpsc channels happen not to drop packets;
-//! * `Ctx::now()` measures real time, so latency instrumentation
-//!   written for the simulator (e.g. the serving front-end's
-//!   `now() - sent_at`) is meaningful on both backends;
-//! * migration, aliases, and FIR chases run the exact same kernel code
-//!   paths — the backends differ only in who drains the kernel's outbox
-//!   ([`crate::kernel::Outbound`]) and into what.
-//!
-//! Chaos timers need a place to live without the simulator's event
-//! queue: [`LiveNet`] pairs the thread endpoint with a node-local
-//! [`EventQueue`] of deadlines, popped once the anchored clock passes
-//! them.
+//! Kernels are configured exactly as the simulator's are
+//! ([`KernelConfig::for_node`]), and they speak the same protocol: the
+//! links neither drop nor reorder (a full peer queue stalls the sender,
+//! see `LiveNet::inject`), so, as on a fault-free simulated run, there is
+//! no seq/ack layer, no FIR watchdog and no timer. Migration, aliases
+//! and FIR chases run the exact same kernel code paths — the backends
+//! differ only in who drains the kernel's outbox
+//! ([`crate::kernel::Outbound`]) and into what. Fault plans are refused
+//! at validation (`ConfigError::LiveFaultsUnsupported`).
 //!
 //! A node with nothing to do **sleeps until something happens**; it never
 //! polls. Each node owns one [`Doorbell`], and whoever hands it work
@@ -34,9 +29,9 @@
 //! `Shared::raise_abort` (watchdog, peer panic) after raising the abort
 //! flag. The sleeper announces itself, takes one more
 //! full loop turn with the flag up — so anything enqueued before the flag
-//! was visible is found — and only then parks, until rung or until the
-//! earlier of its two real deadlines: the next armed timer and the load
-//! balancer's next poll time. With neither it sleeps without a timeout;
+//! was visible is found — and only then parks, until rung or until its
+//! one real deadline, the load balancer's next poll time. Without a
+//! balancer it sleeps without a timeout;
 //! there is no safety-net tick to paper over a missed ring, which is why
 //! the protocol is model-checked (`model_port::doorbell_program`).
 //!
@@ -73,29 +68,15 @@ use crate::sync::{
 use crate::metrics::{Counter, Folded, Metrics, TelemetryHub};
 use crate::wire::KMsg;
 use hal_am::{
-    thread_network, thread_network_bounded, AmEnvelope, FaultPlan, NodeId, Packet,
-    ThreadEndpoint, ThreadNetStats,
+    thread_network, thread_network_bounded, AmEnvelope, NodeId, Packet, ThreadEndpoint,
+    ThreadNetStats,
 };
-use hal_des::{EventQueue, StatSet, VirtualDuration, VirtualTime};
+use hal_des::{StatSet, VirtualTime};
 use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Reliable-layer timer tuning for live kernels. The simulated defaults
-/// (100 µs RTO) are CM-5-scale; a host thread descheduled by the OS can
-/// easily stall a millisecond, so live deadlines are host-scale —
-/// generous enough that retransmits signal real loss or overload, not
-/// scheduler jitter.
-fn live_fault_plan() -> FaultPlan {
-    FaultPlan {
-        rto: VirtualDuration::from_millis(5),
-        rto_max: VirtualDuration::from_millis(160),
-        fir_timeout: VirtualDuration::from_millis(15),
-        ..FaultPlan::none()
-    }
-}
 
 /// What the node threads and the harness share: the wake-up and shutdown
 /// state of one live machine.
@@ -166,13 +147,9 @@ impl Drop for ExitGuard {
 }
 
 /// A node's network interface on the live backend: the thread endpoint
-/// plus a local timer queue (the simulator keeps timers in its one event
-/// queue; here each node keeps its own, ordered the same way).
+/// plus the holdback inbox of its stalled sends.
 pub struct LiveNet {
     ep: ThreadEndpoint<Box<KMsg>>,
-    /// Armed chaos timers — each the self-addressed `AmEnvelope::Timer`
-    /// the kernel scheduled — by `(fire_at, arming order)`.
-    timers: EventQueue<AmEnvelope<Box<KMsg>>>,
     /// Packets received while a send was stalled on a full peer queue.
     /// The node loop consumes these before fresh arrivals so per-link
     /// FIFO order is preserved (see `LiveNet::inject`).
@@ -185,7 +162,6 @@ impl LiveNet {
     fn new(ep: ThreadEndpoint<Box<KMsg>>, shared: Arc<Shared>) -> Self {
         LiveNet {
             ep,
-            timers: EventQueue::new(),
             inbox: VecDeque::new(),
             shared,
         }
@@ -196,34 +172,24 @@ impl LiveNet {
         self.inbox.pop_front()
     }
 
-    /// Pop the earliest timer if its deadline is at or before `now`.
-    fn pop_due(&mut self, now: VirtualTime) -> Option<AmEnvelope<Box<KMsg>>> {
-        if self.timers.peek_time()? <= now {
-            self.timers.pop().map(|(_, env)| env)
-        } else {
-            None
-        }
-    }
-}
-
-impl LiveNet {
-    /// Send everything `kernel` left in its outbox, oldest first, and arm
-    /// its timers. The node loop calls this after every kernel entry
-    /// point, on every exit path.
+    /// Send everything `kernel` left in its outbox, oldest first. The
+    /// node loop calls this after every kernel entry point, on every exit
+    /// path.
     fn flush(&mut self, kernel: &mut Kernel) {
         for out in kernel.drain_outbox() {
             match out {
                 Outbound::Packet { dst, env, wire, .. } => self.inject(dst, env, wire),
-                Outbound::Timer { fire_at, env } => self.timers.push(fire_at, env),
+                // Timers need link faults, which `MachineConfig::validate` refuses on live.
+                Outbound::Timer { .. } => unreachable!("a live kernel armed a timer"),
             }
         }
     }
 
     fn inject(&mut self, dst: NodeId, env: AmEnvelope<Box<KMsg>>, wire_bytes: usize) {
         // Drain-while-stalled: never block on a full peer queue without
-        // also draining our own. A blocking send (e.g. a retransmit burst
-        // re-sending every unacked copy) can wedge the partition — two
-        // nodes blocked on each other's full queues, neither consuming.
+        // also draining our own. A blocking send (e.g. a burst of sends
+        // out of one dispatch) can wedge the partition — two nodes
+        // blocked on each other's full queues, neither consuming.
         // The kernel is not running while its outbox is flushed, so
         // arrivals cannot be handled here; instead, retry the non-blocking
         // send and between attempts pull our own arrivals into `inbox`,
@@ -304,22 +270,13 @@ pub struct LiveMachine {
     shared: Arc<Shared>,
 }
 
-/// Node `me`'s kernel configuration on a live machine built from `cfg`:
-/// the shared [`KernelConfig::for_node`] with the two live overrides.
-fn live_kernel_config(cfg: &MachineConfig, me: NodeId) -> KernelConfig {
-    let mut kcfg = KernelConfig::for_node(cfg, me);
-    kcfg.faults = live_fault_plan();
-    kcfg.force_reliable = true;
-    kcfg
-}
-
 impl LiveMachine {
     /// Stage a live machine: build kernels and the bounded thread
     /// network, spawn nothing yet.
     ///
     /// # Panics
     /// Panics on an invalid configuration (use the validating builder),
-    /// including a configuration carrying link faults — chaos injection
+    /// including a configuration carrying a fault plan — chaos injection
     /// is simulation-only.
     pub fn new(cfg: MachineConfig, registry: Arc<BehaviorRegistry>) -> Self {
         if let Err(e) = cfg.validate() {
@@ -336,7 +293,7 @@ impl LiveMachine {
         let kernels: Vec<Kernel> = (0..cfg.nodes)
             .map(|i| {
                 let me = i as NodeId;
-                let mut k = Kernel::new(live_kernel_config(&cfg, me), Arc::clone(&registry));
+                let mut k = Kernel::new(KernelConfig::for_node(&cfg, me), Arc::clone(&registry));
                 k.enable_metrics(Metrics::LIVE_CADENCE_NS);
                 k
             })
@@ -637,13 +594,8 @@ impl Node {
     ///    and sample the metrics cadence boundaries that passed while
     ///    this thread was parked or descheduled;
     /// 2. run submitted jobs in a system context;
-    /// 3. drain arrived packets — *before* the timers, so an ack that
-    ///    sat in the queue while this thread was parked or descheduled
-    ///    retires its packet before that packet's RTO is looked at, and
-    ///    the link retransmits only what is really unacknowledged;
-    /// 4. fire due timers (stale ones retired for free, as in the
-    ///    simulator's delivery path);
-    /// 5. take one scheduling step.
+    /// 3. drain arrived packets, the stalled-send inbox first;
+    /// 4. take one scheduling step.
     fn turn(&mut self) -> bool {
         let Node {
             kernel,
@@ -675,22 +627,6 @@ impl Node {
                 return true;
             }
         }
-        let me = kernel.config().me;
-        while let Some(env) = net.pop_due(kernel.clock) {
-            if let AmEnvelope::Timer(body) = &env {
-                if kernel.timer_stale(body) {
-                    kernel.expire_timer(body);
-                    continue;
-                }
-            }
-            kernel.handle_packet(Packet {
-                src: me,
-                dst: me,
-                body: env,
-            });
-            net.flush(kernel);
-            *events += 1;
-        }
         if kernel.step() {
             net.flush(kernel);
             *events += 1;
@@ -714,10 +650,9 @@ impl Node {
     /// send a steal poll, announce, take one more turn with the flag up
     /// (the re-check: a producer that enqueued before it could see the
     /// flag rang nobody), then park. The park is the only place this
-    /// thread blocks. It ends when a producer rings or at the earlier of
-    /// the node's two real deadlines — the next armed timer and the
-    /// balancer's next poll time — and has no timeout when there is
-    /// neither.
+    /// thread blocks. It ends when a producer rings or at the node's one
+    /// real deadline, the balancer's next poll time, and has no timeout
+    /// when there is none.
     ///
     /// Exits when the kernel stops (local `Ctx::stop` or received Halt) or
     /// `abort` is raised.
@@ -743,14 +678,10 @@ impl Node {
                 bell.cancel();
                 continue;
             }
-            let due = [
-                self.net.timers.peek_time(),
-                self.kernel.balancer.poll_ready_at(),
-            ];
-            let deadline = due
-                .into_iter()
-                .flatten()
-                .min()
+            let deadline = self
+                .kernel
+                .balancer
+                .poll_ready_at()
                 .map(|t| self.anchor + Duration::from_nanos(t.as_nanos()));
             let cell = self.kernel.cell();
             cell.count(Counter::LiveParks, 1);
@@ -764,6 +695,8 @@ mod tests {
     use super::*;
     use crate::backend::Machine;
     use crate::message::Value;
+    use hal_am::FaultPlan;
+    use hal_des::VirtualDuration;
 
     fn empty_registry() -> Arc<BehaviorRegistry> {
         Arc::new(BehaviorRegistry::new())
@@ -849,7 +782,7 @@ mod tests {
         let cfg = MachineConfig::builder(2).build().unwrap();
         let mut m = LiveMachine::new(cfg, empty_registry());
         m.init().unwrap();
-        // No timer armed, no balancer: nothing to wake for.
+        // No balancer: nothing to wake for.
         std::thread::sleep(Duration::from_millis(100));
         let parks: Vec<u64> = m
             .telemetry()
@@ -896,37 +829,39 @@ mod tests {
         );
     }
 
-    /// A node whose only pending event is its own retransmit timer parks
-    /// *until that deadline*: the second copy of an unacknowledged packet
-    /// leaves one RTO after the first, not a poll tick later.
+    /// A node whose only pending event is its balancer's next poll parks
+    /// *until that deadline*: after an empty-handed steal reply, the next
+    /// steal request leaves one poll interval later, not a tick later.
     #[test]
-    fn live_timer_fires_on_a_parked_node() {
-        let rto = Duration::from_nanos(live_fault_plan().rto.as_nanos());
+    fn live_poll_deadline_wakes_a_parked_node() {
+        let interval = Duration::from_millis(5);
+        let is_poll = |p: &Packet<Box<KMsg>>| {
+            matches!(&p.body, AmEnvelope::Small(k) if matches!(**k, KMsg::StealRequest { .. }))
+        };
         let mut late = Vec::new();
         for _ in 0..5 {
-            let cfg = MachineConfig::builder(2).build().unwrap();
+            let mut cfg = MachineConfig::builder(2).load_balancing(true).build().unwrap();
+            cfg.cost.steal_poll_interval = VirtualDuration::from_nanos(interval.as_nanos() as u64);
             let mut eps = thread_network::<Box<KMsg>>(2);
             let silent_peer = eps.pop().unwrap();
             let shared = Arc::new(Shared::new(2));
-            let (job_tx, jobs) = channel::<Job>();
-            let mut kernel = Kernel::new(live_kernel_config(&cfg, 0), registry_with_bomb());
+            let (_job_tx, jobs) = channel::<Job>();
+            let mut kernel = Kernel::new(KernelConfig::for_node(&cfg, 0), empty_registry());
             kernel.enable_metrics(Metrics::LIVE_CADENCE_NS);
             let net = LiveNet::new(eps.pop().unwrap(), Arc::clone(&shared));
             let node = Node::new(kernel, net, jobs, Instant::now());
             let cell = Arc::clone(node.kernel.cell());
             let h = node.spawn();
-            // One reliable packet to a peer that never acknowledges.
-            job_tx
-                .send(Box::new(|ctx| {
-                    ctx.create_on(1, BOMB, vec![]);
-                }))
-                .unwrap();
-            shared.bells[0].ring(RING_JOB);
-            silent_peer.recv().expect("first copy");
-            let first = Instant::now();
-            silent_peer.recv().expect("retransmitted copy");
-            late.push(first.elapsed().saturating_sub(rto));
-            assert!(first.elapsed() + Duration::from_millis(1) >= rto, "not early");
+            // The idle node polls its one peer at once; the peer has no
+            // work to give.
+            assert!(is_poll(&silent_peer.recv().expect("first poll")));
+            silent_peer.send(0, AmEnvelope::Small(Box::new(KMsg::StealNone)), 16);
+            shared.bells[0].ring(RING_PACKET);
+            let answered = Instant::now();
+            assert!(is_poll(&silent_peer.recv().expect("second poll")));
+            let waited = answered.elapsed();
+            late.push(waited.saturating_sub(interval));
+            assert!(waited + Duration::from_millis(1) >= interval, "not early");
             assert!(cell.get(Counter::LiveWakeTimer) >= 1, "woken by its deadline");
             shared.raise_abort();
             h.join().unwrap();
@@ -934,7 +869,7 @@ mod tests {
         late.sort();
         assert!(
             late[late.len() / 2] < Duration::from_millis(1),
-            "retransmit left {late:?} after its deadline"
+            "the poll left {late:?} after its deadline"
         );
     }
 
@@ -978,10 +913,10 @@ mod tests {
         );
     }
 
-    /// Sim and live kernels are configured from one function; live
-    /// differs in exactly the two fields it overrides.
+    /// Sim and live kernels are configured by one function, and live
+    /// overrides none of it.
     #[test]
-    fn live_kernel_config_differs_from_sim_in_two_fields_only() {
+    fn live_kernels_are_configured_as_sim_kernels_are() {
         // Every machine-wide setting off its default, so a field that
         // `for_node` dropped would show.
         let mut cfg = MachineConfig::builder(3)
@@ -1009,14 +944,19 @@ mod tests {
         assert!(!sim.opt.name_caching && sim.opt.fir_chase);
         assert_eq!(sim.cost.method_invoke, VirtualDuration::from_nanos(123));
         assert_eq!(sim.faults, cfg.faults);
-        assert!(!sim.force_reliable);
 
-        let mut live = live_kernel_config(&cfg, 1);
-        assert!(live.metrics && live.force_reliable);
-        assert_eq!(live.faults, live_fault_plan());
-        live.faults = sim.faults.clone();
-        live.force_reliable = sim.force_reliable;
-        assert_eq!(format!("{live:?}"), format!("{sim:?}"));
+        // Live refuses the fault plan; with it gone, its staged kernels
+        // carry exactly `for_node`'s configuration.
+        cfg.faults = FaultPlan::none();
+        cfg.backend = crate::backend::BackendKind::Live;
+        let m = LiveMachine::new(cfg.clone(), empty_registry());
+        let LiveState::Staged { kernels, .. } = &m.state else {
+            unreachable!("a new machine is staged")
+        };
+        for (me, k) in kernels.iter().enumerate() {
+            let sim = KernelConfig::for_node(&cfg, me as NodeId);
+            assert_eq!(format!("{:?}", k.config()), format!("{sim:?}"));
+        }
     }
 
     #[test]

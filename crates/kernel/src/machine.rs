@@ -209,10 +209,12 @@ impl MachineConfig {
                 return Err(ConfigError::BadFaultRate { which });
             }
         }
-        if self.backend == BackendKind::Live && self.faults.link_faults() {
+        if self.backend == BackendKind::Live && self.faults.enabled() {
             // The chaos fault injector lives in the simulated link
-            // layer; a live run would silently ignore the plan, which
-            // is worse than refusing it.
+            // layer, and a pause window would shift a host-anchored
+            // clock: a live run would ignore or distort the plan, which
+            // is worse than refusing it. So a live kernel never arms a
+            // timer (`LiveNet::flush`).
             return Err(ConfigError::LiveFaultsUnsupported);
         }
         if self.span_sample_ppm > crate::trace::Recorder::FULL_SAMPLING_PPM {

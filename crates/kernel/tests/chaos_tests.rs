@@ -3,8 +3,8 @@
 
 use hal_kernel::kernel::Ctx;
 use hal_kernel::{
-    Behavior, BehaviorId, BehaviorRegistry, ConfigError, FaultPlan, LinkOutage, MachineConfig,
-    MachineError, Msg, SimMachine, Value,
+    BackendKind, Behavior, BehaviorId, BehaviorRegistry, ConfigError, FaultPlan, LinkOutage,
+    MachineConfig, MachineError, Msg, NodePause, SimMachine, Value,
 };
 use hal_des::VirtualTime;
 use std::sync::Arc;
@@ -168,6 +168,23 @@ fn builder_rejects_bad_configs() {
             .unwrap_err(),
         ConfigError::BadFaultRate { which: "duplicate" }
     ));
+    // Live runs no fault plan at all: not a lossy link, and not a pause
+    // window either, which would shift a host-anchored clock.
+    let pause = NodePause {
+        node: 1,
+        from: VirtualTime::ZERO,
+        until: VirtualTime::from_nanos(1_000_000),
+    };
+    for plan in [FaultPlan::none().with_drop(0.1), FaultPlan::none().with_pause(pause)] {
+        assert!(matches!(
+            MachineConfig::builder(2)
+                .backend(BackendKind::Live)
+                .faults(plan)
+                .build()
+                .unwrap_err(),
+            ConfigError::LiveFaultsUnsupported
+        ));
+    }
 }
 
 #[test]

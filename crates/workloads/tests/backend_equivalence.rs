@@ -5,12 +5,13 @@
 //! (makespans, event counts) legitimately differs; correctness may not.
 //!
 //! Every live run also goes through the `hal-check` protocol invariant
-//! checker with the flight recorder on: the reliable layer is the live
-//! wire protocol, and a duplicate or lost delivery would surface here
-//! as a violation or a wrong final value.
+//! checker with the flight recorder on. Live speaks the simulator's
+//! fault-free protocol — no seq/ack layer, asserted below — so the
+//! exactly-once oracle is the checker's per-message-id `DoubleDelivery`,
+//! and a lost delivery would surface as a wrong final value.
 
 use hal::prelude::*;
-use hal_kernel::SimReport;
+use hal_kernel::{KernelEvent, SimReport};
 use hal_workloads::chase::{self, ChaseConfig};
 use hal_workloads::{cholesky, fib};
 
@@ -27,7 +28,20 @@ fn cfg(nodes: usize, seed: u64, backend: BackendKind) -> MachineConfig {
         .unwrap()
 }
 
+/// A fault-free live run engages no part of the reliable layer.
+fn assert_unreliable_links(label: &str, report: &SimReport) {
+    for name in ["rel.delivered", "rel.acks", "rel.retransmits", "rel.dup_dropped"] {
+        assert_eq!(report.stats.get(name), 0, "{label}: {name}");
+    }
+    let trace = report.trace.as_ref().expect("tracing is on");
+    assert!(
+        !trace.events.iter().any(|e| matches!(e.event, KernelEvent::RelDelivered { .. })),
+        "{label}: a RelDelivered event on a fault-free live run"
+    );
+}
+
 fn assert_clean(label: &str, report: &SimReport) {
+    assert_unreliable_links(label, report);
     let mut cr = hal_check::CheckReport::new("backend-equivalence");
     hal_check::check_sim_report(label, report, &mut cr);
     assert!(cr.is_clean(), "{label}: {}", cr.summary());
@@ -106,13 +120,15 @@ fn migration_chase_delivers_exactly_once_on_both_backends() {
             // explicit stop at the 20th probe can truncate an FIR chase
             // still in flight — the liveness audit's UnansweredFir is
             // inherent to that shutdown, not a delivery bug. Every
-            // other invariant (exactly-once per link seq, acyclic
+            // other invariant (exactly-once per message id, acyclic
             // chains, alias ordering) must still hold.
+            let label = format!("chase seed={seed} K={nodes}");
+            assert_unreliable_links(&label, &r_live);
             let mut cr = hal_check::CheckReport::new("backend-equivalence");
-            hal_check::check_sim_report(&format!("chase seed={seed} K={nodes}"), &r_live, &mut cr);
+            hal_check::check_sim_report(&label, &r_live, &mut cr);
             cr.violations
                 .retain(|v| v.kind != hal_check::ViolationKind::UnansweredFir);
-            assert!(cr.is_clean(), "chase seed={seed} K={nodes}: {}", cr.summary());
+            assert!(cr.is_clean(), "{label}: {}", cr.summary());
             for (backend, r) in [("sim", &r_sim), ("live", &r_live)] {
                 let delivered = r.values("probe_delivered");
                 assert_eq!(

@@ -1,6 +1,6 @@
 //! Telemetry must observe, never perturb.
 //!
-//! Three guarantees from the live-telemetry work:
+//! Four guarantees from the live-telemetry work:
 //!
 //! 1. Turning the telemetry flags on (metrics + an explicit span-sample
 //!    rate) leaves the sim backend's deterministic artifact surface —
@@ -11,7 +11,8 @@
 //! 3. The live drain loses no counts: after the node threads join, the
 //!    report must agree exactly with the metrics cells themselves —
 //!    under backpressure (tiny receive queues), across seeds and
-//!    partition sizes.
+//!    partition sizes. The same runs pin per-link FIFO order and the
+//!    absence of reliable-layer traffic on fault-free live links.
 //! 4. A name the report folds from per-node records equals their sum, on
 //!    both backends: `rel.retransmits` / `rel.acks` are the `METRICS_`
 //!    links, `msgs.processed` is the cells' (and, live, the per-node
@@ -42,7 +43,8 @@ fn fib_sim(seed: u64, obs: ObserveOpts) -> SimReport {
 }
 
 /// Guarantee 4 for one finished run with metrics on; returns the acks the
-/// reliable layer sent, so a caller can require that it carried traffic.
+/// reliable layer sent, so a caller can require that it carried traffic,
+/// or none.
 fn assert_folds_agree(label: &str, report: &SimReport, hub: &TelemetryHub) -> u64 {
     let metrics = report.metrics.as_ref().unwrap_or_else(|| panic!("{label}: metrics on"));
     let links = metrics.nodes.iter().flat_map(|n| n.links.values());
@@ -133,21 +135,24 @@ fn full_rate_sampling_reproduces_the_unsampled_span_surface() {
 
 // ---- live drain under backpressure ----
 
-/// Counts messages and stops the machine at the expected total. The
-/// busy loop makes the receiving node measurably slower than the
-/// sender, so the sender's bounded queue toward it stays full — that
-/// is the backpressure the test is about.
+/// Counts numbered messages, requires them in the order they were sent,
+/// echoes each number back to its sender, and stops the machine at the
+/// expected total. The busy loop makes the receiving node measurably
+/// slower than the sender, so the sender's bounded queue toward it stays
+/// full — that is the backpressure the test is about.
 struct Tally {
     got: i64,
     expected: i64,
 }
 impl Behavior for Tally {
-    fn dispatch(&mut self, ctx: &mut Ctx<'_>, _msg: Msg) {
+    fn dispatch(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         let mut spin = 0u64;
         for i in 0..500u64 {
             spin = spin.wrapping_add(std::hint::black_box(i));
         }
         std::hint::black_box(spin);
+        assert_eq!(msg.args[0].as_int(), self.got, "per-link FIFO broke");
+        ctx.send(msg.args[1].as_addr(), ECHO, vec![Value::Int(self.got)]);
         self.got += 1;
         if self.got == self.expected {
             ctx.report("got", Value::Int(self.got));
@@ -156,24 +161,30 @@ impl Behavior for Tally {
     }
 }
 
-/// Streams messages at a remote counter, one per dispatch, driving
-/// itself with a self-continuation. One probe per scheduling step
-/// matters: the node loop drains arriving acks between steps, so the
-/// reliable layer's per-packet acks never overflow this node's own
-/// bounded receive queue while the counter's queue saturates. (A
-/// single dispatch that bursts hundreds of sends deadlocks by design:
-/// blocked mid-dispatch, the sender cannot drain the acks flooding
-/// back, and both directions wedge full.)
+/// Burst's selector for a number the tally echoed.
+const ECHO: u32 = 2;
+
+/// Streams numbered messages at a remote tally, one per dispatch,
+/// driving itself with a self-continuation, and requires the echoes in
+/// order. Each direction's sender stalls on the other's 4-packet queue
+/// while the other's packets arrive, so both orders cross
+/// `LiveNet::inject`'s stalled-send inbox: there is no reliable layer
+/// to restore an order the transport broke.
 struct Burst {
     target: MailAddr,
-    remaining: i64,
+    sent: i64,
+    total: i64,
+    echoed: i64,
 }
 impl Behavior for Burst {
-    fn dispatch(&mut self, ctx: &mut Ctx<'_>, _msg: Msg) {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            ctx.send(self.target, 0, vec![]);
+    fn dispatch(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+        if msg.selector == ECHO {
+            assert_eq!(msg.args[0].as_int(), self.echoed, "per-link FIFO broke");
+            self.echoed += 1;
+        } else if self.sent < self.total {
             let me = ctx.me();
+            ctx.send(self.target, 0, vec![Value::Int(self.sent), Value::Addr(me)]);
+            self.sent += 1;
             ctx.send(me, 1, vec![]);
         }
     }
@@ -190,7 +201,9 @@ fn live_collector_drain_loses_no_counts_under_backpressure() {
             let burst = program.behavior("burst", |args: &[Value]| {
                 Box::new(Burst {
                     target: args[0].as_addr(),
-                    remaining: args[1].as_int(),
+                    sent: 0,
+                    total: args[1].as_int(),
+                    echoed: 0,
                 }) as Box<dyn Behavior>
             });
             let cfg = MachineConfig::builder(nodes)
@@ -246,7 +259,9 @@ fn live_collector_drain_loses_no_counts_under_backpressure() {
                 total_processed += reported;
             }
             assert_eq!(total_processed, report.stats.get("msgs.processed"), "{label}");
-            assert!(assert_folds_agree(&label, &report, &hub) > 0, "{label}: live is reliable");
+            // Fault-free live speaks the simulator's protocol: no seq/ack.
+            assert_eq!(assert_folds_agree(&label, &report, &hub), 0, "{label}: rel.acks");
+            assert_eq!(report.stats.get("rel.delivered"), 0, "{label}: rel.delivered");
             // Kick-off + burst activation + BURST counted messages, at
             // minimum (system traffic may add more, never fewer).
             assert!(
