@@ -107,6 +107,35 @@ for line in '    fn handle_envelope(&mut self, src: NodeId, env: AmEnvelope<KMsg
 done
 rm -f "$planted"
 
+echo "== one-slot joins: no arity-1 create_join in crates/, tests/, examples/ =="
+# A join awaiting one reply is Ctx::create_reply_join: the reply moves
+# straight into its body. create_join(1, ...) builds a slot vector and a
+# Vec of values around that one reply instead. The arity may sit on the
+# call's line or, when the call breaks after its paren, on the next one.
+one_slot_joins() {
+  awk 'FNR == 1 { pending = 0 }
+       pending && /^[[:space:]]*1[[:space:]]*,/ { print FILENAME ":" FNR - 1 ": " prev }
+       { pending = 0 }
+       /create_join\(/ {
+         rest = $0; sub(/.*create_join\(/, "", rest)
+         if (rest ~ /^[[:space:]]*1[[:space:]]*,/) print FILENAME ":" FNR ": " $0
+         else if (rest ~ /^[[:space:]]*$/) { pending = 1; prev = $0 }
+       }' "$@"
+}
+mapfile -t sources < <(find crates tests examples -name '*.rs')
+hits="$(one_slot_joins "${sources[@]}")"
+[ -z "$hits" ] || { echo "$hits"; echo "ci: an arity-1 create_join (use Ctx::create_reply_join)"; exit 1; }
+# The gate must catch a planted call on one line and across two, and
+# pass a two-slot one.
+planted="$(mktemp)"
+printf '%s\n' '        let jc = ctx.create_join(' '            1,' '            vec![],' >"$planted"
+[ -n "$(one_slot_joins "$planted")" ] || { echo "ci: the one-slot-join gate is inert"; rm -f "$planted"; exit 1; }
+echo '    let jc = ctx.create_join(1, Vec::new(), body);' >"$planted"
+[ -n "$(one_slot_joins "$planted")" ] || { echo "ci: the one-slot-join gate is inert"; rm -f "$planted"; exit 1; }
+printf '%s\n' '        let jc = ctx.create_join(' '            2,' '            vec![],' >"$planted"
+[ -z "$(one_slot_joins "$planted")" ] || { echo "ci: the one-slot-join gate refuses a two-slot join"; rm -f "$planted"; exit 1; }
+rm -f "$planted"
+
 echo "== README.md and DESIGN.md name only crates/ paths that exist =="
 # Every backticked or linked crates/... path (globs allowed, a :line
 # suffix ignored) must be in the tree. EXPERIMENTS.md is history and is

@@ -67,13 +67,18 @@ impl JoinBuilder {
         assert!(n_calls > 0, "JoinBuilder::then with no calls");
         let arity = n_calls + self.known.len();
         assert!(arity <= u16::MAX as usize, "join arity overflow");
-        let prefilled = self
-            .known
-            .into_iter()
-            .enumerate()
-            .map(|(i, v)| ((n_calls + i) as u16, v))
-            .collect();
-        let jc = ctx.create_join(arity as u16, prefilled, Box::new(f));
+        let jc = if arity == 1 {
+            // One reply and nothing known: the one-slot kind.
+            ctx.create_reply_join(Box::new(move |ctx, v| f(ctx, vec![v])))
+        } else {
+            let prefilled = self
+                .known
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| ((n_calls + i) as u16, v))
+                .collect();
+            ctx.create_join(arity as u16, prefilled, Box::new(f))
+        };
         for (i, (to, sel, args)) in self.calls.into_iter().enumerate() {
             let cont = ctx.cont_slot(jc, i as u16);
             ctx.request(to, sel, args, cont);
@@ -82,8 +87,9 @@ impl JoinBuilder {
 }
 
 /// Convenience: a single request whose reply runs `f` — the simplest
-/// call/return shape. Wires the one-slot join itself: a [`JoinBuilder`]
-/// would allocate a call list to hold this single call.
+/// call/return shape. The reply moves straight into `f` through a
+/// one-slot join (no slot vector), and no [`JoinBuilder`] call list is
+/// built for the single call.
 ///
 /// `#[inline]` so the instance sits in its caller's codegen unit: left
 /// to placement, a build could move it into another unit and lose the
@@ -96,14 +102,7 @@ pub fn call_then(
     args: Vec<Value>,
     f: impl FnOnce(&mut Ctx<'_>, Value) + Send + 'static,
 ) {
-    let jc = ctx.create_join(
-        1,
-        Vec::new(),
-        Box::new(move |ctx, mut vals| {
-            let v = vals.pop().expect("one slot");
-            f(ctx, v);
-        }),
-    );
+    let jc = ctx.create_reply_join(Box::new(f));
     let cont = ctx.cont_slot(jc, 0);
     ctx.request(to, selector, args, cont);
 }

@@ -208,14 +208,10 @@ mod tests {
         let mut program = Program::new();
         let combiner = register(&mut program);
         let report = crate::run(MachineConfig::new(p), program, |ctx| {
-            let jc = ctx.create_join(
-                1,
-                vec![],
-                Box::new(|ctx, mut vals| {
-                    ctx.report("reduced", vals.pop().unwrap());
-                    ctx.stop();
-                }),
-            );
+            let jc = ctx.create_reply_join(Box::new(|ctx, v| {
+                ctx.report("reduced", v);
+                ctx.stop();
+            }));
             let locals = vec![per_node; p];
             let combiners = tree_reduce(ctx, combiner, op, &locals, ctx.cont_slot(jc, 0));
             // Contribute node*10 + i from each node (via plain sends —
@@ -248,14 +244,10 @@ mod tests {
         let mut program = Program::new();
         let combiner = register(&mut program);
         let report = crate::run(MachineConfig::new(4), program, |ctx| {
-            let jc = ctx.create_join(
-                1,
-                vec![],
-                Box::new(|ctx, mut vals| {
-                    ctx.report("reduced", vals.pop().unwrap());
-                    ctx.stop();
-                }),
-            );
+            let jc = ctx.create_reply_join(Box::new(|ctx, v| {
+                ctx.report("reduced", v);
+                ctx.stop();
+            }));
             // Only node 2 contributes.
             let combiners =
                 tree_reduce(ctx, combiner, Op::SumInt, &[0, 0, 1, 0], ctx.cont_slot(jc, 0));

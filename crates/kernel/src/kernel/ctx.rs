@@ -5,7 +5,7 @@
 use super::Kernel;
 use crate::actor::Behavior;
 use crate::addr::{ActorId, BehaviorId, GroupId, JcId, MailAddr, Mapping, Selector};
-use crate::join::JoinFn;
+use crate::join::{JoinFn, ReplyFn};
 use crate::message::{ContRef, Msg, Value};
 use crate::name_server::Resolution;
 use crate::wire::KMsg;
@@ -117,18 +117,34 @@ impl<'a> Ctx<'a> {
 
     /// Create a join continuation with `arity` slots, `prefilled` known
     /// values, and body `func` (§6.2). Combine with [`Ctx::cont_slot`] to
-    /// build reply targets.
+    /// build reply targets. A join awaiting one reply and knowing nothing
+    /// else is [`Ctx::create_reply_join`].
+    ///
+    /// # Panics
+    /// Panics if `arity` is 1.
     pub fn create_join(
         &mut self,
         arity: u16,
         prefilled: Vec<(u16, Value)>,
         func: JoinFn,
     ) -> JcId {
-        let creator = match self.ident {
+        let creator = self.creator();
+        self.k.joins.create(arity, prefilled, func, creator)
+    }
+
+    /// Create a one-slot join continuation: the reply to slot 0 of the
+    /// returned id moves straight into `func`, with no slot storage.
+    pub fn create_reply_join(&mut self, func: ReplyFn) -> JcId {
+        let creator = self.creator();
+        self.k.joins.create_reply(func, creator)
+    }
+
+    /// The actor creating a continuation here, if any.
+    fn creator(&self) -> Option<ActorId> {
+        match self.ident {
             Ident::Actor { aid, .. } => Some(aid),
             _ => None,
-        };
-        self.k.joins.create(arity, prefilled, func, creator)
+        }
     }
 
     /// A continuation reference filling `slot` of `jc` on this node.

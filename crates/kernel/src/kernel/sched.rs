@@ -5,6 +5,7 @@
 use super::{Ctx, Ident, Kernel};
 use crate::actor::{ActorRecord, Behavior, Cursor};
 use crate::addr::{ActorId, JcId, MailAddr};
+use crate::join::Fired;
 use crate::message::{ContRef, Msg, Value};
 use crate::metrics::Counter;
 use crate::name_server::Resolution;
@@ -316,7 +317,10 @@ impl Kernel {
             self.charge(self.cfg.cost.join_fire);
             let saved = self.swap_current_span(span);
             let mut ctx = Ctx::new(self, Ident::Continuation, None);
-            (fired.func)(&mut ctx, fired.values);
+            match fired.body {
+                Fired::Reply(func, value) => func(&mut ctx, value),
+                Fired::Slotted(func, values) => func(&mut ctx, values),
+            }
             debug_assert!(ctx.become_to.is_none(), "continuations cannot become");
             debug_assert!(ctx.migrate_to.is_none(), "continuations cannot migrate");
             self.swap_current_span(saved);

@@ -168,14 +168,10 @@ fn sim_and_live_agree_on_results() {
     use hal_kernel::SimMachine;
     let boot = |ctx: &mut Ctx<'_>| {
         let s = ctx.create_on(1, BehaviorId(1), vec![]);
-        let jc = ctx.create_join(
-            1,
-            vec![],
-            Box::new(|ctx, vals| {
-                ctx.report("v", vals[0].clone());
-                ctx.stop();
-            }),
-        );
+        let jc = ctx.create_reply_join(Box::new(|ctx, v| {
+            ctx.report("v", v);
+            ctx.stop();
+        }));
         ctx.request(s, 0, vec![Value::Int(99)], ctx.cont_slot(jc, 0));
     };
     let mut sim = SimMachine::new(MachineConfig::new(2), registry());

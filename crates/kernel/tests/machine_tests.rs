@@ -239,14 +239,10 @@ fn messages_to_alias_before_creation_are_delivered() {
     let mut m = SimMachine::new(MachineConfig::new(2), registry());
     m.with_ctx(0, |ctx| {
         let remote = ctx.create_on(1, BehaviorId(1), vec![]);
-        let jc = ctx.create_join(
-            1,
-            vec![],
-            Box::new(|ctx, vals| {
-                ctx.report("echoed", vals[0].clone());
-                ctx.stop();
-            }),
-        );
+        let jc = ctx.create_reply_join(Box::new(|ctx, v| {
+            ctx.report("echoed", v);
+            ctx.stop();
+        }));
         ctx.request(remote, 0, vec![Value::Int(41)], ctx.cont_slot(jc, 0));
     });
     let r = m.run().unwrap();

@@ -70,14 +70,10 @@ fn main() {
     let combiner = collectives::register(&mut program);
 
     let report = hal::run(MachineConfig::new(nodes), program, move |ctx| {
-        let jc = ctx.create_join(
-            1,
-            vec![],
-            Box::new(|ctx, mut vals| {
-                ctx.report("primes", vals.pop().unwrap());
-                ctx.stop();
-            }),
-        );
+        let jc = ctx.create_reply_join(Box::new(|ctx, v| {
+            ctx.report("primes", v);
+            ctx.stop();
+        }));
         // One combiner per node; each expects that node's worker count.
         let per_node: Vec<usize> = (0..nodes)
             .map(|n| {

@@ -78,14 +78,10 @@ fn tree_reduction_across_threads() {
     let mut program = Program::new();
     let combiner = collectives::register(&mut program);
     let report = run_live(nodes, program, move |ctx| {
-        let jc = ctx.create_join(
-            1,
-            vec![],
-            Box::new(|ctx, mut vals| {
-                ctx.report("reduced", vals.pop().unwrap());
-                ctx.stop();
-            }),
-        );
+        let jc = ctx.create_reply_join(Box::new(|ctx, v| {
+            ctx.report("reduced", v);
+            ctx.stop();
+        }));
         let locals = vec![2usize; nodes];
         let combiners =
             collectives::tree_reduce(ctx, combiner, Op::SumInt, &locals, ctx.cont_slot(jc, 0));
