@@ -107,6 +107,32 @@ for line in '    fn handle_envelope(&mut self, src: NodeId, env: AmEnvelope<KMsg
 done
 rm -f "$planted"
 
+echo "== one histogram type, and a thread network that counts nothing =="
+# hal_des::Histogram (crates/des/src/stats.rs) is the one histogram: a
+# struct named *Hist* anywhere else is a second bucket layout growing
+# back. A live node counts its own sends in its single-writer NodeCell; an
+# atomic in crates/am/src/thread.rs is a second, shared copy of those
+# counts, written by every node thread.
+hist_structs() {
+  grep -nE '\bstruct[[:space:]]+[A-Za-z0-9_]*Hist' "$@" | grep -v '^crates/des/src/stats\.rs:'
+}
+thread_counts() {
+  grep -nE 'Atomic|fetch_add' "$@"
+}
+if hist_structs -r crates/*/src; then
+  echo "ci: a histogram type outside hal_des::Histogram"; exit 1
+fi
+if thread_counts crates/am/src/thread.rs; then
+  echo "ci: the thread network counts (count in the node's cell)"; exit 1
+fi
+# Each gate must catch a planted line.
+planted="$(mktemp)"
+echo 'pub struct LatencyHist {' >"$planted"
+hist_structs "$planted" >/dev/null || { echo "ci: the one-histogram gate is inert"; rm -f "$planted"; exit 1; }
+echo '        self.stats.packets.fetch_add(1, Ordering::Relaxed);' >"$planted"
+thread_counts "$planted" >/dev/null || { echo "ci: the uncounted-network gate is inert"; rm -f "$planted"; exit 1; }
+rm -f "$planted"
+
 echo "== one-slot joins: no arity-1 create_join in crates/, tests/, examples/ =="
 # A join awaiting one reply is Ctx::create_reply_join: the reply moves
 # straight into its body. create_join(1, ...) builds a slot vector and a

@@ -41,4 +41,4 @@ pub use flow::{FlowControl, Grant};
 pub use packet::{AmEnvelope, BulkTag, NodeId, Packet, RelPayload, MAX_SMALL_BYTES, REL_HEADER};
 pub use reliable::{RelReceiver, RelSender, RetxDecision, RxOutcome, SendTicket, RETX_BATCH};
 pub use sim::{Admitted, DupCloneFailed, Fate, LinkModel, LinkState, NetCounter, SimNetwork};
-pub use thread::{thread_network, thread_network_bounded, ThreadEndpoint, ThreadNetStats};
+pub use thread::{thread_network, thread_network_bounded, ThreadEndpoint};

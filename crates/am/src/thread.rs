@@ -13,31 +13,17 @@
 //! * **unbounded** ([`thread_network`]) — sends never block; fine for
 //!   tests and short examples;
 //! * **bounded** ([`thread_network_bounded`]) — each node's receive
-//!   queue holds at most `capacity` packets. A send finding the queue
-//!   full *blocks* until the receiver drains (a real NI's injection
-//!   stall) and the stall is counted in
-//!   [`ThreadNetStats::backpressure_hits`], so an overloaded live run
-//!   degrades measurably instead of growing the heap without bound.
+//!   queue holds at most `capacity` packets, a real NI's injection
+//!   limit, so an overloaded live run stalls instead of growing the heap
+//!   without bound.
+//!
+//! An endpoint counts nothing. What a node sent, and how often it found
+//! a peer's queue full or closed, is the sender's to count in its own
+//! records ([`ThreadEndpoint::try_send`] says which happened); the live
+//! backend keeps those counts in the node's single-writer cell.
 
 use crate::packet::{AmEnvelope, NodeId, Packet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TryRecvError, TrySendError};
-use std::sync::Arc;
-
-/// Shared counters for the threaded network.
-#[derive(Default, Debug)]
-pub struct ThreadNetStats {
-    /// Packets sent across all nodes.
-    pub packets: AtomicU64,
-    /// Envelope payload bytes sent across all nodes.
-    pub bytes: AtomicU64,
-    /// Sends that found a bounded receive queue full and had to block
-    /// until the receiver drained (0 on unbounded networks).
-    pub backpressure_hits: AtomicU64,
-    /// Packets dropped because the destination endpoint was already
-    /// torn down (normal during shutdown; anything else is a bug).
-    pub dropped_on_close: AtomicU64,
-}
 
 /// A sender to one node's receive queue — unbounded or bounded.
 enum Tx<P> {
@@ -63,12 +49,6 @@ pub struct ThreadEndpoint<P> {
     me: NodeId,
     rx: Receiver<Packet<P>>,
     peers: Vec<Tx<P>>,
-    stats: Arc<ThreadNetStats>,
-    /// This endpoint's own send-side counters — same fields as the
-    /// shared [`ThreadNetStats`], bumped only by *this* node's sends.
-    /// Telemetry collectors read these to attribute traffic per node;
-    /// the shared handle keeps the network-wide totals.
-    local: Arc<ThreadNetStats>,
 }
 
 impl<P: Send + 'static> ThreadEndpoint<P> {
@@ -82,125 +62,51 @@ impl<P: Send + 'static> ThreadEndpoint<P> {
         self.peers.len()
     }
 
-    /// Send an envelope to `dst`. `wire_bytes` feeds the byte counter
-    /// (mirrors [`crate::sim::SimNetwork::inject`]'s signature).
-    ///
-    /// Sending to self is allowed — the packet loops back through the
-    /// receive queue, exactly as a self-addressed active message would.
-    ///
-    /// On a bounded network a full destination queue blocks the sender
-    /// until space frees up, bumping
-    /// [`ThreadNetStats::backpressure_hits`] once per stalled send. A
-    /// send to a node that already shut down is dropped and counted in
-    /// [`ThreadNetStats::dropped_on_close`].
-    pub fn send(&self, dst: NodeId, body: AmEnvelope<P>, wire_bytes: usize) {
-        self.stats.packets.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes.fetch_add(wire_bytes as u64, Ordering::Relaxed);
-        self.local.packets.fetch_add(1, Ordering::Relaxed);
-        self.local.bytes.fetch_add(wire_bytes as u64, Ordering::Relaxed);
-        let pkt = Packet {
+    fn packet(&self, dst: NodeId, body: AmEnvelope<P>) -> Packet<P> {
+        Packet {
             src: self.me,
             dst,
             body,
-        };
-        match &self.peers[dst as usize] {
-            // Unbounded channel: send only fails if the receiver hung
-            // up, which in our machines means the partition is shutting
-            // down.
-            Tx::Unbounded(tx) => {
-                if tx.send(pkt).is_err() {
-                    self.stats.dropped_on_close.fetch_add(1, Ordering::Relaxed);
-                    self.local.dropped_on_close.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Tx::Bounded(tx) => match tx.try_send(pkt) {
-                Ok(()) => {}
-                Err(TrySendError::Full(pkt)) => {
-                    // Injection stall: the receiver's queue is at
-                    // capacity. Count it, then block — backpressure, not
-                    // loss: the links stay lossless, so the kernel needs
-                    // no reliable layer over them.
-                    self.stats.backpressure_hits.fetch_add(1, Ordering::Relaxed);
-                    self.local.backpressure_hits.fetch_add(1, Ordering::Relaxed);
-                    if tx.send(pkt).is_err() {
-                        self.stats.dropped_on_close.fetch_add(1, Ordering::Relaxed);
-                        self.local.dropped_on_close.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    self.stats.dropped_on_close.fetch_add(1, Ordering::Relaxed);
-                    self.local.dropped_on_close.fetch_add(1, Ordering::Relaxed);
-                }
-            },
         }
     }
 
-    /// Non-blocking send. Counters (`packets`, `bytes`,
-    /// `dropped_on_close`) are bumped only when the packet actually
-    /// leaves — on a full bounded queue the envelope comes back as
-    /// `Err` *uncounted* so the caller can retry without inflating the
-    /// wire totals. Unlike [`ThreadEndpoint::send`], this never bumps
-    /// `backpressure_hits`; a caller running its own stall loop counts
-    /// the stall once via [`ThreadEndpoint::note_backpressure`].
+    /// Send an envelope to `dst`, blocking while a bounded destination
+    /// queue is full. A send to a node that already shut down is
+    /// dropped. `wire_bytes` is not read: the signature mirrors
+    /// [`crate::sim::SimNetwork::inject`], and the caller counts bytes.
+    ///
+    /// Sending to self is allowed — the packet loops back through the
+    /// receive queue, exactly as a self-addressed active message would.
+    pub fn send(&self, dst: NodeId, body: AmEnvelope<P>, _wire_bytes: usize) {
+        let pkt = self.packet(dst, body);
+        // Either send fails only if the receiver hung up, which in our
+        // machines means the partition is shutting down.
+        let _ = match &self.peers[dst as usize] {
+            Tx::Unbounded(tx) => tx.send(pkt),
+            Tx::Bounded(tx) => tx.send(pkt),
+        };
+    }
+
+    /// Non-blocking send. The envelope comes back as
+    /// [`TrySendError::Full`] when a bounded destination queue is at
+    /// capacity, so the caller can retry it, and is dropped with
+    /// [`TrySendError::Disconnected`] when the destination already shut
+    /// down (an unbounded queue is never full).
     ///
     /// The live node loop uses this to keep draining its own receive
     /// queue while a peer's queue is full: a sender that blocks without
     /// draining can wedge the whole partition (two nodes blocked on
     /// each other's full queues), which two opposite bursts into small
     /// queues will readily produce.
-    pub fn try_send(
-        &self,
-        dst: NodeId,
-        body: AmEnvelope<P>,
-        wire_bytes: usize,
-    ) -> Result<(), AmEnvelope<P>> {
-        let count = |stats: &ThreadNetStats| {
-            stats.packets.fetch_add(1, Ordering::Relaxed);
-            stats.bytes.fetch_add(wire_bytes as u64, Ordering::Relaxed);
-        };
-        let drop_on_close = |stats: &ThreadNetStats| {
-            stats.dropped_on_close.fetch_add(1, Ordering::Relaxed);
-        };
-        let pkt = Packet {
-            src: self.me,
-            dst,
-            body,
-        };
+    pub fn try_send(&self, dst: NodeId, body: AmEnvelope<P>) -> Result<(), TrySendError<AmEnvelope<P>>> {
+        let pkt = self.packet(dst, body);
         match &self.peers[dst as usize] {
-            Tx::Unbounded(tx) => {
-                count(&self.stats);
-                count(&self.local);
-                if tx.send(pkt).is_err() {
-                    drop_on_close(&self.stats);
-                    drop_on_close(&self.local);
-                }
-                Ok(())
-            }
-            Tx::Bounded(tx) => match tx.try_send(pkt) {
-                Ok(()) => {
-                    count(&self.stats);
-                    count(&self.local);
-                    Ok(())
-                }
-                Err(TrySendError::Full(pkt)) => Err(pkt.body),
-                Err(TrySendError::Disconnected(_)) => {
-                    count(&self.stats);
-                    count(&self.local);
-                    drop_on_close(&self.stats);
-                    drop_on_close(&self.local);
-                    Ok(())
-                }
-            },
+            Tx::Unbounded(tx) => tx.send(pkt).map_err(|e| TrySendError::Disconnected(e.0.body)),
+            Tx::Bounded(tx) => tx.try_send(pkt).map_err(|e| match e {
+                TrySendError::Full(p) => TrySendError::Full(p.body),
+                TrySendError::Disconnected(p) => TrySendError::Disconnected(p.body),
+            }),
         }
-    }
-
-    /// Record one injection stall (shared + per-node counters). Callers
-    /// of [`ThreadEndpoint::try_send`] that loop on `Err` call this once
-    /// per stalled logical send, mirroring [`ThreadEndpoint::send`]'s
-    /// accounting.
-    pub fn note_backpressure(&self) {
-        self.stats.backpressure_hits.fetch_add(1, Ordering::Relaxed);
-        self.local.backpressure_hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Non-blocking receive.
@@ -216,17 +122,6 @@ impl<P: Send + 'static> ThreadEndpoint<P> {
     pub fn recv(&self) -> Option<Packet<P>> {
         self.rx.recv().ok()
     }
-
-    /// Shared statistics handle.
-    pub fn stats(&self) -> &Arc<ThreadNetStats> {
-        &self.stats
-    }
-
-    /// This endpoint's own send-side counters (per-node attribution);
-    /// see the field docs on [`ThreadEndpoint`].
-    pub fn local_stats(&self) -> &Arc<ThreadNetStats> {
-        &self.local
-    }
 }
 
 /// Build a fully connected threaded network of `nodes` nodes with
@@ -238,8 +133,9 @@ pub fn thread_network<P: Send + 'static>(nodes: usize) -> Vec<ThreadEndpoint<P>>
 }
 
 /// Build a fully connected threaded network whose receive queues hold at
-/// most `capacity` packets each — see [`ThreadEndpoint::send`] for the
-/// blocking-backpressure semantics. `capacity` must be positive.
+/// most `capacity` packets each — see [`ThreadEndpoint::send`] and
+/// [`ThreadEndpoint::try_send`] for what a full queue does to a send.
+/// `capacity` must be positive.
 pub fn thread_network_bounded<P: Send + 'static>(
     nodes: usize,
     capacity: usize,
@@ -253,7 +149,6 @@ fn build_network<P: Send + 'static>(
     capacity: Option<usize>,
 ) -> Vec<ThreadEndpoint<P>> {
     assert!(nodes > 0 && nodes <= u16::MAX as usize + 1, "node count out of range");
-    let stats = Arc::new(ThreadNetStats::default());
     let mut txs = Vec::with_capacity(nodes);
     let mut rxs = Vec::with_capacity(nodes);
     for _ in 0..nodes {
@@ -276,8 +171,6 @@ fn build_network<P: Send + 'static>(
             me: i as NodeId,
             rx,
             peers: txs.clone(),
-            stats: Arc::clone(&stats),
-            local: Arc::new(ThreadNetStats::default()),
         })
         .collect()
 }
@@ -351,27 +244,23 @@ mod tests {
     }
 
     #[test]
-    fn stats_shared_across_endpoints() {
-        let eps = thread_network::<u32>(3);
-        eps[0].send(1, AmEnvelope::Small(1), 10);
-        eps[2].send(1, AmEnvelope::Small(2), 5);
-        assert_eq!(eps[1].stats().packets.load(Ordering::Relaxed), 2);
-        assert_eq!(eps[1].stats().bytes.load(Ordering::Relaxed), 15);
-        assert_eq!(eps[1].stats().backpressure_hits.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn local_stats_attribute_sends_per_endpoint() {
-        let eps = thread_network::<u32>(3);
-        eps[0].send(1, AmEnvelope::Small(1), 10);
-        eps[0].send(2, AmEnvelope::Small(2), 10);
-        eps[2].send(1, AmEnvelope::Small(3), 5);
-        assert_eq!(eps[0].local_stats().packets.load(Ordering::Relaxed), 2);
-        assert_eq!(eps[0].local_stats().bytes.load(Ordering::Relaxed), 20);
-        assert_eq!(eps[1].local_stats().packets.load(Ordering::Relaxed), 0);
-        assert_eq!(eps[2].local_stats().packets.load(Ordering::Relaxed), 1);
-        // The shared handle still carries the network-wide totals.
-        assert_eq!(eps[1].stats().packets.load(Ordering::Relaxed), 3);
+    fn try_send_hands_back_a_full_queue_and_reports_a_closed_peer() {
+        let mut eps = thread_network_bounded::<u32>(2, 2);
+        let b = eps.pop().unwrap();
+        let a = eps.pop().unwrap();
+        assert!(a.try_send(1, AmEnvelope::Small(1)).is_ok());
+        assert!(a.try_send(1, AmEnvelope::Small(2)).is_ok());
+        match a.try_send(1, AmEnvelope::Small(3)) {
+            Err(TrySendError::Full(env)) => assert_eq!(env, AmEnvelope::Small(3), "handed back"),
+            other => panic!("a full queue must hand the envelope back: {other:?}"),
+        }
+        assert_eq!(b.try_recv().map(|p| p.body), Some(AmEnvelope::Small(1)));
+        assert!(a.try_send(1, AmEnvelope::Small(3)).is_ok(), "a freed slot takes the retry");
+        drop(b);
+        assert!(matches!(a.try_send(1, AmEnvelope::Small(4)), Err(TrySendError::Disconnected(_))));
+        let mut eps = thread_network::<u32>(2);
+        drop(eps.pop());
+        assert!(matches!(eps[0].try_send(1, AmEnvelope::Small(5)), Err(TrySendError::Disconnected(_))));
     }
 
     #[test]
@@ -381,13 +270,12 @@ mod tests {
     }
 
     #[test]
-    fn bounded_network_delivers_and_counts_backpressure() {
+    fn bounded_network_blocks_a_sender_without_loss_or_reorder() {
         let mut eps = thread_network_bounded::<u32>(2, 4);
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
         // Fill the queue, then overflow it from another thread while the
-        // receiver drains slowly: the sender must block (not drop) and
-        // the stall must be counted.
+        // receiver drains slowly: the sender must block, not drop.
         let sender = std::thread::spawn(move || {
             for i in 0..32 {
                 a.send(1, AmEnvelope::Small(i), 4);
@@ -402,12 +290,8 @@ mod tests {
             }
             std::thread::sleep(Duration::from_micros(200));
         }
-        let a = sender.join().unwrap();
+        sender.join().unwrap();
         assert_eq!(got, (0..32).collect::<Vec<_>>(), "FIFO order preserved");
-        assert!(
-            a.stats().backpressure_hits.load(Ordering::Relaxed) > 0,
-            "a 4-deep queue fed 32 packets against a slow reader must stall"
-        );
     }
 
     #[test]
@@ -419,6 +303,5 @@ mod tests {
         for i in 0..8 {
             a.send(1, AmEnvelope::Small(i), 4); // must not block forever
         }
-        assert!(a.stats().dropped_on_close.load(Ordering::Relaxed) >= 7);
     }
 }

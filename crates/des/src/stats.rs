@@ -56,7 +56,7 @@ macro_rules! counters {
     };
 }
 
-/// A finished run's counters and log2-bucketed histograms, by name.
+/// A finished run's counters and histograms, by name.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct StatSet {
     counters: BTreeMap<&'static str, u64>,
@@ -124,38 +124,104 @@ impl fmt::Debug for StatSet {
     }
 }
 
-/// A histogram with power-of-two buckets: bucket `i` counts values `v`
-/// with `2^(i-1) <= v < 2^i` (bucket 0 counts zeros and ones).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Linear minor buckets per power-of-two major bucket: `2^MINOR_BITS`,
+/// which bounds a bucket's width at `2^-MINOR_BITS` (6.25 %) of its
+/// lower edge.
+const MINOR_BITS: u32 = 4;
+const MINORS: usize = 1 << MINOR_BITS;
+
+/// A log2-major × linear-minor histogram: every value below 16 has a
+/// bucket of its own, and each power-of-two range `[2^e, 2^(e+1))` from
+/// 16 up is split into 16 equal buckets. Recording is one index
+/// computation and one increment. The buckets are allocated on the first
+/// sample, and only as far as the largest value needs, so an unused
+/// histogram costs no heap.
+#[derive(Clone, Debug)]
 pub struct Histogram {
-    buckets: [u64; 65],
+    buckets: Vec<u64>,
     count: u64,
     sum: u64,
+    min: u64,
     max: u64,
 }
 
 impl Default for Histogram {
     fn default() -> Self {
         Histogram {
-            buckets: [0; 65],
+            buckets: Vec::new(),
             count: 0,
             sum: 0,
+            min: u64::MAX,
             max: 0,
         }
     }
 }
 
+/// Equal contents: the same moments and the same count in every bucket,
+/// however far each side's bucket vector happens to reach.
+impl PartialEq for Histogram {
+    fn eq(&self, other: &Self) -> bool {
+        let (short, long) = if self.buckets.len() <= other.buckets.len() {
+            (&self.buckets, &other.buckets)
+        } else {
+            (&other.buckets, &self.buckets)
+        };
+        (self.count, self.sum, self.min, self.max) == (other.count, other.sum, other.min, other.max)
+            && long[..short.len()] == short[..]
+            && long[short.len()..].iter().all(|&c| c == 0)
+    }
+}
+
+impl Eq for Histogram {}
+
 impl Histogram {
+    /// The bucket holding `v`.
+    fn index(v: u64) -> usize {
+        if v < MINORS as u64 {
+            return v as usize;
+        }
+        let exp = v.ilog2();
+        let minor = (v >> (exp - MINOR_BITS)) as usize - MINORS;
+        (exp - MINOR_BITS + 1) as usize * MINORS + minor
+    }
+
+    /// Upper bound (exclusive) of bucket `i`: the conservative value a
+    /// quantile falling in it reports. Saturates for the last bucket,
+    /// whose true bound is `2^64`.
+    fn bucket_upper(i: usize) -> u64 {
+        if i < MINORS {
+            return i as u64 + 1;
+        }
+        let exp = (i / MINORS) as u32 + MINOR_BITS - 1;
+        let minor = (i % MINORS) as u128;
+        let upper = (MINORS as u128 + minor + 1) << (exp - MINOR_BITS);
+        u64::try_from(upper).unwrap_or(u64::MAX)
+    }
+
+    /// The power-of-two bucket of minor bucket `i`: `64 - leading_zeros`
+    /// of every value it holds. Every value below 16 has a minor bucket
+    /// of its own, and each log2 bucket from 16 up is exactly 16 minor
+    /// buckets, so the fold is exact.
+    fn log2_of(i: usize) -> usize {
+        if i < MINORS {
+            64 - (i as u64).leading_zeros() as usize
+        } else {
+            i / MINORS + MINOR_BITS as usize
+        }
+    }
+
     /// Record one sample.
     #[inline]
     pub fn observe(&mut self, value: u64) {
-        let idx = 64 - value.leading_zeros() as usize; // 0 for v==0, 1 for v==1, ...
-        self.buckets[idx] += 1;
+        let i = Self::index(value);
+        if i >= self.buckets.len() {
+            self.buckets.resize(i + 1, 0);
+        }
+        self.buckets[i] += 1;
         self.count += 1;
         self.sum += value;
-        if value > self.max {
-            self.max = value;
-        }
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
     }
 
     /// Number of samples.
@@ -166,6 +232,15 @@ impl Histogram {
     /// Sum of samples.
     pub fn sum(&self) -> u64 {
         self.sum
+    }
+
+    /// Smallest sample seen (0 if empty).
+    pub fn min(&self) -> u64 {
+        if self.count == 0 {
+            0
+        } else {
+            self.min
+        }
     }
 
     /// Largest sample seen (0 if empty).
@@ -182,21 +257,61 @@ impl Histogram {
         }
     }
 
-    /// The raw log2 bucket counts: bucket `i` counts values `v` with
-    /// `2^(i-1) <= v < 2^i` (bucket 0 counts zeros). Exposed so
-    /// exporters (spans/metrics JSON) can serialize the distribution,
-    /// not just its moments.
-    pub fn bucket_counts(&self) -> &[u64; 65] {
-        &self.buckets
+    /// The value at quantile `q` in `[0, 1]`: the upper bound of the
+    /// bucket holding that rank, capped at the largest sample, so the
+    /// estimate never understates the true quantile and overstates it by
+    /// at most one bucket's width.
+    pub fn quantile(&self, q: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut seen = 0;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                return Self::bucket_upper(i).min(self.max);
+            }
+        }
+        self.max
+    }
+
+    /// Fraction of samples that may exceed `v`. Conservative: a bucket
+    /// whose upper bound exceeds `v` counts entirely, so quantization can
+    /// only overstate the fraction, never hide it.
+    pub fn frac_above(&self, v: u64) -> f64 {
+        if self.count == 0 {
+            return 0.0;
+        }
+        let above: u64 = (self.buckets.iter().enumerate())
+            .filter(|&(i, &c)| c > 0 && Self::bucket_upper(i) > v)
+            .map(|(_, &c)| c)
+            .sum();
+        above as f64 / self.count as f64
+    }
+
+    /// The power-of-two view exporters write: bucket `i` counts values
+    /// `v` with `2^(i-1) <= v < 2^i` (bucket 0 counts zeros), folded
+    /// exactly from the minor buckets.
+    pub fn log2_buckets(&self) -> [u64; 65] {
+        let mut log2 = [0; 65];
+        for (i, &c) in self.buckets.iter().enumerate() {
+            log2[Self::log2_of(i)] += c;
+        }
+        log2
     }
 
     /// Merge another histogram's samples into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+        if self.buckets.len() < other.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }
         self.count += other.count;
         self.sum += other.sum;
+        self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
 }
@@ -282,6 +397,68 @@ mod tests {
         assert_eq!(h.sum(), 106);
         assert_eq!(h.max(), 100);
         assert!((h.mean() - 21.2).abs() < 1e-9);
+    }
+
+    #[test]
+    fn hist_index_roundtrips_monotonically() {
+        let mut last = 0;
+        for v in [0u64, 1, 7, 8, 15, 16, 17, 100, 1_000, 65_535, 1 << 20, u64::MAX >> 1, u64::MAX] {
+            let i = Histogram::index(v);
+            assert!(i >= last, "index must not regress at {v}");
+            assert!(Histogram::bucket_upper(i) > v || v == u64::MAX, "upper bound covers {v}");
+            last = i;
+        }
+    }
+
+    #[test]
+    fn hist_quantiles_are_ordered_and_bounded() {
+        let mut h = Histogram::default();
+        for i in 1..=1000u64 {
+            h.observe(i * 1000);
+        }
+        let (p50, p99, p999) = (h.quantile(0.5), h.quantile(0.99), h.quantile(0.999));
+        assert!(p50 <= p99 && p99 <= p999, "{p50} {p99} {p999}");
+        assert!(p999 <= h.max());
+        assert_eq!((h.min(), h.max()), (1_000, 1_000_000));
+        // 6.25% bucket resolution around the true medians.
+        assert!((450_000..=560_000).contains(&p50), "{p50}");
+    }
+
+    #[test]
+    fn hist_merge_roundtrips_and_equality_ignores_allocation() {
+        let mut h = Histogram::default();
+        for v in [3u64, 900, 65_000, 12_000_000] {
+            h.observe(v);
+        }
+        let mut r = Histogram::default();
+        r.merge(&h);
+        assert_eq!(r, h);
+        assert_eq!((r.count(), r.min(), r.max()), (4, 3, 12_000_000));
+        assert_eq!(r.quantile(0.5), h.quantile(0.5));
+        // A histogram whose buckets reach further, all of it zeros, holds
+        // the same samples.
+        let mut wide = Histogram::default();
+        wide.merge(&h);
+        wide.buckets.resize(Histogram::index(u64::MAX) + 1, 0);
+        assert_eq!(wide, h);
+        assert_eq!(Histogram::default(), Histogram { buckets: vec![0; 4], ..Histogram::default() });
+        let empty = Histogram::default();
+        assert_eq!((empty.min(), empty.max(), empty.quantile(0.5)), (0, 0, 0));
+    }
+
+    #[test]
+    fn frac_above_is_conservative_and_monotone() {
+        let mut h = Histogram::default();
+        for i in 1..=100u64 {
+            h.observe(i * 1_000_000); // 1..=100 ms
+        }
+        assert_eq!(h.frac_above(0), 1.0);
+        let f = h.frac_above(50_000_000);
+        // True fraction above 50 ms is 0.50; bucket quantization may
+        // only round up (conservative), never down.
+        assert!((0.5..=0.6).contains(&f), "{f}");
+        assert!(h.frac_above(200_000_000) == 0.0);
+        assert!(h.frac_above(10_000_000) >= h.frac_above(90_000_000));
     }
 
     #[test]

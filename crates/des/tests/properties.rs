@@ -122,6 +122,71 @@ fn histogram_merge_is_union() {
         assert_eq!(hx.count(), hu.count(), "case {case}");
         assert_eq!(hx.sum(), hu.sum(), "case {case}");
         assert_eq!(hx.max(), hu.max(), "case {case}");
+        assert_eq!(hx.min(), hu.min(), "case {case}");
+        assert_eq!(hx, hu, "case {case}");
+    }
+}
+
+/// The power-of-two histogram the exporters once kept: its buckets,
+/// count, sum and max are what every `log2_buckets` array and moment in
+/// a `METRICS_`/`SPANS_` document was written from.
+#[derive(Default)]
+struct Log2Reference {
+    buckets: Vec<u64>,
+    count: u64,
+    sum: u64,
+    max: u64,
+}
+
+impl Log2Reference {
+    fn observe(&mut self, v: u64) {
+        self.buckets.resize(65, 0);
+        self.buckets[64 - v.leading_zeros() as usize] += 1;
+        self.count += 1;
+        self.sum += v;
+        self.max = self.max.max(v);
+    }
+
+    fn assert_matches(&self, h: &Histogram, case: &str) {
+        let mut buckets = self.buckets.clone();
+        buckets.resize(65, 0);
+        assert_eq!(h.log2_buckets()[..], buckets[..], "{case}: log2 fold");
+        assert_eq!((h.count(), h.sum(), h.max()), (self.count, self.sum, self.max), "{case}");
+        let mean = if self.count == 0 { 0.0 } else { self.sum as f64 / self.count as f64 };
+        assert_eq!(h.mean().to_bits(), mean.to_bits(), "{case}: mean");
+    }
+}
+
+/// The log2 view folded from the minor buckets equals `64 -
+/// leading_zeros` bucketing, and the moments are unchanged: on seeded
+/// random values of every magnitude, on 0–16, on powers of two ±1, and
+/// on values near `u64::MAX` (those above `2^61` one per histogram, so no
+/// sum overflows).
+#[test]
+fn histogram_log2_fold_equals_leading_zeros_bucketing() {
+    let around = |e: u32| [(1u64 << e) - 1, 1 << e, (1 << e) + 1];
+    let mut all = (Histogram::default(), Log2Reference::default());
+    for v in (0..=16u64).chain((1..61).flat_map(around)) {
+        all.0.observe(v);
+        all.1.observe(v);
+    }
+    all.1.assert_matches(&all.0, "edges");
+    for v in (0..64).map(|d| u64::MAX - d).chain((61..64).flat_map(around)) {
+        let (mut h, mut r) = (Histogram::default(), Log2Reference::default());
+        h.observe(v);
+        r.observe(v);
+        r.assert_matches(&h, &format!("near max {v}"));
+    }
+    for case in 0..256u64 {
+        let mut rng = SplitMix64::new(0xE0_0007 + case);
+        let (mut h, mut r) = (Histogram::default(), Log2Reference::default());
+        for _ in 0..range(&mut rng, 0, 200) {
+            // A random magnitude, then a random value of it.
+            let v = rng.next_u64() >> range(&mut rng, 8, 64);
+            h.observe(v);
+            r.observe(v);
+        }
+        r.assert_matches(&h, &format!("case {case}"));
     }
 }
 

@@ -31,4 +31,4 @@ pub mod serve;
 
 pub use command::{Command, ProgramSpec};
 pub use console::Console;
-pub use serve::{LatencyHist, ServeConfig, ServeOutcome, Slo};
+pub use serve::{ServeConfig, ServeOutcome, Slo};

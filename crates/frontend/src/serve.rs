@@ -5,7 +5,8 @@
 //! arrive at a configured rate (open loop — arrivals never wait for
 //! completions, so queueing delay is measured, not hidden), flow down a
 //! multi-node actor pipeline, and the sink records each request's
-//! end-to-end latency in an HDR-style histogram. The harness then
+//! end-to-end latency in the run's `serve.latency_ns` histogram
+//! ([`hal_des::Histogram`]). The harness then
 //! reports p50/p99/p999 against a declared SLO in
 //! `results/SERVE_<scenario>.json`.
 //!
@@ -24,13 +25,13 @@
 //! Termination uses the pipeline's own FIFO ordering: after the last
 //! request the generator sends `Flush` down the same links; each link
 //! delivers in order, so `Flush` reaches the sink after every request,
-//! and the sink reports its histogram and stops the machine.
+//! and the sink reports its burn windows and stops the machine.
 
 use hal::messages;
 use hal::prelude::*;
 use hal_des::json::{self, Json, Style::Block, Style::Inline};
-use hal_des::VirtualDuration;
-use hal_kernel::{Bytes, NodeId};
+use hal_des::{Histogram, VirtualDuration};
+use hal_kernel::NodeId;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -44,172 +45,6 @@ messages! {
         Flush {} = 1 => [ServeMsg],
         /// Simulated backend only: the `LoadGen` actor's pacing tick.
         Tick {} = 2 => [ServeMsg],
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Latency histogram
-// ---------------------------------------------------------------------------
-
-/// Sub-bucket resolution: each power-of-two major bucket is split into
-/// `2^MINOR_BITS` linear minor buckets, bounding the relative
-/// quantization error at `2^-MINOR_BITS` (6.25%).
-const MINOR_BITS: u32 = 4;
-const MINORS: usize = 1 << MINOR_BITS;
-const BUCKETS: usize = (64 - MINOR_BITS as usize + 1) * MINORS;
-
-/// An HDR-style log2-major × linear-minor latency histogram.
-///
-/// Values are nanoseconds; memory is a flat `u64` array (~8 KiB), so
-/// recording is one index computation and one increment — cheap enough
-/// for the sink actor's hot path on the live backend.
-pub struct LatencyHist {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u128,
-    min: u64,
-    max: u64,
-}
-
-impl Default for LatencyHist {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LatencyHist {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        LatencyHist {
-            buckets: vec![0; BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    fn index(ns: u64) -> usize {
-        if ns < MINORS as u64 {
-            return ns as usize;
-        }
-        let exp = 63 - u64::from(ns.leading_zeros());
-        let minor = ((ns >> (exp - u64::from(MINOR_BITS))) as usize) - MINORS;
-        ((exp - u64::from(MINOR_BITS) + 1) as usize) * MINORS + minor
-    }
-
-    /// Upper bound (exclusive) of bucket `i` — the conservative value a
-    /// percentile falling in this bucket reports.
-    fn bucket_upper(i: usize) -> u64 {
-        if i < MINORS {
-            return i as u64 + 1;
-        }
-        let exp = (i / MINORS) as u32 + MINOR_BITS - 1;
-        let minor = (i % MINORS) as u64;
-        (MINORS as u64 + minor + 1) << (exp - MINOR_BITS)
-    }
-
-    /// Record one latency sample.
-    pub fn record(&mut self, ns: u64) {
-        self.buckets[Self::index(ns)] += 1;
-        self.count += 1;
-        self.sum += u128::from(ns);
-        self.min = self.min.min(ns);
-        self.max = self.max.max(ns);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Smallest recorded sample (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest recorded sample.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean of the recorded samples (exact, from the running sum).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// The value at quantile `q` in `[0, 1]`, reported as the upper
-    /// bound of the bucket containing that rank (so the estimate never
-    /// understates the true percentile by more than the bucket width).
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Self::bucket_upper(i).min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Fraction of recorded samples that may exceed `ns` — the SLO
-    /// burn-rate numerator. Conservative: a bucket whose upper bound
-    /// exceeds `ns` is counted entirely, so quantization can only
-    /// overstate (never hide) error-budget consumption.
-    pub fn frac_above(&self, ns: u64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let above: u64 = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|&(i, &c)| c > 0 && Self::bucket_upper(i) > ns)
-            .map(|(_, &c)| c)
-            .sum();
-        above as f64 / self.count as f64
-    }
-
-    /// Serialize the nonzero buckets as little-endian
-    /// `(u32 index, u64 count)` pairs — the sink actor ships this
-    /// through a single `Value::Bytes` report.
-    pub fn to_pairs(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c > 0 {
-                out.extend_from_slice(&(i as u32).to_le_bytes());
-                out.extend_from_slice(&c.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    /// Rebuild a histogram from [`Self::to_pairs`] bytes plus the
-    /// summary stats the buckets alone cannot carry exactly.
-    pub fn from_pairs(pairs: &[u8], sum: u128, min: u64, max: u64) -> Self {
-        let mut h = LatencyHist::new();
-        for chunk in pairs.chunks_exact(12) {
-            let i = u32::from_le_bytes(chunk[..4].try_into().expect("u32")) as usize;
-            let c = u64::from_le_bytes(chunk[4..].try_into().expect("u64"));
-            h.buckets[i] += c;
-            h.count += c;
-        }
-        h.sum = sum;
-        h.min = min;
-        h.max = max;
-        h
     }
 }
 
@@ -254,12 +89,12 @@ fn make_stage(args: &[Value]) -> Box<dyn Behavior> {
 /// accounting): violations are bucketed per second of sink time.
 const BURN_WINDOW_NS: u64 = 1_000_000_000;
 
+/// The histogram the sink records each request's latency into.
+const LATENCY: &str = "serve.latency_ns";
+
 struct SinkActor {
-    hist: LatencyHist,
-    /// p99 SLO threshold the windowed tracker counts violations
-    /// against; `window_ns == 0` disables windowing entirely.
+    /// p99 SLO threshold the windowed tracker counts violations against.
     slo_p99_ns: u64,
-    window_ns: u64,
     window_start_ns: u64,
     window_count: u64,
     window_over: u64,
@@ -297,34 +132,25 @@ impl Behavior for SinkActor {
             ServeMsg::Req { id: _, sent_at_ns } => {
                 let now = ctx.now().as_nanos() as i64;
                 let lat = now.saturating_sub(sent_at_ns).max(0) as u64;
-                self.hist.record(lat);
-                if self.window_ns > 0 {
-                    let now_ns = now.max(0) as u64;
-                    if self.window_start_ns == 0 {
-                        self.window_start_ns = now_ns;
-                    }
-                    while now_ns >= self.window_start_ns + self.window_ns {
-                        self.close_window();
-                        self.window_start_ns += self.window_ns;
-                    }
-                    self.window_count += 1;
-                    if lat > self.slo_p99_ns {
-                        self.window_over += 1;
-                    }
+                ctx.observe(LATENCY, lat);
+                let now_ns = now.max(0) as u64;
+                if self.window_start_ns == 0 {
+                    self.window_start_ns = now_ns;
+                }
+                while now_ns >= self.window_start_ns + BURN_WINDOW_NS {
+                    self.close_window();
+                    self.window_start_ns += BURN_WINDOW_NS;
+                }
+                self.window_count += 1;
+                if lat > self.slo_p99_ns {
+                    self.window_over += 1;
                 }
             }
             ServeMsg::Flush {} => {
-                ctx.report("serve_count", Value::Int(self.hist.count() as i64));
-                ctx.report("serve_sum_ns", Value::Int(self.hist.sum as i64));
-                ctx.report("serve_min_ns", Value::Int(self.hist.min() as i64));
-                ctx.report("serve_max_ns", Value::Int(self.hist.max() as i64));
-                ctx.report("serve_hist", Value::Bytes(Bytes::from(self.hist.to_pairs())));
-                if self.window_ns > 0 {
-                    self.close_window();
-                    ctx.report("serve_windows", Value::Int(self.windows as i64));
-                    ctx.report("serve_worst_window_over", Value::Int(self.worst_over as i64));
-                    ctx.report("serve_worst_window_count", Value::Int(self.worst_count as i64));
-                }
+                self.close_window();
+                ctx.report("serve_windows", Value::Int(self.windows as i64));
+                ctx.report("serve_worst_window_over", Value::Int(self.worst_over as i64));
+                ctx.report("serve_worst_window_count", Value::Int(self.worst_count as i64));
                 ctx.stop();
             }
             ServeMsg::Tick {} => unreachable!("the sink never receives Tick"),
@@ -337,16 +163,9 @@ impl Behavior for SinkActor {
 }
 
 fn make_sink(args: &[Value]) -> Box<dyn Behavior> {
-    // args: [p99 SLO threshold ns, burn window ns]; absent args (older
-    // callers) leave windowing off.
-    let (slo_p99_ns, window_ns) = match args {
-        [slo, win, ..] => (slo.as_int().max(0) as u64, win.as_int().max(0) as u64),
-        _ => (0, 0),
-    };
+    // args: [p99 SLO threshold ns]
     Box::new(SinkActor {
-        hist: LatencyHist::new(),
-        slo_p99_ns,
-        window_ns,
+        slo_p99_ns: args[0].as_int().max(0) as u64,
         window_start_ns: 0,
         window_count: 0,
         window_over: 0,
@@ -506,7 +325,7 @@ pub struct ServeOutcome {
     /// Requests that reached the sink.
     pub completed: u64,
     /// End-to-end latency distribution.
-    pub hist: LatencyHist,
+    pub hist: Histogram,
     /// Makespan: virtual ns (simulated) or host ns (live).
     pub wall_ns: u64,
     /// Live backend: sends that hit a full bounded channel.
@@ -546,8 +365,8 @@ impl ServeOutcome {
         )
     }
 
-    /// Violation fraction of the worst burn window (0 when windowing
-    /// was off or no window completed).
+    /// Violation fraction of the worst burn window (0 when no window
+    /// completed).
     pub fn worst_window_frac(&self) -> f64 {
         if self.worst_window_count == 0 {
             0.0
@@ -662,11 +481,7 @@ pub fn run(cfg: ServeConfig) -> Result<ServeOutcome, MachineError> {
     let (total, rate_period) = (cfg.requests, period_ns);
     let slo_p99_ns = (cfg.slo.p99_ms * 1e6) as i64;
     let first = m.with_ctx(0, |ctx| {
-        let mut next = ctx.create_on(
-            0,
-            sink_id,
-            vec![Value::Int(slo_p99_ns), Value::Int(BURN_WINDOW_NS as i64)],
-        );
+        let mut next = ctx.create_on(0, sink_id, vec![Value::Int(slo_p99_ns)]);
         for s in (1..=cfg.stages).rev() {
             let node = (s % cfg.nodes) as NodeId;
             next = ctx.create_on(
@@ -754,16 +569,7 @@ pub fn run(cfg: ServeConfig) -> Result<ServeOutcome, MachineError> {
         }
     };
 
-    let completed = report.value("serve_count").map(|v| v.as_int() as u64).unwrap_or(0);
-    let hist = match report.value("serve_hist") {
-        Some(v) => LatencyHist::from_pairs(
-            v.as_bytes().as_slice(),
-            report.value("serve_sum_ns").map(|v| v.as_int() as u128).unwrap_or(0),
-            report.value("serve_min_ns").map(|v| v.as_int() as u64).unwrap_or(0),
-            report.value("serve_max_ns").map(|v| v.as_int() as u64).unwrap_or(0),
-        ),
-        None => LatencyHist::new(),
-    };
+    let hist = report.stats.histogram(LATENCY).cloned().unwrap_or_default();
     let check_clean = cfg.check.then(|| {
         let mut cr = hal_check::CheckReport::new("serve");
         hal_check::check_sim_report(&cfg.scenario, &report, &mut cr);
@@ -773,7 +579,7 @@ pub fn run(cfg: ServeConfig) -> Result<ServeOutcome, MachineError> {
     let sink_u64 = |k: &str| report.value(k).map(|v| v.as_int() as u64).unwrap_or(0);
 
     Ok(ServeOutcome {
-        completed,
+        completed: hist.count(),
         hist,
         wall_ns: report.makespan.as_nanos(),
         backpressure_hits: report.stats.get("threadnet.backpressure_hits"),
@@ -828,57 +634,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hist_index_roundtrips_monotonically() {
-        let mut last = 0;
-        for ns in [0u64, 1, 7, 8, 15, 16, 17, 100, 1_000, 65_535, 1 << 20, u64::MAX >> 1] {
-            let i = LatencyHist::index(ns);
-            assert!(i >= last || ns < MINORS as u64, "index must not regress");
-            assert!(LatencyHist::bucket_upper(i) > ns, "upper bound covers {ns}");
-            last = i;
-        }
-    }
-
-    #[test]
-    fn hist_quantiles_are_ordered_and_bounded() {
-        let mut h = LatencyHist::new();
-        for i in 1..=1000u64 {
-            h.record(i * 1000);
-        }
-        let (p50, p99, p999) = (h.quantile(0.5), h.quantile(0.99), h.quantile(0.999));
-        assert!(p50 <= p99 && p99 <= p999, "{p50} {p99} {p999}");
-        assert!(p999 <= h.max());
-        // 6.25% bucket resolution around the true medians.
-        assert!((450_000..=560_000).contains(&p50), "{p50}");
-    }
-
-    #[test]
-    fn hist_pairs_roundtrip() {
-        let mut h = LatencyHist::new();
-        for ns in [3u64, 900, 65_000, 12_000_000] {
-            h.record(ns);
-        }
-        let r = LatencyHist::from_pairs(&h.to_pairs(), h.sum, h.min(), h.max());
-        assert_eq!(r.count(), 4);
-        assert_eq!(r.quantile(0.5), h.quantile(0.5));
-        assert_eq!(r.max(), 12_000_000);
-    }
-
-    #[test]
-    fn frac_above_is_conservative_and_monotone() {
-        let mut h = LatencyHist::new();
-        for i in 1..=100u64 {
-            h.record(i * 1_000_000); // 1..=100 ms
-        }
-        assert_eq!(h.frac_above(0), 1.0);
-        let f = h.frac_above(50_000_000);
-        // True fraction above 50 ms is 0.50; bucket quantization may
-        // only round up (conservative), never down.
-        assert!((0.5..=0.6).contains(&f), "{f}");
-        assert!(h.frac_above(200_000_000) == 0.0);
-        assert!(h.frac_above(10_000_000) >= h.frac_above(90_000_000));
-    }
-
-    #[test]
     fn sim_serve_reports_burn_windows_and_rates() {
         let cfg = ServeConfig {
             requests: 300,
@@ -926,12 +681,20 @@ mod tests {
             rate_rps: 2_000.0,
             stage_cost_ns: 1_000,
             check: true,
+            metrics: true,
             ..ServeConfig::default()
         };
         let out = run(cfg).expect("live serve runs");
         assert_eq!(out.completed, 50, "lossless links deliver every request");
         assert_eq!(out.check_clean, Some(true));
         assert!(out.hist.max() > 0, "live latencies are real host time");
+        // Each node counts its own sends; the report sums the nodes.
+        let metrics = out.report.metrics.as_ref().expect("metrics on");
+        for name in ["threadnet.packets", "threadnet.bytes"] {
+            let total = out.report.stats.get(name);
+            assert!(total > 0, "{name}");
+            assert_eq!(metrics.counter(name), total, "{name}: the nodes' cells sum to the report");
+        }
     }
 
     #[test]

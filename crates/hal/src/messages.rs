@@ -3,7 +3,7 @@
 //! HAL programs are untyped but *statically type-checked*: the compiler
 //! infers types and emits marshalling code. In Rust the natural analog is
 //! an enum per protocol whose variants map to selectors, with generated
-//! encode/decode — that is what [`crate::messages!`] expands to.
+//! `encode`/`take` — that is what [`crate::messages!`] expands to.
 
 /// Define a typed message enum with per-variant selectors.
 ///
@@ -36,7 +36,7 @@
 /// let (sel, args) = FibMsg::Compute { n: 30 }.encode();
 /// assert_eq!(sel, 0);
 /// let msg = hal_kernel::Msg::new(sel, args);
-/// match FibMsg::decode(&msg) {
+/// match FibMsg::take(msg) {
 ///     FibMsg::Compute { n } => assert_eq!(n, 30),
 ///     _ => unreachable!(),
 /// }
@@ -111,36 +111,6 @@ macro_rules! messages {
                 }
             }
 
-            /// Unmarshal from a received message.
-            ///
-            /// # Panics
-            /// Panics on unknown selectors or arity/type mismatches —
-            /// marshalling bugs must not be silent.
-            pub fn decode(msg: &$crate::Msg) -> Self {
-                match msg.selector {
-                    $(
-                        $sel => {
-                            #[allow(unused_mut, unused_variables)]
-                            let mut it = msg.args.iter().cloned();
-                            Self::$variant {
-                                $(
-                                    $f: <$t as $crate::value::FromValue>::from_value(
-                                        it.next().unwrap_or_else(|| panic!(
-                                            "arity mismatch decoding {}::{}",
-                                            stringify!($name), stringify!($variant)
-                                        ))
-                                    )
-                                ),*
-                            }
-                        }
-                    ),*
-                    other => panic!(
-                        "unknown selector {other} for {}",
-                        stringify!($name)
-                    ),
-                }
-            }
-
             /// Unmarshal by *consuming* a received message: field values
             /// are moved out of the args vector, never cloned. This is
             /// the right call in `Behavior::dispatch`, which owns its
@@ -210,7 +180,7 @@ mod tests {
     use other::OtherMsg;
 
     #[test]
-    fn encode_decode_roundtrip() {
+    fn encode_take_roundtrip() {
         let who = MailAddr::ordinary(2, DescriptorId(7));
         let m = TestMsg::Work {
             n: 5,
@@ -219,8 +189,7 @@ mod tests {
         };
         let (sel, args) = m.clone().encode();
         assert_eq!(sel, 1);
-        let wire = Msg::new(sel, args);
-        assert_eq!(TestMsg::decode(&wire), m);
+        assert_eq!(TestMsg::take(Msg::new(sel, args)), m);
     }
 
     #[test]
@@ -238,7 +207,7 @@ mod tests {
         let (sel, args) = TestMsg::Ping {}.encode();
         assert_eq!(sel, 0);
         assert!(args.is_empty());
-        assert_eq!(TestMsg::decode(&Msg::new(0, vec![])), TestMsg::Ping {});
+        assert_eq!(TestMsg::take(Msg::new(0, vec![])), TestMsg::Ping {});
     }
 
     #[test]
@@ -285,12 +254,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown selector")]
     fn unknown_selector_panics() {
-        TestMsg::decode(&Msg::new(99, vec![]));
+        TestMsg::take(Msg::new(99, vec![]));
     }
 
     #[test]
     #[should_panic(expected = "arity mismatch")]
     fn arity_mismatch_panics() {
-        TestMsg::decode(&Msg::new(1, vec![]));
+        TestMsg::take(Msg::new(1, vec![]));
     }
 }

@@ -137,7 +137,7 @@ impl Kernel {
         // background processing").
         // Observe the moment the actor exists — the paper's "actual
         // creation" latency (20.83 us end to end).
-        self.remote_actual_ns.observe(self.clock.as_nanos());
+        self.observe("create.remote_actual_ns", self.clock.as_nanos());
         self.net_send(
             requester,
             KMsg::NameInfo {

@@ -244,6 +244,13 @@ impl<'a> Ctx<'a> {
         self.k.reports.push((key.into(), value));
     }
 
+    /// Record one sample into the run's histogram `name`, which the
+    /// machine report's `stats.histogram(name)` holds merged over every
+    /// node.
+    pub fn observe(&mut self, name: &'static str, value: u64) {
+        self.k.observe(name, value);
+    }
+
     /// Stop the whole machine: sets the local stop flag and broadcasts
     /// Halt to every other node.
     pub fn stop(&mut self) {

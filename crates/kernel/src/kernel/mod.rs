@@ -38,7 +38,7 @@ use hal_am::{
     AmEnvelope, BulkSender, FaultPlan, FlowControl, NodeId, RelReceiver, RelSender,
 };
 use hal_des::{Histogram, Map, Set, VirtualDuration, VirtualTime};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 mod collect;
@@ -247,9 +247,11 @@ pub struct Kernel {
     /// kernel (and its live node loop), read by `top` on any thread and
     /// folded into the report at the end.
     cell: Arc<NodeCell>,
-    /// When each remote creation made its actor (§5's "actual creation"
-    /// latency), reported as `create.remote_actual_ns`.
-    pub(crate) remote_actual_ns: Histogram,
+    /// Named distributions this node observed, merged by name into the
+    /// report's stats: the kernel's own `create.remote_actual_ns` (when
+    /// each remote creation made its actor, §5's "actual creation"
+    /// latency) and whatever actors record through `Ctx::observe`.
+    pub(crate) histograms: BTreeMap<&'static str, Histogram>,
     /// Values posted by actors via `Ctx::report` (harness results).
     pub reports: Vec<(String, Value)>,
     /// Flight recorder ([`crate::trace`]); `None` when tracing is off,
@@ -313,7 +315,7 @@ impl Kernel {
             stopped: false,
             clock: VirtualTime::ZERO,
             cell,
-            remote_actual_ns: Histogram::default(),
+            histograms: BTreeMap::new(),
             reports: Vec::new(),
             rel_tx: RelSender::new(),
             rel_rx: RelReceiver::new(),
@@ -351,6 +353,11 @@ impl Kernel {
     #[inline]
     fn count(&self, c: Counter) {
         self.cell.count(c, 1);
+    }
+
+    /// Record one sample into this node's histogram `name`.
+    fn observe(&mut self, name: &'static str, value: u64) {
+        self.histograms.entry(name).or_default().observe(value);
     }
 
     /// Install a metrics sampler at `cadence_ns` in place of the one

@@ -290,7 +290,7 @@ impl Kernel {
     /// already charged one locality check. Only a local receiver is
     /// spared a second one: any other resolution re-enters
     /// `send_to_addr`, which charges `locality_check` again (a cost-model
-    /// wart, ROADMAP item 1 — fixing it moves `virtual_ns` in every
+    /// wart, ROADMAP item 2f — fixing it moves `virtual_ns` in every
     /// artifact with a remote `send_fast`).
     fn send_after_check(&mut self, to: MailAddr, msg: Msg) {
         match self.names.resolve(to.key) {

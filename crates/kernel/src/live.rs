@@ -50,7 +50,7 @@
 //! [`crate::metrics::NodeCell`], through [`LiveMachine::telemetry`].
 //!
 //! The result is a genuine [`SimReport`] (merged stats
-//! including the thread-network's backpressure counters, per-node
+//! including each node's own transport counts, per-node
 //! clocks, reports, optional merged trace and metrics, quiescence audit)
 //! so hal-check and the artifact tooling ingest live runs unchanged; only
 //! virtual-time *determinism* is absent, which downstream consumers
@@ -65,15 +65,12 @@ use crate::registry::BehaviorRegistry;
 use crate::sync::{
     AtomicBool, Condvar, Doorbell, Mutex, Ordering, RING_JOB, RING_PACKET, RING_STOP,
 };
-use crate::metrics::{Counter, Folded, Metrics, TelemetryHub};
+use crate::metrics::{Counter, Metrics, NodeCell, TelemetryHub};
 use crate::wire::KMsg;
-use hal_am::{
-    thread_network, thread_network_bounded, AmEnvelope, NodeId, Packet, ThreadEndpoint,
-    ThreadNetStats,
-};
+use hal_am::{thread_network, thread_network_bounded, AmEnvelope, NodeId, Packet, ThreadEndpoint};
 use hal_des::{StatSet, VirtualTime};
 use std::collections::VecDeque;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -156,14 +153,19 @@ pub struct LiveNet {
     inbox: VecDeque<Packet<Box<KMsg>>>,
     /// The peers' doorbells, rung after every send.
     shared: Arc<Shared>,
+    /// The node's cell, where every send is counted: the `threadnet.*`
+    /// counters have this node's thread as their one writer, like the
+    /// kernel's own.
+    cell: Arc<NodeCell>,
 }
 
 impl LiveNet {
-    fn new(ep: ThreadEndpoint<Box<KMsg>>, shared: Arc<Shared>) -> Self {
+    fn new(ep: ThreadEndpoint<Box<KMsg>>, shared: Arc<Shared>, cell: Arc<NodeCell>) -> Self {
         LiveNet {
             ep,
             inbox: VecDeque::new(),
             shared,
+            cell,
         }
     }
 
@@ -200,17 +202,22 @@ impl LiveNet {
         let mut env = env;
         let mut stalled = false;
         loop {
-            match self.ep.try_send(dst, env, wire_bytes) {
+            match self.ep.try_send(dst, env) {
                 Ok(()) => {
                     // Enqueued: wake the peer if it sleeps (one load if not).
                     self.shared.bells[dst as usize].ring(RING_PACKET);
-                    return;
+                    break;
                 }
-                Err(back) => env = back,
+                // The peer already stopped: normal during shutdown.
+                Err(TrySendError::Disconnected(_)) => {
+                    self.cell.count(Counter::ThreadnetDroppedOnClose, 1);
+                    break;
+                }
+                Err(TrySendError::Full(back)) => env = back,
             }
             if !stalled {
                 stalled = true;
-                self.ep.note_backpressure();
+                self.cell.count(Counter::ThreadnetBackpressureHits, 1);
             }
             let mut drained = false;
             while let Some(pkt) = self.ep.try_recv() {
@@ -221,6 +228,8 @@ impl LiveNet {
                 std::thread::yield_now();
             }
         }
+        self.cell.count(Counter::ThreadnetPackets, 1);
+        self.cell.count(Counter::ThreadnetBytes, wire_bytes as u64);
     }
 }
 
@@ -246,7 +255,6 @@ enum LiveState {
     Running {
         handles: Vec<JoinHandle<NodeDone>>,
         job_txs: Vec<Sender<Job>>,
-        net_stats: Arc<ThreadNetStats>,
     },
     /// Drained: the report is fixed.
     Done(Box<SimReport>),
@@ -261,10 +269,9 @@ pub struct LiveMachine {
     cfg: MachineConfig,
     state: LiveState,
     anchor: Instant,
-    /// Every node's cell (owned by that node's kernel) plus its
-    /// sender-side channel stats. Always wired — the hot path
-    /// costs one unlocked load/store per hook — so `top` works against
-    /// any running live machine, metrics requested or not.
+    /// Every node's cell (owned by that node's kernel). Always wired —
+    /// the hot path costs one unlocked load/store per hook — so `top`
+    /// works against any running live machine, metrics requested or not.
     hub: Arc<TelemetryHub>,
     /// Doorbells, abort flag and exit count (see [`Shared`]).
     shared: Arc<Shared>,
@@ -286,10 +293,6 @@ impl LiveMachine {
             0 => thread_network::<Box<KMsg>>(cfg.nodes),
             cap => thread_network_bounded::<Box<KMsg>>(cfg.nodes, cap),
         };
-        let local_net: Vec<Arc<ThreadNetStats>> = endpoints
-            .iter()
-            .map(|ep| Arc::clone(ep.local_stats()))
-            .collect();
         let kernels: Vec<Kernel> = (0..cfg.nodes)
             .map(|i| {
                 let me = i as NodeId;
@@ -298,8 +301,7 @@ impl LiveMachine {
                 k
             })
             .collect();
-        let cells = kernels.iter().map(|k| Arc::clone(k.cell())).collect();
-        let hub = Arc::new(TelemetryHub::new(cells, local_net));
+        let cells: Vec<Arc<NodeCell>> = kernels.iter().map(|k| Arc::clone(k.cell())).collect();
         let mut job_txs = Vec::with_capacity(cfg.nodes);
         let mut job_rxs = Vec::with_capacity(cfg.nodes);
         for _ in 0..cfg.nodes {
@@ -314,13 +316,14 @@ impl LiveMachine {
                 kernels,
                 nets: endpoints
                     .into_iter()
-                    .map(|ep| LiveNet::new(ep, Arc::clone(&shared)))
+                    .zip(&cells)
+                    .map(|(ep, cell)| LiveNet::new(ep, Arc::clone(&shared), Arc::clone(cell)))
                     .collect(),
                 job_txs,
                 job_rxs,
             },
             anchor: Instant::now(),
-            hub,
+            hub: Arc::new(TelemetryHub::new(cells)),
             shared,
         }
     }
@@ -375,43 +378,19 @@ impl LiveMachine {
     }
 
     /// Assemble the [`SimReport`] from joined kernels — the merge the
-    /// simulator performs ([`SimReport::from_kernels`]), handed the
-    /// thread-network counters, with each node's share of them and of
-    /// its cell in its metrics slice.
-    fn assemble_report(
-        cfg: &MachineConfig,
-        nodes: Vec<NodeDone>,
-        net_stats: &ThreadNetStats,
-        hub: &TelemetryHub,
-    ) -> Result<SimReport, MachineError> {
+    /// simulator performs ([`SimReport::from_kernels`]), with each node's
+    /// nonzero cell counters in its metrics slice.
+    fn assemble_report(cfg: &MachineConfig, nodes: Vec<NodeDone>) -> Result<SimReport, MachineError> {
         let events = nodes.iter().map(|n| n.events).sum();
         let mut kernels: Vec<Kernel> = nodes.into_iter().map(|n| n.kernel).collect();
         if let Some(e) = kernels.iter_mut().find_map(|k| k.failed.take()) {
             return Err(e);
         }
-        let load = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
-        let mut transport = StatSet::new();
-        for (name, c) in [
-            (Folded::ThreadnetPackets, &net_stats.packets),
-            (Folded::ThreadnetBytes, &net_stats.bytes),
-            (Folded::ThreadnetBackpressureHits, &net_stats.backpressure_hits),
-            (Folded::ThreadnetDroppedOnClose, &net_stats.dropped_on_close),
-        ] {
-            transport.add(name.name(), load(c));
-        }
-        let mut report = SimReport::from_kernels(cfg, &kernels, events, &transport);
+        let mut report = SimReport::from_kernels(cfg, &kernels, events, &StatSet::new());
         for n in report.metrics.iter_mut().flat_map(|m| &mut m.nodes) {
-            let i = n.node as usize;
-            let cell = &hub.cells()[i];
-            let (packets_sent, backpressure_hits) = hub.net_sent(i);
-            let named = [
-                (Folded::TelemetryMsgsProcessed.name(), cell.get(Counter::MsgsProcessed)),
-                (Folded::TelemetryNetSends.name(), cell.get(Counter::NetSends)),
-                (Folded::ThreadnetPacketsSent.name(), packets_sent),
-                (Folded::ThreadnetBackpressureHits.name(), backpressure_hits),
-                (Counter::LiveParks.name(), cell.get(Counter::LiveParks)),
-            ];
-            n.counters.extend(named.map(|(name, v)| (name.to_string(), v)));
+            let cell = kernels[n.node as usize].cell();
+            let named = Counter::ALL.iter().map(|&c| (c.name().to_string(), cell.get(c)));
+            n.counters.extend(named.filter(|&(_, v)| v > 0));
         }
         Ok(report)
     }
@@ -470,7 +449,6 @@ impl LiveMachine {
         else {
             unreachable!("matched Staged above")
         };
-        let net_stats = Arc::clone(nets[0].ep.stats());
         // Re-anchor at spawn: bootstrap wall time (program loading)
         // should not count against the run's clocks.
         self.anchor = Instant::now();
@@ -481,11 +459,7 @@ impl LiveMachine {
             .zip(job_rxs)
             .map(|((kernel, net), jobs)| Node::new(kernel, net, jobs, anchor).spawn())
             .collect();
-        self.state = LiveState::Running {
-            handles,
-            job_txs,
-            net_stats,
-        };
+        self.state = LiveState::Running { handles, job_txs };
         Ok(())
     }
 
@@ -524,11 +498,7 @@ impl LiveMachine {
             self.init()?;
         }
         match std::mem::replace(&mut self.state, LiveState::Poisoned) {
-            LiveState::Running {
-                handles,
-                job_txs,
-                net_stats,
-            } => {
+            LiveState::Running { handles, job_txs } => {
                 // Drop the job senders so node loops see a disconnected
                 // queue rather than a forever-pending one.
                 drop(job_txs);
@@ -537,7 +507,7 @@ impl LiveMachine {
                 // node thread has been joined, so the cell totals read
                 // into the report are exact, not a mid-run cut.
                 let nodes = Self::join_nodes(handles, &self.shared, timeout)?;
-                let report = Self::assemble_report(&self.cfg, nodes, &net_stats, &self.hub)?;
+                let report = Self::assemble_report(&self.cfg, nodes)?;
                 self.state = LiveState::Done(Box::new(report.clone()));
                 Ok(report)
             }
@@ -848,9 +818,9 @@ mod tests {
             let (_job_tx, jobs) = channel::<Job>();
             let mut kernel = Kernel::new(KernelConfig::for_node(&cfg, 0), empty_registry());
             kernel.enable_metrics(Metrics::LIVE_CADENCE_NS);
-            let net = LiveNet::new(eps.pop().unwrap(), Arc::clone(&shared));
+            let cell = Arc::clone(kernel.cell());
+            let net = LiveNet::new(eps.pop().unwrap(), Arc::clone(&shared), Arc::clone(&cell));
             let node = Node::new(kernel, net, jobs, Instant::now());
-            let cell = Arc::clone(node.kernel.cell());
             let h = node.spawn();
             // The idle node polls its one peer at once; the peer has no
             // work to give.

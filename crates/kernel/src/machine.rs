@@ -142,8 +142,9 @@ pub struct MachineConfig {
     /// fault-free fast path.
     pub faults: FaultPlan,
     /// Live backend only: per-node receive-queue capacity in packets.
-    /// A send finding the queue full blocks until the receiver drains
-    /// (counted in `ThreadNetStats::backpressure_hits`). `0` =
+    /// A node whose send finds the peer's queue full never blocks: it
+    /// counts the stall once in `threadnet.backpressure_hits`, then
+    /// drains its own queue into a holdback inbox between retries. `0` =
     /// unbounded. Ignored by the sim backend.
     pub live_queue_capacity: usize,
     /// Head-sampling rate for message lifecycle spans, in parts per
@@ -445,7 +446,9 @@ impl SimReport {
             folded[Folded::JoinsFired as usize] += k.joins_fired();
             folded[Folded::RelRetransmits as usize] += links.retransmits;
             folded[Folded::RelAcks as usize] += links.acks;
-            stats.merge_histogram("create.remote_actual_ns", &k.remote_actual_ns);
+            for (&name, h) in &k.histograms {
+                stats.merge_histogram(name, h);
+            }
             reports.extend(k.reports.iter().cloned());
         }
         stats.add_nonzero(Counter::ALL.iter().map(|c| c.name()).zip(counts));
@@ -808,7 +811,7 @@ impl SimMachine {
     pub fn telemetry(&self) -> Arc<crate::metrics::TelemetryHub> {
         let sampled = self.kernels.iter().filter(|k| k.metrics().is_some());
         let cells = sampled.map(|k| Arc::clone(k.cell())).collect();
-        Arc::new(crate::metrics::TelemetryHub::new(cells, Vec::new()))
+        Arc::new(crate::metrics::TelemetryHub::new(cells))
     }
 
     /// The recorded timeline (empty unless

@@ -32,7 +32,7 @@
 //! counted, not stored).
 
 use crate::sync::{RING_JOB, RING_PACKET, RING_STOP};
-use hal_am::{NodeId, ThreadNetStats};
+use hal_am::NodeId;
 use hal_des::json::{self, Style::Block, Style::Inline, Writer};
 use hal_des::Histogram;
 use std::collections::BTreeMap;
@@ -42,8 +42,8 @@ use std::sync::Arc;
 
 hal_des::counters! {
     /// Everything a kernel counts, one slot each in its [`NodeCell`]:
-    /// `kernel/*.rs` writes all but the last five, which the live node
-    /// loop writes around its parks.
+    /// `kernel/*.rs` writes all but the last nine, which the live node
+    /// writes around its parks and its sends.
     pub enum Counter {
         // transport.rs
         NetSends => "net.sends",
@@ -103,25 +103,23 @@ hal_des::counters! {
         LiveWakeJob => "live.wake_job",
         LiveWakeStop => "live.wake_stop",
         LiveWakeTimer => "live.wake_timer",
+        // live.rs: `LiveNet::inject`, once per packet that left the node.
+        ThreadnetPackets => "threadnet.packets",
+        ThreadnetBytes => "threadnet.bytes",
+        ThreadnetBackpressureHits => "threadnet.backpressure_hits",
+        ThreadnetDroppedOnClose => "threadnet.dropped_on_close",
     }
 }
 
 hal_des::counters! {
     /// Names a report computes once, at the end of a run, from state that
     /// is not a [`Counter`] cell: kernel tables, per-peer link counts,
-    /// the thread network's shared stats, the recorders' losses.
+    /// the recorders' losses.
     pub enum Folded {
         ActorsCreated => "actors.created",
         JoinsFired => "joins.fired",
         RelRetransmits => "rel.retransmits",
         RelAcks => "rel.acks",
-        ThreadnetPackets => "threadnet.packets",
-        ThreadnetBytes => "threadnet.bytes",
-        ThreadnetBackpressureHits => "threadnet.backpressure_hits",
-        ThreadnetDroppedOnClose => "threadnet.dropped_on_close",
-        ThreadnetPacketsSent => "threadnet.packets_sent",
-        TelemetryMsgsProcessed => "telemetry.msgs_processed",
-        TelemetryNetSends => "telemetry.net_sends",
         TraceDroppedEvents => "trace.dropped_events",
         MetricsDroppedSamples => "metrics.dropped_samples",
     }
@@ -161,7 +159,7 @@ pub struct LinkStat {
 /// One node's counters and gauges, readable from any thread: cache-line
 /// padded so two nodes' hot counters never share a line. Every field
 /// has exactly one writer, the thread that owns the node — its kernel,
-/// or its `live::Node` loop for the park counters — and everyone else
+/// or its `live::Node` loop for the park and send counters — and everyone else
 /// only loads. That is what lets every counter be bumped with
 /// `NodeCell::add` (a plain load and store) instead of a locked
 /// read-modify-write.
@@ -399,12 +397,12 @@ pub struct NodeMetrics {
     /// Total charged busy time on this node.
     pub busy_ns: u64,
     /// Named counters (e.g. `trace.dropped_events`, folded in when the
-    /// run's report is assembled; the live backend adds its per-node
-    /// transport counters here).
+    /// run's report is assembled; on the live backend also every nonzero
+    /// counter of the node's cell).
     pub counters: BTreeMap<String, u64>,
     /// Per-peer reliable-layer counters.
     pub links: BTreeMap<NodeId, LinkStat>,
-    /// Forward-chain length distribution (log2 buckets).
+    /// Forward-chain length distribution.
     pub chain_epochs: Histogram,
 }
 
@@ -523,13 +521,13 @@ fn write_node(w: &mut Writer, n: &NodeMetrics, util: f64) {
     });
 }
 
-/// A log2 histogram as an inline object: moments plus the non-empty
+/// A histogram as an inline object: moments plus its non-empty log2
 /// buckets as `[bucket_index, count]` pairs.
 pub(crate) fn write_histogram(w: &mut Writer, h: &Histogram) {
     w.obj(Inline, |w| {
         w.key("count").int(h.count()).key("sum").int(h.sum()).key("max").int(h.max());
         w.key("mean").float(h.mean(), 3).key("log2_buckets").arr(Inline, |w| {
-            for (i, &c) in h.bucket_counts().iter().enumerate().filter(|(_, &c)| c > 0) {
+            for (i, c) in h.log2_buckets().into_iter().enumerate().filter(|&(_, c)| c > 0) {
                 w.arr(Inline, |w| {
                     w.int(i).int(c);
                 });
@@ -538,39 +536,24 @@ pub(crate) fn write_histogram(w: &mut Writer, h: &Histogram) {
     });
 }
 
-/// Every node's [`NodeCell`] plus the per-node sender-side
-/// thread-network stats: what a thread that is not a node reads to see
-/// a machine *while it runs* (`top`, `hal-serve --watch`). The
+/// Every node's [`NodeCell`]: what a thread that is not a node reads to
+/// see a machine *while it runs* (`top`, `hal-serve --watch`). The
 /// simulator hands one out too, over its kernels' cells, so `top`
 /// renders one way on both backends.
 #[derive(Debug)]
 pub struct TelemetryHub {
     cells: Vec<Arc<NodeCell>>,
-    /// Sender-side channel stats per node (from
-    /// [`hal_am::ThreadEndpoint::local_stats`]); empty on the simulator.
-    net: Vec<Arc<ThreadNetStats>>,
 }
 
 impl TelemetryHub {
-    /// A hub over `cells` and per-node sender-side network stats.
-    pub fn new(cells: Vec<Arc<NodeCell>>, net: Vec<Arc<ThreadNetStats>>) -> Self {
-        TelemetryHub { cells, net }
+    /// A hub over `cells`, indexed by node id.
+    pub fn new(cells: Vec<Arc<NodeCell>>) -> Self {
+        TelemetryHub { cells }
     }
 
     /// The node cells, indexed by node id.
     pub fn cells(&self) -> &[Arc<NodeCell>] {
         &self.cells
-    }
-
-    /// Node `node`'s sender-side `(packets sent, stalls on a full
-    /// bounded channel)`.
-    pub fn net_sent(&self, node: usize) -> (u64, u64) {
-        self.net.get(node).map_or((0, 0), |s| {
-            (
-                s.packets.load(Ordering::Relaxed),
-                s.backpressure_hits.load(Ordering::Relaxed),
-            )
-        })
     }
 
     /// The `top` text: per-node throughput, utilization, gauges and
@@ -603,7 +586,7 @@ impl TelemetryHub {
                 c.get(Counter::NetSends),
                 links.retransmits,
                 links.acks,
-                self.net_sent(i).1,
+                c.get(Counter::ThreadnetBackpressureHits),
                 c.get(Counter::LiveParks) as f64 / secs,
             );
         }
@@ -727,9 +710,8 @@ mod tests {
         a.cell.count(Counter::MsgsProcessed, 10);
         b.busy(500_000_000);
         b.cell.link_ack(0);
-        let net: Vec<_> = (0..2).map(|_| Arc::new(ThreadNetStats::default())).collect();
-        net[1].backpressure_hits.fetch_add(7, Ordering::Relaxed);
-        let hub = TelemetryHub::new(vec![Arc::clone(&a.cell), Arc::clone(&b.cell)], net);
+        b.cell.count(Counter::ThreadnetBackpressureHits, 7);
+        let hub = TelemetryHub::new(vec![Arc::clone(&a.cell), Arc::clone(&b.cell)]);
         let top = hub.top(1_000_000_000);
         let rows: Vec<Vec<&str>> = top.lines().map(|l| l.split_whitespace().collect()).collect();
         assert_eq!(rows[0][..3], ["node", "thr/s", "util%"], "{top}");

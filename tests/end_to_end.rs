@@ -168,7 +168,7 @@ fn live_local_round_trips_are_counted_exactly() {
     let busy = cell.busy_ns.load(Ordering::Relaxed);
     assert_eq!(processed, trips + 1, "cell lost or gained dispatches");
     let drained = &live.metrics.as_ref().expect("live metrics").nodes[0];
-    assert_eq!(drained.counters["telemetry.msgs_processed"], processed);
+    assert_eq!(drained.counters["msgs.processed"], processed, "the node's cell, under its report name");
     assert_eq!(drained.busy_ns, busy);
 
     let (_, sim) = run(BackendKind::Sim);
