@@ -133,6 +133,23 @@ echo '        self.stats.packets.fetch_add(1, Ordering::Relaxed);' >"$planted"
 thread_counts "$planted" >/dev/null || { echo "ci: the uncounted-network gate is inert"; rm -f "$planted"; exit 1; }
 rm -f "$planted"
 
+echo "== reliable windows are rings: no BTreeMap in am/src/reliable.rs =="
+# Both per-peer windows of the reliable layer are VecDeque rings indexed
+# by sequence number (unacked packets on the sender, holdback slots on
+# the receiver). A BTreeMap there is the ordered-map window growing back:
+# a node allocation per packet and a tree walk per ack.
+rel_trees() {
+  grep -nE 'BTreeMap' "$@"
+}
+if rel_trees crates/am/src/reliable.rs; then
+  echo "ci: an ordered map in the reliable layer (use a ring)"; exit 1
+fi
+# The gate must catch a planted line.
+planted="$(mktemp)"
+echo '    unacked: BTreeMap<u64, (RelPayload<P>, usize)>,' >"$planted"
+rel_trees "$planted" >/dev/null || { echo "ci: the ring-window gate is inert"; rm -f "$planted"; exit 1; }
+rm -f "$planted"
+
 echo "== one-slot joins: no arity-1 create_join in crates/, tests/, examples/ =="
 # A join awaiting one reply is Ctx::create_reply_join: the reply moves
 # straight into its body. create_join(1, ...) builds a slot vector and a
@@ -263,15 +280,16 @@ fi
 
 echo "== chaos smoke =="
 # The chaos harness asserts exactly-once delivery under seeded faults
-# internally; a violation exits nonzero. Run from a scratch dir so quick
-# runs don't clobber committed results/.
+# internally, and --check runs hal-check over every chase's trace; a
+# violation or a DIRTY verdict exits nonzero. Run from a scratch dir so
+# quick runs don't clobber committed results/.
 repo_root="$PWD"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 mkdir -p "$smoke_dir/results"
-(cd "$smoke_dir" && "$repo_root/target/release/repro_all" chaos_delivery --quick >/dev/null 2>&1) \
+(cd "$smoke_dir" && "$repo_root/target/release/repro_all" chaos_delivery --quick --check >/dev/null 2>&1) \
   || { echo "ci: chaos_delivery failed"; exit 1; }
-echo "   chaos_delivery: exactly-once under faults"
+echo "   chaos_delivery: exactly-once under faults, hal-check CLEAN"
 
 echo "== spans/metrics smoke (table4_fib --spans --metrics) =="
 # The observability exports are derived from virtual-time facts only,

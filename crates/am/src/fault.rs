@@ -77,17 +77,18 @@ pub struct FaultPlan {
     /// Timed windows during which one node freezes.
     pub node_pauses: Vec<NodePause>,
     /// Engage the reliable-delivery protocol (per-link sequence
-    /// numbers, cumulative acks, timeout/backoff retransmit, in-order
-    /// holdback). On by default; turning it off exposes raw fault
+    /// numbers, cumulative acks, RTT-timed and fast retransmit, in-order
+    /// holdback; [`crate::reliable`]). On by default; turning it off exposes raw fault
     /// behavior to the kernel protocols — useful for experiments like
     /// the FIR-watchdog unit test, but exactly-once delivery no longer
     /// holds under drop/duplicate faults.
     pub reliable: bool,
-    /// Initial retransmit timeout: an unacked reliable packet is
-    /// re-sent this long after transmission, then with exponential
-    /// backoff.
+    /// Retransmit timeout before a link's first round-trip sample, and
+    /// the floor of the measured one (`SRTT + 4·RTTVAR`): an unacked
+    /// reliable packet is re-sent once it has been out this long and
+    /// the link has made no progress for as long.
     pub rto: VirtualDuration,
-    /// Cap on the backed-off retransmit (and FIR watchdog) interval.
+    /// Cap on the retransmit timeout, measured or doubled by timeouts.
     pub rto_max: VirtualDuration,
     /// FIR watchdog: an FIR still unanswered this long after it was
     /// sent is re-issued toward the current best-guess location.

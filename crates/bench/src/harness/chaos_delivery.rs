@@ -3,7 +3,8 @@
 //! The migration-chase workload from `fig3_delivery` runs again, but
 //! with the fault plan live: every link drops, duplicates, and reorders
 //! packets with probability `rate`, and the reliable-delivery layer
-//! (per-link sequence numbers, cumulative acks, timeout retransmit —
+//! (per-link sequence numbers, cumulative acks, retransmit timed by
+//! each link's measured round trip, fast retransmit —
 //! DESIGN.md §"Fault injection & reliable delivery") must still deliver
 //! every racing probe exactly once to an actor that keeps migrating out
 //! from under them. Columns show what the reliability layer paid:
@@ -44,9 +45,10 @@ pub fn run(s: &mut Session) {
         "Chaos: exactly-once delivery under seeded link faults (8 nodes)",
         "Every link drops/duplicates/reorders packets at the given rate\n\
          while 40 probes chase an actor through an 8-hop migration walk.\n\
-         The reliable layer retransmits on timeout and suppresses\n\
-         duplicates by per-link sequence number; delivery stays exactly\n\
-         once at every rate.",
+         The reliable layer retransmits after each link's measured\n\
+         round-trip timeout or on the second duplicate ack, and\n\
+         suppresses duplicates by per-link sequence number; delivery\n\
+         stays exactly once at every rate.",
     );
     s.header(
         &["rate", "delivered", "retx", "dup-suppr", "dropped", "dup'd", "FIR-rtx"],

@@ -292,6 +292,18 @@ impl Kernel {
         epoch: u32,
     ) {
         self.charge(self.cfg.cost.fir_handle);
+        if self.firs.is_pending(key) && self.believes_later(key, epoch) {
+            // An answer to an FIR from an earlier episode (often one the
+            // watchdog re-issued) that this node has outgrown: the actor
+            // passed through here, or gossip named a later hop, since it
+            // was asked. Closing the open chase with it would send the
+            // parked mail back down the chain; ask again from the newer
+            // belief instead.
+            let span = self.chase_span(key);
+            self.trace_event_span(KernelEvent::FirStale { key, epoch }, span, 0);
+            self.reissue_fir(key, span);
+            return;
+        }
         self.count(Counter::FirFound);
         self.repair_descriptor(key, node, index, epoch);
         if let Some(m) = self.metrics.as_deref_mut() {
@@ -311,6 +323,33 @@ impl Kernel {
                 self.send_deliver(node, key, Some(index), node, msg);
             }
         }
+    }
+
+    /// True when this node holds a forward pointer for `key` from a
+    /// later hop than `epoch`.
+    fn believes_later(&mut self, key: AddrKey, epoch: u32) -> bool {
+        let Some(d) = self.names.descriptor_for(key) else {
+            return false;
+        };
+        let desc = self.names.descriptor(d);
+        matches!(desc.locality, Locality::Remote { .. }) && desc.epoch > epoch
+    }
+
+    /// Send the open chase for `key` one hop on again, from current
+    /// knowledge: our best guess if we have one, else the birthplace
+    /// (which always learns of migrations, §4.3). Returns false when
+    /// there is nowhere to send it (the actor is here).
+    pub(super) fn reissue_fir(&mut self, key: AddrKey, span: u64) -> bool {
+        let next = match self.names.resolve(key) {
+            Resolution::Remote { node, .. } => node,
+            Resolution::Local(_) => return false,
+            Resolution::Unknown => key.birthplace,
+        };
+        if next == self.cfg.me {
+            return false;
+        }
+        self.net_send(next, KMsg::Fir { key, span });
+        true
     }
 
     /// The chase for `key` ends on this node, with the actor found on

@@ -317,7 +317,7 @@ impl Kernel {
             cell,
             histograms: BTreeMap::new(),
             reports: Vec::new(),
-            rel_tx: RelSender::new(),
+            rel_tx: RelSender::for_plan(&cfg.faults),
             rel_rx: RelReceiver::new(),
             pauses: cfg.faults.pauses_for(cfg.me),
             failed: None,
@@ -623,6 +623,7 @@ mod tests {
     use crate::addr::{BehaviorId, DescriptorId, MailAddr};
     use crate::machine::SimMachine;
     use crate::message::Target;
+    use crate::wire::ActorImage;
     use hal_am::Packet;
 
     /// Selector 0 with address arguments: report the time, then message
@@ -700,6 +701,61 @@ mod tests {
         assert!(matches!(outbox[0], Outbound::Packet { dst: 0, at, .. } if at == first));
         assert!(matches!(outbox[1], Outbound::Timer { fire_at, .. } if fire_at == first + rto));
         assert!(matches!(outbox[2], Outbound::Packet { dst: 2, at, .. } if at == second));
+    }
+
+    /// A packet from `src` to node 1 carrying one kernel message.
+    fn to_node1(src: NodeId, body: KMsg) -> Packet<Box<KMsg>> {
+        Packet { src, dst: 1, body: AmEnvelope::Small(Box::new(body)) }
+    }
+
+    /// The kernel messages in the outbox, by destination.
+    fn sent(k: &mut Kernel) -> Vec<(NodeId, KMsg)> {
+        k.drain_outbox()
+            .filter_map(|o| match o {
+                Outbound::Packet { dst, env: AmEnvelope::Small(body), .. } => Some((dst, *body)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// An FIR reply older than what the node learned since it asked must
+    /// not close the node's open chase: an actor born on node 0 arrives
+    /// here at epoch 1 and leaves for node 2 (epoch 2), a message for it
+    /// opens a chase toward 2, and then an answer naming node 0 at epoch
+    /// 0 arrives. The chase stays open and asks node 2 again; the parked
+    /// message goes where the fresh answer says, never back to node 0.
+    #[test]
+    fn a_stale_fir_reply_does_not_close_a_newer_chase() {
+        let (mut k, _) = relay_kernel(FaultPlan::none());
+        let key = AddrKey { birthplace: 0, index: DescriptorId(7) };
+        let image = ActorImage {
+            behavior: Box::new(Relay),
+            mailq: vec![],
+            pendq: vec![],
+            keys: vec![key],
+            group: None,
+            hops: 1,
+        };
+        let t = |us: u64| VirtualTime::from_nanos(us * 1_000);
+        k.deliver(t(1), to_node1(0, KMsg::MigrateArrive { image, from: 0, stolen: false }));
+        let crate::name_server::Resolution::Local(aid) = k.names.resolve(key) else {
+            panic!("the actor arrived");
+        };
+        k.migrate_out(aid, 2, false);
+        sent(&mut k);
+        let target = Target::Addr { key, dst_desc: None, route_hint: 0 };
+        k.deliver(t(2), to_node1(0, KMsg::Deliver { target, msg: Msg::new(0, vec![]) }));
+        assert!(matches!(sent(&mut k)[..], [(2, KMsg::Fir { .. })]), "chase opened toward 2");
+
+        let stale = KMsg::FirFound { key, node: 0, index: DescriptorId(7), epoch: 0 };
+        k.deliver(t(3), to_node1(2, stale));
+        assert!(k.firs.is_pending(key), "the stale answer left the chase open");
+        assert!(matches!(sent(&mut k)[..], [(2, KMsg::Fir { .. })]), "asked node 2 again");
+
+        let fresh = KMsg::FirFound { key, node: 2, index: DescriptorId(3), epoch: 2 };
+        k.deliver(t(4), to_node1(2, fresh));
+        assert!(!k.firs.is_pending(key));
+        assert!(matches!(sent(&mut k)[..], [(2, KMsg::Deliver { .. })]), "mail follows the answer");
     }
 
     /// The "already advised" set follows the actors alive, not the

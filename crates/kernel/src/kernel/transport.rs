@@ -7,10 +7,11 @@
 use super::{Kernel, Outbound};
 use crate::error::MachineError;
 use crate::metrics::Counter;
-use crate::name_server::Resolution;
 use crate::trace::KernelEvent;
 use crate::wire::KMsg;
-use hal_am::{AmEnvelope, MAX_SMALL_BYTES, NodeId, Packet, REL_HEADER, RetxDecision, RxOutcome};
+use hal_am::{
+    AmEnvelope, MAX_SMALL_BYTES, NodeId, Packet, REL_HEADER, Resend, RetxDecision, RxOutcome,
+};
 use hal_des::{VirtualDuration, VirtualTime};
 
 impl Kernel {
@@ -131,6 +132,7 @@ impl Kernel {
             }
             _ => 0,
         };
+        self.rel_tx.at(self.clock);
         let ticket = self.rel_tx.register(dst, env, wire);
         if span != 0 {
             if let Some(r) = self.recorder.as_deref_mut() {
@@ -148,23 +150,25 @@ impl Kernel {
             bytes: wire,
         };
         self.emit(dst, rel, wire + REL_HEADER);
-        if ticket.arm_timer {
-            self.arm_timer(self.cfg.faults.rto, KMsg::RetxTimer { peer: dst });
+        if let Some(after) = ticket.arm_timer {
+            self.arm_timer(after, KMsg::RetxTimer { peer: dst });
         }
     }
 
-    /// Exponential backoff for retransmissions: `rto << attempt`, capped
-    /// at `rto_max`.
-    fn retx_delay(&self, attempt: u32) -> VirtualDuration {
-        let ns = self
-            .cfg
-            .faults
-            .rto
-            .as_nanos()
-            .checked_shl(attempt.min(16))
-            .unwrap_or(u64::MAX)
-            .min(self.cfg.faults.rto_max.as_nanos());
-        VirtualDuration::from_nanos(ns)
+    /// Put an unacked reliable packet on the wire again (timeout or
+    /// fast retransmit).
+    fn resend(&mut self, peer: NodeId, copy: Resend<Box<KMsg>>) {
+        let Resend { seq, payload, bytes } = copy;
+        self.charge(self.cfg.cost.net_send_overhead);
+        self.cell.link_retransmit(peer);
+        let span = self
+            .recorder
+            .as_deref()
+            .and_then(|r| r.rel_span.get(&(peer, seq)).copied())
+            .unwrap_or(0);
+        self.trace_event_span(KernelEvent::Retransmit { peer, seq }, span, 0);
+        let rel = AmEnvelope::Rel { seq, body: payload, bytes };
+        self.emit(peer, rel, bytes + REL_HEADER);
     }
 
     // ------------------------------------------------------------------
@@ -225,7 +229,10 @@ impl Kernel {
                         self.emit(pkt.src, AmEnvelope::RelAck { cum }, 16 + REL_HEADER);
                     }
                     AmEnvelope::RelAck { cum } => {
-                        self.rel_tx.on_ack(pkt.src, cum);
+                        self.rel_tx.at(self.clock);
+                        if let Some(copy) = self.rel_tx.on_ack(pkt.src, cum) {
+                            self.resend(pkt.src, copy);
+                        }
                     }
                     env => self.handle_envelope(pkt.src, env),
                 }
@@ -316,24 +323,18 @@ impl Kernel {
     /// A timer that is not stale fired.
     fn handle_timer(&mut self, body: KMsg) {
         match body {
-            KMsg::RetxTimer { peer } => match self.rel_tx.timer_fired(peer) {
-                RetxDecision::Stale => {}
-                RetxDecision::Retransmit { copies, attempt } => {
-                    for (seq, payload, bytes) in copies {
-                        self.charge(self.cfg.cost.net_send_overhead);
-                        self.cell.link_retransmit(peer);
-                        let span = self
-                            .recorder
-                            .as_deref()
-                            .and_then(|r| r.rel_span.get(&(peer, seq)).copied())
-                            .unwrap_or(0);
-                        self.trace_event_span(KernelEvent::Retransmit { peer, seq }, span, 0);
-                        let rel = AmEnvelope::Rel { seq, body: payload, bytes };
-                        self.emit(peer, rel, bytes + REL_HEADER);
+            KMsg::RetxTimer { peer } => {
+                self.rel_tx.at(self.clock);
+                match self.rel_tx.timer_fired(peer) {
+                    RetxDecision::Stale => {}
+                    RetxDecision::Rearm { copies, after } => {
+                        for copy in copies {
+                            self.resend(peer, copy);
+                        }
+                        self.arm_timer(after, KMsg::RetxTimer { peer });
                     }
-                    self.arm_timer(self.retx_delay(attempt), KMsg::RetxTimer { peer });
                 }
-            },
+            }
             KMsg::FirTimer { key } => {
                 if !self.firs.is_pending(key) {
                     return; // reply arrived first; let the watchdog die
@@ -342,16 +343,7 @@ impl Kernel {
                 self.count(Counter::FirReissued);
                 let span = self.chase_span(key);
                 self.trace_event_span(KernelEvent::FirTimeout { key, retries }, span, 0);
-                // Re-chase from current knowledge: our best guess if we
-                // have one, else the birthplace (which always learns of
-                // migrations, §4.3).
-                let next = match self.names.resolve(key) {
-                    Resolution::Remote { node, .. } => node,
-                    Resolution::Local(_) => return, // arrived here; chase is moot
-                    Resolution::Unknown => key.birthplace,
-                };
-                if next != self.cfg.me {
-                    self.net_send(next, KMsg::Fir { key, span });
+                if self.reissue_fir(key, span) {
                     self.arm_timer(self.cfg.faults.fir_timeout, KMsg::FirTimer { key });
                 }
             }

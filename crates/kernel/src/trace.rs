@@ -179,6 +179,15 @@ pub enum KernelEvent {
         /// How many times this chase has been re-issued.
         retries: u32,
     },
+    /// An FIR reply older than this node's own belief arrived while a
+    /// chase was open: the chase stays open and its FIR goes out again
+    /// toward the newer belief.
+    FirStale {
+        /// The chased identity key.
+        key: AddrKey,
+        /// The stale reply's location epoch.
+        epoch: u32,
+    },
     /// An actor was installed in this node's name table under `key`
     /// (local creation, the remote side of a §5 creation, or a group
     /// member install). The protocol checker anchors its
@@ -230,6 +239,7 @@ impl KernelEvent {
             KernelEvent::Drop { .. } => "Drop",
             KernelEvent::Retransmit { .. } => "Retransmit",
             KernelEvent::FirTimeout { .. } => "FirTimeout",
+            KernelEvent::FirStale { .. } => "FirStale",
             KernelEvent::ActorCreated { .. } => "ActorCreated",
             KernelEvent::NameRepaired { .. } => "NameRepaired",
             KernelEvent::RelDelivered { .. } => "RelDelivered",
@@ -748,6 +758,7 @@ fn write_chrome_args(w: &mut Writer, event: &KernelEvent) {
         KernelEvent::AliasCreated { key: k, target } => key(w, k).key("target").int(target),
         KernelEvent::AliasResolved { key: k, latency_ns } => key(w, k).key("latency_ns").int(latency_ns),
         KernelEvent::FirTimeout { key: k, retries } => key(w, k).key("retries").int(retries),
+        KernelEvent::FirStale { key: k, epoch } => key(w, k).key("epoch").int(epoch),
         KernelEvent::NameRepaired { key: k, node, epoch } => {
             key(w, k).key("node").int(node).key("epoch").int(epoch)
         }

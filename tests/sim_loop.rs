@@ -2,9 +2,12 @@
 //!
 //! `SimMachine::run` is one sequential loop whose poll gating, window
 //! indexing and event counting decide every steal column and event count
-//! in `results/`. The constants below were taken at the commit before the
-//! windowed parallel executor was removed (PR 17) and must not move: a
-//! drift here is a change of simulation semantics, not noise.
+//! in `results/`. The fault-free constants below were taken at the commit
+//! before the windowed parallel executor was removed (PR 17) and must not
+//! move: a drift here is a change of simulation semantics, not noise.
+//! The chaos chase's constants also pin the reliable layer's retransmit
+//! policy (per-link RTT estimate, restart on progress, fast retransmit);
+//! they were re-taken when that policy replaced the fixed timeout.
 //!
 //! The rest of the file covers the regimes that one loop now owns
 //! alone: a zero-lookahead link with load balancing on, the event valve
@@ -101,9 +104,10 @@ fn chase_under_chaos_is_pinned() {
         .map(|v| v.as_int())
         .collect();
     assert_eq!(seq, (1..=PROBES).collect::<Vec<_>>(), "exactly once, in order");
-    assert_eq!(r.events, 829, "events");
-    assert_eq!(r.makespan.as_nanos(), 1_645_936, "makespan");
-    assert_eq!(r.stats.get("net.fault_dropped"), 112, "packets the fault layer ate");
+    assert_eq!(r.events, 536, "events");
+    assert_eq!(r.makespan.as_nanos(), 2_146_832, "makespan");
+    assert_eq!(r.stats.get("net.fault_dropped"), 76, "packets the fault layer ate");
+    assert_eq!(r.stats.get("rel.retransmits"), 88, "packets the reliable layer re-sent");
     assert_eq!(r.stats.get("steal.granted"), 0, "steal hits (balancing is off)");
     assert_eq!(r.actors_created, 10, "actors created");
 }
