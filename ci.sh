@@ -179,6 +179,40 @@ printf '%s\n' '        let jc = ctx.create_join(' '            2,' '            
 [ -z "$(one_slot_joins "$planted")" ] || { echo "ci: the one-slot-join gate refuses a two-slot join"; rm -f "$planted"; exit 1; }
 rm -f "$planted"
 
+echo "== one configuration record: no kernel config type, no per-node copies =="
+# Every node runs the same kernel, configured by the machine's one
+# MachineConfig (crates/kernel/src/machine.rs): a Kernel keeps its node id
+# and a clone of that record, and decides what depends on the backend or
+# the partition size where it reads it. A second *Config struct in the
+# kernel, a per-node copying function, a sampler swapped in after
+# construction, a record_* copy of ObserveOpts or a pooled argument
+# buffer is a second copy of a setting growing back.
+config_structs() {
+  grep -nE '\bstruct[[:space:]]+[A-Za-z]*Config' "$@" | grep -v '^crates/kernel/src/machine\.rs:'
+}
+config_copies() {
+  grep -nE 'for_node\(|enable_metrics\(|args_pool|record_(trace|metrics|timeline)' "$@"
+}
+if config_structs -r crates/kernel/src; then
+  echo "ci: a configuration type in the kernel besides MachineConfig"; exit 1
+fi
+if config_copies -r crates tests examples; then
+  echo "ci: a copy of a MachineConfig setting"; exit 1
+fi
+# Each gate must catch a planted line of each kind.
+planted="$(mktemp)"
+echo 'pub struct KernelConfig {' >"$planted"
+config_structs "$planted" >/dev/null || { echo "ci: the one-config-type gate is inert"; rm -f "$planted"; exit 1; }
+for line in '    let kcfg = KernelConfig::for_node(&cfg, me);' \
+            '    k.enable_metrics(Metrics::LIVE_CADENCE_NS);' \
+            '    args_pool: Vec<Vec<Value>>,' \
+            '    pub record_trace: bool,' '    pub record_metrics: bool,' \
+            '    if self.cfg.record_timeline {'; do
+  echo "$line" >"$planted"
+  config_copies "$planted" >/dev/null || { echo "ci: the no-copies gate is inert"; rm -f "$planted"; exit 1; }
+done
+rm -f "$planted"
+
 echo "== README.md and DESIGN.md name only crates/ paths that exist =="
 # Every backticked or linked crates/... path (globs allowed, a :line
 # suffix ignored) must be in the tree. EXPERIMENTS.md is history and is

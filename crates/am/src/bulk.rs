@@ -22,8 +22,6 @@ struct Parked<P> {
 pub struct BulkSender<P> {
     parked: Map<BulkTag, Parked<P>>,
     next_tag: BulkTag,
-    started: u64,
-    completed: u64,
 }
 
 impl<P> BulkSender<P> {
@@ -34,8 +32,6 @@ impl<P> BulkSender<P> {
         BulkSender {
             parked: Map::default(),
             next_tag: (node as u64) << 48,
-            started: 0,
-            completed: 0,
         }
     }
 
@@ -46,7 +42,6 @@ impl<P> BulkSender<P> {
     pub fn begin(&mut self, dst: NodeId, body: P, bytes: usize) -> (BulkTag, AmEnvelope<P>) {
         let tag = self.next_tag;
         self.next_tag += 1;
-        self.started += 1;
         self.parked.insert(tag, Parked { dst, body, bytes });
         (tag, AmEnvelope::BulkRequest { tag, bytes })
     }
@@ -62,7 +57,6 @@ impl<P> BulkSender<P> {
             .parked
             .remove(&tag)
             .expect("BulkAck for a tag with no parked transfer");
-        self.completed += 1;
         let bytes = parked.bytes;
         (
             parked.dst,
@@ -78,11 +72,6 @@ impl<P> BulkSender<P> {
     /// Transfers announced but not yet granted.
     pub fn in_progress(&self) -> usize {
         self.parked.len()
-    }
-
-    /// Total transfers whose data phase was released (diagnostics).
-    pub fn completed_total(&self) -> u64 {
-        self.completed
     }
 }
 
@@ -160,7 +149,7 @@ mod tests {
             }
         }
         assert_eq!(delivered, payloads, "in-order, exactly-once delivery");
-        assert_eq!(tx.completed_total(), 10);
-        assert_eq!(fc.granted_total(), 10);
+        assert_eq!(tx.in_progress(), 0, "every parked payload released");
+        assert_eq!((fc.active(), fc.queued()), (None, 0));
     }
 }

@@ -29,8 +29,6 @@ pub struct Grant {
 pub struct FlowControl {
     active: Option<Grant>,
     waiting: VecDeque<Grant>,
-    granted_total: u64,
-    max_queue: usize,
 }
 
 impl FlowControl {
@@ -46,11 +44,9 @@ impl FlowControl {
         let g = Grant { to: src, tag };
         if self.active.is_none() {
             self.active = Some(g);
-            self.granted_total += 1;
             Some(g)
         } else {
             self.waiting.push_back(g);
-            self.max_queue = self.max_queue.max(self.waiting.len());
             None
         }
     }
@@ -72,13 +68,8 @@ impl FlowControl {
             Grant { to: src, tag },
             "bulk data does not match the active grant"
         );
-        if let Some(next) = self.waiting.pop_front() {
-            self.active = Some(next);
-            self.granted_total += 1;
-            Some(next)
-        } else {
-            None
-        }
+        self.active = self.waiting.pop_front();
+        self.active
     }
 
     /// The currently active grant, if any.
@@ -89,16 +80,6 @@ impl FlowControl {
     /// Number of requests waiting for a grant.
     pub fn queued(&self) -> usize {
         self.waiting.len()
-    }
-
-    /// Total grants ever issued (diagnostics).
-    pub fn granted_total(&self) -> u64 {
-        self.granted_total
-    }
-
-    /// High-water mark of the wait queue (diagnostics: congestion signal).
-    pub fn max_queue_depth(&self) -> usize {
-        self.max_queue
     }
 }
 
@@ -128,8 +109,7 @@ mod tests {
         let g3 = fc.on_data_complete(2, 20).unwrap();
         assert_eq!(g3, Grant { to: 3, tag: 30 });
         assert!(fc.on_data_complete(3, 30).is_none());
-        assert_eq!(fc.granted_total(), 3);
-        assert_eq!(fc.max_queue_depth(), 2);
+        assert_eq!((fc.active(), fc.queued()), (None, 0));
     }
 
     #[test]

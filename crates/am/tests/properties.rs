@@ -61,8 +61,7 @@ fn flow_control_safety_and_liveness() {
             granted_order, requested_order,
             "case {case}: FIFO grants, exactly once"
         );
-        assert_eq!(fc.granted_total(), requested_order.len() as u64);
-        assert_eq!(fc.queued(), 0);
+        assert_eq!((fc.active(), fc.queued()), (None, 0), "case {case}");
     }
 }
 

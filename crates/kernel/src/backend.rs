@@ -113,10 +113,6 @@ impl Machine {
     /// Panics on an invalid configuration, exactly as
     /// [`SimMachine::new`] does.
     pub fn simulated(cfg: MachineConfig, registry: Arc<BehaviorRegistry>) -> Self {
-        let cfg = MachineConfig {
-            backend: BackendKind::Sim,
-            ..cfg
-        };
         Machine::Sim(Box::new(SimMachine::new(cfg, registry)))
     }
 
@@ -126,10 +122,6 @@ impl Machine {
     /// Panics on an invalid configuration, exactly as
     /// [`LiveMachine::new`] does.
     pub fn live(cfg: MachineConfig, registry: Arc<BehaviorRegistry>) -> Self {
-        let cfg = MachineConfig {
-            backend: BackendKind::Live,
-            ..cfg
-        };
         Machine::Live(Box::new(LiveMachine::new(cfg, registry)))
     }
 

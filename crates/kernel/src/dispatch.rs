@@ -18,7 +18,6 @@ use std::collections::VecDeque;
 #[derive(Default)]
 pub struct Dispatcher {
     ready: VecDeque<ActorId>,
-    dispatched_total: u64,
 }
 
 impl Dispatcher {
@@ -46,23 +45,13 @@ impl Dispatcher {
     /// Next actor to run.
     #[inline]
     pub fn pop(&mut self) -> Option<ActorId> {
-        let id = self.ready.pop_front();
-        if id.is_some() {
-            self.dispatched_total += 1;
-        }
-        id
-    }
-
-    /// Pick a victim for work stealing: the *back* of the queue (coldest
-    /// work, most likely a large untouched subtree — the classic
-    /// steal-from-the-tail heuristic).
-    pub fn steal_candidate(&mut self) -> Option<ActorId> {
-        self.ready.pop_back()
+        self.ready.pop_front()
     }
 
     /// Take up to half the ready queue (capped) from the tail — the
     /// work-splitting rule of receiver-initiated random polling (Kumar,
-    /// Grama & Rao): a loaded victim donates half its pending work.
+    /// Grama & Rao): a loaded victim donates half its pending work. The
+    /// tail is the coldest work, most likely a large untouched subtree.
     pub fn steal_half(&mut self, cap: usize) -> Vec<ActorId> {
         let take = (self.ready.len() / 2).min(cap);
         let mut out = Vec::with_capacity(take);
@@ -85,11 +74,6 @@ impl Dispatcher {
     pub fn is_empty(&self) -> bool {
         self.ready.is_empty()
     }
-
-    /// Total dispatches (diagnostics).
-    pub fn dispatched_total(&self) -> u64 {
-        self.dispatched_total
-    }
 }
 
 #[cfg(test)]
@@ -106,7 +90,7 @@ mod tests {
         assert_eq!(d.pop(), Some(ActorId(2)));
         assert_eq!(d.pop(), Some(ActorId(3)));
         assert_eq!(d.pop(), None);
-        assert_eq!(d.dispatched_total(), 3);
+        assert!(d.is_empty());
     }
 
     #[test]
@@ -115,7 +99,10 @@ mod tests {
         d.push(ActorId(1));
         d.push(ActorId(2));
         d.push(ActorId(3));
-        assert_eq!(d.steal_candidate(), Some(ActorId(3)));
+        d.push(ActorId(4));
+        d.push(ActorId(5));
+        assert_eq!(d.steal_half(8), [ActorId(5), ActorId(4)]);
+        assert_eq!(d.steal_half(1), [ActorId(3)], "capped");
         assert_eq!(d.pop(), Some(ActorId(1)));
         assert_eq!(d.len(), 1);
     }
@@ -133,8 +120,9 @@ mod tests {
     fn empty_dispatcher_reports_empty() {
         let mut d = Dispatcher::new();
         assert!(d.is_empty());
-        assert_eq!(d.steal_candidate(), None);
+        assert!(d.steal_half(8).is_empty());
         d.push(ActorId(0));
+        assert!(d.steal_half(8).is_empty(), "half of one is none");
         assert!(!d.is_empty());
     }
 }

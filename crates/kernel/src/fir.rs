@@ -40,9 +40,6 @@ pub struct FirPending {
 #[derive(Default)]
 pub struct FirTable {
     pending: Map<AddrKey, FirPending>,
-    sent_total: u64,
-    suppressed_total: u64,
-    reissued_total: u64,
 }
 
 impl FirTable {
@@ -58,13 +55,9 @@ impl FirTable {
         match self.pending.entry(key) {
             Entry::Vacant(v) => {
                 v.insert(FirPending::default());
-                self.sent_total += 1;
                 true
             }
-            Entry::Occupied(_) => {
-                self.suppressed_total += 1;
-                false
-            }
+            Entry::Occupied(_) => false,
         }
     }
 
@@ -104,16 +97,6 @@ impl FirTable {
         self.pending.len()
     }
 
-    /// FIRs actually sent (diagnostics; Fig. 3 reproduction counts these).
-    pub fn sent_total(&self) -> u64 {
-        self.sent_total
-    }
-
-    /// Duplicate FIRs suppressed (diagnostics).
-    pub fn suppressed_total(&self) -> u64 {
-        self.suppressed_total
-    }
-
     /// The chaos watchdog decided to re-issue the FIR for `key` (its
     /// reply is overdue — presumed lost). Returns the new retry count
     /// for the [`crate::trace::KernelEvent::FirTimeout`] record. Must
@@ -124,13 +107,7 @@ impl FirTable {
             .get_mut(&key)
             .expect("reissue without an outstanding FIR");
         p.retries += 1;
-        self.reissued_total += 1;
         p.retries
-    }
-
-    /// FIRs re-issued by the chaos watchdog (diagnostics).
-    pub fn reissued_total(&self) -> u64 {
-        self.reissued_total
     }
 }
 
@@ -154,8 +131,7 @@ mod tests {
         assert!(t.need_location(k), "first request sends an FIR");
         assert!(!t.need_location(k), "second is suppressed");
         assert!(!t.need_location(k));
-        assert_eq!(t.sent_total(), 1);
-        assert_eq!(t.suppressed_total(), 2);
+        assert_eq!(t.outstanding(), 1, "one chase, however many asked");
     }
 
     #[test]
@@ -192,7 +168,7 @@ mod tests {
     }
 
     #[test]
-    fn reissue_counts_per_chase_and_globally() {
+    fn reissue_counts_per_chase() {
         let mut t = FirTable::new();
         let k = key(4, 1);
         t.need_location(k);
@@ -200,7 +176,6 @@ mod tests {
         assert_eq!(t.note_reissue(k), 2);
         t.need_location(key(4, 2));
         assert_eq!(t.note_reissue(key(4, 2)), 1, "retries are per chase");
-        assert_eq!(t.reissued_total(), 3);
         assert_eq!(t.complete(k).unwrap().retries, 2);
     }
 }

@@ -28,7 +28,7 @@ impl Kernel {
             awaiting: self.cfg.nodes,
             ..CoordState::default()
         });
-        let me = self.cfg.me;
+        let me = self.me;
         // Deliver to ourselves through the loopback so the coordinator
         // node follows the identical code path as everyone else.
         self.loopback.push_back(KMsg::GcBegin {
@@ -106,7 +106,7 @@ impl Kernel {
     }
 
     pub(super) fn handle_gc_begin(&mut self, coordinator: NodeId, root: NodeId) {
-        for child in bcast::children(self.cfg.me, root, self.cfg.nodes) {
+        for child in bcast::children(self.me, root, self.cfg.nodes) {
             self.net_send(child, KMsg::GcBegin { coordinator, root });
         }
         assert!(
@@ -129,7 +129,7 @@ impl Kernel {
     }
 
     pub(super) fn handle_gc_round(&mut self, root: NodeId) {
-        for child in bcast::children(self.cfg.me, root, self.cfg.nodes) {
+        for child in bcast::children(self.me, root, self.cfg.nodes) {
             self.net_send(child, KMsg::GcRoundGo { root });
         }
         self.gc_mark_round(Vec::new());
@@ -156,7 +156,7 @@ impl Kernel {
                 Resolution::Unknown => {
                     // At the birthplace an unknown key means the actor is
                     // already gone; elsewhere, ask the birthplace.
-                    if key.birthplace != self.cfg.me {
+                    if key.birthplace != self.me {
                         out.push(key.birthplace, key);
                     }
                 }
@@ -185,7 +185,7 @@ impl Kernel {
         marks_sent: u64,
         marks_received: u64,
     ) {
-        let me = self.cfg.me;
+        let me = self.me;
         let nodes = self.cfg.nodes;
         let coord = self.gc.coord.as_mut().expect("round report at non-coordinator");
         coord.awaiting -= 1;
@@ -209,7 +209,7 @@ impl Kernel {
     }
 
     pub(super) fn handle_gc_sweep(&mut self, root: NodeId) {
-        for child in bcast::children(self.cfg.me, root, self.cfg.nodes) {
+        for child in bcast::children(self.me, root, self.cfg.nodes) {
             self.net_send(child, KMsg::GcSweepCmd { root });
         }
         debug_assert!(self.gc.incoming.is_empty(), "a mark batch outlived the rounds");
@@ -225,7 +225,7 @@ impl Kernel {
             debug_assert_eq!(rec.queued(), 0, "swept an actor with queued mail");
             for key in rec.all_keys() {
                 swept_keys.insert(key);
-                if key.birthplace == self.cfg.me {
+                if key.birthplace == self.me {
                     if self.names.descriptor_live(key.index) {
                         self.names.free_descriptor(key.index);
                     }

@@ -22,7 +22,7 @@ impl Kernel {
     pub(super) fn install_actor(&mut self, behavior: Box<dyn Behavior>) -> (ActorId, MailAddr) {
         let aid = self.actors.insert(ActorRecord::new(behavior));
         let d = self.names.alloc_local(aid, 0);
-        let addr = MailAddr::ordinary(self.cfg.me, d);
+        let addr = MailAddr::ordinary(self.me, d);
         let rec = self.actors.get_mut(aid).expect("just inserted");
         rec.addr = addr;
         if self.recorder.is_some() {
@@ -46,7 +46,7 @@ impl Kernel {
         behavior: BehaviorId,
         init: Vec<Value>,
     ) -> MailAddr {
-        debug_assert_ne!(node, self.cfg.me);
+        debug_assert_ne!(node, self.me);
         self.charge(self.cfg.cost.remote_creation_request);
         if !self.cfg.opt.aliases {
             // Ablation: no aliases means the creating actor must wait
@@ -58,7 +58,7 @@ impl Kernel {
         }
         self.count(Counter::ActorsRemoteRequests);
         let d = self.names.alloc_remote(node, None, 0);
-        let alias = MailAddr::alias(self.cfg.me, d, node, behavior);
+        let alias = MailAddr::alias(self.me, d, node, behavior);
         let mut span = 0;
         if let Some(r) = self.recorder.as_deref_mut() {
             // Open an alias-creation span: mint (here) → install (at
@@ -85,7 +85,7 @@ impl Kernel {
                 alias: alias.key,
                 behavior,
                 init,
-                requester: self.cfg.me,
+                requester: self.me,
                 span,
             },
         );
@@ -104,14 +104,12 @@ impl Kernel {
     ) {
         self.charge(self.cfg.cost.remote_creation_work);
         let Some(b) = self.registry.try_create(behavior, &init) else {
-            self.recycle_args(init);
             self.fail(MachineError::UnknownBehavior {
                 behavior,
-                node: self.cfg.me,
+                node: self.me,
             });
             return;
         };
-        self.recycle_args(init);
         let (aid, addr) = self.install_actor(b);
         // Register the alias alongside the ordinary address ("registers
         // the actor in its local name table with the received alias").
@@ -142,7 +140,7 @@ impl Kernel {
             requester,
             KMsg::NameInfo {
                 key: alias,
-                node: self.cfg.me,
+                node: self.me,
                 index: d,
                 epoch: 0,
             },
@@ -169,7 +167,7 @@ impl Kernel {
         epoch: u32,
     ) {
         if let Some(pending) = self.firs.complete(key) {
-            let me = self.cfg.me;
+            let me = self.me;
             // The chase ends here because the actor became local: same
             // terminal event as a reply arriving, so the checker sees
             // every opened chase close.

@@ -45,7 +45,7 @@ impl<'a> Ctx<'a> {
 
     /// This node's id.
     pub fn node(&self) -> NodeId {
-        self.k.cfg.me
+        self.k.me
     }
 
     /// Partition size.
@@ -150,7 +150,7 @@ impl<'a> Ctx<'a> {
     /// A continuation reference filling `slot` of `jc` on this node.
     pub fn cont_slot(&self, jc: JcId, slot: u16) -> ContRef {
         ContRef::Join {
-            node: self.k.cfg.me,
+            node: self.k.me,
             jc,
             slot,
         }
@@ -165,9 +165,8 @@ impl<'a> Ctx<'a> {
     /// remote, §5). Placement is explicit, as HAL allows ("placement
     /// specification for dynamically created objects").
     pub fn create_on(&mut self, node: NodeId, behavior: BehaviorId, init: Vec<Value>) -> MailAddr {
-        if node == self.k.cfg.me {
+        if node == self.k.me {
             let b = self.k.registry.create(behavior, &init);
-            self.k.recycle_args(init);
             self.k.create_local(b)
         } else {
             self.k.create_remote(node, behavior, init)
@@ -256,7 +255,7 @@ impl<'a> Ctx<'a> {
     pub fn stop(&mut self) {
         self.k.stopped = true;
         for n in 0..self.k.cfg.nodes as NodeId {
-            if n != self.k.cfg.me {
+            if n != self.k.me {
                 self.k.net_send(n, KMsg::Halt);
             }
         }

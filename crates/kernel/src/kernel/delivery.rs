@@ -52,7 +52,7 @@ impl Kernel {
                 // First contact: allocate a best-guess descriptor toward
                 // the default route and send there (§4.1).
                 assert!(
-                    to.key.birthplace != self.cfg.me,
+                    to.key.birthplace != self.me,
                     "dangling local mail address {:?}",
                     to
                 );
@@ -117,7 +117,7 @@ impl Kernel {
                         // skips our name table next time (§4.1).
                         if self.cfg.opt.name_caching
                             && dst_desc.is_none()
-                            && src != self.cfg.me
+                            && src != self.me
                             && self.advised.insert((src, key))
                         {
                             let d = self.names.descriptor_for(key).expect("just resolved");
@@ -126,7 +126,7 @@ impl Kernel {
                                 src,
                                 KMsg::NameInfo {
                                     key,
-                                    node: self.cfg.me,
+                                    node: self.me,
                                     index: d,
                                     epoch,
                                 },
@@ -143,7 +143,7 @@ impl Kernel {
                         // chase overtaking a migration: park until the
                         // key becomes known.
                         assert!(
-                            key.birthplace != self.cfg.me || route_hint != self.cfg.me,
+                            key.birthplace != self.me || route_hint != self.me,
                             "undeliverable message to dangling key {key:?}"
                         );
                         self.count(Counter::DeliverUnknownParked);
@@ -248,7 +248,7 @@ impl Kernel {
             Resolution::Local(aid) => {
                 let index = self.names.descriptor_for(key).expect("just resolved");
                 let epoch = self.actor_epoch(aid);
-                self.net_send(src, KMsg::FirFound { key, node: self.cfg.me, index, epoch });
+                self.net_send(src, KMsg::FirFound { key, node: self.me, index, epoch });
                 return;
             }
             Resolution::Remote { node, .. } => node,
@@ -258,7 +258,7 @@ impl Kernel {
                 // question: if the actor arrives here, install completes
                 // the FIR; otherwise fall back to the birthplace chain.
                 assert!(
-                    key.birthplace != self.cfg.me,
+                    key.birthplace != self.me,
                     "FIR for dangling local key {key:?}"
                 );
                 key.birthplace
@@ -345,7 +345,7 @@ impl Kernel {
             Resolution::Local(_) => return false,
             Resolution::Unknown => key.birthplace,
         };
-        if next == self.cfg.me {
+        if next == self.me {
             return false;
         }
         self.net_send(next, KMsg::Fir { key, span });

@@ -25,8 +25,8 @@ impl Kernel {
         init: Vec<Value>,
         mapping: Mapping,
     ) -> GroupId {
-        let group = self.groups.mint(self.cfg.me, count, mapping);
-        let me = self.cfg.me;
+        let group = self.groups.mint(self.me, count, mapping);
+        let me = self.me;
         self.handle_grp_create(group, behavior, init, me);
         group
     }
@@ -39,7 +39,7 @@ impl Kernel {
         root: NodeId,
     ) {
         // Relay down the tree first so subtree creation overlaps ours.
-        for child in bcast::children(self.cfg.me, root, self.cfg.nodes) {
+        for child in bcast::children(self.me, root, self.cfg.nodes) {
             self.net_send(
                 child,
                 KMsg::GrpCreate {
@@ -51,31 +51,26 @@ impl Kernel {
             );
         }
         let count = group.count();
+        // One `init ++ [Group, Int(index), Int(count)]` vector for all
+        // the local members: only the index slot differs between them.
+        let index_slot = init.len() + 1;
+        let mut args = init;
+        args.extend([Value::Group(group), Value::Int(0), Value::Int(count as i64)]);
         let mut members = Vec::new();
-        for idx in members_on(self.cfg.me, count, self.cfg.nodes, group.mapping()) {
+        for idx in members_on(self.me, count, self.cfg.nodes, group.mapping()) {
             self.charge(self.cfg.cost.local_creation);
-            // One pooled buffer per member instead of a fresh clone of
-            // `init` — group creation is the kernel's hottest
-            // allocation site (one vector per member per node).
-            let mut args = self.take_args(init.len() + 3);
-            args.extend_from_slice(&init);
-            args.push(Value::Group(group));
-            args.push(Value::Int(idx as i64));
-            args.push(Value::Int(count as i64));
+            args[index_slot] = Value::Int(idx as i64);
             let Some(b) = self.registry.try_create(behavior, &args) else {
-                self.recycle_args(args);
                 self.fail(MachineError::UnknownBehavior {
                     behavior,
-                    node: self.cfg.me,
+                    node: self.me,
                 });
                 return;
             };
-            self.recycle_args(args);
             let (aid, addr) = self.install_actor(b);
             self.actors.get_mut(aid).expect("just installed").group = Some((group, idx));
             members.push((idx, addr));
         }
-        self.recycle_args(init);
         self.cell.count(Counter::GroupsMembersCreated, members.len() as u64);
         let (parked_member, parked_bcast) = self.groups.install(group, members);
         for (idx, msg) in parked_member {
@@ -90,7 +85,7 @@ impl Kernel {
     /// Route a message to group member `index` (home-node resolution).
     pub(super) fn deliver_member(&mut self, group: GroupId, index: u32, msg: Msg) {
         let home = home_node(index, group.count(), self.cfg.nodes, group.mapping());
-        if home == self.cfg.me {
+        if home == self.me {
             if let Some(addr) = self.groups.member(group, index) {
                 self.send_to_addr(addr, msg);
             } else if self.groups.known(group) {
@@ -111,13 +106,13 @@ impl Kernel {
 
     /// Broadcast to a group from this node.
     pub(super) fn broadcast(&mut self, group: GroupId, msg: Msg) {
-        let me = self.cfg.me;
+        let me = self.me;
         self.count(Counter::BcastInitiated);
         self.handle_grp_bcast(group, msg, me);
     }
 
     pub(super) fn handle_grp_bcast(&mut self, group: GroupId, msg: Msg, root: NodeId) {
-        for child in bcast::children(self.cfg.me, root, self.cfg.nodes) {
+        for child in bcast::children(self.me, root, self.cfg.nodes) {
             self.net_send(
                 child,
                 KMsg::GrpBcast {
@@ -196,7 +191,7 @@ mod tests {
     use crate::actor::Behavior;
     use crate::kernel::{AmEnvelope, Outbound};
     use crate::registry::BehaviorRegistry;
-    use crate::{Ctx, KernelConfig, MachineConfig};
+    use crate::{Ctx, MachineConfig};
     use hal_am::Packet;
     use hal_des::VirtualTime;
     use std::sync::Arc;
@@ -214,7 +209,7 @@ mod tests {
         let mut reg = BehaviorRegistry::new();
         // Creation arguments: [group, index, count].
         reg.register(BehaviorId(0), "member", |args| Box::new(Member(args[1].as_int())));
-        Kernel::new(KernelConfig::for_node(&MachineConfig::new(3), 1), Arc::new(reg))
+        Kernel::new(1, &MachineConfig::new(3), Arc::new(reg))
     }
 
     fn arrive(k: &mut Kernel, body: KMsg) {

@@ -50,7 +50,7 @@ impl Kernel {
             dst,
             KMsg::MigrateArrive {
                 image,
-                from: self.cfg.me,
+                from: self.me,
                 stolen,
             },
         );
@@ -94,7 +94,7 @@ impl Kernel {
         // to one shared fresh descriptor.
         let mut shared: Option<DescriptorId> = None;
         for key in &keys {
-            if key.birthplace == self.cfg.me && self.names.descriptor_live(key.index) {
+            if key.birthplace == self.me && self.names.descriptor_live(key.index) {
                 let desc = self.names.descriptor_mut(key.index);
                 desc.locality = Locality::Local(aid);
                 desc.epoch = epoch;
@@ -114,7 +114,7 @@ impl Kernel {
         // Cache the new location at the birthplace and the old node
         // (§4.3 "cached in its birthplace node as well as in the old
         // node") — once each, and not here.
-        let me = self.cfg.me;
+        let me = self.me;
         let index = self
             .names
             .descriptor_for(primary)
@@ -137,10 +137,10 @@ impl Kernel {
     /// The machine calls this when the node is idle and `may_poll`.
     pub fn send_steal_poll(&mut self) {
         debug_assert!(self.balancer.may_poll(self.clock));
-        let victim = self.balancer.start_poll(self.cfg.me, self.cfg.nodes);
+        let victim = self.balancer.start_poll(self.me, self.cfg.nodes);
         self.count(Counter::StealPolls);
         self.trace_event(KernelEvent::StealRequest { victim });
-        self.net_send(victim, KMsg::StealRequest { thief: self.cfg.me });
+        self.net_send(victim, KMsg::StealRequest { thief: self.me });
     }
 
     /// Victim side of a steal: donate up to half the ready queue

@@ -19,8 +19,8 @@
 
 use crate::actor::ActorSlab;
 use crate::addr::AddrKey;
+use crate::backend::BackendKind;
 use crate::balance::Balancer;
-use crate::cost::CostModel;
 use crate::dispatch::Dispatcher;
 use crate::error::MachineError;
 use crate::fir::FirTable;
@@ -34,9 +34,7 @@ use crate::name_server::NameServer;
 use crate::registry::BehaviorRegistry;
 use crate::trace::{KernelEvent, Recorder, TraceEvent, TraceTag};
 use crate::wire::KMsg;
-use hal_am::{
-    AmEnvelope, BulkSender, FaultPlan, FlowControl, NodeId, RelReceiver, RelSender,
-};
+use hal_am::{AmEnvelope, BulkSender, FlowControl, NodeId, RelReceiver, RelSender};
 use hal_des::{Histogram, Map, Set, VirtualDuration, VirtualTime};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -130,75 +128,12 @@ impl Default for OptFlags {
     }
 }
 
-/// Static configuration of one kernel.
-#[derive(Clone, Debug)]
-pub struct KernelConfig {
-    /// This node's id.
-    pub me: NodeId,
-    /// Partition size.
-    pub nodes: usize,
-    /// Virtual-time cost model.
-    pub cost: CostModel,
-    /// Receiver-initiated random-polling load balancing (§7.2).
-    pub load_balancing: bool,
-    /// Three-phase bulk flow control (§6.5). Disabling it is the Table 1
-    /// ablation: bulk data is injected eagerly.
-    pub flow_control: bool,
-    /// Messages an actor may process per scheduling quantum.
-    pub quantum: usize,
-    /// Depth bound for compiler-controlled stack-based scheduling (§6.3).
-    pub max_stack_depth: u32,
-    /// Machine seed (per-node RNG streams derive from it).
-    pub seed: u64,
-    /// Ablation switches (paper design by default).
-    pub opt: OptFlags,
-    /// Enable the flight recorder ([`crate::trace`]). Off by default;
-    /// the disabled path is a single pointer test per hook.
-    pub trace: bool,
-    /// Enable the metrics registry ([`crate::metrics`]). Off by
-    /// default; like tracing, the disabled path is one pointer test.
-    pub metrics: bool,
-    /// Head-sampling rate for message lifecycle spans, in parts per
-    /// million of minted trace ids (1_000_000 = record everything, the
-    /// default). Ids are always minted — exact counts stay exact and
-    /// the id sequence is identical at any rate — but lifecycle events
-    /// for unsampled ids are never pushed, so the recorder's hot-path
-    /// cost scales with the rate. The keep/drop decision is a pure
-    /// function of the id ([`Recorder::span_sampled`]), recomputable on
-    /// any node a message later visits.
-    pub span_sample_ppm: u32,
-    /// Seeded fault plan (chaos subsystem). [`FaultPlan::none`] runs the
-    /// byte-identical fault-free fast path, with no reliable layer, no
-    /// FIR watchdog and no timer of any kind.
-    pub faults: FaultPlan,
-}
-
-impl KernelConfig {
-    /// Node `me`'s kernel configuration on a machine built from `cfg` —
-    /// the one place machine-wide settings become per-kernel ones, on
-    /// both backends alike.
-    pub fn for_node(cfg: &MachineConfig, me: NodeId) -> Self {
-        KernelConfig {
-            me,
-            nodes: cfg.nodes,
-            cost: cfg.cost,
-            load_balancing: cfg.load_balancing && cfg.nodes > 1,
-            flow_control: cfg.flow_control,
-            quantum: cfg.quantum,
-            max_stack_depth: cfg.max_stack_depth,
-            seed: cfg.seed,
-            opt: cfg.opt,
-            trace: cfg.record_trace,
-            metrics: cfg.record_metrics,
-            span_sample_ppm: cfg.span_sample_ppm,
-            faults: cfg.faults.clone(),
-        }
-    }
-}
-
 /// The per-node kernel.
 pub struct Kernel {
-    cfg: KernelConfig,
+    /// This node's id.
+    me: NodeId,
+    /// The machine's configuration, which is every kernel's.
+    cfg: MachineConfig,
     /// Virtual clock: all primitive costs accumulate here.
     pub clock: VirtualTime,
     names: NameServer,
@@ -236,11 +171,6 @@ pub struct Kernel {
     gc_live_total: u64,
     /// Depth of inline (stack-based) dispatch currently active.
     stack_depth: u32,
-    /// Freelist of spent `Vec<Value>` argument buffers. Creation paths
-    /// build one arg vector per actor (group creation builds one per
-    /// *member*); recycling them turns that per-create heap churn into
-    /// a pop/push on this stack.
-    args_pool: Vec<Vec<Value>>,
     /// Set by `Ctx::stop` or an incoming Halt.
     pub stopped: bool,
     /// This node's counters, indexed by [`Counter`] — written by this
@@ -259,8 +189,7 @@ pub struct Kernel {
     recorder: Option<Box<Recorder>>,
     /// Metrics sampler ([`crate::metrics`]), boxed like the recorder.
     /// `None` on a simulated machine with metrics off; a live kernel
-    /// always has one ([`Kernel::enable_metrics`]), because the gauges
-    /// it stores are what `top` on another thread reads.
+    /// always has one ([`Kernel::new`]).
     metrics: Option<Box<Metrics>>,
     /// Reliable-delivery sender state (per-peer unacked queues). Only
     /// touched when the fault plan is active and `reliable` is on.
@@ -275,24 +204,30 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// Build a kernel over a shared behavior registry.
-    pub fn new(cfg: KernelConfig, registry: Arc<BehaviorRegistry>) -> Self {
-        let balancer = Balancer::new(cfg.load_balancing, cfg.seed, cfg.me);
-        let recorder = cfg.trace.then(|| {
+    /// Node `me`'s kernel on a machine configured by `cfg`, over a
+    /// shared behavior registry. A one-node machine never balances, and
+    /// `cfg.backend` picks the metrics sampler: a live kernel always has
+    /// one, on the live cadence; a simulated one only when asked.
+    pub fn new(me: NodeId, cfg: &MachineConfig, registry: Arc<BehaviorRegistry>) -> Self {
+        let balancer = Balancer::new(cfg.load_balancing && cfg.nodes > 1, cfg.seed, me);
+        let recorder = cfg.observe.trace.then(|| {
             Box::new(Recorder::with_sampling(
-                cfg.me,
+                me,
                 Recorder::DEFAULT_CAPACITY,
-                cfg.span_sample_ppm,
+                cfg.observe.span_sample_ppm,
             ))
         });
         let cell = Arc::new(NodeCell::new(cfg.nodes));
-        let metrics = cfg.metrics.then(|| {
-            Box::new(Metrics::new(cfg.me, Metrics::DEFAULT_CADENCE_NS, Arc::clone(&cell)))
-        });
+        let cadence_ns = match cfg.backend {
+            BackendKind::Live => Some(Metrics::LIVE_CADENCE_NS),
+            BackendKind::Sim => cfg.observe.metrics.then_some(Metrics::DEFAULT_CADENCE_NS),
+        };
+        let metrics =
+            cadence_ns.map(|cadence| Box::new(Metrics::new(me, cadence, Arc::clone(&cell))));
         Kernel {
             recorder,
             metrics,
-            names: NameServer::new(cfg.me),
+            names: NameServer::new(me),
             actors: ActorSlab::new(),
             joins: JoinTable::new(),
             firs: FirTable::new(),
@@ -300,7 +235,7 @@ impl Kernel {
             dispatcher: Dispatcher::new(),
             balancer,
             registry,
-            bulk_tx: BulkSender::new(cfg.me),
+            bulk_tx: BulkSender::new(me),
             flow: FlowControl::new(),
             loopback: VecDeque::new(),
             outbox: Vec::new(),
@@ -311,7 +246,6 @@ impl Kernel {
             gc_coordinator: 0,
             gc_live_total: 0,
             stack_depth: 0,
-            args_pool: Vec::new(),
             stopped: false,
             clock: VirtualTime::ZERO,
             cell,
@@ -319,15 +253,16 @@ impl Kernel {
             reports: Vec::new(),
             rel_tx: RelSender::for_plan(&cfg.faults),
             rel_rx: RelReceiver::new(),
-            pauses: cfg.faults.pauses_for(cfg.me),
+            pauses: cfg.faults.pauses_for(me),
             failed: None,
-            cfg,
+            me,
+            cfg: cfg.clone(),
         }
     }
 
     /// This node's id.
     pub fn node(&self) -> NodeId {
-        self.cfg.me
+        self.me
     }
 
     /// Partition size.
@@ -335,8 +270,8 @@ impl Kernel {
         self.cfg.nodes
     }
 
-    /// The kernel's configuration.
-    pub fn config(&self) -> &KernelConfig {
+    /// The machine's configuration this kernel runs under.
+    pub fn config(&self) -> &MachineConfig {
         &self.cfg
     }
 
@@ -358,42 +293,6 @@ impl Kernel {
     /// Record one sample into this node's histogram `name`.
     fn observe(&mut self, name: &'static str, value: u64) {
         self.histograms.entry(name).or_default().observe(value);
-    }
-
-    /// Install a metrics sampler at `cadence_ns` in place of the one
-    /// [`KernelConfig::metrics`] asked for: the live backend's, which
-    /// samples on its own cadence and is present whether or not the
-    /// timeseries was requested.
-    pub fn enable_metrics(&mut self, cadence_ns: u64) {
-        let cell = Arc::clone(&self.cell);
-        self.metrics = Some(Box::new(Metrics::new(self.cfg.me, cadence_ns, cell)));
-    }
-
-    /// Bound on [`Kernel::args_pool`]: beyond this, spent buffers are
-    /// simply dropped (a burst of group creations must not pin memory
-    /// forever).
-    const ARGS_POOL_MAX: usize = 64;
-
-    /// An empty argument buffer with at least `cap` capacity, reusing a
-    /// pooled allocation when one is available.
-    #[inline]
-    fn take_args(&mut self, cap: usize) -> Vec<Value> {
-        match self.args_pool.pop() {
-            Some(mut v) => {
-                v.reserve(cap);
-                v
-            }
-            None => Vec::with_capacity(cap),
-        }
-    }
-
-    /// Return a spent argument buffer to the pool.
-    #[inline]
-    fn recycle_args(&mut self, mut v: Vec<Value>) {
-        if self.args_pool.len() < Self::ARGS_POOL_MAX {
-            v.clear();
-            self.args_pool.push(v);
-        }
     }
 
     /// Does this node have runnable work (ready actors or self-addressed
@@ -515,7 +414,7 @@ impl Kernel {
             "running count of parked unknown-key messages drifted"
         );
         crate::audit::NodeAudit {
-            node: self.cfg.me,
+            node: self.me,
             stranded_pending,
             stranded_keys,
             unresolved_joins: self.joins.pending() as u64,
@@ -538,7 +437,7 @@ impl Kernel {
     fn trace_event_span(&mut self, event: KernelEvent, span: u64, parent: u64) {
         if let Some(r) = self.recorder.as_deref_mut() {
             let time = self.clock;
-            let node = self.cfg.me;
+            let node = self.me;
             r.ring.push(TraceEvent { time, node, seq: 0, span, parent, event });
         }
     }
@@ -624,7 +523,7 @@ mod tests {
     use crate::machine::SimMachine;
     use crate::message::Target;
     use crate::wire::ActorImage;
-    use hal_am::Packet;
+    use hal_am::{FaultPlan, Packet};
 
     /// Selector 0 with address arguments: report the time, then message
     /// each address in turn.
@@ -641,9 +540,8 @@ mod tests {
     /// Node 1 of 3 with one `Relay` on it — and no network of any kind.
     /// A lossy `faults` plan puts its sends under the reliable layer.
     fn relay_kernel(faults: FaultPlan) -> (Kernel, MailAddr) {
-        let mut cfg = KernelConfig::for_node(&MachineConfig::new(3), 1);
-        cfg.faults = faults;
-        let mut k = Kernel::new(cfg, Arc::new(BehaviorRegistry::new()));
+        let cfg = MachineConfig { faults, ..MachineConfig::new(3) };
+        let mut k = Kernel::new(1, &cfg, Arc::new(BehaviorRegistry::new()));
         let relay = k.bootstrap(Box::new(Relay), None);
         (k, relay)
     }

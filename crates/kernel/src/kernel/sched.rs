@@ -99,7 +99,7 @@ impl Kernel {
         let more = !rec.mailq.is_empty();
         self.actors.checkin(aid, rec);
         if let Some(dst) = migrate_req {
-            if dst == self.cfg.me {
+            if dst == self.me {
                 // Degenerate migration to self: just reschedule.
                 if let Some(r) = self.actors.get_mut(aid) {
                     if (!r.mailq.is_empty() || !r.pendq.is_empty()) && !r.scheduled {
@@ -265,7 +265,7 @@ impl Kernel {
                 let has_more = !rec.mailq.is_empty();
                 self.actors.checkin(aid, rec);
                 if let Some(dst) = m2 {
-                    if dst != self.cfg.me {
+                    if dst != self.me {
                         self.migrate_out(aid, dst, false);
                         return true;
                     }
@@ -332,7 +332,7 @@ impl Kernel {
         let span = self.recorder.as_deref().map_or(0, |r| r.current_span);
         match cont {
             ContRef::Join { node, jc, slot } => {
-                if node == self.cfg.me {
+                if node == self.me {
                     self.fill_join(jc, slot, value, span);
                 } else {
                     self.count(Counter::RepliesRemote);

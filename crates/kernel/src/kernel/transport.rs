@@ -49,7 +49,7 @@ impl Kernel {
     /// the network; anything else is boxed here, once, and travels as
     /// that pointer until the receiving node manager unboxes it.
     pub(super) fn net_send(&mut self, dst: NodeId, kmsg: KMsg) {
-        if dst == self.cfg.me {
+        if dst == self.me {
             self.loopback.push_back(kmsg);
             return;
         }
@@ -180,7 +180,7 @@ impl Kernel {
     /// immediately on the current stack (the paper's "steals the
     /// processor").
     pub fn handle_packet(&mut self, pkt: Packet<Box<KMsg>>) {
-        debug_assert_eq!(pkt.dst, self.cfg.me);
+        debug_assert_eq!(pkt.dst, self.me);
         match pkt.body {
             // Timers are local clock events, not network traffic: no
             // receive overhead, no recv counter. Unboxed here, once.
@@ -354,7 +354,7 @@ impl Kernel {
     /// Process self-addressed kernel messages until none remain.
     pub(super) fn drain_loopback(&mut self) {
         while let Some(k) = self.loopback.pop_front() {
-            let me = self.cfg.me;
+            let me = self.me;
             self.handle_kmsg(me, k);
         }
     }

@@ -82,7 +82,7 @@ pub use addr::{
 };
 pub use cost::CostModel;
 pub use error::{ConfigError, MachineError};
-pub use kernel::{Ctx, Kernel, KernelConfig, OptFlags, Outbound};
+pub use kernel::{Ctx, Kernel, OptFlags, Outbound};
 pub use live::LiveMachine;
 pub use machine::{MachineConfig, MachineConfigBuilder, ObserveOpts, SimMachine, SimReport};
 pub use hal_am::{Bytes, FaultPlan, LinkOutage, NodeId, NodePause};

@@ -11,13 +11,13 @@
 //! simulator (e.g. the serving front-end's `now() - sent_at`) is
 //! meaningful on both backends.
 //!
-//! Kernels are configured exactly as the simulator's are
-//! ([`KernelConfig::for_node`]), and they speak the same protocol: the
-//! links neither drop nor reorder (a full peer queue stalls the sender,
-//! see `LiveNet::inject`), so, as on a fault-free simulated run, there is
-//! no seq/ack layer, no FIR watchdog and no timer. Migration, aliases
-//! and FIR chases run the exact same kernel code paths — the backends
-//! differ only in who drains the kernel's outbox
+//! Kernels are built exactly as the simulator's are, from the machine's
+//! one [`MachineConfig`] ([`Kernel::new`]), and they speak the same
+//! protocol: the links neither drop nor reorder (a full peer queue stalls
+//! the sender, see `LiveNet::inject`), so, as on a fault-free simulated
+//! run, there is no seq/ack layer, no FIR watchdog and no timer.
+//! Migration, aliases and FIR chases run the exact same kernel code
+//! paths — the backends differ only in who drains the kernel's outbox
 //! ([`crate::kernel::Outbound`]) and into what. Fault plans are refused
 //! at validation (`ConfigError::LiveFaultsUnsupported`).
 //!
@@ -57,15 +57,15 @@
 //! must not assume (the perf gate relaxes its exact comparisons for
 //! reports tagged live).
 
-use crate::backend::Job;
+use crate::backend::{BackendKind, Job};
 use crate::error::MachineError;
-use crate::kernel::{with_system_ctx, Ctx, Kernel, KernelConfig, Outbound};
+use crate::kernel::{with_system_ctx, Ctx, Kernel, Outbound};
 use crate::machine::{MachineConfig, SimReport};
 use crate::registry::BehaviorRegistry;
 use crate::sync::{
     AtomicBool, Condvar, Doorbell, Mutex, Ordering, RING_JOB, RING_PACKET, RING_STOP,
 };
-use crate::metrics::{Counter, Metrics, NodeCell, TelemetryHub};
+use crate::metrics::{Counter, NodeCell, TelemetryHub};
 use crate::wire::KMsg;
 use hal_am::{thread_network, thread_network_bounded, AmEnvelope, NodeId, Packet, ThreadEndpoint};
 use hal_des::{StatSet, VirtualTime};
@@ -279,13 +279,15 @@ pub struct LiveMachine {
 
 impl LiveMachine {
     /// Stage a live machine: build kernels and the bounded thread
-    /// network, spawn nothing yet.
+    /// network, spawn nothing yet. The machine is live whatever
+    /// `cfg.backend` says, and its kernels are told so.
     ///
     /// # Panics
     /// Panics on an invalid configuration (use the validating builder),
     /// including a configuration carrying a fault plan — chaos injection
     /// is simulation-only.
     pub fn new(cfg: MachineConfig, registry: Arc<BehaviorRegistry>) -> Self {
+        let cfg = MachineConfig { backend: BackendKind::Live, ..cfg };
         if let Err(e) = cfg.validate() {
             panic!("{e}");
         }
@@ -294,12 +296,7 @@ impl LiveMachine {
             cap => thread_network_bounded::<Box<KMsg>>(cfg.nodes, cap),
         };
         let kernels: Vec<Kernel> = (0..cfg.nodes)
-            .map(|i| {
-                let me = i as NodeId;
-                let mut k = Kernel::new(KernelConfig::for_node(&cfg, me), Arc::clone(&registry));
-                k.enable_metrics(Metrics::LIVE_CADENCE_NS);
-                k
-            })
+            .map(|i| Kernel::new(i as NodeId, &cfg, Arc::clone(&registry)))
             .collect();
         let cells: Vec<Arc<NodeCell>> = kernels.iter().map(|k| Arc::clone(k.cell())).collect();
         let mut job_txs = Vec::with_capacity(cfg.nodes);
@@ -628,7 +625,7 @@ impl Node {
     /// `abort` is raised.
     fn run(mut self) -> NodeDone {
         let shared = Arc::clone(&self.net.shared);
-        let bell = &shared.bells[self.kernel.config().me as usize];
+        let bell = &shared.bells[self.kernel.node() as usize];
         loop {
             if self.kernel.stopped || shared.abort.load(Ordering::SeqCst) {
                 return NodeDone {
@@ -639,7 +636,7 @@ impl Node {
             if self.turn() {
                 continue;
             }
-            if self.kernel.nodes() > 1 && self.kernel.balancer.may_poll(self.kernel.clock) {
+            if self.kernel.balancer.may_poll(self.kernel.clock) {
                 self.kernel.send_steal_poll();
                 self.net.flush(&mut self.kernel);
             }
@@ -810,14 +807,17 @@ mod tests {
         };
         let mut late = Vec::new();
         for _ in 0..5 {
-            let mut cfg = MachineConfig::builder(2).load_balancing(true).build().unwrap();
+            let mut cfg = MachineConfig::builder(2)
+                .backend(BackendKind::Live)
+                .load_balancing(true)
+                .build()
+                .unwrap();
             cfg.cost.steal_poll_interval = VirtualDuration::from_nanos(interval.as_nanos() as u64);
             let mut eps = thread_network::<Box<KMsg>>(2);
             let silent_peer = eps.pop().unwrap();
             let shared = Arc::new(Shared::new(2));
             let (_job_tx, jobs) = channel::<Job>();
-            let mut kernel = Kernel::new(KernelConfig::for_node(&cfg, 0), empty_registry());
-            kernel.enable_metrics(Metrics::LIVE_CADENCE_NS);
+            let kernel = Kernel::new(0, &cfg, empty_registry());
             let cell = Arc::clone(kernel.cell());
             let net = LiveNet::new(eps.pop().unwrap(), Arc::clone(&shared), Arc::clone(&cell));
             let node = Node::new(kernel, net, jobs, Instant::now());
@@ -883,49 +883,57 @@ mod tests {
         );
     }
 
-    /// Sim and live kernels are configured by one function, and live
-    /// overrides none of it.
+    /// Sim and live kernels are built from the machine's one record:
+    /// each keeps it whole, with only `backend` forced by its machine, and
+    /// the backend alone decides the metrics sampler. The live machine is
+    /// staged from a config saying `Sim`, as a caller of
+    /// `LiveMachine::new` may pass.
     #[test]
-    fn live_kernels_are_configured_as_sim_kernels_are() {
-        // Every machine-wide setting off its default, so a field that
-        // `for_node` dropped would show.
+    fn kernels_keep_the_machine_config_on_both_backends() {
+        use crate::machine::{ObserveOpts, SimMachine};
+        // Every setting off its default, so a field a kernel dropped or
+        // rewrote would show.
         let mut cfg = MachineConfig::builder(3)
             .seed(99)
             .load_balancing(true)
             .flow_control(false)
             .quantum(5)
             .max_stack_depth(9)
+            .max_events(1_000)
+            .live_queue_capacity(7)
+            .link(hal_am::LinkModel::instant())
             .opt(crate::kernel::OptFlags {
                 name_caching: false,
                 ..Default::default()
             })
-            .observe(crate::machine::ObserveOpts::all().span_sample_ppm(500_000))
-            .faults(FaultPlan {
-                drop: 0.25,
-                ..FaultPlan::none()
-            })
+            .observe(ObserveOpts::none().trace(true).timeline(true).span_sample_ppm(500_000))
             .build()
             .unwrap();
         cfg.cost.method_invoke = VirtualDuration::from_nanos(123);
-        let sim = KernelConfig::for_node(&cfg, 1);
-        assert_eq!((sim.me, sim.nodes, sim.seed), (1, 3, 99));
-        assert!(sim.load_balancing && !sim.flow_control && sim.trace && sim.metrics);
-        assert_eq!((sim.quantum, sim.max_stack_depth, sim.span_sample_ppm), (5, 9, 500_000));
-        assert!(!sim.opt.name_caching && sim.opt.fir_chase);
-        assert_eq!(sim.cost.method_invoke, VirtualDuration::from_nanos(123));
-        assert_eq!(sim.faults, cfg.faults);
-
-        // Live refuses the fault plan; with it gone, its staged kernels
-        // carry exactly `for_node`'s configuration.
-        cfg.faults = FaultPlan::none();
-        cfg.backend = crate::backend::BackendKind::Live;
-        let m = LiveMachine::new(cfg.clone(), empty_registry());
-        let LiveState::Staged { kernels, .. } = &m.state else {
-            unreachable!("a new machine is staged")
+        let faults = FaultPlan::none().with_drop(0.25);
+        let check = |kernels: Vec<&Kernel>, want: &MachineConfig, sampled: bool| {
+            for (me, k) in kernels.into_iter().enumerate() {
+                assert_eq!(format!("{:?}", k.config()), format!("{want:?}"));
+                assert_eq!(k.node() as usize, me);
+                assert_eq!(k.metrics().is_some(), sampled, "{:?} node {me}", want.backend);
+            }
         };
-        for (me, k) in kernels.iter().enumerate() {
-            let sim = KernelConfig::for_node(&cfg, me as NodeId);
-            assert_eq!(format!("{:?}", k.config()), format!("{sim:?}"));
+        for metrics in [false, true] {
+            let observe = ObserveOpts { metrics, ..cfg.observe };
+            // A simulated kernel samples only when asked.
+            let sim_cfg = MachineConfig { observe, faults: faults.clone(), ..cfg.clone() };
+            let sim = SimMachine::new(sim_cfg.clone(), empty_registry());
+            check((0..3).map(|n| sim.kernel(n)).collect(), &sim_cfg, metrics);
+
+            // Live refuses the fault plan; a live kernel always samples.
+            let live_cfg = MachineConfig { observe, ..cfg.clone() };
+            assert_eq!(live_cfg.backend, BackendKind::Sim);
+            let m = LiveMachine::new(live_cfg.clone(), empty_registry());
+            let LiveState::Staged { kernels, .. } = &m.state else {
+                unreachable!("a new machine is staged")
+            };
+            let want = MachineConfig { backend: BackendKind::Live, ..live_cfg };
+            check(kernels.iter().collect(), &want, true);
         }
     }
 

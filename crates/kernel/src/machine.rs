@@ -11,7 +11,7 @@ use crate::cost::CostModel;
 use crate::error::{ConfigError, MachineError};
 use crate::gc::GcReport;
 use crate::timeline::{SpanKind, Timeline};
-use crate::kernel::{with_system_ctx, Ctx, Kernel, KernelConfig, Outbound};
+use crate::kernel::{with_system_ctx, Ctx, Kernel, Outbound};
 use crate::message::Value;
 use crate::metrics::{Counter, Folded};
 use crate::registry::BehaviorRegistry;
@@ -20,8 +20,8 @@ use hal_am::{FaultPlan, LinkModel, NetCounter, NodeId, SimNetwork};
 use hal_des::{StatSet, VirtualTime};
 use std::sync::Arc;
 
-/// What a machine records while it runs — the one knob behind the
-/// [`MachineConfigBuilder::observe`] entry point. Each flag maps to one
+/// What a machine records while it runs: [`MachineConfig::observe`],
+/// set through [`MachineConfigBuilder::observe`]. Each flag maps to one
 /// observability subsystem; all default to off (the zero-overhead path).
 ///
 /// ```
@@ -30,20 +30,28 @@ use std::sync::Arc;
 ///     .observe(ObserveOpts::none().trace(true).timeline(true))
 ///     .build()
 ///     .unwrap();
-/// assert!(cfg.record_trace && cfg.record_timeline && !cfg.record_metrics);
+/// assert!(cfg.observe.trace && cfg.observe.timeline && !cfg.observe.metrics);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ObserveOpts {
-    /// Flight-recorder events on every kernel ([`crate::trace`]).
+    /// Flight-recorder events on every kernel ([`crate::trace`]); the
+    /// disabled path is one pointer test per hook.
     pub trace: bool,
-    /// Live metrics timeseries on every kernel ([`crate::metrics`]).
+    /// Metrics timeseries on every simulated kernel ([`crate::metrics`]).
+    /// A live kernel always samples, on its own cadence, because the
+    /// gauges it stores are what `top` on another thread reads.
     pub metrics: bool,
     /// Per-node busy spans for timeline rendering ([`crate::timeline`]).
     pub timeline: bool,
     /// Head-sampling rate for message lifecycle spans in parts per
-    /// million (1_000_000 = record every span, the default). Layered
-    /// [`MachineConfigBuilder::observe`] calls keep the *lowest*
-    /// requested rate.
+    /// million of minted trace ids (1_000_000 = record every span, the
+    /// default). Ids are always minted, so the exact-count correction
+    /// (`msgs_minted` / `msgs_sampled` in the trace report) and the id
+    /// sequence are the same at any rate; lifecycle events for unsampled
+    /// ids are never pushed. The keep/drop decision is a pure function
+    /// of the id ([`crate::trace::Recorder::span_sampled`]). Only
+    /// meaningful with `trace`. Layered [`MachineConfigBuilder::observe`]
+    /// calls keep the *lowest* requested rate.
     pub span_sample_ppm: u32,
 }
 
@@ -60,16 +68,6 @@ impl ObserveOpts {
             trace: false,
             metrics: false,
             timeline: false,
-            span_sample_ppm: crate::trace::Recorder::FULL_SAMPLING_PPM,
-        }
-    }
-
-    /// Record everything (debug sessions).
-    pub const fn all() -> Self {
-        ObserveOpts {
-            trace: true,
-            metrics: true,
-            timeline: true,
             span_sample_ppm: crate::trace::Recorder::FULL_SAMPLING_PPM,
         }
     }
@@ -99,7 +97,9 @@ impl ObserveOpts {
     }
 }
 
-/// Machine-wide configuration.
+/// Machine-wide configuration — and, as every node runs the same kernel,
+/// each kernel's too: a [`Kernel`] keeps its node id and a clone of this
+/// record.
 #[derive(Clone, Debug)]
 pub struct MachineConfig {
     /// Partition size (number of nodes).
@@ -128,14 +128,8 @@ pub struct MachineConfig {
     pub max_events: u64,
     /// Ablation switches (paper design by default).
     pub opt: crate::kernel::OptFlags,
-    /// Record per-node busy spans for timeline rendering
-    /// ([`crate::timeline`]).
-    pub record_timeline: bool,
-    /// Record flight-recorder events on every kernel ([`crate::trace`]).
-    pub record_trace: bool,
-    /// Record live metrics timeseries on every kernel
-    /// ([`crate::metrics`]).
-    pub record_metrics: bool,
+    /// What the machine records while it runs.
+    pub observe: ObserveOpts,
     /// Seeded fault plan (chaos subsystem): per-link drop / duplicate /
     /// reorder probabilities, timed link outages, node pause windows.
     /// [`FaultPlan::none`] (the default) is the byte-identical
@@ -147,12 +141,6 @@ pub struct MachineConfig {
     /// drains its own queue into a holdback inbox between retries. `0` =
     /// unbounded. Ignored by the sim backend.
     pub live_queue_capacity: usize,
-    /// Head-sampling rate for message lifecycle spans, in parts per
-    /// million of minted trace ids (1_000_000 = record everything).
-    /// Only meaningful with `record_trace`; the exact-count correction
-    /// (`msgs_minted` / `msgs_sampled` in the trace report) is kept at
-    /// any rate.
-    pub span_sample_ppm: u32,
 }
 
 impl MachineConfig {
@@ -170,12 +158,9 @@ impl MachineConfig {
             max_stack_depth: 64,
             max_events: 0,
             opt: crate::kernel::OptFlags::default(),
-            record_timeline: false,
-            record_trace: false,
-            record_metrics: false,
+            observe: ObserveOpts::none(),
             faults: FaultPlan::none(),
             live_queue_capacity: 4096,
-            span_sample_ppm: crate::trace::Recorder::FULL_SAMPLING_PPM,
         }
     }
 
@@ -218,10 +203,9 @@ impl MachineConfig {
             // timer (`LiveNet::flush`).
             return Err(ConfigError::LiveFaultsUnsupported);
         }
-        if self.span_sample_ppm > crate::trace::Recorder::FULL_SAMPLING_PPM {
-            return Err(ConfigError::BadSampleRate {
-                ppm: self.span_sample_ppm,
-            });
+        let ppm = self.observe.span_sample_ppm;
+        if ppm > crate::trace::Recorder::FULL_SAMPLING_PPM {
+            return Err(ConfigError::BadSampleRate { ppm });
         }
         if self.faults.link_faults() {
             let min_ns = lookahead_ns(&self.link).max(1);
@@ -263,12 +247,13 @@ impl MachineConfigBuilder {
     /// [`metrics`]: MachineConfigBuilder::metrics
     /// [`timeline`]: MachineConfigBuilder::timeline
     pub fn observe(mut self, opts: ObserveOpts) -> Self {
-        self.cfg.record_trace |= opts.trace;
-        self.cfg.record_metrics |= opts.metrics;
-        self.cfg.record_timeline |= opts.timeline;
+        let o = &mut self.cfg.observe;
+        o.trace |= opts.trace;
+        o.metrics |= opts.metrics;
+        o.timeline |= opts.timeline;
         // The lowest requested rate wins: a harness layering a sampled
         // opts over an unsampled one asked for sampling.
-        self.cfg.span_sample_ppm = self.cfg.span_sample_ppm.min(opts.span_sample_ppm);
+        o.span_sample_ppm = o.span_sample_ppm.min(opts.span_sample_ppm);
         self
     }
 
@@ -365,12 +350,6 @@ impl MachineConfigBuilder {
         self
     }
 
-    /// Span head-sampling rate in parts per million — shorthand for
-    /// `observe(ObserveOpts::none().span_sample_ppm(ppm))`.
-    pub fn span_sample_ppm(self, ppm: u32) -> Self {
-        self.observe(ObserveOpts::none().span_sample_ppm(ppm))
-    }
-
     /// Validate and produce the configuration.
     pub fn build(self) -> Result<MachineConfig, ConfigError> {
         self.cfg.validate()?;
@@ -396,11 +375,11 @@ pub struct SimReport {
     /// Actor records installed across all nodes: creations, plus every
     /// migration or steal arrival (`actors.created`).
     pub actors_created: u64,
-    /// Merged flight-recorder events, present when
-    /// [`MachineConfig::record_trace`] was set.
+    /// Merged flight-recorder events, present when the machine's
+    /// `observe.trace` was set ([`ObserveOpts`]).
     pub trace: Option<crate::trace::TraceReport>,
-    /// Merged metrics timeseries, present when
-    /// [`MachineConfig::record_metrics`] was set.
+    /// Merged metrics timeseries, present when the machine's
+    /// `observe.metrics` was set ([`ObserveOpts`]).
     pub metrics: Option<crate::metrics::MetricsReport>,
     /// End-of-run quiescence audit plus the behavior-registry image —
     /// the protocol checker's ground truth ([`crate::audit`]).
@@ -426,8 +405,8 @@ impl SimReport {
     /// counters (the kernels' cells summed, then each nonzero one named
     /// once, plus `transport`, what only the caller's network knows),
     /// reports, clocks, the flight-recorder trace when
-    /// `cfg.record_trace` is set, the metrics timeseries when
-    /// `cfg.record_metrics` is, and the quiescence audit.
+    /// `cfg.observe.trace` is set, the metrics timeseries when
+    /// `cfg.observe.metrics` is, and the quiescence audit.
     pub(crate) fn from_kernels(
         cfg: &MachineConfig,
         kernels: &[Kernel],
@@ -459,10 +438,10 @@ impl SimReport {
             .copied()
             .max()
             .unwrap_or(VirtualTime::ZERO);
-        let trace = cfg.record_trace.then(|| {
+        let trace = cfg.observe.trace.then(|| {
             crate::trace::TraceReport::merge(kernels.iter().filter_map(|k| k.recorder()))
         });
-        let metrics = cfg.record_metrics.then(|| {
+        let metrics = cfg.observe.metrics.then(|| {
             let mut metrics =
                 crate::metrics::MetricsReport::merge(kernels.iter().filter_map(|k| k.metrics()));
             // Loss is loud: what the recorders and the fault layer had to
@@ -545,21 +524,20 @@ pub struct SimMachine {
 }
 
 impl SimMachine {
-    /// Build a machine over a registry of behaviors.
+    /// Build a machine over a registry of behaviors. The machine is a
+    /// simulator whatever `cfg.backend` says, and its kernels are told so.
     ///
     /// # Panics
     /// Panics on an invalid configuration. Use
     /// [`MachineConfig::builder`] to catch those as [`ConfigError`]
     /// values instead.
     pub fn new(cfg: MachineConfig, registry: Arc<BehaviorRegistry>) -> Self {
+        let cfg = MachineConfig { backend: BackendKind::Sim, ..cfg };
         if let Err(e) = cfg.validate() {
             panic!("{e}");
         }
         let kernels = (0..cfg.nodes)
-            .map(|i| {
-                let kcfg = KernelConfig::for_node(&cfg, i as NodeId);
-                Kernel::new(kcfg, Arc::clone(&registry))
-            })
+            .map(|i| Kernel::new(i as NodeId, &cfg, Arc::clone(&registry)))
             .collect();
         // Pre-size the packet heap: fan-out workloads keep O(nodes)
         // packets in flight, and growing a BinaryHeap mid-run moves
@@ -634,7 +612,6 @@ impl SimMachine {
     /// sent it and is delivered in order like any other.
     pub fn run(&mut self) -> Result<SimReport, MachineError> {
         let quantum = lookahead_ns(&self.cfg.link).max(1);
-        let lb = self.cfg.load_balancing && self.cfg.nodes > 1;
         let limit = match self.cfg.max_events {
             0 => u64::MAX,
             n => n,
@@ -655,10 +632,8 @@ impl SimMachine {
                 if k.has_work() {
                     work_exists = true;
                     earliest(k.clock);
-                } else if lb {
-                    if let Some(t0) = k.balancer.poll_ready_at() {
-                        polls.push((t0.max(k.clock), i));
-                    }
+                } else if let Some(t0) = k.balancer.poll_ready_at() {
+                    polls.push((t0.max(k.clock), i));
                 }
             }
             if !work_exists {
@@ -744,7 +719,7 @@ impl SimMachine {
                     let before = k.clock;
                     k.step();
                     self.flush(i);
-                    if self.cfg.record_timeline {
+                    if self.cfg.observe.timeline {
                         let after = self.kernels[i].clock;
                         self.timeline
                             .push(i as NodeId, before, after, SpanKind::Compute);
@@ -780,7 +755,7 @@ impl SimMachine {
         let span = self.kernels[node as usize].deliver(t, pkt);
         self.flush(node as usize);
         if let Some((start, end)) = span {
-            if self.cfg.record_timeline {
+            if self.cfg.observe.timeline {
                 self.timeline.push(node, start, end, SpanKind::Handler);
             }
         }
@@ -814,8 +789,8 @@ impl SimMachine {
         Arc::new(crate::metrics::TelemetryHub::new(cells))
     }
 
-    /// The recorded timeline (empty unless
-    /// [`MachineConfig::record_timeline`] was set).
+    /// The recorded timeline (empty unless `observe.timeline` was set,
+    /// see [`ObserveOpts`]).
     pub fn timeline(&self) -> &Timeline {
         &self.timeline
     }

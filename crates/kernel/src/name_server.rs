@@ -52,10 +52,6 @@ pub struct NameServer {
     me: NodeId,
     arena: DescriptorArena,
     table: Map<AddrKey, DescriptorId>,
-    /// Lookups served by the birthplace fast path (diagnostics).
-    pub fast_hits: u64,
-    /// Lookups that went through the hash table (diagnostics).
-    pub hash_lookups: u64,
 }
 
 impl NameServer {
@@ -65,8 +61,6 @@ impl NameServer {
             me,
             arena: DescriptorArena::new(),
             table: Map::default(),
-            fast_hits: 0,
-            hash_lookups: 0,
         }
     }
 
@@ -114,9 +108,8 @@ impl NameServer {
     ///
     /// Birthplace keys resolve by direct index (no hashing); foreign keys
     /// go through the hash table.
-    pub fn descriptor_for(&mut self, key: AddrKey) -> Option<DescriptorId> {
+    pub fn descriptor_for(&self, key: AddrKey) -> Option<DescriptorId> {
         if key.birthplace == self.me {
-            self.fast_hits += 1;
             // The address embeds the descriptor index directly. A miss
             // here (freed descriptor) would be a dangling address.
             if self.arena.contains(key.index) {
@@ -125,14 +118,13 @@ impl NameServer {
                 None
             }
         } else {
-            self.hash_lookups += 1;
             self.table.get(&key).copied()
         }
     }
 
     /// Full locality check: what this node believes about `key`,
     /// using only local information (the paper's headline property).
-    pub fn resolve(&mut self, key: AddrKey) -> Resolution {
+    pub fn resolve(&self, key: AddrKey) -> Resolution {
         match self.descriptor_for(key) {
             None => Resolution::Unknown,
             Some(d) => match self.arena.get(d).locality {
@@ -192,8 +184,6 @@ mod tests {
         let d = ns.alloc_local(ActorId(0), 0);
         let addr = MailAddr::ordinary(2, d);
         assert_eq!(ns.resolve(addr.key), Resolution::Local(ActorId(0)));
-        assert_eq!(ns.fast_hits, 1);
-        assert_eq!(ns.hash_lookups, 0);
         assert_eq!(ns.table_entries(), 0, "no table entry needed at birthplace");
     }
 
@@ -206,6 +196,7 @@ mod tests {
             birthplace: 3,
             index: DescriptorId(17),
         };
+        assert_eq!(ns.resolve(key), Resolution::Unknown, "not until bound");
         ns.bind(key, d);
         assert_eq!(
             ns.resolve(key),
@@ -214,13 +205,12 @@ mod tests {
                 remote_index: None
             }
         );
-        assert_eq!(ns.hash_lookups, 1);
-        assert_eq!(ns.fast_hits, 0);
+        assert_eq!(ns.table_entries(), 1);
     }
 
     #[test]
     fn unknown_foreign_key() {
-        let mut ns = NameServer::new(0);
+        let ns = NameServer::new(0);
         let key = AddrKey {
             birthplace: 9,
             index: DescriptorId(0),

@@ -5,9 +5,12 @@
 //! pipelined Cholesky wins because nodes keep computing while other
 //! iterations' columns are still in flight; alias creation wins because
 //! the requester's continuation overlaps the remote work. A timeline
-//! makes that overlap visible: enable
-//! [`crate::machine::MachineConfig::record_timeline`] and render the
-//! result with [`render_ascii`].
+//! makes that overlap visible: set `timeline` in the machine's
+//! [`crate::machine::ObserveOpts`] and render the result with
+//! [`render_ascii`]. It is the simulator's own recorder, not a view of
+//! the flight recorder: a span is a whole dispatcher step or packet
+//! handler, timed by the machine around the kernel call, and every one
+//! is kept.
 
 use hal_am::NodeId;
 use hal_des::VirtualTime;

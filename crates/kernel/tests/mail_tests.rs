@@ -5,7 +5,7 @@
 use hal_am::{AmEnvelope, Packet};
 use hal_kernel::kernel::{with_system_ctx, Ctx};
 use hal_kernel::{
-    AddrKey, Behavior, BehaviorId, BehaviorRegistry, KMsg, Kernel, KernelConfig, MachineConfig,
+    AddrKey, Behavior, BehaviorId, BehaviorRegistry, KMsg, Kernel, MachineConfig,
     MailAddr, Msg, NodeId, Outbound, SimMachine, Value,
 };
 use std::sync::Arc;
@@ -153,7 +153,7 @@ fn migration_carries_both_queues_in_order() {
     let reg = Arc::new(reg);
     let mc = MachineConfig::new(3);
     let mut ks: Vec<Kernel> = (0..3)
-        .map(|n| Kernel::new(KernelConfig::for_node(&mc, n), Arc::clone(&reg)))
+        .map(|n| Kernel::new(n, &mc, Arc::clone(&reg)))
         .collect();
     let mut shipped = Vec::new();
     let alias: MailAddr = with_system_ctx(&mut ks[2], |ctx| {

@@ -14,8 +14,8 @@ fn range(rng: &mut SplitMix64, lo: u64, hi: u64) -> u64 {
     lo + rng.next_u64() % (hi - lo)
 }
 
-/// Birthplace keys never touch the hash table; foreign keys never touch
-/// the fast path.
+/// Birthplace keys resolve from their descriptor index with the hash
+/// table empty; a foreign key resolves only once it is bound.
 #[test]
 fn lookup_path_discipline() {
     for case in 0..256u64 {
@@ -25,11 +25,15 @@ fn lookup_path_discipline() {
         let n_foreign = range(&mut rng, 0, 20) as usize;
 
         let mut ns = NameServer::new(me);
-        let mut local_keys = Vec::new();
+        let mut local = Vec::new();
         for i in 0..n_local {
             let d = ns.alloc_local(ActorId(i as u32), 0);
-            local_keys.push(AddrKey { birthplace: me, index: d });
+            local.push((AddrKey { birthplace: me, index: d }, ActorId(i as u32)));
         }
+        for &(k, a) in &local {
+            assert_eq!(ns.resolve(k), Resolution::Local(a), "case {case}");
+        }
+        assert_eq!(ns.table_entries(), 0, "case {case}: birthplace keys need no entry");
         let mut foreign_keys = Vec::new();
         for _ in 0..n_foreign {
             let node = range(&mut rng, 0, 8) as u16;
@@ -37,28 +41,19 @@ fn lookup_path_discipline() {
             if node == me {
                 continue; // foreign means not the birthplace
             }
-            let d = ns.alloc_remote(node, None, 0);
             let key = AddrKey { birthplace: node, index: DescriptorId(idx) };
+            if !foreign_keys.contains(&key) {
+                assert_eq!(ns.resolve(key), Resolution::Unknown, "case {case}: unbound");
+            }
+            let d = ns.alloc_remote(node, None, 0);
             ns.bind(key, d);
+            let believed = Resolution::Remote { node, remote_index: None };
+            assert_eq!(ns.resolve(key), believed, "case {case}");
             foreign_keys.push(key);
         }
-        let fast_before = ns.fast_hits;
-        let hash_before = ns.hash_lookups;
-        for k in &local_keys {
-            let _ = ns.resolve(*k);
+        for &(k, a) in &local {
+            assert_eq!(ns.resolve(k), Resolution::Local(a), "case {case}");
         }
-        // fast path used exactly once per local resolve
-        assert_eq!(ns.fast_hits - fast_before, local_keys.len() as u64, "case {case}");
-        assert_eq!(ns.hash_lookups, hash_before, "case {case}");
-        let hash_before = ns.hash_lookups;
-        for k in &foreign_keys {
-            let _ = ns.resolve(*k);
-        }
-        assert_eq!(
-            ns.hash_lookups - hash_before,
-            foreign_keys.len() as u64,
-            "case {case}"
-        );
     }
 }
 

@@ -5,7 +5,7 @@
 
 use hal_am::{AmEnvelope, LinkModel, SimNetwork};
 use hal_kernel::kernel::{with_system_ctx, Ctx};
-use hal_kernel::{Behavior, BehaviorRegistry, KMsg, Kernel, KernelConfig, MachineConfig, Msg, Outbound, Value};
+use hal_kernel::{Behavior, BehaviorRegistry, KMsg, Kernel, MachineConfig, Msg, Outbound, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -57,8 +57,7 @@ impl Behavior for Sink {
 }
 
 fn kernel(me: u16) -> Kernel {
-    let cfg = KernelConfig::for_node(&MachineConfig::new(3), me);
-    Kernel::new(cfg, Arc::new(BehaviorRegistry::new()))
+    Kernel::new(me, &MachineConfig::new(3), Arc::new(BehaviorRegistry::new()))
 }
 
 /// The address of the boxed message a small envelope carries.

@@ -167,7 +167,7 @@ fn tracing_disabled_records_nothing() {
         ctx.send(s, 0, vec![]);
     });
     let r = m.run().unwrap();
-    assert!(r.trace.is_none(), "no recorder when record_trace is off");
+    assert!(r.trace.is_none(), "no recorder when tracing is off");
     for n in 0..p {
         assert!(m.kernel(n as u16).recorder().is_none());
     }
