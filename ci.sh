@@ -213,6 +213,36 @@ for line in '    let kcfg = KernelConfig::for_node(&cfg, me);' \
 done
 rm -f "$planted"
 
+echo "== one recovery path under link faults: no FIR watchdog, no unreliable chaos mode =="
+# Under a plan with link faults every kernel packet travels under the
+# reliable layer (crates/am/src/reliable.rs), which re-sends it until it
+# is acked: that is the one thing that recovers a lost packet, an FIR or
+# its reply included (DESIGN.md §9). A switch that turns the layer off,
+# an FIR watchdog with its timer, event or counters, or a warning for a
+# duplicate the fabric could not copy is a second recovery path growing
+# back.
+second_recovery() {
+  grep -nF -e 'with_reliable' -e 'fir_timeout' -e 'FirTimer' -e 'FirTimeout' \
+    -e 'DupCloneFailed' -e 'WarningKind' -e 'fault_dup_unclonable' -e 'fir.reissued' "$@"
+}
+if second_recovery -r crates tests examples; then
+  echo "ci: a second recovery path for lost packets"; exit 1
+fi
+# The gate must catch a planted line for each name.
+planted="$(mktemp)"
+for line in '    let plan = FaultPlan::chaos(0.1).with_reliable(false);' \
+            '    pub fir_timeout: VirtualDuration,' \
+            '    FirTimer { key: AddrKey },' \
+            '            KernelEvent::FirTimeout { .. } => "FirTimeout",' \
+            'pub use sim::{Admitted, DupCloneFailed, Fate};' \
+            '    pub kind: WarningKind,' \
+            '        FaultDupUnclonable => "net.fault_dup_unclonable",' \
+            '        FirReissued => "fir.reissued",'; do
+  echo "$line" >"$planted"
+  second_recovery "$planted" >/dev/null || { echo "ci: the one-recovery-path gate is inert"; rm -f "$planted"; exit 1; }
+done
+rm -f "$planted"
+
 echo "== README.md and DESIGN.md name only crates/ paths that exist =="
 # Every backticked or linked crates/... path (globs allowed, a :line
 # suffix ignored) must be in the tree. EXPERIMENTS.md is history and is

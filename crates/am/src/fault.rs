@@ -17,9 +17,11 @@
 //!   function of the admission sequence;
 //! * timed faults (outages, pauses) are pure functions of virtual time.
 //!
-//! The plan carries the reliable-delivery tuning knobs too (retransmit
-//! timeout/backoff, FIR watchdog), so one value configures the whole
-//! chaos subsystem through `MachineConfig`.
+//! The plan carries the reliable layer's retransmit timeout bounds too,
+//! so one value configures the whole chaos subsystem through
+//! `MachineConfig`. Under link faults every kernel packet travels under
+//! that layer ([`crate::reliable`]), the one thing that recovers a lost
+//! packet.
 
 use crate::packet::NodeId;
 use hal_des::{Pcg32, VirtualDuration, VirtualTime};
@@ -62,8 +64,9 @@ pub struct FaultPlan {
     /// fabric (sender-side costs are still paid).
     pub drop: f64,
     /// Probability in `[0, 1]` that the fabric delivers a second copy
-    /// of an admitted packet (only reliable-layer packets can be
-    /// copied; the copy arrives after an extra random delay).
+    /// of an admitted packet, after an extra random delay. Only
+    /// reliable-layer packets can be copied ([`crate::AmEnvelope::try_clone`]);
+    /// any other envelope is delivered once.
     pub duplicate: f64,
     /// Probability in `[0, 1]` that an admitted packet skips the
     /// per-link FIFO clamp and takes an extra random delay, letting
@@ -76,13 +79,6 @@ pub struct FaultPlan {
     pub link_outages: Vec<LinkOutage>,
     /// Timed windows during which one node freezes.
     pub node_pauses: Vec<NodePause>,
-    /// Engage the reliable-delivery protocol (per-link sequence
-    /// numbers, cumulative acks, RTT-timed and fast retransmit, in-order
-    /// holdback; [`crate::reliable`]). On by default; turning it off exposes raw fault
-    /// behavior to the kernel protocols — useful for experiments like
-    /// the FIR-watchdog unit test, but exactly-once delivery no longer
-    /// holds under drop/duplicate faults.
-    pub reliable: bool,
     /// Retransmit timeout before a link's first round-trip sample, and
     /// the floor of the measured one (`SRTT + 4·RTTVAR`): an unacked
     /// reliable packet is re-sent once it has been out this long and
@@ -90,9 +86,6 @@ pub struct FaultPlan {
     pub rto: VirtualDuration,
     /// Cap on the retransmit timeout, measured or doubled by timeouts.
     pub rto_max: VirtualDuration,
-    /// FIR watchdog: an FIR still unanswered this long after it was
-    /// sent is re-issued toward the current best-guess location.
-    pub fir_timeout: VirtualDuration,
 }
 
 impl Default for FaultPlan {
@@ -104,10 +97,8 @@ impl Default for FaultPlan {
             reorder_window: VirtualDuration::from_nanos(20_000),
             link_outages: Vec::new(),
             node_pauses: Vec::new(),
-            reliable: true,
             rto: VirtualDuration::from_nanos(100_000),
             rto_max: VirtualDuration::from_nanos(3_200_000),
-            fir_timeout: VirtualDuration::from_nanos(300_000),
         }
     }
 }
@@ -160,15 +151,9 @@ impl FaultPlan {
         self
     }
 
-    /// Enable or disable the reliable-delivery protocol (builder
-    /// style). See [`FaultPlan::reliable`].
-    pub fn with_reliable(mut self, on: bool) -> Self {
-        self.reliable = on;
-        self
-    }
-
     /// True when any fault is configured — the chaos subsystem (fault
-    /// decisions, reliable delivery, FIR watchdog) engages only then,
+    /// decisions, pause windows, and reliable delivery under link
+    /// faults) engages only then,
     /// so a fault-free run is byte-identical to one without the
     /// subsystem.
     pub fn enabled(&self) -> bool {
@@ -264,7 +249,6 @@ mod tests {
         let p = FaultPlan::default();
         assert!(!p.enabled());
         assert!(!p.link_faults());
-        assert!(p.reliable);
     }
 
     #[test]

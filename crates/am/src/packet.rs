@@ -142,11 +142,14 @@ pub enum AmEnvelope<P> {
         /// Highest consecutively accepted sequence number.
         cum: u64,
     },
-    /// A self-addressed timer event (retransmit timeout, FIR watchdog):
-    /// scheduled directly into the event queue, never admitted through
-    /// the link model — timers consume no network resources and cannot
-    /// themselves be dropped or reordered.
-    Timer(P),
+    /// The reliable layer's retransmit timer for the link toward
+    /// `peer`, self-addressed: scheduled directly into the event queue,
+    /// never admitted through the link model — a timer consumes no
+    /// network resources and cannot itself be dropped or reordered.
+    RetxTimer {
+        /// The peer whose unacked packets the timer inspects.
+        peer: NodeId,
+    },
 }
 
 impl<P> AmEnvelope<P> {
@@ -163,7 +166,7 @@ impl<P> AmEnvelope<P> {
             // `bytes` already includes the inner envelope's header.
             AmEnvelope::Rel { bytes, .. } => bytes + REL_HEADER,
             AmEnvelope::RelAck { .. } => HEADER + REL_HEADER,
-            AmEnvelope::Timer(_) => 0,
+            AmEnvelope::RetxTimer { .. } => 0,
         }
     }
 
@@ -171,8 +174,8 @@ impl<P> AmEnvelope<P> {
     /// for the reliable-delivery variants (their payload is a shared
     /// claim ticket). The fault layer uses this to materialize
     /// duplicate copies: opaque kernel payloads cannot be duplicated,
-    /// which is fine because in reliable chaos mode every faultable
-    /// packet travels as `Rel`/`RelAck`.
+    /// which is fine because under link faults every packet the kernel
+    /// injects travels as `Rel`/`RelAck`.
     pub fn try_clone(&self) -> Option<AmEnvelope<P>> {
         match self {
             AmEnvelope::Rel { seq, body, bytes } => Some(AmEnvelope::Rel {
@@ -205,7 +208,7 @@ impl<P: PartialEq> PartialEq for AmEnvelope<P> {
                 Rel { seq: sb, body: pb, bytes: bb },
             ) => sa == sb && ba == bb && pa.same_as(pb),
             (RelAck { cum: ca }, RelAck { cum: cb }) => ca == cb,
-            (Timer(a), Timer(b)) => a == b,
+            (RetxTimer { peer: a }, RetxTimer { peer: b }) => a == b,
             _ => false,
         }
     }
@@ -287,7 +290,7 @@ mod tests {
         assert_eq!(rel.wire_bytes(|p| p.len()), 26 + REL_HEADER);
         let ack: AmEnvelope<Vec<u8>> = AmEnvelope::RelAck { cum: 1 };
         assert_eq!(ack.wire_bytes(|p| p.len()), 16 + REL_HEADER);
-        let timer: AmEnvelope<Vec<u8>> = AmEnvelope::Timer(vec![]);
+        let timer: AmEnvelope<Vec<u8>> = AmEnvelope::RetxTimer { peer: 0 };
         assert_eq!(timer.wire_bytes(|p| p.len()), 0);
     }
 

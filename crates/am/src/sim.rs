@@ -31,7 +31,6 @@ hal_des::counters! {
         FaultReordered => "net.fault_reordered",
         FaultDropped => "net.fault_dropped",
         FaultDuplicated => "net.fault_duplicated",
-        FaultDupUnclonable => "net.fault_dup_unclonable",
     }
 }
 
@@ -125,7 +124,8 @@ pub enum Fate {
     Dropped,
     /// The fabric duplicated the packet: enqueue the original at
     /// [`Admitted::arrival`] and, if the envelope is clonable
-    /// ([`AmEnvelope::try_clone`]), a copy at the embedded arrival/seq.
+    /// ([`AmEnvelope::try_clone`]), a copy at the embedded arrival/seq;
+    /// any other envelope is enqueued once.
     Duplicated {
         /// Arrival time of the duplicate copy.
         arrival: VirtualTime,
@@ -133,24 +133,6 @@ pub enum Fate {
         seq: u64,
     },
 }
-
-/// A chaos duplication whose copy could not be materialized because the
-/// envelope is not clonable (opaque one-shot payloads). Recorded — with
-/// a stats counter — instead of silently dropping the duplicate, so
-/// trace consumers (hal-check, metrics) can see it happened.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DupCloneFailed {
-    /// Virtual arrival time the duplicate would have had.
-    pub t: VirtualTime,
-    /// Source node of the duplicated packet.
-    pub src: NodeId,
-    /// Destination node of the duplicated packet.
-    pub dst: NodeId,
-}
-
-/// Recorded [`DupCloneFailed`] events are bounded; the counter
-/// [`NetCounter::FaultDupUnclonable`] keeps the exact total.
-pub const MAX_DUP_CLONE_RECORDS: usize = 64;
 
 /// The network's resource state machine, separate from the event queue
 /// so admission arithmetic can be exercised (and timed) on its own:
@@ -178,9 +160,6 @@ pub struct LinkState {
     eject_busy: Vec<(VirtualTime, VirtualTime)>,
     /// Next admission sequence number.
     seq: u64,
-    /// Chaos duplications whose copy could not be cloned (bounded at
-    /// [`MAX_DUP_CLONE_RECORDS`]; exact count in `counts`).
-    dup_unclonable: Vec<DupCloneFailed>,
     /// Indexed by [`NetCounter`].
     counts: [u64; NetCounter::COUNT],
     /// Fault machinery; `None` (the default) keeps the exact legacy
@@ -197,7 +176,6 @@ impl LinkState {
             ni_free: vec![(VirtualTime::ZERO, VirtualTime::ZERO); nodes],
             eject_busy: vec![(VirtualTime::ZERO, VirtualTime::ZERO); nodes],
             seq: 0,
-            dup_unclonable: Vec::new(),
             counts: [0; NetCounter::COUNT],
             faults: None,
         }
@@ -362,24 +340,6 @@ impl LinkState {
         }
     }
 
-    /// Record a chaos duplication whose copy could not be materialized:
-    /// the envelope is a one-shot payload with no [`AmEnvelope::try_clone`]
-    /// representation. Counted in [`NetCounter::FaultDupUnclonable`] and kept
-    /// (bounded) for the trace-warning surface — the admission order is
-    /// deterministic, so the record list is too.
-    pub fn note_dup_clone_failed(&mut self, t: VirtualTime, src: NodeId, dst: NodeId) {
-        self.count(NetCounter::FaultDupUnclonable, 1);
-        if self.dup_unclonable.len() < MAX_DUP_CLONE_RECORDS {
-            self.dup_unclonable.push(DupCloneFailed { t, src, dst });
-        }
-    }
-
-    /// The recorded unclonable-duplicate events (bounded; see
-    /// [`LinkState::note_dup_clone_failed`]).
-    pub fn dup_clone_failures(&self) -> &[DupCloneFailed] {
-        &self.dup_unclonable
-    }
-
     /// Allocate a sequence number for a scheduler-level event (a timer)
     /// that bypasses the admission arithmetic entirely: no resources,
     /// no faults, no packet stats — just a deterministic tie-breaker
@@ -445,11 +405,8 @@ impl<P> SimNetwork<P> {
                     .push_at(adm.arrival, adm.seq, Packet { src, dst, body });
             }
             Fate::Duplicated { arrival, seq } => {
-                match body.try_clone() {
-                    Some(copy) => {
-                        self.queue.push_at(arrival, seq, Packet { src, dst, body: copy });
-                    }
-                    None => self.link.note_dup_clone_failed(arrival, src, dst),
+                if let Some(copy) = body.try_clone() {
+                    self.queue.push_at(arrival, seq, Packet { src, dst, body: copy });
                 }
                 self.queue
                     .push_at(adm.arrival, adm.seq, Packet { src, dst, body });
@@ -504,11 +461,6 @@ impl<P> SimNetwork<P> {
     /// The nonzero network counters, by name ([`LinkState::stats`]).
     pub fn stats(&self) -> StatSet {
         self.link.stats()
-    }
-
-    /// The underlying resource state (fault records, admission counters).
-    pub fn link(&self) -> &LinkState {
-        &self.link
     }
 }
 
@@ -613,14 +565,10 @@ mod tests {
         let plan = crate::fault::FaultPlan::none().with_duplicate(1.0);
         let mut net = SimNetwork::new(2, LinkModel::cm5());
         net.set_fault_plan(&plan, 1);
-        // An opaque Small payload cannot be copied — the lost duplicate
-        // is counted and recorded, not silently dropped…
+        // An opaque Small payload cannot be copied: only the original
+        // is enqueued…
         net.inject(VirtualTime::ZERO, 0, 1, small(1), 8);
         assert_eq!(net.in_flight(), 1);
-        assert_eq!(net.link.counts[NetCounter::FaultDupUnclonable as usize], 1);
-        assert_eq!(net.link.dup_clone_failures().len(), 1);
-        assert_eq!(net.link.dup_clone_failures()[0].src, 0);
-        assert_eq!(net.link.dup_clone_failures()[0].dst, 1);
         // …but a Rel packet can.
         let rel = AmEnvelope::Rel {
             seq: 1,
@@ -686,12 +634,12 @@ mod tests {
     #[test]
     fn scheduled_timers_bypass_admission() {
         let mut net = SimNetwork::new(2, LinkModel::cm5());
-        net.schedule(VirtualTime::from_nanos(500), 1, AmEnvelope::Timer(7u32));
+        net.schedule(VirtualTime::from_nanos(500), 1, AmEnvelope::<u32>::RetxTimer { peer: 0 });
         assert_eq!(net.link.counts[NetCounter::Packets as usize], 0, "no admission stats");
         let (t, p) = net.pop().unwrap();
         assert_eq!(t.as_nanos(), 500);
         assert_eq!(p.src, 1);
         assert_eq!(p.dst, 1);
-        assert_eq!(p.body, AmEnvelope::Timer(7));
+        assert_eq!(p.body, AmEnvelope::RetxTimer { peer: 0 });
     }
 }

@@ -19,11 +19,11 @@ use crate::out::Session;
 use hal::prelude::*;
 use hal_workloads::chase::{self, ChaseConfig, ChaseMsg};
 
-/// One chase at fault rate `rate`; returns the row's six counters —
+/// One chase at fault rate `rate`; returns the row's five counters —
 /// delivered, retransmits, duplicates suppressed, packets dropped and
-/// duplicated by the links, FIRs reissued — which are also the run's
-/// extras in `BENCH_chaos_delivery.json`.
-fn chase(s: &mut Session, rate: f64, chain: usize, probes: i64) -> [u64; 6] {
+/// duplicated by the links — which are also the run's extras in
+/// `BENCH_chaos_delivery.json`.
+fn chase(s: &mut Session, rate: f64, chain: usize, probes: i64) -> [u64; 5] {
     let cfg = s.machine(8).seed(5).faults(FaultPlan::chaos(rate)).build().unwrap();
     let (delivered, r) = chase::run_sim(cfg, ChaseConfig::fig3(chain, probes));
     let counters = [
@@ -32,7 +32,6 @@ fn chase(s: &mut Session, rate: f64, chain: usize, probes: i64) -> [u64; 6] {
         ("duplicates_suppressed", r.stats.get("rel.dup_dropped")),
         ("link_dropped", r.stats.get("net.fault_dropped")),
         ("link_duplicated", r.stats.get("net.fault_duplicated")),
-        ("fir_reissued", r.stats.get("fir.reissued")),
     ];
     s.note_run_with(format!("chaos rate={rate}"), &r, &counters);
     counters.map(|(_, count)| count)
@@ -51,8 +50,8 @@ pub fn run(s: &mut Session) {
          stays exactly once at every rate.",
     );
     s.header(
-        &["rate", "delivered", "retx", "dup-suppr", "dropped", "dup'd", "FIR-rtx"],
-        &[7, 11, 9, 12, 9, 9, 9],
+        &["rate", "delivered", "retx", "dup-suppr", "dropped", "dup'd"],
+        &[7, 11, 9, 12, 9, 9],
     );
     let rates: &[f64] = if s.quick() {
         &[0.0, 0.10]
@@ -61,12 +60,12 @@ pub fn run(s: &mut Session) {
     };
     let probes = 40i64;
     for &rate in rates {
-        let [delivered, retx, dup_suppr, dropped, duped, fir_rtx] = chase(s, rate, 8, probes);
+        let [delivered, retx, dup_suppr, dropped, duped] = chase(s, rate, 8, probes);
         assert_eq!(
             delivered, probes as u64,
             "exactly-once delivery violated at fault rate {rate}"
         );
-        s.row(&[&format!("{rate:.2}"), &delivered, &retx, &dup_suppr, &dropped, &duped, &fir_rtx]);
+        s.row(&[&format!("{rate:.2}"), &delivered, &retx, &dup_suppr, &dropped, &duped]);
     }
     s.say(
         "\nshape: the fault-free row pays zero overhead (the fault layer is\n\

@@ -51,19 +51,6 @@ pub fn check_sim_report(label: &str, sim: &SimReport, out: &mut CheckReport) {
     let before = out.passes.len();
     if let Some(trace) = &sim.trace {
         check_trace(trace, out);
-        // Typed non-fatal anomalies travel with the trace (e.g. a chaos
-        // duplicate of an unclonable payload that the network counted
-        // instead of silently dropping) — surface them, but never fail
-        // on them.
-        for w in &trace.warnings {
-            out.warn(format!(
-                "{label}: {} at t={} ns ({} -> {})",
-                w.kind.name(),
-                w.t.as_nanos(),
-                w.src,
-                w.dst
-            ));
-        }
     }
     check_audit(&sim.audit, out);
     // Prefix this run's pass labels so multi-run reports stay readable.

@@ -122,9 +122,8 @@ pub struct CheckReport {
     /// True when any examined trace had ring wraparound: liveness and
     /// pairing checks that need a complete window were downgraded.
     pub trace_truncated: bool,
-    /// Non-fatal anomalies surfaced by the checked runs (e.g. a chaos
-    /// duplicate of an unclonable payload that could not be
-    /// materialized). Warnings never make a report unclean.
+    /// Non-fatal anomalies a pass chose to surface. Warnings never make
+    /// a report unclean.
     pub warnings: Vec<String>,
 }
 

@@ -8,7 +8,7 @@
 use hal::prelude::*;
 use hal_kernel::{KernelEvent, LinkOutage, SimMachine};
 use hal_check::{CheckReport, ViolationKind};
-use hal_des::VirtualTime;
+use hal_des::{VirtualDuration, VirtualTime};
 use hal_kernel::kernel::Ctx;
 use std::sync::Arc;
 
@@ -74,20 +74,35 @@ fn forward_chains_stay_acyclic_after_repeated_migration() {
     assert_clean(&checked("acyclic_after_migration", &r));
 }
 
+/// On its kick, spends `charge_us` of CPU, then sends two probes.
+struct Prober {
+    nomad: MailAddr,
+    charge_us: u64,
+}
+impl Behavior for Prober {
+    fn dispatch(&mut self, ctx: &mut Ctx<'_>, _msg: Msg) {
+        ctx.charge(VirtualDuration::from_nanos(self.charge_us * 1_000));
+        ctx.send(self.nomad, 1, vec![]);
+        ctx.send(self.nomad, 1, vec![]);
+    }
+}
+
 #[test]
 fn duplicate_fir_suppression_under_link_outage() {
     // The reverse link 2 -> 1 is dead for 2ms: it eats the migration
-    // announcement and then every FirFound reply, so the chase stays
-    // open across watchdog re-issues. Two probes target the nomad while
-    // the chase is wedged — the second must join the running chase
-    // (FirSuppressed), never open a competing one, and the checker must
-    // not mistake the watchdog's re-chase for a duplicate or a cycle.
-    let outage_end = VirtualTime::from_nanos(2_000_000);
-    let faults = FaultPlan::none().with_reliable(false).with_outage(LinkOutage {
+    // announcement and then the FirFound reply, so the chase stays open
+    // until the reliable layer's retransmit gets through after the
+    // outage. Two probes target the nomad while the chase is open — the
+    // second must join the running chase (FirSuppressed), never open a
+    // competing one, and the checker must not mistake a re-sent copy
+    // of the FIR or its reply for a duplicate chase or a cycle. The
+    // probes race the outage inside one run, as a run drains only once
+    // the retransmit got through.
+    let faults = FaultPlan::none().with_outage(LinkOutage {
         src: 2,
         dst: 1,
-        from: VirtualTime::from_nanos(0),
-        until: outage_end,
+        from: VirtualTime::ZERO,
+        until: VirtualTime::from_nanos(2_000_000),
     });
     let cfg = MachineConfig::builder(3)
         .faults(faults)
@@ -96,35 +111,26 @@ fn duplicate_fir_suppression_under_link_outage() {
         .build()
         .unwrap();
     let mut m = SimMachine::new(cfg, empty_registry());
-
     let nomad = m.with_ctx(1, |ctx| {
         let nomad = ctx.create_local(Box::new(Nomad { hops: vec![2], probes: 0 }));
         ctx.send(nomad, 0, vec![]);
         nomad
     });
-    m.run().unwrap();
-
     m.with_ctx(0, |ctx| {
-        ctx.send(nomad, 1, vec![]);
-        ctx.send(nomad, 1, vec![]);
+        let prober = ctx.create_local(Box::new(Prober { nomad, charge_us: 200 }));
+        ctx.send(prober, 0, vec![]);
     });
     let r = m.run().unwrap();
 
     assert_eq!(r.values("probe_delivered").len(), 2, "both probes delivered exactly once");
-    assert!(
-        r.stats.get("fir.suppressed") >= 1,
-        "second probe must have joined the running chase (suppressed = {})",
-        r.stats.get("fir.suppressed")
-    );
-    assert!(
-        r.stats.get("fir.reissued") >= 1,
-        "the watchdog re-issued the wedged chase (reissued = {})",
-        r.stats.get("fir.reissued")
-    );
+    assert_eq!(r.values("probed_on"), vec![&Value::Int(2); 2], "both on the nomad's node");
+    assert_eq!(r.stats.get("fir.sent"), 1, "one chase");
+    assert_eq!(r.stats.get("fir.suppressed"), 1, "the second probe joined the running chase");
+    assert!(r.stats.get("rel.retransmits") > 0, "the outage was crossed by retransmit");
     let report = checked("suppression_under_outage", &r);
     assert!(
         !report.violations.iter().any(|v| v.kind == ViolationKind::DuplicateFirNotSuppressed),
-        "watchdog re-chase misread as duplicate:\n{}",
+        "retransmitted chase misread as duplicate:\n{}",
         report.summary()
     );
     assert_clean(&report);

@@ -136,12 +136,10 @@ pub enum ConfigError {
     /// faults or node pauses) — fault injection lives in the simulated
     /// link layer and clock, so a live run would silently ignore it.
     LiveFaultsUnsupported,
-    /// A chaos timeout is shorter than the link lookahead (injection
-    /// overhead + latency): it would expire before the packet it guards
-    /// could have crossed the link even once.
+    /// The fault plan's retransmit timeout `rto` is shorter than the
+    /// link lookahead (injection overhead + latency): it would expire
+    /// before the packet it guards could have crossed the link even once.
     TimeoutTooShort {
-        /// Which timeout field was rejected.
-        which: &'static str,
         /// The minimum allowed value in nanoseconds.
         min_ns: u64,
     },
@@ -167,8 +165,8 @@ impl fmt::Display for ConfigError {
             ConfigError::LiveFaultsUnsupported => {
                 write!(f, "the live backend cannot inject faults (simulation-only)")
             }
-            ConfigError::TimeoutTooShort { which, min_ns } => {
-                write!(f, "`{which}` must be at least {min_ns} ns (the link lookahead)")
+            ConfigError::TimeoutTooShort { min_ns } => {
+                write!(f, "`rto` must be at least {min_ns} ns (the link lookahead)")
             }
             ConfigError::BadSampleRate { ppm } => {
                 write!(f, "span sample rate {ppm} ppm exceeds 1000000 (100%)")

@@ -31,9 +31,6 @@ pub struct FirPending {
     /// Messages we tried to deliver locally and parked until the actor's
     /// location is known.
     pub buffered: Vec<Msg>,
-    /// How many times the chaos watchdog re-issued this chase (0 on the
-    /// happy path; only grows when a fault ate the FIR or its reply).
-    pub retries: u32,
 }
 
 /// The node's FIR table.
@@ -96,19 +93,6 @@ impl FirTable {
     pub fn outstanding(&self) -> usize {
         self.pending.len()
     }
-
-    /// The chaos watchdog decided to re-issue the FIR for `key` (its
-    /// reply is overdue — presumed lost). Returns the new retry count
-    /// for the [`crate::trace::KernelEvent::FirTimeout`] record. Must
-    /// follow a `need_location` call for the same key.
-    pub fn note_reissue(&mut self, key: AddrKey) -> u32 {
-        let p = self
-            .pending
-            .get_mut(&key)
-            .expect("reissue without an outstanding FIR");
-        p.retries += 1;
-        p.retries
-    }
 }
 
 #[cfg(test)]
@@ -165,17 +149,5 @@ mod tests {
     fn buffer_without_need_panics() {
         let mut t = FirTable::new();
         t.buffer(key(0, 0), Msg::new(1, vec![]));
-    }
-
-    #[test]
-    fn reissue_counts_per_chase() {
-        let mut t = FirTable::new();
-        let k = key(4, 1);
-        t.need_location(k);
-        assert_eq!(t.note_reissue(k), 1);
-        assert_eq!(t.note_reissue(k), 2);
-        t.need_location(key(4, 2));
-        assert_eq!(t.note_reissue(key(4, 2)), 1, "retries are per chase");
-        assert_eq!(t.complete(k).unwrap().retries, 2);
     }
 }

@@ -235,7 +235,6 @@ impl Kernel {
         }
         self.trace_event_span(KernelEvent::FirSent { key, to }, span, parent);
         self.net_send(to, KMsg::Fir { key, span });
-        self.arm_fir_watchdog(key);
     }
 
     /// An FIR arrived from `src` looking for `key`. `span` is the chase
@@ -273,15 +272,6 @@ impl Kernel {
         }
     }
 
-    /// Under a plan with link faults an FIR (or its reply) can be eaten
-    /// by the link; arm a watchdog so the chase is re-issued instead of
-    /// wedging the buffered messages forever.
-    fn arm_fir_watchdog(&mut self, key: AddrKey) {
-        if self.chaos_on() {
-            self.arm_timer(self.cfg.faults.fir_timeout, KMsg::FirTimer { key });
-        }
-    }
-
     /// The FIR reply: repair our table, release parked messages, and
     /// propagate back along the chain.
     pub(super) fn handle_fir_found(
@@ -293,12 +283,11 @@ impl Kernel {
     ) {
         self.charge(self.cfg.cost.fir_handle);
         if self.firs.is_pending(key) && self.believes_later(key, epoch) {
-            // An answer to an FIR from an earlier episode (often one the
-            // watchdog re-issued) that this node has outgrown: the actor
-            // passed through here, or gossip named a later hop, since it
-            // was asked. Closing the open chase with it would send the
-            // parked mail back down the chain; ask again from the newer
-            // belief instead.
+            // An answer to an FIR from an earlier episode that this node
+            // has outgrown: the actor passed through here, or gossip
+            // named a later hop, since it was asked. Closing the open
+            // chase with it would send the parked mail back down the
+            // chain; ask again from the newer belief instead.
             let span = self.chase_span(key);
             self.trace_event_span(KernelEvent::FirStale { key, epoch }, span, 0);
             self.reissue_fir(key, span);
@@ -337,19 +326,17 @@ impl Kernel {
 
     /// Send the open chase for `key` one hop on again, from current
     /// knowledge: our best guess if we have one, else the birthplace
-    /// (which always learns of migrations, §4.3). Returns false when
+    /// (which always learns of migrations, §4.3). Sends nothing when
     /// there is nowhere to send it (the actor is here).
-    pub(super) fn reissue_fir(&mut self, key: AddrKey, span: u64) -> bool {
+    fn reissue_fir(&mut self, key: AddrKey, span: u64) {
         let next = match self.names.resolve(key) {
             Resolution::Remote { node, .. } => node,
-            Resolution::Local(_) => return false,
+            Resolution::Local(_) => return,
             Resolution::Unknown => key.birthplace,
         };
-        if next == self.me {
-            return false;
+        if next != self.me {
+            self.net_send(next, KMsg::Fir { key, span });
         }
-        self.net_send(next, KMsg::Fir { key, span });
-        true
     }
 
     /// The chase for `key` ends on this node, with the actor found on

@@ -75,13 +75,14 @@ pub enum Outbound {
         /// Bytes on the wire.
         wire: usize,
     },
-    /// Arm a self-addressed timer (chaos subsystem: retransmit timeouts,
-    /// FIR watchdogs). Timers bypass the link model and the fault layer.
+    /// Arm the reliable layer's retransmit timer for the link toward
+    /// `peer`; it comes back as an [`AmEnvelope::RetxTimer`]. Timers
+    /// bypass the link model and the fault layer.
     Timer {
         /// When it fires.
         fire_at: VirtualTime,
-        /// The [`AmEnvelope::Timer`] to hand back then.
-        env: AmEnvelope<Box<KMsg>>,
+        /// The peer whose unacked packets the timer inspects.
+        peer: NodeId,
     },
 }
 
@@ -192,7 +193,7 @@ pub struct Kernel {
     /// always has one ([`Kernel::new`]).
     metrics: Option<Box<Metrics>>,
     /// Reliable-delivery sender state (per-peer unacked queues). Only
-    /// touched when the fault plan is active and `reliable` is on.
+    /// touched when the fault plan has link faults.
     rel_tx: RelSender<Box<KMsg>>,
     /// Reliable-delivery receiver state (per-peer dedup + holdback).
     rel_rx: RelReceiver<Box<KMsg>>,

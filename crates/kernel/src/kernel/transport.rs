@@ -26,12 +26,12 @@ impl Kernel {
         self.outbox.push(Outbound::Packet { at: self.clock, dst, env, wire });
     }
 
-    /// Leave a self-addressed timer `after` from now for the machine.
+    /// Leave the retransmit timer for the link toward `peer`, `after`
+    /// from now, for the machine.
     #[inline]
-    pub(super) fn arm_timer(&mut self, after: VirtualDuration, body: KMsg) {
+    fn arm_retx_timer(&mut self, after: VirtualDuration, peer: NodeId) {
         let fire_at = self.clock + after;
-        let env = AmEnvelope::Timer(Box::new(body));
-        self.outbox.push(Outbound::Timer { fire_at, env });
+        self.outbox.push(Outbound::Timer { fire_at, peer });
     }
 
     /// Take everything sent or armed since the last drain, oldest first.
@@ -80,18 +80,10 @@ impl Kernel {
     }
 
     /// True when the fault plan can corrupt link traffic — the gate for
-    /// both reliable wrapping and the FIR watchdog.
+    /// reliable wrapping, the one recovery path for a lost packet.
     #[inline]
-    pub(super) fn chaos_on(&self) -> bool {
+    fn chaos_on(&self) -> bool {
         self.cfg.faults.link_faults()
-    }
-
-    /// True when outbound envelopes must travel under the reliable
-    /// (seq + ack + retransmit) protocol: a chaos plan that can corrupt
-    /// the link, with `reliable` left on.
-    #[inline]
-    fn rel_on(&self) -> bool {
-        self.chaos_on() && self.cfg.faults.reliable
     }
 
     /// Record a typed failure and stop the machine. Only the first
@@ -104,9 +96,9 @@ impl Kernel {
     }
 
     /// Every kernel envelope leaves through here. Validates the
-    /// destination, and — when the fault plan is live and `reliable` is
-    /// on — wraps the envelope in [`AmEnvelope::Rel`], parks a
-    /// retransmittable copy, and arms the per-peer retransmit timer.
+    /// destination, and — when the fault plan has link faults — wraps
+    /// the envelope in [`AmEnvelope::Rel`], parks a retransmittable
+    /// copy, and arms the per-peer retransmit timer.
     fn inject_env(&mut self, dst: NodeId, env: AmEnvelope<Box<KMsg>>, wire: usize) {
         if (dst as usize) >= self.cfg.nodes {
             self.fail(MachineError::InvalidNode {
@@ -115,7 +107,7 @@ impl Kernel {
             });
             return;
         }
-        if !self.rel_on() {
+        if !self.chaos_on() {
             self.emit(dst, env, wire);
             return;
         }
@@ -151,7 +143,7 @@ impl Kernel {
         };
         self.emit(dst, rel, wire + REL_HEADER);
         if let Some(after) = ticket.arm_timer {
-            self.arm_timer(after, KMsg::RetxTimer { peer: dst });
+            self.arm_retx_timer(after, dst);
         }
     }
 
@@ -183,9 +175,9 @@ impl Kernel {
         debug_assert_eq!(pkt.dst, self.me);
         match pkt.body {
             // Timers are local clock events, not network traffic: no
-            // receive overhead, no recv counter. Unboxed here, once.
-            AmEnvelope::Timer(body) => {
-                self.handle_timer(*body);
+            // receive overhead, no recv counter.
+            AmEnvelope::RetxTimer { peer } => {
+                self.retx_timer_fired(peer);
                 self.drain_loopback();
                 return;
             }
@@ -279,7 +271,7 @@ impl Kernel {
                     self.handle_kmsg(src, *body);
                 }
             }
-            AmEnvelope::Rel { .. } | AmEnvelope::RelAck { .. } | AmEnvelope::Timer(_) => {
+            AmEnvelope::Rel { .. } | AmEnvelope::RelAck { .. } | AmEnvelope::RetxTimer { .. } => {
                 unreachable!("reliability framing cannot nest")
             }
         }
@@ -292,62 +284,33 @@ impl Kernel {
     }
 
     // ------------------------------------------------------------------
-    // Chaos timers (retransmit timeouts, FIR watchdog)
+    // Retransmit timers
     // ------------------------------------------------------------------
 
-    /// Would delivering this timer do nothing? Checked by [`Kernel::deliver`]
-    /// *before* clock mutation so stale timers (work already acked, FIR
-    /// already answered) cost zero virtual time.
-    fn timer_stale(&self, body: &KMsg) -> bool {
-        match body {
-            KMsg::RetxTimer { peer } => !self.rel_tx.has_unacked(*peer),
-            KMsg::FirTimer { key } => !self.firs.is_pending(*key),
-            _ => false,
+    /// Retire the retransmit timer for `peer` if it would do nothing
+    /// (every packet to the peer acked), disarming the peer so the next
+    /// `register` arms a fresh timer. Checked by [`Kernel::deliver`]
+    /// *before* clock mutation, so a stale timer costs zero virtual time.
+    fn expire_stale_timer(&mut self, peer: NodeId) -> bool {
+        if self.rel_tx.has_unacked(peer) {
+            return false;
         }
+        self.count(Counter::RelTimersExpired);
+        self.rel_tx.expire(peer);
+        true
     }
 
-    /// Retire a stale timer: disarm the peer's retransmit state so the
-    /// next `register` arms a fresh timer; an answered FIR's watchdog
-    /// just goes.
-    fn expire_timer(&mut self, body: &KMsg) {
-        match body {
-            KMsg::RetxTimer { peer } => {
-                self.count(Counter::RelTimersExpired);
-                self.rel_tx.expire(*peer);
-            }
-            KMsg::FirTimer { .. } => self.count(Counter::FirTimersExpired),
-            _ => {}
-        }
-    }
-
-    /// A timer that is not stale fired.
-    fn handle_timer(&mut self, body: KMsg) {
-        match body {
-            KMsg::RetxTimer { peer } => {
-                self.rel_tx.at(self.clock);
-                match self.rel_tx.timer_fired(peer) {
-                    RetxDecision::Stale => {}
-                    RetxDecision::Rearm { copies, after } => {
-                        for copy in copies {
-                            self.resend(peer, copy);
-                        }
-                        self.arm_timer(after, KMsg::RetxTimer { peer });
-                    }
+    /// The retransmit timer for `peer` fired with packets still unacked.
+    fn retx_timer_fired(&mut self, peer: NodeId) {
+        self.rel_tx.at(self.clock);
+        match self.rel_tx.timer_fired(peer) {
+            RetxDecision::Stale => {}
+            RetxDecision::Rearm { copies, after } => {
+                for copy in copies {
+                    self.resend(peer, copy);
                 }
+                self.arm_retx_timer(after, peer);
             }
-            KMsg::FirTimer { key } => {
-                if !self.firs.is_pending(key) {
-                    return; // reply arrived first; let the watchdog die
-                }
-                let retries = self.firs.note_reissue(key);
-                self.count(Counter::FirReissued);
-                let span = self.chase_span(key);
-                self.trace_event_span(KernelEvent::FirTimeout { key, retries }, span, 0);
-                if self.reissue_fir(key, span) {
-                    self.arm_timer(self.cfg.faults.fir_timeout, KMsg::FirTimer { key });
-                }
-            }
-            other => unreachable!("not a timer: {other:?}"),
         }
     }
 
@@ -416,9 +379,6 @@ impl Kernel {
             KMsg::GcSweepCmd { root } => self.handle_gc_sweep(root),
             KMsg::GcSwept { freed, live } => self.handle_gc_swept(freed, live),
             KMsg::Halt => self.stopped = true,
-            KMsg::RetxTimer { .. } | KMsg::FirTimer { .. } => {
-                unreachable!("timers are dispatched at the packet layer")
-            }
         }
     }
 
@@ -448,9 +408,8 @@ impl Kernel {
         t: VirtualTime,
         pkt: Packet<Box<KMsg>>,
     ) -> Option<(VirtualTime, VirtualTime)> {
-        if let AmEnvelope::Timer(body) = &pkt.body {
-            if self.timer_stale(body) {
-                self.expire_timer(body);
+        if let AmEnvelope::RetxTimer { peer } = pkt.body {
+            if self.expire_stale_timer(peer) {
                 return None;
             }
         }

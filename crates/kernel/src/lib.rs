@@ -91,5 +91,5 @@ pub use registry::{BehaviorRegistry, FactoryFn};
 pub use gc::GcReport;
 pub use metrics::{Counter, Folded, Metrics, MetricsReport, NodeCell, TelemetryHub};
 pub use span::{AliasSpan, ChaseSpan, MsgSpan, SpanReport};
-pub use trace::{DeliveryPath, KernelEvent, TraceEvent, TraceReport, TraceWarning, WarningKind};
+pub use trace::{DeliveryPath, KernelEvent, TraceEvent, TraceReport};
 pub use wire::{ActorImage, KMsg};

@@ -15,7 +15,7 @@
 //! one [`MachineConfig`] ([`Kernel::new`]), and they speak the same
 //! protocol: the links neither drop nor reorder (a full peer queue stalls
 //! the sender, see `LiveNet::inject`), so, as on a fault-free simulated
-//! run, there is no seq/ack layer, no FIR watchdog and no timer.
+//! run, there is no seq/ack layer and no retransmit timer.
 //! Migration, aliases and FIR chases run the exact same kernel code
 //! paths — the backends differ only in who drains the kernel's outbox
 //! ([`crate::kernel::Outbound`]) and into what. Fault plans are refused
@@ -181,7 +181,8 @@ impl LiveNet {
         for out in kernel.drain_outbox() {
             match out {
                 Outbound::Packet { dst, env, wire, .. } => self.inject(dst, env, wire),
-                // Timers need link faults, which `MachineConfig::validate` refuses on live.
+                // Retransmit timers need link faults, which
+                // `MachineConfig::validate` refuses on live.
                 Outbound::Timer { .. } => unreachable!("a live kernel armed a timer"),
             }
         }

@@ -16,7 +16,7 @@ use crate::message::Value;
 use crate::metrics::{Counter, Folded};
 use crate::registry::BehaviorRegistry;
 use crate::wire::KMsg;
-use hal_am::{FaultPlan, LinkModel, NetCounter, NodeId, SimNetwork};
+use hal_am::{AmEnvelope, FaultPlan, LinkModel, NodeId, SimNetwork};
 use hal_des::{StatSet, VirtualTime};
 use std::sync::Arc;
 
@@ -209,13 +209,8 @@ impl MachineConfig {
         }
         if self.faults.link_faults() {
             let min_ns = lookahead_ns(&self.link).max(1);
-            for (which, d) in [
-                ("rto", self.faults.rto),
-                ("fir_timeout", self.faults.fir_timeout),
-            ] {
-                if d.as_nanos() < min_ns {
-                    return Err(ConfigError::TimeoutTooShort { which, min_ns });
-                }
+            if self.faults.rto.as_nanos() < min_ns {
+                return Err(ConfigError::TimeoutTooShort { min_ns });
             }
         }
         Ok(())
@@ -455,10 +450,6 @@ impl SimReport {
             if dropped > 0 {
                 metrics.set_counter(Folded::MetricsDroppedSamples.name(), dropped);
             }
-            let unclonable = NetCounter::FaultDupUnclonable.name();
-            if stats.get(unclonable) > 0 {
-                metrics.set_counter(unclonable, stats.get(unclonable));
-            }
             metrics
         });
         SimReport {
@@ -587,7 +578,9 @@ impl SimMachine {
                 Outbound::Packet { at, dst, env, wire } => {
                     self.net.inject(at, me, dst, env, wire);
                 }
-                Outbound::Timer { fire_at, env } => self.net.schedule(fire_at, me, env),
+                Outbound::Timer { fire_at, peer } => {
+                    self.net.schedule(fire_at, me, AmEnvelope::RetxTimer { peer });
+                }
             }
         }
     }
@@ -763,21 +756,7 @@ impl SimMachine {
 
     /// Snapshot the report without running.
     pub fn report(&self) -> SimReport {
-        let mut report =
-            SimReport::from_kernels(&self.cfg, &self.kernels, self.events, &self.net.stats());
-        if let Some(t) = report.trace.as_mut() {
-            // Chaos duplications whose copy could not be cloned: recorded
-            // by the link state in admission order, surfaced as typed trace
-            // warnings and a metrics counter — never silently dropped.
-            let dup_failures = self.net.link().dup_clone_failures();
-            t.warnings.extend(dup_failures.iter().map(|d| crate::trace::TraceWarning {
-                kind: crate::trace::WarningKind::DupCloneFailed,
-                t: d.t,
-                src: d.src,
-                dst: d.dst,
-            }));
-        }
-        report
+        SimReport::from_kernels(&self.cfg, &self.kernels, self.events, &self.net.stats())
     }
 
     /// A hub over the kernels' cells (none with metrics off: their

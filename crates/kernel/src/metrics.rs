@@ -54,8 +54,6 @@ hal_des::counters! {
         RelDupDropped => "rel.dup_dropped",
         RelDelivered => "rel.delivered",
         RelTimersExpired => "rel.timers_expired",
-        FirTimersExpired => "fir.timers_expired",
-        FirReissued => "fir.reissued",
         // delivery.rs
         MsgsLocal => "msgs.local",
         MsgsRemote => "msgs.remote",

@@ -98,8 +98,6 @@ pub struct ChaseSpan {
     pub resolved_at: Option<VirtualTime>,
     /// Messages that joined this chase instead of re-issuing an FIR.
     pub suppressed: u32,
-    /// Watchdog re-issues after lost replies.
-    pub timeouts: u32,
 }
 
 /// One alias-based remote creation (§5): mint at the requester,
@@ -242,7 +240,6 @@ impl SpanReport {
                             hops: Vec::new(),
                             resolved_at: None,
                             suppressed: 0,
-                            timeouts: 0,
                         });
                         rep.chases.len() - 1
                     });
@@ -251,11 +248,6 @@ impl SpanReport {
                 KernelEvent::FirSuppressed { .. } if e.span != 0 => {
                     if let Some(&i) = chase_ix.get(&e.span) {
                         rep.chases[i].suppressed += 1;
-                    }
-                }
-                KernelEvent::FirTimeout { .. } if e.span != 0 => {
-                    if let Some(&i) = chase_ix.get(&e.span) {
-                        rep.chases[i].timeouts += 1;
                     }
                 }
                 KernelEvent::FirReplyPropagated { .. } if e.span != 0 => {

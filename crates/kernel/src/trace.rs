@@ -172,13 +172,6 @@ pub enum KernelEvent {
         /// The re-sent packet's per-link sequence number.
         seq: u64,
     },
-    /// The FIR watchdog re-issued a chase whose reply never arrived.
-    FirTimeout {
-        /// The chased identity key.
-        key: AddrKey,
-        /// How many times this chase has been re-issued.
-        retries: u32,
-    },
     /// An FIR reply older than this node's own belief arrived while a
     /// chase was open: the chase stays open and its FIR goes out again
     /// toward the newer belief.
@@ -238,7 +231,6 @@ impl KernelEvent {
             KernelEvent::GcSweep { .. } => "GcSweep",
             KernelEvent::Drop { .. } => "Drop",
             KernelEvent::Retransmit { .. } => "Retransmit",
-            KernelEvent::FirTimeout { .. } => "FirTimeout",
             KernelEvent::FirStale { .. } => "FirStale",
             KernelEvent::ActorCreated { .. } => "ActorCreated",
             KernelEvent::NameRepaired { .. } => "NameRepaired",
@@ -525,42 +517,6 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A typed, non-fatal anomaly of a run — carried alongside the event
-/// stream (never ring-buffered, never dropped) so downstream consumers
-/// (hal-check, metrics) can see conditions that have no per-node event
-/// of their own. Warnings derive from admission order, so they are
-/// deterministic like everything else in the report.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceWarning {
-    /// What happened.
-    pub kind: WarningKind,
-    /// Virtual time of the anomaly.
-    pub t: VirtualTime,
-    /// Source node involved.
-    pub src: NodeId,
-    /// Destination node involved.
-    pub dst: NodeId,
-}
-
-/// Warning taxonomy (see [`TraceWarning`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WarningKind {
-    /// Chaos duplicated a packet whose envelope is a one-shot payload
-    /// with no clonable representation: the duplicate could not be
-    /// materialized and was counted (`net.fault_dup_unclonable`) and
-    /// discarded instead of silently lost.
-    DupCloneFailed,
-}
-
-impl WarningKind {
-    /// Stable machine-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            WarningKind::DupCloneFailed => "dup_clone_failed",
-        }
-    }
-}
-
 /// The merged, time-ordered trace of a whole run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceReport {
@@ -568,8 +524,6 @@ pub struct TraceReport {
     pub events: Vec<TraceEvent>,
     /// Events lost to ring wraparound, summed over nodes.
     pub dropped: u64,
-    /// Typed non-fatal anomalies (bounded at the source), time-ordered.
-    pub warnings: Vec<TraceWarning>,
     /// Head-sampling rate the recorders ran at (ppm; 1_000_000 = every
     /// span recorded).
     pub sample_ppm: u32,
@@ -585,7 +539,6 @@ impl Default for TraceReport {
         TraceReport {
             events: Vec::new(),
             dropped: 0,
-            warnings: Vec::new(),
             sample_ppm: Recorder::FULL_SAMPLING_PPM,
             msgs_minted: 0,
             msgs_sampled: 0,
@@ -613,7 +566,6 @@ impl TraceReport {
         TraceReport {
             events,
             dropped,
-            warnings: Vec::new(),
             sample_ppm,
             msgs_minted,
             msgs_sampled,
@@ -757,7 +709,6 @@ fn write_chrome_args(w: &mut Writer, event: &KernelEvent) {
         }
         KernelEvent::AliasCreated { key: k, target } => key(w, k).key("target").int(target),
         KernelEvent::AliasResolved { key: k, latency_ns } => key(w, k).key("latency_ns").int(latency_ns),
-        KernelEvent::FirTimeout { key: k, retries } => key(w, k).key("retries").int(retries),
         KernelEvent::FirStale { key: k, epoch } => key(w, k).key("epoch").int(epoch),
         KernelEvent::NameRepaired { key: k, node, epoch } => {
             key(w, k).key("node").int(node).key("epoch").int(epoch)

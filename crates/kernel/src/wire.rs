@@ -200,18 +200,6 @@ pub enum KMsg {
     /// Stop the machine (how a live machine shuts down; also honored by
     /// the simulator).
     Halt,
-    /// Self-addressed timer: the reliable-delivery retransmit timeout
-    /// for one peer fired (chaos subsystem only; never crosses a link).
-    RetxTimer {
-        /// The peer whose unacked queue should be inspected.
-        peer: NodeId,
-    },
-    /// Self-addressed timer: the FIR watchdog for one chased actor
-    /// fired (chaos subsystem only; never crosses a link).
-    FirTimer {
-        /// The actor key whose FIR may need re-issuing.
-        key: AddrKey,
-    },
 }
 
 impl KMsg {
@@ -237,9 +225,6 @@ impl KMsg {
             KMsg::GcMark { keys } => 4 + keys.len() * 16,
             KMsg::GcRoundDone { .. } => 4 + 3 * 8,
             KMsg::GcSwept { .. } => 12,
-            // Timers never cross a link; they have no wire cost.
-            KMsg::RetxTimer { .. } => 4,
-            KMsg::FirTimer { .. } => KEY,
         }
     }
 }
@@ -273,8 +258,6 @@ impl std::fmt::Debug for KMsg {
             } => write!(f, "GcRoundDone({activity}, marks {marks_sent}/{marks_received})"),
             KMsg::GcSweepCmd { .. } => write!(f, "GcSweepCmd"),
             KMsg::GcSwept { freed, live } => write!(f, "GcSwept(freed {freed}, live {live})"),
-            KMsg::RetxTimer { peer } => write!(f, "RetxTimer(peer {peer})"),
-            KMsg::FirTimer { key } => write!(f, "FirTimer({key:?})"),
         }
     }
 }

@@ -1,12 +1,12 @@
-//! Chaos-subsystem tests at the kernel level: the FIR watchdog under a
+//! Chaos-subsystem tests at the kernel level: an FIR reply lost to a
 //! link outage, typed machine errors, and config validation.
 
 use hal_kernel::kernel::Ctx;
 use hal_kernel::{
     BackendKind, Behavior, BehaviorId, BehaviorRegistry, ConfigError, FaultPlan, LinkOutage,
-    MachineConfig, MachineError, Msg, NodePause, SimMachine, Value,
+    MachineConfig, MachineError, MailAddr, Msg, NodePause, SimMachine, Value,
 };
-use hal_des::VirtualTime;
+use hal_des::{VirtualDuration, VirtualTime};
 use std::sync::Arc;
 
 /// Walks a fixed hop list, then reports every probe it receives.
@@ -38,97 +38,78 @@ fn empty_registry() -> Arc<BehaviorRegistry> {
     Arc::new(BehaviorRegistry::new())
 }
 
+/// On its kick, spends `charge_us` of CPU, then sends two probes.
+struct Prober {
+    nomad: MailAddr,
+    charge_us: u64,
+}
+impl Behavior for Prober {
+    fn dispatch(&mut self, ctx: &mut Ctx<'_>, _msg: Msg) {
+        ctx.charge(VirtualDuration::from_nanos(self.charge_us * 1_000));
+        ctx.send(self.nomad, 1, vec![]);
+        ctx.send(self.nomad, 1, vec![]);
+    }
+}
+
 #[test]
-fn lost_fir_reply_is_reissued_by_watchdog() {
+fn lost_fir_reply_is_recovered_by_retransmit() {
     // An actor born on node 1 migrates once to node 2; the reverse link
     // 2 -> 1 is dead for the first 2ms. The dead link eats the
     // migration announcement (so node 1 is left with an *unconfirmed*
-    // forward pointer and must FIR) and then every `FirFound` reply.
-    // With the reliable layer off, only the FIR watchdog can unwedge
-    // the parked probe: it must re-issue the chase every `fir_timeout`
-    // until the outage lifts. Flow control is off so the migration
-    // image travels as one eager packet on the healthy 1 -> 2 link —
-    // the outage touches nothing but the announcement and the replies.
+    // forward pointer and must FIR) and then the `FirFound` reply. The
+    // reliable layer re-sends both until the outage lifts, so the chase
+    // opened by the first probe closes after it, and the second probe
+    // joins that chase. Flow control is off so the migration image
+    // travels as one eager packet on the healthy 1 -> 2 link — the
+    // outage touches nothing but the announcement and the reply. The
+    // probes race the outage inside one run: a run drains only once
+    // the retransmit got through.
     let outage_end = VirtualTime::from_nanos(2_000_000);
-    let faults = FaultPlan::none().with_reliable(false).with_outage(LinkOutage {
-        src: 2,
-        dst: 1,
-        from: VirtualTime::from_nanos(0),
-        until: outage_end,
-    });
-    let cfg = MachineConfig::builder(3)
-        .faults(faults)
-        .flow_control(false)
-        .build()
-        .unwrap();
-    let mut m = SimMachine::new(cfg, empty_registry());
-
-    // Phase 1: the hop (its announcement back to node 1 is eaten).
-    let nomad = m.with_ctx(1, |ctx| {
-        let nomad = ctx.create_local(Box::new(Nomad {
-            hops: vec![2],
-            probes: 0,
-        }));
-        ctx.send(nomad, 0, vec![]);
-        nomad
-    });
-    let walk = m.run().unwrap();
-    assert_eq!(walk.stats.get("migrations.in"), 1, "the hop completed");
-
-    // Phase 2: a probe routed via the birthplace parks behind the FIR
-    // chase whose replies the outage keeps eating.
-    m.with_ctx(0, |ctx| {
-        ctx.send(nomad, 1, vec![]);
-    });
-    let r = m.run().unwrap();
-
-    assert_eq!(
-        r.values("probe_delivered").len(),
-        1,
-        "the parked probe must eventually be delivered exactly once"
-    );
-    assert_eq!(
-        r.value("probed_on"),
-        Some(&Value::Int(2)),
-        "probe chased the nomad to its new node"
-    );
-    assert!(
-        r.stats.get("fir.reissued") >= 1,
-        "the watchdog must have re-issued the wedged chase (reissued = {})",
-        r.stats.get("fir.reissued")
-    );
-    assert!(
-        r.makespan >= outage_end,
-        "delivery cannot complete before the outage lifts"
-    );
-}
-
-/// Every chase under a link-fault plan arms an FIR watchdog, and one
-/// whose reply came first expires as a stale FIR timer — not as a
-/// retransmit timer, of which a plan that only reorders, with the
-/// reliable layer off, arms none.
-#[test]
-fn answered_fir_watchdogs_expire_as_fir_timers() {
-    let faults = FaultPlan::none().with_reorder(0.1).with_reliable(false);
-    let cfg = MachineConfig::builder(8).faults(faults).build().unwrap();
-    let mut m = SimMachine::new(cfg, empty_registry());
-    let hops: Vec<u16> = (0..40).map(|i| (i % 7 + 1) as u16).collect();
-    let nomad = m.with_ctx(0, |ctx| {
-        let nomad = ctx.create_local(Box::new(Nomad { hops, probes: 0 }));
-        ctx.send(nomad, 0, vec![]);
-        nomad
-    });
-    // Probes race the walk from another node: stale guesses, FIR chases.
-    m.with_ctx(4, |ctx| {
-        for _ in 0..30 {
-            ctx.send(nomad, 1, vec![]);
-        }
-    });
-    let r = m.run().unwrap();
-    assert_eq!(r.values("probe_delivered").len(), 30, "nothing is lost, so all arrive");
-    assert!(r.stats.get("fir.sent") > 0, "the probes had to chase");
-    assert_eq!(r.stats.get("rel.timers_expired"), 0, "{:?}", r.stats);
-    assert!(r.stats.get("fir.timers_expired") > 0, "{:?}", r.stats);
+    for charge_us in [50, 200, 500] {
+        let faults = FaultPlan::none().with_outage(LinkOutage {
+            src: 2,
+            dst: 1,
+            from: VirtualTime::ZERO,
+            until: outage_end,
+        });
+        let cfg = MachineConfig::builder(3)
+            .faults(faults)
+            .flow_control(false)
+            .build()
+            .unwrap();
+        let mut m = SimMachine::new(cfg, empty_registry());
+        let nomad = m.with_ctx(1, |ctx| {
+            let nomad = ctx.create_local(Box::new(Nomad {
+                hops: vec![2],
+                probes: 0,
+            }));
+            ctx.send(nomad, 0, vec![]);
+            nomad
+        });
+        m.with_ctx(0, |ctx| {
+            let prober = ctx.create_local(Box::new(Prober { nomad, charge_us }));
+            ctx.send(prober, 0, vec![]);
+        });
+        let r = m.run().unwrap();
+        assert_eq!(r.stats.get("migrations.in"), 1, "the hop completed");
+        assert_eq!(
+            r.values("probe_delivered").len(),
+            2,
+            "both probes must be delivered exactly once"
+        );
+        assert_eq!(
+            r.values("probed_on"),
+            vec![&Value::Int(2); 2],
+            "the probes chased the nomad to its new node"
+        );
+        assert_eq!(r.stats.get("fir.sent"), 1, "one chase");
+        assert_eq!(r.stats.get("fir.suppressed"), 1, "the second probe joined it");
+        assert!(r.stats.get("rel.retransmits") > 0, "the reply was re-sent");
+        assert!(
+            r.makespan >= outage_end,
+            "delivery cannot complete before the outage lifts"
+        );
+    }
 }
 
 #[test]
@@ -167,6 +148,15 @@ fn builder_rejects_bad_configs() {
             .build()
             .unwrap_err(),
         ConfigError::BadFaultRate { which: "duplicate" }
+    ));
+    // A retransmit timeout must outlast one crossing of the link.
+    let hasty = FaultPlan {
+        rto: VirtualDuration::from_nanos(1_000),
+        ..FaultPlan::none().with_drop(0.1)
+    };
+    assert!(matches!(
+        MachineConfig::builder(2).faults(hasty).build().unwrap_err(),
+        ConfigError::TimeoutTooShort { min_ns: 3_600 }
     ));
     // Live runs no fault plan at all: not a lossy link, and not a pause
     // window either, which would shift a host-anchored clock.

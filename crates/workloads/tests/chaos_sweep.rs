@@ -1,31 +1,51 @@
 //! The reliable layer and the FIR chase under seeded faults.
 //!
 //! The sweep runs the Fig. 3 chase (8 hops, 40 probes on 8 nodes) over
-//! seeds 1–150 at four fault rates plus the fault-free plan. Every run
-//! must deliver each probe exactly once, and hal-check must find its
-//! trace clean — in particular every FIR reply that closes a chase must
-//! repair the name table where it closes it (§4.3).
+//! seeds 1–150 under each plan in [`plans`]: four chaos rates, the
+//! fault-free plan, and three timed plans — a 2 ms outage on the link
+//! 1 -> 0 (with chaos at 5 % and alone) and a 1 ms pause of node 1
+//! (with chaos at 5 %). Every run must deliver each probe exactly
+//! once, and hal-check must find its trace clean — in particular every
+//! FIR reply that closes a chase must repair the name table where it
+//! closes it (§4.3). The reliable layer is the only recovery path for
+//! a lost FIR or reply.
 //!
 //! The goodput floors run fib over the `sim_fib_lossy` links (2 % drop,
 //! 1 % duplicate, random placement, balancing on) and bound what the
 //! reliable layer spends per delivered packet, from counts alone.
 
 use hal::prelude::*;
+use hal_des::VirtualTime;
+use hal_kernel::{LinkOutage, NodePause};
 use hal_workloads::chase::{self, ChaseConfig};
 use hal_workloads::fib::{self, FibConfig, Placement};
 
-const RATES: [f64; 5] = [0.0, 0.01, 0.05, 0.10, 0.20];
 const SEEDS: std::ops::RangeInclusive<u64> = 1..=150;
 const PROBES: i64 = 40;
+
+/// The sweep's columns: a label for the failure message and the plan.
+fn plans() -> Vec<(String, FaultPlan)> {
+    let ms = |n: u64| VirtualTime::from_nanos(n * 1_000_000);
+    let outage = LinkOutage { src: 1, dst: 0, from: VirtualTime::ZERO, until: ms(2) };
+    let pause = NodePause { node: 1, from: ms(0), until: ms(1) };
+    let mut plans: Vec<_> = [0.0, 0.01, 0.05, 0.10, 0.20]
+        .into_iter()
+        .map(|rate| (format!("chaos {rate}"), FaultPlan::chaos(rate)))
+        .collect();
+    plans.push(("chaos 0.05 + outage".into(), FaultPlan::chaos(0.05).with_outage(outage)));
+    plans.push(("outage".into(), FaultPlan::none().with_outage(outage)));
+    plans.push(("chaos 0.05 + pause".into(), FaultPlan::chaos(0.05).with_pause(pause)));
+    plans
+}
 
 #[test]
 fn fig3_chase_is_exactly_once_and_check_clean_over_150_seeds() {
     let mut dirty = Vec::new();
-    for rate in RATES {
+    for (label, plan) in plans() {
         for seed in SEEDS {
             let cfg = MachineConfig::builder(8)
                 .seed(seed)
-                .faults(FaultPlan::chaos(rate))
+                .faults(plan.clone())
                 .observe(ObserveOpts::none().trace(true))
                 .build()
                 .unwrap();
@@ -38,17 +58,13 @@ fn fig3_chase_is_exactly_once_and_check_clean_over_150_seeds() {
                 .map(|v| v.as_int())
                 .collect();
             seq.sort_unstable();
-            assert_eq!(delivered, PROBES as u64, "rate {rate} seed {seed}");
-            assert_eq!(
-                seq,
-                (1..=PROBES).collect::<Vec<_>>(),
-                "rate {rate} seed {seed}"
-            );
+            assert_eq!(delivered, PROBES as u64, "{label} seed {seed}");
+            assert_eq!(seq, (1..=PROBES).collect::<Vec<_>>(), "{label} seed {seed}");
             let mut check = hal_check::CheckReport::new("chaos-sweep");
             hal_check::check_sim_report("chase", &report, &mut check);
             if !check.is_clean() {
                 let kinds: Vec<_> = check.violations.iter().map(|v| v.kind).collect();
-                dirty.push((rate, seed, kinds));
+                dirty.push((label.clone(), seed, kinds));
             }
         }
     }
