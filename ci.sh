@@ -243,17 +243,43 @@ for line in '    let plan = FaultPlan::chaos(0.1).with_reliable(false);' \
 done
 rm -f "$planted"
 
-echo "== README.md and DESIGN.md name only crates/ paths that exist =="
+echo "== one checker verdict: no second lint report, vocabulary or artifact family =="
+# The static lint is one hal-check pass (crates/check/src/lint.rs) that
+# reports into the harness's one CheckReport under --check, with its
+# findings as ViolationKinds and its flow facts in CHECK_<name>.json. A
+# lint report type, a lint finding kind or a lint artifact family is a
+# second answer to "is this harness clean?" growing back.
+second_verdict() {
+  grep -nF -e 'LintReport' -e 'LintKind' -e 'LintFinding' -e 'LINT_' "$@"
+}
+if second_verdict -r crates tests examples README.md DESIGN.md; then
+  echo "ci: a second checker verdict"; exit 1
+fi
+# The gate must catch a planted line for each name.
+planted="$(mktemp)"
+for line in 'pub fn run_lint(subject: &str, spec: &LintSpec) -> LintReport {' \
+            '    pub kind: LintKind,' \
+            '    pub findings: Vec<LintFinding>,' \
+            '    self.write(&format!("LINT_{name}.json"), &report.to_json());'; do
+  echo "$line" >"$planted"
+  second_verdict "$planted" >/dev/null || { echo "ci: the one-verdict gate is inert"; rm -f "$planted"; exit 1; }
+done
+rm -f "$planted"
+
+# The documents that tell a reader how to build and run the tree.
+# EXPERIMENTS.md is history and is not scanned.
+docs=(README.md DESIGN.md .claude/skills/verify/SKILL.md)
+
+echo "== README.md, DESIGN.md and the verify skill name only crates/ paths that exist =="
 # Every backticked or linked crates/... path (globs allowed, a :line
-# suffix ignored) must be in the tree. EXPERIMENTS.md is history and is
-# not scanned.
+# suffix ignored) must be in the tree.
 stale=0
 while read -r path; do
   compgen -G "${path%%:*}" >/dev/null || { echo "ci: docs name $path, which does not exist"; stale=1; }
-done < <(grep -oh -e '`crates/[^` ]*`' -e '](crates/[^)]*)' README.md DESIGN.md | tr -d '`]()' | sort -u)
+done < <(grep -oh -e '`crates/[^` ]*`' -e '](crates/[^)]*)' "${docs[@]}" | tr -d '`]()' | sort -u)
 [ "$stale" = 0 ] || exit 1
 
-echo "== README.md and DESIGN.md name only flags and harnesses that exist =="
+echo "== README.md, DESIGN.md and the verify skill name only flags and harnesses that exist =="
 # Every --flag token must occur in the sources that parse or pass it
 # (crates/*/src, benchmark/, this script) or be one of cargo's own, and
 # every word after `repro_all` or `-p hal-bench --` on a command line
@@ -263,11 +289,11 @@ while read -r flag; do
   [[ "$cargo_flags" == *" $flag "* ]] && continue
   grep -rqFw -e "$flag" crates/*/src benchmark ci.sh \
     || { echo "ci: docs name the flag $flag, which nothing parses"; stale=1; }
-done < <(grep -ohE -e '--[a-z][a-z0-9-]*' README.md DESIGN.md | sort -u)
+done < <(grep -ohE -e '--[a-z][a-z0-9-]*' "${docs[@]}" | sort -u)
 while read -r name; do
   [ -f "crates/bench/src/harness/$name.rs" ] \
     || { echo "ci: docs run the harness $name, which is not in crates/bench/src/harness/"; stale=1; }
-done < <(grep -ohE '(repro_all|hal-bench --) +[a-z][a-z0-9_]*' README.md DESIGN.md | awk '{print $NF}' | sort -u)
+done < <(grep -ohE '(repro_all|hal-bench --) +[a-z][a-z0-9_]*' "${docs[@]}" | awk '{print $NF}' | sort -u)
 [ "$stale" = 0 ] || exit 1
 
 echo "== README.md and DESIGN.md name only counters that exist =="
@@ -404,26 +430,48 @@ for refused in "table2_primitives --backend=live" "table4_fib --quick --metrcs";
 done
 echo "   repro_all: both refused with exit 2"
 
-echo "== results gate (repro_all --check --lint --spans --metrics + hal-serve on sim, cmp vs results/) =="
+echo "== results gate (repro_all --check --spans --metrics + hal-serve on sim, cmp vs results/) =="
 # The full sweep from an empty directory: every harness under the
-# hal-check protocol invariant checker AND the hal-lint static protocol
-# analyzer — repro_all runs each harness once in its own process, fails
-# if any verdict is dirty, and writes a manifest of what it wrote. Nothing it writes depends
+# hal-check protocol invariant checker, whose static lint pass runs
+# beside the run passes into the same CHECK_<name>.json — repro_all
+# runs each harness once in its own process, fails if any verdict is
+# dirty, and writes a manifest of what it wrote. Nothing it writes depends
 # on the host clock, so every file must be byte-identical to the
 # committed results/ — a difference is a change in simulation semantics
 # (or a stale results/), never noise. Host time is benchmark/'s job.
 # `./ci.sh --update-results` copies the sweep over results/ instead.
 sweep_dir="$smoke_dir/sweep"
 mkdir -p "$sweep_dir"
-(cd "$sweep_dir" && "$repo_root/target/release/repro_all" --check --lint --spans --metrics 2>&1 | tail -n 20) \
+(cd "$sweep_dir" && "$repo_root/target/release/repro_all" --check --spans --metrics 2>&1 | tail -n 20) \
   || { echo "ci: protocol checker sweep failed"; exit 1; }
 grep -q '"clean": true' "$sweep_dir/results/CHECK_repro_all.json" \
   || { echo "ci: CHECK_repro_all.json is not clean"; exit 1; }
-grep -q '"clean": true' "$sweep_dir/results/LINT_repro_all.json" \
-  || { echo "ci: LINT_repro_all.json is not clean"; exit 1; }
 grep -q 'SPANS_table5_matmul.json' "$sweep_dir/results/MANIFEST_repro_all.json" \
   || { echo "ci: MANIFEST_repro_all.json is missing span artifacts"; exit 1; }
-echo "   repro_all --check --lint --spans --metrics: CLEAN"
+# lint_ran <dir>: every harness's CHECK_<name>.json in <dir> lists the
+# lint pass and carries its flow object, so the static pass cannot
+# silently stop running.
+lint_ran() {
+  local rc=0 h f
+  for h in crates/bench/src/harness/*.rs; do
+    f="$1/CHECK_$(basename "$h" .rs).json"
+    { grep -qE '^  "passes": \[.*"lint"' "$f" && grep -q '^  "flow": {' "$f"; } 2>/dev/null \
+      || { echo "ci: $f does not record the lint pass"; rc=1; }
+  done
+  return $rc
+}
+lint_ran "$sweep_dir/results" || exit 1
+# The check must fail on a copy whose one file lacks the pass.
+mkdir -p "$smoke_dir/nolint"
+cp "$sweep_dir"/results/CHECK_*.json "$smoke_dir/nolint/"
+sed -i 's/"lint", //' "$smoke_dir/nolint/CHECK_table4_fib.json"
+if cmp -s "$smoke_dir/nolint/CHECK_table4_fib.json" "$sweep_dir/results/CHECK_table4_fib.json"; then
+  echo "ci: doctoring CHECK_table4_fib.json changed nothing"; exit 1
+fi
+if lint_ran "$smoke_dir/nolint" >/dev/null; then
+  echo "ci: the lint-pass check passed on a CHECK_ file without the pass — the check is inert"; exit 1
+fi
+echo "   repro_all --check --spans --metrics: CLEAN, the lint pass in every CHECK_<harness>.json"
 # hal-serve on the simulator is a pure function of its flags too, so its
 # artifact is swept and compared like the rest. These are the flags
 # README prints.

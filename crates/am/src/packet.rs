@@ -10,7 +10,7 @@
 //! three-phase protocol explicit.
 
 use core::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Identifier of a node (processing element) in the partition.
 ///
@@ -54,7 +54,11 @@ impl<P> RelPayload<P> {
     /// have suppressed this copy first, so a well-formed receiver never
     /// sees `None`).
     pub fn take(&self) -> Option<AmEnvelope<P>> {
-        self.0.lock().expect("reliable payload lock poisoned").take()
+        // The guard is only ever held across `Option::take`, which cannot
+        // unwind, so a poisoned lock still guards a consistent slot: a
+        // panic elsewhere on a thread that shares the ticket must not
+        // turn into a panic here.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).take()
     }
 
     /// True when both tickets refer to the same inner envelope.
@@ -260,6 +264,19 @@ mod tests {
         assert!(p.same_as(&copy));
         assert_eq!(p.take(), Some(AmEnvelope::Small(9)));
         assert_eq!(copy.take(), None, "second claim sees the ticket spent");
+    }
+
+    #[test]
+    fn a_poisoned_ticket_still_hands_over_its_envelope() {
+        let p = RelPayload::new(AmEnvelope::Small(9u32));
+        let holder = p.clone();
+        let died = std::thread::spawn(move || {
+            let _guard = holder.0.lock().unwrap();
+            panic!("a thread dies holding the ticket's lock");
+        })
+        .join();
+        assert!(died.is_err() && p.0.is_poisoned());
+        assert_eq!(p.take(), Some(AmEnvelope::Small(9)));
     }
 
     #[test]

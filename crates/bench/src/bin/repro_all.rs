@@ -4,8 +4,8 @@
 //! With no harness name it sweeps the whole table into `results/` — the
 //! one-command regeneration of the paper's evaluation plus the extension
 //! experiments (`hal_bench::sweep`): each harness once, its table to
-//! `results/<name>.txt`, and under `--check` / `--lint` the verdicts
-//! folded into `results/{CHECK,LINT}_repro_all.json`, with
+//! `results/<name>.txt`, and under `--check` the verdicts (run checks
+//! and static lint alike) folded into `results/CHECK_repro_all.json`, with
 //! `results/MANIFEST_repro_all.json` listing every file written. Run
 //! twice from empty directories, every file is byte-identical, and
 //! `ci.sh` holds the committed `results/` to that with `cmp`.
@@ -21,7 +21,7 @@
 //! ```bash
 //! cargo run --release -p hal-bench                            # full sweep
 //! cargo run --release -p hal-bench -- --quick                 # smoke
-//! cargo run --release -p hal-bench -- --check --lint          # + checker, static lint
+//! cargo run --release -p hal-bench -- --check                 # + checker and static lint
 //! cargo run --release -p hal-bench -- --spans --metrics
 //! cargo run --release -p hal-bench -- table4_fib --quick      # one row, table on stdout
 //! ```

@@ -88,14 +88,14 @@ pub const HARNESSES: &[Harness] = &[
     Harness { name: "timeline_cholesky", live: false, run: harness::timeline_cholesky::run },
 ];
 
-/// The command line in one paragraph: the seven flags and the eleven
+/// The command line in one paragraph: the six flags and the eleven
 /// names.
 pub fn usage() -> String {
     let names: Vec<&str> = HARNESSES.iter().map(|h| h.name).collect();
     format!(
-        "usage: repro_all [HARNESS]... [--quick] [--backend=sim|live] [--check] [--lint] \
-         [--spans] [--metrics] [--span-sample=R]\n\
-         no HARNESS: sweep all of them into results/ with the CHECK_/LINT_ folds and a manifest\n\
+        "usage: repro_all [HARNESS]... [--quick] [--backend=sim|live] [--check] [--spans] \
+         [--metrics] [--span-sample=R]\n\
+         no HARNESS: sweep all of them into results/ with the CHECK_ fold and a manifest\n\
          harnesses: {}",
         names.join(" ")
     )
@@ -115,7 +115,6 @@ pub fn parse_args(
         match arg.as_str() {
             "--quick" => flags.quick = true,
             "--check" => flags.check = true,
-            "--lint" => flags.lint = true,
             "--spans" => flags.spans = true,
             "--metrics" => flags.metrics = true,
             a => {
@@ -163,7 +162,7 @@ pub fn run(h: &Harness, flags: Flags, dir: &Path, echo: bool) -> Verdict {
 
 /// What a full sweep left behind.
 pub struct Sweep {
-    /// True when every harness's verdict is ok and both folds are clean.
+    /// True when every harness's verdict is ok and the fold is clean.
     pub ok: bool,
     /// Every file the sweep wrote into the directory except the manifest
     /// that lists them, in write order.
@@ -172,9 +171,8 @@ pub struct Sweep {
 
 /// Run every row into `dir` — `results/` for the binary — and fold what
 /// the sessions return: each table to `<name>.txt`,
-/// `CHECK_`/`LINT_repro_all.json` from the verdicts under
-/// `--check`/`--lint`, and `MANIFEST_repro_all.json` from the files
-/// written.
+/// `CHECK_repro_all.json` from the verdicts under `--check`, and
+/// `MANIFEST_repro_all.json` from the files written.
 ///
 /// Nothing the sweep writes depends on the host clock or on what was in
 /// `dir` before; a file in `dir` that the manifest does not list is
@@ -193,31 +191,24 @@ pub fn sweep(flags: Flags, dir: &Path) -> Sweep {
     }
 
     let mut ok = verdicts.iter().all(Verdict::ok);
-    // One family's verdicts folded into `<family>_repro_all.json`.
-    let mut fold = |family: &str, clean: fn(&Verdict) -> Option<bool>| {
-        let all_clean = verdicts.iter().all(|v| clean(v) == Some(true));
+    if flags.check {
+        let all_clean = verdicts.iter().all(|v| v.check_clean == Some(true));
         let json = json::document(|w| {
             w.obj(Block, |w| {
                 w.key("subject").str("repro_all").key("clean").bool(all_clean);
                 w.key("bins").arr(Block, |w| {
                     for v in &verdicts {
                         w.obj(Inline, |w| {
-                            w.key("bin").str(v.name).key("clean").bool(clean(v) == Some(true));
-                            w.key("detail").str(&format!("results/{family}_{}.json", v.name));
+                            w.key("bin").str(v.name).key("clean").bool(v.check_clean == Some(true));
+                            w.key("detail").str(&format!("results/CHECK_{}.json", v.name));
                         });
                     }
                 });
             });
         });
-        write(dir, &mut files, format!("{family}_repro_all.json"), &json);
-        eprintln!("{family}_repro_all.json: {}", if all_clean { "CLEAN" } else { "DIRTY" });
+        write(dir, &mut files, "CHECK_repro_all.json".to_string(), &json);
+        eprintln!("CHECK_repro_all.json: {}", if all_clean { "CLEAN" } else { "DIRTY" });
         ok &= all_clean;
-    };
-    if flags.check {
-        fold("CHECK", |v| v.check_clean);
-    }
-    if flags.lint {
-        fold("LINT", |v| v.lint_clean);
     }
 
     std::fs::write(dir.join("MANIFEST_repro_all.json"), manifest_json(flags, &files))
@@ -236,11 +227,11 @@ fn write(dir: &Path, files: &mut Vec<String>, file: String, contents: &str) {
 /// `MANIFEST_repro_all.json`: the flags and every file the sweep wrote,
 /// as paths under `results/`.
 fn manifest_json(flags: Flags, files: &[String]) -> String {
-    let Flags { quick, check, lint, spans, metrics, .. } = flags;
+    let Flags { quick, check, spans, metrics, .. } = flags;
     json::document(|w| {
         w.obj(Block, |w| {
             w.key("subject").str("repro_all").key("quick").bool(quick).key("check").bool(check);
-            w.key("lint").bool(lint).key("spans").bool(spans).key("metrics").bool(metrics);
+            w.key("spans").bool(spans).key("metrics").bool(metrics);
             w.key("artifacts").arr(Block, |w| {
                 for f in files {
                     w.str(&format!("results/{f}"));
@@ -277,9 +268,9 @@ mod tests {
     #[test]
     fn flags_and_names_parse_in_any_order() {
         let (flags, rows) =
-            parse(&["table4_fib", "--quick", "--span-sample=0.25", "fig3_delivery", "--lint"]).unwrap();
+            parse(&["table4_fib", "--quick", "--span-sample=0.25", "fig3_delivery", "--check"]).unwrap();
         assert_eq!(rows, ["table4_fib", "fig3_delivery"]);
-        let expect = Flags { quick: true, lint: true, span_sample_ppm: Some(250_000), ..Flags::default() };
+        let expect = Flags { quick: true, check: true, span_sample_ppm: Some(250_000), ..Flags::default() };
         assert_eq!(flags, expect);
         assert_eq!(parse(&[]).unwrap(), (Flags::default(), vec![]));
     }

@@ -24,13 +24,12 @@
 //!   rows of the table with `live: true` accept it.
 //! * `--check` — run the `hal-check` protocol invariant checker over
 //!   every recorded run (harnesses build their machines from
-//!   [`Session::machine`], which turns the flight recorder on) and write
-//!   `CHECK_<name>.json`; a violation makes the verdict dirty.
-//! * `--lint` — run the `hal-check` **static** protocol lint over the
-//!   program's compile-time declarations (the `messages!` protocols fed
-//!   with their handlers via [`Session::note_protocol`], wait-for gates)
-//!   and write `LINT_<name>.json`; a finding makes the verdict dirty.
-//!   Purely static: no run, trace, or host fact enters the artifact.
+//!   [`Session::machine`], which turns the flight recorder on), then its
+//!   static lint over the program's compile-time declarations (the
+//!   `messages!` protocols fed with their handlers via
+//!   [`Session::note_protocol`], wait-for gates), and write the one
+//!   `CHECK_<name>.json`; a violation of either kind makes the verdict
+//!   dirty.
 //! * `--spans` — reconstruct message-lifecycle spans
 //!   ([`hal_kernel::span`]) and the critical path
 //!   ([`hal_kernel::critical_path`]) for every recorded run, asserting
@@ -45,8 +44,7 @@
 //!   reproduces the unsampled surface exactly.
 //!
 //! Progress lines (`BENCHLINE`, `SPANLINE`, `WROTE <path>`, the checker's
-//! and the lint's summaries) go to **stderr**; the table is the session's
-//! text.
+//! summary) go to **stderr**; the table is the session's text.
 
 use hal_check::{CheckReport, LintSpec};
 use hal_des::json::{Style::Block, Style::Inline, Writer};
@@ -59,7 +57,7 @@ use hal_kernel::{
 use std::fmt::Display;
 use std::path::PathBuf;
 
-/// The seven switches, as parsed from the command line.
+/// The six switches, as parsed from the command line.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Flags {
     /// `--quick`.
@@ -68,8 +66,6 @@ pub struct Flags {
     pub backend: BackendKind,
     /// `--check`.
     pub check: bool,
-    /// `--lint`.
-    pub lint: bool,
     /// `--spans`.
     pub spans: bool,
     /// `--metrics`.
@@ -96,10 +92,8 @@ pub struct Verdict {
     pub name: &'static str,
     /// Its table (the sweep writes it to `<name>.txt`).
     pub text: String,
-    /// The protocol checker's verdict, under `--check`.
+    /// The protocol checker's verdict, lint included, under `--check`.
     pub check_clean: Option<bool>,
-    /// The static lint's verdict, under `--lint`.
-    pub lint_clean: Option<bool>,
     /// Names of the files written into the output directory, in write
     /// order.
     pub files: Vec<String>,
@@ -108,10 +102,10 @@ pub struct Verdict {
 }
 
 impl Verdict {
-    /// True when every file was written and no enabled pass found
-    /// anything.
+    /// True when every file was written and the checker, if enabled,
+    /// found nothing.
     pub fn ok(&self) -> bool {
-        self.io_ok && self.check_clean != Some(false) && self.lint_clean != Some(false)
+        self.io_ok && self.check_clean != Some(false)
     }
 }
 
@@ -223,14 +217,10 @@ impl Session {
 
     /// Declare one message protocol the harness's bootstrap injects (the
     /// `DECL` const generated by hal's `messages!` macro) and the
-    /// behaviors whose dispatch decodes it: the tag table goes to the
-    /// checker's static tag pass under `--check`; the declaration (tags
-    /// and send annotations), its handlers and its being a root go to
-    /// the lint.
+    /// behaviors whose dispatch decodes it: the declaration (tags and
+    /// send annotations), its handlers and its being a root go to the
+    /// lint, which runs under `--check`.
     pub fn note_protocol(&mut self, decl: &ProtocolDecl, handlers: &[&str]) {
-        if self.flags.check {
-            hal_check::check_tags(decl.name, decl.tags, &mut self.check);
-        }
         self.lint.protocols.push(*decl);
         self.lint.roots.push(decl.name.to_string());
         for behavior in handlers {
@@ -361,15 +351,10 @@ impl Session {
         let (name, backend) = (self.name, self.flags.backend);
         self.write(&format!("BENCH_{name}.json"), &bench_json(name, backend, &self.runs));
         let check_clean = self.flags.check.then(|| {
+            hal_check::run_lint(&self.lint, &mut self.check);
             eprint!("{}", self.check.summary());
             self.write(&format!("CHECK_{name}.json"), &self.check.to_json());
             self.check.is_clean()
-        });
-        let lint_clean = self.flags.lint.then(|| {
-            let report = hal_check::run_lint(name, &self.lint);
-            eprint!("{}", report.summary());
-            self.write(&format!("LINT_{name}.json"), &report.to_json());
-            report.is_clean()
         });
         for (family, doc) in [("SPANS", self.spans.take()), ("METRICS", self.metrics.take())] {
             if let Some(mut doc) = doc {
@@ -381,7 +366,6 @@ impl Session {
             name,
             text: self.text,
             check_clean,
-            lint_clean,
             files: self.files,
             io_ok: self.io_ok,
         }

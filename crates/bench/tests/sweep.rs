@@ -2,7 +2,7 @@
 //! same bytes, its manifest lists exactly what it wrote, and the table
 //! it walks agrees with the committed `results/` and `src/harness/`.
 
-use hal_bench::out::Flags;
+use hal_bench::out::{Flags, Session};
 use hal_bench::{sweep, HARNESSES};
 use hal_des::json::Json;
 use std::collections::BTreeSet;
@@ -21,7 +21,6 @@ fn quick_sweep_is_byte_identical_across_runs_and_matches_its_manifest() {
     let flags = Flags {
         quick: true,
         check: true,
-        lint: true,
         spans: true,
         metrics: true,
         ..Flags::default()
@@ -80,6 +79,40 @@ fn a_single_row_run_writes_no_table_file() {
     assert!(verdict.ok() && verdict.text.contains("Table 2"), "{}", verdict.text);
     assert_eq!(verdict.files, ["BENCH_table2_primitives.json"]);
     assert_eq!(listing(&dir), verdict.files.iter().cloned().collect());
+}
+
+#[test]
+fn check_alone_runs_the_lint_into_the_one_verdict() {
+    // A harness that injects a protocol nothing handles: `--check` is
+    // the only switch, and the static finding must still make the
+    // verdict dirty and land in CHECK_<name>.json beside the run passes.
+    const ORPHAN: hal_kernel::ProtocolDecl =
+        hal_kernel::ProtocolDecl { name: "Orphan", tags: &[("Ping", 0)], sends: &[("Ping", &[])] };
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint-under-check");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut s = Session::new("orphan", Flags { check: true, ..Flags::default() }, &dir, false);
+    s.note_protocol(&ORPHAN, &[]);
+    let verdict = s.finish();
+    assert_eq!(verdict.check_clean, Some(false));
+    assert!(!verdict.ok());
+    assert_eq!(verdict.files, ["BENCH_orphan.json", "CHECK_orphan.json"]);
+    let text = std::fs::read_to_string(dir.join("CHECK_orphan.json")).unwrap();
+    let doc = Json::parse(&text).expect("the report is JSON");
+    let passes: Vec<&str> =
+        doc.get("passes").and_then(Json::as_arr).unwrap().iter().filter_map(Json::as_str).collect();
+    assert_eq!(passes, ["lint", "tags:Orphan"]);
+    let kinds: Vec<&str> = doc
+        .get("violations")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .filter_map(|v| v.get("kind").and_then(Json::as_str))
+        .collect();
+    assert_eq!(kinds, ["UnhandledSelector"], "{text}");
+    let roots = doc.get("flow").and_then(|f| f.get("roots")).and_then(Json::as_arr).unwrap();
+    assert_eq!(roots[0].as_str(), Some("Orphan"));
+    // The lint has no switch of its own.
+    assert!(hal_bench::parse_args(["--lint".to_string()]).is_err());
 }
 
 #[test]

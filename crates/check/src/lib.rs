@@ -19,14 +19,14 @@
 //! - **Static protocol lint** ([`run_lint`]): the message-flow graph
 //!   built from the `messages!` macro's declared send annotations,
 //!   checked for unhandled selectors, dead behaviors, unknown
-//!   destinations, and wait-for cycles — without running the program.
-//!   Serialized to `results/LINT_<bin>.json` under `--lint`.
+//!   destinations, and wait-for cycles — without running the program —
+//!   plus the tag-table check of every declared protocol.
 //!
-//! Everything lands in a typed [`CheckReport`] with violation kinds,
-//! counts, and offending event windows, serializable to
-//! `results/CHECK_<bin>.json`. Bench bins run these passes under
-//! `--check`; the console's `check` command runs them on the last
-//! simulation. The full invariant catalog, with paper-section
+//! Everything lands in one typed [`CheckReport`] with violation kinds,
+//! counts, offending event windows and the lint's [`Flow`] facts,
+//! serializable to `results/CHECK_<bin>.json`. Bench bins run every
+//! pass, the lint included, under `--check`; the console's `check`
+//! command runs the trace and audit passes on the last simulation. The full invariant catalog, with paper-section
 //! citations, is DESIGN.md §10.
 
 #![warn(missing_docs)]
@@ -36,9 +36,9 @@ mod program_check;
 mod report;
 mod trace_check;
 
-pub use lint::{run_lint, LintFinding, LintKind, LintReport, LintSpec};
+pub use lint::{run_lint, LintSpec};
 pub use program_check::{check_audit, check_behavior_image, check_registry, check_tags};
-pub use report::{CheckReport, Violation, ViolationKind};
+pub use report::{CheckReport, Flow, Violation, ViolationKind};
 pub use trace_check::check_trace;
 
 use hal_kernel::{SimReport, TraceReport};

@@ -1,38 +1,39 @@
-//! hal-lint: the static message-protocol analyzer.
+//! The static message-protocol lint: one `hal-check` pass over what a
+//! program *declares*.
 //!
 //! Where the trace/audit passes check what a run *did*, this pass checks
-//! what a program *declares* — without executing anything. Its input is
-//! the [`LintSpec`] a harness assembles from compile-time facts: every
+//! the program without executing anything. Its input is the
+//! [`LintSpec`] a harness assembles from compile-time facts: every
 //! protocol's [`ProtocolDecl`] (the `messages!` macro's `DECL` const,
 //! carrying the tag table and the per-variant `=> [Dest, ...]` send
 //! annotations), which behavior handles which protocol, which protocols
 //! the driver injects (roots), and any declared wait-for gates. From
-//! those it builds the protocol-level message-flow graph and reports:
+//! those it builds the protocol-level message-flow graph, records it as
+//! the report's [`Flow`], and reports into the same [`CheckReport`] as
+//! every other pass:
 //!
-//! * **[`LintKind::UnknownDestinationProtocol`]** — a send annotation,
-//!   handler registration, or root names a protocol nobody declared
-//!   (typo, or a protocol dropped without updating its senders).
-//! * **[`LintKind::UnhandledSelector`]** — traffic can reach a protocol
-//!   (it is a root, or a reachable variant sends to it) but no behavior
-//!   handles it: every such message would hit `decode`'s unknown-
-//!   selector panic or park forever.
-//! * **[`LintKind::DeadBehavior`]** — a behavior handles a protocol no
-//!   root can reach through the flow graph: registered but unreachable
-//!   code (often a stale registration after a workload reshape).
-//! * **[`LintKind::WaitForCycle`]** — the declared wait-for gates form
-//!   a cycle: every selector on it waits for another, a static deadlock
-//!   candidate the §6.1 constraint machinery cannot re-enable.
-//! * **[`LintKind::DuplicateMessageTag`]** / **[`LintKind::MessageTagGap`]**
-//!   — the tag-table checks ([`crate::check_tags`]), folded in so a bare
-//!   `--lint` run still validates every declared table.
+//! * **[`ViolationKind::UnknownDestinationProtocol`]** — a send
+//!   annotation, handler registration, or root names a protocol nobody
+//!   declared (typo, or a protocol dropped without updating its senders).
+//! * **[`ViolationKind::UnhandledSelector`]** — traffic can reach a
+//!   protocol (it is a root, or a reachable variant sends to it) but no
+//!   behavior handles it: every such message would hit `decode`'s
+//!   unknown-selector panic or park forever.
+//! * **[`ViolationKind::DeadBehavior`]** — a behavior handles a protocol
+//!   no root can reach through the flow graph: registered but
+//!   unreachable code (often a stale registration after a workload
+//!   reshape).
+//! * **[`ViolationKind::WaitForCycle`]** — the declared wait-for gates
+//!   form a cycle: every selector on it waits for another, a static
+//!   deadlock candidate the §6.1 constraint machinery cannot re-enable.
+//! * the tag-table checks ([`crate::check_tags`]), run once per distinct
+//!   declared protocol.
 //!
-//! Everything lands in a [`LintReport`], serialized to
-//! `results/LINT_<bin>.json` by the bench harness under `--lint`. The
-//! report is built from sorted containers and carries no host facts, so
-//! its bytes are identical across runs and hosts.
+//! Findings are violations with an empty window. Everything is built
+//! from sorted containers and carries no host facts, so the report's
+//! bytes are identical across runs and hosts.
 
-use crate::report::{counts, CheckReport};
-use hal_des::json::{self, Style::Block, Style::Inline};
+use crate::report::{CheckReport, Flow, ViolationKind};
 use hal_kernel::ProtocolDecl;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -62,166 +63,12 @@ impl LintSpec {
     }
 }
 
-/// Every defect the static pass can report (see module docs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum LintKind {
-    /// A send annotation, handler, or root names an undeclared protocol.
-    UnknownDestinationProtocol,
-    /// A reachable protocol has no handling behavior.
-    UnhandledSelector,
-    /// A behavior handles a protocol unreachable from every root.
-    DeadBehavior,
-    /// The wait-for gates form a cycle — a static deadlock candidate.
-    WaitForCycle,
-    /// Two variants of one protocol share a selector.
-    DuplicateMessageTag,
-    /// A protocol's selectors do not cover `0..=max`.
-    MessageTagGap,
-}
-
-impl LintKind {
-    /// Stable short name (JSON field, summaries).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            LintKind::UnknownDestinationProtocol => "UnknownDestinationProtocol",
-            LintKind::UnhandledSelector => "UnhandledSelector",
-            LintKind::DeadBehavior => "DeadBehavior",
-            LintKind::WaitForCycle => "WaitForCycle",
-            LintKind::DuplicateMessageTag => "DuplicateMessageTag",
-            LintKind::MessageTagGap => "MessageTagGap",
-        }
-    }
-}
-
-/// One static defect, with enough context to chase it down.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LintFinding {
-    /// Which rule fired.
-    pub kind: LintKind,
-    /// Human-readable description of the specific instance.
-    pub detail: String,
-}
-
-/// The result of running the static pass over one program.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct LintReport {
-    /// What was linted (bench bin name, console label, ...).
-    pub subject: String,
-    /// Declared protocol names, sorted.
-    pub protocols: Vec<String>,
-    /// Registered behavior names, sorted.
-    pub behaviors: Vec<String>,
-    /// Root protocol names, sorted.
-    pub roots: Vec<String>,
-    /// Protocols reachable from the roots through send edges, sorted.
-    pub reachable: Vec<String>,
-    /// Everything that is statically wrong.
-    pub findings: Vec<LintFinding>,
-    /// Non-fatal observations (never make the report unclean).
-    pub warnings: Vec<String>,
-}
-
-impl LintReport {
-    /// Empty report for `subject`.
-    pub fn new(subject: impl Into<String>) -> Self {
-        LintReport {
-            subject: subject.into(),
-            ..Default::default()
-        }
-    }
-
-    /// Record a finding.
-    pub fn finding(&mut self, kind: LintKind, detail: impl Into<String>) {
-        self.findings.push(LintFinding {
-            kind,
-            detail: detail.into(),
-        });
-    }
-
-    /// Record a non-fatal warning.
-    pub fn warn(&mut self, detail: impl Into<String>) {
-        self.warnings.push(detail.into());
-    }
-
-    /// True when the static pass found nothing wrong.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty()
-    }
-
-    /// Finding counts grouped by kind, sorted by kind name.
-    #[must_use]
-    pub fn counts(&self) -> BTreeMap<&'static str, u64> {
-        let mut out = BTreeMap::new();
-        for f in &self.findings {
-            *out.entry(f.kind.name()).or_insert(0) += 1;
-        }
-        out
-    }
-
-    /// One-screen human summary.
-    #[must_use]
-    pub fn summary(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "lint {}: {} protocol(s), {} behavior(s), {} root(s), {}",
-            self.subject,
-            self.protocols.len(),
-            self.behaviors.len(),
-            self.roots.len(),
-            if self.is_clean() {
-                "CLEAN".to_string()
-            } else {
-                format!("{} FINDING(S)", self.findings.len())
-            }
-        );
-        for (name, n) in self.counts() {
-            let _ = writeln!(out, "  {name:<26} {n:>6}");
-        }
-        for w in self.warnings.iter().take(10) {
-            let _ = writeln!(out, "  ~ {w}");
-        }
-        for f in self.findings.iter().take(10) {
-            let _ = writeln!(out, "  - [{}] {}", f.kind.name(), f.detail);
-        }
-        if self.findings.len() > 10 {
-            let _ = writeln!(out, "  ... and {} more", self.findings.len() - 10);
-        }
-        out
-    }
-
-    /// The `LINT_<bin>.json` document. Every container is sorted, so the
-    /// bytes are deterministic.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        json::document(|w| {
-            w.obj(Block, |w| {
-                w.key("subject").str(&self.subject).key("clean").bool(self.is_clean());
-                w.key("protocols").strs(&self.protocols).key("behaviors").strs(&self.behaviors);
-                w.key("roots").strs(&self.roots).key("reachable").strs(&self.reachable);
-                w.key("warnings").strs(&self.warnings);
-                w.key("finding_counts").obj(Inline, |w| counts(w, self.counts()));
-                w.key("findings").arr(Block, |w| {
-                    for f in &self.findings {
-                        w.obj(Inline, |w| {
-                            w.key("kind").str(f.kind.name()).key("detail").str(&f.detail);
-                        });
-                    }
-                });
-            });
-        })
-    }
-}
-
-/// Run the whole static pass over `spec` and return the report.
+/// Run the whole static pass over `spec` into `out` as its `lint` pass.
 ///
 /// The pass is pure and deterministic: same spec, same report bytes.
-#[must_use]
-pub fn run_lint(subject: &str, spec: &LintSpec) -> LintReport {
-    let mut out = LintReport::new(subject);
+pub fn run_lint(spec: &LintSpec, out: &mut CheckReport) {
+    out.passes.push("lint".to_string());
+    let mut flow = Flow::default();
 
     // Deduplicate protocol declarations by name (several runs in one bin
     // note the same protocol); conflicting re-declarations are real
@@ -232,27 +79,18 @@ pub fn run_lint(subject: &str, spec: &LintSpec) -> LintReport {
             None => {
                 decls.insert(d.name, d);
             }
-            Some(prev) if *prev != d => out.finding(
-                LintKind::UnknownDestinationProtocol,
+            Some(prev) if *prev != d => out.violation(
+                ViolationKind::UnknownDestinationProtocol,
                 format!("protocol {} declared twice with different tables", d.name),
             ),
             Some(_) => {}
         }
     }
-    out.protocols = decls.keys().map(|s| (*s).to_string()).collect();
+    flow.protocols = decls.keys().map(|s| (*s).to_string()).collect();
 
-    // Tag-table checks, folded in from the protocol checker so a bare
-    // --lint run still validates every declared table.
+    // Tag-table checks, once per distinct declared protocol.
     for d in decls.values() {
-        let mut tags = CheckReport::new(d.name);
-        crate::check_tags(d.name, d.tags, &mut tags);
-        for v in tags.violations {
-            let kind = match v.kind {
-                crate::ViolationKind::DuplicateMessageTag => LintKind::DuplicateMessageTag,
-                _ => LintKind::MessageTagGap,
-            };
-            out.finding(kind, v.detail);
-        }
+        crate::check_tags(d.name, d.tags, out);
     }
 
     // Handlers: behavior -> protocol, sorted + deduped.
@@ -261,7 +99,7 @@ pub fn run_lint(subject: &str, spec: &LintSpec) -> LintReport {
         .iter()
         .map(|(b, p)| (b.as_str(), p.as_str()))
         .collect();
-    out.behaviors = handlers
+    flow.behaviors = handlers
         .iter()
         .map(|(b, _)| (*b).to_string())
         .collect::<BTreeSet<_>>()
@@ -270,8 +108,8 @@ pub fn run_lint(subject: &str, spec: &LintSpec) -> LintReport {
     let handled: BTreeSet<&str> = handlers.iter().map(|&(_, p)| p).collect();
     for &(behavior, proto) in &handlers {
         if !decls.contains_key(proto) {
-            out.finding(
-                LintKind::UnknownDestinationProtocol,
+            out.violation(
+                ViolationKind::UnknownDestinationProtocol,
                 format!("behavior {behavior:?} handles undeclared protocol {proto}"),
             );
         }
@@ -279,11 +117,11 @@ pub fn run_lint(subject: &str, spec: &LintSpec) -> LintReport {
 
     // Roots, sorted + deduped.
     let roots: BTreeSet<&str> = spec.roots.iter().map(String::as_str).collect();
-    out.roots = roots.iter().map(|s| (*s).to_string()).collect();
+    flow.roots = roots.iter().map(|s| (*s).to_string()).collect();
     for &r in &roots {
         if !decls.contains_key(r) {
-            out.finding(
-                LintKind::UnknownDestinationProtocol,
+            out.violation(
+                ViolationKind::UnknownDestinationProtocol,
                 format!("root protocol {r} is not declared"),
             );
         }
@@ -294,8 +132,8 @@ pub fn run_lint(subject: &str, spec: &LintSpec) -> LintReport {
         for (variant, dests) in d.sends {
             for dest in *dests {
                 if !decls.contains_key(dest) {
-                    out.finding(
-                        LintKind::UnknownDestinationProtocol,
+                    out.violation(
+                        ViolationKind::UnknownDestinationProtocol,
                         format!(
                             "{}::{variant} declares a send to undeclared protocol {dest}",
                             d.name
@@ -328,14 +166,14 @@ pub fn run_lint(subject: &str, spec: &LintSpec) -> LintReport {
             }
         }
     }
-    out.reachable = reachable.iter().map(|s| (*s).to_string()).collect();
+    flow.reachable = reachable.iter().map(|s| (*s).to_string()).collect();
 
     // Unhandled selectors: traffic can reach the protocol, nobody
     // decodes it. Reported per inbound edge so the fix site is named.
     for &r in &roots {
         if decls.contains_key(r) && !handled.contains(r) {
-            out.finding(
-                LintKind::UnhandledSelector,
+            out.violation(
+                ViolationKind::UnhandledSelector,
                 format!("root protocol {r} has no handling behavior"),
             );
         }
@@ -345,8 +183,8 @@ pub fn run_lint(subject: &str, spec: &LintSpec) -> LintReport {
         for (variant, dests) in d.sends {
             for dest in *dests {
                 if decls.contains_key(*dest) && !handled.contains(*dest) {
-                    out.finding(
-                        LintKind::UnhandledSelector,
+                    out.violation(
+                        ViolationKind::UnhandledSelector,
                         format!(
                             "{p}::{variant} sends to protocol {dest}, which no behavior handles"
                         ),
@@ -359,8 +197,8 @@ pub fn run_lint(subject: &str, spec: &LintSpec) -> LintReport {
     // Dead behaviors: handling a protocol no root reaches.
     for &(behavior, proto) in &handlers {
         if decls.contains_key(proto) && !reachable.contains(proto) {
-            out.finding(
-                LintKind::DeadBehavior,
+            out.violation(
+                ViolationKind::DeadBehavior,
                 format!(
                     "behavior {behavior:?} handles protocol {proto}, \
                      which is unreachable from the roots"
@@ -369,12 +207,12 @@ pub fn run_lint(subject: &str, spec: &LintSpec) -> LintReport {
         }
     }
 
-    check_gates(spec, &decls, &mut out);
-    out
+    check_gates(spec, &decls, out);
+    out.flow = Some(flow);
 }
 
 /// Validate the declared wait-for edges and report every cycle once.
-fn check_gates(spec: &LintSpec, decls: &BTreeMap<&str, &ProtocolDecl>, out: &mut LintReport) {
+fn check_gates(spec: &LintSpec, decls: &BTreeMap<&str, &ProtocolDecl>, out: &mut CheckReport) {
     let known = |sel: &str| -> bool {
         match sel.split_once("::") {
             Some((proto, variant)) => decls
@@ -438,8 +276,8 @@ fn check_gates(spec: &LintSpec, decls: &BTreeMap<&str, &ProtocolDecl>, out: &mut
                                     .map_or(0, |(i, _)| i);
                                 cycle.rotate_left(min);
                                 if seen_cycles.insert(cycle.clone()) {
-                                    out.finding(
-                                        LintKind::WaitForCycle,
+                                    out.violation(
+                                        ViolationKind::WaitForCycle,
                                         format!(
                                             "wait-for cycle: {} -> {}",
                                             cycle.join(" -> "),
@@ -469,6 +307,7 @@ fn check_gates(spec: &LintSpec, decls: &BTreeMap<&str, &ProtocolDecl>, out: &mut
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Violation;
 
     fn decl(
         name: &'static str,
@@ -499,12 +338,28 @@ mod tests {
         }
     }
 
+    fn lint(spec: &LintSpec) -> CheckReport {
+        let mut r = CheckReport::new("unit");
+        run_lint(spec, &mut r);
+        r
+    }
+
+    /// The first violation of `kind` whose detail contains `needle`.
+    fn found<'a>(r: &'a CheckReport, kind: ViolationKind, needle: &str) -> &'a Violation {
+        r.violations
+            .iter()
+            .find(|v| v.kind == kind && v.detail.contains(needle))
+            .unwrap_or_else(|| panic!("no {} naming {needle}:\n{}", kind.name(), r.summary()))
+    }
+
     #[test]
     fn clean_program_is_clean() {
-        let r = run_lint("unit", &clean_spec());
+        let r = lint(&clean_spec());
         assert!(r.is_clean(), "{}", r.summary());
-        assert_eq!(r.protocols, vec!["Reply", "Work"]);
-        assert_eq!(r.reachable, vec!["Reply", "Work"]);
+        assert_eq!(r.passes, ["lint", "tags:Reply", "tags:Work"]);
+        let flow = r.flow.as_ref().expect("the lint records its flow facts");
+        assert_eq!(flow.protocols, vec!["Reply", "Work"]);
+        assert_eq!(flow.reachable, vec!["Reply", "Work"]);
         assert!(r.warnings.is_empty(), "{:?}", r.warnings);
     }
 
@@ -516,44 +371,24 @@ mod tests {
             &[("Start", 0), ("Step", 1)],
             &[("Start", &["Wrok"]), ("Step", &[])], // typo'd destination
         );
-        let r = run_lint("unit", &spec);
-        let f = r
-            .findings
-            .iter()
-            .find(|f| f.kind == LintKind::UnknownDestinationProtocol)
-            .expect("typo found");
-        assert!(f.detail.contains("Work::Start"), "{}", f.detail);
-        assert!(f.detail.contains("Wrok"), "{}", f.detail);
+        let r = lint(&spec);
+        let v = found(&r, ViolationKind::UnknownDestinationProtocol, "Wrok");
+        assert!(v.detail.contains("Work::Start"), "{}", v.detail);
+        assert!(v.window.is_empty(), "a static finding has no event window");
     }
 
     #[test]
     fn unhandled_selector_is_reported() {
         let mut spec = clean_spec();
         spec.handlers.retain(|(b, _)| b != "collector");
-        let r = run_lint("unit", &spec);
-        assert!(
-            r.findings
-                .iter()
-                .any(|f| f.kind == LintKind::UnhandledSelector
-                    && f.detail.contains("Reply")),
-            "{}",
-            r.summary()
-        );
+        found(&lint(&spec), ViolationKind::UnhandledSelector, "Reply");
     }
 
     #[test]
     fn unhandled_root_is_reported() {
         let mut spec = clean_spec();
         spec.handlers.clear();
-        let r = run_lint("unit", &spec);
-        assert!(
-            r.findings
-                .iter()
-                .any(|f| f.kind == LintKind::UnhandledSelector
-                    && f.detail.contains("root protocol Work")),
-            "{}",
-            r.summary()
-        );
+        found(&lint(&spec), ViolationKind::UnhandledSelector, "root protocol Work");
     }
 
     #[test]
@@ -562,14 +397,7 @@ mod tests {
         // Nothing sends Orphan, but a behavior handles it.
         spec.protocols.push(decl("Orphan", &[("Nop", 0)], &[("Nop", &[])]));
         spec.handlers.push(("orphan".into(), "Orphan".into()));
-        let r = run_lint("unit", &spec);
-        assert!(
-            r.findings
-                .iter()
-                .any(|f| f.kind == LintKind::DeadBehavior && f.detail.contains("orphan")),
-            "{}",
-            r.summary()
-        );
+        found(&lint(&spec), ViolationKind::DeadBehavior, "orphan");
     }
 
     #[test]
@@ -590,16 +418,10 @@ mod tests {
             roots: vec!["Work".into()],
             gates: Vec::new(),
         };
-        let r = run_lint("unit", &spec);
-        assert!(r.findings.iter().any(|f| f.kind == LintKind::UnhandledSelector));
-        assert!(
-            r.findings
-                .iter()
-                .any(|f| f.kind == LintKind::DeadBehavior && f.detail.contains("tail")),
-            "{}",
-            r.summary()
-        );
-        assert!(!r.reachable.contains(&"Tail".to_string()));
+        let r = lint(&spec);
+        found(&r, ViolationKind::UnhandledSelector, "Reply");
+        found(&r, ViolationKind::DeadBehavior, "tail");
+        assert!(!r.flow.unwrap().reachable.contains(&"Tail".to_string()));
     }
 
     #[test]
@@ -610,12 +432,9 @@ mod tests {
             ("Reply::Done".into(), "Work::Step".into()),
             ("Work::Step".into(), "Work::Start".into()),
         ];
-        let r = run_lint("unit", &spec);
-        let cycles: Vec<_> = r
-            .findings
-            .iter()
-            .filter(|f| f.kind == LintKind::WaitForCycle)
-            .collect();
+        let r = lint(&spec);
+        let cycles: Vec<_> =
+            r.violations.iter().filter(|v| v.kind == ViolationKind::WaitForCycle).collect();
         assert_eq!(cycles.len(), 1, "{}", r.summary());
         assert!(cycles[0].detail.contains("Reply::Done"), "{}", cycles[0].detail);
     }
@@ -624,30 +443,30 @@ mod tests {
     fn gate_on_unknown_selector_warns() {
         let mut spec = clean_spec();
         spec.gates.push(("Work::Nope".into(), "Reply::Done".into()));
-        let r = run_lint("unit", &spec);
+        let r = lint(&spec);
         assert!(r.is_clean(), "{}", r.summary());
-        assert!(
-            r.warnings.iter().any(|w| w.contains("Work::Nope")),
-            "{:?}",
-            r.warnings
-        );
+        assert!(r.warnings.iter().any(|w| w.contains("Work::Nope")), "{:?}", r.warnings);
     }
 
     #[test]
     fn tag_table_defects_fold_in() {
+        let bad = decl(
+            "Bad",
+            &[("A", 0), ("B", 0), ("C", 2)], // duplicate 0, hole at 1
+            &[("A", &[]), ("B", &[]), ("C", &[])],
+        );
+        // Declared twice (two runs of one harness note it twice): the
+        // table is checked once.
         let spec = LintSpec {
-            protocols: vec![decl(
-                "Bad",
-                &[("A", 0), ("B", 0), ("C", 2)], // duplicate 0, hole at 1
-                &[("A", &[]), ("B", &[]), ("C", &[])],
-            )],
+            protocols: vec![bad, bad],
             handlers: vec![("bad".into(), "Bad".into())],
             roots: vec!["Bad".into()],
             gates: Vec::new(),
         };
-        let r = run_lint("unit", &spec);
-        assert!(r.findings.iter().any(|f| f.kind == LintKind::DuplicateMessageTag));
-        assert!(r.findings.iter().any(|f| f.kind == LintKind::MessageTagGap));
+        let r = lint(&spec);
+        assert_eq!(r.passes.iter().filter(|p| *p == "tags:Bad").count(), 1, "{:?}", r.passes);
+        assert_eq!(r.counts()["DuplicateMessageTag"], 1, "{}", r.summary());
+        assert_eq!(r.counts()["MessageTagGap"], 1, "{}", r.summary());
     }
 
     #[test]
@@ -656,10 +475,12 @@ mod tests {
         let mut flipped = clean_spec();
         flipped.protocols.reverse();
         flipped.handlers.reverse();
-        let a = run_lint("unit", &spec).to_json();
-        let b = run_lint("unit", &flipped).to_json();
-        assert_eq!(a, b);
+        let a = lint(&spec).to_json();
+        assert_eq!(a, lint(&flipped).to_json());
         let doc = hal_des::json::Json::parse(&a).expect("the report is JSON");
         assert_eq!(doc.get("clean"), Some(&hal_des::json::Json::Bool(true)));
+        let flow = doc.get("flow").expect("the flow object");
+        let behaviors = flow.get("behaviors").and_then(hal_des::json::Json::as_arr).unwrap();
+        assert_eq!(behaviors.len(), 2);
     }
 }

@@ -1,7 +1,8 @@
 //! Typed check results: violation kinds, counts, offending event
-//! windows, and the `results/CHECK_<bin>.json` serialization.
+//! windows, the static lint's flow facts, and the
+//! `results/CHECK_<bin>.json` serialization.
 
-use hal_des::json::{self, Style::Block, Style::Inline, Writer};
+use hal_des::json::{self, Style::Block, Style::Inline};
 use std::collections::BTreeMap;
 
 /// Every invariant the checker can see broken, one kind per rule.
@@ -68,6 +69,16 @@ pub enum ViolationKind {
     /// A protocol's selectors do not cover `0..=max` — an encodable
     /// tag in the hole has no decode arm.
     MessageTagGap,
+    /// A send annotation, handler, or root names an undeclared protocol
+    /// (§6.3: the compiler knows every selector a program can send).
+    UnknownDestinationProtocol,
+    /// A protocol the roots can reach has no handling behavior.
+    UnhandledSelector,
+    /// A behavior handles a protocol unreachable from every root.
+    DeadBehavior,
+    /// The declared wait-for gates form a cycle — a static deadlock
+    /// candidate the §6.1 constraint machinery cannot re-enable.
+    WaitForCycle,
 }
 
 impl ViolationKind {
@@ -91,6 +102,10 @@ impl ViolationKind {
             ViolationKind::DuplicateBehaviorName => "DuplicateBehaviorName",
             ViolationKind::DuplicateMessageTag => "DuplicateMessageTag",
             ViolationKind::MessageTagGap => "MessageTagGap",
+            ViolationKind::UnknownDestinationProtocol => "UnknownDestinationProtocol",
+            ViolationKind::UnhandledSelector => "UnhandledSelector",
+            ViolationKind::DeadBehavior => "DeadBehavior",
+            ViolationKind::WaitForCycle => "WaitForCycle",
         }
     }
 }
@@ -105,6 +120,20 @@ pub struct Violation {
     /// The offending event window: rendered trace events around the
     /// violation (empty for audit- or program-level findings).
     pub window: Vec<String>,
+}
+
+/// The static lint's view of the program's message-flow graph, every
+/// list sorted.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Flow {
+    /// Declared protocol names.
+    pub protocols: Vec<String>,
+    /// Registered behavior names.
+    pub behaviors: Vec<String>,
+    /// Root protocol names.
+    pub roots: Vec<String>,
+    /// Protocols reachable from the roots through send edges.
+    pub reachable: Vec<String>,
 }
 
 /// The result of running checker passes over one labeled run (or a
@@ -125,6 +154,8 @@ pub struct CheckReport {
     /// Non-fatal anomalies a pass chose to surface. Warnings never make
     /// a report unclean.
     pub warnings: Vec<String>,
+    /// The message-flow graph, once the lint pass has run.
+    pub flow: Option<Flow>,
 }
 
 impl CheckReport {
@@ -237,7 +268,17 @@ impl CheckReport {
                 w.key("events_checked").int(self.events_checked);
                 w.key("trace_truncated").bool(self.trace_truncated);
                 w.key("warnings").strs(&self.warnings);
-                w.key("violation_counts").obj(Inline, |w| counts(w, self.counts()));
+                if let Some(f) = &self.flow {
+                    w.key("flow").obj(Inline, |w| {
+                        w.key("protocols").strs(&f.protocols).key("behaviors").strs(&f.behaviors);
+                        w.key("roots").strs(&f.roots).key("reachable").strs(&f.reachable);
+                    });
+                }
+                w.key("violation_counts").obj(Inline, |w| {
+                    for (name, n) in self.counts() {
+                        w.key(name).int(n);
+                    }
+                });
                 w.key("violations").arr(Block, |w| {
                     for v in &self.violations {
                         w.obj(Inline, |w| {
@@ -248,13 +289,6 @@ impl CheckReport {
                 });
             });
         })
-    }
-}
-
-/// Push a kind-name → count map as object members.
-pub(crate) fn counts(w: &mut Writer, counts: BTreeMap<&str, u64>) {
-    for (name, n) in counts {
-        w.key(name).int(n);
     }
 }
 

@@ -10,8 +10,8 @@
 /// Each variant may carry an optional destination-protocol annotation,
 /// `=> [DestProto, ...]`, declaring which protocols its handler may
 /// send to. The annotations compile into the [`SENDS`] table and the
-/// protocol's [`DECL`], which the static lint pass (`hal-lint`, run by
-/// the bench bins under `--lint`) walks to find unhandled selectors,
+/// protocol's [`DECL`], which `hal-check`'s static lint pass (run by
+/// the bench bins under `--check`) walks to find unhandled selectors,
 /// dead behaviors, and wait-for cycles — without running the program.
 /// Un-annotated variants declare an empty send set (a sink).
 ///

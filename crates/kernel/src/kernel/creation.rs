@@ -64,9 +64,11 @@ impl Kernel {
             // Open an alias-creation span: mint (here) → install (at
             // the target) → resolve (the NameInfo landing back here),
             // parented by the requesting handler's message. Under head
-            // sampling an unsampled episode keeps span 0: the raw event
-            // still lands (latency histograms stay exact) but the span
-            // builder never opens it.
+            // sampling an unsampled episode keeps span 0: the span
+            // builder skips its events, so the `alias.*` stages are
+            // sampled like every other stage. The raw events still land
+            // because hal-check's `AliasResolvedWithoutCreate` rule
+            // pairs every resolve with its mint.
             span = r.next_msg_id();
             if !r.span_sampled(span) {
                 span = 0;
